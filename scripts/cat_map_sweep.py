@@ -3,8 +3,8 @@
 
 Sweeps the shrinking exponent over a grid and writes one CSV row per tau with
 the entropy/dimension values the exact theorems (or, failing those, the
-sandwich bounds) give.  Default systems: the cat map and a pair of expanding
-matrices.
+sandwich bounds) give - the rows of the CLI ``sweep`` task.  Default
+systems: the cat map and a pair of expanding matrices.
 
 Usage: python3 scripts/cat_map_sweep.py [--step 0.05] [--out sweep_out]
 """
@@ -13,10 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from shrinktarget.cli import render_csv, _SWEEP_COLUMNS, fmt
-from shrinktarget.bounds import exact_expanding_torus, exact_toral_automorphism
-from shrinktarget.rates import RateExponents
-from shrinktarget.systems import IntegerMatrixSystem, analyze_matrix, entropy_toral
+from shrinktarget.cli import _SWEEP_COLUMNS, render_csv, sweep_rows, system_facts
+from shrinktarget.systems import IntegerMatrixSystem
 
 SYSTEMS = {
     "cat_map": ((2, 1), (1, 1)),
@@ -26,28 +24,9 @@ SYSTEMS = {
 
 
 def sweep(entries, step):
-    m = IntegerMatrixSystem(entries)
-    p = analyze_matrix(m)
-    h = entropy_toral(p)
-    taus = [k * step for k in range(int(1.5 * h / step) + 2)]
-    rows = []
-    for t in taus:
-        tau = RateExponents(t, t)
-        if p.is_expanding:
-            rep = exact_expanding_torus(p, tau)
-        else:
-            rep = exact_toral_automorphism(p, tau)
-        rows.append(
-            {
-                "tau": fmt(t),
-                "h_lower": fmt(rep.entropy_lower),
-                "h_upper": fmt(rep.entropy_upper),
-                "dim_lower": fmt(rep.dim_lower),
-                "dim_upper": fmt(rep.dim_upper),
-                "case_tag": rep.case_tag.value,
-            }
-        )
-    return rows
+    facts = system_facts(IntegerMatrixSystem(entries), "matrix")
+    taus = [k * step for k in range(int(1.5 * facts.h_top / step) + 2)]
+    return sweep_rows(facts, taus)
 
 
 def main():

@@ -21,7 +21,6 @@ from enum import Enum
 from typing import Union
 
 from .rates import RateExponents, RateFunction
-from .symbolic import ShiftOfFiniteType, period_decomposition, sft_entropy
 from .systems import HyperbolicityProfile, SpectralProfile
 
 BOUNDARY_TOL = 1e-12
@@ -484,52 +483,48 @@ def exact_expanding_torus(
 
 
 def bounds_one_sided_shift(
-    x: ShiftOfFiniteType,
+    mixing: bool,
+    h_top: float,
     tau: RateExponents,
     *,
     time_sets_all_naturals: bool = True,
     index_ok: bool | None = None,
-    h_top: float | None = None,
 ) -> BoundReport:
     """One-sided subshift: factors 1/(1+tau) for entropy and dimension alike.
 
-    Exact (factor 1/(1+tau_lower)) for a mixing shift with time sets all of N.
-    ``h_top`` overrides the SFT entropy for sofic shifts presented elsewhere.
+    The theorem reads only whether the shift is mixing (period 1) and its
+    entropy, so SFTs and sofic shifts share it.  Exact (factor
+    1/(1+tau_lower)) for a mixing shift with time sets all of N.
     """
-    d = period_decomposition(x)  # rejects reducible shifts
-    h = sft_entropy(x) if h_top is None else h_top
-    mixing = d.period == 1
     t_low, t_up = tau.tau_lower, tau.tau_upper
-    up = h / (1.0 + t_low)
+    up = h_top / (1.0 + t_low)
     assumptions = [("mixing", mixing), ("time sets all naturals", time_sets_all_naturals)]
     if index_ok is not None:
         assumptions.append(("index_intersection_nonempty", index_ok))
     if mixing and time_sets_all_naturals:
         return BoundReport(up, up, up, up, CaseTag.EXACT, tuple(assumptions))
     if mixing or index_ok is True:
-        low = h / (1.0 + t_up)
+        low = h_top / (1.0 + t_up)
         return BoundReport(low, up, low, up, CaseTag.GENERIC, tuple(assumptions))
     return BoundReport(None, up, None, up, CaseTag.GENERIC, tuple(assumptions))
 
 
 def bounds_two_sided_shift(
-    x: ShiftOfFiniteType,
+    mixing: bool,
+    h_top: float,
     tau: RateExponents,
     *,
     time_sets_all_naturals: bool = True,
     index_ok: bool | None = None,
-    h_top: float | None = None,
     tol: float = BOUNDARY_TOL,
 ) -> BoundReport:
     """Two-sided subshift: entropy factor (1-tau)/(1+tau), dimension 2/(1+tau).
 
+    Like the one-sided theorem it reads only mixing and the entropy.
     Dispatch on tau_lower against 1 (the log Lipschitz constant of the shift):
     at the boundary the entropy vanishes and dim <= h_top; above it everything
     vanishes.  Exact in the mixing, S = N case.
     """
-    d = period_decomposition(x)
-    h = sft_entropy(x) if h_top is None else h_top
-    mixing = d.period == 1
     t_low, t_up = tau.tau_lower, tau.tau_upper
     assumptions = [("mixing", mixing), ("time sets all naturals", time_sets_all_naturals)]
     if index_ok is not None:
@@ -537,7 +532,7 @@ def bounds_two_sided_shift(
 
     if not math.isinf(t_low) and abs(t_low - 1.0) <= tol:
         return BoundReport(
-            0.0, 0.0, None, h, CaseTag.BOUNDARY_ZERO,
+            0.0, 0.0, None, h_top, CaseTag.BOUNDARY_ZERO,
             tuple(assumptions) + (("tau_lower == 1", True),),
         )
     if t_low > 1.0:
@@ -545,13 +540,13 @@ def bounds_two_sided_shift(
             0.0, 0.0, 0.0, 0.0, CaseTag.DEGENERATE_ZERO,
             tuple(assumptions) + (("tau_lower > 1", True),),
         )
-    h_up = (1.0 - t_low) / (1.0 + t_low) * h
-    dim_up = 2.0 / (1.0 + t_low) * h
+    h_up = (1.0 - t_low) / (1.0 + t_low) * h_top
+    dim_up = 2.0 / (1.0 + t_low) * h_top
     if mixing and time_sets_all_naturals:
         return BoundReport(h_up, h_up, dim_up, dim_up, CaseTag.EXACT, tuple(assumptions))
     if (mixing or index_ok is True) and t_up < 1.0:
-        h_low = (1.0 - t_up) / (1.0 + t_up) * h
-        dim_low = 2.0 / (1.0 + t_up) * h
+        h_low = (1.0 - t_up) / (1.0 + t_up) * h_top
+        dim_low = 2.0 / (1.0 + t_up) * h_top
         return BoundReport(h_low, h_up, dim_low, dim_up, CaseTag.GENERIC, tuple(assumptions))
     if not (mixing or index_ok is True):
         assumptions.append(("lower bound available", False))

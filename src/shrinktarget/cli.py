@@ -27,6 +27,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -47,7 +48,7 @@ from .bounds import (
     lower_entropy_general,
     upper_bounds,
 )
-from .config import ConfigError, ExperimentConfig, RateTriple, load_config
+from .config import ConfigError, ExperimentConfig, RateTriple, SystemSpec, load_config
 from .oracle import (
     LimsupCylinderScheme,
     OracleError,
@@ -69,6 +70,7 @@ from .rates import (
     tau_exponents,
 )
 from .symbolic import (
+    PeriodDecomposition,
     ShiftOfFiniteType,
     SoficPresentation,
     SymbolicError,
@@ -81,7 +83,9 @@ from .symbolic import (
     sofic_entropy,
 )
 from .systems import (
+    HyperbolicityProfile,
     IntegerMatrixSystem,
+    SpectralProfile,
     SpectrumError,
     analyze_matrix,
     crude_profile_from_matrix,
@@ -162,189 +166,139 @@ def _all_naturals(config: ExperimentConfig) -> bool:
     return all(isinstance(t.time_set, AllTimes) for t in config.rates)
 
 
-def _index_data(config: ExperimentConfig, shift: ShiftOfFiniteType):
+def _index_data(config: ExperimentConfig, decomp: PeriodDecomposition):
     """Index sets per rate triple and their common difference (or None)."""
-    decomp = period_decomposition(shift)
     if decomp.period == 1:
-        return decomp, None, None
+        return None, None
     sets = []
     for triple in config.rates:
         assert isinstance(triple.target, ShiftTarget)
         sets.append(index_set(triple.target, triple.time_set, decomp))
-    return decomp, sets, indices_intersect(sets)
+    return sets, indices_intersect(sets)
 
 
 # ---------------------------------------------------------------------------
-# Task executors
+# System analysis and bound dispatch
 # ---------------------------------------------------------------------------
 
 
-def _run_analyze(config: ExperimentConfig) -> dict:
-    if config.system_kind == "matrix":
-        m = config.system
-        assert isinstance(m, IntegerMatrixSystem)
-        p = analyze_matrix(m)
-        out: dict[str, Any] = {
-            "dim": p.dim,
-            "determinant": m.det,
-            "kind": m.kind,
-            "clusters": [
-                {"modulus": fmt(c.modulus), "multiplicity": c.multiplicity, "has_nonreal": c.has_nonreal}
-                for c in p.clusters
-            ],
-            "d_s": p.d_s,
-            "d_u": p.d_u,
-            "is_hyperbolic": p.is_hyperbolic,
-            "is_expanding": p.is_expanding,
-            "lambda_s_mod": fmt(p.lambda_s_mod),
-            "lambda_u_mod": fmt(p.lambda_u_mod),
-        }
-        if p.has_complex_pair:
-            out["notes"] = ["a modulus cluster contains complex eigenvalue pairs"]
-        if p.is_hyperbolic or p.is_expanding:
-            out["h_top"] = fmt(entropy_toral(p))
-            crude = crude_profile_from_matrix(m)
-            out["crude_profile"] = _profile_dict(crude)
-            try:
-                out["sharp_profile"] = _profile_dict(sharp_profile_from_matrix(m, p))
-            except SpectrumError as exc:
-                out["sharp_profile"] = None
-                out.setdefault("notes", []).append(f"no sharp profile: {exc}")
-        return out
-    if config.system_kind == "sft":
-        shift = config.system
-        assert isinstance(shift, ShiftOfFiniteType)
-        decomp = period_decomposition(shift)
-        out = {
-            "alphabet_size": shift.alphabet_size,
-            "sided": shift.sided,
-            "h_top": fmt(sft_entropy(shift)),
-            "period": decomp.period,
-            "classes": list(decomp.class_of),
-        }
-        if decomp.period == 1:
-            out["mixing_gap"] = mixing_gap(shift)
-        return out
-    if config.system_kind == "sofic":
-        pres = config.system
-        assert isinstance(pres, SoficPresentation)
-        decomp = digraph_period(pres.adjacency())
-        return {
-            "states": pres.states,
-            "labels": list(pres.labels),
-            "sided": pres.sided,
-            "h_top": fmt(sofic_entropy(pres)),
-            "period": decomp.period,
-        }
-    raise ConfigError("$.tasks", "analyze needs a matrix or symbolic system")
+@dataclass(frozen=True)
+class SystemFacts:
+    """What the bound theorems read of one system, analysed once per run().
+
+    Matrices: the system, its spectrum, exact determinant and entropy, the
+    crude profile and either the sharp profile or ``sharp_error``, the reason
+    it does not apply (profiles and entropy only for hyperbolic spectra).
+    SFTs: the period decomposition, entropy and sidedness.  Sofic shifts:
+    the period, entropy and sidedness.  ``profile`` systems: the profile.
+    """
+
+    kind: str
+    matrix: IntegerMatrixSystem | None = None
+    spectrum: SpectralProfile | None = None
+    det: int | None = None
+    crude: HyperbolicityProfile | None = None
+    sharp: HyperbolicityProfile | None = None
+    sharp_error: str | None = None
+    decomposition: PeriodDecomposition | None = None
+    period: int | None = None
+    h_top: float | None = None
+    sided: str | None = None
+    profile: HyperbolicityProfile | None = None
 
 
-def _profile_dict(prof) -> dict:
-    return {
-        "lambda1": fmt(prof.lambda1),
-        "lambda2": fmt(prof.lambda2),
-        "ln_l1": fmt(prof.ln_l1),
-        "ln_l2": fmt(prof.ln_l2),
-        "h_top": fmt(prof.h_top),
-    }
-
-
-def _run_bounds(config: ExperimentConfig) -> dict:
-    tau = family_exponents(config)
-    naturals = _all_naturals(config)
-    rows: list[dict] = []
-
-    if config.system_kind == "matrix":
-        m = config.system
-        p = analyze_matrix(m)
+def system_facts(system: SystemSpec, kind: str) -> SystemFacts:
+    """Analyse ``system`` (of config kind ``kind``) once."""
+    if kind == "matrix":
+        assert isinstance(system, IntegerMatrixSystem)
+        p = analyze_matrix(system)
         if not p.is_hyperbolic:
-            raise SpectrumError("spectrum has a modulus at 1; no bounds apply")
-        for label, profile in _matrix_profiles(m, p):
-            inp = bound_input_from_profile(profile, tau)
-            if p.is_expanding:
-                rep = bounds_expanding(inp, tau_lower_substitution=naturals)
-            else:
-                rep = bounds_hyperbolic_set(inp, tau_lower_substitution=naturals)
-            rows.append(_report_row(f"{label}_sandwich", rep))
-        for i, triple in enumerate(config.rates):
-            crude = crude_profile_from_matrix(m)
-            phi = triple.phi
-            rep = covering_bounds(crude, phi if isinstance(phi, RateExponents) else tau_exponents(phi))
-            rows.append(_report_row("covering_lower", rep, rate_index=i))
-    elif config.system_kind in ("sft", "sofic"):
-        rows.extend(_shift_bound_rows(config, tau, naturals))
-    elif config.system_kind == "profile":
-        prof = config.system
-        rep = _general_profile_bounds(prof, tau)
-        rows.append(_report_row("general_profile_sandwich", rep))
-        rows.append(_report_row("covering_lower", covering_bounds(prof, tau)))
-    return {"tau_upper": fmt(tau.tau_upper), "tau_lower": fmt(tau.tau_lower), "rows": rows}
-
-
-def _matrix_profiles(m: IntegerMatrixSystem, p):
-    profiles = [("crude", crude_profile_from_matrix(m))]
-    try:
-        profiles.append(("sharp", sharp_profile_from_matrix(m, p)))
-    except SpectrumError:
-        pass
-    return profiles
-
-
-def _shift_bound_rows(config: ExperimentConfig, tau: RateExponents, naturals: bool) -> list[dict]:
-    rows: list[dict] = []
-    if config.system_kind == "sft":
-        shift = config.system
-        assert isinstance(shift, ShiftOfFiniteType)
-        decomp, sets, common = _index_data(config, shift)
-        h = sft_entropy(shift)
-        sided = shift.sided
-        shift_for_bounds = shift
-    else:
-        pres = config.system
-        assert isinstance(pres, SoficPresentation)
-        decomp = digraph_period(pres.adjacency())
-        sets, common = None, None
-        h = sofic_entropy(pres)
-        sided = pres.sided
-        # bounds dispatch needs only mixing/entropy data; reuse a full shift
-        # carcass of the right sidedness with the sofic entropy plugged in
-        shift_for_bounds = None
-
-    index_ok: bool | None = None
-    if decomp.period > 1:
-        index_ok = None if sets is None else (common is not None)
-
-    if shift_for_bounds is not None:
-        fn = bounds_one_sided_shift if sided == "one" else bounds_two_sided_shift
-        rep = fn(
-            shift_for_bounds,
-            tau,
-            time_sets_all_naturals=naturals,
-            index_ok=index_ok,
+            return SystemFacts(kind, matrix=system, spectrum=p, det=system.det)
+        sharp = sharp_error = None
+        try:
+            sharp = sharp_profile_from_matrix(system, p)
+        except SpectrumError as exc:
+            sharp_error = str(exc)
+        return SystemFacts(
+            kind, matrix=system, spectrum=p, det=system.det,
+            crude=crude_profile_from_matrix(system, p), sharp=sharp,
+            sharp_error=sharp_error, h_top=entropy_toral(p),
         )
-    else:
-        rep = _sofic_bound_report(decomp.period, h, sided, tau, naturals, index_ok)
-    extra: dict[str, Any] = {"h_top": fmt(h), "period": decomp.period}
-    if sets is not None:
-        extra["index_sets"] = [sorted(list(pair) for pair in s.pairs) for s in sets]
-        extra["common_difference"] = common
-    rows.append(_report_row(f"{sided}_sided_shift", rep, **extra))
-    return rows
+    if kind == "sft":
+        assert isinstance(system, ShiftOfFiniteType)
+        decomp = period_decomposition(system)
+        return SystemFacts(
+            kind, decomposition=decomp, period=decomp.period,
+            h_top=sft_entropy(system), sided=system.sided,
+        )
+    if kind == "sofic":
+        assert isinstance(system, SoficPresentation)
+        period = digraph_period(system.adjacency()).period
+        return SystemFacts(kind, period=period, h_top=sofic_entropy(system), sided=system.sided)
+    assert isinstance(system, HyperbolicityProfile)
+    return SystemFacts(kind, profile=system)
 
 
-def _sofic_bound_report(
-    period: int, h: float, sided: str, tau: RateExponents, naturals: bool, index_ok
-) -> BoundReport:
-    """Shift-theorem dispatch from (period, entropy) alone, for sofic systems."""
-    from .symbolic import full_shift
+@dataclass(frozen=True)
+class EvalContext:
+    """The per-task inputs of ``evaluate`` beyond the system and tau.
 
-    carcass = full_shift(2, sided)
-    fn = bounds_one_sided_shift if sided == "one" else bounds_two_sided_shift
-    if period == 1:
-        return fn(carcass, tau, time_sets_all_naturals=naturals, index_ok=None, h_top=h)
-    return fn(
-        carcass, tau, time_sets_all_naturals=False,
-        index_ok=index_ok if index_ok is not None else False, h_top=h,
+    ``task`` is "bounds", "exact" or "sweep"; ``naturals`` says every time
+    set is all of N; ``index_ok`` says whether the index difference sets of
+    a non-mixing shift intersect (None: not applicable).
+    """
+
+    task: str
+    naturals: bool = True
+    index_ok: bool | None = None
+
+
+def _context(facts: SystemFacts, task: str, naturals: bool = True, index_ok: bool | None = None) -> EvalContext:
+    if facts.kind == "sofic" and facts.period > 1:
+        # no index sets are derived from a presentation: a periodic sofic
+        # shift gets neither the S = N substitution nor an index intersection
+        return EvalContext(task, naturals=False, index_ok=False)
+    return EvalContext(task, naturals, index_ok)
+
+
+def evaluate(facts: SystemFacts, tau: RateExponents, context: EvalContext) -> tuple[tuple[str, BoundReport], ...]:
+    """The (rule, report) rows the theorems give for ``facts`` at ``tau``.
+
+    Shifts and profiles get the same rows for every task.  Matrices get the
+    crude and sharp sandwiches for "bounds"; "exact" and "sweep" take the
+    exact theorem when one applies, and "sweep" falls back to the crude
+    sandwich otherwise.
+    """
+    if facts.kind in ("sft", "sofic"):
+        fn = bounds_one_sided_shift if facts.sided == "one" else bounds_two_sided_shift
+        rep = fn(
+            facts.period == 1, facts.h_top, tau,
+            time_sets_all_naturals=context.naturals, index_ok=context.index_ok,
+        )
+        return ((f"{facts.sided}_sided_shift", rep),)
+    if facts.kind == "profile":
+        return (("general_profile_sandwich", _general_profile_bounds(facts.profile, tau)),)
+
+    p = facts.spectrum
+    if context.task != "bounds":
+        if p.is_expanding:
+            return (("expanding_torus_exact", exact_expanding_torus(p, tau)),)
+        if p.lambda_s_mod is not None and p.abs_det == 1:
+            return (("toral_automorphism_exact", exact_toral_automorphism(p, tau)),)
+        if context.task == "exact":
+            raise HypothesisViolatedError(
+                "no exact theorem applies to this spectrum; "
+                "run the 'bounds' task for sandwich estimates"
+            )
+    if not p.is_hyperbolic:
+        raise SpectrumError("spectrum has a modulus at 1; no bounds apply")
+    profiles = [("crude", facts.crude)]
+    if context.task == "bounds" and facts.sharp is not None:
+        profiles.append(("sharp", facts.sharp))
+    fn = bounds_expanding if p.is_expanding else bounds_hyperbolic_set
+    return tuple(
+        (f"{label}_sandwich", fn(bound_input_from_profile(prof, tau), tau_lower_substitution=context.naturals))
+        for label, prof in profiles
     )
 
 
@@ -378,35 +332,131 @@ def _general_profile_bounds(prof, tau: RateExponents) -> BoundReport:
     )
 
 
-def _run_exact(config: ExperimentConfig) -> dict:
-    m = config.system
-    assert isinstance(m, IntegerMatrixSystem)
-    tau = family_exponents(config)
-    naturals = _all_naturals(config)
-    p = analyze_matrix(m)
-    rows: list[dict] = []
-    if not naturals:
+def sweep_rows(facts: SystemFacts, taus) -> list[dict]:
+    """One sweep row per tau, with tau_upper = tau_lower = tau and S = N."""
+    context = _context(facts, "sweep")
+    rows = []
+    for t in taus:
+        ((_, rep),) = evaluate(facts, RateExponents(t, t), context)
         rows.append(
             {
-                "rule": "exact_values",
-                "case": None,
-                "h_lower": None, "h_upper": None, "dim_lower": None, "dim_upper": None,
-                "assumptions": [["time sets all naturals", False]],
-                "notes": ["exact values are stated for time sets equal to all of N"],
+                "tau": fmt(t),
+                "h_lower": fmt(rep.entropy_lower),
+                "h_upper": fmt(rep.entropy_upper),
+                "dim_lower": fmt(rep.dim_lower),
+                "dim_upper": fmt(rep.dim_upper),
+                "case_tag": rep.case_tag.value,
             }
         )
-        return {"tau_lower": fmt(tau.tau_lower), "rows": rows}
-    if p.is_expanding:
-        rep = exact_expanding_torus(p, tau)
-        rows.append(_report_row("expanding_torus_exact", rep))
-    elif p.lambda_s_mod is not None and p.abs_det == 1:
-        rep = exact_toral_automorphism(p, tau)
-        rows.append(_report_row("toral_automorphism_exact", rep))
-    else:
-        raise HypothesisViolatedError(
-            "no exact theorem applies to this spectrum; "
-            "run the 'bounds' task for sandwich estimates"
-        )
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Task executors
+# ---------------------------------------------------------------------------
+
+
+def _run_analyze(config: ExperimentConfig, facts: SystemFacts) -> dict:
+    if facts.kind == "matrix":
+        m, p = facts.matrix, facts.spectrum
+        out: dict[str, Any] = {
+            "dim": p.dim,
+            "determinant": facts.det,
+            "kind": m.kind,
+            "clusters": [
+                {"modulus": fmt(c.modulus), "multiplicity": c.multiplicity, "has_nonreal": c.has_nonreal}
+                for c in p.clusters
+            ],
+            "d_s": p.d_s,
+            "d_u": p.d_u,
+            "is_hyperbolic": p.is_hyperbolic,
+            "is_expanding": p.is_expanding,
+            "lambda_s_mod": fmt(p.lambda_s_mod),
+            "lambda_u_mod": fmt(p.lambda_u_mod),
+        }
+        if p.has_complex_pair:
+            out["notes"] = ["a modulus cluster contains complex eigenvalue pairs"]
+        if p.is_hyperbolic:
+            out["h_top"] = fmt(facts.h_top)
+            out["crude_profile"] = _profile_dict(facts.crude)
+            if facts.sharp is not None:
+                out["sharp_profile"] = _profile_dict(facts.sharp)
+            else:
+                out["sharp_profile"] = None
+                out.setdefault("notes", []).append(f"no sharp profile: {facts.sharp_error}")
+        return out
+    if facts.kind == "sft":
+        shift = config.system
+        out = {
+            "alphabet_size": shift.alphabet_size,
+            "sided": facts.sided,
+            "h_top": fmt(facts.h_top),
+            "period": facts.period,
+            "classes": list(facts.decomposition.class_of),
+        }
+        if facts.period == 1:
+            out["mixing_gap"] = mixing_gap(shift)
+        return out
+    if facts.kind == "sofic":
+        pres = config.system
+        return {
+            "states": pres.states,
+            "labels": list(pres.labels),
+            "sided": facts.sided,
+            "h_top": fmt(facts.h_top),
+            "period": facts.period,
+        }
+    raise ConfigError("$.tasks", "analyze needs a matrix or symbolic system")
+
+
+def _profile_dict(prof) -> dict:
+    return {
+        "lambda1": fmt(prof.lambda1),
+        "lambda2": fmt(prof.lambda2),
+        "ln_l1": fmt(prof.ln_l1),
+        "ln_l2": fmt(prof.ln_l2),
+        "h_top": fmt(prof.h_top),
+    }
+
+
+def _run_bounds(config: ExperimentConfig, facts: SystemFacts) -> dict:
+    tau = family_exponents(config)
+    extra: dict[str, Any] = {}
+    if facts.kind in ("sft", "sofic"):
+        extra = {"h_top": fmt(facts.h_top), "period": facts.period}
+    index_ok = None
+    if facts.kind == "sft":
+        sets, common = _index_data(config, facts.decomposition)
+        if sets is not None:
+            index_ok = common is not None
+            extra["index_sets"] = [sorted(list(pair) for pair in s.pairs) for s in sets]
+            extra["common_difference"] = common
+    context = _context(facts, "bounds", _all_naturals(config), index_ok)
+    rows = [_report_row(rule, rep, **extra) for rule, rep in evaluate(facts, tau, context)]
+    if facts.kind == "matrix":
+        for i, triple in enumerate(config.rates):
+            phi = triple.phi
+            rep = covering_bounds(facts.crude, phi if isinstance(phi, RateExponents) else tau_exponents(phi))
+            rows.append(_report_row("covering_lower", rep, rate_index=i))
+    elif facts.kind == "profile":
+        rows.append(_report_row("covering_lower", covering_bounds(facts.profile, tau)))
+    return {"tau_upper": fmt(tau.tau_upper), "tau_lower": fmt(tau.tau_lower), "rows": rows}
+
+
+def _run_exact(config: ExperimentConfig, facts: SystemFacts) -> dict:
+    if facts.kind != "matrix":
+        raise ConfigError("$.tasks", "task 'exact' requires a matrix system")
+    tau = family_exponents(config)
+    if not _all_naturals(config):
+        row = {
+            "rule": "exact_values",
+            "case": None,
+            "h_lower": None, "h_upper": None, "dim_lower": None, "dim_upper": None,
+            "assumptions": [["time sets all naturals", False]],
+            "notes": ["exact values are stated for time sets equal to all of N"],
+        }
+        return {"tau_lower": fmt(tau.tau_lower), "rows": [row]}
+    rows = [_report_row(rule, rep) for rule, rep in evaluate(facts, tau, EvalContext("exact"))]
     return {"tau_lower": fmt(tau.tau_lower), "rows": rows}
 
 
@@ -488,51 +538,10 @@ def _run_witness(config: ExperimentConfig) -> dict:
     return {"rows": rows}
 
 
-def _run_sweep(config: ExperimentConfig) -> dict:
+def _run_sweep(config: ExperimentConfig, facts: SystemFacts) -> dict:
     if config.sweep_taus is None:
         raise ConfigError("$.sweep", "sweep requires a sweep.taus grid")
-    rows = []
-    for t in config.sweep_taus:
-        tau = RateExponents(t, t)
-        rep = _sweep_report(config, tau)
-        rows.append(
-            {
-                "tau": fmt(t),
-                "h_lower": fmt(rep.entropy_lower),
-                "h_upper": fmt(rep.entropy_upper),
-                "dim_lower": fmt(rep.dim_lower),
-                "dim_upper": fmt(rep.dim_upper),
-                "case_tag": rep.case_tag.value,
-            }
-        )
-    return {"rows": rows}
-
-
-def _sweep_report(config: ExperimentConfig, tau: RateExponents) -> BoundReport:
-    kind = config.system_kind
-    if kind == "matrix":
-        m = config.system
-        p = analyze_matrix(m)
-        if p.is_expanding:
-            return exact_expanding_torus(p, tau)
-        if p.lambda_s_mod is not None and p.abs_det == 1:
-            return exact_toral_automorphism(p, tau)
-        if p.is_hyperbolic:
-            return bounds_hyperbolic_set(
-                bound_input_from_profile(crude_profile_from_matrix(m), tau)
-            )
-        raise SpectrumError("spectrum has a modulus at 1; no bounds apply")
-    if kind == "sft":
-        shift = config.system
-        fn = bounds_one_sided_shift if shift.sided == "one" else bounds_two_sided_shift
-        return fn(shift, tau)
-    if kind == "sofic":
-        pres = config.system
-        decomp = digraph_period(pres.adjacency())
-        return _sofic_bound_report(
-            decomp.period, sofic_entropy(pres), pres.sided, tau, True, None
-        )
-    return _general_profile_bounds(config.system, tau)
+    return {"rows": sweep_rows(facts, config.sweep_taus)}
 
 
 _EXECUTORS = {
@@ -543,6 +552,8 @@ _EXECUTORS = {
     "witness": _run_witness,
     "sweep": _run_sweep,
 }
+# the tasks whose executors read the SystemFacts of the configured system
+_FACT_TASKS = ("analyze", "bounds", "exact", "sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +562,30 @@ _EXECUTORS = {
 
 
 def run(config: ExperimentConfig, tasks: tuple[str, ...] | None = None, seedless: bool = False):
-    """Execute tasks and assemble the report; returns (report, all_ok, timings)."""
+    """Execute tasks and assemble the report; returns (report, all_ok, timings).
+
+    The system is analysed at most once per call, by the first task that
+    needs it; a failed analysis becomes the error of every such task.
+    """
     todo = tasks if tasks is not None else config.tasks
     results = []
     timings = []
     all_ok = True
+    facts: SystemFacts | Exception | None = None
     for task in todo:
         started = time.perf_counter()
         try:
-            payload = _EXECUTORS[task](config)
+            if task in _FACT_TASKS:
+                if facts is None:
+                    try:
+                        facts = system_facts(config.system, config.system_kind)
+                    except TaskError as exc:
+                        facts = exc
+                if isinstance(facts, Exception):
+                    raise facts
+                payload = _EXECUTORS[task](config, facts)
+            else:
+                payload = _EXECUTORS[task](config)
             results.append({"task": task, "status": "ok", **payload})
         except TaskError as exc:
             all_ok = False

@@ -450,10 +450,6 @@ def _base_prefix_len(phi: RateFunction) -> int:
     return 0
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def restrict_rate(phi: RateFunction, s: TimeSet) -> RateFunction:
     """The rate equal to phi on S and 1 off S.
 
@@ -481,7 +477,7 @@ def restrict_rate(phi: RateFunction, s: TimeSet) -> RateFunction:
         explicit = s.times
 
     base_period = phi.period if isinstance(phi, (PiecewiseExponential, TabulatedPeriodic)) else 1
-    period = _lcm(base_period, tail.step)
+    period = math.lcm(base_period, tail.step)
     # Prefix covers the base table, the explicit times and the pre-tail range
     # so the periodic section is exact from the first coordinate it governs.
     prefix_len = max(

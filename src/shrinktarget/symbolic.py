@@ -153,19 +153,12 @@ def strongly_connected_components(
     return tuple(comps)
 
 
-def is_irreducible(x: ShiftOfFiniteType) -> bool:
-    return len(strongly_connected_components(x.transition)) == 1
-
-
 @dataclass(frozen=True)
 class PeriodDecomposition:
     """Cyclic structure: N classes, every edge steps class c -> c+1 mod N."""
 
     period: int
     class_of: tuple[int, ...]
-
-    def component(self, c: int) -> tuple[int, ...]:
-        return tuple(i for i, cls in enumerate(self.class_of) if cls == c)
 
 
 def digraph_period(matrix: Sequence[Sequence[int]]) -> PeriodDecomposition:
@@ -209,7 +202,12 @@ _WIELANDT = lambda k: (k - 1) * (k - 1) + 1
 
 
 def mixing_gap(x: ShiftOfFiniteType) -> int:
-    """Smallest p >= 1 with M^p entrywise positive (primitivity index)."""
+    """Smallest p >= 1 with M^p entrywise positive (primitivity index).
+
+    Row a of M^p is kept as the bitset of symbols reachable from a in exactly
+    p steps; row a of M^(p+1) is the OR of the rows of a's successors.
+    Python ints never wrap, so any alphabet size is exact.
+    """
     d = period_decomposition(x)  # raises ReducibleShiftError when reducible
     if d.period > 1:
         raise NotMixingError(
@@ -217,12 +215,19 @@ def mixing_gap(x: ShiftOfFiniteType) -> int:
             "use period_decomposition instead"
         )
     k = x.alphabet_size
-    m = np.array(x.transition, dtype=bool)
-    power = m.copy()
+    full = (1 << k) - 1
+    succ = [[b for b in range(k) if row[b]] for row in x.transition]
+    reach = [sum(1 << b for b in s) for s in succ]
     for p in range(1, _WIELANDT(k) + 1):
-        if power.all():
+        if all(r == full for r in reach):
             return p
-        power = (power.astype(np.uint8) @ m.astype(np.uint8)) > 0
+        nxt = []
+        for s in succ:
+            row = 0
+            for b in s:
+                row |= reach[b]
+            nxt.append(row)
+        reach = nxt
     raise NotMixingError("matrix is not primitive")  # unreachable for N == 1
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -159,16 +159,6 @@ class ConstantGap:
 
 
 @dataclass(frozen=True)
-class SublinearGap:
-    """Non-uniform gap with p(n, eps)/n -> 0; carried as a description only."""
-
-    description: str
-
-
-GapSpec = Union[ConstantGap, SublinearGap]
-
-
-@dataclass(frozen=True)
 class HyperbolicityProfile:
     """(lambda1, lambda2, ln L1, ln L2, h_top, gap) as one immutable record.
 
@@ -182,7 +172,7 @@ class HyperbolicityProfile:
     ln_l2: float
     h_top: float
     ln_l1: float | None = None
-    gap: GapSpec = ConstantGap(0)
+    gap: ConstantGap = ConstantGap(0)
 
     def __post_init__(self) -> None:
         if not self.lambda1 > 0 or not self.lambda2 > 0:
@@ -315,14 +305,14 @@ def sharp_profile_from_matrix(
 
 
 def crude_profile_from_matrix(
-    m: IntegerMatrixSystem, tol: float = DEFAULT_TOL
+    m: IntegerMatrixSystem, p: SpectralProfile
 ) -> HyperbolicityProfile:
     """One-step Lipschitz constants: ln ||A|| and (automorphisms) ln ||A^-1||.
 
-    The hyperbolicity exponents still come from the spectrum extremes: the
-    largest stable modulus and the smallest unstable modulus.
+    The hyperbolicity exponents still come from the spectrum extremes of
+    ``p = analyze_matrix(m)``: the largest stable modulus and the smallest
+    unstable modulus.
     """
-    p = analyze_matrix(m, tol)
     if not p.is_hyperbolic:
         raise SpectrumError("crude profile needs a hyperbolic spectrum")
     h = entropy_toral(p)

@@ -183,7 +183,7 @@ def test_criterion_7_property_suite():
     with criterion(7, "sandwich + monotonicity over 200 random hyperbolic matrices"):
         violations = 0
         for m, p in _random_hyperbolic_matrices(200):
-            crude = crude_profile_from_matrix(m)
+            crude = crude_profile_from_matrix(m, p)
             taus = [crude.ln_l1 * 1.2 * k / 9.0 for k in range(10)]
             crude_rows = []
             exact_rows = []

@@ -28,7 +28,7 @@ from shrinktarget.bounds import (
     upper_bounds,
 )
 from shrinktarget.rates import Exponential, RateExponents
-from shrinktarget.symbolic import full_shift, golden_mean_shift
+from shrinktarget.symbolic import full_shift, golden_mean_shift, period_decomposition, sft_entropy
 from shrinktarget.systems import (
     HyperbolicityProfile,
     IntegerMatrixSystem,
@@ -41,6 +41,11 @@ CAT = IntegerMatrixSystem(((2, 1), (1, 1)))
 CAT_SPECTRUM = analyze_matrix(CAT, 1e-9)
 CAT_LOG_UNSTABLE = math.log((3.0 + math.sqrt(5.0)) / 2.0)  # 0.9624236501192069
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
+
+
+def shift_data(x):
+    """(mixing, h_top) of an SFT, the data the shift theorems take."""
+    return period_decomposition(x).period == 1, sft_entropy(x)
 
 
 def unit_profile(h=LN2):
@@ -240,7 +245,7 @@ class TestHyperbolicSet:
         from shrinktarget.systems import crude_profile_from_matrix
 
         m = IntegerMatrixSystem(((3, 1), (2, 1)))  # nonsymmetric, det 1
-        crude = crude_profile_from_matrix(m)
+        crude = crude_profile_from_matrix(m, analyze_matrix(m))
         rep = bounds_hyperbolic_set(bound_input_from_profile(crude, tau(0.1)))
         assert rep.case_tag is CaseTag.GENERIC
         assert rep.entropy_lower < rep.entropy_upper
@@ -298,25 +303,25 @@ class TestExpanding:
 
 class TestShiftTheorems:
     def test_one_sided_full_shift_exact(self):
-        rep = bounds_one_sided_shift(full_shift(2), tau(1.0))
+        rep = bounds_one_sided_shift(*shift_data(full_shift(2)), tau(1.0))
         assert rep.case_tag is CaseTag.EXACT
         assert rep.entropy_lower == pytest.approx(LN2 / 2.0, abs=1e-12)
         assert rep.dim_lower == pytest.approx(LN2 / 2.0, abs=1e-12)
 
     def test_two_sided_golden_mean_exact(self):
-        rep = bounds_two_sided_shift(golden_mean_shift("two"), tau(0.5))
+        rep = bounds_two_sided_shift(*shift_data(golden_mean_shift("two")), tau(0.5))
         assert rep.case_tag is CaseTag.EXACT
         assert rep.entropy_lower == pytest.approx(GOLDEN_ENTROPY / 3.0, abs=1e-9)
         assert rep.dim_lower == pytest.approx(GOLDEN_ENTROPY * 2.0 / 1.5, abs=1e-9)
 
     def test_two_sided_boundary(self):
-        rep = bounds_two_sided_shift(full_shift(2, "two"), tau(1.0))
+        rep = bounds_two_sided_shift(*shift_data(full_shift(2, "two")), tau(1.0))
         assert rep.case_tag is CaseTag.BOUNDARY_ZERO
         assert rep.entropy_upper == 0.0
         assert rep.dim_upper == pytest.approx(LN2)
 
     def test_two_sided_beyond(self):
-        rep = bounds_two_sided_shift(full_shift(2, "two"), tau(1.4))
+        rep = bounds_two_sided_shift(*shift_data(full_shift(2, "two")), tau(1.4))
         assert rep.case_tag is CaseTag.DEGENERATE_ZERO
         assert rep.dim_upper == 0.0
 
@@ -325,17 +330,17 @@ class TestShiftTheorems:
 
         flip = ShiftOfFiniteType(((0, 1), (1, 0)), "two")
         vetoed = bounds_two_sided_shift(
-            flip, tau(0.2), time_sets_all_naturals=False, index_ok=False
+            *shift_data(flip), tau(0.2), time_sets_all_naturals=False, index_ok=False
         )
         assert vetoed.entropy_lower is None
         allowed = bounds_two_sided_shift(
-            flip, tau(0.2), time_sets_all_naturals=False, index_ok=True
+            *shift_data(flip), tau(0.2), time_sets_all_naturals=False, index_ok=True
         )
         assert allowed.entropy_lower is not None
 
     def test_sandwich_with_distinct_exponents(self):
         rep = bounds_one_sided_shift(
-            full_shift(2), RateExponents(1.0, 0.5), time_sets_all_naturals=False,
+            *shift_data(full_shift(2)), RateExponents(1.0, 0.5), time_sets_all_naturals=False,
         )
         assert rep.entropy_lower == pytest.approx(LN2 / 2.0)
         assert rep.entropy_upper == pytest.approx(LN2 / 1.5)
@@ -375,9 +380,9 @@ class TestCoveringAndAmbient:
         assert dim_upper_ambient(big)[0] < 1e-8
 
     def test_exact_dims_within_ambient(self):
-        one = bounds_one_sided_shift(full_shift(2), tau(0.25))
+        one = bounds_one_sided_shift(*shift_data(full_shift(2)), tau(0.25))
         assert one.dim_lower <= LN2 + 1e-12
-        two = bounds_two_sided_shift(full_shift(2, "two"), tau(0.25))
+        two = bounds_two_sided_shift(*shift_data(full_shift(2, "two")), tau(0.25))
         assert two.dim_lower <= 2.0 * LN2 + 1e-12
 
 
@@ -395,10 +400,10 @@ class TestBoundaryContinuity:
     def test_two_sided_shift_entropy_into_boundary(self):
         # case-(1) entropy (1-t)/(1+t) h vanishes as t -> 1, matching case (2)
         eps = 1e-8
-        rep = bounds_two_sided_shift(full_shift(2, "two"), tau(1.0 - eps))
+        rep = bounds_two_sided_shift(*shift_data(full_shift(2, "two")), tau(1.0 - eps))
         assert rep.case_tag is CaseTag.EXACT
         assert 0.0 < rep.entropy_upper < 1e-7
-        at = bounds_two_sided_shift(full_shift(2, "two"), tau(1.0))
+        at = bounds_two_sided_shift(*shift_data(full_shift(2, "two")), tau(1.0))
         assert at.entropy_upper == 0.0
 
     def test_hyperbolic_set_upper_into_boundary(self):

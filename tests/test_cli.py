@@ -1,10 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from shrinktarget.cli import main
-from shrinktarget.config import ConfigError, load_config, parse_config
+from shrinktarget.cli import main, run
+from shrinktarget.config import FORMATS, TASKS, ConfigError, load_config, parse_config
 
 LN2 = math.log(2.0)
 CAT_LOG_UNSTABLE = math.log((3.0 + math.sqrt(5.0)) / 2.0)
@@ -191,6 +192,44 @@ class TestRun:
         assert row["case"] == "exact"
         # even-shift entropy equals the golden-mean entropy
         assert float(row["h_lower"]) == pytest.approx(GOLDEN_ENTROPY / 1.5, abs=1e-9)
+
+    def test_periodic_sofic_has_no_lower_bounds(self, tmp_path, monkeypatch):
+        # period-2 presentation 0 -a,b-> 1 -c-> 0: not mixing, and no index
+        # sets are derived for sofic systems, so the lower sides are unavailable
+        monkeypatch.chdir(tmp_path)
+        payload = {
+            "system": {
+                "kind": "sofic",
+                "states": 2,
+                "edges": [[0, 1, "a"], [0, 1, "b"], [1, 0, "c"]],
+                "sided": "two",
+            },
+            "rates": [
+                {
+                    "phi": {"kind": "exponential", "tau": 0.3},
+                    "time_set": {"kind": "all"},
+                    "target": {"kind": "symbols", "head": [], "cycle": [0]},
+                }
+            ],
+            "tasks": ["bounds"],
+            "output": {"dir": "out", "formats": ["json"]},
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main(["bounds", "--config", str(cfg)]) == 0
+        (row,) = read_report(tmp_path)["results"][0]["rows"]
+        assert row["period"] == 2
+        assert ["mixing", False] in row["assumptions"]
+        assert row["h_lower"] is None and row["dim_lower"] is None
+        assert float(row["h_upper"]) == pytest.approx(0.5 * LN2 * 0.7 / 1.3, abs=1e-9)
+
+    def test_failed_analysis_is_the_error_of_every_task(self):
+        payload = golden_oracle_config(tasks=("analyze", "bounds"))
+        payload["system"]["transition"] = [[1, 1], [0, 1]]  # reducible
+        report, all_ok, _ = run(parse_config(payload))
+        assert not all_ok
+        errors = [res["error"] for res in report["results"]]
+        assert [res["status"] for res in report["results"]] == ["error", "error"]
+        assert errors[0] == errors[1] and "reducible" in errors[0]
 
     def test_restricted_rate_sharpens_lower_not_upper(self, tmp_path, monkeypatch):
         # rate decays at 0.8 on even times, 0.4 on odd; hits counted on evens.
@@ -390,6 +429,25 @@ class TestValidation:
         res = read_report(tmp_path)["results"][0]
         assert res["status"] == "error"
         assert "modulus at 1" in res["error"]
+
+    def test_command_outside_config_tasks_checks_system_kind(self, tmp_path, monkeypatch):
+        # the CLI command need not be among the config's tasks, so the
+        # executors themselves reject systems they have no theorem for
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tasks=("bounds",))
+        cfg = write_config(tmp_path, payload)
+        assert main(["exact", "--config", str(cfg)]) == 1
+        assert "requires a matrix system" in read_report(tmp_path)["results"][0]["error"]
+        payload["system"] = {"kind": "profile", "lambda1": 1.0, "lambda2": 1.0, "ln_l2": 1.0, "h_top": LN2}
+        cfg = write_config(tmp_path, payload)
+        assert main(["analyze", "--config", str(cfg)]) == 1
+        assert "analyze needs a matrix or symbolic system" in read_report(tmp_path)["results"][0]["error"]
+
+    def test_schema_enums_match_config(self):
+        schema_path = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
+        props = json.loads(schema_path.read_text())["properties"]
+        assert tuple(props["tasks"]["items"]["enum"]) == TASKS
+        assert tuple(props["output"]["properties"]["formats"]["items"]["enum"]) == FORMATS
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -15,7 +15,9 @@ them afresh (only when a report is meant to change), run
 from __future__ import annotations
 
 import json
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -84,8 +86,7 @@ def _block_diag(*blocks):
     return out
 
 
-EVEN = 2
-ARITH_EVEN = {"kind": "arithmetic", "offset": 0, "step": EVEN}
+ARITH_EVEN = {"kind": "arithmetic", "offset": 0, "step": 2}
 
 # name -> (config, {command: expected exit code})
 CASES = {
@@ -205,9 +206,6 @@ def test_report_bytes_match_golden(case, command, tmp_path):
 
 
 def _regenerate() -> None:
-    import shutil
-    import tempfile
-
     for case, (_, commands) in CASES.items():
         for command, want in commands.items():
             with tempfile.TemporaryDirectory() as tmp:

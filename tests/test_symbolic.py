@@ -2,7 +2,8 @@ import math
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
 
 from shrinktarget.rates import (
     AllTimes,
@@ -128,6 +129,52 @@ class TestMixingGap:
             else:
                 with pytest.raises(NotMixingError):
                     mixing_gap(shift)
+
+    def test_reducible_rejected(self):
+        with pytest.raises(ReducibleShiftError):
+            mixing_gap(ShiftOfFiniteType(((1, 1), (0, 1))))
+
+    def test_star_beyond_256_symbols(self):
+        # centre 0 <-> leaves 1..256 with a loop at leaf 1: path counts pass
+        # 256, which an 8-bit matrix power would wrap to zero
+        k = 257
+        rows = [[0] * k for _ in range(k)]
+        for leaf in range(1, k):
+            rows[0][leaf] = rows[leaf][0] = 1
+        rows[1][1] = 1
+        assert mixing_gap(ShiftOfFiniteType(tuple(map(tuple, rows)))) == 4
+
+    @pytest.mark.parametrize("k,gap", [(64, 3970), (80, 6242)])
+    def test_cycle_with_chord_meets_wielandt_bound(self, k, gap):
+        rows = [[0] * k for _ in range(k)]
+        for i in range(k):
+            rows[i][(i + 1) % k] = 1
+        rows[k - 1][1] = 1
+        assert mixing_gap(ShiftOfFiniteType(tuple(map(tuple, rows)))) == gap == (k - 1) ** 2 + 1
+
+
+def _brute_force_gap(rows) -> int:
+    m = np.array(rows, dtype=np.int64)
+    power = m > 0
+    p = 1
+    while not power.all():
+        power = (power.astype(np.int64) @ m) > 0
+        p += 1
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.data())
+def test_mixing_gap_matches_boolean_powers(k, data):
+    density = data.draw(st.sampled_from([0.15, 0.3, 0.6]))
+    bits = data.draw(st.lists(st.floats(0.0, 1.0), min_size=k * k, max_size=k * k))
+    rows = [[1 if bits[i * k + j] < density else 0 for j in range(k)] for i in range(k)]
+    try:
+        shift = ShiftOfFiniteType(tuple(map(tuple, rows)))
+        assume(period_decomposition(shift).period == 1)
+    except SymbolicError:
+        assume(False)
+    assert mixing_gap(shift) == _brute_force_gap(rows)
 
 
 class TestPeriodDecomposition:

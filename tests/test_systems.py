@@ -130,7 +130,7 @@ class TestProfiles:
         m = IntegerMatrixSystem(((2, 1), (0, 3)))
         p = analyze_matrix(m, 1e-9)
         sharp = sharp_profile_from_matrix(m, p)
-        crude = crude_profile_from_matrix(m)
+        crude = crude_profile_from_matrix(m, p)
         # ||A|| = sqrt of the top eigenvalue of A^T A = sqrt(7 + sqrt(13))
         assert crude.ln_l2 == pytest.approx(
             math.log(math.sqrt(7.0 + math.sqrt(13.0))), abs=1e-10
@@ -139,7 +139,7 @@ class TestProfiles:
         assert sharp.ln_l2 < crude.ln_l2
 
     def test_crude_cat_map_symmetric_norm_equals_radius(self):
-        crude = crude_profile_from_matrix(CAT)
+        crude = crude_profile_from_matrix(CAT, analyze_matrix(CAT))
         assert crude.ln_l2 == pytest.approx(math.log(CAT_UNSTABLE), abs=1e-10)
         assert crude.ln_l1 == pytest.approx(math.log(1.0 / CAT_STABLE), abs=1e-10)
 
@@ -148,7 +148,7 @@ class TestProfiles:
             m = IntegerMatrixSystem(entries)
             p = analyze_matrix(m, 1e-9)
             sharp = sharp_profile_from_matrix(m, p)
-            crude = crude_profile_from_matrix(m)
+            crude = crude_profile_from_matrix(m, p)
             assert sharp.ln_l2 <= crude.ln_l2 + 1e-12
             if sharp.ln_l1 is not None and crude.ln_l1 is not None:
                 assert sharp.ln_l1 <= crude.ln_l1 + 1e-12
@@ -159,10 +159,12 @@ class TestProfiles:
         golden = (1.0 + math.sqrt(5.0)) / 2.0
         assert operator_norm(((1, 1), (0, 1))) == pytest.approx(golden, abs=1e-10)
         with pytest.raises(SpectrumError):
-            crude_profile_from_matrix(IntegerMatrixSystem(((1, 1), (0, 1))))
+            shear = IntegerMatrixSystem(((1, 1), (0, 1)))
+            crude_profile_from_matrix(shear, analyze_matrix(shear))
 
     def test_crude_doubling(self):
-        crude = crude_profile_from_matrix(IntegerMatrixSystem(((2,),)))
+        doubling = IntegerMatrixSystem(((2,),))
+        crude = crude_profile_from_matrix(doubling, analyze_matrix(doubling))
         assert crude.ln_l2 == pytest.approx(math.log(2.0))
         assert crude.ln_l1 is None
         assert math.isinf(crude.lambda1)

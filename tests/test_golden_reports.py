@@ -5,11 +5,12 @@ Each case below is one config; every listed command runs through
 ``report.json`` and CSV files stored under ``tests/golden/<case>/<command>/``
 together with the exit code.
 
-The golden files pin the reports of the bounds/exact/sweep dispatch, so a
-refactor of that dispatch cannot move a printed digit unnoticed.  To write
-them afresh (only when a report is meant to change), run
+The golden files pin the reports of the bounds/exact/sweep dispatch and of
+the oracle and witness commands, so a refactor of the dispatch or of the
+counting and matching kernels cannot move a printed digit unnoticed.  To
+write them afresh (only when a report is meant to change), run
 
-    PYTHONPATH=src python tests/test_golden_reports.py
+    python tests/test_golden_reports.py
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ from pathlib import Path
 
 import pytest
 
-from shrinktarget.cli import main
+if __name__ == "__main__":  # pytest's pythonpath setting does not reach a script
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from shrinktarget.cli import main  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -86,7 +90,18 @@ def _block_diag(*blocks):
     return out
 
 
+def _oracle_sft(transition, rates, command, **params):
+    """One-sided SFT config for the ``oracle``/``witness`` commands."""
+    cfg = _config({"kind": "sft", "transition": transition, "sided": "one"}, rates, [command])
+    cfg["oracle_params"] = params
+    return cfg
+
+
 ARITH_EVEN = {"kind": "arithmetic", "offset": 0, "step": 2}
+GOLDEN_MEAN = [[1, 1], [1, 0]]
+FULL3 = [[1] * 3 for _ in range(3)]
+# 60-symbol primitive SFT: a -> b allowed iff (7a + 3b) % 5 != 0
+SFT60 = [[int((7 * a + 3 * b) % 5 != 0) for b in range(60)] for a in range(60)]
 
 # name -> (config, {command: expected exit code})
 CASES = {
@@ -177,6 +192,67 @@ CASES = {
             ["bounds"],
         ),
         {"bounds": 0, "sweep": 0},
+    ),
+    # tau 0.02 at depth 60 mixes levels without (n < 50) and with a pinned
+    # part in one bracket; at tau 0.05 levels below 20 have none
+    "oracle_golden_mean": (
+        _oracle_sft(GOLDEN_MEAN, [_rate(_exp(t), _symbols([0])) for t in (0.02, 0.05, 0.5, 1.3)], "oracle", depth=60),
+        {"oracle": 0},
+    ),
+    "oracle_full3": (
+        _oracle_sft(FULL3, [_rate(_exp(t), _symbols([0])) for t in (0.3, 1.0)], "oracle", depth=40),
+        {"oracle": 0},
+    ),
+    "oracle_sft60": (
+        _oracle_sft(SFT60, [_rate(_exp(0.5), _symbols([0, 1]))], "oracle", depth=12),
+        {"oracle": 0},
+    ),
+    # a single Moran stage: the estimate is one log word count over one length
+    "oracle_one_stage": (
+        _oracle_sft(
+            GOLDEN_MEAN,
+            [_rate(_exp(t), _symbols([0])) for t in (0.0, 0.3, 0.5, 1.0)],
+            "oracle",
+            depth=40,
+            stages=1,
+        ),
+        {"oracle": 0},
+    ),
+    "witness_golden_zeros": (
+        _oracle_sft(GOLDEN_MEAN, [_rate(_exp(0.5), _symbols([0]))], "witness", stages=8),
+        {"witness": 0},
+    ),
+    "witness_schedule3": (
+        _oracle_sft(
+            GOLDEN_MEAN,
+            [
+                _rate(
+                    _exp(0.4),
+                    {
+                        "kind": "symbol_schedule",
+                        "preperiod": [{"head": [1], "cycle": [0]}],
+                        "cycle": [{"cycle": [0]}, {"cycle": [0, 1]}, {"head": [0, 1], "cycle": [0, 0, 1]}],
+                    },
+                )
+            ],
+            "witness",
+            stages=8,
+        ),
+        {"witness": 0},
+    ),
+    "witness_arithmetic": (
+        _oracle_sft(
+            FULL3,
+            [_rate(_exp(0.6), _symbols([2, 0, 1]), {"kind": "arithmetic", "offset": 1, "step": 3})],
+            "witness",
+            stages=7,
+            eta=0.08,
+        ),
+        {"witness": 0},
+    ),
+    "witness_sft60": (
+        _oracle_sft(SFT60, [_rate(_exp(0.5), _symbols([0, 1]))], "witness", stages=6),
+        {"witness": 0},
     ),
 }
 

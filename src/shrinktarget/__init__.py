@@ -58,6 +58,7 @@ from .symbolic import (  # noqa: F401
     period_decomposition,
     sft_entropy,
     sofic_entropy,
+    word_counts,
 )
 from .bounds import (  # noqa: F401
     BoundInput,

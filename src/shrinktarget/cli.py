@@ -469,9 +469,15 @@ def _require_constant_symbol_target(triple: RateTriple, i: int):
     return tgt.target(0)
 
 
+def _require_sft(config: ExperimentConfig, task: str) -> ShiftOfFiniteType:
+    # the CLI command need not be among config.tasks, which validation checked
+    if config.system_kind != "sft":
+        raise ConfigError("$.tasks", f"task {task!r} requires an SFT system")
+    return config.system
+
+
 def _run_oracle(config: ExperimentConfig) -> dict:
-    shift = config.system
-    assert isinstance(shift, ShiftOfFiniteType)
+    shift = _require_sft(config, "oracle")
     params = config.oracle_params
     h = sft_entropy(shift)
     rows = []
@@ -505,8 +511,7 @@ def _run_oracle(config: ExperimentConfig) -> dict:
 
 
 def _run_witness(config: ExperimentConfig) -> dict:
-    shift = config.system
-    assert isinstance(shift, ShiftOfFiniteType)
+    shift = _require_sft(config, "witness")
     params = config.oracle_params
     rows = []
     for i, triple in enumerate(config.rates):

@@ -368,7 +368,8 @@ class SymbolSequence:
         return self.cycle[(i - len(self.head)) % len(self.cycle)]
 
     def prefix(self, length: int) -> tuple[int, ...]:
-        return tuple(self.symbol(i) for i in range(length))
+        reps = -(-max(length - len(self.head), 0) // len(self.cycle))
+        return (self.head + self.cycle * reps)[: max(length, 0)]
 
 
 @dataclass(frozen=True)

@@ -282,49 +282,50 @@ def sft_entropy(x: ShiftOfFiniteType) -> float:
     return math.log(best)
 
 
-def count_words(x: ShiftOfFiniteType, n: int) -> int:
-    """Exact number of admissible n-words: sum of the entries of M^(n-1)."""
-    if n < 1:
+def word_counts(
+    x: ShiftOfFiniteType, n_max: int, ends: Iterable[int] | None = None
+) -> list[int]:
+    """Exact numbers of admissible n-words for n = 1..n_max (entry n - 1).
+
+    Row-vector recurrence: u_1 = (1, ..., 1) and u_{n+1}[b] = sum of u_n[a]
+    over the predecessors a of b, so u_n[b] counts the n-words ending in b.
+    Entry n - 1 sums u_n over all symbols, or over ``ends`` only when given
+    (the words whose last symbol is in ``ends``).  Big-integer additions,
+    O(n_max * edges) of them.
+    """
+    if n_max < 1:
         raise SymbolicError("word length must be >= 1")
     k = x.alphabet_size
-    if n == 1:
-        return k
-    power = _int_matrix_power(x.transition, n - 1)
-    return sum(sum(row) for row in power)
+    last = range(k) if ends is None else sorted(set(ends))
+    if any(not (0 <= b < k) for b in last):
+        raise SymbolicError("end symbols must lie in the alphabet")
+    preds = [[a for a in range(k) if x.transition[a][b]] for b in range(k)]
+    u = [1] * k
+    counts = [sum(u[b] for b in last)]
+    for _ in range(n_max - 1):
+        u = [sum([u[a] for a in p]) for p in preds]
+        counts.append(sum(u[b] for b in last))
+    return counts
 
 
-def _int_matmul(a, b, k):
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(k)]
-        for i in range(k)
-    ]
-
-
-def _int_matrix_power(matrix: Sequence[Sequence[int]], e: int):
-    """Exact big-integer matrix power by binary exponentiation."""
-    k = len(matrix)
-    result = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    base = [list(row) for row in matrix]
-    while e > 0:
-        if e & 1:
-            result = _int_matmul(result, base, k)
-        e >>= 1
-        if e:
-            base = _int_matmul(base, base, k)
-    return result
+def count_words(x: ShiftOfFiniteType, n: int) -> int:
+    """Exact number of admissible n-words: the last entry of word_counts."""
+    return word_counts(x, n)[-1]
 
 
 def log_count_words(x: ShiftOfFiniteType, n: int) -> float:
-    """ln(count_words(n)) for lengths far beyond exact-integer practicality.
+    """ln(count_words(n)) by normalized float matrix powering, for any n >= 1.
 
-    Normalized float matrix powering; the accumulated relative error is of
-    order (number of squarings) * machine epsilon, i.e. negligible next to
-    the O(1/n) terms any consumer divides out.
+    The word count is the entry sum of M^(n-1).  Binary powering rescales
+    every product by its largest entry and carries the scale in log space,
+    so nothing overflows and the cost is O(k^3 log n).  The accumulated
+    relative error is of order (number of squarings) * machine epsilon: at
+    n <= 300 on the test shifts it stays within 1e-12 of the exact
+    math.log(count_words(n)), and it is negligible next to the O(1/n) terms
+    any consumer divides out.
     """
     if n < 1:
         raise SymbolicError("word length must be >= 1")
-    if n <= 4096:
-        return math.log(count_words(x, n))
     k = x.alphabet_size
     e = n - 1
     base = np.array(x.transition, dtype=float)

@@ -443,6 +443,16 @@ class TestValidation:
         assert main(["analyze", "--config", str(cfg)]) == 1
         assert "analyze needs a matrix or symbolic system" in read_report(tmp_path)["results"][0]["error"]
 
+    @pytest.mark.parametrize("command", ["oracle", "witness"])
+    def test_symbolic_command_on_matrix_system(self, tmp_path, monkeypatch, command):
+        # an error row and exit 1, not an uncaught AssertionError
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, cat_map_config(tasks=("bounds",)))
+        assert main([command, "--config", str(cfg)]) == 1
+        res = read_report(tmp_path)["results"][0]
+        assert res["status"] == "error"
+        assert res["error"] == f"$.tasks: task {command!r} requires an SFT system"
+
     def test_schema_enums_match_config(self):
         schema_path = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
         props = json.loads(schema_path.read_text())["properties"]

@@ -2,6 +2,7 @@ import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shrinktarget.oracle import (
     LimsupCylinderScheme,
@@ -22,9 +23,19 @@ from shrinktarget.rates import (
     Arithmetic,
     Exponential,
     Explicit,
+    ShiftTarget,
     SymbolSequence,
+    constant_shift_target,
+    time_set_members,
 )
-from shrinktarget.symbolic import NotMixingError, ShiftOfFiniteType, full_shift, golden_mean_shift
+from shrinktarget.symbolic import (
+    NotMixingError,
+    ShiftOfFiniteType,
+    full_shift,
+    golden_mean_shift,
+    sft_entropy,
+)
+from shift_strategies import irreducible_shifts
 
 LN2 = math.log(2.0)
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
@@ -46,6 +57,53 @@ def brute_count(shift, z, tau, n):
         if shift.word_admissible(w + zp):
             total += 1
     return total
+
+
+# three symbols, 0 -> 0 forbidden; the target 2 0 1 0 1 ... has a head
+TRIANGLE = ShiftOfFiniteType(((0, 1, 1), (1, 0, 1), (1, 1, 1)))
+HEADED = SymbolSequence(head=(2,), cycle=(0, 1))
+
+
+def admissible_sequence(data, shift):
+    """Random admissible eventually periodic stream: a walk until it closes."""
+    walk = [data.draw(st.integers(0, shift.alphabet_size - 1))]
+    while True:
+        succ = [b for b in range(shift.alphabet_size) if shift.allows(walk[-1], b)]
+        nxt = data.draw(st.sampled_from(succ))
+        if nxt in walk:
+            i = walk.index(nxt)
+            return SymbolSequence(head=tuple(walk[:i]), cycle=tuple(walk[i:]))
+        walk.append(nxt)
+
+
+def naive_verify(prefix, phi, z, s):
+    """The symbol-by-symbol hit check that verify_witness replaces."""
+    target = constant_shift_target(z) if isinstance(z, SymbolSequence) else z
+    verified = []
+    for n in time_set_members(s, 0, len(prefix)):
+        r = required_exponent(phi, n)
+        if n + r - 1 > len(prefix):
+            continue
+        tgt = target.target(n)
+        if all(prefix[n + i] == tgt.symbol(i) for i in range(r - 1)):
+            verified.append(n)
+    return verified
+
+
+def naive_first_disagreement(prefix, start, z):
+    """First j >= 1 with prefix[start + j - 1] != z_j, else the window end + 1."""
+    limit = len(prefix) - start
+    for j in range(1, limit + 1):
+        if prefix[start + j - 1] != z.symbol(j - 1):
+            return j
+    return limit + 1
+
+
+def time_sets():
+    return st.one_of(
+        st.just(AllTimes()),
+        st.builds(Arithmetic, st.integers(0, 6), st.integers(1, 4)),
+    )
 
 
 class TestFloorGuarded:
@@ -77,12 +135,36 @@ class TestCoveringSum:
         # pure counting: W(1) + W(2) + W(3) = 2 + 3 + 5
         assert covering_sum(scheme, 0.0, (1, 3)) == pytest.approx(10.0)
 
-    @pytest.mark.parametrize("tau", [0.5, 1.0])
+    @pytest.mark.parametrize("tau", [0.0, 0.2, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_counts_match_brute_force(self, tau, n):
-        for shift in (full_shift(2), golden_mean_shift()):
-            scheme = LimsupCylinderScheme(shift, tau, ZEROS)
-            assert scheme.count(n) == brute_count(shift, ZEROS, tau, n)
+        for shift, z in (
+            (full_shift(2), ZEROS),
+            (golden_mean_shift(), ZEROS),
+            (TRIANGLE, HEADED),
+            (TRIANGLE, SymbolSequence(head=(), cycle=(1, 0, 2))),
+        ):
+            scheme = LimsupCylinderScheme(shift, tau, z)
+            assert scheme.count(n) == brute_count(shift, z, tau, n)
+            assert scheme.counts(n) == [brute_count(shift, z, tau, m) for m in range(1, n + 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(irreducible_shifts(), st.floats(0.0, 2.0), st.data())
+    def test_counts_match_junction_enumeration(self, shift, tau, data):
+        z = admissible_sequence(data, shift)
+        scheme = LimsupCylinderScheme(shift, tau, z)
+        k = shift.alphabet_size
+        n_max = 8 if k == 1 else min(8, int(math.log(5_000) / math.log(k)))
+        counts = scheme.counts(n_max)
+        assert counts == [brute_count(shift, z, tau, n) for n in range(1, n_max + 1)]
+        assert scheme.count(n_max) == counts[-1]
+
+    def test_level_index_must_be_positive(self):
+        scheme = LimsupCylinderScheme(golden_mean_shift(), 0.5, ZEROS)
+        with pytest.raises(OracleError, match=">= 1"):
+            scheme.counts(0)
+        with pytest.raises(OracleError, match=">= 1"):
+            scheme.count(0)
 
     def test_weights_strictly_increasing(self):
         scheme = LimsupCylinderScheme(golden_mean_shift(), 0.5, ZEROS)
@@ -152,6 +234,16 @@ class TestMoran:
     def test_non_mixing_rejected(self):
         with pytest.raises(NotMixingError):
             moran_dimension(ShiftOfFiniteType(((0, 1), (1, 0))), 0.5, 8)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.3])
+    def test_plateau_below_exact_value(self, tau):
+        # with the fixed eta = 0.02 the estimate settles on
+        # h (1 - 1.5 eta) / (1 + tau - 1.5 eta), not on h / (1 + tau)
+        for shift in (full_shift(3), golden_mean_shift()):
+            h = sft_entropy(shift)
+            plateau = h * 0.97 / (1.0 + tau - 0.03)
+            assert moran_dimension(shift, tau, 12) == pytest.approx(plateau, rel=1e-12)
+            assert moran_dimension(shift, tau, 40) == pytest.approx(plateau, rel=1e-12)
 
 
 class TestWitness:
@@ -249,6 +341,79 @@ class TestWitness:
     def test_eta_must_be_positive(self):
         with pytest.raises(PlanError):
             plan_witness(full_shift(2), Exponential(0.3), ZEROS, AllTimes(), 2, 0.0)
+
+
+def _symbol_streams(k):
+    return st.builds(
+        SymbolSequence,
+        st.lists(st.integers(0, k - 1), max_size=3).map(tuple),
+        st.lists(st.integers(0, k - 1), min_size=1, max_size=3).map(tuple),
+    )
+
+
+class TestWitnessAgainstNaiveLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.floats(0.0, 1.5),
+        time_sets(),
+        st.booleans(),
+        st.data(),
+    )
+    def test_verify_matches_naive(self, k, tau, s, schedule, data):
+        streams = _symbol_streams(k)
+        if schedule:
+            z = ShiftTarget(
+                tuple(data.draw(st.lists(streams, max_size=2))),
+                tuple(data.draw(st.lists(streams, min_size=1, max_size=3))),
+            )
+            pool = list(z.preperiod + z.cycle)
+        else:
+            z = data.draw(streams)
+            pool = [z]
+        # pieces of random symbols and of target prefixes, so that long
+        # agreements occur; the prefix may also be too short for any window
+        pieces = data.draw(
+            st.lists(
+                st.one_of(
+                    st.lists(st.integers(0, k - 1), max_size=4),
+                    st.tuples(st.sampled_from(pool), st.integers(0, 12)).map(
+                        lambda t: list(t[0].prefix(t[1]))
+                    ),
+                ),
+                max_size=6,
+            )
+        )
+        prefix = tuple(c for piece in pieces for c in piece)
+        phi = Exponential(tau)
+        assert verify_witness(prefix, phi, z, s) == naive_verify(prefix, phi, z, s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        irreducible_shifts(max_k=4, mixing=True),
+        st.floats(0.0, 1.2),
+        st.floats(0.05, 0.3),
+        time_sets(),
+        st.integers(0, 3),
+        st.booleans(),
+        st.data(),
+    )
+    def test_construct_hits_match_naive(self, shift, tau, eta, s, stages, schedule, data):
+        if schedule:
+            cycle = tuple(admissible_sequence(data, shift) for _ in range(data.draw(st.integers(1, 3))))
+            z = ShiftTarget((admissible_sequence(data, shift),), cycle)
+        else:
+            z = admissible_sequence(data, shift)
+        target = constant_shift_target(z) if isinstance(z, SymbolSequence) else z
+        phi = Exponential(tau)
+        plan = plan_witness(shift, phi, z, s, stages, eta)
+        cert = construct_witness(plan, shift, z)
+        assert [h.time for h in cert.hits] == [b.hit_time for b in plan.blocks]
+        for hit in cert.hits:
+            want = naive_first_disagreement(cert.prefix, hit.time, target.target(hit.time))
+            assert hit.achieved_exponent == want
+        assert cert.all_verified == all(h.verified for h in cert.hits)
+        assert verify_witness(cert.prefix, phi, z, s) == naive_verify(cert.prefix, phi, z, s)
 
 
 class TestCountSeparated:

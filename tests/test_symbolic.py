@@ -33,7 +33,9 @@ from shrinktarget.symbolic import (
     sft_as_sofic,
     sft_entropy,
     sofic_entropy,
+    word_counts,
 )
+from shift_strategies import irreducible_shifts
 
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)  # 0.48121182505960347
 FLIP = ShiftOfFiniteType(((0, 1), (1, 0)))  # period-2 permutation shift
@@ -43,6 +45,21 @@ def brute_force_words(shift, n):
     """Independent oracle: enumerate admissible words by direct product scan."""
     k = shift.alphabet_size
     return [w for w in product(range(k), repeat=n) if shift.word_admissible(w)]
+
+
+def grown_words(shift, n):
+    """Admissible n-words grown one admissible symbol at a time."""
+    k = shift.alphabet_size
+    words = [(a,) for a in range(k)]
+    for _ in range(n - 1):
+        words = [w + (b,) for w in words for b in range(k) if shift.allows(w[-1], b)]
+    return words
+
+
+# the 60-symbol primitive SFT: a -> b allowed iff (7a + 3b) % 5 != 0
+SFT60 = ShiftOfFiniteType(
+    tuple(tuple(int((7 * a + 3 * b) % 5 != 0) for b in range(60)) for a in range(60))
+)
 
 
 class TestEntropy:
@@ -96,6 +113,38 @@ class TestCountWords:
             assert log_count_words(g, n) == pytest.approx(
                 math.log(count_words(g, n)), rel=1e-10
             )
+
+    @settings(max_examples=80, deadline=None)
+    @given(irreducible_shifts(), st.data())
+    def test_word_counts_match_enumeration(self, shift, data):
+        k = shift.alphabet_size
+        n_max = 10 if k == 1 else min(10, int(math.log(20_000) / math.log(k)))
+        ends = data.draw(st.none() | st.sets(st.integers(0, k - 1)))
+        keep = range(k) if ends is None else ends
+        counts = word_counts(shift, n_max, ends)
+        assert len(counts) == n_max
+        for n, count in enumerate(counts, start=1):
+            assert count == sum(1 for w in grown_words(shift, n) if w[-1] in keep)
+        if ends is None:
+            assert counts[-1] == count_words(shift, n_max)
+
+    def test_word_counts_rejects_bad_input(self):
+        with pytest.raises(SymbolicError, match=">= 1"):
+            word_counts(golden_mean_shift(), 0)
+        with pytest.raises(SymbolicError, match="alphabet"):
+            word_counts(golden_mean_shift(), 3, ends=[2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(irreducible_shifts(), st.integers(min_value=1, max_value=300))
+    def test_log_count_words_matches_exact_log(self, shift, n):
+        # lengths up to 300 used to be counted exactly inside log_count_words
+        exact = math.log(count_words(shift, n))
+        assert log_count_words(shift, n) == pytest.approx(exact, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 130, 299, 300])
+    def test_log_count_words_60_symbols(self, n):
+        exact = math.log(count_words(SFT60, n))
+        assert log_count_words(SFT60, n) == pytest.approx(exact, rel=1e-12)
 
     @given(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=20))
     def test_submultiplicative(self, m, n):

@@ -8,8 +8,9 @@ Library layout:
   hyperbolicity profiles;
 * :mod:`shrinktarget.symbolic` - shifts of finite type, sofic presentations,
   entropy, mixing gaps, cyclic decompositions and index sets;
-* :mod:`shrinktarget.bounds` - every closed-form bound and exact-value
-  formula, with case dispatch and hypothesis checking;
+* :mod:`shrinktarget.bounds` - every closed-form bound, with case dispatch
+  and hypothesis checking; the exact values are the sandwiches on profiles
+  whose Lipschitz constants equal their exponents;
 * :mod:`shrinktarget.oracle` - desk-scale independent verification: covering
   sums, Moran estimates and explicit witness points for one-sided SFTs;
 * :mod:`shrinktarget.cli` - batch front end over JSON configs.
@@ -61,19 +62,14 @@ from .symbolic import (  # noqa: F401
     word_counts,
 )
 from .bounds import (  # noqa: F401
-    BoundInput,
     BoundReport,
     CaseTag,
     bounds_expanding,
+    bounds_general_profile,
     bounds_hyperbolic_set,
     bounds_one_sided_shift,
     bounds_two_sided_shift,
     covering_bounds,
-    dim_upper_ambient,
-    exact_expanding_torus,
-    exact_toral_automorphism,
-    lower_entropy_general,
-    upper_bounds,
 )
 from .oracle import (  # noqa: F401
     LimsupCylinderScheme,

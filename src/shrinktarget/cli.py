@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -35,18 +35,12 @@ from . import __version__
 from .bounds import (
     BoundReport,
     HypothesisViolatedError,
-    bound_input_from_profile,
     bounds_expanding,
+    bounds_general_profile,
     bounds_hyperbolic_set,
     bounds_one_sided_shift,
     bounds_two_sided_shift,
     covering_bounds,
-    exact_expanding_torus,
-    exact_toral_automorphism,
-    lower_dim_bilipschitz,
-    lower_dim_lipschitz,
-    lower_entropy_general,
-    upper_bounds,
 )
 from .config import ConfigError, ExperimentConfig, RateTriple, SystemSpec, load_config
 from .oracle import (
@@ -261,13 +255,24 @@ def _context(facts: SystemFacts, task: str, naturals: bool = True, index_ok: boo
     return EvalContext(task, naturals, index_ok)
 
 
+_COMPLEX_PAIR_NOTE = (
+    "a modulus cluster contains complex eigenvalues; exactness is "
+    "stated for two distinct eigenvalues and is reported by modulus"
+)
+
+
 def evaluate(facts: SystemFacts, tau: RateExponents, context: EvalContext) -> tuple[tuple[str, BoundReport], ...]:
     """The (rule, report) rows the theorems give for ``facts`` at ``tau``.
 
-    Shifts and profiles get the same rows for every task.  Matrices get the
-    crude and sharp sandwiches for "bounds"; "exact" and "sweep" take the
-    exact theorem when one applies, and "sweep" falls back to the crude
-    sandwich otherwise.
+    Shifts and profiles get the same rows for every task.  A matrix has one
+    theorem path: ``bounds_expanding`` if it is expanding, else
+    ``bounds_hyperbolic_set``.  "bounds" runs it on the crude profile and,
+    when there is one, on the sharp profile.  "exact" and "sweep" run it on
+    the sharp profile alone; the sharp profile exists exactly when the
+    matrix is expanding or has two moduli straddling 1 with |det| = 1, and
+    its Lipschitz constants equal its exponents, so the sandwich is the
+    exact value.  Without a sharp profile "exact" fails and "sweep" falls
+    back to the crude sandwich.
     """
     if facts.kind in ("sft", "sofic"):
         fn = bounds_one_sided_shift if facts.sided == "one" else bounds_two_sided_shift
@@ -277,58 +282,31 @@ def evaluate(facts: SystemFacts, tau: RateExponents, context: EvalContext) -> tu
         )
         return ((f"{facts.sided}_sided_shift", rep),)
     if facts.kind == "profile":
-        return (("general_profile_sandwich", _general_profile_bounds(facts.profile, tau)),)
+        return (("general_profile_sandwich", bounds_general_profile(facts.profile, tau)),)
 
     p = facts.spectrum
-    if context.task != "bounds":
+    fn = bounds_expanding if p.is_expanding else bounds_hyperbolic_set
+    if context.task != "bounds" and facts.sharp is not None:
+        rep = fn(facts.sharp, tau, tau_lower_substitution=context.naturals)
         if p.is_expanding:
-            return (("expanding_torus_exact", exact_expanding_torus(p, tau)),)
-        if p.lambda_s_mod is not None and p.abs_det == 1:
-            return (("toral_automorphism_exact", exact_toral_automorphism(p, tau)),)
-        if context.task == "exact":
-            raise HypothesisViolatedError(
-                "no exact theorem applies to this spectrum; "
-                "run the 'bounds' task for sandwich estimates"
-            )
+            return (("expanding_torus_exact", rep),)
+        if p.has_complex_pair:
+            rep = replace(rep, notes=rep.notes + (_COMPLEX_PAIR_NOTE,))
+        return (("toral_automorphism_exact", rep),)
+    if context.task == "exact":
+        why = f": {facts.sharp_error}" if facts.sharp_error else ""
+        raise HypothesisViolatedError(
+            f"no exact theorem applies to this spectrum{why}; "
+            "run the 'bounds' task for sandwich estimates"
+        )
     if not p.is_hyperbolic:
         raise SpectrumError("spectrum has a modulus at 1; no bounds apply")
     profiles = [("crude", facts.crude)]
     if context.task == "bounds" and facts.sharp is not None:
         profiles.append(("sharp", facts.sharp))
-    fn = bounds_expanding if p.is_expanding else bounds_hyperbolic_set
     return tuple(
-        (f"{label}_sandwich", fn(bound_input_from_profile(prof, tau), tau_lower_substitution=context.naturals))
+        (f"{label}_sandwich", fn(prof, tau, tau_lower_substitution=context.naturals))
         for label, prof in profiles
-    )
-
-
-def _general_profile_bounds(prof, tau: RateExponents) -> BoundReport:
-    """Compose the generic lower and upper bounds for an abstract profile."""
-    inp = bound_input_from_profile(prof, tau)
-    up = upper_bounds(inp)
-    assumptions = list(up.assumptions)
-    try:
-        h_low = lower_entropy_general(inp)
-        if prof.ln_l1 is not None:
-            dim_low = lower_dim_bilipschitz(inp)
-        else:
-            dim_low = lower_dim_lipschitz(inp)
-        assumptions.append(("lower hypothesis tau_upper < lambda1", True))
-    except HypothesisViolatedError:
-        h_low = dim_low = None
-        assumptions.append(("lower hypothesis tau_upper < lambda1", False))
-    if up.entropy_upper is not None and h_low is not None and h_low > up.entropy_upper:
-        # zero-entropy upper cases beat the positive lower hypothesis region
-        h_low = dim_low = None
-        assumptions.append(("lower/upper regime conflict", False))
-    return BoundReport(
-        entropy_lower=h_low,
-        entropy_upper=up.entropy_upper,
-        dim_lower=dim_low,
-        dim_upper=up.dim_upper,
-        case_tag=up.case_tag,
-        assumptions=tuple(assumptions),
-        notes=up.notes,
     )
 
 

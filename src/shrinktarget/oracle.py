@@ -234,6 +234,8 @@ def moran_dimension(shift: ShiftOfFiniteType, tau: float, depth: int) -> float:
     The pinned content never enters the estimate, only its length, so no
     target needs to be supplied.
     """
+    if shift.sided != "one":
+        raise OracleError("Moran estimates are defined for one-sided shifts")
     if not (tau >= 0.0) or math.isinf(tau):
         raise OracleError("tau must be a finite nonnegative real")
     if depth < 1:
@@ -351,6 +353,8 @@ def plan_witness(
     least one free symbol after the previous pinned block, and large enough
     (s > 1/eta) that the pinned ratio lands inside the (alpha, beta) window.
     """
+    if shift.sided != "one":
+        raise OracleError("witness plans are defined for one-sided shifts")
     if eta <= 0:
         raise PlanError("eta must be positive")
     if k < 0:

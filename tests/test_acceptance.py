@@ -10,15 +10,10 @@ import time
 from contextlib import contextmanager
 
 from shrinktarget.bounds import (
-    BiLipschitz,
-    BoundInput,
     CaseTag,
-    LambdaPair,
-    bound_input_from_profile,
+    bounds_expanding,
+    bounds_general_profile,
     bounds_hyperbolic_set,
-    exact_expanding_torus,
-    exact_toral_automorphism,
-    upper_bounds,
 )
 from shrinktarget.cli import run
 from shrinktarget.config import parse_config
@@ -89,21 +84,23 @@ def test_criterion_1_exact_toral_values():
         assert abs(float(row["h_lower"]) - CAT_LOG_UNSTABLE / 3.0) < 1e-9
         assert abs(float(row["dim_lower"]) - 4.0 / 3.0) < 1e-9
 
-        # independent cross-check through the hyperbolic-set sharp-profile path
-        sharp = sharp_profile_from_matrix(CAT, analyze_matrix(CAT))
+        # independent cross-check of the sharp-profile path against the
+        # closed form d_s (a b - t b)/(b + t), d_s (a + b)/(b + t)
+        p = analyze_matrix(CAT)
+        sharp = sharp_profile_from_matrix(CAT, p)
+        a, b = -math.log(p.lambda_s_mod), math.log(p.lambda_u_mod)
         for t in (0.0, CAT_LOG_UNSTABLE / 2.0):
             tau = RateExponents(t, t)
-            via_set = bounds_hyperbolic_set(bound_input_from_profile(sharp, tau))
-            via_exact = exact_toral_automorphism(analyze_matrix(CAT), tau)
-            assert abs(via_set.entropy_lower - via_exact.entropy_lower) < 1e-9
-            assert abs(via_set.dim_lower - via_exact.dim_lower) < 1e-9
+            via_set = bounds_hyperbolic_set(sharp, tau)
+            assert abs(via_set.entropy_lower - p.d_s * (a * b - t * b) / (b + t)) < 1e-9
+            assert abs(via_set.dim_lower - p.d_s * (a + b) / (b + t)) < 1e-9
         assert time.perf_counter() - started < 1.0
 
 
 def test_criterion_2_exact_expanding_values():
     with criterion(2, "doubling map exact values at tau=ln2, tolerance 1e-12"):
-        p = analyze_matrix(IntegerMatrixSystem(((2,),)))
-        rep = exact_expanding_torus(p, RateExponents(LN2, LN2))
+        m = IntegerMatrixSystem(((2,),))
+        rep = bounds_expanding(sharp_profile_from_matrix(m, analyze_matrix(m)), RateExponents(LN2, LN2))
         assert rep.case_tag is CaseTag.EXACT
         assert abs(rep.entropy_lower - LN2 / 2.0) < 1e-12
         assert abs(rep.dim_lower - 0.5) < 1e-12
@@ -184,15 +181,14 @@ def test_criterion_7_property_suite():
         violations = 0
         for m, p in _random_hyperbolic_matrices(200):
             crude = crude_profile_from_matrix(m, p)
+            sharp = sharp_profile_from_matrix(m, p)
             taus = [crude.ln_l1 * 1.2 * k / 9.0 for k in range(10)]
             crude_rows = []
             exact_rows = []
             for t in taus:
                 tau = RateExponents(t, t)
-                crude_rows.append(
-                    bounds_hyperbolic_set(bound_input_from_profile(crude, tau))
-                )
-                exact_rows.append(exact_toral_automorphism(p, tau))
+                crude_rows.append(bounds_hyperbolic_set(crude, tau))
+                exact_rows.append(bounds_hyperbolic_set(sharp, tau))
             for rep in crude_rows + exact_rows:
                 for lo, hi in (
                     (rep.entropy_lower, rep.entropy_upper),
@@ -232,20 +228,10 @@ def test_criterion_8_case_dispatch():
             prof = HyperbolicityProfile(
                 lambda1=lam1, lambda2=lam2, ln_l2=l2, h_top=h, ln_l1=l1
             )
-            beyond = upper_bounds(
-                BoundInput(
-                    prof, RateExponents(l1 * 2.0, l1 * 2.0),
-                    map_class=BiLipschitz(l1, l2), hyper_class=LambdaPair(lam1, lam2),
-                )
-            )
+            beyond = bounds_general_profile(prof, RateExponents(l1 * 2.0, l1 * 2.0))
             assert beyond.entropy_upper == 0.0
             assert beyond.dim_upper == 0.0
-            at = upper_bounds(
-                BoundInput(
-                    prof, RateExponents(l1, l1),
-                    map_class=BiLipschitz(l1, l2), hyper_class=LambdaPair(lam1, lam2),
-                )
-            )
+            at = bounds_general_profile(prof, RateExponents(l1, l1))
             assert at.entropy_upper == 0.0
             assert at.dim_upper == h / lam1
 
@@ -253,7 +239,8 @@ def test_criterion_8_case_dispatch():
 def test_criterion_9_boundary_continuity():
     with criterion(9, "cat-map entropy continuous into the boundary case"):
         t = CAT_LOG_UNSTABLE - 1e-8
-        rep = exact_toral_automorphism(analyze_matrix(CAT), RateExponents(t, t))
+        sharp = sharp_profile_from_matrix(CAT, analyze_matrix(CAT))
+        rep = bounds_hyperbolic_set(sharp, RateExponents(t, t))
         assert rep.case_tag is CaseTag.EXACT
         assert 0.0 < rep.entropy_lower < 1e-7
 

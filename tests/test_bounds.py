@@ -1,32 +1,23 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from shrinktarget.bounds import (
-    BiLipschitz,
-    BoundInput,
+    BOUNDARY_TOL,
     BoundReport,
     CaseTag,
     HypothesisViolatedError,
-    Lambda,
-    LambdaPair,
-    Lipschitz,
-    bound_input_from_profile,
     bounds_expanding,
+    bounds_general_profile,
     bounds_hyperbolic_set,
     bounds_one_sided_shift,
     bounds_two_sided_shift,
     covering_bounds,
-    dim_upper_ambient,
-    exact_expanding_torus,
-    exact_toral_automorphism,
-    lower_dim_bilipschitz,
-    lower_dim_lipschitz,
-    lower_entropy_general,
     lower_factor,
-    upper_bounds,
 )
+from shrinktarget.cli import EvalContext, evaluate, system_facts
 from shrinktarget.rates import Exponential, RateExponents
 from shrinktarget.symbolic import full_shift, golden_mean_shift, period_decomposition, sft_entropy
 from shrinktarget.systems import (
@@ -39,6 +30,7 @@ from shrinktarget.systems import (
 LN2 = math.log(2.0)
 CAT = IntegerMatrixSystem(((2, 1), (1, 1)))
 CAT_SPECTRUM = analyze_matrix(CAT, 1e-9)
+CAT_SHARP = sharp_profile_from_matrix(CAT, CAT_SPECTRUM)
 CAT_LOG_UNSTABLE = math.log((3.0 + math.sqrt(5.0)) / 2.0)  # 0.9624236501192069
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
 
@@ -61,21 +53,60 @@ def tau(t_up, t_low=None):
     return RateExponents(t_up, t_up if t_low is None else t_low)
 
 
+def sharp(entries):
+    m = IntegerMatrixSystem(entries)
+    return sharp_profile_from_matrix(m, analyze_matrix(m, 1e-9))
+
+
+# The paper's closed forms for the exact-value theorems, written out from the
+# spectrum alone, as independent references for the sharp-profile sandwich.
+
+
+def closed_form_toral(p, t):
+    """Two-modulus automorphism: a = ln|lambda_s|^-1, b = ln|lambda_u|."""
+    a = -math.log(p.lambda_s_mod)
+    b = math.log(p.lambda_u_mod)
+    if not math.isinf(t) and t < a - BOUNDARY_TOL:
+        h = p.d_s * (a * b - t * b) / (b + t)
+        dim = p.d_s * (a + b) / (b + t)
+        return CaseTag.EXACT, h, h, dim, dim
+    if not math.isinf(t) and abs(t - a) <= BOUNDARY_TOL:
+        return CaseTag.BOUNDARY_ZERO, 0.0, 0.0, None, float(p.d_s)
+    return CaseTag.DEGENERATE_ZERO, 0.0, 0.0, 0.0, 0.0
+
+
+def closed_form_expanding(p, t):
+    """Expanding matrix: exact for equal moduli, else the modulus sandwich."""
+    big_h = sum(c.multiplicity * math.log(c.modulus) for c in p.clusters)
+    if len(p.clusters) == 1:
+        b = math.log(p.max_modulus)
+        h, dim = (0.0, 0.0) if math.isinf(t) else (p.dim * b * b / (b + t), p.dim * b / (b + t))
+        return CaseTag.EXACT, h, h, dim, dim
+    ln1 = math.log(p.min_modulus)
+    lnd = math.log(p.max_modulus)
+    f1, fd = (0.0, 0.0) if math.isinf(t) else (ln1 / (ln1 + t), lnd / (lnd + t))
+    return CaseTag.GENERIC, f1 * big_h, fd * big_h, f1 * big_h / lnd, fd * big_h / ln1
+
+
+def sides(rep):
+    return rep.case_tag, rep.entropy_lower, rep.entropy_upper, rep.dim_lower, rep.dim_upper
+
+
 class TestLowerFactor:
     def test_zero_tau_gives_full_entropy(self):
-        inp = BoundInput(unit_profile(), tau(0.0))
-        assert lower_entropy_general(inp) == pytest.approx(LN2, abs=1e-15)
+        rep = bounds_general_profile(unit_profile(), tau(0.0))
+        assert rep.entropy_lower == pytest.approx(LN2, abs=1e-15)
 
     def test_unit_exponents_half_tau(self):
         # (1 - 0.5)/(1 + 0.5) = 1/3
-        inp = BoundInput(unit_profile(), tau(0.5))
-        assert lower_entropy_general(inp) == pytest.approx(LN2 / 3.0, abs=1e-15)
+        rep = bounds_general_profile(unit_profile(), tau(0.5))
+        assert rep.entropy_lower == pytest.approx(LN2 / 3.0, abs=1e-15)
 
     def test_infinite_lambda1_limit(self):
         # limit factor lambda2/(lambda2 + tau) = ln2/(2 ln2) = 1/2
         prof = HyperbolicityProfile(lambda1=math.inf, lambda2=LN2, ln_l2=LN2, h_top=LN2)
-        inp = BoundInput(prof, tau(LN2))
-        assert lower_entropy_general(inp) == pytest.approx(LN2 / 2.0, abs=1e-15)
+        rep = bounds_general_profile(prof, tau(LN2))
+        assert rep.entropy_lower == pytest.approx(LN2 / 2.0, abs=1e-15)
 
     def test_hypothesis_violation(self):
         with pytest.raises(HypothesisViolatedError):
@@ -110,134 +141,105 @@ class TestLowerFactor:
 
 class TestLowerDimension:
     def test_two_sided_full_shift_ambient(self):
-        inp = BoundInput(unit_profile(), tau(0.0), map_class=BiLipschitz(1.0, 1.0))
-        assert lower_dim_bilipschitz(inp) == pytest.approx(2.0 * LN2, abs=1e-15)
+        rep = bounds_general_profile(unit_profile(), tau(0.0))
+        assert rep.dim_lower == pytest.approx(2.0 * LN2, abs=1e-15)
 
     def test_one_sided_full_shift(self):
-        inp = BoundInput(one_sided_profile(), tau(1.0), map_class=Lipschitz(1.0))
-        assert lower_dim_lipschitz(inp) == pytest.approx(LN2 / 2.0, abs=1e-15)
+        rep = bounds_general_profile(one_sided_profile(), tau(1.0))
+        assert rep.dim_lower == pytest.approx(LN2 / 2.0, abs=1e-15)
 
     def test_dim_vanishes_as_lipschitz_grows(self):
         ent = None
         prev = math.inf
         for lnl in (1.0, 10.0, 100.0, 1000.0):
-            inp = BoundInput(one_sided_profile(), tau(0.5), map_class=Lipschitz(lnl))
-            d = lower_dim_lipschitz(inp)
+            prof = HyperbolicityProfile(lambda1=math.inf, lambda2=1.0, ln_l2=lnl, h_top=LN2)
+            rep = bounds_general_profile(prof, tau(0.5))
+            d = rep.dim_lower
             assert d < prev
             prev = d
-            e = lower_entropy_general(inp)
+            e = rep.entropy_lower
             assert ent is None or e == pytest.approx(ent)
             ent = e
         assert prev < 1e-3
 
-    def test_map_class_mismatch(self):
-        inp = BoundInput(unit_profile(), tau(0.0), map_class=Lipschitz(1.0))
-        with pytest.raises(ValueError):
-            lower_dim_bilipschitz(inp)
-
 
 class TestUpperBounds:
     def test_lipschitz_case(self):
-        inp = BoundInput(
-            one_sided_profile(LN2), tau(LN2), map_class=Lipschitz(LN2),
-            hyper_class=Lambda(LN2),
-        )
-        rep = upper_bounds(inp)
+        prof = HyperbolicityProfile(lambda1=math.inf, lambda2=LN2, ln_l2=LN2, h_top=LN2)
+        rep = bounds_general_profile(prof, tau(LN2))
         assert rep.entropy_upper == pytest.approx(LN2 / 2.0, abs=1e-15)
         assert rep.dim_upper == pytest.approx(0.5, abs=1e-15)
 
     def test_boundary_case(self):
-        inp = BoundInput(
-            unit_profile(), tau(1.0), map_class=BiLipschitz(1.0, 1.0),
-            hyper_class=LambdaPair(1.0, 1.0),
-        )
-        rep = upper_bounds(inp)
+        rep = bounds_general_profile(unit_profile(), tau(1.0))
         assert rep.case_tag is CaseTag.BOUNDARY_ZERO
         assert rep.entropy_upper == 0.0
         assert rep.dim_upper == pytest.approx(LN2)
 
     def test_degenerate_case(self):
-        inp = BoundInput(
-            unit_profile(), tau(2.0), map_class=BiLipschitz(1.0, 1.0),
-            hyper_class=LambdaPair(1.0, 1.0),
-        )
-        rep = upper_bounds(inp)
+        rep = bounds_general_profile(unit_profile(), tau(2.0))
         assert rep.case_tag is CaseTag.DEGENERATE_ZERO
         assert rep.entropy_upper == 0.0
         assert rep.dim_upper == 0.0
 
-    def test_without_hyper_class_dim_unavailable(self):
-        inp = BoundInput(unit_profile(), tau(2.0), map_class=BiLipschitz(1.0, 1.0))
-        rep = upper_bounds(inp)
-        assert rep.entropy_upper == 0.0
-        assert rep.dim_upper is None
-
     def test_infinite_tau_lower(self):
         exps = RateExponents(math.inf, math.inf)
-        rep = upper_bounds(
-            BoundInput(one_sided_profile(), exps, map_class=Lipschitz(1.0), hyper_class=Lambda(1.0))
-        )
+        rep = bounds_general_profile(one_sided_profile(), exps)
         assert rep.entropy_upper == 0.0 and rep.dim_upper == 0.0
-        rep2 = upper_bounds(
-            BoundInput(unit_profile(), exps, map_class=BiLipschitz(1.0, 1.0), hyper_class=LambdaPair(1.0, 1.0))
-        )
+        rep2 = bounds_general_profile(unit_profile(), exps)
         assert rep2.entropy_upper == 0.0 and rep2.dim_upper == 0.0
 
     @given(t=st.floats(min_value=0.0, max_value=0.99))
     def test_upper_nonincreasing_in_tau(self, t):
         def h_up(tv):
-            return upper_bounds(
-                BoundInput(unit_profile(), tau(tv), map_class=BiLipschitz(1.0, 1.0))
-            ).entropy_upper
+            return bounds_general_profile(unit_profile(), tau(tv)).entropy_upper
 
         assert h_up(t) >= h_up(min(t + 0.01, 0.999)) - 1e-12
 
 
 class TestExactToral:
     def test_cat_map_tau_zero(self):
-        rep = exact_toral_automorphism(CAT_SPECTRUM, tau(0.0))
+        rep = bounds_hyperbolic_set(CAT_SHARP, tau(0.0))
         assert rep.case_tag is CaseTag.EXACT
         assert rep.entropy_lower == pytest.approx(CAT_LOG_UNSTABLE, abs=1e-9)
         assert rep.dim_lower == pytest.approx(2.0, abs=1e-9)
 
     def test_cat_map_half_log_unstable(self):
-        rep = exact_toral_automorphism(CAT_SPECTRUM, tau(CAT_LOG_UNSTABLE / 2.0))
+        rep = bounds_hyperbolic_set(CAT_SHARP, tau(CAT_LOG_UNSTABLE / 2.0))
         assert rep.entropy_lower == pytest.approx(CAT_LOG_UNSTABLE / 3.0, abs=1e-12)
         assert rep.dim_lower == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_cat_map_boundary(self):
-        rep = exact_toral_automorphism(CAT_SPECTRUM, tau(CAT_LOG_UNSTABLE))
+        rep = bounds_hyperbolic_set(CAT_SHARP, tau(CAT_LOG_UNSTABLE))
         assert rep.case_tag is CaseTag.BOUNDARY_ZERO
         assert rep.entropy_upper == 0.0
         assert rep.dim_upper == 1.0
         assert rep.dim_lower is None
 
     def test_cat_map_beyond(self):
-        rep = exact_toral_automorphism(CAT_SPECTRUM, tau(1.5))
+        rep = bounds_hyperbolic_set(CAT_SHARP, tau(1.5))
         assert rep.case_tag is CaseTag.DEGENERATE_ZERO
         assert rep.dim_upper == 0.0
 
     def test_boundary_continuity(self):
-        rep = exact_toral_automorphism(CAT_SPECTRUM, tau(CAT_LOG_UNSTABLE - 1e-8))
+        rep = bounds_hyperbolic_set(CAT_SHARP, tau(CAT_LOG_UNSTABLE - 1e-8))
         assert rep.case_tag is CaseTag.EXACT
         assert 0.0 < rep.entropy_lower < 1e-7
 
     def test_requires_unit_determinant(self):
-        p = analyze_matrix(IntegerMatrixSystem(((3, 1), (1, 1))), 1e-9)  # det 2
-        if p.lambda_s_mod is not None:
+        facts = system_facts(IntegerMatrixSystem(((3, 1), (1, 1))), "matrix")  # det 2
+        if facts.spectrum.lambda_s_mod is not None:
             with pytest.raises(HypothesisViolatedError, match="det"):
-                exact_toral_automorphism(p, tau(0.0))
+                evaluate(facts, tau(0.0), EvalContext("exact"))
 
     def test_cross_path_agreement_with_hyperbolic_set(self):
-        sharp = sharp_profile_from_matrix(CAT, CAT_SPECTRUM)
+        # the sharp-profile sandwich against the paper's closed form
         for t in (0.0, 0.2, 0.45, CAT_LOG_UNSTABLE / 2.0):
-            via_exact = exact_toral_automorphism(CAT_SPECTRUM, tau(t))
-            via_set = bounds_hyperbolic_set(bound_input_from_profile(sharp, tau(t)))
+            _, h_exact, _, dim_exact, _ = closed_form_toral(CAT_SPECTRUM, t)
+            via_set = bounds_hyperbolic_set(CAT_SHARP, tau(t))
             assert via_set.case_tag is CaseTag.EXACT
-            assert via_set.entropy_lower == pytest.approx(
-                via_exact.entropy_lower, abs=1e-10
-            )
-            assert via_set.dim_lower == pytest.approx(via_exact.dim_lower, abs=1e-10)
+            assert via_set.entropy_lower == pytest.approx(h_exact, abs=1e-10)
+            assert via_set.dim_lower == pytest.approx(dim_exact, abs=1e-10)
 
 
 class TestHyperbolicSet:
@@ -246,51 +248,42 @@ class TestHyperbolicSet:
 
         m = IntegerMatrixSystem(((3, 1), (2, 1)))  # nonsymmetric, det 1
         crude = crude_profile_from_matrix(m, analyze_matrix(m))
-        rep = bounds_hyperbolic_set(bound_input_from_profile(crude, tau(0.1)))
+        rep = bounds_hyperbolic_set(crude, tau(0.1))
         assert rep.case_tag is CaseTag.GENERIC
         assert rep.entropy_lower < rep.entropy_upper
         assert rep.dim_lower < rep.dim_upper
 
     def test_lower_unavailable_when_tau_large(self):
         prof = HyperbolicityProfile(lambda1=0.5, lambda2=1.0, ln_l2=2.0, h_top=1.0, ln_l1=1.0)
-        rep = bounds_hyperbolic_set(bound_input_from_profile(prof, tau(0.7)))
+        rep = bounds_hyperbolic_set(prof, tau(0.7))
         assert rep.entropy_lower is None
         assert rep.entropy_upper is not None
 
     def test_index_veto_blocks_lower(self):
-        sharp = sharp_profile_from_matrix(CAT, CAT_SPECTRUM)
-        rep = bounds_hyperbolic_set(
-            bound_input_from_profile(sharp, tau(0.1)), index_ok=False
-        )
+        rep = bounds_hyperbolic_set(CAT_SHARP, tau(0.1), index_ok=False)
         assert rep.entropy_lower is None
 
 
 class TestExpanding:
     def test_doubling_exact(self):
-        m = IntegerMatrixSystem(((2,),))
-        p = analyze_matrix(m, 1e-9)
-        rep = exact_expanding_torus(p, tau(LN2))
+        rep = bounds_expanding(sharp(((2,),)), tau(LN2))
         assert rep.case_tag is CaseTag.EXACT
         assert rep.entropy_lower == pytest.approx(LN2 / 2.0, abs=1e-12)
         assert rep.dim_lower == pytest.approx(0.5, abs=1e-12)
 
     def test_diagonal_equal_moduli(self):
-        p = analyze_matrix(IntegerMatrixSystem(((2, 0), (0, 2))), 1e-9)
-        rep = exact_expanding_torus(p, tau(0.0))
+        rep = bounds_expanding(sharp(((2, 0), (0, 2))), tau(0.0))
         assert rep.entropy_lower == pytest.approx(2.0 * LN2, abs=1e-12)
         assert rep.dim_lower == pytest.approx(2.0, abs=1e-12)
 
     def test_distinct_moduli_strict_sandwich(self):
-        p = analyze_matrix(IntegerMatrixSystem(((2, 0), (0, 3))), 1e-9)
-        rep = exact_expanding_torus(p, tau(0.1))
+        rep = bounds_expanding(sharp(((2, 0), (0, 3))), tau(0.1))
         assert rep.case_tag is CaseTag.GENERIC
         assert rep.entropy_lower < rep.entropy_upper
         assert rep.dim_lower < rep.dim_upper
 
     def test_bounds_expanding_exact_at_matching_constants(self):
-        m = IntegerMatrixSystem(((2,),))
-        prof = sharp_profile_from_matrix(m, analyze_matrix(m, 1e-9))
-        rep = bounds_expanding(bound_input_from_profile(prof, tau(LN2)))
+        rep = bounds_expanding(sharp(((2,),)), tau(LN2))
         assert rep.case_tag is CaseTag.EXACT
         assert rep.entropy_lower == pytest.approx(LN2 / 2.0, abs=1e-12)
         assert rep.dim_lower == pytest.approx(0.5, abs=1e-12)
@@ -298,7 +291,67 @@ class TestExpanding:
 
     def test_non_expanding_rejected(self):
         with pytest.raises(HypothesisViolatedError):
-            exact_expanding_torus(CAT_SPECTRUM, tau(0.0))
+            bounds_expanding(CAT_SHARP, tau(0.0))
+
+
+# every 2x2 matrix with entries in [-5, 5] that is a hyperbolic automorphism:
+# det 1 and |trace| > 2, or det -1 and trace != 0 (two real moduli around 1)
+UNIT_DET_HYPERBOLIC = [
+    ((a, b), (c, d))
+    for a, b, c, d in itertools.product(range(-5, 6), repeat=4)
+    if (a * d - b * c == 1 and abs(a + d) > 2) or (a * d - b * c == -1 and a + d != 0)
+]
+
+
+def exact_row(entries, t):
+    """The spectrum and the (rule, report) row of the CLI's exact task."""
+    facts = system_facts(IntegerMatrixSystem(entries), "matrix")
+    ((rule, rep),) = evaluate(facts, tau(t), EvalContext("exact"))
+    return facts.spectrum, rule, rep
+
+
+def assert_closed_form(rep, want):
+    assert rep.case_tag is want[0]
+    for got, expected in zip(sides(rep)[1:], want[1:]):
+        if expected is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(expected, rel=1e-12)
+
+
+class TestExactClosedForms:
+    @given(entries=st.sampled_from(UNIT_DET_HYPERBOLIC), t=st.floats(min_value=0.0, max_value=2.0))
+    def test_toral_automorphism(self, entries, t):
+        p, rule, rep = exact_row(entries, t)
+        assert rule == "toral_automorphism_exact"
+        assert_closed_form(rep, closed_form_toral(p, t))
+
+    @given(
+        a=st.integers(min_value=2, max_value=9),
+        b=st.integers(min_value=2, max_value=9),
+        t=st.floats(min_value=0.0, max_value=2.0),
+    )
+    def test_expanding_diagonal(self, a, b, t):
+        # a == b gives the equal-moduli EXACT row, a != b the sandwich
+        p, rule, rep = exact_row(((a, 0), (0, b)), t)
+        assert rule == "expanding_torus_exact"
+        assert_closed_form(rep, closed_form_expanding(p, t))
+
+    def test_unequal_exponents_and_complex_pair(self):
+        # companion of x^3 - x - 1: a complex pair inside the unit circle and
+        # the plastic number outside, so d_s = 2, d_u = 1 and a != b
+        entries = ((0, 0, 1), (1, 0, 1), (0, 1, 0))
+        for t in (0.0, 0.05, 0.1, 0.2):
+            p, rule, rep = exact_row(entries, t)
+            assert rule == "toral_automorphism_exact"
+            assert_closed_form(rep, closed_form_toral(p, t))
+            assert any("complex eigenvalues" in note for note in rep.notes)
+
+    def test_boundary_and_beyond(self):
+        a = CAT_LOG_UNSTABLE
+        for t in (a, a + 1e-13, 1.5, math.inf):
+            p, _, rep = exact_row(((2, 1), (1, 1)), t)
+            assert_closed_form(rep, closed_form_toral(p, t))
 
 
 class TestShiftTheorems:
@@ -352,7 +405,7 @@ class TestCoveringAndAmbient:
         for t in (0.0, 0.3, 0.6):
             rep = covering_bounds(prof, Exponential(t))
             assert rep.entropy_lower == pytest.approx(
-                lower_entropy_general(BoundInput(prof, tau(t))), abs=1e-15
+                bounds_general_profile(prof, tau(t)).entropy_lower, abs=1e-15
             )
             assert rep.entropy_upper is None
 
@@ -370,14 +423,6 @@ class TestCoveringAndAmbient:
         rep = covering_bounds(prof, Exponential(2.0))
         assert rep.entropy_lower is None
         assert ("tau < lambda1", False) in rep.assumptions
-
-    def test_ambient_caps(self):
-        one = BoundInput(one_sided_profile(), tau(0.0), hyper_class=Lambda(1.0))
-        assert dim_upper_ambient(one) == (pytest.approx(LN2), None)
-        two = BoundInput(unit_profile(), tau(0.0), hyper_class=LambdaPair(1.0, 1.0))
-        assert dim_upper_ambient(two) == (None, pytest.approx(2.0 * LN2))
-        big = BoundInput(one_sided_profile(), tau(0.0), hyper_class=Lambda(1e9))
-        assert dim_upper_ambient(big)[0] < 1e-8
 
     def test_exact_dims_within_ambient(self):
         one = bounds_one_sided_shift(*shift_data(full_shift(2)), tau(0.25))
@@ -409,12 +454,11 @@ class TestBoundaryContinuity:
     def test_hyperbolic_set_upper_into_boundary(self):
         prof = unit_profile()
         eps = 1e-8
-        rep = bounds_hyperbolic_set(bound_input_from_profile(prof, tau(1.0 - eps)))
+        rep = bounds_hyperbolic_set(prof, tau(1.0 - eps))
         assert 0.0 < rep.entropy_upper < 1e-7
 
     def test_exact_expanding_tau_to_infinity(self):
-        p = analyze_matrix(IntegerMatrixSystem(((2,),)), 1e-9)
-        rep = exact_expanding_torus(p, RateExponents(math.inf, math.inf))
+        rep = bounds_expanding(sharp(((2,),)), RateExponents(math.inf, math.inf))
         assert rep.entropy_lower == 0.0 and rep.dim_lower == 0.0
 
     def test_exact_dim_never_exceeds_ambient(self):
@@ -428,11 +472,12 @@ class TestBoundaryContinuity:
             det = entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
             if abs(det) != 1:
                 continue
-            p = analyze_matrix(IntegerMatrixSystem(entries), 1e-9)
+            m = IntegerMatrixSystem(entries)
+            p = analyze_matrix(m, 1e-9)
             if not p.is_hyperbolic or p.lambda_s_mod is None:
                 continue
             for t in (0.0, 0.2, 0.5, 1.0):
-                rep = exact_toral_automorphism(p, tau(t))
+                rep = bounds_hyperbolic_set(sharp_profile_from_matrix(m, p), tau(t))
                 if rep.dim_upper is not None:
                     assert rep.dim_upper <= 2.0 + 1e-9
             checked += 1

@@ -453,6 +453,19 @@ class TestValidation:
         assert res["status"] == "error"
         assert res["error"] == f"$.tasks: task {command!r} requires an SFT system"
 
+    @pytest.mark.parametrize("command", ["oracle", "witness"])
+    def test_symbolic_command_on_two_sided_shift(self, tmp_path, monkeypatch, command):
+        # validation rejects these tasks on a two-sided SFT only when they are
+        # among config.tasks; the command itself must fail too, not certify
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tasks=("bounds",))
+        payload["system"]["sided"] = "two"
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", str(cfg)]) == 1
+        res = read_report(tmp_path)["results"][0]
+        assert res["status"] == "error"
+        assert "one-sided" in res["error"]
+
     def test_schema_enums_match_config(self):
         schema_path = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
         props = json.loads(schema_path.read_text())["properties"]

@@ -11,12 +11,15 @@ counting and matching kernels cannot move a printed digit unnoticed.  To
 write them afresh (only when a report is meant to change), run
 
     python tests/test_golden_reports.py
+
+which rewrites, and prints, only the files whose bytes differ.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -282,18 +285,23 @@ def test_report_bytes_match_golden(case, command, tmp_path):
 
 
 def _regenerate() -> None:
+    """Rewrite only the golden files whose bytes differ, and name each one."""
     for case, (_, commands) in CASES.items():
         for command, want in commands.items():
-            with tempfile.TemporaryDirectory() as tmp:
+            with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
                 code, files = _run(case, command, Path(tmp))
             if code != want:
                 raise SystemExit(f"{case}/{command}: exit {code}, expected {want}")
             target = GOLDEN / case / command
-            shutil.rmtree(target, ignore_errors=True)
-            target.mkdir(parents=True)
+            target.mkdir(parents=True, exist_ok=True)
+            for stale in sorted(p for p in target.iterdir() if p.name not in files):
+                stale.unlink()
+                print(f"removed {stale}", file=sys.stderr)
             for name, data in files.items():
-                (target / name).write_bytes(data)
-            print(f"wrote {target}", file=sys.stderr)
+                path = target / name
+                if not path.exists() or path.read_bytes() != data:
+                    path.write_bytes(data)
+                    print(f"wrote {path}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -172,8 +172,13 @@ class TestCoveringSum:
         assert all(b > a for a, b in zip(ws, ws[1:]))
 
     def test_two_sided_rejected(self):
+        two = full_shift(2, "two")
         with pytest.raises(OracleError, match="one-sided"):
-            LimsupCylinderScheme(full_shift(2, "two"), 0.5, ZEROS)
+            LimsupCylinderScheme(two, 0.5, ZEROS)
+        with pytest.raises(OracleError, match="one-sided"):
+            plan_witness(two, Exponential(0.5), ZEROS, AllTimes(), 3, 0.05)
+        with pytest.raises(OracleError, match="one-sided"):
+            moran_dimension(two, 0.5, 4)
 
     def test_inadmissible_target_rejected(self):
         with pytest.raises(OracleError, match="admissible"):

@@ -278,9 +278,14 @@ def _parse_system(obj: Any, path: str) -> tuple[SystemSpec, str]:
             )
         if kind == "profile":
             ln_l1 = d.get("ln_l1")
+            lambda1 = _as_number(_require(d, "lambda1", path), f"{path}.lambda1", allow_inf=True)
+            if ln_l1 is not None and math.isinf(lambda1):
+                raise ConfigError(path, "a bi-Lipschitz profile (with ln_l1) needs a finite lambda1")
+            if ln_l1 is None and not math.isinf(lambda1):
+                raise ConfigError(path, "a Lipschitz profile (no ln_l1) needs lambda1 = \"inf\"")
             return (
                 HyperbolicityProfile(
-                    lambda1=_as_number(_require(d, "lambda1", path), f"{path}.lambda1", allow_inf=True),
+                    lambda1=lambda1,
                     lambda2=_as_number(_require(d, "lambda2", path), f"{path}.lambda2"),
                     ln_l2=_as_number(_require(d, "ln_l2", path), f"{path}.ln_l2"),
                     h_top=_as_number(_require(d, "h_top", path), f"{path}.h_top"),

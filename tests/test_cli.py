@@ -438,7 +438,7 @@ class TestValidation:
         cfg = write_config(tmp_path, payload)
         assert main(["exact", "--config", str(cfg)]) == 1
         assert "requires a matrix system" in read_report(tmp_path)["results"][0]["error"]
-        payload["system"] = {"kind": "profile", "lambda1": 1.0, "lambda2": 1.0, "ln_l2": 1.0, "h_top": LN2}
+        payload["system"] = {"kind": "profile", "lambda1": 1.0, "lambda2": 1.0, "ln_l1": 1.0, "ln_l2": 1.0, "h_top": LN2}
         cfg = write_config(tmp_path, payload)
         assert main(["analyze", "--config", str(cfg)]) == 1
         assert "analyze needs a matrix or symbolic system" in read_report(tmp_path)["results"][0]["error"]
@@ -465,6 +465,55 @@ class TestValidation:
         res = read_report(tmp_path)["results"][0]
         assert res["status"] == "error"
         assert "one-sided" in res["error"]
+
+    # (lambda1, ln_l1) -> the validation message; None: a consistent profile
+    PROFILE_SHAPES = [
+        (1.0, 1.2, None),
+        ("inf", None, None),
+        ("inf", 1.2, "needs a finite lambda1"),
+        (1.0, None, "needs lambda1 = \"inf\""),
+    ]
+
+    @staticmethod
+    def _profile_config(lambda1, ln_l1):
+        system = {"kind": "profile", "lambda1": lambda1, "lambda2": 1.5, "ln_l2": 1.7, "h_top": 0.9}
+        if ln_l1 is not None:
+            system["ln_l1"] = ln_l1
+        return {
+            "system": system,
+            "rates": [
+                {
+                    "phi": {"kind": "exponential", "tau": 0.5},
+                    "time_set": {"kind": "all"},
+                    "target": {"kind": "symbols", "head": [], "cycle": [0]},
+                }
+            ],
+            "tasks": ["bounds"],
+            "output": {"dir": "out", "formats": ["json"]},
+        }
+
+    @pytest.mark.parametrize("command", ["bounds", "sweep"])
+    @pytest.mark.parametrize("lambda1,ln_l1,message", PROFILE_SHAPES[2:])
+    def test_inconsistent_profile_rejected(self, tmp_path, monkeypatch, capsys, command, lambda1, ln_l1, message):
+        # no theorem reads such a profile, so it fails at load, not in every
+        # bounds/sweep task
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, self._profile_config(lambda1, ln_l1))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "$.system: a " in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=message) as exc:
+            parse_config(self._profile_config(lambda1, ln_l1))
+        assert exc.value.path == "$.system"
+
+    @pytest.mark.parametrize("lambda1,ln_l1,message", PROFILE_SHAPES)
+    def test_schema_profile_shapes_match_config(self, lambda1, ln_l1, message):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema_path = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
+        validator = jsonschema.Draft202012Validator(json.loads(schema_path.read_text()))
+        payload = self._profile_config(lambda1, ln_l1)
+        assert validator.is_valid(payload) == (message is None)
+        if message is None:
+            parse_config(payload)
 
     def test_schema_enums_match_config(self):
         schema_path = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -34,7 +35,9 @@ from shrinktarget.symbolic import (
     sft_entropy,
     sofic_entropy,
     word_counts,
+    _perron_bracket,
 )
+from shrinktarget.systems import _charpoly
 from shift_strategies import irreducible_shifts
 
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)  # 0.48121182505960347
@@ -224,6 +227,171 @@ def test_mixing_gap_matches_boolean_powers(k, data):
     except SymbolicError:
         assume(False)
     assert mixing_gap(shift) == _brute_force_gap(rows)
+
+
+def _cycle_with_chord(k: int) -> list[list[int]]:
+    """k-cycle plus the chord k-1 -> 1: cycle lengths k and k - 1, gap (k-1)^2 + 1."""
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        rows[i][(i + 1) % k] = 1
+    rows[k - 1][1] = 1
+    return rows
+
+
+def _bitset_gap(rows) -> int:
+    """Reference gap: Python-int bitset rows, one OR sweep per power."""
+    k = len(rows)
+    full = (1 << k) - 1
+    succ = [[b for b in range(k) if row[b]] for row in rows]
+    reach = [sum(1 << b for b in s) for s in succ]
+    p = 1
+    while not all(r == full for r in reach):
+        nxt = []
+        for s in succ:
+            row = 0
+            for b in s:
+                row |= reach[b]
+            nxt.append(row)
+        reach = nxt
+        p += 1
+    return p
+
+
+@st.composite
+def hamiltonian_rows(draw, max_k, period=1):
+    """Random 0/1 matrices on a random Hamiltonian cycle (so irreducible),
+    plus up to 2k random edges, each stepping one class forward when the
+    cycle positions are split into ``period`` classes (so ``period`` divides
+    the period of the shift)."""
+    k = period * draw(st.integers(min_value=1, max_value=max_k // period))
+    order = draw(st.permutations(range(k)))
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        rows[order[i]][order[(i + 1) % k]] = 1
+    pos = st.integers(0, k - 1)
+    for i, c in draw(st.lists(st.tuples(pos, pos), max_size=2 * k)):
+        rows[order[i]][order[(i + 1 + period * c) % k]] = 1
+    return rows
+
+
+def _primitive_rows(max_k):
+    return hamiltonian_rows(max_k).filter(lambda rows: period_decomposition(_sft(rows)).period == 1)
+
+
+def _sft(rows) -> ShiftOfFiniteType:
+    return ShiftOfFiniteType(tuple(map(tuple, rows)))
+
+
+class TestMixingGapKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(_primitive_rows(40))
+    def test_matches_bitset_iteration(self, rows):
+        assert mixing_gap(_sft(rows)) == _bitset_gap(rows)
+
+    def test_cycle_with_chord_family(self):
+        for k in range(2, 121):
+            assert mixing_gap(_sft(_cycle_with_chord(k))) == (k - 1) ** 2 + 1, k
+
+
+def _taylor_positive(coeffs, a: int, s: int) -> bool:
+    """Whether every Taylor coefficient of p at x = a / 2^s is positive, for p
+    with integer ``coeffs`` (highest first), i.e. whether x exceeds every real
+    root of p (Budan-Fourier; conversely Gauss-Lucas).  Integer arithmetic on
+    2^(s n) p(z / 2^s), shifted to z = a by repeated synthetic division."""
+    n = len(coeffs) - 1
+    c = [coef << (s * i) for i, coef in enumerate(coeffs)]
+    for end in range(n + 1, 0, -1):
+        for i in range(1, end):
+            c[i] += a * c[i - 1]
+        if c[end - 1] <= 0:
+            return False
+    return True
+
+
+def _perron_interval(rows, bits: int = 100) -> tuple[Fraction, Fraction]:
+    """(lo, hi) with lo <= rho < hi and hi - lo = 2^-bits: bisection, in exact
+    rationals, on the predicate 'x exceeds every real root of the
+    characteristic polynomial'.  rho is the largest real root, since every
+    eigenvalue has modulus at most rho."""
+    coeffs = _charpoly(rows)
+    lo, hi = 0, (max(map(sum, rows)) + 1) << bits  # numerators over 2^bits
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _taylor_positive(coeffs, mid, bits):
+            hi = mid
+        else:
+            lo = mid
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+
+
+def _chord_root(k: int, bits: int = 100) -> Fraction:
+    """The one positive root of x^k - x - 1 (Descartes), the characteristic
+    polynomial of the cycle with chord, by exact sign bisection on [1, 2]."""
+    lo, hi = 1 << bits, 2 << bits
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k - (mid << (bits * (k - 1))) - (1 << (bits * k)) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return Fraction(lo, 1 << bits)
+
+
+def _assert_bracket_holds(rows) -> float:
+    ref_lo, ref_hi = _perron_interval(rows)
+    lo, root, hi = _perron_bracket(np.array(rows, dtype=float))
+    assert Fraction(lo) <= ref_lo and ref_hi <= Fraction(hi)
+    assert lo <= root <= hi
+    assert perron_root(rows) == root
+    return root
+
+
+class TestPerronKernel:
+    @settings(max_examples=30, deadline=None)
+    @given(_primitive_rows(30))
+    def test_bracket_contains_exact_root_primitive(self, rows):
+        _assert_bracket_holds(rows)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=2, max_value=4).flatmap(lambda n: hamiltonian_rows(24, period=n)))
+    def test_bracket_contains_exact_root_periodic(self, rows):
+        assert period_decomposition(_sft(rows)).period > 1
+        _assert_bracket_holds(rows)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=1, max_value=30).flatmap(lambda k: st.permutations(range(k))))
+    def test_permutation_root_is_exactly_one(self, perm):
+        k = len(perm)
+        rows = [[int(perm[i] == j) for j in range(k)] for i in range(k)]
+        assert sft_entropy(_sft(rows)) == 0.0
+        cycle = [[int(j == perm[(perm.index(i) + 1) % k]) for j in range(k)] for i in range(k)]
+        assert _assert_bracket_holds(cycle) == 1.0
+
+    def test_integer_roots_exact(self):
+        for k in (2, 3, 5, 60):
+            assert perron_root([[1] * k] * k) == float(k)
+        circulant = [[int((j - i) % 5 in (0, 1, 3)) for j in range(5)] for i in range(5)]
+        assert perron_root(circulant) == 3.0
+
+    def test_chord_charpoly_closed_form(self):
+        for k in range(2, 25):
+            assert _charpoly(_cycle_with_chord(k)) == [1] + [0] * (k - 2) + [-1, -1]
+
+    @pytest.mark.parametrize("k", [12, 16, 64, 80, 200])
+    def test_chord_entropy_matches_exact_root(self, k):
+        rows = _cycle_with_chord(k)
+        ref = _perron_interval(rows)[0] if k <= 16 else _chord_root(k)
+        assert abs(sft_entropy(_sft(rows)) - math.log(float(ref))) < 1e-12
+        lo, _, hi = _perron_bracket(np.array(rows, dtype=float))
+        assert Fraction(lo) <= ref <= Fraction(hi)
+
+    def test_reducible_input(self):
+        # the Perron vector of a reducible matrix may vanish somewhere
+        with pytest.raises(SymbolicError, match="reducible"):
+            perron_root(((1, 1), (0, 0)))
+        assert sft_entropy(ShiftOfFiniteType(((1, 1), (0, 1)))) == 0.0
+        forked = SoficPresentation(states=2, edges=((0, 0, "a"), (0, 1, "b"), (1, 1, "a")))
+        assert sofic_entropy(forked) == 0.0
 
 
 class TestPeriodDecomposition:

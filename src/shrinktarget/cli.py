@@ -9,9 +9,12 @@ into the output directory:
 
 Every real number in a report is rendered as a decimal string with 12
 significant digits ('.' separator, LF line endings), so reruns of the same
-config are byte-identical.  Wall-clock timings go to stderr only, never into
-report files.  Nothing in the pipeline draws randomness; ``--seedless``
-records that assertion in the report.
+config are byte-identical.  ``report.json`` is exactly
+``json.dumps(report, indent=2, sort_keys=True)`` followed by one LF:
+two-space indentation, sorted keys, every non-ASCII character escaped.
+Wall-clock timings go to stderr only, never into report files.  Nothing in
+the pipeline draws randomness; ``--seedless`` records that assertion in the
+report.
 
 Exit codes: 0 all requested tasks produced results (rows whose hypotheses
 fail are still results), 1 a task errored, 2 validation/IO errors.
@@ -21,9 +24,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
-import math
+import operator
 import os
 import sys
 import time
@@ -107,11 +112,12 @@ TaskError = (
 
 
 def fmt(x: float | None) -> str | None:
-    """Real values become 12-significant-digit decimal strings; None stays."""
+    """Real values become 12-significant-digit decimal strings; None stays.
+
+    Infinities and NaN print as "inf", "-inf" and "nan".
+    """
     if x is None:
         return None
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return format(float(x), ".12g")
 
 
@@ -585,7 +591,62 @@ def run(config: ExperimentConfig, tasks: tuple[str, ...] | None = None, seedless
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True)`` plus LF, byte for byte.
+
+    The layout is written by ``_render``, which leaves every container of
+    scalars, and every list of such dicts, to one call of the C encoder.
+    """
+    return _render(report, "\n") + "\n"
+
+
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _encoder(nl: str):
+    """The C encoder with item separator ``"," + nl``; ``nl`` is LF + indent.
+
+    CPython encodes in C whenever ``indent`` is None; ASCII escaping and
+    NaN/Infinity are the ``json.dumps`` defaults.
+    """
+    return json.JSONEncoder(separators=("," + nl, ": "), sort_keys=True).encode
+
+
+def _flat(members) -> bool:
+    # by exact type: a subclass of a container or scalar takes the general path
+    return _SCALARS.issuperset(map(type, members))
+
+
+def _render(obj, nl: str) -> str:
+    """``obj`` in the indent-2 layout, closed on the line that ``nl`` starts.
+
+    Dict keys are strings.  A list of flat dicts is one encoder call whose
+    item separator is the dicts' member separator; a raw newline in encoder
+    output only comes from a separator (strings escape theirs), and after a
+    separator only a list item starts with "{", so each "},<nl>{" is an item
+    boundary and is re-indented.
+    """
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return _encoder(nl)(obj)
+    inner = nl + "  "
+    if _flat(obj.values() if isinstance(obj, dict) else obj):
+        text = _encoder(inner)(obj)
+        return text[0] + inner + text[1:-1] + nl + text[-1]
+    if isinstance(obj, dict):
+        body = ("," + inner).join(
+            json.encoder.encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in sorted(obj.items())
+        )
+        return "{" + inner + body + nl + "}"
+    member = inner + "  "
+    if (
+        set(map(type, obj)) == {dict}
+        and all(obj)
+        and _flat(itertools.chain.from_iterable(map(dict.values, obj)))
+    ):
+        rows = _encoder(member)(obj)[2:-2].replace("}," + member + "{", inner + "}," + inner + "{" + member)
+        return "[" + inner + "{" + member + rows + inner + "}" + nl + "]"
+    return "[" + inner + ("," + inner).join(_render(m, inner) for m in obj) + nl + "]"
 
 
 _SWEEP_COLUMNS = ("tau", "h_lower", "h_upper", "dim_lower", "dim_upper", "case_tag")
@@ -596,8 +657,8 @@ def render_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow(["" if row.get(c) is None else row.get(c) for c in columns])
+    # every row has every column; csv writes None as ""
+    writer.writerows(map(operator.itemgetter(*columns), rows))
     return buf.getvalue()
 
 
@@ -628,7 +689,9 @@ def write_report(report: dict, out_dir: Path, formats: tuple[str, ...]) -> list[
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main() call and kept: parse_args leaves it unchanged
     parser = argparse.ArgumentParser(
         prog="shrinktarget",
         description="entropy and dimension bounds for shrinking target sets",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Union
@@ -410,11 +411,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sweep_taus = None
     if "sweep" in d:
         sd = _as_dict(d["sweep"], "$.sweep")
-        taus = [
-            _as_number(v, f"$.sweep.taus[{i}]")
-            for i, v in enumerate(_as_list(_require(sd, "taus", "$.sweep"), "$.sweep.taus"))
-        ]
-        if any(b <= a for a, b in zip(taus, taus[1:])):
+        grid = _as_list(_require(sd, "taus", "$.sweep"), "$.sweep.taus")
+        if not set(map(type, grid)) <= {int, float}:  # bool is a type of its own
+            # a path for the element that fails, none for a valid grid
+            for i, v in enumerate(grid):
+                _as_number(v, f"$.sweep.taus[{i}]")
+        taus = list(map(float, grid))
+        if any(map(operator.le, taus[1:], taus)):
             raise ConfigError("$.sweep.taus", "tau grid must be sorted strictly increasing")
         if any(t < 0 for t in taus):
             raise ConfigError("$.sweep.taus", "tau values must be nonnegative")

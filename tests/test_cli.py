@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from shrinktarget.cli import main, run
+from shrinktarget.cli import _build_parser, main, run
 from shrinktarget.config import FORMATS, TASKS, ConfigError, load_config, parse_config
 
 LN2 = math.log(2.0)
@@ -526,3 +526,56 @@ class TestValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
+
+
+class TestSweepGridValidation:
+    @staticmethod
+    def _grid_config(taus):
+        payload = cat_map_config(tasks=())
+        payload["sweep"] = {"taus": taus}
+        return payload
+
+    @pytest.mark.parametrize("bad", ["0.7", True, None], ids=["string", "true", "null"])
+    def test_bad_element_named_by_its_path(self, tmp_path, monkeypatch, capsys, bad):
+        monkeypatch.chdir(tmp_path)
+        taus = [0.1 * k for k in range(12)]
+        taus[7] = bad
+        with pytest.raises(ConfigError) as info:
+            parse_config(self._grid_config(taus))
+        assert info.value.path == "$.sweep.taus[7]"
+        cfg = write_config(tmp_path, self._grid_config(taus))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "$.sweep.taus[7]: expected a number" in capsys.readouterr().err
+
+    def test_integer_taus_accepted(self):
+        config = parse_config(self._grid_config([0, 0.5, 1, 2]))
+        assert config.sweep_taus == (0.0, 0.5, 1.0, 2.0)
+        assert all(type(t) is float for t in config.sweep_taus)
+
+    @pytest.mark.parametrize(
+        "taus,message",
+        [
+            ([0.0, 0.5, 0.5, 1.0], "tau grid must be sorted strictly increasing"),
+            ([0.0, 1.0, 0.5], "tau grid must be sorted strictly increasing"),
+            ([-0.5, 0.0, 0.5], "tau values must be nonnegative"),
+        ],
+    )
+    def test_grid_order_and_sign_messages(self, tmp_path, monkeypatch, capsys, taus, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError) as info:
+            parse_config(self._grid_config(taus))
+        assert (info.value.path, info.value.message) == ("$.sweep.taus", message)
+        cfg = write_config(tmp_path, self._grid_config(taus))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert f"$.sweep.taus: {message}" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_not_changed_by_parsing():
+    parser = _build_parser()
+    first = parser.parse_args(["sweep", "--config", "a.json", "--seedless", "--format", "csv", "--out", "o"])
+    second = parser.parse_args(["bounds", "--config", "b.json"])
+    assert (first.command, first.seedless, first.format, first.out) == ("sweep", True, "csv", "o")
+    assert (second.command, second.config, second.seedless, second.format, second.out) == (
+        "bounds", "b.json", False, None, None,
+    )
+    assert _build_parser() is parser

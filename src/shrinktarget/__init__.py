@@ -77,7 +77,6 @@ from .oracle import (  # noqa: F401
     WitnessPlan,
     bracket_critical_exponent,
     construct_witness,
-    count_separated,
     covering_sum,
     moran_dimension,
     plan_witness,

@@ -69,6 +69,7 @@ from .rates import (
     tau_exponents,
 )
 from .symbolic import (
+    NotMixingError,
     PeriodDecomposition,
     ShiftOfFiniteType,
     SoficPresentation,
@@ -184,13 +185,15 @@ def _index_data(config: ExperimentConfig, decomp: PeriodDecomposition):
 
 @dataclass(frozen=True)
 class SystemFacts:
-    """What the bound theorems read of one system, analysed once per run().
+    """What every command reads of one system, analysed once per run().
 
     Matrices: the system, its spectrum, exact determinant and entropy, the
     crude profile and either the sharp profile or ``sharp_error``, the reason
     it does not apply (profiles and entropy only for hyperbolic spectra).
-    SFTs: the period decomposition, entropy and sidedness.  Sofic shifts:
-    the period, entropy and sidedness.  ``profile`` systems: the profile.
+    SFTs: the period decomposition, entropy, sidedness and, when the period
+    is 1, the mixing gap, which the oracle and witness commands use as the
+    specification gap.  Sofic shifts: the period, entropy and sidedness.
+    ``profile`` systems: the profile.
     """
 
     kind: str
@@ -203,6 +206,7 @@ class SystemFacts:
     decomposition: PeriodDecomposition | None = None
     period: int | None = None
     h_top: float | None = None
+    gap: int | None = None
     sided: str | None = None
     profile: HyperbolicityProfile | None = None
 
@@ -228,8 +232,8 @@ def system_facts(system: SystemSpec, kind: str) -> SystemFacts:
         assert isinstance(system, ShiftOfFiniteType)
         decomp = period_decomposition(system)
         return SystemFacts(
-            kind, decomposition=decomp, period=decomp.period,
-            h_top=sft_entropy(system), sided=system.sided,
+            kind, decomposition=decomp, period=decomp.period, h_top=sft_entropy(system),
+            gap=mixing_gap(system) if decomp.period == 1 else None, sided=system.sided,
         )
     if kind == "sofic":
         assert isinstance(system, SoficPresentation)
@@ -378,8 +382,8 @@ def _run_analyze(config: ExperimentConfig, facts: SystemFacts) -> dict:
             "period": facts.period,
             "classes": list(facts.decomposition.class_of),
         }
-        if facts.period == 1:
-            out["mixing_gap"] = mixing_gap(shift)
+        if facts.gap is not None:
+            out["mixing_gap"] = facts.gap
         return out
     if facts.kind == "sofic":
         pres = config.system
@@ -453,17 +457,21 @@ def _require_constant_symbol_target(triple: RateTriple, i: int):
     return tgt.target(0)
 
 
-def _require_sft(config: ExperimentConfig, task: str) -> ShiftOfFiniteType:
+def _specification_gap(facts: SystemFacts, task: str) -> int:
+    """The specification gap of the configured SFT, which must be mixing."""
     # the CLI command need not be among config.tasks, which validation checked
-    if config.system_kind != "sft":
+    if facts.kind != "sft":
         raise ConfigError("$.tasks", f"task {task!r} requires an SFT system")
-    return config.system
+    if facts.gap is None:
+        raise NotMixingError(facts.period)
+    return facts.gap
 
 
-def _run_oracle(config: ExperimentConfig) -> dict:
-    shift = _require_sft(config, "oracle")
+def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
+    gap = _specification_gap(facts, "oracle")
+    shift = config.system
     params = config.oracle_params
-    h = sft_entropy(shift)
+    h = facts.h_top
     rows = []
     for i, triple in enumerate(config.rates):
         if not isinstance(triple.phi, Exponential):
@@ -478,7 +486,7 @@ def _run_oracle(config: ExperimentConfig) -> dict:
         n_pts = int(round((hi - lo) / params.grid_step))
         grid = [lo + k * params.grid_step for k in range(n_pts + 1)]
         bracket = bracket_critical_exponent(scheme, grid, params.depth)
-        moran = moran_dimension(shift, tau, params.stages)
+        moran = moran_dimension(shift, tau, params.stages, gap)
         rows.append(
             {
                 "rate_index": i,
@@ -494,8 +502,9 @@ def _run_oracle(config: ExperimentConfig) -> dict:
     return {"h_top": fmt(h), "rows": rows}
 
 
-def _run_witness(config: ExperimentConfig) -> dict:
-    shift = _require_sft(config, "witness")
+def _run_witness(config: ExperimentConfig, facts: SystemFacts) -> dict:
+    gap = _specification_gap(facts, "witness")
+    shift = config.system
     params = config.oracle_params
     rows = []
     for i, triple in enumerate(config.rates):
@@ -506,7 +515,7 @@ def _run_witness(config: ExperimentConfig) -> dict:
         if not isinstance(triple.target, ShiftTarget):
             raise ConfigError(f"$.rates[{i}].target", "symbolic target required")
         plan = plan_witness(
-            shift, triple.phi, triple.target, triple.time_set, params.stages, params.eta
+            shift, triple.phi, triple.target, triple.time_set, params.stages, params.eta, gap
         )
         cert = construct_witness(plan, shift, triple.target)
         confirmed = verify_witness(cert.prefix, triple.phi, triple.target, triple.time_set)
@@ -541,8 +550,6 @@ _EXECUTORS = {
     "witness": _run_witness,
     "sweep": _run_sweep,
 }
-# the tasks whose executors read the SystemFacts of the configured system
-_FACT_TASKS = ("analyze", "bounds", "exact", "sweep")
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +560,9 @@ _FACT_TASKS = ("analyze", "bounds", "exact", "sweep")
 def run(config: ExperimentConfig, tasks: tuple[str, ...] | None = None, seedless: bool = False):
     """Execute tasks and assemble the report; returns (report, all_ok, timings).
 
-    The system is analysed at most once per call, by the first task that
-    needs it; a failed analysis becomes the error of every such task.
+    The system is analysed once per call, by the first task, and every
+    executor reads those ``SystemFacts``; a failed analysis becomes the error
+    of every task.
     """
     todo = tasks if tasks is not None else config.tasks
     results = []
@@ -564,18 +572,14 @@ def run(config: ExperimentConfig, tasks: tuple[str, ...] | None = None, seedless
     for task in todo:
         started = time.perf_counter()
         try:
-            if task in _FACT_TASKS:
-                if facts is None:
-                    try:
-                        facts = system_facts(config.system, config.system_kind)
-                    except TaskError as exc:
-                        facts = exc
-                if isinstance(facts, Exception):
-                    raise facts
-                payload = _EXECUTORS[task](config, facts)
-            else:
-                payload = _EXECUTORS[task](config)
-            results.append({"task": task, "status": "ok", **payload})
+            if facts is None:
+                try:
+                    facts = system_facts(config.system, config.system_kind)
+                except TaskError as exc:
+                    facts = exc
+            if isinstance(facts, Exception):
+                raise facts
+            results.append({"task": task, "status": "ok", **_EXECUTORS[task](config, facts)})
         except TaskError as exc:
             all_ok = False
             results.append({"task": task, "status": "error", "error": str(exc)})

@@ -35,12 +35,7 @@ from .rates import (
     constant_shift_target,
 )
 from .symbolic import ShiftOfFiniteType, SoficPresentation, SymbolicError
-from .systems import (
-    ConstantGap,
-    HyperbolicityProfile,
-    IntegerMatrixSystem,
-    SpectrumError,
-)
+from .systems import HyperbolicityProfile, IntegerMatrixSystem, SpectrumError
 
 TASKS = ("analyze", "bounds", "exact", "oracle", "witness")
 FORMATS = ("json", "csv")
@@ -74,7 +69,8 @@ def _as_list(value: Any, path: str) -> list:
 def _as_number(value: Any, path: str, allow_inf: bool = False) -> float:
     if isinstance(value, str) and allow_inf and value in ("inf", "Infinity"):
         return math.inf
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # every comparison with NaN is false, so no later range check would catch it
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
         raise ConfigError(path, f"expected a number, got {value!r}")
     return float(value)
 
@@ -291,7 +287,6 @@ def _parse_system(obj: Any, path: str) -> tuple[SystemSpec, str]:
                     ln_l2=_as_number(_require(d, "ln_l2", path), f"{path}.ln_l2"),
                     h_top=_as_number(_require(d, "h_top", path), f"{path}.h_top"),
                     ln_l1=None if ln_l1 is None else _as_number(ln_l1, f"{path}.ln_l1"),
-                    gap=ConstantGap(_as_int(d.get("gap", 0), f"{path}.gap")),
                 ),
                 "profile",
             )
@@ -412,7 +407,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "sweep" in d:
         sd = _as_dict(d["sweep"], "$.sweep")
         grid = _as_list(_require(sd, "taus", "$.sweep"), "$.sweep.taus")
-        if not set(map(type, grid)) <= {int, float}:  # bool is a type of its own
+        # bool is a type of its own; NaN passes every order and sign check
+        if not set(map(type, grid)) <= {int, float} or any(map(math.isnan, grid)):
             # a path for the element that fails, none for a valid grid
             for i, v in enumerate(grid):
                 _as_number(v, f"$.sweep.taus[{i}]")

@@ -12,6 +12,12 @@ sets, all specialized to one-sided shifts of finite type:
   and pinned target prefixes, then checked hit by hit against the metric
   (nonemptiness machinery).
 
+The Moran construction and the witness plan space their blocks by the
+specification gap, which on a mixing SFT is the mixing gap.  Neither
+computes it: the caller passes ``symbolic.mixing_gap(shift)``, which also
+rejects reducible and periodic shifts, so a shift analysed once serves every
+rate (the CLI reads it from its per-call system analysis).
+
 Metric convention, used identically by all three paths: with the one-sided
 metric d(x, y) = exp(-min{j >= 1 : x_j != y_j}),
 
@@ -50,13 +56,7 @@ from .rates import (
     restrict_rate,
     time_set_members,
 )
-from .symbolic import (
-    ShiftOfFiniteType,
-    count_words,
-    log_count_words,
-    mixing_gap,
-    word_counts,
-)
+from .symbolic import ShiftOfFiniteType, log_count_words, word_counts
 
 _INT_GUARD = 1e-9
 _SLOPE_DEADBAND = 1e-4
@@ -208,16 +208,17 @@ def bracket_critical_exponent(
 _MORAN_ETA = 0.02
 
 
-def moran_dimension(shift: ShiftOfFiniteType, tau: float, depth: int) -> float:
+def moran_dimension(shift: ShiftOfFiniteType, tau: float, depth: int, gap: int) -> float:
     """Finite-stage branching-ratio estimate of the limsup-set dimension.
 
     Builds ``depth`` stages, each a free block of all admissible words of
-    length m_k followed (after mixing-gap connectors) by a pinned target
-    prefix of length floor(tau * s_k) at hit time s_k.  Stage sizes grow so
-    the carried-over prefix is a ~3% fraction of each new hit time, i.e. the
-    free part of stage k occupies a (1 - 1.5 eta) fraction of s_k.  Returns
-    (sum of ln branch counts) / (total length) - the Moran-set dimension of
-    the scheme at finite depth.
+    length m_k followed (after connectors of ``gap`` symbols) by a pinned
+    target prefix of length floor(tau * s_k) at hit time s_k.  ``gap`` must
+    be ``symbolic.mixing_gap(shift)``, which rejects non-mixing shifts.
+    Stage sizes grow so the carried-over prefix is a ~3% fraction of each
+    new hit time, i.e. the free part of stage k occupies a (1 - 1.5 eta)
+    fraction of s_k.  Returns (sum of ln branch counts) / (total length) -
+    the Moran-set dimension of the scheme at finite depth.
 
     The estimate does not converge to h/(1+tau) as depth grows.  With the
     fixed eta = 0.02 every stage gives the same 1.5 eta = 3% of its hit time
@@ -240,11 +241,10 @@ def moran_dimension(shift: ShiftOfFiniteType, tau: float, depth: int) -> float:
         raise OracleError("tau must be a finite nonnegative real")
     if depth < 1:
         raise OracleError("depth must be >= 1")
-    p = mixing_gap(shift)  # rejects non-mixing shifts
     total_log = 0.0
     total_len = 0
     for _ in range(depth):
-        carried = total_len + 2 * p
+        carried = total_len + 2 * gap
         s_k = max(carried + 1, math.ceil(carried / (1.5 * _MORAN_ETA)))
         m_k = s_k - carried
         total_log += log_count_words(shift, m_k)
@@ -345,11 +345,13 @@ def plan_witness(
     s: TimeSet,
     k: int,
     eta: float,
+    gap: int,
 ) -> WitnessPlan:
     """Schedule ``k`` hits along S with pinned lengths floor((tau+eta) s)+1.
 
     tau is the upper exponent of phi restricted to S; it must be finite.
-    Each hit time is the first member of S leaving room for connectors and at
+    Each hit time is the first member of S leaving room for connectors of
+    ``gap`` symbols, which must be ``symbolic.mixing_gap(shift)``, and at
     least one free symbol after the previous pinned block, and large enough
     (s > 1/eta) that the pinned ratio lands inside the (alpha, beta) window.
     """
@@ -359,7 +361,6 @@ def plan_witness(
         raise PlanError("eta must be positive")
     if k < 0:
         raise PlanError("block count must be nonnegative")
-    p = mixing_gap(shift)
     target = _as_shift_target(z)
     tau_bar = restrict_rate(phi, s).exponents().tau_upper
     if math.isinf(tau_bar):
@@ -372,7 +373,7 @@ def plan_witness(
     last_hit = 0
     for i in range(k):
         floor_start = max(
-            prev_end + 2 * p + 1,
+            prev_end + 2 * gap + 1,
             math.floor(1.0 / eta) + 1,
             last_hit + 1,
         )
@@ -396,8 +397,8 @@ def plan_witness(
         blocks.append(
             WitnessBlock(
                 hit_time=hit,
-                free_len=hit - prev_end - 2 * p,
-                gap=p,
+                free_len=hit - prev_end - 2 * gap,
+                gap=gap,
                 pinned_len=pinned,
                 required_exponent=required_exponent(phi, hit),
             )
@@ -555,17 +556,3 @@ def verify_witness(
         if agreement[tgt][n] >= r - 1:
             verified.append(n)
     return verified
-
-
-def count_separated(shift: ShiftOfFiniteType, n: int, eps_exponent: int) -> int:
-    """Maximal (n, e^-r)-separated cardinality for a one-sided SFT.
-
-    Two points are (n, e^-r)-separated iff they differ somewhere in their
-    first n + r - 1 coordinates, so the maximum is the exact word count at
-    that length.
-    """
-    if shift.sided != "one":
-        raise OracleError("separated-set counts are implemented for one-sided shifts")
-    if n < 1 or eps_exponent < 1:
-        raise OracleError("need n >= 1 and eps_exponent >= 1")
-    return count_words(shift, n + eps_exponent - 1)

@@ -40,7 +40,11 @@ class EmptyShiftError(SymbolicError):
 
 
 class NotMixingError(SymbolicError):
-    pass
+    def __init__(self, period: int):
+        super().__init__(
+            f"shift is periodic with period {period}; use period_decomposition instead"
+        )
+        self.period = period
 
 
 class ReducibleShiftError(SymbolicError):
@@ -211,15 +215,17 @@ def mixing_gap(x: ShiftOfFiniteType) -> int:
     Products are float64 matmuls thresholded at > 0: every entry is a path
     count of at most k, exact in float64, and nothing wraps.  The cost is
     O(k^3 log p), with p <= (k - 1)^2 + 1 (Wielandt).
+
+    A primitive matrix has a positive power by the Wielandt bound, so the
+    squaring stops once it passes the bound; only then is the shift
+    decomposed, to raise ReducibleShiftError or NotMixingError.
     """
-    d = period_decomposition(x)  # raises ReducibleShiftError when reducible
-    if d.period > 1:
-        raise NotMixingError(
-            f"shift is periodic with period {d.period}; "
-            "use period_decomposition instead"
-        )
+    wielandt = (x.alphabet_size - 1) ** 2 + 1
     patterns = [np.array(x.transition, dtype=float)]  # pattern of M^(2^j)
     while not patterns[-1].all():
+        if 1 << (len(patterns) - 1) >= wielandt:
+            # not primitive; raises ReducibleShiftError when reducible
+            raise NotMixingError(period_decomposition(x).period)
         square = patterns[-1] @ patterns[-1]
         patterns.append((square > 0).astype(float))
     p, reach = 0, np.eye(x.alphabet_size)  # reach = pattern of M^p, not positive

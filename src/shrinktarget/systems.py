@@ -36,7 +36,7 @@ class UnsupportedSpectrumError(SpectrumError):
     """Neither hyperbolic nor expanding."""
 
 
-DEFAULT_TOL = 1e-9
+_TOL = 1e-9
 
 
 def _exact_det(rows: Sequence[Sequence[int]]) -> int:
@@ -152,15 +152,8 @@ class SpectralProfile:
 
 
 @dataclass(frozen=True)
-class ConstantGap:
-    """Specification gap p(n, eps) == steps."""
-
-    steps: int
-
-
-@dataclass(frozen=True)
 class HyperbolicityProfile:
-    """(lambda1, lambda2, ln L1, ln L2, h_top, gap) as one immutable record.
+    """(lambda1, lambda2, ln L1, ln L2, h_top) as one immutable record.
 
     lambda1 is the backward/contraction exponent (math.inf for non-invertible
     expanding maps), lambda2 the forward exponent; ln_l1/ln_l2 are the log
@@ -172,7 +165,6 @@ class HyperbolicityProfile:
     ln_l2: float
     h_top: float
     ln_l1: float | None = None
-    gap: ConstantGap = ConstantGap(0)
 
     def __post_init__(self) -> None:
         if not self.lambda1 > 0 or not self.lambda2 > 0:
@@ -205,15 +197,13 @@ def _eigen_moduli(m: IntegerMatrixSystem) -> np.ndarray:
     return np.linalg.eigvals(m.as_array())
 
 
-def analyze_matrix(m: IntegerMatrixSystem, tol: float = DEFAULT_TOL) -> SpectralProfile:
+def analyze_matrix(m: IntegerMatrixSystem) -> SpectralProfile:
     """Cluster eigenvalue moduli and classify hyperbolic/expanding.
 
-    A modulus within ``tol`` of 1 refuses hyperbolic classification (flags
+    A modulus within ``_TOL`` of 1 refuses hyperbolic classification (flags
     false, no exception) - the theorems assume exact spectra and the numerics
     must say so when they cannot decide.
     """
-    if tol <= 0:
-        raise SpectrumError("tol must be positive")
     eigs = _eigen_moduli(m)
     order = np.argsort(np.abs(eigs))
     eigs = eigs[order]
@@ -222,9 +212,9 @@ def analyze_matrix(m: IntegerMatrixSystem, tol: float = DEFAULT_TOL) -> Spectral
     clusters: list[EigenCluster] = []
     start = 0
     for i in range(1, len(moduli) + 1):
-        if i == len(moduli) or moduli[i] - moduli[i - 1] > tol:
+        if i == len(moduli) or moduli[i] - moduli[i - 1] > _TOL:
             group = slice(start, i)
-            nonreal = bool(np.any(np.abs(eigs[group].imag) > tol))
+            nonreal = bool(np.any(np.abs(eigs[group].imag) > _TOL))
             clusters.append(
                 EigenCluster(
                     modulus=float(np.mean(moduli[group])),
@@ -234,14 +224,14 @@ def analyze_matrix(m: IntegerMatrixSystem, tol: float = DEFAULT_TOL) -> Spectral
             )
             start = i
 
-    near_one = any(abs(c.modulus - 1.0) <= tol for c in clusters)
-    d_s = sum(c.multiplicity for c in clusters if c.modulus < 1.0 - tol)
-    d_u = sum(c.multiplicity for c in clusters if c.modulus > 1.0 + tol)
+    near_one = any(abs(c.modulus - 1.0) <= _TOL for c in clusters)
+    d_s = sum(c.multiplicity for c in clusters if c.modulus < 1.0 - _TOL)
+    d_u = sum(c.multiplicity for c in clusters if c.modulus > 1.0 + _TOL)
     is_hyperbolic = not near_one
     is_expanding = is_hyperbolic and clusters[0].modulus > 1.0
 
     lam_s = lam_u = None
-    if len(clusters) == 2 and clusters[0].modulus < 1.0 - tol < 1.0 + tol < clusters[1].modulus:
+    if len(clusters) == 2 and clusters[0].modulus < 1.0 - _TOL < 1.0 + _TOL < clusters[1].modulus:
         lam_s = clusters[0].modulus
         lam_u = clusters[1].modulus
 

@@ -26,7 +26,7 @@ from shrinktarget.oracle import (
     verify_witness,
 )
 from shrinktarget.rates import AllTimes, Exponential, RateExponents, SymbolSequence
-from shrinktarget.symbolic import count_words, full_shift, golden_mean_shift, sft_entropy
+from shrinktarget.symbolic import count_words, full_shift, golden_mean_shift, mixing_gap, sft_entropy
 from shrinktarget.systems import (
     HyperbolicityProfile,
     IntegerMatrixSystem,
@@ -129,7 +129,7 @@ def test_criterion_3_oracle_brackets():
 
 def test_criterion_4_moran_estimate():
     with criterion(4, "Moran estimate within 0.05 of ln2/1.5, below bracket edge"):
-        est = moran_dimension(full_shift(2), 0.5, 12)
+        est = moran_dimension(full_shift(2), 0.5, 12, mixing_gap(full_shift(2)))
         assert abs(est - LN2 / 1.5) < 0.05
         _, hi = bracket_for(full_shift(2), 0.5, LN2)
         assert est <= hi + 0.02
@@ -140,7 +140,7 @@ def test_criterion_5_witness_construction():
         started = time.perf_counter()
         g = golden_mean_shift()
         phi = Exponential(0.3)
-        plan = plan_witness(g, phi, ZEROS, AllTimes(), 5, 0.05)
+        plan = plan_witness(g, phi, ZEROS, AllTimes(), 5, 0.05, mixing_gap(g))
         cert = construct_witness(plan, g, ZEROS)
         assert cert.all_verified
         assert g.word_admissible(cert.prefix)

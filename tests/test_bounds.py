@@ -29,7 +29,7 @@ from shrinktarget.systems import (
 
 LN2 = math.log(2.0)
 CAT = IntegerMatrixSystem(((2, 1), (1, 1)))
-CAT_SPECTRUM = analyze_matrix(CAT, 1e-9)
+CAT_SPECTRUM = analyze_matrix(CAT)
 CAT_SHARP = sharp_profile_from_matrix(CAT, CAT_SPECTRUM)
 CAT_LOG_UNSTABLE = math.log((3.0 + math.sqrt(5.0)) / 2.0)  # 0.9624236501192069
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
@@ -55,7 +55,7 @@ def tau(t_up, t_low=None):
 
 def sharp(entries):
     m = IntegerMatrixSystem(entries)
-    return sharp_profile_from_matrix(m, analyze_matrix(m, 1e-9))
+    return sharp_profile_from_matrix(m, analyze_matrix(m))
 
 
 # The paper's closed forms for the exact-value theorems, written out from the
@@ -473,7 +473,7 @@ class TestBoundaryContinuity:
             if abs(det) != 1:
                 continue
             m = IntegerMatrixSystem(entries)
-            p = analyze_matrix(m, 1e-9)
+            p = analyze_matrix(m)
             if not p.is_hyperbolic or p.lambda_s_mod is None:
                 continue
             for t in (0.0, 0.2, 0.5, 1.0):

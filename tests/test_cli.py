@@ -6,6 +6,7 @@ import pytest
 
 from shrinktarget.cli import _build_parser, main, run
 from shrinktarget.config import FORMATS, TASKS, ConfigError, load_config, parse_config
+from shrinktarget.symbolic import NotMixingError, ShiftOfFiniteType, mixing_gap
 
 LN2 = math.log(2.0)
 CAT_LOG_UNSTABLE = math.log((3.0 + math.sqrt(5.0)) / 2.0)
@@ -465,6 +466,46 @@ class TestValidation:
         res = read_report(tmp_path)["results"][0]
         assert res["status"] == "error"
         assert "one-sided" in res["error"]
+
+    @pytest.mark.parametrize("command", ["oracle", "witness"])
+    def test_symbolic_command_on_periodic_shift(self, tmp_path, monkeypatch, command):
+        # both commands space their blocks by the mixing gap, which a
+        # periodic shift does not have
+        monkeypatch.chdir(tmp_path)
+        flip = [[0, 1], [1, 0]]
+        payload = golden_oracle_config(tasks=(command,))
+        payload["system"]["transition"] = flip
+        payload["rates"][0]["target"]["cycle"] = [0, 1]
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", str(cfg)]) == 1
+        res = read_report(tmp_path)["results"][0]
+        assert res["status"] == "error"
+        with pytest.raises(NotMixingError) as exc:
+            mixing_gap(ShiftOfFiniteType(tuple(map(tuple, flip))))
+        assert res["error"] == str(exc.value) == "shift is periodic with period 2; use period_decomposition instead"
+
+    def test_nan_in_sweep_grid_rejected(self, tmp_path, monkeypatch, capsys):
+        # every comparison with NaN is false, so the order and sign checks pass it
+        monkeypatch.chdir(tmp_path)
+        payload = cat_map_config(tasks=())
+        payload["sweep"] = {"taus": [math.nan, 0.5]}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert exc.value.path == "$.sweep.taus[0]"
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "$.sweep.taus[0]: expected a number, got nan" in capsys.readouterr().err
+
+    def test_nan_profile_number_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        payload = self._profile_config(1.0, 1.2)
+        payload["system"]["h_top"] = math.nan
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert exc.value.path == "$.system.h_top"
+        cfg = write_config(tmp_path, payload)
+        assert main(["bounds", "--config", str(cfg)]) == 2
+        assert "$.system.h_top: expected a number, got nan" in capsys.readouterr().err
 
     # (lambda1, ln_l1) -> the validation message; None: a consistent profile
     PROFILE_SHAPES = [

@@ -1,4 +1,5 @@
-"""One analysis per CLI call, one dispatcher for bounds, exact and sweep."""
+"""One analysis per CLI call for every command, one dispatcher for bounds,
+exact and sweep."""
 
 import importlib.util
 import json
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from shrinktarget import symbolic, systems
+from shrinktarget import cli, oracle, symbolic, systems
 from shrinktarget.cli import fmt, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,35 +37,77 @@ def _sweep_config(system: dict, taus) -> dict:
     }
 
 
-def _run_sweep(tmp_path: Path, config: dict) -> dict:
+def _run(tmp_path: Path, config: dict, command: str = "sweep") -> dict:
     tmp_path.mkdir(exist_ok=True)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
-    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     return json.loads((tmp_path / "out" / "report.json").read_text())
 
 
-def _counted_sweep(tmp_path: Path, monkeypatch, system: dict, n_taus: int) -> Counter:
+def _counted(tmp_path: Path, monkeypatch, config: dict, command: str, counted_names) -> Counter:
+    """Calls of each named function during one CLI call, wherever it is bound.
+
+    The modules import these functions by name, so each module namespace
+    that holds the original gets the counting wrapper.
+    """
     counts: Counter = Counter()
     with monkeypatch.context() as patch:
-        for module, name in COUNTED:
-            original = getattr(module, name)
+        for home, name in counted_names:
+            original = getattr(home, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
                 counts[_name] += 1
                 return _original(*args, **kwargs)
 
-            patch.setattr(module, name, counted)
-        _run_sweep(tmp_path, _sweep_config(system, [0.005 * i for i in range(n_taus)]))
+            for module in (home, cli, oracle):
+                if getattr(module, name, None) is original:
+                    patch.setattr(module, name, counted)
+        _run(tmp_path, config, command)
     return counts
 
 
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
 def test_sweep_analyses_the_system_once(kind, tmp_path, monkeypatch):
-    few = _counted_sweep(tmp_path / "few", monkeypatch, SYSTEMS[kind], 3)
-    many = _counted_sweep(tmp_path / "many", monkeypatch, SYSTEMS[kind], 300)
+    def counted(path, n_taus):
+        config = _sweep_config(SYSTEMS[kind], [0.005 * i for i in range(n_taus)])
+        return _counted(path, monkeypatch, config, "sweep", COUNTED)
+
+    few = counted(tmp_path / "few", 3)
+    many = counted(tmp_path / "many", 300)
     assert sum(few.values()) > 0
     assert few == many
+
+
+SHIFT_ANALYSIS = (
+    (symbolic, "strongly_connected_components"),
+    (symbolic, "mixing_gap"),
+    (symbolic, "sft_entropy"),
+)
+
+
+def _oracle_config(command: str, n_rates: int) -> dict:
+    target = {"kind": "symbols", "head": [], "cycle": [0]}
+    return {
+        "system": {"kind": "sft", "transition": [[1, 1], [1, 0]], "sided": "one"},
+        "rates": [
+            {"phi": {"kind": "exponential", "tau": 0.3 + 0.05 * i}, "time_set": {"kind": "all"}, "target": target}
+            for i in range(n_rates)
+        ],
+        "tasks": [command],
+        "oracle_params": {"depth": 8, "stages": 2},
+    }
+
+
+@pytest.mark.parametrize("command", ["oracle", "witness"])
+def test_oracle_commands_analyse_the_shift_once(command, tmp_path, monkeypatch):
+    def counted(path, n_rates):
+        return _counted(path, monkeypatch, _oracle_config(command, n_rates), command, SHIFT_ANALYSIS)
+
+    one = counted(tmp_path / "one", 1)
+    many = counted(tmp_path / "many", 16)
+    assert one["mixing_gap"] == one["sft_entropy"] == 1
+    assert one == many
 
 
 def _load_script(name: str):
@@ -79,5 +122,14 @@ def test_cat_map_script_rows_equal_cli_sweep_rows(tmp_path):
     rows = _load_script("cat_map_sweep").sweep(tuple(map(tuple, CAT)), step)
     taus = [k * step for k in range(len(rows))]
     assert [row["tau"] for row in rows] == [fmt(t) for t in taus]
-    report = _run_sweep(tmp_path, _sweep_config(SYSTEMS["matrix"], taus))
+    report = _run(tmp_path, _sweep_config(SYSTEMS["matrix"], taus))
     assert report["results"][0]["rows"] == rows
+
+
+@pytest.mark.parametrize(
+    "name,argv", [("oracle_brackets", ["--depth", "8", "--stages", "2"]), ("witness_demo", ["--blocks", "2"])]
+)
+def test_oracle_scripts_run(name, argv, capsys):
+    # the scripts call the oracle functions directly, outside the CLI
+    assert _load_script(name).main(argv) == 0
+    assert capsys.readouterr().out

@@ -10,7 +10,6 @@ from shrinktarget.oracle import (
     PlanError,
     bracket_critical_exponent,
     construct_witness,
-    count_separated,
     covering_sum,
     floor_guarded,
     moran_dimension,
@@ -33,6 +32,7 @@ from shrinktarget.symbolic import (
     ShiftOfFiniteType,
     full_shift,
     golden_mean_shift,
+    mixing_gap,
     sft_entropy,
 )
 from shift_strategies import irreducible_shifts
@@ -176,9 +176,9 @@ class TestCoveringSum:
         with pytest.raises(OracleError, match="one-sided"):
             LimsupCylinderScheme(two, 0.5, ZEROS)
         with pytest.raises(OracleError, match="one-sided"):
-            plan_witness(two, Exponential(0.5), ZEROS, AllTimes(), 3, 0.05)
+            plan_witness(two, Exponential(0.5), ZEROS, AllTimes(), 3, 0.05, mixing_gap(two))
         with pytest.raises(OracleError, match="one-sided"):
-            moran_dimension(two, 0.5, 4)
+            moran_dimension(two, 0.5, 4, mixing_gap(two))
 
     def test_inadmissible_target_rejected(self):
         with pytest.raises(OracleError, match="admissible"):
@@ -219,26 +219,28 @@ class TestBracket:
 
 class TestMoran:
     def test_full_shift_tau_half(self):
-        est = moran_dimension(full_shift(2), 0.5, 12)
+        est = moran_dimension(full_shift(2), 0.5, 12, mixing_gap(full_shift(2)))
         assert abs(est - LN2 / 1.5) < 0.05
 
     def test_full_shift_no_pinning(self):
-        est = moran_dimension(full_shift(2), 0.0, 12)
+        est = moran_dimension(full_shift(2), 0.0, 12, mixing_gap(full_shift(2)))
         assert abs(est - LN2) < 0.02
 
     def test_golden_mean_tau_half(self):
-        est = moran_dimension(golden_mean_shift(), 0.5, 12)
+        est = moran_dimension(golden_mean_shift(), 0.5, 12, mixing_gap(golden_mean_shift()))
         assert abs(est - GOLDEN_ENTROPY / 1.5) < 0.05
 
     def test_stays_below_bracket_upper_edge(self):
         for shift, tau in ((full_shift(2), 0.5), (golden_mean_shift(), 0.5)):
             scheme = LimsupCylinderScheme(shift, tau, ZEROS)
             _, hi = bracket_critical_exponent(scheme, grid(0.05, 0.6), 40)
-            assert moran_dimension(shift, tau, 12) <= hi + 0.02
+            assert moran_dimension(shift, tau, 12, mixing_gap(shift)) <= hi + 0.02
 
     def test_non_mixing_rejected(self):
+        # the gap the estimate takes does not exist for a periodic shift
+        flip = ShiftOfFiniteType(((0, 1), (1, 0)))
         with pytest.raises(NotMixingError):
-            moran_dimension(ShiftOfFiniteType(((0, 1), (1, 0))), 0.5, 8)
+            moran_dimension(flip, 0.5, 8, mixing_gap(flip))
 
     @pytest.mark.parametrize("tau", [0.0, 0.5, 1.3])
     def test_plateau_below_exact_value(self, tau):
@@ -247,14 +249,14 @@ class TestMoran:
         for shift in (full_shift(3), golden_mean_shift()):
             h = sft_entropy(shift)
             plateau = h * 0.97 / (1.0 + tau - 0.03)
-            assert moran_dimension(shift, tau, 12) == pytest.approx(plateau, rel=1e-12)
-            assert moran_dimension(shift, tau, 40) == pytest.approx(plateau, rel=1e-12)
+            assert moran_dimension(shift, tau, 12, mixing_gap(shift)) == pytest.approx(plateau, rel=1e-12)
+            assert moran_dimension(shift, tau, 40, mixing_gap(shift)) == pytest.approx(plateau, rel=1e-12)
 
 
 class TestWitness:
     def test_full_shift_plan_shape(self):
         phi = Exponential(0.3)
-        plan = plan_witness(full_shift(2), phi, ZEROS, AllTimes(), 5, 0.05)
+        plan = plan_witness(full_shift(2), phi, ZEROS, AllTimes(), 5, 0.05, mixing_gap(full_shift(2)))
         hits = [b.hit_time for b in plan.blocks]
         assert len(hits) == 5
         assert all(b > a for a, b in zip(hits, hits[1:]))
@@ -264,7 +266,7 @@ class TestWitness:
 
     def test_full_shift_construct_and_verify(self):
         phi = Exponential(0.3)
-        plan = plan_witness(full_shift(2), phi, ZEROS, AllTimes(), 5, 0.05)
+        plan = plan_witness(full_shift(2), phi, ZEROS, AllTimes(), 5, 0.05, mixing_gap(full_shift(2)))
         cert = construct_witness(plan, full_shift(2), ZEROS)
         assert cert.all_verified
         for hit in cert.hits:
@@ -275,7 +277,7 @@ class TestWitness:
     def test_golden_mean_avoids_forbidden_word(self):
         phi = Exponential(0.3)
         g = golden_mean_shift()
-        plan = plan_witness(g, phi, ZEROS, AllTimes(), 5, 0.05)
+        plan = plan_witness(g, phi, ZEROS, AllTimes(), 5, 0.05, mixing_gap(g))
         cert = construct_witness(plan, g, ZEROS)
         assert cert.all_verified
         assert g.word_admissible(cert.prefix)
@@ -290,7 +292,7 @@ class TestWitness:
         z = SymbolSequence(head=(), cycle=(0, 0, 1))
         phi = Exponential(0.3)
         g = golden_mean_shift()
-        plan = plan_witness(g, phi, z, AllTimes(), 4, 0.05)
+        plan = plan_witness(g, phi, z, AllTimes(), 4, 0.05, mixing_gap(g))
         cert = construct_witness(plan, g, z)
         assert cert.all_verified
         assert g.word_admissible(cert.prefix)
@@ -302,21 +304,21 @@ class TestWitness:
         assert set(b.hit_time for b in plan.blocks) <= set(confirmed)
 
     def test_empty_plan(self):
-        plan = plan_witness(full_shift(2), Exponential(0.3), ZEROS, AllTimes(), 0, 0.05)
+        plan = plan_witness(full_shift(2), Exponential(0.3), ZEROS, AllTimes(), 0, 0.05, mixing_gap(full_shift(2)))
         assert plan.blocks == ()
         cert = construct_witness(plan, full_shift(2), ZEROS)
         assert cert.prefix == () and cert.all_verified
 
     def test_explicit_powers_of_two(self):
         powers = Explicit(tuple(2**i for i in range(3, 12)), tail=Arithmetic(2**12, 2**12))
-        plan = plan_witness(full_shift(2), Exponential(0.3), ZEROS, powers, 3, 0.05)
+        plan = plan_witness(full_shift(2), Exponential(0.3), ZEROS, powers, 3, 0.05, mixing_gap(full_shift(2)))
         for b in plan.blocks:
             assert powers.contains(b.hit_time)
 
     def test_deterministic(self):
         phi = Exponential(0.3)
         g = golden_mean_shift()
-        plan = plan_witness(g, phi, ZEROS, AllTimes(), 4, 0.05)
+        plan = plan_witness(g, phi, ZEROS, AllTimes(), 4, 0.05, mixing_gap(g))
         c1 = construct_witness(plan, g, ZEROS)
         c2 = construct_witness(plan, g, ZEROS)
         assert c1.prefix == c2.prefix
@@ -345,7 +347,7 @@ class TestWitness:
 
     def test_eta_must_be_positive(self):
         with pytest.raises(PlanError):
-            plan_witness(full_shift(2), Exponential(0.3), ZEROS, AllTimes(), 2, 0.0)
+            plan_witness(full_shift(2), Exponential(0.3), ZEROS, AllTimes(), 2, 0.0, mixing_gap(full_shift(2)))
 
 
 def _symbol_streams(k):
@@ -411,7 +413,7 @@ class TestWitnessAgainstNaiveLoops:
             z = admissible_sequence(data, shift)
         target = constant_shift_target(z) if isinstance(z, SymbolSequence) else z
         phi = Exponential(tau)
-        plan = plan_witness(shift, phi, z, s, stages, eta)
+        plan = plan_witness(shift, phi, z, s, stages, eta, mixing_gap(shift))
         cert = construct_witness(plan, shift, z)
         assert [h.time for h in cert.hits] == [b.hit_time for b in plan.blocks]
         for hit in cert.hits:
@@ -419,20 +421,3 @@ class TestWitnessAgainstNaiveLoops:
             assert hit.achieved_exponent == want
         assert cert.all_verified == all(h.verified for h in cert.hits)
         assert verify_witness(cert.prefix, phi, z, s) == naive_verify(cert.prefix, phi, z, s)
-
-
-class TestCountSeparated:
-    def test_full_shift(self):
-        assert count_separated(full_shift(2), 5, 1) == 32
-
-    def test_golden_mean(self):
-        assert count_separated(golden_mean_shift(), 3, 1) == 5
-
-    def test_single_step(self):
-        assert count_separated(full_shift(4), 1, 1) == 4
-
-    def test_rate_approaches_entropy(self):
-        g = golden_mean_shift()
-        n = 80
-        rate = math.log(count_separated(g, n, 2)) / n
-        assert abs(rate - GOLDEN_ENTROPY) < 0.02

@@ -31,7 +31,7 @@ def matrix_power(entries, k):
 
 class TestAnalyzeMatrix:
     def test_cat_map(self):
-        p = analyze_matrix(CAT, 1e-9)
+        p = analyze_matrix(CAT)
         assert [c.multiplicity for c in p.clusters] == [1, 1]
         assert p.clusters[0].modulus == pytest.approx(CAT_STABLE, abs=1e-10)
         assert p.clusters[1].modulus == pytest.approx(CAT_UNSTABLE, abs=1e-10)
@@ -41,12 +41,12 @@ class TestAnalyzeMatrix:
         assert p.lambda_u_mod == pytest.approx(CAT_UNSTABLE, abs=1e-10)
 
     def test_doubling(self):
-        p = analyze_matrix(IntegerMatrixSystem(((2,),)), 1e-9)
+        p = analyze_matrix(IntegerMatrixSystem(((2,),)))
         assert p.clusters[0].modulus == pytest.approx(2.0)
         assert p.is_expanding and p.is_hyperbolic
 
     def test_identity_not_hyperbolic(self):
-        p = analyze_matrix(IntegerMatrixSystem(((1, 0), (0, 1))), 1e-9)
+        p = analyze_matrix(IntegerMatrixSystem(((1, 0), (0, 1))))
         assert p.clusters == p.clusters  # single cluster of modulus 1
         assert p.clusters[0].multiplicity == 2
         assert not p.is_hyperbolic and not p.is_expanding
@@ -58,13 +58,13 @@ class TestAnalyzeMatrix:
     def test_moduli_product_matches_det(self):
         for entries in (((2, 1), (1, 1)), ((2, 1), (0, 3)), ((0, -2), (1, 0))):
             m = IntegerMatrixSystem(entries)
-            p = analyze_matrix(m, 1e-9)
+            p = analyze_matrix(m)
             prod = math.prod(c.modulus**c.multiplicity for c in p.clusters)
             assert prod == pytest.approx(p.abs_det, rel=1e-9)
 
     def test_complex_pair_flagged(self):
         # eigenvalues +-i*sqrt(2): one expanding cluster of multiplicity 2
-        p = analyze_matrix(IntegerMatrixSystem(((0, -2), (1, 0))), 1e-9)
+        p = analyze_matrix(IntegerMatrixSystem(((0, -2), (1, 0))))
         assert p.is_expanding
         assert p.clusters[0].multiplicity == 2
         assert p.has_complex_pair
@@ -76,19 +76,19 @@ class TestAnalyzeMatrix:
 
 class TestEntropy:
     def test_cat_map(self):
-        p = analyze_matrix(CAT, 1e-9)
+        p = analyze_matrix(CAT)
         assert entropy_toral(p) == pytest.approx(math.log(CAT_UNSTABLE), abs=1e-9)
 
     def test_doubling(self):
-        p = analyze_matrix(IntegerMatrixSystem(((2,),)), 1e-9)
+        p = analyze_matrix(IntegerMatrixSystem(((2,),)))
         assert entropy_toral(p) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_diagonal(self):
-        p = analyze_matrix(IntegerMatrixSystem(((2, 0), (0, 2))), 1e-9)
+        p = analyze_matrix(IntegerMatrixSystem(((2, 0), (0, 2))))
         assert entropy_toral(p) == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_non_hyperbolic_rejected(self):
-        p = analyze_matrix(IntegerMatrixSystem(((1, 1), (0, 1))), 1e-9)
+        p = analyze_matrix(IntegerMatrixSystem(((1, 1), (0, 1))))
         with pytest.raises(UnsupportedSpectrumError):
             entropy_toral(p)
 
@@ -97,13 +97,13 @@ class TestEntropy:
         for entries in (((2, 1), (1, 1)), ((2, 0), (0, 3))):
             m = IntegerMatrixSystem(entries)
             mk = IntegerMatrixSystem(matrix_power(entries, k))
-            h = entropy_toral(analyze_matrix(m, 1e-9))
-            hk = entropy_toral(analyze_matrix(mk, 1e-9))
+            h = entropy_toral(analyze_matrix(m))
+            hk = entropy_toral(analyze_matrix(mk))
             assert hk == pytest.approx(k * h, rel=1e-9)
 
     def test_stable_unstable_balance(self):
         # |lambda_s|^d_s |lambda_u|^d_u = 1 for |det| = 1
-        p = analyze_matrix(CAT, 1e-9)
+        p = analyze_matrix(CAT)
         assert p.d_s * (-math.log(p.lambda_s_mod)) == pytest.approx(
             p.d_u * math.log(p.lambda_u_mod), abs=1e-10
         )
@@ -111,7 +111,7 @@ class TestEntropy:
 
 class TestProfiles:
     def test_sharp_cat_map(self):
-        p = analyze_matrix(CAT, 1e-9)
+        p = analyze_matrix(CAT)
         prof = sharp_profile_from_matrix(CAT, p)
         lam = math.log(CAT_UNSTABLE)
         for v in (prof.lambda1, prof.lambda2, prof.ln_l1, prof.ln_l2):
@@ -120,7 +120,7 @@ class TestProfiles:
 
     def test_sharp_doubling(self):
         m = IntegerMatrixSystem(((2,),))
-        prof = sharp_profile_from_matrix(m, analyze_matrix(m, 1e-9))
+        prof = sharp_profile_from_matrix(m, analyze_matrix(m))
         assert math.isinf(prof.lambda1)
         assert prof.lambda2 == pytest.approx(math.log(2.0))
         assert prof.ln_l2 == pytest.approx(math.log(2.0))
@@ -128,7 +128,7 @@ class TestProfiles:
 
     def test_sharp_below_crude_nonsymmetric(self):
         m = IntegerMatrixSystem(((2, 1), (0, 3)))
-        p = analyze_matrix(m, 1e-9)
+        p = analyze_matrix(m)
         sharp = sharp_profile_from_matrix(m, p)
         crude = crude_profile_from_matrix(m, p)
         # ||A|| = sqrt of the top eigenvalue of A^T A = sqrt(7 + sqrt(13))
@@ -146,7 +146,7 @@ class TestProfiles:
     def test_sharp_never_exceeds_crude(self):
         for entries in (((2, 1), (1, 1)), ((3, 1), (2, 1)), ((2, 1), (0, 3))):
             m = IntegerMatrixSystem(entries)
-            p = analyze_matrix(m, 1e-9)
+            p = analyze_matrix(m)
             sharp = sharp_profile_from_matrix(m, p)
             crude = crude_profile_from_matrix(m, p)
             assert sharp.ln_l2 <= crude.ln_l2 + 1e-12
@@ -175,7 +175,7 @@ class TestProfiles:
             tuple((2 + i) if i == j else 0 for j in range(5)) for i in range(5)
         )
         m = IntegerMatrixSystem(entries)
-        p = analyze_matrix(m, 1e-9)
+        p = analyze_matrix(m)
         assert p.is_expanding
         assert entropy_toral(p) == pytest.approx(
             sum(math.log(2 + i) for i in range(5)), abs=1e-9
@@ -184,7 +184,7 @@ class TestProfiles:
     def test_sharp_needs_two_moduli(self):
         # three distinct moduli, mixed spectrum: no sharp profile
         m = IntegerMatrixSystem(((0, 1, 0), (0, 0, 1), (1, -5, 1)))
-        p = analyze_matrix(m, 1e-9)
+        p = analyze_matrix(m)
         if p.is_hyperbolic and not p.is_expanding and p.lambda_s_mod is None:
             with pytest.raises(SpectrumError, match="two distinct moduli"):
                 sharp_profile_from_matrix(m, p)

@@ -47,7 +47,7 @@ def main(argv=None) -> int:
             lo, hi = bracket_critical_exponent(scheme, grid, args.depth)
             est = moran_dimension(shift, tau, args.stages, gap)
             predicted = h / (1.0 + tau)
-            ok = "ok" if lo < predicted <= hi else "MISS"
+            ok = "ok" if lo <= predicted < hi else "MISS"
             misses += ok == "MISS"
             print(
                 f"{name:<14} {tau:>5.2f} {predicted:>10.6f} "

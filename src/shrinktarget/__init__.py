@@ -60,6 +60,7 @@ from .symbolic import (  # noqa: F401
     sft_entropy,
     sofic_entropy,
     word_counts,
+    word_counts_ending,
 )
 from .bounds import (  # noqa: F401
     BoundReport,
@@ -78,6 +79,7 @@ from .oracle import (  # noqa: F401
     bracket_critical_exponent,
     construct_witness,
     covering_sum,
+    critical_exponent,
     moran_dimension,
     plan_witness,
     verify_witness,

@@ -32,6 +32,7 @@ import operator
 import os
 import sys
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -51,8 +52,9 @@ from .config import ConfigError, ExperimentConfig, RateTriple, SystemSpec, load_
 from .oracle import (
     LimsupCylinderScheme,
     OracleError,
-    bracket_critical_exponent,
     construct_witness,
+    critical_exponent,
+    grid_cell,
     moran_dimension,
     plan_witness,
     verify_witness,
@@ -467,11 +469,31 @@ def _specification_gap(facts: SystemFacts, task: str) -> int:
     return facts.gap
 
 
+@dataclass(frozen=True)
+class _ArithmeticGrid(Sequence):
+    """The grid lo + k * step, k = 0..size - 1, each value computed on demand."""
+
+    lo: float
+    step: float
+    size: int
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, k: int) -> float:
+        return self.lo + range(self.size)[k] * self.step
+
+
 def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
     gap = _specification_gap(facts, "oracle")
     shift = config.system
     params = config.oracle_params
     h = facts.h_top
+    lo = params.grid_min if params.grid_min is not None else params.grid_step
+    hi = params.grid_max if params.grid_max is not None else h + 0.1
+    n_pts = int(round((hi - lo) / params.grid_step))
+    grid = _ArithmeticGrid(lo, params.grid_step, max(0, n_pts + 1))
+    words = {}  # the schemes' word counts per first target symbol, for this call only
     rows = []
     for i, triple in enumerate(config.rates):
         if not isinstance(triple.phi, Exponential):
@@ -481,11 +503,10 @@ def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
         z = _require_constant_symbol_target(triple, i)
         tau = triple.phi.tau
         scheme = LimsupCylinderScheme(shift, tau, z)
-        lo = params.grid_min if params.grid_min is not None else params.grid_step
-        hi = params.grid_max if params.grid_max is not None else h + 0.1
-        n_pts = int(round((hi - lo) / params.grid_step))
-        grid = [lo + k * params.grid_step for k in range(n_pts + 1)]
-        bracket = bracket_critical_exponent(scheme, grid, params.depth)
+        z0 = z.symbol(0)
+        if z0 not in words:
+            words[z0] = scheme.word_sequences(params.depth)
+        bracket = grid_cell(critical_exponent(scheme, params.depth, words[z0]), grid)
         moran = moran_dimension(shift, tau, params.stages, gap)
         rows.append(
             {

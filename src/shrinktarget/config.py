@@ -70,15 +70,33 @@ def _as_number(value: Any, path: str, allow_inf: bool = False) -> float:
     if isinstance(value, str) and allow_inf and value in ("inf", "Infinity"):
         return math.inf
     # every comparison with NaN is false, so no later range check would catch it
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    # JSON's Infinity is a float; only fields that mean infinity take it
+    if math.isinf(number) and not allow_inf:
+        raise ConfigError(path, f"expected a finite number, got {number!r}")
+    return number
 
 
 def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     return value
+
+
+def _as_int_matrix(value: Any, path: str) -> tuple[tuple[int, ...], ...]:
+    """A list of lists of integers, checked one row at a time; the path of a
+    failing entry is built only once its row fails (bool is a type of its own)."""
+    rows = _as_list(value, path)
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not set(map(type, row)) <= {int}:
+            for j, v in enumerate(_as_list(row, f"{path}[{i}]")):
+                _as_int(v, f"{path}[{i}][{j}]")
+    return tuple(map(tuple, rows))
 
 
 SystemSpec = Union[
@@ -239,18 +257,10 @@ def _parse_system(obj: Any, path: str) -> tuple[SystemSpec, str]:
     kind = _require(d, "kind", path)
     try:
         if kind == "matrix":
-            rows = _as_list(_require(d, "entries", path), f"{path}.entries")
-            entries = tuple(
-                tuple(_as_int(v, f"{path}.entries[{i}][{j}]") for j, v in enumerate(_as_list(r, f"{path}.entries[{i}]")))
-                for i, r in enumerate(rows)
-            )
+            entries = _as_int_matrix(_require(d, "entries", path), f"{path}.entries")
             return IntegerMatrixSystem(entries), "matrix"
         if kind == "sft":
-            rows = _as_list(_require(d, "transition", path), f"{path}.transition")
-            entries = tuple(
-                tuple(_as_int(v, f"{path}.transition[{i}][{j}]") for j, v in enumerate(_as_list(r, f"{path}.transition[{i}]")))
-                for i, r in enumerate(rows)
-            )
+            entries = _as_int_matrix(_require(d, "transition", path), f"{path}.transition")
             return ShiftOfFiniteType(entries, d.get("sided", "one")), "sft"
         if kind == "sofic":
             edges = []

@@ -4,7 +4,11 @@ Three finite-scale proxies for statements about genuinely infinite limsup
 sets, all specialized to one-sided shifts of finite type:
 
 * covering sums over cylinder schemes bracket the critical exponent that the
-  exact-value formulas predict (upper-bound machinery);
+  exact-value formulas predict (upper-bound machinery): the sum over level-n
+  cylinders of N_n exp(-s (n + floor(tau n))) flips from divergent to
+  convergent at s* = (growth rate of ln N_n) / (1 + tau), estimated by one
+  least-squares fit of ln N_n over the levels [depth/2, depth], and the
+  bracket is the grid cell lo <= s* < hi;
 * a Moran-style construction alternating free and pinned blocks gives a
   finite-stage lower estimate of the Hausdorff dimension (lower-bound
   machinery);
@@ -31,20 +35,23 @@ is the same agreement length).  The required disagreement exponent of a hit
 at time n is therefore r(n) = floor_guarded(-ln phi(n)) + 1.
 
 Covering sums and brackets read exact big-integer counts of every level
-from one row-vector recurrence (symbolic.word_counts); the Moran estimate
-reads log counts from normalized float matrix powering at every length
-(symbolic.log_count_words).  Witness hits are checked against one
-agreement-length array per distinct target, computed with the Z-function,
-so verification is linear in the prefix length.
+from one row-vector recurrence (symbolic.word_counts_ending), which gives
+both sequences a scheme splices, so rates that share a first target symbol
+can share it.  The bracket's finite-depth bias comes from the subdominant
+eigenvalues of the transition matrix (see ``critical_exponent``).  The
+Moran estimate reads the log counts of all its stage lengths from one
+normalized float squaring walk (symbolic.log_count_words_many).  Witness
+hits are checked against one agreement-length array per distinct target,
+computed with the Z-function, so verification is linear in the prefix
+length.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .rates import (
     RateFunction,
@@ -56,10 +63,9 @@ from .rates import (
     restrict_rate,
     time_set_members,
 )
-from .symbolic import ShiftOfFiniteType, log_count_words, word_counts
+from .symbolic import ShiftOfFiniteType, log_count_words_many, word_counts_ending
 
 _INT_GUARD = 1e-9
-_SLOPE_DEADBAND = 1e-4
 _EXP_OVERFLOW = 709.0
 _MAX_PREFIX_LEN = 10_000_000
 
@@ -118,24 +124,37 @@ class LimsupCylinderScheme:
         """Diameter exponent of a level-n cylinder."""
         return n + self.match_len(n)
 
-    def counts(self, n_max: int) -> list[int]:
+    def word_sequences(self, n_max: int) -> tuple[list[int], list[int]]:
+        """The two sequences ``counts`` splices, for n = 1..n_max: the numbers
+        of all admissible n-words and of those whose last symbol precedes z_1.
+
+        They depend on the shift and z_1 only, so schemes that share both
+        (different rates at the same target symbol) can share them.
+        """
+        x = self.shift
+        z0 = self.target.symbol(0)
+        return word_counts_ending(
+            x, n_max, [b for b in range(x.alphabet_size) if x.transition[b][z0]]
+        )
+
+    def counts(
+        self, n_max: int, words: tuple[list[int], list[int]] | None = None
+    ) -> list[int]:
         """Exact numbers of level-n cylinders for n = 1..n_max (entry n - 1).
 
         Admissible n-words w such that w . z-prefix stays admissible: when a
         pinned part is present (match_len(n) > 0) this restricts the last
         symbol of w to the predecessors of z_1.  match_len is nondecreasing
-        in n, so the levels without a pinned part come first.
+        in n, so the levels without a pinned part come first.  ``words`` is
+        ``word_sequences(m)`` for some m >= n_max, computed here when absent.
         """
         if n_max < 1:
             raise OracleError("level index must be >= 1")
+        every, ending = self.word_sequences(n_max) if words is None else words
+        if len(ending) < n_max:
+            raise OracleError(f"word counts cover {len(ending)} levels, need {n_max}")
         free = next((n - 1 for n in range(1, n_max + 1) if self.match_len(n) > 0), n_max)
-        counts = word_counts(self.shift, free) if free else []
-        if free < n_max:
-            x = self.shift
-            z0 = self.target.symbol(0)
-            ends = [b for b in range(x.alphabet_size) if x.transition[b][z0]]
-            counts += word_counts(x, n_max, ends)[free:]
-        return counts
+        return every[:free] + ending[free:n_max]
 
     def count(self, n: int) -> int:
         """Exact number of level-n cylinders: the last entry of counts(n)."""
@@ -161,44 +180,73 @@ def covering_sum(
     return total
 
 
+def critical_exponent(
+    scheme: LimsupCylinderScheme,
+    depth: int,
+    words: tuple[list[int], list[int]] | None = None,
+) -> float:
+    """Finite-depth estimate s* of the exponent where the covering sum flips.
+
+    The level-n term is N_n exp(-s w(n)) with w(n) = n + floor(tau n), so
+    the sum diverges for s below the growth rate of ln N_n divided by
+    lim w(n)/n = 1 + tau, and converges above it.  The growth rate is the
+    least-squares slope of ln N_n over the levels n in [depth/2, depth],
+    and s* = slope / (1 + tau).  Using the exact limit 1 + tau, not the
+    slope of w over the same window, keeps the floor in w(n) from biasing
+    the estimate.  ``words`` is passed on to ``scheme.counts``.
+
+    The finite-depth bias comes from the subdominant eigenvalues: N_n is
+    c rho^n plus terms in lambda_j^n, so the slope misses ln rho by terms
+    of order (|lambda_2| / rho)^(depth / 2).  On full shifts the counts are
+    exact powers and s* is h/(1+tau) up to rounding; on the golden mean at
+    depth 40 it is within 6e-12 (200 random tau in [0.05, 2]).  On the
+    slow-mixing cycle-with-chord SFT with k = 12, whose subdominant moduli
+    are close to rho, s* at tau = 1 (target the 12-cycle) is 3.7e-3 above
+    h/(1+tau) at depth 40, 1.3e-4 at depth 200 and 1.3e-6 at depth 1000.
+    """
+    if depth < 4:
+        raise OracleError("depth must be at least 4")
+    counts = scheme.counts(depth, words)
+    ns = range(max(1, depth // 2), depth + 1)
+    mid = (ns[0] + ns[-1]) / 2.0
+    # sum((n - mid) * (y - mean y)) == sum((n - mid) * y), as sum(n - mid) == 0
+    cov = math.fsum((n - mid) * math.log(counts[n - 1]) for n in ns)
+    var = math.fsum((n - mid) ** 2 for n in ns)
+    return cov / var / (1.0 + scheme.tau)
+
+
 def bracket_critical_exponent(
     scheme: LimsupCylinderScheme,
     s_grid: Sequence[float],
     depth: int,
 ) -> tuple[float, float]:
-    """Bracket the exponent where the covering sum flips divergent/convergent.
+    """The grid cell (lo, hi) of consecutive grid values with lo <= s* < hi.
 
-    For each grid value the least-squares slope of the log-terms over levels
-    n in [depth/2, depth] classifies the tail: slope >= -1e-4 counts as
-    divergent (the dead-band keeps the flat critical line on the divergent
-    side), slope below as convergent.  Returns (largest divergent grid value,
-    smallest convergent grid value); for exact exponential counts this pair
-    brackets the true critical exponent.
+    s* is ``critical_exponent(scheme, depth)``: one fit of ln N_n,
+    after which every grid value at or below s* counts as divergent and
+    every value above it as convergent.  A grid with s* below its first
+    value or at or above its last raises OracleError.
     """
     grid = [float(s) for s in s_grid]
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise OracleError("s_grid must be sorted strictly increasing, length >= 2")
-    if depth < 4:
-        raise OracleError("depth must be at least 4")
-    ns = list(range(max(1, depth // 2), depth + 1))
-    counts = scheme.counts(depth)
-    log_counts = [math.log(counts[n - 1]) for n in ns]
-    weights = [scheme.weight(n) for n in ns]
-    ns_arr = np.array(ns, dtype=float)
+    return grid_cell(critical_exponent(scheme, depth), grid)
 
-    def slope(s: float) -> float:
-        terms = np.array(
-            [lc - s * w for lc, w in zip(log_counts, weights)], dtype=float
+
+def grid_cell(s_star: float, grid: Sequence[float]) -> tuple[float, float]:
+    """(grid[i - 1], grid[i]) with grid[i - 1] <= s_star < grid[i].
+
+    ``grid`` must be sorted strictly increasing; it is bisected, so it may
+    compute its values on demand.  Raises OracleError when no cell holds
+    s_star.
+    """
+    i = bisect.bisect_right(grid, s_star)
+    if not 0 < i < len(grid):
+        span = f"[{grid[0]:g}, {grid[-1]:g}]" if len(grid) else "empty"
+        raise OracleError(
+            f"grid does not straddle the critical exponent (s* = {s_star:.6g}, grid {span})"
         )
-        return float(np.polyfit(ns_arr, terms, 1)[0])
-
-    slopes = [slope(s) for s in grid]
-    divergent = [sl >= -_SLOPE_DEADBAND for sl in slopes]
-    if all(divergent) or not divergent[0]:
-        diag = ", ".join(f"s={s:g}: slope={sl:.4g}" for s, sl in zip(grid, slopes))
-        raise OracleError(f"grid does not straddle the critical exponent ({diag})")
-    flip = divergent.index(False)
-    return grid[flip - 1], grid[flip]
+    return grid[i - 1], grid[i]
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +267,11 @@ def moran_dimension(shift: ShiftOfFiniteType, tau: float, depth: int, gap: int) 
     new hit time, i.e. the free part of stage k occupies a (1 - 1.5 eta)
     fraction of s_k.  Returns (sum of ln branch counts) / (total length) -
     the Moran-set dimension of the scheme at finite depth.
+
+    The stage lengths depend on tau and the gap only, not on the counts, so
+    they are laid out first, and the ln branch counts of all stages come
+    from one squaring walk (``symbolic.log_count_words_many``), bit for bit
+    the values each length would get powered alone.
 
     The estimate does not converge to h/(1+tau) as depth grows.  With the
     fixed eta = 0.02 every stage gives the same 1.5 eta = 3% of its hit time
@@ -241,14 +294,16 @@ def moran_dimension(shift: ShiftOfFiniteType, tau: float, depth: int, gap: int) 
         raise OracleError("tau must be a finite nonnegative real")
     if depth < 1:
         raise OracleError("depth must be >= 1")
-    total_log = 0.0
+    lengths = []
     total_len = 0
     for _ in range(depth):
         carried = total_len + 2 * gap
         s_k = max(carried + 1, math.ceil(carried / (1.5 * _MORAN_ETA)))
-        m_k = s_k - carried
-        total_log += log_count_words(shift, m_k)
+        lengths.append(s_k - carried)
         total_len = s_k + floor_guarded(tau * s_k)
+    total_log = 0.0
+    for log_count in log_count_words_many(shift, lengths):
+        total_log += log_count  # stage by stage, not sum(): the same roundings on every Python
     return total_log / total_len
 
 

@@ -309,25 +309,38 @@ def word_counts(
 ) -> list[int]:
     """Exact numbers of admissible n-words for n = 1..n_max (entry n - 1).
 
+    All of them, or, when ``ends`` is given, those whose last symbol is in
+    ``ends``: one of the two sequences of ``word_counts_ending``.
+    """
+    every, ending = word_counts_ending(x, n_max, () if ends is None else ends)
+    return every if ends is None else ending
+
+
+def word_counts_ending(
+    x: ShiftOfFiniteType, n_max: int, ends: Iterable[int]
+) -> tuple[list[int], list[int]]:
+    """(all, ending): exact numbers of admissible n-words for n = 1..n_max
+    (entry n - 1), of all of them and of those whose last symbol is in ``ends``.
+
     Row-vector recurrence: u_1 = (1, ..., 1) and u_{n+1}[b] = sum of u_n[a]
-    over the predecessors a of b, so u_n[b] counts the n-words ending in b.
-    Entry n - 1 sums u_n over all symbols, or over ``ends`` only when given
-    (the words whose last symbol is in ``ends``).  Big-integer additions,
+    over the predecessors a of b, so u_n[b] counts the n-words ending in b,
+    and both sequences are sums of the same u_n.  Big-integer additions,
     O(n_max * edges) of them.
     """
     if n_max < 1:
         raise SymbolicError("word length must be >= 1")
     k = x.alphabet_size
-    last = range(k) if ends is None else sorted(set(ends))
+    last = sorted(set(ends))
     if any(not (0 <= b < k) for b in last):
         raise SymbolicError("end symbols must lie in the alphabet")
     preds = [[a for a in range(k) if x.transition[a][b]] for b in range(k)]
     u = [1] * k
-    counts = [sum(u[b] for b in last)]
+    every, ending = [k], [len(last)]
     for _ in range(n_max - 1):
         u = [sum([u[a] for a in p]) for p in preds]
-        counts.append(sum(u[b] for b in last))
-    return counts
+        every.append(sum(u))
+        ending.append(sum([u[b] for b in last]))
+    return every, ending
 
 
 def count_words(x: ShiftOfFiniteType, n: int) -> int:
@@ -336,41 +349,53 @@ def count_words(x: ShiftOfFiniteType, n: int) -> int:
 
 
 def log_count_words(x: ShiftOfFiniteType, n: int) -> float:
-    """ln(count_words(n)) by normalized float matrix powering, for any n >= 1.
+    """ln(count_words(n)) in floating point: ``log_count_words_many`` at one length."""
+    return log_count_words_many(x, [n])[0]
+
+
+def log_count_words_many(x: ShiftOfFiniteType, lengths: Sequence[int]) -> list[float]:
+    """ln(count_words(n)) for every n in ``lengths``, from one squaring walk.
 
     The word count is the entry sum of M^(n-1).  Binary powering rescales
     every product by its largest entry and carries the scale in log space,
-    so nothing overflows and the cost is O(k^3 log n).  The accumulated
-    relative error is of order (number of squarings) * machine epsilon: at
-    n <= 300 on the test shifts it stays within 1e-12 of the exact
-    math.log(count_words(n)), and it is negligible next to the O(1/n) terms
-    any consumer divides out.
+    so nothing overflows.  The walk squares the normalized base once per
+    bit of the largest exponent and multiplies each length's running
+    product into it where that length's bit is set; every length sees the
+    same float operations as it would powered alone, so the values do not
+    depend on which other lengths are asked for.  The cost is
+    O(k^3 (log max n + total set bits)), and only the current square is
+    kept.  The accumulated relative error is of order (number of squarings)
+    * machine epsilon: at n <= 300 on the test shifts it stays within 1e-12
+    of the exact math.log(count_words(n)), and it is negligible next to the
+    O(1/n) terms any consumer divides out.
     """
-    if n < 1:
+    if any(n < 1 for n in lengths):
         raise SymbolicError("word length must be >= 1")
     k = x.alphabet_size
-    e = n - 1
+    exps = [n - 1 for n in lengths]
     base = np.array(x.transition, dtype=float)
     s = base.max()
     base /= s
     log_base = math.log(s)  # base * exp(log_base) == M^(2^j)
-    result = np.eye(k)
-    log_result = 0.0
-    while e > 0:
-        if e & 1:
-            result = result @ base
-            log_result += log_base
-            s = result.max()
-            result /= s
-            log_result += math.log(s)
-        e >>= 1
-        if e:
+    results = [np.eye(k) for _ in exps]
+    log_results = [0.0] * len(exps)
+    bits = max(exps, default=0).bit_length()
+    for j in range(bits):
+        for i, e in enumerate(exps):
+            if e >> j & 1:
+                result = results[i] @ base
+                log_results[i] += log_base
+                s = result.max()
+                result /= s
+                log_results[i] += math.log(s)
+                results[i] = result
+        if j + 1 < bits:
             base = base @ base
             log_base *= 2.0
             s = base.max()
             base /= s
             log_base += math.log(s)
-    return log_result + math.log(result.sum())
+    return [lr + math.log(r.sum()) for lr, r in zip(log_results, results)]
 
 
 # ---------------------------------------------------------------------------

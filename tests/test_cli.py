@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,19 @@ class TestRun:
         assert lo < GOLDEN_ENTROPY / 1.5 <= hi
         assert hi - lo <= 0.02
         assert abs(float(row["moran_estimate"]) - GOLDEN_ENTROPY / 1.5) < 0.05
+
+    def test_oracle_grid_is_not_materialised(self, tmp_path, monkeypatch):
+        # 1e11 grid points: the bracket bisects values computed on demand
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tau=0.3)
+        assert main(["oracle", "--config", str(write_config(tmp_path, payload))]) == 0
+        default = read_report(tmp_path)["results"][0]["rows"][0]
+        payload["oracle_params"]["grid_max"] = 1e9
+        started = time.perf_counter()
+        assert main(["oracle", "--config", str(write_config(tmp_path, payload))]) == 0
+        assert time.perf_counter() - started < 1.0
+        (row,) = read_report(tmp_path)["results"][0]["rows"]
+        assert (row["bracket_lo"], row["bracket_hi"]) == (default["bracket_lo"], default["bracket_hi"]) == ("0.37", "0.38")
 
     def test_witness_roundtrip(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -506,6 +520,58 @@ class TestValidation:
         cfg = write_config(tmp_path, payload)
         assert main(["bounds", "--config", str(cfg)]) == 2
         assert "$.system.h_top: expected a number, got nan" in capsys.readouterr().err
+
+    def test_infinite_grid_max_rejected(self, tmp_path, monkeypatch, capsys):
+        # JSON Infinity reads as a float; the grid size used to overflow in the task
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config()
+        payload["oracle_params"]["grid_max"] = math.inf
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert exc.value.path == "$.oracle_params.grid_max"
+        cfg = write_config(tmp_path, payload)
+        assert main(["oracle", "--config", str(cfg)]) == 2
+        assert "$.oracle_params.grid_max: expected a finite number, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("big", [math.inf, 10**400], ids=["Infinity", "huge_int"])
+    def test_infinite_profile_number_rejected(self, tmp_path, monkeypatch, capsys, big):
+        # an integer literal beyond the float range used to raise OverflowError
+        monkeypatch.chdir(tmp_path)
+        payload = self._profile_config(1.0, 1.2)
+        payload["system"]["h_top"] = big
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert exc.value.path == "$.system.h_top"
+        cfg = write_config(tmp_path, payload)
+        assert main(["bounds", "--config", str(cfg)]) == 2
+        assert "$.system.h_top: expected a finite number, got inf" in capsys.readouterr().err
+
+    def test_infinity_kept_where_it_is_meant(self):
+        payload = self._profile_config(math.inf, None)
+        payload["rates"][0]["phi"] = {"kind": "exponents", "tau_upper": math.inf, "tau_lower": 0.5}
+        config = parse_config(payload)
+        assert config.system.lambda1 == config.rates[0].phi.tau_upper == math.inf
+
+    @pytest.mark.parametrize("kind,key", [("matrix", "entries"), ("sft", "transition")])
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", None, [1]], ids=["true", "float", "string", "null", "list"])
+    def test_matrix_entry_named_by_its_path(self, tmp_path, monkeypatch, capsys, kind, key, bad):
+        monkeypatch.chdir(tmp_path)
+        payload = cat_map_config() if kind == "matrix" else golden_oracle_config()
+        payload["system"][key][1][0] = bad
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert (exc.value.path, exc.value.message) == (f"$.system.{key}[1][0]", f"expected an integer, got {bad!r}")
+        cfg = write_config(tmp_path, payload)
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert f"$.system.{key}[1][0]: expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["entries", "transition"])
+    def test_matrix_row_named_by_its_path(self, key):
+        payload = cat_map_config() if key == "entries" else golden_oracle_config()
+        payload["system"][key][1] = 7
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert (exc.value.path, exc.value.message) == (f"$.system.{key}[1]", "expected a list, got int")
 
     # (lambda1, ln_l1) -> the validation message; None: a consistent profile
     PROFILE_SHAPES = [

@@ -110,6 +110,24 @@ def test_oracle_commands_analyse_the_shift_once(command, tmp_path, monkeypatch):
     assert one == many
 
 
+def test_oracle_counts_words_once_per_target_symbol(tmp_path, monkeypatch):
+    # rates that share a first target symbol share one word-count recurrence,
+    # and each Moran estimate is one squaring walk
+    counted_names = ((symbolic, "word_counts_ending"), (symbolic, "log_count_words_many"))
+
+    def counted(path, config):
+        return _counted(path, monkeypatch, config, "oracle", counted_names)
+
+    one = counted(tmp_path / "one", _oracle_config("oracle", 1))
+    many = counted(tmp_path / "many", _oracle_config("oracle", 16))
+    assert one == {"word_counts_ending": 1, "log_count_words_many": 1}
+    assert many == {"word_counts_ending": 1, "log_count_words_many": 16}
+    mixed = _oracle_config("oracle", 16)
+    for rate in mixed["rates"][::2]:
+        rate["target"] = {"kind": "symbols", "head": [], "cycle": [1, 0]}
+    assert counted(tmp_path / "mixed", mixed)["word_counts_ending"] == 2
+
+
 def _load_script(name: str):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)

@@ -11,7 +11,9 @@ from shrinktarget.oracle import (
     bracket_critical_exponent,
     construct_witness,
     covering_sum,
+    critical_exponent,
     floor_guarded,
+    grid_cell,
     moran_dimension,
     plan_witness,
     required_exponent,
@@ -215,6 +217,79 @@ class TestBracket:
         scheme = LimsupCylinderScheme(full_shift(2), 1.0, ZEROS)
         with pytest.raises(OracleError, match="sorted"):
             bracket_critical_exponent(scheme, [0.4, 0.3], 40)
+
+
+def cli_grid(h, step=0.01):
+    """The oracle command's default grid: step, 2 step, ... up to h + 0.1."""
+    return grid(step, h + 0.1, step)
+
+
+# 60-symbol primitive SFT: a -> b allowed iff (7a + 3b) % 5 != 0
+SFT60 = ShiftOfFiniteType(tuple(tuple(int((7 * a + 3 * b) % 5 != 0) for b in range(60)) for a in range(60)))
+
+
+class TestCriticalExponent:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["full2", "full3", "full4", "golden"]), st.floats(0.05, 2.0))
+    def test_bracket_contains_exact_value(self, name, tau):
+        shift = golden_mean_shift() if name == "golden" else full_shift(int(name[-1]))
+        h = sft_entropy(shift)
+        lo, hi = bracket_critical_exponent(LimsupCylinderScheme(shift, tau, ZEROS), cli_grid(h), 40)
+        assert lo <= h / (1.0 + tau) < hi
+        assert hi - lo == pytest.approx(0.01)
+
+    @pytest.mark.parametrize(
+        "shift,tau,target,depth",
+        [
+            # the per-grid slope test put these brackets below h/(1+tau):
+            # [2.28, 2.29], [0.83, 0.84] and [0.46, 0.47]
+            (SFT60, 0.67803, SymbolSequence((), (0, 1)), 40),
+            (full_shift(3), 0.306301, ZEROS, 100),
+            (golden_mean_shift(), 0.02, ZEROS, 60),
+        ],
+        ids=["sft60", "full3", "golden_mean"],
+    )
+    def test_rows_the_slope_test_missed(self, shift, tau, target, depth):
+        h = sft_entropy(shift)
+        lo, hi = bracket_critical_exponent(LimsupCylinderScheme(shift, tau, target), cli_grid(h), depth)
+        assert lo <= h / (1.0 + tau) < hi
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.3])
+    def test_full_shift_up_to_rounding(self, k, tau):
+        scheme = LimsupCylinderScheme(full_shift(k), tau, ZEROS)
+        assert critical_exponent(scheme, 40) == pytest.approx(math.log(k) / (1.0 + tau), rel=1e-14)
+
+    def test_shared_word_counts_give_the_same_value(self):
+        # rates at the same first target symbol share one recurrence
+        deep = LimsupCylinderScheme(TRIANGLE, 0.1, HEADED).word_sequences(50)
+        for tau in (0.0, 0.1, 0.7):
+            scheme = LimsupCylinderScheme(TRIANGLE, tau, HEADED)
+            assert critical_exponent(scheme, 30, deep) == critical_exponent(scheme, 30)
+            assert scheme.counts(30, deep) == scheme.counts(30)
+
+    def test_short_word_counts_rejected(self):
+        scheme = LimsupCylinderScheme(golden_mean_shift(), 0.5, ZEROS)
+        with pytest.raises(OracleError, match="cover 10 levels, need 20"):
+            scheme.counts(20, scheme.word_sequences(10))
+
+
+class TestGridCell:
+    def test_half_open_cells(self):
+        g = [0.4, 0.5, 0.6]
+        assert grid_cell(0.4, g) == (0.4, 0.5)
+        assert grid_cell(0.45, g) == (0.4, 0.5)
+        assert grid_cell(0.5, g) == (0.5, 0.6)
+
+    @pytest.mark.parametrize("s", [0.39, 0.6, 0.7])
+    def test_outside_the_grid_rejected(self, s):
+        with pytest.raises(OracleError, match="straddle"):
+            grid_cell(s, [0.4, 0.5, 0.6])
+
+    def test_empty_and_single_point_grids_rejected(self):
+        for g in ([], [0.4]):
+            with pytest.raises(OracleError, match="straddle"):
+                grid_cell(0.4, g)
 
 
 class TestMoran:

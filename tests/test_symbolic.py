@@ -28,6 +28,7 @@ from shrinktarget.symbolic import (
     index_set,
     indices_intersect,
     log_count_words,
+    log_count_words_many,
     mixing_gap,
     period_decomposition,
     perron_root,
@@ -35,6 +36,7 @@ from shrinktarget.symbolic import (
     sft_entropy,
     sofic_entropy,
     word_counts,
+    word_counts_ending,
     _perron_bracket,
 )
 from shrinktarget.systems import _charpoly
@@ -48,6 +50,32 @@ def brute_force_words(shift, n):
     """Independent oracle: enumerate admissible words by direct product scan."""
     k = shift.alphabet_size
     return [w for w in product(range(k), repeat=n) if shift.word_admissible(w)]
+
+
+def per_length_log_count(shift, n):
+    """Binary powering of one length alone: the loop log_count_words_many shares."""
+    e = n - 1
+    base = np.array(shift.transition, dtype=float)
+    s = base.max()
+    base /= s
+    log_base = math.log(s)
+    result = np.eye(shift.alphabet_size)
+    log_result = 0.0
+    while e > 0:
+        if e & 1:
+            result = result @ base
+            log_result += log_base
+            s = result.max()
+            result /= s
+            log_result += math.log(s)
+        e >>= 1
+        if e:
+            base = base @ base
+            log_base *= 2.0
+            s = base.max()
+            base /= s
+            log_base += math.log(s)
+    return log_result + math.log(result.sum())
 
 
 def grown_words(shift, n):
@@ -148,6 +176,38 @@ class TestCountWords:
     def test_log_count_words_60_symbols(self, n):
         exact = math.log(count_words(SFT60, n))
         assert log_count_words(SFT60, n) == pytest.approx(exact, rel=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(irreducible_shifts(), st.lists(st.integers(1, 2**70), min_size=1, max_size=8))
+    def test_shared_walk_equals_per_length_powering(self, shift, lengths):
+        # one walk for all lengths, bit for bit the values of one walk each
+        shared = log_count_words_many(shift, lengths)
+        assert shared == [per_length_log_count(shift, n) for n in lengths]
+        assert [log_count_words(shift, n) for n in lengths] == shared
+
+    @settings(max_examples=60, deadline=None)
+    @given(irreducible_shifts(), st.lists(st.integers(1, 300), min_size=1, max_size=6))
+    def test_shared_walk_matches_exact_log(self, shift, lengths):
+        for n, value in zip(lengths, log_count_words_many(shift, lengths)):
+            assert value == pytest.approx(math.log(count_words(shift, n)), rel=1e-12, abs=1e-14)
+
+    def test_shared_walk_edge_cases(self):
+        assert log_count_words_many(SFT60, []) == []
+        assert log_count_words_many(SFT60, [1, 1]) == [math.log(60)] * 2
+        with pytest.raises(SymbolicError, match=">= 1"):
+            log_count_words_many(SFT60, [5, 0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(irreducible_shifts(), st.data())
+    def test_word_counts_ending_gives_both_sequences(self, shift, data):
+        k = shift.alphabet_size
+        n_max = 8 if k == 1 else min(8, int(math.log(5_000) / math.log(k)))
+        ends = data.draw(st.sets(st.integers(0, k - 1)))
+        every, ending = word_counts_ending(shift, n_max, ends)
+        for n in range(1, n_max + 1):
+            words = grown_words(shift, n)
+            assert every[n - 1] == len(words)
+            assert ending[n - 1] == sum(1 for w in words if w[-1] in ends)
 
     @given(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=20))
     def test_submultiplicative(self, m, n):

@@ -33,7 +33,6 @@ from .rates import (  # noqa: F401
     SymbolSequence,
     Tabulated,
     family_tau,
-    restrict_rate,
     tau_exponents,
 )
 from .systems import (  # noqa: F401

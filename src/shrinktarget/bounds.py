@@ -74,31 +74,26 @@ class BoundReport:
 # ---------------------------------------------------------------------------
 
 
-def lower_factor(lambda1: float, lambda2: float, tau_bar: float, chi: float = 0.0) -> float:
-    """The entropy fraction retained by the shrinking constraint.
+def lower_factor(lambda1: float, lambda2: float, tau_bar: float) -> float:
+    """The entropy fraction retained by the shrinking constraint,
 
-    chi = 0:   (l1*l2 - l2*t) / (l1*l2 + l1*t)
-    chi > 0:   1/(1+chi) * (l1*l2 - l2*t) / (l1*l2 + l1*t + (l1+l2)*chi*t)
+        (l1*l2 - l2*t) / (l1*l2 + l1*t).
 
-    lambda1 = +inf is evaluated as the algebraic limit
-        chi = 0:  l2 / (l2 + t)
-        chi > 0:  1/(1+chi) * l2 / (l2 + (1+chi)*t)
-    which is also the one-sided-shift / expanding-map specialization.
+    lambda1 = +inf is evaluated as the algebraic limit l2 / (l2 + t), which
+    is also the one-sided-shift / expanding-map specialization.
     """
-    if chi < 0:
-        raise ValueError("chi must be nonnegative")
     t = tau_bar
     if math.isinf(lambda1):
         if math.isinf(t):
             return 0.0
-        return (1.0 / (1.0 + chi)) * lambda2 / (lambda2 + (1.0 + chi) * t)
+        return lambda2 / (lambda2 + t)
     if not t < lambda1:
         raise HypothesisViolatedError(
             f"lower bound requires tau_bar < lambda1 ({t} >= {lambda1})"
         )
     num = lambda1 * lambda2 - lambda2 * t
-    den = lambda1 * lambda2 + lambda1 * t + (lambda1 + lambda2) * chi * t
-    return (1.0 / (1.0 + chi)) * num / den
+    den = lambda1 * lambda2 + lambda1 * t
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +164,16 @@ def bounds_hyperbolic_set(
     tau: RateExponents,
     *,
     tau_lower_substitution: bool = True,
-    index_ok: bool | None = None,
 ) -> BoundReport:
     """Sandwich bounds for a transitive locally maximal hyperbolic system.
 
     The profile supplies both the hyperbolicity exponents (lambda1, lambda2)
     and the one-step log Lipschitz constants (ln_l1, ln_l2).  The lower side
-    needs tau < lambda1 and, for non-mixing systems, a nonempty intersection
-    of index difference sets (``index_ok``); ``tau_lower_substitution``
-    replaces tau_upper by tau_lower and is valid for mixing systems whose
-    time sets are all of N.  When the Lipschitz constants coincide with the
-    exponents the sandwich collapses and the report is exact: on the sharp
-    profile of an automorphism with moduli |lambda_s| < 1 < |lambda_u|,
+    needs tau < lambda1; ``tau_lower_substitution`` replaces tau_upper by
+    tau_lower and is valid for mixing systems whose time sets are all of N.
+    When the Lipschitz constants coincide with the exponents the sandwich
+    collapses and the report is exact: on the sharp profile of an
+    automorphism with moduli |lambda_s| < 1 < |lambda_u|,
     with a = ln|lambda_s|^-1, b = ln|lambda_u| and t = tau_lower < a,
 
         h = h_top (a b - t b)/(a b + t a),  dim = h_top (a + b)/(a (b + t)),
@@ -199,28 +192,20 @@ def bounds_hyperbolic_set(
     t_low = tau.tau_lower
     t_for_lower = t_low if tau_lower_substitution else tau.tau_upper
     assumptions = [("tau_lower_substitution", tau_lower_substitution)]
-    if index_ok is not None:
-        assumptions.append(("index_intersection_nonempty", index_ok))
 
     tag, h_up, dim_up, upper = _bilipschitz_upper(p, t_low)
     if tag is not CaseTag.GENERIC:
         dim_low = None if tag is CaseTag.BOUNDARY_ZERO else 0.0
         return BoundReport(0.0, 0.0, dim_low, dim_up, tag, tuple(assumptions) + (upper,))
 
-    exact = (
-        abs(l1 - lam1) <= BOUNDARY_TOL
-        and abs(l2 - lam2) <= BOUNDARY_TOL
-        and tau_lower_substitution
-        and index_ok is not False
-    )
-    if exact:
+    if abs(l1 - lam1) <= BOUNDARY_TOL and abs(l2 - lam2) <= BOUNDARY_TOL and tau_lower_substitution:
         dim_val = (1.0 / l1) * (l1 + l2) / (l2 + t_low) * h
         return BoundReport(
             h_up, h_up, dim_val, dim_val, CaseTag.EXACT,
             tuple(assumptions) + (("L1 == lambda1^-1 and L2 == lambda2^-1", True),),
         )
 
-    if index_ok is not False and t_for_lower < lam1:
+    if t_for_lower < lam1:
         f_low = lower_factor(lam1, lam2, t_for_lower)
         h_low = f_low * h
         dim_low = (1.0 / l1 + f_low / l2) * h
@@ -242,7 +227,6 @@ def bounds_expanding(
     tau: RateExponents,
     *,
     tau_lower_substitution: bool = True,
-    index_ok: bool | None = None,
 ) -> BoundReport:
     """Sandwich bounds for a transitive lambda-expanding map.
 
@@ -261,11 +245,9 @@ def bounds_expanding(
     t_low = tau.tau_lower
     t_for_lower = t_low if tau_lower_substitution else tau.tau_upper
     assumptions = [("tau_lower_substitution", tau_lower_substitution)]
-    if index_ok is not None:
-        assumptions.append(("index_intersection_nonempty", index_ok))
 
     f_up = 0.0 if math.isinf(t_low) else lnl / (lnl + t_low)
-    if abs(lnl - lam) <= BOUNDARY_TOL and tau_lower_substitution and index_ok is not False:
+    if abs(lnl - lam) <= BOUNDARY_TOL and tau_lower_substitution:
         h_val = f_up * h
         dim_val = 0.0 if math.isinf(t_low) else h / (lnl + t_low)
         return BoundReport(
@@ -276,13 +258,9 @@ def bounds_expanding(
 
     h_up = f_up * h
     dim_up = f_up * h / lam
-    if index_ok is not False:
-        f_low = lower_factor(math.inf, lam, t_for_lower)
-        h_low = f_low * h
-        dim_low = f_low * h / lnl
-    else:
-        h_low = dim_low = None
-        assumptions.append(("index intersection empty", False))
+    f_low = lower_factor(math.inf, lam, t_for_lower)
+    h_low = f_low * h
+    dim_low = f_low * h / lnl
     return BoundReport(h_low, h_up, dim_low, dim_up, CaseTag.GENERIC, tuple(assumptions))
 
 
@@ -371,19 +349,17 @@ def bounds_two_sided_shift(
 def covering_bounds(
     profile: HyperbolicityProfile,
     phi: RateFunction | RateExponents,
-    *,
-    mixing_n1: bool = True,
 ) -> BoundReport:
     """Lower bounds for the set of points whose orbit-ball cover is dense.
 
-    Identical factors to the general lower bounds; when the decomposition is
-    trivial (N = 1) tau_upper may be replaced by tau_lower.  Only the lower
-    sides are asserted.
+    Identical factors to the general lower bounds, with tau_upper replaced
+    by tau_lower as the trivial decomposition (N = 1) allows.  Only the
+    lower sides are asserted.
     """
     tau = phi.exponents() if isinstance(phi, RateFunction) else phi
-    t = tau.tau_lower if mixing_n1 else tau.tau_upper
+    t = tau.tau_lower
     try:
-        f = lower_factor(profile.lambda1, profile.lambda2, t, 0.0)
+        f = lower_factor(profile.lambda1, profile.lambda2, t)
     except HypothesisViolatedError:
         return BoundReport(
             None, None, None, None, CaseTag.GENERIC,

@@ -67,7 +67,6 @@ from .rates import (
     RateFunction,
     ShiftTarget,
     family_tau,
-    restrict_rate,
     tau_exponents,
 )
 from .symbolic import (
@@ -144,25 +143,8 @@ def _report_row(rule: str, rep: BoundReport, **extra: Any) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def effective_exponents(triple: RateTriple) -> RateExponents:
-    """Per-triple exponents, each side taken from the set it is valid for.
-
-    Lower bounds consult the rate only at times in S, so tau_upper comes from
-    the rate restricted to S (equal to phi on S, 1 off S) - never larger than
-    the plain tau_upper.  Upper bounds come from embedding the hit set into
-    the every-time hit set of phi itself, so tau_lower is the rate's own
-    liminf exponent.  The two stay ordered: liminf over all n is at most the
-    limsup over the subsequence S.
-    """
-    if isinstance(triple.phi, RateExponents):
-        return triple.phi
-    own = tau_exponents(triple.phi)
-    restricted = tau_exponents(restrict_rate(triple.phi, triple.time_set))
-    return RateExponents(restricted.tau_upper, own.tau_lower)
-
-
 def family_exponents(config: ExperimentConfig) -> RateExponents:
-    return family_tau([effective_exponents(t) for t in config.rates])
+    return family_tau([tau_exponents(t.phi, t.time_set) for t in config.rates])
 
 
 def _all_naturals(config: ExperimentConfig) -> bool:
@@ -425,8 +407,7 @@ def _run_bounds(config: ExperimentConfig, facts: SystemFacts) -> dict:
     rows = [_report_row(rule, rep, **extra) for rule, rep in evaluate(facts, tau, context)]
     if facts.kind == "matrix":
         for i, triple in enumerate(config.rates):
-            phi = triple.phi
-            rep = covering_bounds(facts.crude, phi if isinstance(phi, RateExponents) else tau_exponents(phi))
+            rep = covering_bounds(facts.crude, triple.phi)
             rows.append(_report_row("covering_lower", rep, rate_index=i))
     elif facts.kind == "profile":
         rows.append(_report_row("covering_lower", covering_bounds(facts.profile, tau)))

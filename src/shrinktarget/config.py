@@ -433,7 +433,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     formats: tuple[str, ...] = ("json",)
     if "output" in d:
         od = _as_dict(d["output"], "$.output")
-        out_dir = str(od.get("dir", out_dir))
+        out_dir = od.get("dir", out_dir)
+        if not isinstance(out_dir, str):
+            raise ConfigError("$.output.dir", f"expected a string, got {out_dir!r}")
         if "formats" in od:
             fmts = _as_list(od["formats"], "$.output.formats")
             for i, f in enumerate(fmts):

@@ -60,7 +60,7 @@ from .rates import (
     TimeSet,
     constant_shift_target,
     first_member_at_least,
-    restrict_rate,
+    tau_exponents,
     time_set_members,
 )
 from .symbolic import ShiftOfFiniteType, log_count_words_many, word_counts_ending
@@ -404,7 +404,7 @@ def plan_witness(
 ) -> WitnessPlan:
     """Schedule ``k`` hits along S with pinned lengths floor((tau+eta) s)+1.
 
-    tau is the upper exponent of phi restricted to S; it must be finite.
+    tau is phi's upper exponent along S; it must be finite.
     Each hit time is the first member of S leaving room for connectors of
     ``gap`` symbols, which must be ``symbolic.mixing_gap(shift)``, and at
     least one free symbol after the previous pinned block, and large enough
@@ -417,7 +417,7 @@ def plan_witness(
     if k < 0:
         raise PlanError("block count must be nonnegative")
     target = _as_shift_target(z)
-    tau_bar = restrict_rate(phi, s).exponents().tau_upper
+    tau_bar = tau_exponents(phi, s).tau_upper
     if math.isinf(tau_bar):
         raise PlanError("rate decays super-exponentially along S; no finite plan")
     alpha = tau_bar + eta
@@ -435,10 +435,7 @@ def plan_witness(
         hit = None
         candidate = floor_start
         for _ in range(10_000):
-            try:
-                candidate = first_member_at_least(s, candidate)
-            except Exception as exc:
-                raise PlanError(f"time set too sparse for block {i + 1}: {exc}") from exc
+            candidate = first_member_at_least(s, candidate)
             pinned = floor_guarded(alpha * candidate) + 1
             # skip times where phi undershoots its exponential envelope
             if required_exponent(phi, candidate) - 1 <= pinned:

@@ -1,14 +1,16 @@
 """Shrinking rates, time sets and target sequences.
 
-A shrinking rate is a function ``phi: {1, 2, ...} -> (0, 1]``.  The two numbers
-that every bound formula consumes are its exponential decay exponents
+A shrinking rate is a function ``phi: {1, 2, ...} -> (0, 1]``, consulted at the
+times of a time set S.  The two numbers that every bound formula consumes are
+its exponential decay exponents, the upper one taken along S:
 
-    tau_upper = limsup_n  -ln(phi(n)) / n,
-    tau_lower = liminf_n  -ln(phi(n)) / n.
+    tau_upper = limsup_{n in S}  -ln(phi(n)) / n   (the lower bounds),
+    tau_lower = liminf_n         -ln(phi(n)) / n   (the upper bounds).
 
 Because lim sup / lim inf cannot be read off finitely many samples, rates are
 parametric families with closed-form exponents rather than arbitrary
-callables.  ``tau = +inf`` is representable directly on :class:`RateExponents`
+callables, and :func:`tau_exponents` reads both from S's arithmetic tail.
+``tau = +inf`` is representable directly on :class:`RateExponents`
 (super-exponential decay); the parametric rate variants themselves carry
 finite parameters only.
 """
@@ -64,11 +66,6 @@ class RateFunction:
 
     def exponents(self) -> RateExponents:
         raise NotImplementedError
-
-    def _phi_checked(self, n: int) -> float:
-        if n < 1:
-            raise RateError(f"phi is defined on n >= 1, got n={n}")
-        return self.phi(n)
 
 
 @dataclass(frozen=True)
@@ -184,43 +181,6 @@ class Tabulated(RateFunction):
         return RateExponents(self.tail_tau, self.tail_tau)
 
 
-@dataclass(frozen=True)
-class TabulatedPeriodic(RateFunction):
-    """Composite of a Tabulated prefix with a PiecewiseExponential tail.
-
-    Produced by :func:`restrict_rate`; not normally constructed by hand.
-    phi(n) = prefix[n-1] for n <= len(prefix), else exp(-taus[n mod period]*n).
-    """
-
-    prefix: tuple[float, ...]
-    period: int
-    taus: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "prefix", tuple(float(v) for v in self.prefix))
-        for i, v in enumerate(self.prefix):
-            if not (0.0 < v <= 1.0):
-                raise RateError(f"prefix[{i}]={v!r} outside (0, 1]")
-        if self.period < 1 or len(self.taus) != self.period:
-            raise RateError("period/taus mismatch")
-        object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
-        for t in self.taus:
-            _check_nonneg("taus entry", t)
-
-    def phi(self, n: int) -> float:
-        if n <= len(self.prefix):
-            return self.prefix[n - 1]
-        return math.exp(-self.taus[n % self.period] * n)
-
-    def log_phi(self, n: int) -> float:
-        if n <= len(self.prefix):
-            return math.log(self.prefix[n - 1])
-        return -self.taus[n % self.period] * n
-
-    def exponents(self) -> RateExponents:
-        return RateExponents(max(self.taus), min(self.taus))
-
-
 # ---------------------------------------------------------------------------
 # Time sets
 # ---------------------------------------------------------------------------
@@ -232,10 +192,6 @@ class AllTimes:
 
     def contains(self, n: int) -> bool:
         return n >= 0
-
-    @property
-    def bounded(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -254,17 +210,13 @@ class Arithmetic:
     def contains(self, n: int) -> bool:
         return n >= self.offset and (n - self.offset) % self.step == 0
 
-    @property
-    def bounded(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class Explicit:
     """A sorted strictly-increasing list, optionally continued arithmetically.
 
     Without a tail rule the set is finite - a degenerate input that most
-    operations reject via :attr:`bounded`.
+    operations reject (see :func:`arithmetic_tail`).
     """
 
     times: tuple[int, ...]
@@ -286,12 +238,17 @@ class Explicit:
             return True
         return self.tail is not None and self.tail.contains(n)
 
-    @property
-    def bounded(self) -> bool:
-        return self.tail is None
-
 
 TimeSet = Union[AllTimes, Arithmetic, Explicit]
+
+
+def arithmetic_tail(s: TimeSet) -> Arithmetic | None:
+    """The progression that S follows from some time on; None when S is bounded."""
+    if isinstance(s, AllTimes):
+        return Arithmetic(0, 1)
+    if isinstance(s, Arithmetic):
+        return s
+    return s.tail
 
 
 def time_set_members(s: TimeSet, start: int, stop: int) -> Iterator[int]:
@@ -413,9 +370,31 @@ TargetSequence = Union[ConstantPoint, EventuallyPeriodic, ShiftTarget]
 # ---------------------------------------------------------------------------
 
 
-def tau_exponents(phi: RateFunction) -> RateExponents:
-    """Closed-form (tau_upper, tau_lower) of a parametric rate."""
-    return phi.exponents()
+def tau_exponents(
+    phi: RateFunction | RateExponents, s: TimeSet | None = None
+) -> RateExponents:
+    """Closed-form (tau_upper, tau_lower) of a rate, tau_upper taken along S.
+
+    Lower bounds consult phi only at hit times in S, so their tau_upper is
+    limsup -ln(phi(n))/n over n in S, which only the arithmetic tail of S
+    decides.  For a PiecewiseExponential that tail meets the residues
+    r = offset (mod gcd(period, step)) and no others; every other variant has
+    one exponent along every progression.  Upper bounds embed the hit set
+    into the every-time hit set of phi itself, so tau_lower is phi's own
+    liminf exponent.  The two stay ordered: liminf over all n is at most the
+    limsup over S.  Without ``s`` both are phi's own exponents.
+    """
+    own = phi if isinstance(phi, RateExponents) else phi.exponents()
+    if s is None:
+        return own
+    tail = arithmetic_tail(s)
+    if tail is None:
+        raise RateError("no exponent along a bounded time set")
+    if isinstance(phi, PiecewiseExponential):
+        g = math.gcd(phi.period, tail.step)
+        up = max(phi.taus[tail.offset % g :: g])
+        return RateExponents(up, own.tau_lower)
+    return own
 
 
 def family_tau(exponents: Sequence[RateExponents]) -> RateExponents:
@@ -426,75 +405,3 @@ def family_tau(exponents: Sequence[RateExponents]) -> RateExponents:
         max(e.tau_upper for e in exponents),
         max(e.tau_lower for e in exponents),
     )
-
-
-_MAX_PREFIX = 1_000_000
-
-
-def _tail_tau_at(phi: RateFunction, residue: int, period: int) -> float:
-    """Exponent of phi's tail along the residue class (exponential-type rates)."""
-    if isinstance(phi, Exponential):
-        return phi.tau
-    if isinstance(phi, Tabulated):
-        return phi.tail_tau
-    if isinstance(phi, (PiecewiseExponential, TabulatedPeriodic)):
-        # residue classes of the composite period map to phi's own classes
-        return phi.taus[residue % phi.period]
-    raise RateError(f"unsupported rate variant {type(phi).__name__}")
-
-
-def _base_prefix_len(phi: RateFunction) -> int:
-    if isinstance(phi, Tabulated):
-        return len(phi.values)
-    if isinstance(phi, TabulatedPeriodic):
-        return len(phi.prefix)
-    return 0
-
-
-def restrict_rate(phi: RateFunction, s: TimeSet) -> RateFunction:
-    """The rate equal to phi on S and 1 off S.
-
-    Only hit times in S consult phi, so replacing phi by the restricted rate
-    leaves the shrinking target set unchanged while never decreasing phi
-    pointwise; the restricted tau_upper is limsup of -ln(phi(n))/n over n in S.
-
-    PowerLaw rates are returned unchanged: their exponents are (0, 0) on every
-    unbounded S and the off-S values do not admit an exponential-form
-    representation.
-    """
-    if s.bounded:
-        raise RateError("cannot restrict to a bounded time set")
-    if isinstance(s, AllTimes):
-        return phi
-    if isinstance(phi, PowerLaw):
-        return phi
-
-    if isinstance(s, Arithmetic):
-        tail = s
-        explicit: tuple[int, ...] = ()
-    else:
-        assert isinstance(s, Explicit) and s.tail is not None
-        tail = s.tail
-        explicit = s.times
-
-    base_period = phi.period if isinstance(phi, (PiecewiseExponential, TabulatedPeriodic)) else 1
-    period = math.lcm(base_period, tail.step)
-    # Prefix covers the base table, the explicit times and the pre-tail range
-    # so the periodic section is exact from the first coordinate it governs.
-    prefix_len = max(
-        _base_prefix_len(phi),
-        explicit[-1] if explicit else 0,
-        tail.offset - 1 if tail.offset >= 1 else 0,
-    )
-    if prefix_len > _MAX_PREFIX:
-        raise RateError(f"restriction prefix of length {prefix_len} is unreasonably large")
-
-    prefix = tuple(
-        phi._phi_checked(n) if s.contains(n) else 1.0
-        for n in range(1, prefix_len + 1)
-    )
-    taus = tuple(
-        _tail_tau_at(phi, c, period) if (c - tail.offset) % tail.step == 0 else 0.0
-        for c in range(period)
-    )
-    return TabulatedPeriodic(prefix=prefix, period=period, taus=taus)

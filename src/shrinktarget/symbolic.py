@@ -22,12 +22,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .rates import (
-    Arithmetic,
-    AllTimes,
-    Explicit,
     ShiftTarget,
     SymbolSequence,
     TimeSet,
+    arithmetic_tail,
 )
 
 
@@ -430,17 +428,11 @@ def index_set(
     schedule preperiod, so one full cycle of the tail enumerates every pair
     that recurs.
     """
-    if isinstance(s, Explicit) and s.tail is None:
+    tail = arithmetic_tail(s)
+    if tail is None:
         raise UndecidableTargetError(
             "bounded time set: no pair occurs infinitely often"
         )
-    if isinstance(s, AllTimes):
-        tail = Arithmetic(0, 1)
-    elif isinstance(s, Arithmetic):
-        tail = s
-    else:
-        assert isinstance(s, Explicit) and s.tail is not None
-        tail = s.tail
 
     n = d.period
     sched = math.lcm(z.schedule_period, n)

@@ -116,26 +116,17 @@ class TestLowerFactor:
 
     def test_chi_zero_matches_plain_factor(self):
         for t in (0.0, 0.3, 0.7):
-            assert lower_factor(1.0, 2.0, t, chi=0.0) == pytest.approx(
+            assert lower_factor(1.0, 2.0, t) == pytest.approx(
                 (1.0 * 2.0 - 2.0 * t) / (1.0 * 2.0 + 1.0 * t), abs=1e-15
             )
-
-    def test_chi_weakening_shrinks_factor(self):
-        base = lower_factor(1.0, 1.0, 0.4, chi=0.0)
-        weak = lower_factor(1.0, 1.0, 0.4, chi=0.5)
-        assert weak < base
-        assert weak == pytest.approx(
-            (1.0 / 1.5) * (1.0 - 0.4) / (1.0 + 0.4 + 2.0 * 0.5 * 0.4), abs=1e-15
-        )
 
     @given(
         lam1=st.floats(min_value=0.1, max_value=5.0),
         lam2=st.floats(min_value=0.1, max_value=5.0),
-        chi=st.floats(min_value=0.0, max_value=2.0),
     )
-    def test_monotone_nonincreasing_in_tau(self, lam1, lam2, chi):
+    def test_monotone_nonincreasing_in_tau(self, lam1, lam2):
         taus = [lam1 * k / 10.0 for k in range(10)]
-        vals = [lower_factor(lam1, lam2, t, chi) for t in taus]
+        vals = [lower_factor(lam1, lam2, t) for t in taus]
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -258,10 +249,6 @@ class TestHyperbolicSet:
         rep = bounds_hyperbolic_set(prof, tau(0.7))
         assert rep.entropy_lower is None
         assert rep.entropy_upper is not None
-
-    def test_index_veto_blocks_lower(self):
-        rep = bounds_hyperbolic_set(CAT_SHARP, tau(0.1), index_ok=False)
-        assert rep.entropy_lower is None
 
 
 class TestExpanding:

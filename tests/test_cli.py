@@ -12,6 +12,9 @@ from shrinktarget.symbolic import NotMixingError, ShiftOfFiniteType, mixing_gap
 LN2 = math.log(2.0)
 CAT_LOG_UNSTABLE = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
+REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "tests" / "golden"
+SCHEMA_PATH = REPO / "docs" / "config_schema.json"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -271,6 +274,41 @@ class TestRun:
         (row,) = res["rows"]
         assert float(row["h_lower"]) == pytest.approx(LN2 / 1.8, abs=1e-12)
         assert float(row["h_upper"]) == pytest.approx(LN2 / 1.4, abs=1e-12)
+
+    # The exponent along S comes from S's arithmetic tail alone, so neither
+    # a phi that underflows before the tail (exp(-1000)) nor a tail offset
+    # past 10^6 may need a table of phi up to the tail.
+    FAR_TIME_SETS = [
+        pytest.param(1.0, {"kind": "explicit", "times": [1000], "tail": {"offset": 1001, "step": 1}}, id="explicit_tail_1001"),
+        pytest.param(0.5, {"kind": "arithmetic", "offset": 2_000_000, "step": 3}, id="arithmetic_2e6"),
+    ]
+
+    @pytest.mark.parametrize("system", ["golden_mean", "cat_map"])
+    @pytest.mark.parametrize("tau,time_set", FAR_TIME_SETS)
+    def test_bounds_on_a_time_set_far_out(self, tmp_path, monkeypatch, system, tau, time_set):
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tau, tasks=("bounds",)) if system == "golden_mean" else cat_map_config(tau, tasks=("bounds",))
+        payload["rates"][0]["time_set"] = time_set
+        assert main(["bounds", "--config", str(write_config(tmp_path, payload))]) == 0
+        res = read_report(tmp_path)["results"][0]
+        assert res["status"] == "ok"
+        assert (float(res["tau_upper"]), float(res["tau_lower"])) == (tau, tau)
+        sides = [row[k] for row in res["rows"] for k in ("h_lower", "h_upper", "dim_lower", "dim_upper")]
+        assert sides[0] is not None
+        assert all(math.isfinite(float(v)) for v in sides if v is not None)
+
+    def test_witness_on_a_time_set_far_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        tau, time_set = self.FAR_TIME_SETS[0].values
+        payload = golden_oracle_config(tau, tasks=("witness",))
+        payload["rates"][0]["time_set"] = time_set
+        payload["oracle_params"]["stages"] = 3
+        assert main(["witness", "--config", str(write_config(tmp_path, payload))]) == 0
+        res = read_report(tmp_path)["results"][0]
+        (row,) = res["rows"]
+        assert res["status"] == "ok" and row["all_verified"] is True
+        assert row["planned_hits"][0] == 1000
+        assert row["independently_confirmed"] == row["planned_hits"]
 
     def test_periodic_sft_with_common_index(self, tmp_path, monkeypatch):
         # bipartite SFT {0,1}<->{2,3}: period 2, entropy ln 2; a class-0 target
@@ -615,16 +653,36 @@ class TestValidation:
     @pytest.mark.parametrize("lambda1,ln_l1,message", PROFILE_SHAPES)
     def test_schema_profile_shapes_match_config(self, lambda1, ln_l1, message):
         jsonschema = pytest.importorskip("jsonschema")
-        schema_path = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
-        validator = jsonschema.Draft202012Validator(json.loads(schema_path.read_text()))
+        validator = jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text()))
         payload = self._profile_config(lambda1, ln_l1)
         assert validator.is_valid(payload) == (message is None)
         if message is None:
             parse_config(payload)
 
+    @pytest.mark.parametrize(
+        "report", sorted(GOLDEN.glob("*/*/report.json")), ids=lambda p: f"{p.parent.parent.name}/{p.parent.name}"
+    )
+    def test_schema_accepts_every_golden_config(self, report):
+        jsonschema = pytest.importorskip("jsonschema")
+        validator = jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text()))
+        errors = [f"{e.json_path}: {e.message}" for e in validator.iter_errors(json.loads(report.read_text())["config"])]
+        assert errors == []
+
+    @pytest.mark.parametrize("bad", [None, 5, True, ["out"]], ids=["null", "int", "true", "list"])
+    def test_output_dir_must_be_a_string(self, tmp_path, monkeypatch, capsys, bad):
+        # a non-string must not become a directory name such as "None"
+        monkeypatch.chdir(tmp_path)
+        payload = cat_map_config()
+        payload["output"]["dir"] = bad
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert (exc.value.path, exc.value.message) == ("$.output.dir", f"expected a string, got {bad!r}")
+        assert main(["analyze", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert "$.output.dir: expected a string" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
     def test_schema_enums_match_config(self):
-        schema_path = Path(__file__).resolve().parents[1] / "docs" / "config_schema.json"
-        props = json.loads(schema_path.read_text())["properties"]
+        props = json.loads(SCHEMA_PATH.read_text())["properties"]
         assert tuple(props["tasks"]["items"]["enum"]) == TASKS
         assert tuple(props["output"]["properties"]["formats"]["items"]["enum"]) == FORMATS
 

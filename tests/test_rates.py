@@ -14,10 +14,9 @@ from shrinktarget.rates import (
     RateExponents,
     SymbolSequence,
     Tabulated,
-    TabulatedPeriodic,
+    arithmetic_tail,
     family_tau,
     first_member_at_least,
-    restrict_rate,
     tau_exponents,
     time_set_members,
 )
@@ -28,6 +27,31 @@ def sampled_exponent(phi, residue=None, period=1, lo=101, hi=160):
     is still representable in binary64."""
     ns = [n for n in range(lo, hi) if residue is None or n % period == residue]
     return [-math.log(phi.phi(n)) / n for n in ns]
+
+
+taus = st.floats(min_value=0.0, max_value=5.0)
+
+
+@st.composite
+def rates(draw):
+    kind = draw(st.sampled_from(["exponential", "piecewise", "tabulated"]))
+    if kind == "exponential":
+        return Exponential(draw(taus))
+    if kind == "piecewise":
+        ts = draw(st.lists(taus, min_size=1, max_size=6))
+        return PiecewiseExponential(len(ts), tuple(ts))
+    values = draw(st.lists(st.floats(min_value=1e-300, max_value=1.0), max_size=8))
+    return Tabulated(tuple(values), draw(taus))
+
+
+@st.composite
+def unbounded_time_sets(draw):
+    tail = Arithmetic(draw(st.integers(0, 40)), draw(st.integers(1, 12)))
+    if draw(st.booleans()):
+        return tail
+    times = draw(st.lists(st.integers(0, 60), unique=True, max_size=5))
+    tail = Arithmetic(max(times, default=-1) + 1 + tail.offset, tail.step)
+    return Explicit(tuple(sorted(times)), tail=tail)
 
 
 class TestTauExponents:
@@ -76,52 +100,56 @@ class TestFamilyTau:
 
 
 class TestRestrictRate:
+    """tau_upper along S: the limsup of -ln(phi(n))/n over n in S only."""
+
     def test_even_restriction_of_exponential(self):
         # derived: limsup over even n of n*1.0/n = 1.0
-        out = restrict_rate(Exponential(1.0), Arithmetic(0, 2))
-        assert tau_exponents(out).tau_upper == pytest.approx(1.0)
-        assert out.phi(4) == pytest.approx(math.exp(-4.0))
-        assert out.phi(5) == 1.0
+        out = tau_exponents(Exponential(1.0), Arithmetic(0, 2))
+        assert out == RateExponents(1.0, 1.0)
 
     def test_all_times_is_identity(self):
-        phi = Exponential(0.3)
-        assert restrict_rate(phi, AllTimes()) is phi
+        for phi in (Exponential(0.3), PowerLaw(1.0), PiecewiseExponential(2, (1.0, 2.0)), RateExponents(0.7, 0.2)):
+            assert tau_exponents(phi, AllTimes()) == tau_exponents(phi)
 
     def test_piecewise_picks_even_branch(self):
-        out = restrict_rate(PiecewiseExponential(2, (1.0, 2.0)), Arithmetic(0, 2))
-        assert tau_exponents(out).tau_upper == pytest.approx(1.0)
+        out = tau_exponents(PiecewiseExponential(2, (1.0, 2.0)), Arithmetic(0, 2))
+        assert out == RateExponents(1.0, 1.0)
 
     def test_bounded_set_rejected(self):
-        with pytest.raises(RateError, match="bounded"):
-            restrict_rate(Exponential(1.0), Explicit((1, 2, 3)))
+        for phi in (Exponential(1.0), RateExponents(1.0, 1.0)):
+            with pytest.raises(RateError, match="bounded"):
+                tau_exponents(phi, Explicit((1, 2, 3)))
 
     def test_explicit_with_tail(self):
+        # the explicit times 3 and 5 sit on the residues with taus 2.0 and 3.0,
+        # but only the tail 10 + 4k counts, and it stays on residue 2
         s = Explicit((3, 5), tail=Arithmetic(10, 4))
-        out = restrict_rate(Exponential(2.0), s)
-        for n in range(1, 30):
-            if s.contains(n):
-                assert out.phi(n) == pytest.approx(math.exp(-2.0 * n))
-            else:
-                assert out.phi(n) == 1.0
+        assert tau_exponents(Exponential(2.0), s) == RateExponents(2.0, 2.0)
+        phi = PiecewiseExponential(4, (0.5, 3.0, 1.0, 2.0))
+        assert tau_exponents(phi, s) == RateExponents(1.0, 0.5)
 
     def test_offset_beyond_step_is_exact(self):
         s = Arithmetic(7, 2)
-        out = restrict_rate(Exponential(1.0), s)
-        for n in range(1, 20):
-            expected = math.exp(-float(n)) if s.contains(n) else 1.0
-            assert out.phi(n) == pytest.approx(expected)
+        assert tau_exponents(Exponential(1.0), s) == RateExponents(1.0, 1.0)
+        assert tau_exponents(PiecewiseExponential(2, (1.0, 2.0)), s) == RateExponents(2.0, 1.0)
+        # gcd(6, 4) = 2: the odd tail 7 + 4k meets residues 1, 3 and 5 mod 6
+        phi = PiecewiseExponential(6, (0.0, 0.5, 4.0, 1.5, 6.0, 1.0))
+        assert tau_exponents(phi, Arithmetic(7, 4)) == RateExponents(1.5, 0.0)
 
-    @given(
-        tau=st.floats(min_value=0.0, max_value=5.0),
-        offset=st.integers(min_value=0, max_value=6),
-        step=st.integers(min_value=1, max_value=5),
-    )
-    def test_never_decreases_phi_pointwise(self, tau, offset, step):
-        phi = Exponential(tau)
-        out = restrict_rate(phi, Arithmetic(offset, step))
-        for n in range(1, 60):
-            assert out.phi(n) >= phi.phi(n) - 1e-15
-        assert tau_exponents(out).tau_upper <= tau_exponents(phi).tau_upper + 1e-15
+    @given(phi=rates(), s=unbounded_time_sets())
+    def test_matches_sampled_limsup_along_tail(self, phi, s):
+        # one full period lcm(period, step) of the tail, past phi's table
+        tail = arithmetic_tail(s)
+        period = phi.period if isinstance(phi, PiecewiseExponential) else 1
+        table = len(phi.values) if isinstance(phi, Tabulated) else 0
+        start = first_member_at_least(tail, table + 1)
+        window = range(start, start + math.lcm(period, tail.step), tail.step)
+        sampled = max(-phi.log_phi(n) / n for n in window)
+        got = tau_exponents(phi, s)
+        own = phi.exponents()
+        assert got.tau_upper == pytest.approx(sampled, rel=0.0, abs=1e-12)
+        assert own.tau_lower <= got.tau_upper <= own.tau_upper
+        assert got.tau_lower == own.tau_lower
 
 
 class TestInvariants:
@@ -133,7 +161,6 @@ class TestInvariants:
             PowerLaw(1.5),
             PiecewiseExponential(3, (0.0, 1.0, 2.5)),
             Tabulated((0.5, 1.0), 0.1),
-            TabulatedPeriodic((0.25,), 2, (0.0, 1.0)),
         ):
             v = phi.phi(n)
             assert 0.0 < v <= 1.0
@@ -194,8 +221,9 @@ class TestTimeSets:
             Explicit((3, 3))
         with pytest.raises(RateError, match="strictly after"):
             Explicit((5,), tail=Arithmetic(4, 2))
-        assert Explicit((1, 2)).bounded
-        assert not Explicit((1, 2), tail=Arithmetic(10, 1)).bounded
+        assert arithmetic_tail(Explicit((1, 2))) is None
+        assert arithmetic_tail(Explicit((1, 2), tail=Arithmetic(10, 1))) == Arithmetic(10, 1)
+        assert arithmetic_tail(AllTimes()) == Arithmetic(0, 1)
 
 
 class TestSymbolSequence:

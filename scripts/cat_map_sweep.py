@@ -29,11 +29,11 @@ def sweep(entries, step):
     return sweep_rows(facts, taus)
 
 
-def main():
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--step", type=float, default=0.05)
     parser.add_argument("--out", default="sweep_out")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -42,7 +42,8 @@ def main():
         path = out / f"{name}.csv"
         path.write_bytes(render_csv(rows, _SWEEP_COLUMNS).encode())
         print(f"wrote {path} ({len(rows)} rows)", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -22,6 +22,13 @@ Conventions used throughout:
 * Equality dispatch at case boundaries (e.g. tau_lower = ln L1) uses a
   half-open convention with tolerance ``BOUNDARY_TOL``: values within the
   tolerance land in the boundary case.
+* The exponents may be float64 arrays instead of floats: one run of a tau
+  grid on which every branch test has one value (:func:`tau_runs` splits a
+  grid into such runs).  Each formula is written once, and numpy's
+  + - * / round as Python's do, so an array element equals the float result
+  bit for bit.  A side is then a float or an array; NaN in an array marks an
+  element where the side is not asserted (None for a float), and the
+  report checks hold for every element.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .rates import RateExponents, RateFunction
 from .systems import HyperbolicityProfile
@@ -58,15 +67,59 @@ class BoundReport:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for lo, hi in (
-            (self.entropy_lower, self.entropy_upper),
-            (self.dim_lower, self.dim_upper),
-        ):
-            if lo is not None and hi is not None and lo > hi + 1e-12:
-                raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
+        pairs = [
+            (lo, hi)
+            for lo, hi in ((self.entropy_lower, self.entropy_upper), (self.dim_lower, self.dim_upper))
+            if lo is not None and hi is not None
+        ]
+        bad = [lo > hi + 1e-12 for lo, hi in pairs]
+        if any(map(np.any, bad)):
+            # the first tau that fails, and at it the entropy before the dimension
+            i, k = np.argwhere(np.column_stack(np.broadcast_arrays(*bad)))[0]
+            lo, hi = (x if np.ndim(x) == 0 else float(x[i]) for x in pairs[k])
+            raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
         if self.case_tag is CaseTag.EXACT:
-            if self.entropy_lower != self.entropy_upper or self.dim_lower != self.dim_upper:
+            if np.any(self.entropy_lower != self.entropy_upper) or np.any(self.dim_lower != self.dim_upper):
                 raise ValueError("exact reports must have coinciding sides")
+
+
+# ---------------------------------------------------------------------------
+# Case dispatch on tau
+# ---------------------------------------------------------------------------
+
+
+def _at(x, c):
+    """The boundary-case test |x - c| <= BOUNDARY_TOL, on floats or an array."""
+    return abs(x - c) <= BOUNDARY_TOL
+
+
+def _holds(test) -> bool:
+    """A branch test on one tau, or on a run of taus that all take one branch."""
+    if np.all(test) != np.any(test):
+        raise ValueError("a branch test differs within one run of taus; split the grid with tau_runs")
+    return bool(np.all(test))
+
+
+def tau_runs(taus: np.ndarray, thresholds) -> list[slice]:
+    """Split a tau array into the runs the theorems dispatch on.
+
+    Every branch a theorem takes on tau compares it with a threshold c of
+    the system (1, ln L1, lambda1 or +inf) by |tau - c| <= BOUNDARY_TOL,
+    tau > c or tau < c.  The runs are the maximal slices on which each of
+    these tests has one value for every c in ``thresholds``.  An increasing
+    grid passes each c once, so it has a few runs whatever its length.
+    """
+    if not len(taus):
+        return []
+    change = np.zeros(len(taus) - 1, dtype=bool)
+    for c in thresholds:
+        tests = [taus > c, taus < c]
+        if c < math.inf:  # |tau - inf| is never within the tolerance
+            tests.append(_at(taus, c))
+        for test in tests:
+            change |= test[1:] != test[:-1]
+    edges = [0, *(np.flatnonzero(change) + 1).tolist(), len(taus)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +133,13 @@ def lower_factor(lambda1: float, lambda2: float, tau_bar: float) -> float:
         (l1*l2 - l2*t) / (l1*l2 + l1*t).
 
     lambda1 = +inf is evaluated as the algebraic limit l2 / (l2 + t), which
-    is also the one-sided-shift / expanding-map specialization.
+    is also the one-sided-shift / expanding-map specialization (0 at
+    t = +inf, as IEEE division gives).
     """
     t = tau_bar
     if math.isinf(lambda1):
-        if math.isinf(t):
-            return 0.0
         return lambda2 / (lambda2 + t)
-    if not t < lambda1:
+    if not _holds(t < lambda1):
         raise HypothesisViolatedError(
             f"lower bound requires tau_bar < lambda1 ({t} >= {lambda1})"
         )
@@ -111,9 +163,9 @@ def _bilipschitz_upper(
     below it the factor is (ln L1 ln L2 - t ln L2)/(ln L1 ln L2 + t ln L1).
     """
     l1, l2, h = p.ln_l1, p.ln_l2, p.h_top
-    if not math.isinf(t) and abs(t - l1) <= BOUNDARY_TOL:
+    if _holds(_at(t, l1)):
         return CaseTag.BOUNDARY_ZERO, 0.0, h / p.lambda1, ("tau_lower == ln L1", True)
-    if t > l1:
+    if _holds(t > l1):
         return CaseTag.DEGENERATE_ZERO, 0.0, 0.0, ("tau_lower > ln L1", True)
     f = (l1 * l2 - t * l2) / (l1 * l2 + t * l1)
     return CaseTag.GENERIC, f * h, (1.0 / p.lambda1 + f / p.lambda2) * h, ("tau_lower < ln L1", True)
@@ -127,15 +179,16 @@ def bounds_general_profile(profile: HyperbolicityProfile, tau: RateExponents) ->
     takes the three-way dispatch of :func:`_bilipschitz_upper`.  Lower side:
     factor * h_top for the entropy, and factor * h_top / ln L or
     (1/ln L1 + factor/ln L2) h_top for the dimension, valid when
-    tau_upper < lambda1.  A lower side above a zero upper side (the
-    boundary and degenerate cases) is dropped.
+    tau_upper < lambda1.  A lower side above its upper side (the boundary
+    and degenerate cases, or a profile whose constants are below its
+    exponents) is dropped.
     """
     p = profile
     h, t = p.h_top, tau.tau_lower
     if p.ln_l1 is None:
         if not math.isinf(p.lambda1):
             raise ValueError("a Lipschitz profile (no ln_l1) needs lambda1 = +inf")
-        if math.isinf(t):
+        if _holds(t == math.inf):
             h_up, tag = 0.0, CaseTag.DEGENERATE_ZERO
         else:
             h_up, tag = (p.ln_l2 / (p.ln_l2 + t)) * h, CaseTag.GENERIC
@@ -153,8 +206,12 @@ def bounds_general_profile(profile: HyperbolicityProfile, tau: RateExponents) ->
     except HypothesisViolatedError:
         h_low = dim_low = None
         assumptions.append(("lower hypothesis tau_upper < lambda1", False))
-    if h_low is not None and h_low > h_up:
-        h_low = dim_low = None
+    if h_low is not None and np.any(h_low > h_up):
+        if np.ndim(h_low) == 0:
+            h_low = dim_low = None
+        else:
+            keep = h_low <= h_up
+            h_low, dim_low = np.where(keep, h_low, np.nan), np.where(keep, dim_low, np.nan)
         assumptions.append(("lower/upper regime conflict", False))
     return BoundReport(h_low, h_up, dim_low, dim_up, tag, tuple(assumptions))
 
@@ -198,14 +255,14 @@ def bounds_hyperbolic_set(
         dim_low = None if tag is CaseTag.BOUNDARY_ZERO else 0.0
         return BoundReport(0.0, 0.0, dim_low, dim_up, tag, tuple(assumptions) + (upper,))
 
-    if abs(l1 - lam1) <= BOUNDARY_TOL and abs(l2 - lam2) <= BOUNDARY_TOL and tau_lower_substitution:
+    if _at(l1, lam1) and _at(l2, lam2) and tau_lower_substitution:
         dim_val = (1.0 / l1) * (l1 + l2) / (l2 + t_low) * h
         return BoundReport(
             h_up, h_up, dim_val, dim_val, CaseTag.EXACT,
             tuple(assumptions) + (("L1 == lambda1^-1 and L2 == lambda2^-1", True),),
         )
 
-    if t_for_lower < lam1:
+    if _holds(t_for_lower < lam1):
         f_low = lower_factor(lam1, lam2, t_for_lower)
         h_low = f_low * h
         dim_low = (1.0 / l1 + f_low / l2) * h
@@ -246,10 +303,10 @@ def bounds_expanding(
     t_for_lower = t_low if tau_lower_substitution else tau.tau_upper
     assumptions = [("tau_lower_substitution", tau_lower_substitution)]
 
-    f_up = 0.0 if math.isinf(t_low) else lnl / (lnl + t_low)
-    if abs(lnl - lam) <= BOUNDARY_TOL and tau_lower_substitution:
+    f_up = lnl / (lnl + t_low)
+    if _at(lnl, lam) and tau_lower_substitution:
         h_val = f_up * h
-        dim_val = 0.0 if math.isinf(t_low) else h / (lnl + t_low)
+        dim_val = h / (lnl + t_low)
         return BoundReport(
             h_val, h_val, dim_val, dim_val, CaseTag.EXACT,
             tuple(assumptions) + (("L == lambda", True),),
@@ -316,12 +373,12 @@ def bounds_two_sided_shift(
     if index_ok is not None:
         assumptions.append(("index_intersection_nonempty", index_ok))
 
-    if not math.isinf(t_low) and abs(t_low - 1.0) <= BOUNDARY_TOL:
+    if _holds(_at(t_low, 1.0)):
         return BoundReport(
             0.0, 0.0, None, h_top, CaseTag.BOUNDARY_ZERO,
             tuple(assumptions) + (("tau_lower == 1", True),),
         )
-    if t_low > 1.0:
+    if _holds(t_low > 1.0):
         return BoundReport(
             0.0, 0.0, 0.0, 0.0, CaseTag.DEGENERATE_ZERO,
             tuple(assumptions) + (("tau_lower > 1", True),),
@@ -330,7 +387,7 @@ def bounds_two_sided_shift(
     dim_up = 2.0 / (1.0 + t_low) * h_top
     if mixing and time_sets_all_naturals:
         return BoundReport(h_up, h_up, dim_up, dim_up, CaseTag.EXACT, tuple(assumptions))
-    if (mixing or index_ok is True) and t_up < 1.0:
+    if (mixing or index_ok is True) and _holds(t_up < 1.0):
         h_low = (1.0 - t_up) / (1.0 + t_up) * h_top
         dim_low = 2.0 / (1.0 + t_up) * h_top
         return BoundReport(h_low, h_up, dim_low, dim_up, CaseTag.GENERIC, tuple(assumptions))

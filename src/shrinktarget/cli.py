@@ -37,6 +37,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from . import __version__
 from .bounds import (
     BoundReport,
@@ -47,6 +49,7 @@ from .bounds import (
     bounds_one_sided_shift,
     bounds_two_sided_shift,
     covering_bounds,
+    tau_runs,
 )
 from .config import ConfigError, ExperimentConfig, RateTriple, SystemSpec, load_config
 from .oracle import (
@@ -258,6 +261,8 @@ _COMPLEX_PAIR_NOTE = (
 def evaluate(facts: SystemFacts, tau: RateExponents, context: EvalContext) -> tuple[tuple[str, BoundReport], ...]:
     """The (rule, report) rows the theorems give for ``facts`` at ``tau``.
 
+    ``tau`` holds floats, or float64 arrays for one run of a sweep grid
+    (``sweep_rows``); the report sides are then arrays over the run too.
     Shifts and profiles get the same rows for every task.  A matrix has one
     theorem path: ``bounds_expanding`` if it is expanding, else
     ``bounds_hyperbolic_set``.  "bounds" runs it on the crude profile and,
@@ -304,23 +309,60 @@ def evaluate(facts: SystemFacts, tau: RateExponents, context: EvalContext) -> tu
     )
 
 
+def _tau_thresholds(facts: SystemFacts) -> tuple[float, ...]:
+    """The thresholds that the theorem ``evaluate`` picks for a sweep tests tau against.
+
+    A two-sided shift has ln L1 = 1; a profile has ln L1 (when bi-Lipschitz)
+    and lambda1 (+inf for a Lipschitz one).  A matrix sweeps its sharp
+    profile, or the crude one; a non-hyperbolic matrix has neither and fails.
+    """
+    if facts.kind in ("sft", "sofic"):
+        return (1.0,) if facts.sided == "two" else ()
+    p = facts.profile if facts.kind == "profile" else facts.sharp if facts.sharp is not None else facts.crude
+    return () if p is None else tuple(c for c in (p.ln_l1, p.lambda1) if c is not None)
+
+
+def _column(side, n: int) -> list[str | None]:
+    """A float or array over a run of ``n`` taus, formatted as ``fmt`` does.
+
+    None where a report side is unavailable: the whole run, or NaN elements.
+    """
+    if side is None:
+        return [None] * n
+    col = np.broadcast_to(side, n)
+    out = list(map(format, col.tolist(), itertools.repeat(".12g")))
+    for i in np.flatnonzero(np.isnan(col)).tolist():
+        out[i] = None
+    return out
+
+
 def sweep_rows(facts: SystemFacts, taus) -> list[dict]:
-    """One sweep row per tau, with tau_upper = tau_lower = tau and S = N."""
+    """One sweep row per tau, with tau_upper = tau_lower = tau and S = N.
+
+    ``taus`` is split into the runs the theorems dispatch on
+    (``bounds.tau_runs`` at ``_tau_thresholds``); config validation makes it
+    strictly increasing, so there are a few.  Each run is one ``evaluate``
+    call on a float64 array, whose elements equal the per-tau floats bit for
+    bit, and each report side is formatted in one pass per run.
+    """
     context = _context(facts, "sweep")
-    rows = []
-    for t in taus:
-        ((_, rep),) = evaluate(facts, RateExponents(t, t), context)
-        rows.append(
-            {
-                "tau": fmt(t),
-                "h_lower": fmt(rep.entropy_lower),
-                "h_upper": fmt(rep.entropy_upper),
-                "dim_lower": fmt(rep.dim_lower),
-                "dim_upper": fmt(rep.dim_upper),
-                "case_tag": rep.case_tag.value,
-            }
-        )
-    return rows
+    t = np.asarray(taus, dtype=float)
+    sides: tuple[list, ...] = ([], [], [], [])
+    tags: list[str] = []
+    for run in tau_runs(t, _tau_thresholds(facts)):
+        ((_, rep),) = evaluate(facts, RateExponents(t[run], t[run]), context)
+        n = run.stop - run.start
+        done: dict[int, list] = {}  # the sides of an EXACT report are one object
+        for col, side in zip(sides, (rep.entropy_lower, rep.entropy_upper, rep.dim_lower, rep.dim_upper)):
+            if id(side) not in done:
+                done[id(side)] = _column(side, n)
+            col += done[id(side)]
+        tags += [rep.case_tag.value] * n
+    # a dict display builds each row faster than dict(zip(_SWEEP_COLUMNS, ...))
+    return [
+        {"tau": a, "h_lower": b, "h_upper": c, "dim_lower": d, "dim_upper": e, "case_tag": f}
+        for a, b, c, d, e, f in zip(_column(t, len(t)), *sides, tags)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -192,11 +192,8 @@ def _parse_time_set(obj: Any, path: str) -> TimeSet:
                 _as_int(v, f"{path}.times[{i}]")
                 for i, v in enumerate(_as_list(_require(d, "times", path), f"{path}.times"))
             ]
-            tail = d.get("tail")
-            return Explicit(
-                tuple(times),
-                _parse_arithmetic(tail, f"{path}.tail") if tail is not None else None,
-            )
+            # a bounded S has an empty hit set, so no theorem applies to it
+            return Explicit(tuple(times), _parse_arithmetic(_require(d, "tail", path), f"{path}.tail"))
     except RateError as exc:
         raise ConfigError(path, str(exc)) from exc
     raise ConfigError(f"{path}.kind", f"unknown time set kind {kind!r}")

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
+import numpy as np
+
 
 class RateError(ValueError):
     """Invalid rate, time set or target data."""
@@ -33,20 +35,31 @@ def _check_nonneg(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class RateExponents:
-    """The pair (tau_upper, tau_lower); either entry may be ``math.inf``."""
+    """The pair (tau_upper, tau_lower); either entry may be ``math.inf``.
 
-    tau_upper: float
-    tau_lower: float
+    Both may also be float64 arrays of one shape, a run of a tau sweep; the
+    checks then hold for every element.
+    """
+
+    tau_upper: float | np.ndarray
+    tau_lower: float | np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("tau_upper", "tau_lower"):
             v = getattr(self, name)
-            if math.isnan(v) or v < 0.0:
-                raise RateError(f"{name} must be in [0, +inf], got {v!r}")
-        if self.tau_lower > self.tau_upper:
+            bad = np.isnan(v) | (v < 0.0)
+            if np.any(bad):
+                raise RateError(f"{name} must be in [0, +inf], got {_first(v, bad)!r}")
+        bad = self.tau_lower > self.tau_upper
+        if np.any(bad):
             raise RateError(
-                f"tau_lower={self.tau_lower} exceeds tau_upper={self.tau_upper}"
+                f"tau_lower={_first(self.tau_lower, bad)} exceeds tau_upper={_first(self.tau_upper, bad)}"
             )
+
+
+def _first(x, where):
+    """``x``, or for an array its first element where ``where`` holds."""
+    return x if np.ndim(x) == 0 else x[where][0].item()
 
 
 class RateFunction:
@@ -104,7 +117,8 @@ class PowerLaw(RateFunction):
             raise RateError("PowerLaw requires finite a")
 
     def phi(self, n: int) -> float:
-        return min(1.0, float(n) ** (-self.a))
+        # n^-a grows without bound as n -> 0, so the min is 1 at n = 0
+        return min(1.0, float(n) ** (-self.a)) if n else 1.0
 
     def exponents(self) -> RateExponents:
         return RateExponents(0.0, 0.0)

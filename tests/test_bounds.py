@@ -1,8 +1,9 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from shrinktarget.bounds import (
     BOUNDARY_TOL,
@@ -16,10 +17,27 @@ from shrinktarget.bounds import (
     bounds_two_sided_shift,
     covering_bounds,
     lower_factor,
+    tau_runs,
 )
-from shrinktarget.cli import EvalContext, evaluate, system_facts
-from shrinktarget.rates import Exponential, RateExponents
-from shrinktarget.symbolic import full_shift, golden_mean_shift, period_decomposition, sft_entropy
+from shrinktarget.cli import (
+    _SWEEP_COLUMNS,
+    EvalContext,
+    TaskError,
+    _context,
+    evaluate,
+    fmt,
+    sweep_rows,
+    system_facts,
+)
+from shrinktarget.rates import Exponential, RateError, RateExponents
+from shrinktarget.symbolic import (
+    ShiftOfFiniteType,
+    SoficPresentation,
+    full_shift,
+    golden_mean_shift,
+    period_decomposition,
+    sft_entropy,
+)
 from shrinktarget.systems import (
     HyperbolicityProfile,
     IntegerMatrixSystem,
@@ -426,6 +444,93 @@ class TestReportInvariants:
     def test_exact_must_coincide(self):
         with pytest.raises(ValueError, match="coinciding"):
             BoundReport(0.5, 0.6, 0.5, 0.6, CaseTag.EXACT)
+
+    def test_checks_hold_for_every_array_element(self):
+        lo, hi = np.array([0.1, 1.0, 0.2]), np.array([0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="lower bound 1.0 exceeds upper bound 0.5"):
+            BoundReport(lo, hi, None, None, CaseTag.GENERIC)
+        with pytest.raises(ValueError, match="coinciding"):
+            BoundReport(hi, hi, lo, np.array([0.1, 1.0, 0.3]), CaseTag.EXACT)
+        BoundReport(np.array([np.nan, 0.4]), 0.5, None, None, CaseTag.GENERIC)  # NaN: not asserted
+        with pytest.raises(RateError, match=r"tau_lower must be in \[0, \+inf\], got nan"):
+            RateExponents(np.array([0.5, 1.0]), np.array([0.5, np.nan]))
+        with pytest.raises(RateError, match="tau_lower=0.7 exceeds tau_upper=0.6"):
+            RateExponents(np.array([0.5, 0.6]), np.array([0.5, 0.7]))
+
+    def test_a_run_must_not_straddle_a_threshold(self):
+        taus = np.array([0.5, 1.5])
+        with pytest.raises(ValueError, match="split the grid"):
+            bounds_two_sided_shift(True, LN2, RateExponents(taus, taus))
+        assert tau_runs(taus, (1.0,)) == [slice(0, 1), slice(1, 2)]
+        assert tau_runs(np.array([]), (1.0,)) == []
+
+
+def _per_tau_row(facts, t):
+    """The sweep row at one tau, from a float evaluation (the reference)."""
+    ((_, rep),) = evaluate(facts, RateExponents(t, t), _context(facts, "sweep"))
+    sides = (rep.entropy_lower, rep.entropy_upper, rep.dim_lower, rep.dim_upper)
+    return dict(zip(_SWEEP_COLUMNS, (fmt(t), *map(fmt, sides), rep.case_tag.value)))
+
+
+def _outcome(rows):
+    """The rows ``rows()`` gives, or the task error it raises."""
+    try:
+        return rows()
+    except TaskError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+SWEEP_FACTS = {
+    name: system_facts(system, kind)
+    for name, system, kind in (
+        ("sft_one_mixing", golden_mean_shift(), "sft"),
+        ("sft_two_mixing", ShiftOfFiniteType(((1, 1), (1, 0)), "two"), "sft"),
+        # period 2; the golden cases give the first a common index, the second none
+        ("sft_one_period2", ShiftOfFiniteType(((0, 0, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0))), "sft"),
+        ("sft_two_period2", ShiftOfFiniteType(((0, 1), (1, 0)), "two"), "sft"),
+        ("sofic_two_period2", SoficPresentation(2, ((0, 1, "a"), (0, 1, "b"), (1, 0, "c")), "two"), "sofic"),
+        ("expanding_sharp", IntegerMatrixSystem(((2, 0), (0, 3))), "matrix"),
+        ("automorphism_sharp", CAT, "matrix"),
+        ("crude_fallback", IntegerMatrixSystem(((0, 0, 1), (1, 0, 4), (0, 1, 0))), "matrix"),
+        ("profile_lipschitz", HyperbolicityProfile(lambda1=math.inf, lambda2=0.7, ln_l2=1.1, h_top=1.3), "profile"),
+        ("profile_bilipschitz", HyperbolicityProfile(lambda1=1.0, lambda2=1.5, ln_l1=1.2, ln_l2=1.7, h_top=0.9), "profile"),
+    )
+}
+_POSITIVE = st.floats(min_value=0.05, max_value=3.0)
+# any constants, so that the lower side may exceed the upper one (the regime conflict)
+RANDOM_PROFILES = st.one_of(
+    st.builds(HyperbolicityProfile, lambda1=_POSITIVE, lambda2=_POSITIVE, ln_l1=_POSITIVE, ln_l2=_POSITIVE, h_top=_POSITIVE),
+    st.builds(HyperbolicityProfile, lambda1=st.just(math.inf), lambda2=_POSITIVE, ln_l2=_POSITIVE, h_top=_POSITIVE),
+).map(lambda p: system_facts(p, "profile"))
+
+
+class TestSweepRuns:
+    @settings(max_examples=300, deadline=None)
+    @given(facts=st.one_of(st.sampled_from(list(SWEEP_FACTS.values())), RANDOM_PROFILES), data=st.data())
+    def test_rows_equal_the_per_tau_evaluation(self, facts, data):
+        p = facts.profile if facts.kind == "profile" else facts.sharp if facts.sharp is not None else facts.crude
+        # ln L1 of a shift is 1; a Lipschitz profile has ln L2 alone
+        ln_l = 1.0 if p is None else p.ln_l1 if p.ln_l1 is not None else p.ln_l2
+        special = {0.0, math.inf, 1.0, ln_l}
+        special |= {ln_l + d for d in (-2e-12, -5e-13, 5e-13, 2e-12)}
+        if p is not None and p.lambda1 < math.inf:
+            special.add(p.lambda1)
+        picked = data.draw(st.sets(st.sampled_from(sorted(special))))
+        extra = data.draw(st.sets(st.floats(min_value=0.0, max_value=3.0), max_size=20))
+        taus = sorted(picked | extra)
+        # a profile whose constants are below its exponents may fail the sandwich check
+        want = _outcome(lambda: [_per_tau_row(facts, t) for t in taus])
+        assert _outcome(lambda: sweep_rows(facts, taus)) == want
+
+    def test_regime_conflict_masks_single_elements(self):
+        # lambda1 > ln L1: the lower side exceeds the upper one from some tau on,
+        # within one generic run
+        facts = system_facts(HyperbolicityProfile(lambda1=2.0, lambda2=1.0, ln_l1=1.0, ln_l2=4.0, h_top=1.0), "profile")
+        taus = [0.0, 0.1, 0.2, 0.3]
+        rows = sweep_rows(facts, taus)
+        assert [row["h_lower"] for row in rows] == ["1", "0.863636363636", "0.75", None]
+        assert {row["case_tag"] for row in rows} == {"generic"}
+        assert rows == [_per_tau_row(facts, t) for t in taus]
 
 
 class TestBoundaryContinuity:

@@ -310,6 +310,17 @@ class TestRun:
         assert row["planned_hits"][0] == 1000
         assert row["independently_confirmed"] == row["planned_hits"]
 
+    def test_witness_power_law_on_all_times(self, tmp_path, monkeypatch):
+        # time 0 is in S = N, and min(1, n^-a) is 1 there
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tasks=("witness",))
+        payload["rates"][0]["phi"] = {"kind": "power_law", "a": 2.0}
+        payload["oracle_params"]["stages"] = 4
+        assert main(["witness", "--config", str(write_config(tmp_path, payload))]) == 0
+        res = read_report(tmp_path)["results"][0]
+        (row,) = res["rows"]
+        assert res["status"] == "ok" and row["all_verified"] is True
+
     def test_periodic_sft_with_common_index(self, tmp_path, monkeypatch):
         # bipartite SFT {0,1}<->{2,3}: period 2, entropy ln 2; a class-0 target
         # on even times has index difference 0, so lower bounds stay available
@@ -667,6 +678,24 @@ class TestValidation:
         validator = jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text()))
         errors = [f"{e.json_path}: {e.message}" for e in validator.iter_errors(json.loads(report.read_text())["config"])]
         assert errors == []
+
+    @pytest.mark.parametrize("command", ["bounds", "exact", "witness"])
+    def test_explicit_time_set_needs_a_tail(self, tmp_path, monkeypatch, capsys, command):
+        # the hit set of a bounded S is empty: no task can report on it
+        monkeypatch.chdir(tmp_path)
+        payload = cat_map_config(tasks=(command,)) if command != "witness" else golden_oracle_config(tasks=(command,))
+        payload["rates"][0]["time_set"] = {"kind": "explicit", "times": [1, 2, 3]}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert (exc.value.path, exc.value.message) == ("$.rates[0].time_set.tail", "missing required field")
+        assert main([command, "--config", str(write_config(tmp_path, payload))]) == 2
+        assert "$.rates[0].time_set.tail: missing required field" in capsys.readouterr().err
+        jsonschema = pytest.importorskip("jsonschema")
+        validator = jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text()))
+        assert not validator.is_valid(payload)
+        payload["rates"][0]["time_set"]["tail"] = {"offset": 4, "step": 1}
+        assert validator.is_valid(payload)
+        parse_config(payload)
 
     @pytest.mark.parametrize("bad", [None, 5, True, ["out"]], ids=["null", "int", "true", "list"])
     def test_output_dir_must_be_a_string(self, tmp_path, monkeypatch, capsys, bad):

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from shrinktarget import cli, oracle, symbolic, systems
-from shrinktarget.cli import fmt, main
+from shrinktarget import bounds, cli, oracle, symbolic, systems
+from shrinktarget.cli import _SWEEP_COLUMNS, fmt, main, render_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 CAT = [[2, 1], [1, 1]]
@@ -27,7 +27,7 @@ COUNTED = (
 
 
 def _sweep_config(system: dict, taus) -> dict:
-    target = {"kind": "point", "point": [0.0, 0.0]}
+    target = {"kind": "point", "point": [0.0] * len(system.get("entries", ()))}
     if system["kind"] != "matrix":
         target = {"kind": "symbols", "head": [], "cycle": [0]}
     return {
@@ -77,6 +77,31 @@ def test_sweep_analyses_the_system_once(kind, tmp_path, monkeypatch):
     many = counted(tmp_path / "many", 300)
     assert sum(few.values()) > 0
     assert few == many
+
+
+THEOREMS = tuple(
+    (bounds, name)
+    for name in (
+        "bounds_one_sided_shift",
+        "bounds_two_sided_shift",
+        "bounds_general_profile",
+        "bounds_hyperbolic_set",
+        "bounds_expanding",
+    )
+)
+
+
+@pytest.mark.parametrize("kind", sorted(SYSTEMS))
+def test_sweep_calls_each_theorem_once_per_run(kind, tmp_path, monkeypatch):
+    # both grids pass the thresholds 1 (two-sided shift) and ln L1 of the cat
+    # map (0.962), so they split into the same runs whatever their length
+    def calls(path, taus):
+        counts = _counted(path, monkeypatch, _sweep_config(SYSTEMS[kind], taus), "sweep", THEOREMS)
+        return sum(counts.values())
+
+    few = calls(tmp_path / "few", [0.0, 1.0, 1.5])
+    many = calls(tmp_path / "many", [i / 150 for i in range(300)])
+    assert 1 <= few == many <= 4
 
 
 SHIFT_ANALYSIS = (
@@ -142,6 +167,20 @@ def test_cat_map_script_rows_equal_cli_sweep_rows(tmp_path):
     assert [row["tau"] for row in rows] == [fmt(t) for t in taus]
     report = _run(tmp_path, _sweep_config(SYSTEMS["matrix"], taus))
     assert report["results"][0]["rows"] == rows
+
+
+def test_cat_map_script_writes_the_cli_sweep_csv(tmp_path):
+    script = _load_script("cat_map_sweep")
+    step = 0.5
+    assert script.main(["--step", str(step), "--out", str(tmp_path / "script")]) == 0
+    for name, entries in script.SYSTEMS.items():
+        text = (tmp_path / "script" / f"{name}.csv").read_text()
+        taus = [k * step for k in range(text.count("\n") - 1)]
+        system = {"kind": "matrix", "entries": [list(row) for row in entries]}
+        report = _run(tmp_path / name, _sweep_config(system, taus))
+        rows = report["results"][0]["rows"]
+        assert [row["tau"] for row in rows] == [fmt(t) for t in taus]
+        assert text == render_csv(rows, _SWEEP_COLUMNS)
 
 
 @pytest.mark.parametrize(

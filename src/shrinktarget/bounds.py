@@ -206,13 +206,16 @@ def bounds_general_profile(profile: HyperbolicityProfile, tau: RateExponents) ->
     except HypothesisViolatedError:
         h_low = dim_low = None
         assumptions.append(("lower hypothesis tau_upper < lambda1", False))
-    if h_low is not None and np.any(h_low > h_up):
-        if np.ndim(h_low) == 0:
-            h_low = dim_low = None
-        else:
-            keep = h_low <= h_up
-            h_low, dim_low = np.where(keep, h_low, np.nan), np.where(keep, dim_low, np.nan)
-        assumptions.append(("lower/upper regime conflict", False))
+    if h_low is not None:
+        # an entropy conflict drops both lower sides, a dimension one its own
+        drop_h = h_low > h_up
+        drop_dim = drop_h | (dim_low > dim_up)
+        if np.any(drop_dim):
+            if np.ndim(drop_dim) == 0:
+                h_low, dim_low = None if drop_h else h_low, None
+            else:
+                h_low, dim_low = np.where(drop_h, np.nan, h_low), np.where(drop_dim, np.nan, dim_low)
+            assumptions.append(("lower/upper regime conflict", False))
     return BoundReport(h_low, h_up, dim_low, dim_up, tag, tuple(assumptions))
 
 

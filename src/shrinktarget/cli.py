@@ -550,6 +550,7 @@ def _run_witness(config: ExperimentConfig, facts: SystemFacts) -> dict:
     gap = _specification_gap(facts, "witness")
     shift = config.system
     params = config.oracle_params
+    names = [str(c) for c in range(shift.alphabet_size)]  # printed prefix, symbol by symbol
     rows = []
     for i, triple in enumerate(config.rates):
         if not isinstance(triple.phi, RateFunction):
@@ -562,19 +563,19 @@ def _run_witness(config: ExperimentConfig, facts: SystemFacts) -> dict:
             shift, triple.phi, triple.target, triple.time_set, params.stages, params.eta, gap
         )
         cert = construct_witness(plan, shift, triple.target)
-        confirmed = verify_witness(cert.prefix, triple.phi, triple.target, triple.time_set)
-        planned = [b.hit_time for b in plan.blocks]
         rows.append(
             {
                 "rate_index": i,
-                "planned_hits": planned,
-                "prefix": "".join(str(c) for c in cert.prefix),
+                "planned_hits": [b.hit_time for b in plan.blocks],
+                "prefix": "".join([names[c] for c in cert.prefix]),
                 "hits": [
                     [hh.time, hh.achieved_exponent, hh.required_exponent]
                     for hh in cert.hits
                 ],
                 "all_verified": cert.all_verified,
-                "independently_confirmed": [n for n in confirmed if n in planned],
+                "independently_confirmed": verify_witness(
+                    cert, triple.phi, triple.target, triple.time_set
+                ),
             }
         )
     return {"rows": rows}

@@ -422,7 +422,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         taus = list(map(float, grid))
         if any(map(operator.le, taus[1:], taus)):
             raise ConfigError("$.sweep.taus", "tau grid must be sorted strictly increasing")
-        if any(t < 0 for t in taus):
+        if taus and taus[0] < 0:  # the grid increases, so its first tau decides
             raise ConfigError("$.sweep.taus", "tau values must be nonnegative")
         sweep_taus = tuple(taus)
 

@@ -40,10 +40,12 @@ both sequences a scheme splices, so rates that share a first target symbol
 can share it.  The bracket's finite-depth bias comes from the subdominant
 eigenvalues of the transition matrix (see ``critical_exponent``).  The
 Moran estimate reads the log counts of all its stage lengths from one
-normalized float squaring walk (symbolic.log_count_words_many).  Witness
-hits are checked against one agreement-length array per distinct target,
-computed with the Z-function, so verification is linear in the prefix
-length.
+normalized float squaring walk (symbolic.log_count_words_many).  A witness
+certificate lists its hit times; construction records the agreement at each
+and verification recomputes it, both from numpy mismatch arrays of the
+prefix against each distinct target stream (one per residue class of its
+cycle), so neither has a per-symbol Python loop and verification checks
+the claimed times only, not every time in S.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .rates import (
     RateFunction,
     ShiftTarget,
@@ -61,7 +65,6 @@ from .rates import (
     constant_shift_target,
     first_member_at_least,
     tau_exponents,
-    time_set_members,
 )
 from .symbolic import ShiftOfFiniteType, log_count_words_many, word_counts_ending
 
@@ -518,12 +521,14 @@ def construct_witness(
     shift: ShiftOfFiniteType,
     z: ShiftTarget | SymbolSequence,
 ) -> WitnessCertificate:
-    """Realize a plan as an explicit admissible prefix and verify every hit.
+    """Realize a plan as an explicit admissible prefix and record every hit.
 
     Free stretches are the lexicographically-least admissible fillers that
     join the previous pinned block to the next pinned target prefix; the
     pinned prefix of z_{s_k} starts exactly at position s_k (0-based), so the
     orbit at time s_k opens with floor((tau+eta) s_k)+1 target coordinates.
+    Each hit records the first-disagreement index the finished prefix
+    achieves there (``_agreement_lengths``) beside the one the plan requires.
     """
     target = _as_shift_target(z)
     symbols: list[int] = []
@@ -541,15 +546,16 @@ def construct_witness(
 
     # first disagreement index = agreement length + 1; at the end of the
     # prefix that is the first index beyond the observable window
-    hit_targets = [target.target(b.hit_time) for b in plan.blocks]
-    agreement = {tgt: _agreement_lengths(prefix, tgt) for tgt in set(hit_targets)}
+    agreement = _agreement_lengths(
+        np.array(prefix, dtype=np.int64), target, [b.hit_time for b in plan.blocks]
+    )
     hit_records = tuple(
         WitnessHit(
             time=b.hit_time,
-            achieved_exponent=agreement[tgt][b.hit_time] + 1,
+            achieved_exponent=a + 1,
             required_exponent=b.required_exponent,
         )
-        for b, tgt in zip(plan.blocks, hit_targets)
+        for b, a in zip(plan.blocks, agreement)
     )
     return WitnessCertificate(
         prefix=prefix,
@@ -558,53 +564,84 @@ def construct_witness(
     )
 
 
-def _agreement_lengths(prefix: Sequence[int], z: SymbolSequence) -> list[int]:
-    """a[n] = length of the longest common prefix of prefix[n:] and z.
+def _agreement_lengths(
+    prefix: np.ndarray, target: ShiftTarget, times: Sequence[int]
+) -> list[int]:
+    """For each n in ``times``, the length of the longest common prefix of
+    prefix[n:] and z_n.
 
-    Z-function (Gusfield) of z_0 .. z_{L-1}, a sentinel, then the prefix:
-    its entry at L + 1 + n is a[n].  O(L) symbol comparisons for all n.
+    The times are grouped by their target stream, and each stream is
+    matched once, by ``_stream_agreement``.  Every n must lie in [0, L).
+    """
+    groups: dict[SymbolSequence, list[int]] = {}
+    for i, n in enumerate(times):
+        groups.setdefault(target.target(n), []).append(i)
+    starts = np.array(times, dtype=np.int64)
+    out = np.zeros(len(starts), dtype=np.int64)
+    for stream, idx in groups.items():
+        out[idx] = _stream_agreement(prefix, stream, starts[idx])
+    return out.tolist()
+
+
+def _stream_agreement(prefix: np.ndarray, z: SymbolSequence, starts: np.ndarray) -> np.ndarray:
+    """Length of the longest common prefix of prefix[n:] and z, per n in ``starts``.
+
+    z = head . cycle^inf with h = |head| and p = |cycle|.  The head is
+    settled by h vectorised compares.  Past it, the symbol z puts against
+    prefix position i is cycle[(i - n - h) mod p], the same for every start
+    in the residue class r = (n + h) mod p.  So each class needs one
+    mismatch array, prefix[i] != cycle[(i - r) mod p], and its starts read
+    their agreement off the next mismatch at or after n + h.  One class is
+    held at a time, so memory beyond the cycle itself is O(L) whatever p
+    is, and the time is O(min(p, len(starts)) L) in numpy.  Every start
+    must lie in [0, L).
     """
     size = len(prefix)
-    s = [*z.prefix(size), None, *prefix]
-    end = len(s)
-    zf = [0] * end
-    lo = hi = 0  # rightmost window s[lo:hi] known to match s[:hi - lo]
-    for i in range(1, end):
-        m = 0
-        if i < hi:
-            m = zf[i - lo]
-            if m < hi - i:  # the match ends inside the window
-                zf[i] = m
-                continue
-            m = hi - i
-        while i + m < end and s[m] == s[i + m]:
-            m += 1
-        zf[i] = m
-        lo, hi = i, i + m
-    return zf[size + 1 :]
+    h, p = len(z.head), len(z.cycle)
+    # a start whose head matches agrees on h symbols, or on its whole window
+    agree = np.minimum(size - starts, h)
+    for j in range(h - 1, -1, -1):  # downwards, so the first mismatch is written last
+        pos = starts + j
+        inside = np.flatnonzero(pos < size)
+        agree[inside[prefix[pos[inside]] != z.head[j]]] = j
+    rest = np.flatnonzero((agree == h) & (starts + h < size))
+    pos = starts[rest] + h
+    classes = pos % p
+    phase = np.arange(size) % p
+    cycle = np.array(z.cycle, dtype=np.int64)
+    for r in np.unique(classes).tolist():
+        # phase - r lies in (-p, p), and a negative index wraps to the class's symbol
+        misses = np.flatnonzero(prefix != cycle[phase - r])
+        mine = classes == r
+        nxt = np.append(misses, size)[np.searchsorted(misses, pos[mine])]
+        agree[rest[mine]] = nxt - starts[rest[mine]]
+    return agree
 
 
 def verify_witness(
-    prefix: Sequence[int],
+    cert: WitnessCertificate,
     phi: RateFunction,
     z: ShiftTarget | SymbolSequence,
     s: TimeSet,
 ) -> list[int]:
-    """Exact per-time hit check of d(sigma^n x, z_n) < phi(n) over n in S.
+    """The hit times of ``cert`` that an exact check proves, in its order.
 
-    A time verifies only when the prefix is long enough to certify the whole
-    required agreement window, so the result is a list of *proven* hit times.
+    A claimed time n is confirmed when n lies in S and inside the prefix,
+    the prefix covers the whole agreement window the rate requires there
+    (n + r(n) - 1 <= L, with r(n) = ``required_exponent(phi, n)`` computed
+    afresh, not read from the plan), and the prefix agrees with z_n on that
+    window.  The agreement is recomputed from the prefix and the target; the
+    exponents the certificate records are not read.
     """
-    target = _as_shift_target(z)
-    agreement: dict[SymbolSequence, list[int]] = {}
-    verified = []
-    for n in time_set_members(s, 0, len(prefix)):
-        r = required_exponent(phi, n)
-        if n + r - 1 > len(prefix):
-            continue  # agreement window truncated; cannot certify
-        tgt = target.target(n)
-        if tgt not in agreement:
-            agreement[tgt] = _agreement_lengths(prefix, tgt)
-        if agreement[tgt][n] >= r - 1:
-            verified.append(n)
-    return verified
+    size = len(cert.prefix)
+    claims = []
+    for hit in cert.hits:
+        n = hit.time
+        if 0 <= n < size and s.contains(n):
+            need = required_exponent(phi, n) - 1
+            if n + need <= size:  # else the window is truncated; cannot certify
+                claims.append((n, need))
+    agreement = _agreement_lengths(
+        np.array(cert.prefix, dtype=np.int64), _as_shift_target(z), [n for n, _ in claims]
+    )
+    return [n for (n, need), a in zip(claims, agreement) if a >= need]

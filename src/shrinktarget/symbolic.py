@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import getitem
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,11 +89,16 @@ class ShiftOfFiniteType:
     def allows(self, a: int, b: int) -> bool:
         return self.transition[a][b] == 1
 
+    @cached_property
+    def _symbols(self) -> frozenset[int]:
+        return frozenset(range(self.alphabet_size))
+
     def word_admissible(self, word: Sequence[int]) -> bool:
-        k = self.alphabet_size
-        if any(not (0 <= c < k) for c in word):
-            return False
-        return all(self.allows(a, b) for a, b in zip(word, word[1:]))
+        # in C loops: every symbol in the alphabet, then transition[a][b] per pair ab
+        rows = self.transition
+        return self._symbols.issuperset(word) and all(
+            map(getitem, map(rows.__getitem__, word), word[1:])
+        )
 
     def sequence_admissible(self, z: SymbolSequence) -> bool:
         """Admissibility of an eventually periodic one-sided stream."""

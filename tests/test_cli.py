@@ -661,6 +661,24 @@ class TestValidation:
             parse_config(self._profile_config(lambda1, ln_l1))
         assert exc.value.path == "$.system"
 
+    @pytest.mark.parametrize("command", ["bounds", "sweep"])
+    def test_profile_dimension_conflict_masked(self, tmp_path, monkeypatch, command):
+        # the dimension lower side (1/ln L1 + 1/ln L2) h = 2 lies above its upper
+        # side (1/lambda1 + 1/lambda2) h = 1.5 while the entropy sides agree
+        monkeypatch.chdir(tmp_path)
+        payload = self._profile_config(1, 1)
+        payload["system"].update(lambda2=2, ln_l2=1, h_top=1)
+        payload["rates"][0]["phi"]["tau"] = 0
+        payload["sweep"] = {"taus": [0, 0.5]}
+        assert main([command, "--config", str(write_config(tmp_path, payload))]) == 0
+        rows = read_report(tmp_path)["results"][0]["rows"]
+        row = rows[0] if command == "sweep" else next(r for r in rows if r["rule"] == "general_profile_sandwich")
+        assert (row["h_lower"], row["h_upper"], row["dim_lower"], row["dim_upper"]) == ("1", "1", None, "1.5")
+        if command == "bounds":
+            assert ["lower/upper regime conflict", False] in row["assumptions"]
+        else:
+            assert rows[1]["h_lower"] is None and rows[1]["dim_lower"] is None
+
     @pytest.mark.parametrize("lambda1,ln_l1,message", PROFILE_SHAPES)
     def test_schema_profile_shapes_match_config(self, lambda1, ln_l1, message):
         jsonschema = pytest.importorskip("jsonschema")
@@ -746,12 +764,16 @@ class TestSweepGridValidation:
         assert config.sweep_taus == (0.0, 0.5, 1.0, 2.0)
         assert all(type(t) is float for t in config.sweep_taus)
 
+    def test_empty_grid_accepted(self):
+        assert parse_config(self._grid_config([])).sweep_taus == ()
+
     @pytest.mark.parametrize(
         "taus,message",
         [
             ([0.0, 0.5, 0.5, 1.0], "tau grid must be sorted strictly increasing"),
             ([0.0, 1.0, 0.5], "tau grid must be sorted strictly increasing"),
             ([-0.5, 0.0, 0.5], "tau values must be nonnegative"),
+            ([-0.5], "tau values must be nonnegative"),
         ],
     )
     def test_grid_order_and_sign_messages(self, tmp_path, monkeypatch, capsys, taus, message):

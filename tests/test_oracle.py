@@ -1,6 +1,7 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +9,9 @@ from shrinktarget.oracle import (
     LimsupCylinderScheme,
     OracleError,
     PlanError,
+    WitnessCertificate,
+    WitnessHit,
+    _stream_agreement,
     bracket_critical_exponent,
     construct_witness,
     covering_sum,
@@ -79,7 +83,7 @@ def admissible_sequence(data, shift):
 
 
 def naive_verify(prefix, phi, z, s):
-    """The symbol-by-symbol hit check that verify_witness replaces."""
+    """The symbol-by-symbol hit check of every time in S, on a raw prefix."""
     target = constant_shift_target(z) if isinstance(z, SymbolSequence) else z
     verified = []
     for n in time_set_members(s, 0, len(prefix)):
@@ -99,6 +103,39 @@ def naive_first_disagreement(prefix, start, z):
         if prefix[start + j - 1] != z.symbol(j - 1):
             return j
     return limit + 1
+
+
+def z_function_agreement(prefix, z):
+    """a[n] = length of the longest common prefix of prefix[n:] and z.
+
+    Z-function (Gusfield) of z_0 .. z_{L-1}, a sentinel, then the prefix:
+    its entry at L + 1 + n is a[n].  O(L) symbol comparisons for all n.
+    """
+    size = len(prefix)
+    s = [*z.prefix(size), None, *prefix]
+    end = len(s)
+    zf = [0] * end
+    lo = hi = 0  # rightmost window s[lo:hi] known to match s[:hi - lo]
+    for i in range(1, end):
+        m = 0
+        if i < hi:
+            m = zf[i - lo]
+            if m < hi - i:  # the match ends inside the window
+                zf[i] = m
+                continue
+            m = hi - i
+        while i + m < end and s[m] == s[i + m]:
+            m += 1
+        zf[i] = m
+        lo, hi = i, i + m
+    return zf[size + 1 :]
+
+
+def claim_every_time(prefix):
+    """A certificate claiming a hit at every time 0..L-1, with recorded
+    exponents that verification must not read."""
+    hits = tuple(WitnessHit(n, 10**9, 0) for n in range(len(prefix)))
+    return WitnessCertificate(tuple(prefix), hits, True)
 
 
 def time_sets():
@@ -346,8 +383,11 @@ class TestWitness:
         assert cert.all_verified
         for hit in cert.hits:
             assert hit.achieved_exponent >= hit.required_exponent
-        confirmed = verify_witness(cert.prefix, phi, ZEROS, AllTimes())
-        assert set(b.hit_time for b in plan.blocks) <= set(confirmed)
+        planned = [b.hit_time for b in plan.blocks]
+        assert verify_witness(cert, phi, ZEROS, AllTimes()) == planned
+        every = verify_witness(claim_every_time(cert.prefix), phi, ZEROS, AllTimes())
+        assert every == naive_verify(cert.prefix, phi, ZEROS, AllTimes())
+        assert set(planned) <= set(every)
 
     def test_golden_mean_avoids_forbidden_word(self):
         phi = Exponential(0.3)
@@ -375,8 +415,11 @@ class TestWitness:
             assert hit.required_exponent <= hit.achieved_exponent
             # the copied prefix guarantees at least pinned_len agreement
             assert hit.achieved_exponent >= block.pinned_len + 1
-        confirmed = verify_witness(cert.prefix, phi, z, AllTimes())
-        assert set(b.hit_time for b in plan.blocks) <= set(confirmed)
+        planned = [b.hit_time for b in plan.blocks]
+        assert verify_witness(cert, phi, z, AllTimes()) == planned
+        every = verify_witness(claim_every_time(cert.prefix), phi, z, AllTimes())
+        assert every == naive_verify(cert.prefix, phi, z, AllTimes())
+        assert set(planned) <= set(every)
 
     def test_empty_plan(self):
         plan = plan_witness(full_shift(2), Exponential(0.3), ZEROS, AllTimes(), 0, 0.05, mixing_gap(full_shift(2)))
@@ -402,23 +445,47 @@ class TestWitness:
         # phi == 1: every time verifies (distance <= e^-1 < 1)
         phi = Exponential(0.0)
         prefix = tuple([0, 1] * 20)
-        confirmed = verify_witness(prefix, phi, ZEROS, AllTimes())
+        confirmed = verify_witness(claim_every_time(prefix), phi, ZEROS, AllTimes())
         assert confirmed == list(range(len(prefix)))
 
     def test_alternating_point_misses_fast_rate(self):
         phi = Exponential(2.0)
         prefix = tuple([0, 1] * 30)
-        confirmed = verify_witness(prefix, phi, ZEROS, AllTimes())
+        confirmed = verify_witness(claim_every_time(prefix), phi, ZEROS, AllTimes())
+        assert confirmed == naive_verify(prefix, phi, ZEROS, AllTimes())
         assert all(n < 1 for n in confirmed)  # only the vacuous-free n=0 can hit
 
     def test_all_zero_point_hits_everywhere(self):
         phi = Exponential(1.0)
         prefix = tuple([0] * 40)
-        confirmed = verify_witness(prefix, phi, ZEROS, AllTimes())
+        confirmed = verify_witness(claim_every_time(prefix), phi, ZEROS, AllTimes())
+        assert confirmed == naive_verify(prefix, phi, ZEROS, AllTimes())
         # certified hits limited only by the finite observation window
         for n in confirmed:
             assert n + required_exponent(phi, n) - 1 <= len(prefix)
         assert confirmed and confirmed[0] == 0
+
+    def test_verify_proves_claims_not_records(self):
+        # a hit at n needs floor(tau n) symbols of agreement with 000...;
+        # the 1 at position 3 breaks only the windows that reach it
+        prefix = (0, 0, 0, 1) + (0,) * 8
+        claims = (
+            WitnessHit(4, 5, 3),
+            WitnessHit(3, 100, 2),  # inflated: every window at 3 holds the 1
+            WitnessHit(5, 3, 3),
+            WitnessHit(2, 1, 0),  # the requirement is recomputed from phi
+            WitnessHit(0, 1, 1),
+            WitnessHit(11, 9, 6),  # the window at 11 runs past the prefix
+            WitnessHit(12, 1, 7),  # outside the prefix
+            WitnessHit(-1, 1, 1),
+        )
+        cert = WitnessCertificate(prefix, claims, True)
+        half = Exponential(0.5)
+        assert verify_witness(cert, half, ZEROS, AllTimes()) == [4, 5, 2, 0]
+        assert verify_witness(cert, half, ZEROS, Arithmetic(0, 2)) == [4, 2, 0]
+        assert verify_witness(cert, half, ZEROS, Explicit((5,), tail=Arithmetic(100, 1))) == [5]
+        # at tau = 1 the window at 2 is 2..3, which holds the 1
+        assert verify_witness(cert, Exponential(1.0), ZEROS, AllTimes()) == [4, 5, 0]
 
     def test_eta_must_be_positive(self):
         with pytest.raises(PlanError):
@@ -468,7 +535,53 @@ class TestWitnessAgainstNaiveLoops:
         )
         prefix = tuple(c for piece in pieces for c in piece)
         phi = Exponential(tau)
-        assert verify_witness(prefix, phi, z, s) == naive_verify(prefix, phi, z, s)
+        assert verify_witness(claim_every_time(prefix), phi, z, s) == naive_verify(prefix, phi, z, s)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.data())
+    def test_agreement_kernel_matches_oracles(self, k, data):
+        z = data.draw(
+            st.builds(
+                SymbolSequence,
+                st.lists(st.integers(0, k - 1), max_size=3).map(tuple),
+                st.lists(st.integers(0, k - 1), min_size=1, max_size=5).map(tuple),
+            )
+        )
+        # random symbols and prefixes of z, so that agreements are long and
+        # may run to the end; a short prefix may end inside the head
+        pieces = data.draw(
+            st.lists(
+                st.one_of(
+                    st.lists(st.integers(0, k - 1), max_size=4),
+                    st.integers(0, 14).map(lambda m: list(z.prefix(m))),
+                ),
+                max_size=6,
+            )
+        )
+        prefix = tuple(c for piece in pieces for c in piece)
+        every = _stream_agreement(np.array(prefix, dtype=np.int64), z, np.arange(len(prefix)))
+        assert every.tolist() == z_function_agreement(prefix, z)
+        assert every.tolist() == [naive_first_disagreement(prefix, n, z) - 1 for n in range(len(prefix))]
+        starts = data.draw(st.lists(st.integers(0, len(prefix) - 1), max_size=8)) if prefix else []
+        some = _stream_agreement(np.array(prefix, dtype=np.int64), z, np.array(starts, dtype=np.int64))
+        assert some.tolist() == [every[n] for n in starts]
+
+    @pytest.mark.parametrize(
+        "prefix,want",
+        [
+            ((), []),
+            ((1,), [1]),  # ends inside the head
+            ((1, 2), [2, 0]),
+            ((1, 0), [1, 0]),  # head mismatch
+            ((0, 1, 2, 0, 1, 0), [0, 5, 0, 0, 1, 0]),  # runs to the end from 1
+            ((0, 1, 2, 0, 1, 2, 0, 1), [0, 4, 0, 0, 4, 0, 0, 1]),
+            ((1, 2, 0, 1, 1), [4, 0, 0, 1, 1]),
+        ],
+    )
+    def test_agreement_kernel_edges(self, prefix, want):
+        z = SymbolSequence(head=(1, 2), cycle=(0, 1))
+        got = _stream_agreement(np.array(prefix, dtype=np.int64), z, np.arange(len(prefix)))
+        assert got.tolist() == want == z_function_agreement(prefix, z)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -495,4 +608,7 @@ class TestWitnessAgainstNaiveLoops:
             want = naive_first_disagreement(cert.prefix, hit.time, target.target(hit.time))
             assert hit.achieved_exponent == want
         assert cert.all_verified == all(h.verified for h in cert.hits)
-        assert verify_witness(cert.prefix, phi, z, s) == naive_verify(cert.prefix, phi, z, s)
+        every = naive_verify(cert.prefix, phi, z, s)
+        assert verify_witness(claim_every_time(cert.prefix), phi, z, s) == every
+        planned = [b.hit_time for b in plan.blocks]
+        assert verify_witness(cert, phi, z, s) == [n for n in every if n in planned]

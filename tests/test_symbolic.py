@@ -600,6 +600,15 @@ class TestValidation:
         assert g.sequence_admissible(SymbolSequence((1,), (0, 1)))
         assert not g.sequence_admissible(SymbolSequence((1,), (1,)))
 
+    @settings(max_examples=200, deadline=None)
+    @given(irreducible_shifts(max_k=4), st.data())
+    def test_word_admissible_is_the_pair_rule(self, shift, data):
+        # symbols -1 and k lie outside the alphabet, alone or inside a pair
+        k = shift.alphabet_size
+        word = data.draw(st.lists(st.integers(-1, k), max_size=6))
+        want = all(0 <= c < k for c in word) and all(shift.allows(a, b) for a, b in zip(word, word[1:]))
+        assert shift.word_admissible(word) == shift.word_admissible(tuple(word)) == want
+
 
 @settings(max_examples=40)
 @given(st.integers(min_value=2, max_value=4), st.data())

@@ -11,9 +11,14 @@ Library layout:
 * :mod:`shrinktarget.bounds` - every closed-form bound, with case dispatch
   and hypothesis checking; the exact values are the sandwiches on profiles
   whose Lipschitz constants equal their exponents;
-* :mod:`shrinktarget.oracle` - desk-scale independent verification: covering
-  sums, Moran estimates and explicit witness points for one-sided SFTs;
-* :mod:`shrinktarget.cli` - batch front end over JSON configs.
+* :mod:`shrinktarget.oracle` - desk-scale independent verification: the
+  covering-sum critical exponent and its grid bracket, Moran estimates and
+  explicit witness points for one-sided SFTs;
+* :mod:`shrinktarget.cli` - batch front end over JSON configs; runnable
+  example configs live in ``docs/examples/``.
+
+The package holds what the CLI reaches; the exports below are the pieces a
+script needs to reproduce a CLI row by hand.
 """
 
 __version__ = "0.1.0"
@@ -49,16 +54,12 @@ from .symbolic import (  # noqa: F401
     PeriodDecomposition,
     ShiftOfFiniteType,
     SoficPresentation,
-    count_words,
-    full_shift,
-    golden_mean_shift,
     index_set,
     indices_intersect,
     mixing_gap,
     period_decomposition,
     sft_entropy,
     sofic_entropy,
-    word_counts,
     word_counts_ending,
 )
 from .bounds import (  # noqa: F401
@@ -75,10 +76,9 @@ from .oracle import (  # noqa: F401
     LimsupCylinderScheme,
     WitnessCertificate,
     WitnessPlan,
-    bracket_critical_exponent,
     construct_witness,
-    covering_sum,
     critical_exponent,
+    grid_cell,
     moran_dimension,
     plan_witness,
     verify_witness,

@@ -174,9 +174,9 @@ def _index_data(config: ExperimentConfig, decomp: PeriodDecomposition):
 class SystemFacts:
     """What every command reads of one system, analysed once per run().
 
-    Matrices: the system, its spectrum, exact determinant and entropy, the
-    crude profile and either the sharp profile or ``sharp_error``, the reason
-    it does not apply (profiles and entropy only for hyperbolic spectra).
+    Matrices: the system, its spectrum and entropy, the crude profile and
+    either the sharp profile or ``sharp_error``, the reason it does not
+    apply (profiles and entropy only for hyperbolic spectra).
     SFTs: the period decomposition, entropy, sidedness and, when the period
     is 1, the mixing gap, which the oracle and witness commands use as the
     specification gap.  Sofic shifts: the period, entropy and sidedness.
@@ -186,7 +186,6 @@ class SystemFacts:
     kind: str
     matrix: IntegerMatrixSystem | None = None
     spectrum: SpectralProfile | None = None
-    det: int | None = None
     crude: HyperbolicityProfile | None = None
     sharp: HyperbolicityProfile | None = None
     sharp_error: str | None = None
@@ -204,14 +203,14 @@ def system_facts(system: SystemSpec, kind: str) -> SystemFacts:
         assert isinstance(system, IntegerMatrixSystem)
         p = analyze_matrix(system)
         if not p.is_hyperbolic:
-            return SystemFacts(kind, matrix=system, spectrum=p, det=system.det)
+            return SystemFacts(kind, matrix=system, spectrum=p)
         sharp = sharp_error = None
         try:
             sharp = sharp_profile_from_matrix(system, p)
         except SpectrumError as exc:
             sharp_error = str(exc)
         return SystemFacts(
-            kind, matrix=system, spectrum=p, det=system.det,
+            kind, matrix=system, spectrum=p,
             crude=crude_profile_from_matrix(system, p), sharp=sharp,
             sharp_error=sharp_error, h_top=entropy_toral(p),
         )
@@ -375,7 +374,7 @@ def _run_analyze(config: ExperimentConfig, facts: SystemFacts) -> dict:
         m, p = facts.matrix, facts.spectrum
         out: dict[str, Any] = {
             "dim": p.dim,
-            "determinant": facts.det,
+            "determinant": m.det,
             "kind": m.kind,
             "clusters": [
                 {"modulus": fmt(c.modulus), "multiplicity": c.multiplicity, "has_nonreal": c.has_nonreal}
@@ -514,8 +513,13 @@ def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
     h = facts.h_top
     lo = params.grid_min if params.grid_min is not None else params.grid_step
     hi = params.grid_max if params.grid_max is not None else h + 0.1
-    n_pts = int(round((hi - lo) / params.grid_step))
-    grid = _ArithmeticGrid(lo, params.grid_step, max(0, n_pts + 1))
+    n_pts = (hi - lo) / params.grid_step
+    if not n_pts < sys.maxsize:  # inf too: a sequence cannot index that many points
+        raise OracleError(
+            f"grid_step = {params.grid_step:g} over [{lo:g}, {hi:g}] "
+            "gives more grid points than a sequence can index"
+        )
+    grid = _ArithmeticGrid(lo, params.grid_step, max(0, round(n_pts) + 1))
     words = {}  # the schemes' word counts per first target symbol, for this call only
     rows = []
     for i, triple in enumerate(config.rates):

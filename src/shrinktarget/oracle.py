@@ -3,12 +3,12 @@
 Three finite-scale proxies for statements about genuinely infinite limsup
 sets, all specialized to one-sided shifts of finite type:
 
-* covering sums over cylinder schemes bracket the critical exponent that the
-  exact-value formulas predict (upper-bound machinery): the sum over level-n
-  cylinders of N_n exp(-s (n + floor(tau n))) flips from divergent to
-  convergent at s* = (growth rate of ln N_n) / (1 + tau), estimated by one
-  least-squares fit of ln N_n over the levels [depth/2, depth], and the
-  bracket is the grid cell lo <= s* < hi;
+* a covering-sum fit brackets the critical exponent that the exact-value
+  formulas predict (upper-bound machinery): the sum over level-n cylinders
+  of N_n exp(-s (n + floor(tau n))) flips from divergent to convergent at
+  s* = (growth rate of ln N_n) / (1 + tau), estimated by one least-squares
+  fit of ln N_n over the levels [depth/2, depth] (``critical_exponent``),
+  and the bracket is the grid cell lo <= s* < hi (``grid_cell``);
 * a Moran-style construction alternating free and pinned blocks gives a
   finite-stage lower estimate of the Hausdorff dimension (lower-bound
   machinery);
@@ -34,18 +34,18 @@ where floor_guarded snaps values within 1e-9 of an integer to that integer
 is the same agreement length).  The required disagreement exponent of a hit
 at time n is therefore r(n) = floor_guarded(-ln phi(n)) + 1.
 
-Covering sums and brackets read exact big-integer counts of every level
-from one row-vector recurrence (symbolic.word_counts_ending), which gives
-both sequences a scheme splices, so rates that share a first target symbol
-can share it.  The bracket's finite-depth bias comes from the subdominant
-eigenvalues of the transition matrix (see ``critical_exponent``).  The
-Moran estimate reads the log counts of all its stage lengths from one
-normalized float squaring walk (symbolic.log_count_words_many).  A witness
-certificate lists its hit times; construction records the agreement at each
-and verification recomputes it, both from numpy mismatch arrays of the
-prefix against each distinct target stream (one per residue class of its
-cycle), so neither has a per-symbol Python loop and verification checks
-the claimed times only, not every time in S.
+The fit reads exact big-integer counts of every level from one row-vector
+recurrence (symbolic.word_counts_ending), which gives both sequences a
+scheme splices, so rates that share a first target symbol can share it.
+Its finite-depth bias comes from the subdominant eigenvalues of the
+transition matrix (see ``critical_exponent``).  The Moran estimate reads
+the log counts of all its stage lengths from one normalized float squaring
+walk (symbolic.log_count_words_many).  A witness certificate lists its hit
+times; construction records the agreement at each and verification
+recomputes it, both from numpy mismatch arrays of the prefix against each
+distinct target stream (one per residue class of its cycle), so neither has
+a per-symbol Python loop and verification checks the claimed times only,
+not every time in S.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from .rates import (
 from .symbolic import ShiftOfFiniteType, log_count_words_many, word_counts_ending
 
 _INT_GUARD = 1e-9
-_EXP_OVERFLOW = 709.0
 _MAX_PREFIX_LEN = 10_000_000
 
 
@@ -123,10 +122,6 @@ class LimsupCylinderScheme:
     def match_len(self, n: int) -> int:
         return floor_guarded(self.tau * n)
 
-    def weight(self, n: int) -> int:
-        """Diameter exponent of a level-n cylinder."""
-        return n + self.match_len(n)
-
     def word_sequences(self, n_max: int) -> tuple[list[int], list[int]]:
         """The two sequences ``counts`` splices, for n = 1..n_max: the numbers
         of all admissible n-words and of those whose last symbol precedes z_1.
@@ -164,25 +159,6 @@ class LimsupCylinderScheme:
         return self.counts(n)[-1]
 
 
-def covering_sum(
-    scheme: LimsupCylinderScheme, s: float, n_range: tuple[int, int]
-) -> float:
-    """sum_{n=N}^{N'} count(n) * exp(-s * weight(n)).
-
-    Terms whose log exceeds the float range contribute +inf; everything else
-    is evaluated from exact counts in log space and re-exponentiated.
-    """
-    n_lo, n_hi = n_range
-    if n_lo < 1 or n_hi < n_lo:
-        raise OracleError(f"invalid level range [{n_lo}, {n_hi}]")
-    counts = scheme.counts(n_hi)
-    total = 0.0
-    for n in range(n_lo, n_hi + 1):
-        log_term = math.log(counts[n - 1]) - s * scheme.weight(n)
-        total += math.inf if log_term > _EXP_OVERFLOW else math.exp(log_term)
-    return total
-
-
 def critical_exponent(
     scheme: LimsupCylinderScheme,
     depth: int,
@@ -218,24 +194,6 @@ def critical_exponent(
     return cov / var / (1.0 + scheme.tau)
 
 
-def bracket_critical_exponent(
-    scheme: LimsupCylinderScheme,
-    s_grid: Sequence[float],
-    depth: int,
-) -> tuple[float, float]:
-    """The grid cell (lo, hi) of consecutive grid values with lo <= s* < hi.
-
-    s* is ``critical_exponent(scheme, depth)``: one fit of ln N_n,
-    after which every grid value at or below s* counts as divergent and
-    every value above it as convergent.  A grid with s* below its first
-    value or at or above its last raises OracleError.
-    """
-    grid = [float(s) for s in s_grid]
-    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise OracleError("s_grid must be sorted strictly increasing, length >= 2")
-    return grid_cell(critical_exponent(scheme, depth), grid)
-
-
 def grid_cell(s_star: float, grid: Sequence[float]) -> tuple[float, float]:
     """(grid[i - 1], grid[i]) with grid[i - 1] <= s_star < grid[i].
 
@@ -259,33 +217,35 @@ def grid_cell(s_star: float, grid: Sequence[float]) -> tuple[float, float]:
 _MORAN_ETA = 0.02
 
 
-def moran_dimension(shift: ShiftOfFiniteType, tau: float, depth: int, gap: int) -> float:
+def moran_dimension(shift: ShiftOfFiniteType, tau: float, stages: int, gap: int) -> float:
     """Finite-stage branching-ratio estimate of the limsup-set dimension.
 
-    Builds ``depth`` stages, each a free block of all admissible words of
+    Builds ``stages`` stages, each a free block of all admissible words of
     length m_k followed (after connectors of ``gap`` symbols) by a pinned
     target prefix of length floor(tau * s_k) at hit time s_k.  ``gap`` must
     be ``symbolic.mixing_gap(shift)``, which rejects non-mixing shifts.
     Stage sizes grow so the carried-over prefix is a ~3% fraction of each
     new hit time, i.e. the free part of stage k occupies a (1 - 1.5 eta)
     fraction of s_k.  Returns (sum of ln branch counts) / (total length) -
-    the Moran-set dimension of the scheme at finite depth.
+    the Moran-set dimension of the scheme at finite depth.  Each stage
+    multiplies the length by about (1 + tau) / (1.5 eta), so a stage count
+    whose layout leaves the float range raises OracleError.
 
     The stage lengths depend on tau and the gap only, not on the counts, so
     they are laid out first, and the ln branch counts of all stages come
     from one squaring walk (``symbolic.log_count_words_many``), bit for bit
     the values each length would get powered alone.
 
-    The estimate does not converge to h/(1+tau) as depth grows.  With the
+    The estimate does not converge to h/(1+tau) as stages grow.  With the
     fixed eta = 0.02 every stage gives the same 1.5 eta = 3% of its hit time
     to the carried-over prefix and connectors, so within a few stages the
-    value settles (to ~1e-14 by depth 12) on the plateau
+    value settles (to ~1e-14 by stage 12) on the plateau
 
         h (1 - 1.5 eta) / (1 + tau - 1.5 eta),
 
     a relative bias of 1.5 eta tau / (1 + tau - 1.5 eta) below h/(1+tau):
     none at tau = 0, 1.0% at tau = 0.5, 2.0% at tau = 2.  The golden mean
-    at tau = 0.5 gives 0.3175343335 at depth 12 and at depth 40, against
+    at tau = 0.5 gives 0.3175343335 at 12 stages and at 40, against
     h/(1+tau) = 0.3208078834.
 
     The pinned content never enters the estimate, only its length, so no
@@ -295,15 +255,18 @@ def moran_dimension(shift: ShiftOfFiniteType, tau: float, depth: int, gap: int) 
         raise OracleError("Moran estimates are defined for one-sided shifts")
     if not (tau >= 0.0) or math.isinf(tau):
         raise OracleError("tau must be a finite nonnegative real")
-    if depth < 1:
-        raise OracleError("depth must be >= 1")
+    if stages < 1:
+        raise OracleError("stages must be >= 1")
     lengths = []
     total_len = 0
-    for _ in range(depth):
+    for _ in range(stages):
         carried = total_len + 2 * gap
-        s_k = max(carried + 1, math.ceil(carried / (1.5 * _MORAN_ETA)))
+        try:
+            s_k = max(carried + 1, math.ceil(carried / (1.5 * _MORAN_ETA)))
+            total_len = s_k + floor_guarded(tau * s_k)
+        except OverflowError:
+            raise OracleError(f"stages = {stages}: the stage lengths leave the float range") from None
         lengths.append(s_k - carried)
-        total_len = s_k + floor_guarded(tau * s_k)
     total_log = 0.0
     for log_count in log_count_words_many(shift, lengths):
         total_log += log_count  # stage by stage, not sum(): the same roundings on every Python
@@ -368,9 +331,6 @@ class WitnessPlan:
             prev_end = b.end
             last_hit = b.hit_time
 
-    @property
-    def total_length(self) -> int:
-        return self.blocks[-1].end if self.blocks else 0
 
 
 @dataclass(frozen=True)
@@ -412,6 +372,9 @@ def plan_witness(
     ``gap`` symbols, which must be ``symbolic.mixing_gap(shift)``, and at
     least one free symbol after the previous pinned block, and large enough
     (s > 1/eta) that the pinned ratio lands inside the (alpha, beta) window.
+    A block therefore ends past both 1/eta and tau + eta, and a plan whose
+    first block would end past the prefix limit that way raises PlanError
+    before its floats overflow.
     """
     if shift.sided != "one":
         raise OracleError("witness plans are defined for one-sided shifts")
@@ -425,6 +388,11 @@ def plan_witness(
         raise PlanError("rate decays super-exponentially along S; no finite plan")
     alpha = tau_bar + eta
     beta = tau_bar + 2.0 * eta
+    if k > 0 and max(alpha, 1.0 / eta) >= _MAX_PREFIX_LEN:
+        raise PlanError(
+            f"eta = {eta:g} at tau = {tau_bar:g}: block 1 pushes the witness "
+            f"prefix past {_MAX_PREFIX_LEN} symbols"
+        )
 
     blocks: list[WitnessBlock] = []
     prev_end = 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -265,13 +265,6 @@ def arithmetic_tail(s: TimeSet) -> Arithmetic | None:
     return s.tail
 
 
-def time_set_members(s: TimeSet, start: int, stop: int) -> Iterator[int]:
-    """Yield the members of ``s`` in ``[start, stop)`` in increasing order."""
-    for n in range(max(start, 0), stop):
-        if s.contains(n):
-            yield n
-
-
 def first_member_at_least(s: TimeSet, n: int) -> int:
     """Smallest element of ``s`` that is >= n; raises on bounded exhaustion."""
     n = max(n, 0)
@@ -312,11 +305,6 @@ class EventuallyPeriodic:
     def __post_init__(self) -> None:
         if not self.cycle:
             raise RateError("cycle must be nonempty")
-
-    def point(self, n: int) -> tuple[float, ...]:
-        if n < len(self.preperiod):
-            return self.preperiod[n]
-        return self.cycle[(n - len(self.preperiod)) % len(self.cycle)]
 
 
 @dataclass(frozen=True)

@@ -86,9 +86,6 @@ class ShiftOfFiniteType:
     def alphabet_size(self) -> int:
         return len(self.transition)
 
-    def allows(self, a: int, b: int) -> bool:
-        return self.transition[a][b] == 1
-
     @cached_property
     def _symbols(self) -> frozenset[int]:
         return frozenset(range(self.alphabet_size))
@@ -104,15 +101,6 @@ class ShiftOfFiniteType:
         """Admissibility of an eventually periodic one-sided stream."""
         probe = z.prefix(len(z.head) + 2 * len(z.cycle) + 1)
         return self.word_admissible(probe)
-
-
-def full_shift(k: int, sided: str = "one") -> ShiftOfFiniteType:
-    return ShiftOfFiniteType(tuple(tuple(1 for _ in range(k)) for _ in range(k)), sided)
-
-
-def golden_mean_shift(sided: str = "one") -> ShiftOfFiniteType:
-    """Binary shift forbidding the word 11."""
-    return ShiftOfFiniteType(((1, 1), (1, 0)), sided)
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +297,6 @@ def sft_entropy(x: ShiftOfFiniteType) -> float:
     return _log_spectral_radius(x.transition)
 
 
-def word_counts(
-    x: ShiftOfFiniteType, n_max: int, ends: Iterable[int] | None = None
-) -> list[int]:
-    """Exact numbers of admissible n-words for n = 1..n_max (entry n - 1).
-
-    All of them, or, when ``ends`` is given, those whose last symbol is in
-    ``ends``: one of the two sequences of ``word_counts_ending``.
-    """
-    every, ending = word_counts_ending(x, n_max, () if ends is None else ends)
-    return every if ends is None else ending
-
-
 def word_counts_ending(
     x: ShiftOfFiniteType, n_max: int, ends: Iterable[int]
 ) -> tuple[list[int], list[int]]:
@@ -348,18 +324,9 @@ def word_counts_ending(
     return every, ending
 
 
-def count_words(x: ShiftOfFiniteType, n: int) -> int:
-    """Exact number of admissible n-words: the last entry of word_counts."""
-    return word_counts(x, n)[-1]
-
-
-def log_count_words(x: ShiftOfFiniteType, n: int) -> float:
-    """ln(count_words(n)) in floating point: ``log_count_words_many`` at one length."""
-    return log_count_words_many(x, [n])[0]
-
-
 def log_count_words_many(x: ShiftOfFiniteType, lengths: Sequence[int]) -> list[float]:
-    """ln(count_words(n)) for every n in ``lengths``, from one squaring walk.
+    """ln of the number of admissible n-words for every n in ``lengths``,
+    from one squaring walk.
 
     The word count is the entry sum of M^(n-1).  Binary powering rescales
     every product by its largest entry and carries the scale in log space,
@@ -371,7 +338,7 @@ def log_count_words_many(x: ShiftOfFiniteType, lengths: Sequence[int]) -> list[f
     O(k^3 (log max n + total set bits)), and only the current square is
     kept.  The accumulated relative error is of order (number of squarings)
     * machine epsilon: at n <= 300 on the test shifts it stays within 1e-12
-    of the exact math.log(count_words(n)), and it is negligible next to the
+    of the log of the exact count, and it is negligible next to the
     O(1/n) terms any consumer divides out.
     """
     if any(n < 1 for n in lengths):
@@ -522,17 +489,6 @@ def sofic_entropy(p: SoficPresentation) -> float:
     """ln Perron root of the presentation graph's adjacency matrix (of its
     dominant component when the graph is reducible)."""
     return _log_spectral_radius(p.adjacency())
-
-
-def sft_as_sofic(x: ShiftOfFiniteType) -> SoficPresentation:
-    """Identity labeling: states = symbols, the edge a->b is labeled by b."""
-    edges = tuple(
-        (a, b, str(b))
-        for a in range(x.alphabet_size)
-        for b in range(x.alphabet_size)
-        if x.transition[a][b]
-    )
-    return SoficPresentation(states=x.alphabet_size, edges=edges, sided=x.sided)
 
 
 def count_sofic_words(p: SoficPresentation, n: int) -> int:

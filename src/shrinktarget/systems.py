@@ -132,7 +132,6 @@ class SpectralProfile:
     is_expanding: bool
     lambda_s_mod: float | None
     lambda_u_mod: float | None
-    abs_det: int
 
     @property
     def dim(self) -> int:
@@ -243,7 +242,6 @@ def analyze_matrix(m: IntegerMatrixSystem) -> SpectralProfile:
         is_expanding=is_expanding,
         lambda_s_mod=lam_s,
         lambda_u_mod=lam_u,
-        abs_det=abs(m.det),
     )
 
 

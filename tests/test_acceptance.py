@@ -19,14 +19,15 @@ from shrinktarget.cli import run
 from shrinktarget.config import parse_config
 from shrinktarget.oracle import (
     LimsupCylinderScheme,
-    bracket_critical_exponent,
     construct_witness,
+    critical_exponent,
+    grid_cell,
     moran_dimension,
     plan_witness,
     verify_witness,
 )
 from shrinktarget.rates import AllTimes, Exponential, RateExponents, SymbolSequence
-from shrinktarget.symbolic import count_words, full_shift, golden_mean_shift, mixing_gap, sft_entropy
+from shrinktarget.symbolic import mixing_gap, sft_entropy
 from shrinktarget.systems import (
     HyperbolicityProfile,
     IntegerMatrixSystem,
@@ -34,6 +35,7 @@ from shrinktarget.systems import (
     crude_profile_from_matrix,
     sharp_profile_from_matrix,
 )
+from shift_strategies import count_words, full_shift, golden_mean_shift
 
 LN2 = math.log(2.0)
 CAT = IntegerMatrixSystem(((2, 1), (1, 1)))
@@ -109,7 +111,7 @@ def test_criterion_2_exact_expanding_values():
 def bracket_for(shift, tau, h):
     scheme = LimsupCylinderScheme(shift, tau, ZEROS)
     grid = [0.05 + k * 0.01 for k in range(int((h + 0.1 - 0.05) / 0.01) + 1)]
-    return bracket_critical_exponent(scheme, grid, 40)
+    return grid_cell(critical_exponent(scheme, 40), grid)
 
 
 def test_criterion_3_oracle_brackets():

@@ -33,8 +33,6 @@ from shrinktarget.rates import Exponential, RateError, RateExponents
 from shrinktarget.symbolic import (
     ShiftOfFiniteType,
     SoficPresentation,
-    full_shift,
-    golden_mean_shift,
     period_decomposition,
     sft_entropy,
 )
@@ -44,6 +42,7 @@ from shrinktarget.systems import (
     analyze_matrix,
     sharp_profile_from_matrix,
 )
+from shift_strategies import full_shift, golden_mean_shift
 
 LN2 = math.log(2.0)
 CAT = IntegerMatrixSystem(((2, 1), (1, 1)))

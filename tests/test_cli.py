@@ -15,6 +15,7 @@ GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
 SCHEMA_PATH = REPO / "docs" / "config_schema.json"
+EXAMPLES = sorted((REPO / "docs" / "examples").glob("*.json"))
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -494,6 +495,28 @@ class TestValidation:
         assert res["status"] == "error"
         assert "modulus at 1" in res["error"]
 
+    @pytest.mark.parametrize(
+        "command,params,message",
+        [
+            ("oracle", {"stages": 182}, "stages = 182: the stage lengths leave the float range"),
+            ("oracle", {"stages": 0}, "stages must be >= 1"),
+            ("witness", {"eta": 1e-310}, "eta = 1e-310 at tau = 0.5: block 1 pushes"),
+            ("witness", {"eta": 1e308}, "eta = 1e+308 at tau = 0.5: block 1 pushes"),
+            ("oracle", {"grid_step": 1e-300}, "grid_step = 1e-300 over [1e-300, 0.581212] gives more grid points"),
+        ],
+        ids=["stages_overflow", "stages_zero", "eta_tiny", "eta_huge", "grid_step_tiny"],
+    )
+    def test_oracle_params_out_of_range_are_error_rows(self, tmp_path, monkeypatch, capsys, command, params, message):
+        # each passes validation, then asks for a layout or grid beyond the float or index range
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tasks=(command,))
+        payload["oracle_params"].update(params)
+        parse_config(payload)
+        assert main([command, "--config", str(write_config(tmp_path, payload))]) == 1
+        (res,) = read_report(tmp_path)["results"]
+        assert res["status"] == "error" and message in res["error"]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_command_outside_config_tasks_checks_system_kind(self, tmp_path, monkeypatch):
         # the CLI command need not be among the config's tasks, so the
         # executors themselves reject systems they have no theorem for
@@ -689,12 +712,17 @@ class TestValidation:
             parse_config(payload)
 
     @pytest.mark.parametrize(
-        "report", sorted(GOLDEN.glob("*/*/report.json")), ids=lambda p: f"{p.parent.parent.name}/{p.parent.name}"
+        "path", sorted(GOLDEN.glob("*/*/report.json")) + EXAMPLES, ids=lambda p: f"{p.parent.parent.name}/{p.parent.name}"
+        if p.name == "report.json" else f"examples/{p.stem}"
     )
-    def test_schema_accepts_every_golden_config(self, report):
+    def test_schema_accepts_every_golden_config(self, path):
+        # the config of every golden report, and every example config
         jsonschema = pytest.importorskip("jsonschema")
         validator = jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text()))
-        errors = [f"{e.json_path}: {e.message}" for e in validator.iter_errors(json.loads(report.read_text())["config"])]
+        config = json.loads(path.read_text())
+        if path.name == "report.json":
+            config = config["config"]
+        errors = [f"{e.json_path}: {e.message}" for e in validator.iter_errors(config)]
         assert errors == []
 
     @pytest.mark.parametrize("command", ["bounds", "exact", "witness"])

@@ -1,7 +1,6 @@
 """One analysis per CLI call for every command, one dispatcher for bounds,
-exact and sweep."""
+exact and sweep, and example configs that the CLI runs as-is."""
 
-import importlib.util
 import json
 from collections import Counter
 from pathlib import Path
@@ -9,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from shrinktarget import bounds, cli, oracle, symbolic, systems
-from shrinktarget.cli import _SWEEP_COLUMNS, fmt, main, render_csv
+from shrinktarget.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 CAT = [[2, 1], [1, 1]]
@@ -153,40 +152,26 @@ def test_oracle_counts_words_once_per_target_symbol(tmp_path, monkeypatch):
     assert counted(tmp_path / "mixed", mixed)["word_counts_ending"] == 2
 
 
-def _load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+EXAMPLES = sorted((ROOT / "docs" / "examples").glob("*.json"))
 
 
-def test_cat_map_script_rows_equal_cli_sweep_rows(tmp_path):
-    step = 0.05
-    rows = _load_script("cat_map_sweep").sweep(tuple(map(tuple, CAT)), step)
-    taus = [k * step for k in range(len(rows))]
-    assert [row["tau"] for row in rows] == [fmt(t) for t in taus]
-    report = _run(tmp_path, _sweep_config(SYSTEMS["matrix"], taus))
-    assert report["results"][0]["rows"] == rows
-
-
-def test_cat_map_script_writes_the_cli_sweep_csv(tmp_path):
-    script = _load_script("cat_map_sweep")
-    step = 0.5
-    assert script.main(["--step", str(step), "--out", str(tmp_path / "script")]) == 0
-    for name, entries in script.SYSTEMS.items():
-        text = (tmp_path / "script" / f"{name}.csv").read_text()
-        taus = [k * step for k in range(text.count("\n") - 1)]
-        system = {"kind": "matrix", "entries": [list(row) for row in entries]}
-        report = _run(tmp_path / name, _sweep_config(system, taus))
-        rows = report["results"][0]["rows"]
-        assert [row["tau"] for row in rows] == [fmt(t) for t in taus]
-        assert text == render_csv(rows, _SWEEP_COLUMNS)
-
-
-@pytest.mark.parametrize(
-    "name,argv", [("oracle_brackets", ["--depth", "8", "--stages", "2"]), ("witness_demo", ["--blocks", "2"])]
-)
-def test_oracle_scripts_run(name, argv, capsys):
-    # the scripts call the oracle functions directly, outside the CLI
-    assert _load_script(name).main(argv) == 0
-    assert capsys.readouterr().out
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
+def test_example_config_runs(path, tmp_path):
+    # every command the example names, and sweep when it has a grid, as-is
+    config = json.loads(path.read_text())
+    commands = config["tasks"] + (["sweep"] if "sweep" in config else [])
+    for command in commands:
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        (result,) = json.loads((out / "report.json").read_text())["results"]
+        if command == "oracle":
+            assert result["rows"]
+            for row in result["rows"]:
+                assert float(row["bracket_lo"]) <= float(row["shift_exact_value"]) < float(row["bracket_hi"])
+        if command == "witness":
+            assert result["rows"]
+            for row in result["rows"]:
+                assert row["all_verified"] and row["planned_hits"]
+                assert row["independently_confirmed"] == row["planned_hits"]
+        if command == "sweep":
+            assert (out / "sweep.csv").is_file()

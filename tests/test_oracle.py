@@ -12,9 +12,7 @@ from shrinktarget.oracle import (
     WitnessCertificate,
     WitnessHit,
     _stream_agreement,
-    bracket_critical_exponent,
     construct_witness,
-    covering_sum,
     critical_exponent,
     floor_guarded,
     grid_cell,
@@ -31,17 +29,14 @@ from shrinktarget.rates import (
     ShiftTarget,
     SymbolSequence,
     constant_shift_target,
-    time_set_members,
 )
 from shrinktarget.symbolic import (
     NotMixingError,
     ShiftOfFiniteType,
-    full_shift,
-    golden_mean_shift,
     mixing_gap,
     sft_entropy,
 )
-from shift_strategies import irreducible_shifts
+from shift_strategies import full_shift, golden_mean_shift, irreducible_shifts
 
 LN2 = math.log(2.0)
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
@@ -74,7 +69,7 @@ def admissible_sequence(data, shift):
     """Random admissible eventually periodic stream: a walk until it closes."""
     walk = [data.draw(st.integers(0, shift.alphabet_size - 1))]
     while True:
-        succ = [b for b in range(shift.alphabet_size) if shift.allows(walk[-1], b)]
+        succ = [b for b in range(shift.alphabet_size) if shift.transition[walk[-1]][b]]
         nxt = data.draw(st.sampled_from(succ))
         if nxt in walk:
             i = walk.index(nxt)
@@ -86,7 +81,7 @@ def naive_verify(prefix, phi, z, s):
     """The symbol-by-symbol hit check of every time in S, on a raw prefix."""
     target = constant_shift_target(z) if isinstance(z, SymbolSequence) else z
     verified = []
-    for n in time_set_members(s, 0, len(prefix)):
+    for n in filter(s.contains, range(len(prefix))):
         r = required_exponent(phi, n)
         if n + r - 1 > len(prefix):
             continue
@@ -158,21 +153,21 @@ class TestFloorGuarded:
 
 class TestCoveringSum:
     def test_flat_at_critical(self):
-        # tau = 1: each term 2^n e^{-(ln2/2) 2n} = 1 exactly
+        # tau = 1: each term 2^n e^{-(ln2/2) 2n} = 1 exactly, so the fit
+        # puts s* at ln2/2
         scheme = LimsupCylinderScheme(full_shift(2), 1.0, ZEROS)
-        total = covering_sum(scheme, LN2 / 2.0, (10, 20))
-        assert total == pytest.approx(11.0, abs=1e-12)
+        assert all(c == 2**n for n, c in enumerate(scheme.counts(20), 1))
+        assert critical_exponent(scheme, 20) == pytest.approx(LN2 / 2.0, rel=1e-14)
 
     def test_supcritical_terms_decay(self):
         scheme = LimsupCylinderScheme(full_shift(2), 1.0, ZEROS)
-        t10 = covering_sum(scheme, 0.4, (10, 10))
-        t20 = covering_sum(scheme, 0.4, (20, 20))
+        t10, t20 = (scheme.count(n) * math.exp(-0.4 * (n + scheme.match_len(n))) for n in (10, 20))
         assert t20 < t10 < 1.0
 
     def test_zero_exponent_counts(self):
         scheme = LimsupCylinderScheme(golden_mean_shift(), 0.0, ZEROS)
-        # pure counting: W(1) + W(2) + W(3) = 2 + 3 + 5
-        assert covering_sum(scheme, 0.0, (1, 3)) == pytest.approx(10.0)
+        # pure counting: W(1), W(2), W(3) = 2, 3, 5
+        assert scheme.counts(3) == [2, 3, 5]
 
     @pytest.mark.parametrize("tau", [0.0, 0.2, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -207,7 +202,8 @@ class TestCoveringSum:
 
     def test_weights_strictly_increasing(self):
         scheme = LimsupCylinderScheme(golden_mean_shift(), 0.5, ZEROS)
-        ws = [scheme.weight(n) for n in range(1, 40)]
+        # the diameter exponent n + match_len(n) of a level-n cylinder
+        ws = [n + scheme.match_len(n) for n in range(1, 40)]
         assert all(b > a for a, b in zip(ws, ws[1:]))
 
     def test_two_sided_rejected(self):
@@ -227,33 +223,28 @@ class TestCoveringSum:
 class TestBracket:
     def test_full_shift_tau_one(self):
         scheme = LimsupCylinderScheme(full_shift(2), 1.0, ZEROS)
-        lo, hi = bracket_critical_exponent(scheme, grid(0.2, 0.5), 40)
+        lo, hi = grid_cell(critical_exponent(scheme, 40), grid(0.2, 0.5))
         assert hi - lo <= 0.02
         assert lo < LN2 / 2.0 <= hi
 
     def test_full_shift_tau_half(self):
         scheme = LimsupCylinderScheme(full_shift(2), 0.5, ZEROS)
-        lo, hi = bracket_critical_exponent(scheme, grid(0.3, 0.6), 40)
+        lo, hi = grid_cell(critical_exponent(scheme, 40), grid(0.3, 0.6))
         assert hi - lo <= 0.02
         assert lo < LN2 / 1.5 <= hi
 
     def test_golden_mean_tau_half(self):
         scheme = LimsupCylinderScheme(golden_mean_shift(), 0.5, ZEROS)
-        lo, hi = bracket_critical_exponent(scheme, grid(0.2, 0.45), 40)
+        lo, hi = grid_cell(critical_exponent(scheme, 40), grid(0.2, 0.45))
         assert hi - lo <= 0.02
         assert lo < GOLDEN_ENTROPY / 1.5 <= hi
 
     def test_one_sided_grid_rejected(self):
         scheme = LimsupCylinderScheme(full_shift(2), 1.0, ZEROS)
         with pytest.raises(OracleError, match="straddle"):
-            bracket_critical_exponent(scheme, grid(0.5, 0.6), 40)
+            grid_cell(critical_exponent(scheme, 40), grid(0.5, 0.6))
         with pytest.raises(OracleError, match="straddle"):
-            bracket_critical_exponent(scheme, grid(0.05, 0.2), 40)
-
-    def test_unsorted_grid_rejected(self):
-        scheme = LimsupCylinderScheme(full_shift(2), 1.0, ZEROS)
-        with pytest.raises(OracleError, match="sorted"):
-            bracket_critical_exponent(scheme, [0.4, 0.3], 40)
+            grid_cell(critical_exponent(scheme, 40), grid(0.05, 0.2))
 
 
 def cli_grid(h, step=0.01):
@@ -271,7 +262,7 @@ class TestCriticalExponent:
     def test_bracket_contains_exact_value(self, name, tau):
         shift = golden_mean_shift() if name == "golden" else full_shift(int(name[-1]))
         h = sft_entropy(shift)
-        lo, hi = bracket_critical_exponent(LimsupCylinderScheme(shift, tau, ZEROS), cli_grid(h), 40)
+        lo, hi = grid_cell(critical_exponent(LimsupCylinderScheme(shift, tau, ZEROS), 40), cli_grid(h))
         assert lo <= h / (1.0 + tau) < hi
         assert hi - lo == pytest.approx(0.01)
 
@@ -288,7 +279,7 @@ class TestCriticalExponent:
     )
     def test_rows_the_slope_test_missed(self, shift, tau, target, depth):
         h = sft_entropy(shift)
-        lo, hi = bracket_critical_exponent(LimsupCylinderScheme(shift, tau, target), cli_grid(h), depth)
+        lo, hi = grid_cell(critical_exponent(LimsupCylinderScheme(shift, tau, target), depth), cli_grid(h))
         assert lo <= h / (1.0 + tau) < hi
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -345,7 +336,7 @@ class TestMoran:
     def test_stays_below_bracket_upper_edge(self):
         for shift, tau in ((full_shift(2), 0.5), (golden_mean_shift(), 0.5)):
             scheme = LimsupCylinderScheme(shift, tau, ZEROS)
-            _, hi = bracket_critical_exponent(scheme, grid(0.05, 0.6), 40)
+            _, hi = grid_cell(critical_exponent(scheme, 40), grid(0.05, 0.6))
             assert moran_dimension(shift, tau, 12, mixing_gap(shift)) <= hi + 0.02
 
     def test_non_mixing_rejected(self):

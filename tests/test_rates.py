@@ -18,7 +18,6 @@ from shrinktarget.rates import (
     family_tau,
     first_member_at_least,
     tau_exponents,
-    time_set_members,
 )
 
 
@@ -204,9 +203,6 @@ class TestTimeSets:
     def test_membership(self):
         s = Arithmetic(1, 3)
         assert [n for n in range(12) if s.contains(n)] == [1, 4, 7, 10]
-
-    def test_members_iterator(self):
-        assert list(time_set_members(Arithmetic(0, 2), 0, 9)) == [0, 2, 4, 6, 8]
 
     def test_first_member_at_least(self):
         assert first_member_at_least(Arithmetic(1, 3), 5) == 7

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shrinktarget.cli import _BOUNDS_COLUMNS, _SWEEP_COLUMNS, fmt, render_csv, render_json, run
+from shrinktarget.cli import _BOUNDS_COLUMNS, _SWEEP_COLUMNS, fmt, render_csv, render_json, run, sweep_rows, system_facts
 from shrinktarget.config import parse_config
-from test_dispatch import _load_script
+from shrinktarget.systems import IntegerMatrixSystem
 from test_golden_reports import CASES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -167,10 +167,11 @@ def test_rows_carry_every_csv_column(case, command, columns):
     assert render_csv(result["rows"], columns) == old_render_csv(result["rows"], columns)
 
 
-def test_cat_map_script_csv_unchanged():
-    script = _load_script("cat_map_sweep")
-    for entries in script.SYSTEMS.values():
-        rows = script.sweep(entries, 0.05)
+def test_matrix_sweep_csv_unchanged():
+    # the cat map and two expanding matrices, tau = 0, 0.05, ... past 1.5 h_top
+    for entries in (((2, 1), (1, 1)), ((2,),), ((2, 0), (0, 3))):
+        facts = system_facts(IntegerMatrixSystem(entries), "matrix")
+        rows = sweep_rows(facts, [k * 0.05 for k in range(int(1.5 * facts.h_top / 0.05) + 2)])
         assert render_csv(rows, _SWEEP_COLUMNS) == old_render_csv(rows, _SWEEP_COLUMNS)
 
 

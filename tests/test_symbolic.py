@@ -22,25 +22,19 @@ from shrinktarget.symbolic import (
     SoficPresentation,
     SymbolicError,
     count_sofic_words,
-    count_words,
-    full_shift,
-    golden_mean_shift,
     index_set,
     indices_intersect,
-    log_count_words,
     log_count_words_many,
     mixing_gap,
     period_decomposition,
     perron_root,
-    sft_as_sofic,
     sft_entropy,
     sofic_entropy,
-    word_counts,
     word_counts_ending,
     _perron_bracket,
 )
 from shrinktarget.systems import _charpoly
-from shift_strategies import irreducible_shifts
+from shift_strategies import count_words, full_shift, golden_mean_shift, irreducible_shifts, sft_as_sofic
 
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)  # 0.48121182505960347
 FLIP = ShiftOfFiniteType(((0, 1), (1, 0)))  # period-2 permutation shift
@@ -83,7 +77,7 @@ def grown_words(shift, n):
     k = shift.alphabet_size
     words = [(a,) for a in range(k)]
     for _ in range(n - 1):
-        words = [w + (b,) for w in words for b in range(k) if shift.allows(w[-1], b)]
+        words = [w + (b,) for w in words for b in range(k) if shift.transition[w[-1]][b]]
     return words
 
 
@@ -141,7 +135,7 @@ class TestCountWords:
     def test_log_count_words_consistent(self):
         g = golden_mean_shift()
         for n in (40, 4096, 5000, 6000):
-            assert log_count_words(g, n) == pytest.approx(
+            assert log_count_words_many(g, [n])[0] == pytest.approx(
                 math.log(count_words(g, n)), rel=1e-10
             )
 
@@ -152,7 +146,8 @@ class TestCountWords:
         n_max = 10 if k == 1 else min(10, int(math.log(20_000) / math.log(k)))
         ends = data.draw(st.none() | st.sets(st.integers(0, k - 1)))
         keep = range(k) if ends is None else ends
-        counts = word_counts(shift, n_max, ends)
+        every, ending = word_counts_ending(shift, n_max, () if ends is None else ends)
+        counts = every if ends is None else ending
         assert len(counts) == n_max
         for n, count in enumerate(counts, start=1):
             assert count == sum(1 for w in grown_words(shift, n) if w[-1] in keep)
@@ -161,21 +156,21 @@ class TestCountWords:
 
     def test_word_counts_rejects_bad_input(self):
         with pytest.raises(SymbolicError, match=">= 1"):
-            word_counts(golden_mean_shift(), 0)
+            word_counts_ending(golden_mean_shift(), 0, ())
         with pytest.raises(SymbolicError, match="alphabet"):
-            word_counts(golden_mean_shift(), 3, ends=[2])
+            word_counts_ending(golden_mean_shift(), 3, [2])
 
     @settings(max_examples=60, deadline=None)
     @given(irreducible_shifts(), st.integers(min_value=1, max_value=300))
     def test_log_count_words_matches_exact_log(self, shift, n):
-        # lengths up to 300 used to be counted exactly inside log_count_words
+        # lengths up to 300 used to be counted exactly inside the log count
         exact = math.log(count_words(shift, n))
-        assert log_count_words(shift, n) == pytest.approx(exact, rel=1e-12, abs=1e-14)
+        assert log_count_words_many(shift, [n])[0] == pytest.approx(exact, rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 130, 299, 300])
     def test_log_count_words_60_symbols(self, n):
         exact = math.log(count_words(SFT60, n))
-        assert log_count_words(SFT60, n) == pytest.approx(exact, rel=1e-12)
+        assert log_count_words_many(SFT60, [n])[0] == pytest.approx(exact, rel=1e-12)
 
     @settings(max_examples=80, deadline=None)
     @given(irreducible_shifts(), st.lists(st.integers(1, 2**70), min_size=1, max_size=8))
@@ -183,7 +178,7 @@ class TestCountWords:
         # one walk for all lengths, bit for bit the values of one walk each
         shared = log_count_words_many(shift, lengths)
         assert shared == [per_length_log_count(shift, n) for n in lengths]
-        assert [log_count_words(shift, n) for n in lengths] == shared
+        assert [log_count_words_many(shift, [n])[0] for n in lengths] == shared
 
     @settings(max_examples=60, deadline=None)
     @given(irreducible_shifts(), st.lists(st.integers(1, 300), min_size=1, max_size=6))
@@ -606,7 +601,7 @@ class TestValidation:
         # symbols -1 and k lie outside the alphabet, alone or inside a pair
         k = shift.alphabet_size
         word = data.draw(st.lists(st.integers(-1, k), max_size=6))
-        want = all(0 <= c < k for c in word) and all(shift.allows(a, b) for a, b in zip(word, word[1:]))
+        want = all(0 <= c < k for c in word) and all(shift.transition[a][b] for a, b in zip(word, word[1:]))
         assert shift.word_admissible(word) == shift.word_admissible(tuple(word)) == want
 
 

@@ -51,7 +51,7 @@ from .bounds import (
     covering_bounds,
     tau_runs,
 )
-from .config import ConfigError, ExperimentConfig, RateTriple, SystemSpec, load_config
+from .config import ConfigError, ExperimentConfig, SystemSpec, check_task, load_config
 from .oracle import (
     LimsupCylinderScheme,
     OracleError,
@@ -64,10 +64,8 @@ from .oracle import (
 )
 from .rates import (
     AllTimes,
-    Exponential,
     RateError,
     RateExponents,
-    RateFunction,
     ShiftTarget,
     family_tau,
     tau_exponents,
@@ -410,16 +408,14 @@ def _run_analyze(config: ExperimentConfig, facts: SystemFacts) -> dict:
         if facts.gap is not None:
             out["mixing_gap"] = facts.gap
         return out
-    if facts.kind == "sofic":
-        pres = config.system
-        return {
-            "states": pres.states,
-            "labels": list(pres.labels),
-            "sided": facts.sided,
-            "h_top": fmt(facts.h_top),
-            "period": facts.period,
-        }
-    raise ConfigError("$.tasks", "analyze needs a matrix or symbolic system")
+    pres = config.system  # a sofic presentation: check_task admits no other kind
+    return {
+        "states": pres.states,
+        "labels": list(pres.labels),
+        "sided": facts.sided,
+        "h_top": fmt(facts.h_top),
+        "period": facts.period,
+    }
 
 
 def _profile_dict(prof) -> dict:
@@ -456,8 +452,6 @@ def _run_bounds(config: ExperimentConfig, facts: SystemFacts) -> dict:
 
 
 def _run_exact(config: ExperimentConfig, facts: SystemFacts) -> dict:
-    if facts.kind != "matrix":
-        raise ConfigError("$.tasks", "task 'exact' requires a matrix system")
     tau = family_exponents(config)
     if not _all_naturals(config):
         row = {
@@ -472,20 +466,8 @@ def _run_exact(config: ExperimentConfig, facts: SystemFacts) -> dict:
     return {"tau_lower": fmt(tau.tau_lower), "rows": rows}
 
 
-def _require_constant_symbol_target(triple: RateTriple, i: int):
-    tgt = triple.target
-    if not isinstance(tgt, ShiftTarget) or tgt.preperiod or tgt.schedule_period != 1:
-        raise ConfigError(
-            f"$.rates[{i}].target", "oracle schemes need a constant symbol target"
-        )
-    return tgt.target(0)
-
-
-def _specification_gap(facts: SystemFacts, task: str) -> int:
+def _specification_gap(facts: SystemFacts) -> int:
     """The specification gap of the configured SFT, which must be mixing."""
-    # the CLI command need not be among config.tasks, which validation checked
-    if facts.kind != "sft":
-        raise ConfigError("$.tasks", f"task {task!r} requires an SFT system")
     if facts.gap is None:
         raise NotMixingError(facts.period)
     return facts.gap
@@ -507,7 +489,7 @@ class _ArithmeticGrid(Sequence):
 
 
 def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
-    gap = _specification_gap(facts, "oracle")
+    gap = _specification_gap(facts)
     shift = config.system
     params = config.oracle_params
     h = facts.h_top
@@ -523,11 +505,7 @@ def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
     words = {}  # the schemes' word counts per first target symbol, for this call only
     rows = []
     for i, triple in enumerate(config.rates):
-        if not isinstance(triple.phi, Exponential):
-            raise ConfigError(
-                f"$.rates[{i}].phi", "oracle schemes need a pure exponential rate"
-            )
-        z = _require_constant_symbol_target(triple, i)
+        z = triple.target.target(0)
         tau = triple.phi.tau
         scheme = LimsupCylinderScheme(shift, tau, z)
         z0 = z.symbol(0)
@@ -551,18 +529,12 @@ def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
 
 
 def _run_witness(config: ExperimentConfig, facts: SystemFacts) -> dict:
-    gap = _specification_gap(facts, "witness")
+    gap = _specification_gap(facts)
     shift = config.system
     params = config.oracle_params
     names = [str(c) for c in range(shift.alphabet_size)]  # printed prefix, symbol by symbol
     rows = []
     for i, triple in enumerate(config.rates):
-        if not isinstance(triple.phi, RateFunction):
-            raise ConfigError(
-                f"$.rates[{i}].phi", "witness construction needs a rate function"
-            )
-        if not isinstance(triple.target, ShiftTarget):
-            raise ConfigError(f"$.rates[{i}].target", "symbolic target required")
         plan = plan_witness(
             shift, triple.phi, triple.target, triple.time_set, params.stages, params.eta, gap
         )
@@ -586,8 +558,6 @@ def _run_witness(config: ExperimentConfig, facts: SystemFacts) -> dict:
 
 
 def _run_sweep(config: ExperimentConfig, facts: SystemFacts) -> dict:
-    if config.sweep_taus is None:
-        raise ConfigError("$.sweep", "sweep requires a sweep.taus grid")
     return {"rows": sweep_rows(facts, config.sweep_taus)}
 
 
@@ -628,6 +598,7 @@ def run(config: ExperimentConfig, tasks: tuple[str, ...] | None = None, seedless
                     facts = exc
             if isinstance(facts, Exception):
                 raise facts
+            check_task(config, task)
             results.append({"task": task, "status": "ok", **_EXECUTORS[task](config, facts)})
         except TaskError as exc:
             all_ok = False
@@ -786,10 +757,6 @@ def main(argv: list[str] | None = None) -> int:
         formats = ("json", "csv")
     elif args.format is not None:
         formats = (args.format,)
-
-    if args.command == "sweep" and config.sweep_taus is None:
-        print("config error: $.sweep: sweep requires a sweep.taus grid", file=sys.stderr)
-        return 2
 
     report, all_ok, timings = run(config, tasks=(args.command,), seedless=args.seedless)
     try:

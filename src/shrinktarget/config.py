@@ -332,6 +332,41 @@ def _validate_target_against_system(
             raise ConfigError(path, "symbolic systems need a symbol-valued target")
 
 
+def check_task(config: ExperimentConfig, task: str) -> None:
+    """Raise ConfigError unless ``config`` holds what command ``task`` needs.
+
+    The one place these requirements live: ``parse_config`` checks each
+    configured task, and ``cli.run`` each task it runs, since a CLI command
+    need not be among ``config.tasks``.
+    """
+    kind = config.system_kind
+    if task == "analyze" and kind not in ("matrix", "sft", "sofic"):
+        raise ConfigError("$.tasks", "task 'analyze' requires a matrix or symbolic system")
+    if task == "exact" and kind != "matrix":
+        raise ConfigError("$.tasks", "task 'exact' requires a matrix system")
+    if task == "sweep" and config.sweep_taus is None:
+        raise ConfigError("$.sweep", "sweep requires a sweep.taus grid")
+    if task not in ("oracle", "witness"):
+        return
+    if kind != "sft":
+        raise ConfigError("$.tasks", f"task {task!r} requires an SFT system")
+    if config.system.sided != "one":
+        raise ConfigError("$.tasks", "oracle/witness tasks need a one-sided SFT")
+    # a witness is planned from phi itself; the oracle's cylinder schemes count
+    # a hit at every time n, at radius e^(-tau n), of one target stream
+    for i, triple in enumerate(config.rates):
+        path = f"$.rates[{i}]"
+        if task == "witness":
+            if not isinstance(triple.phi, RateFunction):
+                raise ConfigError(f"{path}.phi", "witness construction needs a rate function")
+        elif not isinstance(triple.time_set, AllTimes):
+            raise ConfigError(f"{path}.time_set", "oracle schemes need the full time set")
+        elif not isinstance(triple.phi, Exponential):
+            raise ConfigError(f"{path}.phi", "oracle schemes need a pure exponential rate")
+        elif triple.target.preperiod or triple.target.schedule_period != 1:
+            raise ConfigError(f"{path}.target", "oracle schemes need a constant symbol target")
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON object into an ExperimentConfig."""
     d = _as_dict(raw, "$")
@@ -363,24 +398,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if t not in TASKS:
             raise ConfigError(f"$.tasks[{i}]", f"unknown task {t!r}; valid: {TASKS}")
         tasks.append(t)
-    for t in ("oracle", "witness"):
-        if t in tasks and kind != "sft":
-            raise ConfigError("$.tasks", f"task {t!r} requires an SFT system")
-    if "oracle" in tasks or "witness" in tasks:
-        assert isinstance(system, ShiftOfFiniteType)
-        if system.sided != "one":
-            raise ConfigError("$.tasks", "oracle/witness tasks need a one-sided SFT")
-    if "oracle" in tasks:
-        # the cylinder schemes analyze hitting over every time
-        for i, triple in enumerate(triples):
-            if not isinstance(triple.time_set, AllTimes):
-                raise ConfigError(
-                    f"$.rates[{i}].time_set", "oracle schemes need the full time set"
-                )
-    if "exact" in tasks and kind not in ("matrix",):
-        raise ConfigError("$.tasks", "task 'exact' requires a matrix system")
-    if "analyze" in tasks and kind not in ("matrix", "sft", "sofic"):
-        raise ConfigError("$.tasks", "task 'analyze' requires a matrix or symbolic system")
 
     op = OracleParams()
     if "oracle_params" in d:
@@ -442,7 +459,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 raise ConfigError("$.output.formats", "formats must be nonempty")
             formats = tuple(fmts)
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         system=system,
         system_kind=kind,
         rates=tuple(triples),
@@ -453,6 +470,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
         formats=formats,
         raw=raw,
     )
+    for t in config.tasks:
+        check_task(config, t)
+    return config
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -66,16 +66,16 @@ class RateFunction:
     """Base class for shrinking rates.  Subclasses are immutable.
 
     ``phi(n)`` may underflow to 0.0 in binary64 once -ln(phi(n)) exceeds ~745;
-    ``log_phi(n)`` stays exact for the exponential-type variants and is what
-    hit checks should compare against.
+    every variant computes ``log_phi(n)`` in closed form, and hit checks
+    compare against it.
     """
 
     def phi(self, n: int) -> float:
         raise NotImplementedError
 
     def log_phi(self, n: int) -> float:
-        """ln(phi(n)), computed without evaluating phi when possible."""
-        return math.log(self.phi(n))
+        """ln(phi(n)), computed without evaluating phi, which may underflow."""
+        raise NotImplementedError
 
     def exponents(self) -> RateExponents:
         raise NotImplementedError
@@ -119,6 +119,10 @@ class PowerLaw(RateFunction):
     def phi(self, n: int) -> float:
         # n^-a grows without bound as n -> 0, so the min is 1 at n = 0
         return min(1.0, float(n) ** (-self.a)) if n else 1.0
+
+    def log_phi(self, n: int) -> float:
+        # n^-a <= 1 for n >= 1, and n^-a underflows to 0 long before -a ln n does
+        return -self.a * math.log(n) if n else 0.0
 
     def exponents(self) -> RateExponents:
         return RateExponents(0.0, 0.0)

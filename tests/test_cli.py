@@ -322,6 +322,18 @@ class TestRun:
         (row,) = res["rows"]
         assert res["status"] == "ok" and row["all_verified"] is True
 
+    @pytest.mark.parametrize("a", [300.0, 1074.0])
+    def test_witness_power_law_past_underflow(self, tmp_path, monkeypatch, a):
+        # the first hit time is at least 21, where 21^-a underflows to 0; the
+        # plan reads -a ln n and names the block it cannot place
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tasks=("witness",))
+        payload["rates"][0]["phi"] = {"kind": "power_law", "a": a}
+        payload["oracle_params"]["stages"] = 8
+        assert main(["witness", "--config", str(write_config(tmp_path, payload))]) == 1
+        res = read_report(tmp_path)["results"][0]
+        assert res["error"] == "block 1: rate exceeds its exponential envelope along S"
+
     def test_periodic_sft_with_common_index(self, tmp_path, monkeypatch):
         # bipartite SFT {0,1}<->{2,3}: period 2, entropy ln 2; a class-0 target
         # on even times has index difference 0, so lower bounds stay available
@@ -528,7 +540,59 @@ class TestValidation:
         payload["system"] = {"kind": "profile", "lambda1": 1.0, "lambda2": 1.0, "ln_l1": 1.0, "ln_l2": 1.0, "h_top": LN2}
         cfg = write_config(tmp_path, payload)
         assert main(["analyze", "--config", str(cfg)]) == 1
-        assert "analyze needs a matrix or symbolic system" in read_report(tmp_path)["results"][0]["error"]
+        assert "task 'analyze' requires a matrix or symbolic system" in read_report(tmp_path)["results"][0]["error"]
+
+    # (command, edits to the golden-mean oracle config, path, message): what
+    # each command needs of a config, one fault per case
+    TASK_REQUIREMENTS = [
+        ("exact", {}, "$.tasks", "task 'exact' requires a matrix system"),
+        ("analyze", {"system": {"kind": "profile", "lambda1": 1.0, "lambda2": 1.0, "ln_l1": 1.0, "ln_l2": 1.0, "h_top": LN2}},
+         "$.tasks", "task 'analyze' requires a matrix or symbolic system"),
+        *[
+            (command, {"system": {"kind": "matrix", "entries": [[2, 1], [1, 1]]}, "rate": {"target": {"kind": "point", "point": [0.0, 0.0]}}},
+             "$.tasks", f"task {command!r} requires an SFT system")
+            for command in ("oracle", "witness")
+        ],
+        *[
+            (command, {"system": {"kind": "sft", "transition": [[1, 1], [1, 0]], "sided": "two"}},
+             "$.tasks", "oracle/witness tasks need a one-sided SFT")
+            for command in ("oracle", "witness")
+        ],
+        ("oracle", {"rate": {"time_set": {"kind": "arithmetic", "offset": 0, "step": 3}}},
+         "$.rates[0].time_set", "oracle schemes need the full time set"),
+        ("oracle", {"rate": {"phi": {"kind": "power_law", "a": 2.0}}},
+         "$.rates[0].phi", "oracle schemes need a pure exponential rate"),
+        ("oracle", {"rate": {"target": {"kind": "symbol_schedule", "cycle": [{"cycle": [0]}, {"cycle": [1, 0]}]}}},
+         "$.rates[0].target", "oracle schemes need a constant symbol target"),
+        ("witness", {"rate": {"phi": {"kind": "exponents", "tau_upper": 0.5, "tau_lower": 0.5}}},
+         "$.rates[0].phi", "witness construction needs a rate function"),
+        ("sweep", {}, "$.sweep", "sweep requires a sweep.taus grid"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command,edits,path,message", TASK_REQUIREMENTS,
+        ids=["exact_sft", "analyze_profile", "oracle_matrix", "witness_matrix", "oracle_two_sided",
+             "witness_two_sided", "oracle_arithmetic_s", "oracle_power_law", "oracle_two_streams",
+             "witness_exponents", "sweep_no_grid"],
+    )
+    def test_task_requirement_on_both_paths(self, tmp_path, monkeypatch, command, edits, path, message):
+        # a configured task fails the load; the same command run from the CLI
+        # outside config.tasks gets the same message as an error row
+        monkeypatch.chdir(tmp_path)
+
+        def payload(tasks):
+            p = golden_oracle_config(tasks=tasks)
+            p["system"] = edits.get("system", p["system"])
+            p["rates"][0].update(edits.get("rate", {}))
+            return p
+
+        if command != "sweep":  # a grid, not a task entry, asks for a sweep
+            with pytest.raises(ConfigError) as exc:
+                parse_config(payload((command,)))
+            assert (exc.value.path, exc.value.message) == (path, message)
+        assert main([command, "--config", str(write_config(tmp_path, payload(("bounds",))))]) == 1
+        (res,) = read_report(tmp_path)["results"]
+        assert (res["status"], res["error"]) == ("error", f"{path}: {message}")
 
     @pytest.mark.parametrize("command", ["oracle", "witness"])
     def test_symbolic_command_on_matrix_system(self, tmp_path, monkeypatch, command):

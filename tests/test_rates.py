@@ -12,6 +12,7 @@ from shrinktarget.rates import (
     PowerLaw,
     RateError,
     RateExponents,
+    RateFunction,
     SymbolSequence,
     Tabulated,
     arithmetic_tail,
@@ -170,6 +171,24 @@ class TestInvariants:
         for phi in (Exponential(0.7), PiecewiseExponential(2, (1.0, 2.0))):
             assert phi.log_phi(n) == pytest.approx(-phi.exponents().tau_upper * n, rel=1.0)
             assert phi.log_phi(n) <= 0.0
+
+    @pytest.mark.parametrize("a", [0.0, 1.5, 300.0, 1e300])
+    def test_power_law_log_phi_past_underflow(self, a):
+        # n^-a underflows to 0 for a >= 300 at n = 21, and ln 0 is a domain error
+        phi = PowerLaw(a)
+        assert phi.log_phi(0) == phi.log_phi(1) == 0.0
+        assert phi.log_phi(21) == -a * math.log(21)
+        if a < 100:
+            assert phi.log_phi(21) == pytest.approx(math.log(phi.phi(21)), rel=1e-12, abs=1e-300)
+
+    def test_base_log_phi_has_no_fallback(self):
+        # no rate may take the log of a phi value that may have underflowed
+        class Halves(RateFunction):
+            def phi(self, n):
+                return 0.5**n
+
+        with pytest.raises(NotImplementedError):
+            Halves().log_phi(3)
 
     @given(
         t1=st.floats(min_value=0.0, max_value=4.0),

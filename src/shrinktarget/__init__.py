@@ -74,12 +74,14 @@ from .bounds import (  # noqa: F401
 )
 from .oracle import (  # noqa: F401
     LimsupCylinderScheme,
+    MoranLayout,
     WitnessCertificate,
     WitnessPlan,
     construct_witness,
     critical_exponent,
     grid_cell,
     moran_dimension,
+    moran_layout,
     plan_witness,
     verify_witness,
 )

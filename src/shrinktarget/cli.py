@@ -28,6 +28,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import operator
 import os
 import sys
@@ -59,6 +60,7 @@ from .oracle import (
     critical_exponent,
     grid_cell,
     moran_dimension,
+    moran_layout,
     plan_witness,
     verify_witness,
 )
@@ -81,7 +83,7 @@ from .symbolic import (
     indices_intersect,
     mixing_gap,
     period_decomposition,
-    sft_entropy,
+    perron_root,
     sofic_entropy,
 )
 from .systems import (
@@ -214,9 +216,12 @@ def system_facts(system: SystemSpec, kind: str) -> SystemFacts:
         )
     if kind == "sft":
         assert isinstance(system, ShiftOfFiniteType)
+        # the decomposition raises unless the shift is irreducible, so the
+        # entropy is the Perron root of the whole matrix, as sft_entropy finds
         decomp = period_decomposition(system)
         return SystemFacts(
-            kind, decomposition=decomp, period=decomp.period, h_top=sft_entropy(system),
+            kind, decomposition=decomp, period=decomp.period,
+            h_top=math.log(perron_root(system.transition)),
             gap=mixing_gap(system) if decomp.period == 1 else None, sided=system.sided,
         )
     if kind == "sofic":
@@ -503,7 +508,7 @@ def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
         )
     grid = _ArithmeticGrid(lo, params.grid_step, max(0, round(n_pts) + 1))
     words = {}  # the schemes' word counts per first target symbol, for this call only
-    rows = []
+    rows, layouts = [], []
     for i, triple in enumerate(config.rates):
         z = triple.target.target(0)
         tau = triple.phi.tau
@@ -512,19 +517,22 @@ def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
         if z0 not in words:
             words[z0] = scheme.word_sequences(params.depth)
         bracket = grid_cell(critical_exponent(scheme, params.depth, words[z0]), grid)
-        moran = moran_dimension(shift, tau, params.stages, gap)
+        # laid out in rate order, so the first failing rate names the error; only the walk waits
+        layouts.append(moran_layout(tau, params.stages, gap))
         rows.append(
             {
                 "rate_index": i,
                 "tau": fmt(tau),
                 "bracket_lo": fmt(bracket[0]),
                 "bracket_hi": fmt(bracket[1]),
-                "moran_estimate": fmt(moran),
+                "moran_estimate": None,  # filled in from the one walk below
                 "shift_exact_value": fmt(h / (1.0 + tau)),
                 "depth": params.depth,
                 "stages": params.stages,
             }
         )
+    for row, moran in zip(rows, moran_dimension(shift, layouts)):  # one squaring walk for every rate
+        row["moran_estimate"] = fmt(moran)
     return {"h_top": fmt(h), "rows": rows}
 
 

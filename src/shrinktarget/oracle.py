@@ -38,14 +38,16 @@ The fit reads exact big-integer counts of every level from one row-vector
 recurrence (symbolic.word_counts_ending), which gives both sequences a
 scheme splices, so rates that share a first target symbol can share it.
 Its finite-depth bias comes from the subdominant eigenvalues of the
-transition matrix (see ``critical_exponent``).  The Moran estimate reads
-the log counts of all its stage lengths from one normalized float squaring
-walk (symbolic.log_count_words_many).  A witness certificate lists its hit
-times; construction records the agreement at each and verification
-recomputes it, both from numpy mismatch arrays of the prefix against each
-distinct target stream (one per residue class of its cycle), so neither has
-a per-symbol Python loop and verification checks the claimed times only,
-not every time in S.
+transition matrix (see ``critical_exponent``).  Moran stage lengths depend
+on tau and the gap only, so each rate's are laid out first
+(``moran_layout``), and the estimates of all rates read the log counts of
+every stage from one normalized float squaring walk per call
+(``moran_dimension`` over symbolic.log_count_words_many).  A witness
+certificate lists its hit times; construction records the agreement at
+each and verification recomputes it, both from numpy mismatch arrays of
+the prefix against each distinct target stream (one per residue class of
+its cycle), so neither has a per-symbol Python loop and verification
+checks the claimed times only, not every time in S.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -217,24 +220,57 @@ def grid_cell(s_star: float, grid: Sequence[float]) -> tuple[float, float]:
 _MORAN_ETA = 0.02
 
 
-def moran_dimension(shift: ShiftOfFiniteType, tau: float, stages: int, gap: int) -> float:
-    """Finite-stage branching-ratio estimate of the limsup-set dimension.
+@dataclass(frozen=True)
+class MoranLayout:
+    """The free block lengths m_k of a Moran construction, stage by stage,
+    and the total length its estimate divides by."""
 
-    Builds ``stages`` stages, each a free block of all admissible words of
-    length m_k followed (after connectors of ``gap`` symbols) by a pinned
-    target prefix of length floor(tau * s_k) at hit time s_k.  ``gap`` must
-    be ``symbolic.mixing_gap(shift)``, which rejects non-mixing shifts.
-    Stage sizes grow so the carried-over prefix is a ~3% fraction of each
-    new hit time, i.e. the free part of stage k occupies a (1 - 1.5 eta)
-    fraction of s_k.  Returns (sum of ln branch counts) / (total length) -
-    the Moran-set dimension of the scheme at finite depth.  Each stage
-    multiplies the length by about (1 + tau) / (1.5 eta), so a stage count
-    whose layout leaves the float range raises OracleError.
+    free_lengths: tuple[int, ...]
+    total_len: int
 
-    The stage lengths depend on tau and the gap only, not on the counts, so
-    they are laid out first, and the ln branch counts of all stages come
-    from one squaring walk (``symbolic.log_count_words_many``), bit for bit
-    the values each length would get powered alone.
+
+def moran_layout(tau: float, stages: int, gap: int) -> MoranLayout:
+    """Stage lengths of the Moran construction at ``tau`` (see ``moran_dimension``).
+
+    Stage k is a free block of all admissible words of length m_k followed
+    (after connectors of ``gap`` symbols) by a pinned target prefix of
+    length floor(tau * s_k) at hit time s_k.  ``gap`` must be
+    ``symbolic.mixing_gap(shift)``, which rejects non-mixing shifts.  Stage
+    sizes grow so the carried-over prefix is a ~3% fraction of each new hit
+    time, i.e. the free part of stage k occupies a (1 - 1.5 eta) fraction
+    of s_k.  Each stage multiplies the length by about (1 + tau) / (1.5 eta),
+    so a stage count whose layout leaves the float range raises
+    OracleError.  The lengths depend on tau and the gap only, never on the
+    counts.
+    """
+    if not (tau >= 0.0) or math.isinf(tau):
+        raise OracleError("tau must be a finite nonnegative real")
+    if stages < 1:
+        raise OracleError("stages must be >= 1")
+    lengths = []
+    total_len = 0
+    for _ in range(stages):
+        carried = total_len + 2 * gap
+        try:
+            s_k = max(carried + 1, math.ceil(carried / (1.5 * _MORAN_ETA)))
+            total_len = s_k + floor_guarded(tau * s_k)
+        except OverflowError:
+            raise OracleError(f"stages = {stages}: the stage lengths leave the float range") from None
+        lengths.append(s_k - carried)
+    return MoranLayout(tuple(lengths), total_len)
+
+
+def moran_dimension(shift: ShiftOfFiniteType, layouts: Sequence[MoranLayout]) -> list[float]:
+    """Finite-stage branching-ratio estimate of the limsup-set dimension,
+    one per layout (``moran_layout``).
+
+    Each estimate is (sum of ln branch counts) / (total length), the
+    Moran-set dimension of the scheme at finite depth; stage k branches
+    into the admissible words of length m_k.  The ln branch counts of every
+    stage of every layout come from one squaring walk
+    (``symbolic.log_count_words_many``), so a call over many rates squares
+    the base once, in O(L k^2) memory for L stages in all.  Each estimate
+    is bit for bit the value its layout gets walked alone.
 
     The estimate does not converge to h/(1+tau) as stages grow.  With the
     fixed eta = 0.02 every stage gives the same 1.5 eta = 3% of its hit time
@@ -253,24 +289,14 @@ def moran_dimension(shift: ShiftOfFiniteType, tau: float, stages: int, gap: int)
     """
     if shift.sided != "one":
         raise OracleError("Moran estimates are defined for one-sided shifts")
-    if not (tau >= 0.0) or math.isinf(tau):
-        raise OracleError("tau must be a finite nonnegative real")
-    if stages < 1:
-        raise OracleError("stages must be >= 1")
-    lengths = []
-    total_len = 0
-    for _ in range(stages):
-        carried = total_len + 2 * gap
-        try:
-            s_k = max(carried + 1, math.ceil(carried / (1.5 * _MORAN_ETA)))
-            total_len = s_k + floor_guarded(tau * s_k)
-        except OverflowError:
-            raise OracleError(f"stages = {stages}: the stage lengths leave the float range") from None
-        lengths.append(s_k - carried)
-    total_log = 0.0
-    for log_count in log_count_words_many(shift, lengths):
-        total_log += log_count  # stage by stage, not sum(): the same roundings on every Python
-    return total_log / total_len
+    logs = iter(log_count_words_many(shift, [m for lay in layouts for m in lay.free_lengths]))
+    estimates = []
+    for lay in layouts:
+        total_log = 0.0
+        for log_count in islice(logs, len(lay.free_lengths)):
+            total_log += log_count  # stage by stage, not sum(): the same roundings on every Python
+        estimates.append(total_log / lay.total_len)
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +479,19 @@ def _reach_sets(shift: ShiftOfFiniteType, into: int, needed: int) -> list[frozen
 
 
 def _fill_stretch(
-    shift: ShiftOfFiniteType, length: int, prev: int | None, into: int
+    shift: ShiftOfFiniteType, length: int, prev: int | None, reach: list[frozenset[int]]
 ) -> list[int]:
     """Lexicographically-least admissible word of ``length`` symbols following
     ``prev`` and ending at a predecessor of ``into``.
 
-    Greedy with reachability pruning; connector feasibility comes from the
-    mixing gap, so a dead end would indicate an internal inconsistency.
+    ``reach`` is ``_reach_sets(shift, into, needed)`` for any needed >=
+    length, so one list serves every stretch into the same symbol: a larger
+    needed only extends the list, and a list that stops short has reached
+    the full alphabet, where every later set stays.  Greedy with
+    reachability pruning; connector feasibility comes from the mixing gap,
+    so a dead end would indicate an internal inconsistency.
     """
     k = shift.alphabet_size
-    reach = _reach_sets(shift, into, length)
 
     def reach_at(j: int) -> frozenset[int]:
         return reach[j] if j < len(reach) else reach[-1]
@@ -499,12 +528,17 @@ def construct_witness(
     achieves there (``_agreement_lengths``) beside the one the plan requires.
     """
     target = _as_shift_target(z)
+    targets = [target.target(b.hit_time) for b in plan.blocks]
+    # one reach list per first target symbol; the last hit time bounds every stretch
+    reach = {
+        z0: _reach_sets(shift, z0, plan.blocks[-1].hit_time)
+        for z0 in {t.symbol(0) for t in targets}
+    }
     symbols: list[int] = []
     prev: int | None = None
-    for b in plan.blocks:
-        tgt = target.target(b.hit_time)
+    for b, tgt in zip(plan.blocks, targets):
         stretch = b.hit_time - len(symbols)
-        symbols.extend(_fill_stretch(shift, stretch, prev, tgt.symbol(0)))
+        symbols.extend(_fill_stretch(shift, stretch, prev, reach[tgt.symbol(0)]))
         pinned = tgt.prefix(b.pinned_len)
         symbols.extend(pinned)
         prev = symbols[-1]

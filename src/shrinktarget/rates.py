@@ -186,12 +186,13 @@ class Tabulated(RateFunction):
             raise RateError("Tabulated requires finite tail_tau")
 
     def phi(self, n: int) -> float:
-        if n <= len(self.values):
+        # the table covers n = 1..len; time 0 reads the tail, exp(0) = 1
+        if 0 < n <= len(self.values):
             return self.values[n - 1]
         return math.exp(-self.tail_tau * n)
 
     def log_phi(self, n: int) -> float:
-        if n <= len(self.values):
+        if 0 < n <= len(self.values):
             return math.log(self.values[n - 1])
         return -self.tail_tau * n
 

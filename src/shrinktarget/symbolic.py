@@ -324,6 +324,13 @@ def word_counts_ending(
     return every, ending
 
 
+# bytes of running products in one stack of the walk: half of glibc malloc's
+# default mmap threshold (128 KiB), so a stack and its product buffer come
+# from the heap rather than from freshly mapped pages, which would raise the
+# peak RSS of a 60-symbol walk by about 0.4 MB
+_WALK_BATCH_BYTES = 1 << 16
+
+
 def log_count_words_many(x: ShiftOfFiniteType, lengths: Sequence[int]) -> list[float]:
     """ln of the number of admissible n-words for every n in ``lengths``,
     from one squaring walk.
@@ -331,43 +338,56 @@ def log_count_words_many(x: ShiftOfFiniteType, lengths: Sequence[int]) -> list[f
     The word count is the entry sum of M^(n-1).  Binary powering rescales
     every product by its largest entry and carries the scale in log space,
     so nothing overflows.  The walk squares the normalized base once per
-    bit of the largest exponent and multiplies each length's running
-    product into it where that length's bit is set; every length sees the
-    same float operations as it would powered alone, so the values do not
-    depend on which other lengths are asked for.  The cost is
-    O(k^3 (log max n + total set bits)), and only the current square is
-    kept.  The accumulated relative error is of order (number of squarings)
-    * machine epsilon: at n <= 300 on the test shifts it stays within 1e-12
-    of the log of the exact count, and it is negligible next to the
-    O(1/n) terms any consumer divides out.
+    bit of the largest exponent.  The running products sit in (b, k, k)
+    stacks of b lengths each, each stack small enough for the allocator's
+    heap (``_WALK_BATCH_BYTES``).  At bit j the products of a stack whose
+    exponent has bit j set are multiplied into the square by one batched
+    matmul, and rescaled by one max and one broadcast divide.  Each length
+    still sees the same float operations as it would powered alone (one
+    matmul per slice, its scale's log taken by ``math.log`` and added to
+    its own Python-float accumulator in the same order), so the values do
+    not depend on which other lengths are asked for.  The cost is
+    O(k^3 (log max n + total set bits)) and the memory O(L k^2).
+    The accumulated relative error is of order (number of squarings) *
+    machine epsilon: at n <= 300 on the test shifts it stays within 1e-12
+    of the log of the exact count, and it is negligible next to the O(1/n)
+    terms any consumer divides out.
     """
     if any(n < 1 for n in lengths):
         raise SymbolicError("word length must be >= 1")
     k = x.alphabet_size
-    exps = [n - 1 for n in lengths]
+    exps = [n - 1 for n in lengths]  # Python ints: they reach 2^72, past int64
     base = np.array(x.transition, dtype=float)
     s = base.max()
     base /= s
     log_base = math.log(s)  # base * exp(log_base) == M^(2^j)
-    results = [np.eye(k) for _ in exps]
+    batch = max(1, _WALK_BATCH_BYTES // (8 * k * k))
+    stacks = [np.empty((len(exps[c : c + batch]), k, k)) for c in range(0, len(exps), batch)]
+    for stack in stacks:
+        stack[:] = np.eye(k)
     log_results = [0.0] * len(exps)
+    buf = np.empty((min(batch, len(exps)), k, k))  # one stack's products, reused by every stack
     bits = max(exps, default=0).bit_length()
     for j in range(bits):
-        for i, e in enumerate(exps):
-            if e >> j & 1:
-                result = results[i] @ base
-                log_results[i] += log_base
-                s = result.max()
-                result /= s
-                log_results[i] += math.log(s)
-                results[i] = result
+        for c, stack in zip(range(0, len(exps), batch), stacks):
+            part = [i for i, e in enumerate(exps[c : c + batch]) if e >> j & 1]
+            if not part:
+                continue
+            prod = np.matmul(stack[part], base, out=buf[: len(part)])
+            scales = prod.max(axis=(1, 2))
+            prod /= scales[:, None, None]
+            stack[part] = prod
+            for i, s in zip(part, scales.tolist()):
+                log_results[c + i] += log_base
+                log_results[c + i] += math.log(s)
         if j + 1 < bits:
             base = base @ base
             log_base *= 2.0
             s = base.max()
             base /= s
             log_base += math.log(s)
-    return [lr + math.log(r.sum()) for lr, r in zip(log_results, results)]
+    products = (r for stack in stacks for r in stack)
+    return [lr + math.log(r.sum()) for lr, r in zip(log_results, products)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from hypothesis import assume, strategies as st
 
+from shrinktarget.oracle import moran_dimension, moran_layout
 from shrinktarget.symbolic import (
     NotMixingError,
     ShiftOfFiniteType,
@@ -24,6 +25,11 @@ def golden_mean_shift(sided="one"):
 def count_words(shift, n):
     """Exact number of admissible n-words, from the CLI's counting recurrence."""
     return word_counts_ending(shift, n, ())[0][-1]
+
+
+def moran_estimate(shift, tau, stages):
+    """One rate's Moran estimate: its layout at the shift's mixing gap, walked alone."""
+    return moran_dimension(shift, [moran_layout(tau, stages, mixing_gap(shift))])[0]
 
 
 def sft_as_sofic(shift):

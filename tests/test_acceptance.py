@@ -22,7 +22,6 @@ from shrinktarget.oracle import (
     construct_witness,
     critical_exponent,
     grid_cell,
-    moran_dimension,
     plan_witness,
     verify_witness,
 )
@@ -35,7 +34,7 @@ from shrinktarget.systems import (
     crude_profile_from_matrix,
     sharp_profile_from_matrix,
 )
-from shift_strategies import count_words, full_shift, golden_mean_shift
+from shift_strategies import count_words, full_shift, golden_mean_shift, moran_estimate
 
 LN2 = math.log(2.0)
 CAT = IntegerMatrixSystem(((2, 1), (1, 1)))
@@ -131,7 +130,7 @@ def test_criterion_3_oracle_brackets():
 
 def test_criterion_4_moran_estimate():
     with criterion(4, "Moran estimate within 0.05 of ln2/1.5, below bracket edge"):
-        est = moran_dimension(full_shift(2), 0.5, 12, mixing_gap(full_shift(2)))
+        est = moran_estimate(full_shift(2), 0.5, 12)
         assert abs(est - LN2 / 1.5) < 0.05
         _, hi = bracket_for(full_shift(2), 0.5, LN2)
         assert est <= hi + 0.02

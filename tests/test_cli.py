@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from shrinktarget.cli import _build_parser, main, run
+from shrinktarget.cli import _build_parser, fmt, main, run
 from shrinktarget.config import FORMATS, TASKS, ConfigError, load_config, parse_config
 from shrinktarget.symbolic import NotMixingError, ShiftOfFiniteType, mixing_gap
+
+from shift_strategies import moran_estimate
 
 LN2 = math.log(2.0)
 CAT_LOG_UNSTABLE = math.log((3.0 + math.sqrt(5.0)) / 2.0)
@@ -92,6 +94,18 @@ class TestRun:
         assert lo < GOLDEN_ENTROPY / 1.5 <= hi
         assert hi - lo <= 0.02
         assert abs(float(row["moran_estimate"]) - GOLDEN_ENTROPY / 1.5) < 0.05
+
+    def test_oracle_rows_equal_one_tau_walks(self, tmp_path, monkeypatch):
+        # the call walks every rate's stages at once; each row prints the
+        # estimate of a walk over its own tau alone
+        monkeypatch.chdir(tmp_path)
+        taus = [0.0, 0.05, 0.3, 0.5, 1.0, 1.7, 2.5]
+        payload = golden_oracle_config()
+        payload["rates"] = [dict(payload["rates"][0], phi={"kind": "exponential", "tau": t}) for t in taus]
+        assert main(["oracle", "--config", str(write_config(tmp_path, payload))]) == 0
+        rows = read_report(tmp_path)["results"][0]["rows"]
+        shift = ShiftOfFiniteType(((1, 1), (1, 0)))
+        assert [row["moran_estimate"] for row in rows] == [fmt(moran_estimate(shift, t, 12)) for t in taus]
 
     def test_oracle_grid_is_not_materialised(self, tmp_path, monkeypatch):
         # 1e11 grid points: the bracket bisects values computed on demand
@@ -528,6 +542,26 @@ class TestValidation:
         (res,) = read_report(tmp_path)["results"]
         assert res["status"] == "error" and message in res["error"]
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "taus,message",
+        [
+            ([2.0, 0.5], "grid does not straddle the critical exponent (s* = 0.160404, grid [0.2, 0.58])"),
+            ([0.5, 2.0], "stages = 182: the stage lengths leave the float range"),
+        ],
+        ids=["bracket_first", "layout_first"],
+    )
+    def test_first_failing_rate_names_the_error(self, tmp_path, monkeypatch, taus, message):
+        # tau = 2 misses the grid and tau = 0.5 has no layout at 182 stages:
+        # the report names whichever comes first in rate order, although the
+        # Moran walk runs once after every rate's bracket and layout
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config()
+        payload["rates"] = [dict(payload["rates"][0], phi={"kind": "exponential", "tau": t}) for t in taus]
+        payload["oracle_params"].update(stages=182, grid_min=0.2)
+        assert main(["oracle", "--config", str(write_config(tmp_path, payload))]) == 1
+        (res,) = read_report(tmp_path)["results"]
+        assert res["status"] == "error" and res["error"] == message
 
     def test_command_outside_config_tasks_checks_system_kind(self, tmp_path, monkeypatch):
         # the CLI command need not be among the config's tasks, so the

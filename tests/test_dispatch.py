@@ -106,7 +106,7 @@ def test_sweep_calls_each_theorem_once_per_run(kind, tmp_path, monkeypatch):
 SHIFT_ANALYSIS = (
     (symbolic, "strongly_connected_components"),
     (symbolic, "mixing_gap"),
-    (symbolic, "sft_entropy"),
+    (symbolic, "perron_root"),
 )
 
 
@@ -130,13 +130,22 @@ def test_oracle_commands_analyse_the_shift_once(command, tmp_path, monkeypatch):
 
     one = counted(tmp_path / "one", 1)
     many = counted(tmp_path / "many", 16)
-    assert one["mixing_gap"] == one["sft_entropy"] == 1
+    assert one["mixing_gap"] == one["perron_root"] == 1
     assert one == many
+
+
+@pytest.mark.parametrize("command", ["analyze", "bounds", "sweep", "oracle", "witness"])
+def test_sft_analysis_finds_components_once(command, tmp_path, monkeypatch):
+    # the period decomposition proves the shift irreducible, and the entropy
+    # is the Perron root without a second component search
+    config = dict(_oracle_config("analyze", 2), sweep={"taus": [0.0, 0.5]})
+    counts = _counted(tmp_path, monkeypatch, config, command, SHIFT_ANALYSIS)
+    assert counts["strongly_connected_components"] == counts["perron_root"] == 1
 
 
 def test_oracle_counts_words_once_per_target_symbol(tmp_path, monkeypatch):
     # rates that share a first target symbol share one word-count recurrence,
-    # and each Moran estimate is one squaring walk
+    # and the Moran estimates of all rates share one squaring walk
     counted_names = ((symbolic, "word_counts_ending"), (symbolic, "log_count_words_many"))
 
     def counted(path, config):
@@ -145,7 +154,7 @@ def test_oracle_counts_words_once_per_target_symbol(tmp_path, monkeypatch):
     one = counted(tmp_path / "one", _oracle_config("oracle", 1))
     many = counted(tmp_path / "many", _oracle_config("oracle", 16))
     assert one == {"word_counts_ending": 1, "log_count_words_many": 1}
-    assert many == {"word_counts_ending": 1, "log_count_words_many": 16}
+    assert many == {"word_counts_ending": 1, "log_count_words_many": 1}
     mixed = _oracle_config("oracle", 16)
     for rate in mixed["rates"][::2]:
         rate["target"] = {"kind": "symbols", "head": [], "cycle": [1, 0]}

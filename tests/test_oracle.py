@@ -5,18 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shrinktarget import oracle
 from shrinktarget.oracle import (
     LimsupCylinderScheme,
     OracleError,
     PlanError,
     WitnessCertificate,
     WitnessHit,
+    _fill_stretch,
+    _reach_sets,
     _stream_agreement,
     construct_witness,
     critical_exponent,
     floor_guarded,
     grid_cell,
     moran_dimension,
+    moran_layout,
     plan_witness,
     required_exponent,
     verify_witness,
@@ -36,7 +40,7 @@ from shrinktarget.symbolic import (
     mixing_gap,
     sft_entropy,
 )
-from shift_strategies import full_shift, golden_mean_shift, irreducible_shifts
+from shift_strategies import full_shift, golden_mean_shift, irreducible_shifts, moran_estimate
 
 LN2 = math.log(2.0)
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
@@ -213,7 +217,7 @@ class TestCoveringSum:
         with pytest.raises(OracleError, match="one-sided"):
             plan_witness(two, Exponential(0.5), ZEROS, AllTimes(), 3, 0.05, mixing_gap(two))
         with pytest.raises(OracleError, match="one-sided"):
-            moran_dimension(two, 0.5, 4, mixing_gap(two))
+            moran_dimension(two, [moran_layout(0.5, 4, mixing_gap(two))])
 
     def test_inadmissible_target_rejected(self):
         with pytest.raises(OracleError, match="admissible"):
@@ -322,28 +326,28 @@ class TestGridCell:
 
 class TestMoran:
     def test_full_shift_tau_half(self):
-        est = moran_dimension(full_shift(2), 0.5, 12, mixing_gap(full_shift(2)))
+        est = moran_estimate(full_shift(2), 0.5, 12)
         assert abs(est - LN2 / 1.5) < 0.05
 
     def test_full_shift_no_pinning(self):
-        est = moran_dimension(full_shift(2), 0.0, 12, mixing_gap(full_shift(2)))
+        est = moran_estimate(full_shift(2), 0.0, 12)
         assert abs(est - LN2) < 0.02
 
     def test_golden_mean_tau_half(self):
-        est = moran_dimension(golden_mean_shift(), 0.5, 12, mixing_gap(golden_mean_shift()))
+        est = moran_estimate(golden_mean_shift(), 0.5, 12)
         assert abs(est - GOLDEN_ENTROPY / 1.5) < 0.05
 
     def test_stays_below_bracket_upper_edge(self):
         for shift, tau in ((full_shift(2), 0.5), (golden_mean_shift(), 0.5)):
             scheme = LimsupCylinderScheme(shift, tau, ZEROS)
             _, hi = grid_cell(critical_exponent(scheme, 40), grid(0.05, 0.6))
-            assert moran_dimension(shift, tau, 12, mixing_gap(shift)) <= hi + 0.02
+            assert moran_estimate(shift, tau, 12) <= hi + 0.02
 
     def test_non_mixing_rejected(self):
         # the gap the estimate takes does not exist for a periodic shift
         flip = ShiftOfFiniteType(((0, 1), (1, 0)))
         with pytest.raises(NotMixingError):
-            moran_dimension(flip, 0.5, 8, mixing_gap(flip))
+            moran_estimate(flip, 0.5, 8)
 
     @pytest.mark.parametrize("tau", [0.0, 0.5, 1.3])
     def test_plateau_below_exact_value(self, tau):
@@ -352,8 +356,35 @@ class TestMoran:
         for shift in (full_shift(3), golden_mean_shift()):
             h = sft_entropy(shift)
             plateau = h * 0.97 / (1.0 + tau - 0.03)
-            assert moran_dimension(shift, tau, 12, mixing_gap(shift)) == pytest.approx(plateau, rel=1e-12)
-            assert moran_dimension(shift, tau, 40, mixing_gap(shift)) == pytest.approx(plateau, rel=1e-12)
+            assert moran_estimate(shift, tau, 12) == pytest.approx(plateau, rel=1e-12)
+            assert moran_estimate(shift, tau, 40) == pytest.approx(plateau, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        irreducible_shifts(mixing=True),
+        st.lists(st.floats(0.0, 3.0), min_size=1, max_size=16),
+        st.integers(1, 14),
+    )
+    def test_one_walk_per_call_equals_one_walk_per_tau(self, shift, taus, stages):
+        # every rate's estimate from the shared walk is bit for bit its walk alone
+        layouts = [moran_layout(tau, stages, mixing_gap(shift)) for tau in taus]
+        assert moran_dimension(shift, layouts) == [moran_dimension(shift, [lay])[0] for lay in layouts]
+
+    def test_layout_stages(self):
+        # s_k = ceil(carried / 0.03), carried = the length so far plus two
+        # connectors of the gap; s = 67, 3400, 170067 here
+        lay = moran_layout(0.5, 3, 1)
+        assert lay.free_lengths == (67 - 2, 3400 - 102, 170067 - 5102)
+        assert lay.total_len == 170067 + 170067 // 2
+        assert moran_dimension(golden_mean_shift(), []) == []
+
+    def test_layout_rejects_bad_input(self):
+        with pytest.raises(OracleError, match="tau"):
+            moran_layout(math.inf, 4, 1)
+        with pytest.raises(OracleError, match="stages must be >= 1"):
+            moran_layout(0.5, 0, 1)
+        with pytest.raises(OracleError, match="stages = 182: the stage lengths leave the float range"):
+            moran_layout(0.5, 182, 1)
 
 
 class TestWitness:
@@ -423,6 +454,24 @@ class TestWitness:
         plan = plan_witness(full_shift(2), Exponential(0.3), ZEROS, powers, 3, 0.05, mixing_gap(full_shift(2)))
         for b in plan.blocks:
             assert powers.contains(b.hit_time)
+
+    def test_reach_sets_once_per_target_symbol(self, monkeypatch):
+        calls = []
+
+        def counted(shift, into, needed):
+            calls.append(into)
+            return _reach_sets(shift, into, needed)
+
+        monkeypatch.setattr(oracle, "_reach_sets", counted)
+        g = golden_mean_shift()
+        plan = plan_witness(g, Exponential(0.5), ZEROS, AllTimes(), 14, 0.05, mixing_gap(g))
+        construct_witness(plan, g, ZEROS)
+        assert calls == [0]
+        calls.clear()
+        schedule = ShiftTarget((), (ZEROS, SymbolSequence((), (1, 0)), ZEROS))
+        plan = plan_witness(full_shift(2), Exponential(0.3), schedule, AllTimes(), 9, 0.05, 1)
+        construct_witness(plan, full_shift(2), schedule)
+        assert sorted(calls) == [0, 1]
 
     def test_deterministic(self):
         phi = Exponential(0.3)
@@ -603,3 +652,20 @@ class TestWitnessAgainstNaiveLoops:
         assert verify_witness(claim_every_time(cert.prefix), phi, z, s) == every
         planned = [b.hit_time for b in plan.blocks]
         assert verify_witness(cert, phi, z, s) == [n for n in every if n in planned]
+
+    @settings(max_examples=60, deadline=None)
+    @given(irreducible_shifts(max_k=5, mixing=True), st.floats(0.0, 1.2), st.integers(1, 8), st.data())
+    def test_shared_reach_sets_fill_like_per_block(self, shift, tau, stages, data):
+        # one reach list per target symbol fills every stretch as a list
+        # built for that stretch alone does
+        cycle = tuple(admissible_sequence(data, shift) for _ in range(data.draw(st.integers(1, 3))))
+        z = ShiftTarget((), cycle)
+        plan = plan_witness(shift, Exponential(tau), z, AllTimes(), stages, 0.1, mixing_gap(shift))
+        symbols, prev = [], None
+        for b in plan.blocks:
+            tgt = z.target(b.hit_time)
+            stretch = b.hit_time - len(symbols)
+            symbols += _fill_stretch(shift, stretch, prev, _reach_sets(shift, tgt.symbol(0), stretch))
+            symbols += tgt.prefix(b.pinned_len)
+            prev = symbols[-1]
+        assert construct_witness(plan, shift, z).prefix == tuple(symbols)

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from shrinktarget.oracle import required_exponent
 from shrinktarget.rates import (
     AllTimes,
     Arithmetic,
@@ -75,6 +76,14 @@ class TestTauExponents:
     def test_tabulated_prefix_is_ignored(self):
         phi = Tabulated(values=(0.9, 0.1, 1.0), tail_tau=0.25)
         assert tau_exponents(phi) == RateExponents(0.25, 0.25)
+
+    def test_tabulated_time_zero_reads_the_tail(self):
+        # time 0 is before the table: phi(0) = exp(-tail_tau * 0) = 1, not
+        # values[-1] by a negative index
+        phi = Tabulated((1.0, 1e-300), 0.5)
+        assert phi.phi(0) == 1.0 and phi.log_phi(0) == 0.0
+        assert phi.phi(2) == 1e-300 and phi.log_phi(2) == math.log(1e-300)
+        assert required_exponent(phi, 0) == 1
 
     def test_exponential_identity_exact(self):
         phi = Exponential(0.5)

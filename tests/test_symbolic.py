@@ -6,6 +6,7 @@ import pytest
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from shrinktarget.cli import system_facts
 from shrinktarget.rates import (
     AllTimes,
     Arithmetic,
@@ -103,6 +104,12 @@ class TestEntropy:
         with pytest.raises(EmptyShiftError):
             ShiftOfFiniteType(((0, 0), (0, 0)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(irreducible_shifts(max_k=12))
+    def test_decomposed_shift_entropy_is_bitwise_the_same(self, shift):
+        # the CLI's analysis skips the component search, not a rounding
+        assert system_facts(shift, "sft").h_top == sft_entropy(shift)
+
     def test_perron_root_values(self):
         assert perron_root(((1, 1), (1, 1))) == pytest.approx(2.0, abs=1e-10)
         assert perron_root(((1, 1), (1, 0))) == pytest.approx(
@@ -179,6 +186,17 @@ class TestCountWords:
         shared = log_count_words_many(shift, lengths)
         assert shared == [per_length_log_count(shift, n) for n in lengths]
         assert [log_count_words_many(shift, [n])[0] for n in lengths] == shared
+
+    @settings(max_examples=30, deadline=None)
+    @given(irreducible_shifts(), st.lists(st.integers(2**69, 2**71), min_size=100, max_size=200))
+    def test_batched_walk_equals_per_length_powering(self, shift, lengths):
+        # the batch of a whole oracle call: a few hundred lengths near 2^70
+        assert log_count_words_many(shift, lengths) == [per_length_log_count(shift, n) for n in lengths]
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.lists(st.integers(1, 2**71), min_size=12, max_size=40))
+    def test_batched_walk_60_symbols(self, lengths):
+        assert log_count_words_many(SFT60, lengths) == [per_length_log_count(SFT60, n) for n in lengths]
 
     @settings(max_examples=60, deadline=None)
     @given(irreducible_shifts(), st.lists(st.integers(1, 300), min_size=1, max_size=6))

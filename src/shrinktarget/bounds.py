@@ -4,7 +4,8 @@ Every theorem evaluates a closed-form bound with explicit case dispatch and
 returns a :class:`BoundReport`.  A theorem takes the data it reads and
 nothing else: the map theorems take a :class:`HyperbolicityProfile` (the
 exponents lambda1, lambda2 and the log Lipschitz constants ln L1, ln L2),
-the shift theorems take whether the shift is mixing and its entropy.
+the shift theorems take whether the shift is mixing and its entropy, and
+every theorem, :func:`covering_bounds` too, takes the rate exponents.
 
 The paper's exact values are not a separate formula.  They are the
 sandwich of :func:`bounds_hyperbolic_set` or :func:`bounds_expanding` on a
@@ -39,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .rates import RateExponents, RateFunction
+from .rates import RateExponents
 from .systems import HyperbolicityProfile
 
 BOUNDARY_TOL = 1e-12
@@ -148,9 +149,27 @@ def lower_factor(lambda1: float, lambda2: float, tau_bar: float) -> float:
     return num / den
 
 
+def _lower_sides(p: HyperbolicityProfile, t: float) -> tuple[float, float]:
+    """The lower sides (h, dim) at tau_bar = t, valid when t < lambda1.
+
+    h = factor * h_top; dim = (1/ln L1 + factor/ln L2) h_top, or h / ln L for
+    a Lipschitz profile (no ln_l1).  Raises HypothesisViolatedError otherwise.
+    """
+    f = lower_factor(p.lambda1, p.lambda2, t)
+    h_low = f * p.h_top
+    return h_low, h_low / p.ln_l2 if p.ln_l1 is None else (1.0 / p.ln_l1 + f / p.ln_l2) * p.h_top
+
+
 # ---------------------------------------------------------------------------
 # Map theorems
 # ---------------------------------------------------------------------------
+
+
+def _lipschitz_upper(p: HyperbolicityProfile, t: float) -> tuple[float, float]:
+    """Upper sides (h, dim) of a Lipschitz map at tau_lower = t:
+    factor ln L/(ln L + t) times h_top, and that entropy over lambda2."""
+    h_up = (p.ln_l2 / (p.ln_l2 + t)) * p.h_top
+    return h_up, h_up / p.lambda2
 
 
 def _bilipschitz_upper(
@@ -184,24 +203,22 @@ def bounds_general_profile(profile: HyperbolicityProfile, tau: RateExponents) ->
     exponents) is dropped.
     """
     p = profile
-    h, t = p.h_top, tau.tau_lower
+    t = tau.tau_lower
     if p.ln_l1 is None:
         if not math.isinf(p.lambda1):
             raise ValueError("a Lipschitz profile (no ln_l1) needs lambda1 = +inf")
         if _holds(t == math.inf):
-            h_up, tag = 0.0, CaseTag.DEGENERATE_ZERO
+            h_up, dim_up, tag = 0.0, 0.0, CaseTag.DEGENERATE_ZERO
         else:
-            h_up, tag = (p.ln_l2 / (p.ln_l2 + t)) * h, CaseTag.GENERIC
-        dim_up, upper = h_up / p.lambda2, ("lipschitz", True)
+            (h_up, dim_up), tag = _lipschitz_upper(p, t), CaseTag.GENERIC
+        upper = ("lipschitz", True)
     else:
         if math.isinf(p.lambda1):
             raise ValueError("a bi-Lipschitz profile (with ln_l1) needs a finite lambda1")
         tag, h_up, dim_up, upper = _bilipschitz_upper(p, t)
     assumptions = [upper]
     try:
-        f = lower_factor(p.lambda1, p.lambda2, tau.tau_upper)
-        h_low = f * h
-        dim_low = h_low / p.ln_l2 if p.ln_l1 is None else (1.0 / p.ln_l1 + f / p.ln_l2) * h
+        h_low, dim_low = _lower_sides(p, tau.tau_upper)
         assumptions.append(("lower hypothesis tau_upper < lambda1", True))
     except HypothesisViolatedError:
         h_low = dim_low = None
@@ -266,9 +283,7 @@ def bounds_hyperbolic_set(
         )
 
     if _holds(t_for_lower < lam1):
-        f_low = lower_factor(lam1, lam2, t_for_lower)
-        h_low = f_low * h
-        dim_low = (1.0 / l1 + f_low / l2) * h
+        h_low, dim_low = _lower_sides(p, t_for_lower)
     else:
         h_low = dim_low = None
         assumptions.append(("lower hypothesis tau < lambda1", False))
@@ -297,36 +312,35 @@ def bounds_expanding(
     h = d b^2/(b + t) and dim = d b/(b + t).
     """
     p = profile
-    if not math.isinf(p.lambda1):
+    if not math.isinf(p.lambda1) or p.ln_l1 is not None:
         raise HypothesisViolatedError("expanding bounds need lambda1 = +inf (non-invertible profile)")
-    lam = p.lambda2
-    lnl = p.ln_l2
-    h = p.h_top
     t_low = tau.tau_lower
     t_for_lower = t_low if tau_lower_substitution else tau.tau_upper
     assumptions = [("tau_lower_substitution", tau_lower_substitution)]
 
-    f_up = lnl / (lnl + t_low)
-    if _at(lnl, lam) and tau_lower_substitution:
-        h_val = f_up * h
-        dim_val = h / (lnl + t_low)
+    h_up, dim_up = _lipschitz_upper(p, t_low)
+    if _at(p.ln_l2, p.lambda2) and tau_lower_substitution:
+        dim_val = p.h_top / (p.ln_l2 + t_low)
         return BoundReport(
-            h_val, h_val, dim_val, dim_val, CaseTag.EXACT,
+            h_up, h_up, dim_val, dim_val, CaseTag.EXACT,
             tuple(assumptions) + (("L == lambda", True),),
             (_EXPANDING_EXACT_NOTE,),
         )
-
-    h_up = f_up * h
-    dim_up = f_up * h / lam
-    f_low = lower_factor(math.inf, lam, t_for_lower)
-    h_low = f_low * h
-    dim_low = f_low * h / lnl
+    h_low, dim_low = _lower_sides(p, t_for_lower)
     return BoundReport(h_low, h_up, dim_low, dim_up, CaseTag.GENERIC, tuple(assumptions))
 
 
 # ---------------------------------------------------------------------------
 # Shift theorems
 # ---------------------------------------------------------------------------
+
+
+def _shift_assumptions(mixing: bool, naturals: bool, index_ok: bool | None) -> list[tuple[str, bool]]:
+    """The hypotheses both shift theorems report first."""
+    assumptions = [("mixing", mixing), ("time sets all naturals", naturals)]
+    if index_ok is not None:
+        assumptions.append(("index_intersection_nonempty", index_ok))
+    return assumptions
 
 
 def bounds_one_sided_shift(
@@ -345,9 +359,7 @@ def bounds_one_sided_shift(
     """
     t_low, t_up = tau.tau_lower, tau.tau_upper
     up = h_top / (1.0 + t_low)
-    assumptions = [("mixing", mixing), ("time sets all naturals", time_sets_all_naturals)]
-    if index_ok is not None:
-        assumptions.append(("index_intersection_nonempty", index_ok))
+    assumptions = _shift_assumptions(mixing, time_sets_all_naturals, index_ok)
     if mixing and time_sets_all_naturals:
         return BoundReport(up, up, up, up, CaseTag.EXACT, tuple(assumptions))
     if mixing or index_ok is True:
@@ -372,10 +384,7 @@ def bounds_two_sided_shift(
     vanishes.  Exact in the mixing, S = N case.
     """
     t_low, t_up = tau.tau_lower, tau.tau_upper
-    assumptions = [("mixing", mixing), ("time sets all naturals", time_sets_all_naturals)]
-    if index_ok is not None:
-        assumptions.append(("index_intersection_nonempty", index_ok))
-
+    assumptions = _shift_assumptions(mixing, time_sets_all_naturals, index_ok)
     if _holds(_at(t_low, 1.0)):
         return BoundReport(
             0.0, 0.0, None, h_top, CaseTag.BOUNDARY_ZERO,
@@ -406,33 +415,18 @@ def bounds_two_sided_shift(
 # ---------------------------------------------------------------------------
 
 
-def covering_bounds(
-    profile: HyperbolicityProfile,
-    phi: RateFunction | RateExponents,
-) -> BoundReport:
+_COVERING_NOTE = ("covering-set interpretation: dense orbit-ball covers",)
+
+
+def covering_bounds(profile: HyperbolicityProfile, tau: RateExponents) -> BoundReport:
     """Lower bounds for the set of points whose orbit-ball cover is dense.
 
     Identical factors to the general lower bounds, with tau_upper replaced
     by tau_lower as the trivial decomposition (N = 1) allows.  Only the
     lower sides are asserted.
     """
-    tau = phi.exponents() if isinstance(phi, RateFunction) else phi
-    t = tau.tau_lower
     try:
-        f = lower_factor(profile.lambda1, profile.lambda2, t)
+        h_low, dim_low = _lower_sides(profile, tau.tau_lower)
     except HypothesisViolatedError:
-        return BoundReport(
-            None, None, None, None, CaseTag.GENERIC,
-            (("tau < lambda1", False),),
-            ("covering-set interpretation: dense orbit-ball covers",),
-        )
-    h_low = f * profile.h_top
-    if profile.ln_l1 is not None:
-        dim_low = (1.0 / profile.ln_l1 + f / profile.ln_l2) * profile.h_top
-    else:
-        dim_low = f * profile.h_top / profile.ln_l2
-    return BoundReport(
-        h_low, None, dim_low, None, CaseTag.GENERIC,
-        (("tau < lambda1", True),),
-        ("covering-set interpretation: dense orbit-ball covers",),
-    )
+        return BoundReport(None, None, None, None, CaseTag.GENERIC, (("tau < lambda1", False),), _COVERING_NOTE)
+    return BoundReport(h_low, None, dim_low, None, CaseTag.GENERIC, (("tau < lambda1", True),), _COVERING_NOTE)

@@ -64,27 +64,15 @@ from .oracle import (
     plan_witness,
     verify_witness,
 )
-from .rates import (
-    AllTimes,
-    RateError,
-    RateExponents,
-    ShiftTarget,
-    family_tau,
-    tau_exponents,
-)
+from .rates import AllTimes, RateExponents, family_tau, tau_exponents
 from .symbolic import (
     NotMixingError,
     PeriodDecomposition,
-    ShiftOfFiniteType,
-    SoficPresentation,
-    SymbolicError,
     digraph_period,
     index_set,
     indices_intersect,
     mixing_gap,
-    period_decomposition,
     perron_root,
-    sofic_entropy,
 )
 from .systems import (
     HyperbolicityProfile,
@@ -99,16 +87,6 @@ from .systems import (
 
 SCHEMA_VERSION = 1
 ENV_OUT = "SHRINKTARGET_OUT"
-
-TaskError = (
-    ConfigError,
-    HypothesisViolatedError,
-    OracleError,
-    RateError,
-    SpectrumError,
-    SymbolicError,
-    ValueError,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +132,6 @@ def _all_naturals(config: ExperimentConfig) -> bool:
     return all(isinstance(t.time_set, AllTimes) for t in config.rates)
 
 
-def _index_data(config: ExperimentConfig, decomp: PeriodDecomposition):
-    """Index sets per rate triple and their common difference (or None)."""
-    if decomp.period == 1:
-        return None, None
-    sets = []
-    for triple in config.rates:
-        assert isinstance(triple.target, ShiftTarget)
-        sets.append(index_set(triple.target, triple.time_set, decomp))
-    return sets, indices_intersect(sets)
-
-
 # ---------------------------------------------------------------------------
 # System analysis and bound dispatch
 # ---------------------------------------------------------------------------
@@ -177,10 +144,9 @@ class SystemFacts:
     Matrices: the system, its spectrum and entropy, the crude profile and
     either the sharp profile or ``sharp_error``, the reason it does not
     apply (profiles and entropy only for hyperbolic spectra).
-    SFTs: the period decomposition, entropy, sidedness and, when the period
-    is 1, the mixing gap, which the oracle and witness commands use as the
-    specification gap.  Sofic shifts: the period, entropy and sidedness.
-    ``profile`` systems: the profile.
+    Shifts: the period decomposition, entropy and sidedness and, for an SFT
+    of period 1, the mixing gap, which the oracle and witness commands use
+    as the specification gap.  ``profile`` systems: the profile.
     """
 
     kind: str
@@ -214,44 +180,18 @@ def system_facts(system: SystemSpec, kind: str) -> SystemFacts:
             crude=crude_profile_from_matrix(system, p), sharp=sharp,
             sharp_error=sharp_error, h_top=entropy_toral(p),
         )
-    if kind == "sft":
-        assert isinstance(system, ShiftOfFiniteType)
-        # the decomposition raises unless the shift is irreducible, so the
-        # entropy is the Perron root of the whole matrix, as sft_entropy finds
-        decomp = period_decomposition(system)
+    if kind in ("sft", "sofic"):
+        # an SFT's transition matrix, or the presentation graph of a sofic
+        # shift; the period raises unless it is irreducible, so the entropy is
+        # ln of its Perron root, bitwise what sft_entropy and sofic_entropy give
+        m = system.transition if kind == "sft" else system.adjacency()
+        decomp = digraph_period(m)
         return SystemFacts(
-            kind, decomposition=decomp, period=decomp.period,
-            h_top=math.log(perron_root(system.transition)),
-            gap=mixing_gap(system) if decomp.period == 1 else None, sided=system.sided,
+            kind, decomposition=decomp, period=decomp.period, h_top=math.log(perron_root(m)),
+            gap=mixing_gap(system) if kind == "sft" and decomp.period == 1 else None, sided=system.sided,
         )
-    if kind == "sofic":
-        assert isinstance(system, SoficPresentation)
-        period = digraph_period(system.adjacency()).period
-        return SystemFacts(kind, period=period, h_top=sofic_entropy(system), sided=system.sided)
     assert isinstance(system, HyperbolicityProfile)
     return SystemFacts(kind, profile=system)
-
-
-@dataclass(frozen=True)
-class EvalContext:
-    """The per-task inputs of ``evaluate`` beyond the system and tau.
-
-    ``task`` is "bounds", "exact" or "sweep"; ``naturals`` says every time
-    set is all of N; ``index_ok`` says whether the index difference sets of
-    a non-mixing shift intersect (None: not applicable).
-    """
-
-    task: str
-    naturals: bool = True
-    index_ok: bool | None = None
-
-
-def _context(facts: SystemFacts, task: str, naturals: bool = True, index_ok: bool | None = None) -> EvalContext:
-    if facts.kind == "sofic" and facts.period > 1:
-        # no index sets are derived from a presentation: a periodic sofic
-        # shift gets neither the S = N substitution nor an index intersection
-        return EvalContext(task, naturals=False, index_ok=False)
-    return EvalContext(task, naturals, index_ok)
 
 
 _COMPLEX_PAIR_NOTE = (
@@ -260,11 +200,16 @@ _COMPLEX_PAIR_NOTE = (
 )
 
 
-def evaluate(facts: SystemFacts, tau: RateExponents, context: EvalContext) -> tuple[tuple[str, BoundReport], ...]:
+def evaluate(
+    facts: SystemFacts, tau: RateExponents, task: str, naturals: bool = True, index_ok: bool | None = None
+) -> tuple[tuple[str, BoundReport], ...]:
     """The (rule, report) rows the theorems give for ``facts`` at ``tau``.
 
     ``tau`` holds floats, or float64 arrays for one run of a sweep grid
     (``sweep_rows``); the report sides are then arrays over the run too.
+    ``task`` is "bounds", "exact" or "sweep"; ``naturals`` says every time
+    set is all of N; ``index_ok`` says whether the index difference sets of
+    a non-mixing shift intersect (None: not applicable).
     Shifts and profiles get the same rows for every task.  A matrix has one
     theorem path: ``bounds_expanding`` if it is expanding, else
     ``bounds_hyperbolic_set``.  "bounds" runs it on the crude profile and,
@@ -276,10 +221,14 @@ def evaluate(facts: SystemFacts, tau: RateExponents, context: EvalContext) -> tu
     back to the crude sandwich.
     """
     if facts.kind in ("sft", "sofic"):
+        if facts.kind == "sofic" and facts.period > 1:
+            # no index sets are derived from a presentation: a periodic sofic
+            # shift gets neither the S = N substitution nor an index intersection
+            naturals = index_ok = False
         fn = bounds_one_sided_shift if facts.sided == "one" else bounds_two_sided_shift
         rep = fn(
             facts.period == 1, facts.h_top, tau,
-            time_sets_all_naturals=context.naturals, index_ok=context.index_ok,
+            time_sets_all_naturals=naturals, index_ok=index_ok,
         )
         return ((f"{facts.sided}_sided_shift", rep),)
     if facts.kind == "profile":
@@ -287,14 +236,14 @@ def evaluate(facts: SystemFacts, tau: RateExponents, context: EvalContext) -> tu
 
     p = facts.spectrum
     fn = bounds_expanding if p.is_expanding else bounds_hyperbolic_set
-    if context.task != "bounds" and facts.sharp is not None:
-        rep = fn(facts.sharp, tau, tau_lower_substitution=context.naturals)
+    if task != "bounds" and facts.sharp is not None:
+        rep = fn(facts.sharp, tau, tau_lower_substitution=naturals)
         if p.is_expanding:
             return (("expanding_torus_exact", rep),)
         if p.has_complex_pair:
             rep = replace(rep, notes=rep.notes + (_COMPLEX_PAIR_NOTE,))
         return (("toral_automorphism_exact", rep),)
-    if context.task == "exact":
+    if task == "exact":
         why = f": {facts.sharp_error}" if facts.sharp_error else ""
         raise HypothesisViolatedError(
             f"no exact theorem applies to this spectrum{why}; "
@@ -303,10 +252,10 @@ def evaluate(facts: SystemFacts, tau: RateExponents, context: EvalContext) -> tu
     if not p.is_hyperbolic:
         raise SpectrumError("spectrum has a modulus at 1; no bounds apply")
     profiles = [("crude", facts.crude)]
-    if context.task == "bounds" and facts.sharp is not None:
+    if task == "bounds" and facts.sharp is not None:
         profiles.append(("sharp", facts.sharp))
     return tuple(
-        (f"{label}_sandwich", fn(prof, tau, tau_lower_substitution=context.naturals))
+        (f"{label}_sandwich", fn(prof, tau, tau_lower_substitution=naturals))
         for label, prof in profiles
     )
 
@@ -347,12 +296,11 @@ def sweep_rows(facts: SystemFacts, taus) -> list[dict]:
     call on a float64 array, whose elements equal the per-tau floats bit for
     bit, and each report side is formatted in one pass per run.
     """
-    context = _context(facts, "sweep")
     t = np.asarray(taus, dtype=float)
     sides: tuple[list, ...] = ([], [], [], [])
     tags: list[str] = []
     for run in tau_runs(t, _tau_thresholds(facts)):
-        ((_, rep),) = evaluate(facts, RateExponents(t[run], t[run]), context)
+        ((_, rep),) = evaluate(facts, RateExponents(t[run], t[run]), "sweep")
         n = run.stop - run.start
         done: dict[int, list] = {}  # the sides of an EXACT report are one object
         for col, side in zip(sides, (rep.entropy_lower, rep.entropy_upper, rep.dim_lower, rep.dim_upper)):
@@ -439,17 +387,20 @@ def _run_bounds(config: ExperimentConfig, facts: SystemFacts) -> dict:
     if facts.kind in ("sft", "sofic"):
         extra = {"h_top": fmt(facts.h_top), "period": facts.period}
     index_ok = None
-    if facts.kind == "sft":
-        sets, common = _index_data(config, facts.decomposition)
-        if sets is not None:
-            index_ok = common is not None
-            extra["index_sets"] = [sorted(list(pair) for pair in s.pairs) for s in sets]
-            extra["common_difference"] = common
-    context = _context(facts, "bounds", _all_naturals(config), index_ok)
-    rows = [_report_row(rule, rep, **extra) for rule, rep in evaluate(facts, tau, context)]
+    if facts.kind == "sft" and facts.period > 1:
+        # config validation gives a shift system shift targets
+        sets = [index_set(t.target, t.time_set, facts.decomposition) for t in config.rates]
+        common = indices_intersect(sets)
+        index_ok = common is not None
+        extra["index_sets"] = [sorted(list(pair) for pair in s.pairs) for s in sets]
+        extra["common_difference"] = common
+    rows = [
+        _report_row(rule, rep, **extra)
+        for rule, rep in evaluate(facts, tau, "bounds", _all_naturals(config), index_ok)
+    ]
     if facts.kind == "matrix":
         for i, triple in enumerate(config.rates):
-            rep = covering_bounds(facts.crude, triple.phi)
+            rep = covering_bounds(facts.crude, tau_exponents(triple.phi))
             rows.append(_report_row("covering_lower", rep, rate_index=i))
     elif facts.kind == "profile":
         rows.append(_report_row("covering_lower", covering_bounds(facts.profile, tau)))
@@ -467,7 +418,7 @@ def _run_exact(config: ExperimentConfig, facts: SystemFacts) -> dict:
             "notes": ["exact values are stated for time sets equal to all of N"],
         }
         return {"tau_lower": fmt(tau.tau_lower), "rows": [row]}
-    rows = [_report_row(rule, rep) for rule, rep in evaluate(facts, tau, EvalContext("exact"))]
+    rows = [_report_row(rule, rep) for rule, rep in evaluate(facts, tau, "exact")]
     return {"tau_lower": fmt(tau.tau_lower), "rows": rows}
 
 
@@ -602,13 +553,14 @@ def run(config: ExperimentConfig, tasks: tuple[str, ...] | None = None, seedless
             if facts is None:
                 try:
                     facts = system_facts(config.system, config.system_kind)
-                except TaskError as exc:
+                except ValueError as exc:
                     facts = exc
             if isinstance(facts, Exception):
                 raise facts
             check_task(config, task)
             results.append({"task": task, "status": "ok", **_EXECUTORS[task](config, facts)})
-        except TaskError as exc:
+        # every error of the package is a ValueError; anything else is a bug
+        except ValueError as exc:
             all_ok = False
             results.append({"task": task, "status": "error", "error": str(exc)})
         timings.append((task, time.perf_counter() - started))

@@ -66,6 +66,11 @@ def _as_list(value: Any, path: str) -> list:
     return value
 
 
+def _list_of(value: Any, path: str, parse) -> list:
+    """``parse(item, f"{path}[i]")`` of every item of the list ``value``."""
+    return [parse(v, f"{path}[{i}]") for i, v in enumerate(_as_list(value, path))]
+
+
 def _as_number(value: Any, path: str, allow_inf: bool = False) -> float:
     if isinstance(value, str) and allow_inf and value in ("inf", "Infinity"):
         return math.inf
@@ -143,18 +148,12 @@ def _parse_phi(obj: Any, path: str) -> RateFunction | RateExponents:
         if kind == "power_law":
             return PowerLaw(_as_number(_require(d, "a", path), f"{path}.a"))
         if kind == "piecewise_exponential":
-            taus = [
-                _as_number(v, f"{path}.taus[{i}]")
-                for i, v in enumerate(_as_list(_require(d, "taus", path), f"{path}.taus"))
-            ]
+            taus = _list_of(_require(d, "taus", path), f"{path}.taus", _as_number)
             return PiecewiseExponential(
                 _as_int(_require(d, "period", path), f"{path}.period"), tuple(taus)
             )
         if kind == "tabulated":
-            values = [
-                _as_number(v, f"{path}.values[{i}]")
-                for i, v in enumerate(_as_list(_require(d, "values", path), f"{path}.values"))
-            ]
+            values = _list_of(_require(d, "values", path), f"{path}.values", _as_number)
             return Tabulated(
                 tuple(values), _as_number(_require(d, "tail_tau", path), f"{path}.tail_tau")
             )
@@ -188,10 +187,7 @@ def _parse_time_set(obj: Any, path: str) -> TimeSet:
         if kind == "arithmetic":
             return _parse_arithmetic(d, path)
         if kind == "explicit":
-            times = [
-                _as_int(v, f"{path}.times[{i}]")
-                for i, v in enumerate(_as_list(_require(d, "times", path), f"{path}.times"))
-            ]
+            times = _list_of(_require(d, "times", path), f"{path}.times", _as_int)
             # a bounded S has an empty hit set, so no theorem applies to it
             return Explicit(tuple(times), _parse_arithmetic(_require(d, "tail", path), f"{path}.tail"))
     except RateError as exc:
@@ -201,15 +197,16 @@ def _parse_time_set(obj: Any, path: str) -> TimeSet:
 
 def _parse_symbol_sequence(obj: Any, path: str) -> SymbolSequence:
     d = _as_dict(obj, path)
-    head = [_as_int(v, f"{path}.head[{i}]") for i, v in enumerate(_as_list(d.get("head", []), f"{path}.head"))]
-    cycle = [
-        _as_int(v, f"{path}.cycle[{i}]")
-        for i, v in enumerate(_as_list(_require(d, "cycle", path), f"{path}.cycle"))
-    ]
+    head = _list_of(d.get("head", []), f"{path}.head", _as_int)
+    cycle = _list_of(_require(d, "cycle", path), f"{path}.cycle", _as_int)
     try:
         return SymbolSequence(tuple(head), tuple(cycle))
     except RateError as exc:
         raise ConfigError(path, str(exc)) from exc
+
+
+def _as_point(value: Any, path: str) -> tuple[float, ...]:
+    return tuple(_list_of(value, path, _as_number))
 
 
 def _parse_target(obj: Any, path: str) -> TargetSequence:
@@ -217,32 +214,16 @@ def _parse_target(obj: Any, path: str) -> TargetSequence:
     kind = _require(d, "kind", path)
     try:
         if kind == "point":
-            pt = [
-                _as_number(v, f"{path}.point[{i}]")
-                for i, v in enumerate(_as_list(_require(d, "point", path), f"{path}.point"))
-            ]
-            return ConstantPoint(tuple(pt))
+            return ConstantPoint(_as_point(_require(d, "point", path), f"{path}.point"))
         if kind == "points":
-            pre = [
-                tuple(_as_number(v, f"{path}.preperiod[{i}][{j}]") for j, v in enumerate(_as_list(p, f"{path}.preperiod[{i}]")))
-                for i, p in enumerate(_as_list(d.get("preperiod", []), f"{path}.preperiod"))
-            ]
-            cyc = [
-                tuple(_as_number(v, f"{path}.cycle[{i}][{j}]") for j, v in enumerate(_as_list(p, f"{path}.cycle[{i}]")))
-                for i, p in enumerate(_as_list(_require(d, "cycle", path), f"{path}.cycle"))
-            ]
+            pre = _list_of(d.get("preperiod", []), f"{path}.preperiod", _as_point)
+            cyc = _list_of(_require(d, "cycle", path), f"{path}.cycle", _as_point)
             return EventuallyPeriodic(tuple(pre), tuple(cyc))
         if kind == "symbols":
             return constant_shift_target(_parse_symbol_sequence(d, path))
         if kind == "symbol_schedule":
-            pre = [
-                _parse_symbol_sequence(p, f"{path}.preperiod[{i}]")
-                for i, p in enumerate(_as_list(d.get("preperiod", []), f"{path}.preperiod"))
-            ]
-            cyc = [
-                _parse_symbol_sequence(p, f"{path}.cycle[{i}]")
-                for i, p in enumerate(_as_list(_require(d, "cycle", path), f"{path}.cycle"))
-            ]
+            pre = _list_of(d.get("preperiod", []), f"{path}.preperiod", _parse_symbol_sequence)
+            cyc = _list_of(_require(d, "cycle", path), f"{path}.cycle", _parse_symbol_sequence)
             return ShiftTarget(tuple(pre), tuple(cyc))
     except RateError as exc:
         raise ConfigError(path, str(exc)) from exc

@@ -21,9 +21,6 @@ from shrinktarget.bounds import (
 )
 from shrinktarget.cli import (
     _SWEEP_COLUMNS,
-    EvalContext,
-    TaskError,
-    _context,
     evaluate,
     fmt,
     sweep_rows,
@@ -238,7 +235,7 @@ class TestExactToral:
         facts = system_facts(IntegerMatrixSystem(((3, 1), (1, 1))), "matrix")  # det 2
         if facts.spectrum.lambda_s_mod is not None:
             with pytest.raises(HypothesisViolatedError, match="det"):
-                evaluate(facts, tau(0.0), EvalContext("exact"))
+                evaluate(facts, tau(0.0), "exact")
 
     def test_cross_path_agreement_with_hyperbolic_set(self):
         # the sharp-profile sandwich against the paper's closed form
@@ -297,6 +294,11 @@ class TestExpanding:
         with pytest.raises(HypothesisViolatedError):
             bounds_expanding(CAT_SHARP, tau(0.0))
 
+    def test_invertible_profile_rejected(self):
+        # an expanding map is not invertible: a profile with ln L1 is no such map
+        with pytest.raises(HypothesisViolatedError, match="non-invertible"):
+            bounds_expanding(HyperbolicityProfile(math.inf, LN2, LN2, LN2, ln_l1=LN2), tau(0.0))
+
 
 # every 2x2 matrix with entries in [-5, 5] that is a hyperbolic automorphism:
 # det 1 and |trace| > 2, or det -1 and trace != 0 (two real moduli around 1)
@@ -310,7 +312,7 @@ UNIT_DET_HYPERBOLIC = [
 def exact_row(entries, t):
     """The spectrum and the (rule, report) row of the CLI's exact task."""
     facts = system_facts(IntegerMatrixSystem(entries), "matrix")
-    ((rule, rep),) = evaluate(facts, tau(t), EvalContext("exact"))
+    ((rule, rep),) = evaluate(facts, tau(t), "exact")
     return facts.spectrum, rule, rep
 
 
@@ -407,24 +409,24 @@ class TestCoveringAndAmbient:
     def test_covering_matches_lower_formulas(self):
         prof = unit_profile()
         for t in (0.0, 0.3, 0.6):
-            rep = covering_bounds(prof, Exponential(t))
+            rep = covering_bounds(prof, Exponential(t).exponents())
             assert rep.entropy_lower == pytest.approx(
                 bounds_general_profile(prof, tau(t)).entropy_lower, abs=1e-15
             )
             assert rep.entropy_upper is None
 
     def test_covering_tau_zero(self):
-        rep = covering_bounds(unit_profile(), Exponential(0.0))
+        rep = covering_bounds(unit_profile(), Exponential(0.0).exponents())
         assert rep.entropy_lower == pytest.approx(LN2)
 
     def test_covering_infinite_lambda1(self):
-        rep = covering_bounds(one_sided_profile(), Exponential(LN2))
+        rep = covering_bounds(one_sided_profile(), Exponential(LN2).exponents())
         # limit factor lambda2/(lambda2 + tau) = 1/(1 + ln2)
         assert rep.entropy_lower == pytest.approx(LN2 / (1.0 + LN2), abs=1e-12)
 
     def test_covering_hypothesis_failure_marks_unavailable(self):
         prof = unit_profile()
-        rep = covering_bounds(prof, Exponential(2.0))
+        rep = covering_bounds(prof, Exponential(2.0).exponents())
         assert rep.entropy_lower is None
         assert ("tau < lambda1", False) in rep.assumptions
 
@@ -466,7 +468,7 @@ class TestReportInvariants:
 
 def _per_tau_row(facts, t):
     """The sweep row at one tau, from a float evaluation (the reference)."""
-    ((_, rep),) = evaluate(facts, RateExponents(t, t), _context(facts, "sweep"))
+    ((_, rep),) = evaluate(facts, RateExponents(t, t), "sweep")
     sides = (rep.entropy_lower, rep.entropy_upper, rep.dim_lower, rep.dim_upper)
     return dict(zip(_SWEEP_COLUMNS, (fmt(t), *map(fmt, sides), rep.case_tag.value)))
 
@@ -475,7 +477,7 @@ def _outcome(rows):
     """The rows ``rows()`` gives, or the task error it raises."""
     try:
         return rows()
-    except TaskError as exc:
+    except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
 
 

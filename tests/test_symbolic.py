@@ -6,6 +6,7 @@ import pytest
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from shrinktarget import symbolic
 from shrinktarget.cli import system_facts
 from shrinktarget.rates import (
     AllTimes,
@@ -109,6 +110,23 @@ class TestEntropy:
     def test_decomposed_shift_entropy_is_bitwise_the_same(self, shift):
         # the CLI's analysis skips the component search, not a rounding
         assert system_facts(shift, "sft").h_top == sft_entropy(shift)
+
+    def test_one_component_search_per_shift_analysis(self, monkeypatch):
+        calls = []
+        search = symbolic.strongly_connected_components
+        monkeypatch.setattr(symbolic, "strongly_connected_components", lambda m: calls.append(m) or search(m))
+        even = SoficPresentation(states=2, edges=((0, 0, "1"), (0, 1, "0"), (1, 0, "0")))
+        for system, kind in ((even, "sofic"), (golden_mean_shift(), "sft")):
+            calls.clear()
+            system_facts(system, kind)
+            assert len(calls) == 1, kind
+
+    @settings(max_examples=60, deadline=None)
+    @given(irreducible_shifts(max_k=12))
+    def test_sofic_analysis_is_the_sft_analysis(self, shift):
+        # the identity labeling's graph is the transition graph
+        sofic, sft = system_facts(sft_as_sofic(shift), "sofic"), system_facts(shift, "sft")
+        assert sofic.h_top == sft.h_top and sofic.period == sft.period
 
     def test_perron_root_values(self):
         assert perron_root(((1, 1), (1, 1))) == pytest.approx(2.0, abs=1e-10)

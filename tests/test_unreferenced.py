@@ -5,6 +5,7 @@ the tests, not in ``src/``.  The scan is by name: a definition counts as
 used when some ``Name`` or ``Attribute`` with its name appears in a package
 module outside its own body.  ``__init__.py`` only re-exports, so its
 imports do not count as uses, and dunder methods are called by Python.
+Likewise every name a module imports is used in that module.
 """
 
 import ast
@@ -17,6 +18,7 @@ ALLOWED = {
     "LimsupCylinderScheme.count",  # the benchmark tracer wraps it by name
     "count_sofic_words",  # the sofic counting kernel-to-be, and its tests' reference
     "sft_entropy",  # public, and named by the benchmark's symbolic.perron span group
+    "sofic_entropy",  # public, and the reference for the sofic analysis in tests
 }
 
 
@@ -54,3 +56,24 @@ def unreferenced() -> list[str]:
 def test_every_definition_has_a_use_in_the_package():
     # an allow-list entry that gains a use, or leaves the package, leaves the list too
     assert set(unreferenced()) == ALLOWED
+
+
+def unused_imports() -> list[str]:
+    """"module: name" for each import of a package module that no ``Name`` reads."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}: {name}")
+    return found
+
+
+def test_every_import_has_a_use_in_its_module():
+    assert unused_imports() == []

@@ -23,9 +23,7 @@ fail are still results), 1 a task errored, 2 validation/IO errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -578,13 +576,15 @@ def render_json(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True)`` plus LF, byte for byte.
 
     The layout is written by ``_render``, which leaves every container of
-    scalars, and every list of such dicts, to one call of the C encoder.
+    scalars to one call of the C encoder and every table, a list of flat
+    dicts sharing one key set, to one call per column.
     """
     return _render(report, "\n") + "\n"
 
 
 _CONTAINERS = (dict, list, tuple)
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+_key = json.encoder.encode_basestring_ascii
 
 
 @functools.cache
@@ -602,14 +602,28 @@ def _flat(members) -> bool:
     return _SCALARS.issuperset(map(type, members))
 
 
+def _table_columns(rows) -> tuple[list, list[list]] | None:
+    """Sorted keys and columns of ``rows`` if they are non-empty dicts with one key set and flat cells."""
+    first = rows[0]
+    if set(map(type, rows)) != {dict} or not first or not _flat(first.values()):
+        return None
+    if set(map(len, rows)) != {len(first)}:
+        return None
+    keys = sorted(first)
+    try:
+        columns = [list(map(operator.itemgetter(k), rows)) for k in keys]
+    except KeyError:
+        return None
+    return (keys, columns) if _flat(itertools.chain.from_iterable(columns)) else None
+
+
 def _render(obj, nl: str) -> str:
     """``obj`` in the indent-2 layout, closed on the line that ``nl`` starts.
 
-    Dict keys are strings.  A list of flat dicts is one encoder call whose
-    item separator is the dicts' member separator; a raw newline in encoder
-    output only comes from a separator (strings escape theirs), and after a
-    separator only a list item starts with "{", so each "},<nl>{" is an item
-    boundary and is re-indented.
+    Dict keys are strings.  A table (``_table_columns``) takes one encoder
+    call per column, split at its item separator ",<NUL>" (strings escape
+    every control character, so only a separator holds a raw NUL), and one
+    join of each row's key pieces and cells; any other list goes member by member.
     """
     if not isinstance(obj, _CONTAINERS) or not obj:
         return _encoder(nl)(obj)
@@ -618,32 +632,36 @@ def _render(obj, nl: str) -> str:
         text = _encoder(inner)(obj)
         return text[0] + inner + text[1:-1] + nl + text[-1]
     if isinstance(obj, dict):
-        body = ("," + inner).join(
-            json.encoder.encode_basestring_ascii(k) + ": " + _render(v, inner) for k, v in sorted(obj.items())
-        )
+        body = ("," + inner).join(_key(k) + ": " + _render(v, inner) for k, v in sorted(obj.items()))
         return "{" + inner + body + nl + "}"
+    table = _table_columns(obj)
+    if table is None:
+        return "[" + inner + ("," + inner).join(_render(m, inner) for m in obj) + nl + "]"
+    keys, columns = table
     member = inner + "  "
-    if (
-        set(map(type, obj)) == {dict}
-        and all(obj)
-        and _flat(itertools.chain.from_iterable(map(dict.values, obj)))
-    ):
-        rows = _encoder(member)(obj)[2:-2].replace("}," + member + "{", inner + "}," + inner + "{" + member)
-        return "[" + inner + "{" + member + rows + inner + "}" + nl + "]"
-    return "[" + inner + ("," + inner).join(_render(m, inner) for m in obj) + nl + "]"
+    heads = [itertools.repeat("," + member + _key(k) + ": ") for k in keys]
+    first = "{" + member + _key(keys[0]) + ": "
+    heads[0] = itertools.chain(("[" + inner + first,), itertools.repeat(inner + "}," + inner + first))
+    cells = [_encoder("\x00")(col)[1:-1].split(",\x00") for col in columns]
+    pieces = itertools.chain.from_iterable(zip(*itertools.chain.from_iterable(zip(heads, cells))))
+    return "".join(pieces) + inner + "}" + nl + "]"
 
 
 _SWEEP_COLUMNS = ("tau", "h_lower", "h_upper", "dim_lower", "dim_upper", "case_tag")
 _BOUNDS_COLUMNS = ("rule", "case", "h_lower", "h_upper", "dim_lower", "dim_upper")
+_CSV_SPECIAL = ',"\n'  # csv.QUOTE_MINIMAL with lineterminator "\n" leaves a "\r" unquoted
 
 
 def render_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    # every row has every column; csv writes None as ""
-    writer.writerows(map(operator.itemgetter(*columns), rows))
-    return buf.getvalue()
+    """What ``csv.writer(lineterminator="\n")`` writes for ``rows`` holding every column, two or more."""
+    cols = []
+    for c in columns:
+        cells = list(map(operator.itemgetter(c), rows))
+        col = [c, *map(str, map({None: ""}.get, cells, cells))]  # None is written as ""
+        if any(map("\x00".join(col).__contains__, _CSV_SPECIAL)):
+            col = ['"' + s.replace('"', '""') + '"' if any(map(s.__contains__, _CSV_SPECIAL)) else s for s in col]
+        cols.append(col)
+    return "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
 def write_report(report: dict, out_dir: Path, formats: tuple[str, ...]) -> list[Path]:

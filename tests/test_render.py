@@ -12,13 +12,16 @@ import csv
 import io
 import json
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from shrinktarget.cli import _BOUNDS_COLUMNS, _SWEEP_COLUMNS, fmt, render_csv, render_json, run, sweep_rows, system_facts
+from shrinktarget.cli import (
+    _BOUNDS_COLUMNS, _SWEEP_COLUMNS, _tau_thresholds, fmt, render_csv, render_json, run, sweep_rows, system_facts,
+)
 from shrinktarget.config import parse_config
 from shrinktarget.systems import IntegerMatrixSystem
 from test_golden_reports import CASES
@@ -69,8 +72,32 @@ def test_render_json_matches_json_dumps(obj):
     assert render_json(obj) == oracle(obj)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(flat_dicts, min_size=1, max_size=6), st.integers(0, 3))
+@st.composite
+def tables(draw, mixed: bool = False):
+    """1-60 rows over one key set; ``mixed`` inserts a row that breaks the table.
+
+    The breaking row is a dict of other keys (as many, one more, or any),
+    ``{}``, or a row of the same keys holding a list.
+    """
+    keys = draw(st.lists(strings, min_size=1, max_size=6, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries(dict.fromkeys(keys, scalars)), min_size=1, max_size=60))
+    if mixed:
+        other = draw(strings.filter(lambda k: k not in keys))
+        odd = draw(
+            st.one_of(
+                flat_dicts,
+                st.fixed_dictionaries(dict.fromkeys(keys[:-1] + [other], scalars)),
+                st.fixed_dictionaries(dict.fromkeys(keys + [other], scalars)),
+                st.just({}),
+                st.fixed_dictionaries({**dict.fromkeys(keys, scalars), keys[-1]: st.lists(scalars, max_size=2)}),
+            )
+        )
+        rows.insert(draw(st.integers(0, len(rows))), odd)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.lists(flat_dicts, min_size=1, max_size=6), tables(), tables(mixed=True)), st.integers(0, 3))
 def test_rows_at_any_depth(rows, depth):
     obj = rows
     for k in range(depth):
@@ -148,6 +175,27 @@ def test_render_csv_writes_none_as_empty():
     assert render_csv([], _SWEEP_COLUMNS) == old_render_csv([], _SWEEP_COLUMNS)
 
 
+csv_cells = st.one_of(
+    st.none(),
+    st.just(""),
+    st.text(st.characters(max_codepoint=127), max_size=6),
+    st.text(max_size=6),
+    st.sampled_from([",", '"', "\r", "\n", "\r\n", " a", "b ", " ", 'x,"y"', "\u2028", "\x00"]),
+    st.tuples(st.text(max_size=3), st.sampled_from([",", '"', "\r", "\n", " "]), st.text(max_size=3)).map("".join),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([_SWEEP_COLUMNS, _BOUNDS_COLUMNS]).flatmap(
+    lambda cols: st.tuples(st.just(cols), st.lists(st.fixed_dictionaries(dict.fromkeys(cols, csv_cells)), max_size=8))
+))
+@example((_SWEEP_COLUMNS, []))
+@example((_BOUNDS_COLUMNS, []))
+def test_render_csv_matches_csv_writer(case):
+    columns, rows = case
+    assert render_csv(rows, columns) == old_render_csv(rows, columns)
+
+
 # the golden cases whose bounds or sweep command succeeds
 TABLES = [
     (case, command, columns)
@@ -173,6 +221,21 @@ def test_matrix_sweep_csv_unchanged():
         facts = system_facts(IntegerMatrixSystem(entries), "matrix")
         rows = sweep_rows(facts, [k * 0.05 for k in range(int(1.5 * facts.h_top / 0.05) + 2)])
         assert render_csv(rows, _SWEEP_COLUMNS) == old_render_csv(rows, _SWEEP_COLUMNS)
+
+
+@pytest.mark.parametrize("case", ["cat_map", "jordan3_at_2"])
+def test_full_size_sweep_report(case):
+    # 2000 taus in [0, 2], the size the benchmark sweeps, crossing the thresholds
+    rng = random.Random(20261018)
+    cfg = dict(CASES[case][0], sweep={"taus": sorted({round(rng.uniform(0.0, 2.0), 9) for _ in range(2000)})})
+    config = parse_config(cfg)
+    for threshold in filter(math.isfinite, _tau_thresholds(system_facts(config.system, config.system_kind))):
+        assert config.sweep_taus[0] < threshold < config.sweep_taus[-1]
+    report, ok, _ = run(config, tasks=("sweep",))
+    rows = report["results"][0]["rows"]
+    assert ok and len(rows) == len(cfg["sweep"]["taus"]) > 1900
+    assert render_json(report) == oracle(report)
+    assert render_csv(rows, _SWEEP_COLUMNS) == old_render_csv(rows, _SWEEP_COLUMNS)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@ profile:
 
 Conflating the two silently changes results, so both are explicit.
 
+One integer pass per matrix feeds all of it: Faddeev-LeVerrier gives
+det(xI - A), det A and A^-1 exactly, and the square-free factors of
+det(xI - A) carry every eigenvalue's exact multiplicity.  Only the roots of
+each factor are floats, so ``_TOL`` decides only which roots share a modulus
+and whether a modulus lies on the unit circle.
+
 The specification scale epsilon_0 is deliberately not represented: for every
 system built here the gluing property holds at all scales, so profiles carry
 no scale field.
@@ -22,7 +28,9 @@ no scale field.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -39,47 +47,66 @@ class UnsupportedSpectrumError(SpectrumError):
 _TOL = 1e-9
 
 
-def _exact_det(rows: Sequence[Sequence[int]]) -> int:
-    """Integer determinant by fraction-free (Bareiss) elimination."""
-    a = [list(map(int, r)) for r in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _charpoly(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """(c, M) from one Faddeev-LeVerrier pass in Python ints.
 
-
-def _charpoly(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Exact integer coefficients of det(xI - A), highest degree first.
-
-    Faddeev-LeVerrier; every division is exact for integer input.
+    c = [1, c_1, ..., c_d] are the coefficients of det(xI - A), highest degree
+    first, and M is the pass's last matrix, with A M = -c_d I: so
+    det A = (-1)^d c_d and A^-1 = -M / c_d.  Every division is exact.
     """
-    a = np.array(rows, dtype=object)
-    n = a.shape[0]
+    d = len(rows)
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
     coeffs = [1]
-    m = np.zeros((n, n), dtype=object)
-    c = 1
-    for k in range(1, n + 1):
-        m = a @ m + c * np.eye(n, dtype=object)
-        am = a @ m
-        tr = int(np.trace(am))
-        assert tr % k == 0, "Faddeev-LeVerrier trace not divisible"
-        c = -tr // k
-        coeffs.append(int(c))
-    return coeffs
+    for k in range(1, d + 1):
+        cols = list(zip(*m))
+        am = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
+        coeffs.append(-sum(am[i][i] for i in range(d)) // k)
+        if k < d:
+            m = am
+            for i in range(d):
+                m[i][i] += coeffs[-1]
+    return coeffs, m
+
+
+def _divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with b[0]^n a = q b + r, one factor b[0] per step (n steps).
+
+    For a monic b this is exact division; otherwise r is a pseudo-remainder.
+    """
+    q, r = [], a
+    while len(r) >= len(b):
+        q.append(r[0])
+        r = [b[0] * x - q[-1] * y for x, y in zip(r[1:], b[1:] + [0] * (len(r) - len(b)))]
+    return q, r
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p without leading zeros, divided by its content, leading coefficient > 0."""
+    while p and p[0] == 0:
+        p = p[1:]
+    g = math.gcd(*p)
+    return [c // (g if p[0] > 0 else -g) for c in p] if p else p
+
+
+def _squarefree(f: list[int]) -> list[tuple[list[int], int]]:
+    """The square-free factors (s_k, k) of a monic integer f = prod s_k^k.
+
+    The gcd chain g_0 = f, g_k = gcd(g_{k-1}, g_{k-1}') (Yun 1976, in
+    Musser's form): h_k = g_{k-1} / g_k holds the roots of multiplicity >= k,
+    so s_k = h_k / h_{k+1}.  Each gcd is the last term of a primitive
+    pseudo-remainder sequence with a positive lead.  A monic factor of a monic
+    integer polynomial is integral (Gauss's lemma), so that gcd is monic and
+    every division stays in integers.
+    """
+    hs = []
+    while len(f) > 1:
+        g, r = f, _primitive([c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])])
+        while r:
+            g, r = r, _primitive(_divide(g, r)[1])
+        hs.append(_divide(f, g)[0])
+        f = g
+    factors = (_divide(h, nxt)[0] for h, nxt in zip(hs, hs[1:] + [[1]]))
+    return [(s, k) for k, s in enumerate(factors, 1) if len(s) > 1]
 
 
 @dataclass(frozen=True)
@@ -94,8 +121,13 @@ class IntegerMatrixSystem:
         d = len(rows)
         if d == 0 or any(len(r) != d for r in rows):
             raise SpectrumError("entries must form a nonempty square matrix")
-        if _exact_det(rows) == 0:
+        if self.det == 0:
             raise SpectrumError("matrix is singular (det = 0)")
+
+    @cached_property
+    def _faddeev(self) -> tuple[list[int], list[list[int]]]:
+        """``_charpoly`` of the entries: det, inverse and spectrum share it."""
+        return _charpoly(self.entries)
 
     @property
     def dim(self) -> int:
@@ -103,15 +135,12 @@ class IntegerMatrixSystem:
 
     @property
     def det(self) -> int:
-        return _exact_det(self.entries)
+        return (-1) ** self.dim * self._faddeev[0][-1]
 
     @property
     def kind(self) -> str:
         """'automorphism' iff |det A| = 1, else 'endomorphism'."""
         return "automorphism" if abs(self.det) == 1 else "endomorphism"
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -183,19 +212,6 @@ def operator_norm(rows: Sequence[Sequence[int]] | np.ndarray) -> float:
     return float(math.sqrt(max(w[-1], 0.0)))
 
 
-def _eigen_moduli(m: IntegerMatrixSystem) -> np.ndarray:
-    """Eigenvalues of A as complex numbers.
-
-    d <= 4 goes through the exact integer characteristic polynomial (better
-    conditioned for the small matrices the exact theorems target); larger
-    matrices use the dense eigensolver directly.
-    """
-    if m.dim <= 4:
-        coeffs = _charpoly(m.entries)
-        return np.roots(np.array(coeffs, dtype=float))
-    return np.linalg.eigvals(m.as_array())
-
-
 def analyze_matrix(m: IntegerMatrixSystem) -> SpectralProfile:
     """Cluster eigenvalue moduli and classify hyperbolic/expanding.
 
@@ -203,9 +219,10 @@ def analyze_matrix(m: IntegerMatrixSystem) -> SpectralProfile:
     false, no exception) - the theorems assume exact spectra and the numerics
     must say so when they cannot decide.
     """
-    eigs = _eigen_moduli(m)
-    order = np.argsort(np.abs(eigs))
-    eigs = eigs[order]
+    eigs = np.concatenate(
+        [np.repeat(np.roots(np.array(s, dtype=float)), k) for s, k in _squarefree(m._faddeev[0])]
+    )
+    eigs = eigs[np.argsort(np.abs(eigs))]
     moduli = np.abs(eigs)
 
     clusters: list[EigenCluster] = []
@@ -214,13 +231,7 @@ def analyze_matrix(m: IntegerMatrixSystem) -> SpectralProfile:
         if i == len(moduli) or moduli[i] - moduli[i - 1] > _TOL:
             group = slice(start, i)
             nonreal = bool(np.any(np.abs(eigs[group].imag) > _TOL))
-            clusters.append(
-                EigenCluster(
-                    modulus=float(np.mean(moduli[group])),
-                    multiplicity=i - start,
-                    has_nonreal=nonreal,
-                )
-            )
+            clusters.append(EigenCluster(float(np.mean(moduli[group])), i - start, nonreal))
             start = i
 
     near_one = any(abs(c.modulus - 1.0) <= _TOL for c in clusters)
@@ -234,15 +245,7 @@ def analyze_matrix(m: IntegerMatrixSystem) -> SpectralProfile:
         lam_s = clusters[0].modulus
         lam_u = clusters[1].modulus
 
-    return SpectralProfile(
-        clusters=tuple(clusters),
-        d_s=d_s,
-        d_u=d_u,
-        is_hyperbolic=is_hyperbolic,
-        is_expanding=is_expanding,
-        lambda_s_mod=lam_s,
-        lambda_u_mod=lam_u,
-    )
+    return SpectralProfile(tuple(clusters), d_s, d_u, is_hyperbolic, is_expanding, lam_s, lam_u)
 
 
 def entropy_toral(p: SpectralProfile) -> float:
@@ -282,14 +285,10 @@ def sharp_profile_from_matrix(
             "(or an expanding spectrum); fall back to the crude profile"
         )
     if m.kind != "automorphism":
-        raise SpectrumError(
-            "sharp hyperbolic profile is established for |det A| = 1 only"
-        )
+        raise SpectrumError("sharp hyperbolic profile is established for |det A| = 1 only")
     lam1 = -math.log(p.lambda_s_mod)
     lam2 = math.log(p.lambda_u_mod)
-    return HyperbolicityProfile(
-        lambda1=lam1, lambda2=lam2, ln_l2=lam2, h_top=h, ln_l1=lam1
-    )
+    return HyperbolicityProfile(lambda1=lam1, lambda2=lam2, ln_l2=lam2, h_top=h, ln_l1=lam1)
 
 
 def crude_profile_from_matrix(
@@ -313,8 +312,8 @@ def crude_profile_from_matrix(
     lam2 = math.log(min(c.modulus for c in p.clusters if c.modulus > 1.0))
     ln_l1 = None
     if m.kind == "automorphism":
-        inv = np.linalg.inv(m.as_array())
-        ln_l1 = math.log(operator_norm(inv))
+        coeffs, last = m._faddeev  # A^-1 = -M / c_d, and c_d = +-1
+        ln_l1 = math.log(operator_norm([[-coeffs[-1] * v for v in row] for row in last]))
     return HyperbolicityProfile(
         lambda1=lam1, lambda2=lam2, ln_l2=ln_l2, h_top=h, ln_l1=ln_l1
     )

@@ -1,9 +1,10 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shrinktarget.bounds import (
     BOUNDARY_TOL,
@@ -39,6 +40,7 @@ from shrinktarget.systems import (
     analyze_matrix,
     sharp_profile_from_matrix,
 )
+from matrix_cases import conjugate, jordan
 from shift_strategies import full_shift, golden_mean_shift
 
 LN2 = math.log(2.0)
@@ -89,15 +91,16 @@ def closed_form_toral(p, t):
     return CaseTag.DEGENERATE_ZERO, 0.0, 0.0, 0.0, 0.0
 
 
-def closed_form_expanding(p, t):
-    """Expanding matrix: exact for equal moduli, else the modulus sandwich."""
-    big_h = sum(c.multiplicity * math.log(c.modulus) for c in p.clusters)
-    if len(p.clusters) == 1:
-        b = math.log(p.max_modulus)
-        h, dim = (0.0, 0.0) if math.isinf(t) else (p.dim * b * b / (b + t), p.dim * b / (b + t))
+def closed_form_expanding(moduli, t):
+    """Expanding matrix with these eigenvalue moduli (repeated by multiplicity,
+    known by construction): exact when all are equal, else the modulus
+    sandwich."""
+    logs = sorted(math.log(m) for m in moduli)
+    big_h, ln1, lnd = sum(logs), logs[0], logs[-1]
+    if ln1 == lnd:
+        d = len(logs)
+        h, dim = (0.0, 0.0) if math.isinf(t) else (d * lnd * lnd / (lnd + t), d * lnd / (lnd + t))
         return CaseTag.EXACT, h, h, dim, dim
-    ln1 = math.log(p.min_modulus)
-    lnd = math.log(p.max_modulus)
     f1, fd = (0.0, 0.0) if math.isinf(t) else (ln1 / (ln1 + t), lnd / (lnd + t))
     return CaseTag.GENERIC, f1 * big_h, fd * big_h, f1 * big_h / lnd, fd * big_h / ln1
 
@@ -337,11 +340,13 @@ class TestExactClosedForms:
         b=st.integers(min_value=2, max_value=9),
         t=st.floats(min_value=0.0, max_value=2.0),
     )
+    @example(a=9, b=9, t=0.2)
     def test_expanding_diagonal(self, a, b, t):
-        # a == b gives the equal-moduli EXACT row, a != b the sandwich
-        p, rule, rep = exact_row(((a, 0), (0, b)), t)
+        # a == b gives the equal-moduli EXACT row, a != b the sandwich; the row
+        # is written from a and b, not from the clusters the analysis found
+        _, rule, rep = exact_row(((a, 0), (0, b)), t)
         assert rule == "expanding_torus_exact"
-        assert_closed_form(rep, closed_form_expanding(p, t))
+        assert_closed_form(rep, closed_form_expanding((a, b), t))
 
     def test_unequal_exponents_and_complex_pair(self):
         # companion of x^3 - x - 1: a complex pair inside the unit circle and
@@ -358,6 +363,40 @@ class TestExactClosedForms:
         for t in (a, a + 1e-13, 1.5, math.inf):
             p, _, rep = exact_row(((2, 1), (1, 1)), t)
             assert_closed_form(rep, closed_form_toral(p, t))
+
+
+# expanding matrices whose eigenvalues all have one modulus |lambda|, known by
+# construction: kI, and Jordan blocks at +-2 and +-3 with an integer conjugate
+_RNG = random.Random(0)
+EQUAL_MODULI = [
+    ([[k * (i == j) for j in range(d)] for i in range(d)], k) for k in (2, 3) for d in (1, 2, 3)
+] + [(conjugate(jordan(v, d), _RNG), abs(v)) for v in (2, -2, 3, -3) for d in (2, 3, 4)]
+
+
+class TestCodedShift:
+    """An expanding A whose eigenvalues all have modulus |lambda| is coded by
+    the one-sided full |det A|-shift, x = sum_k A^-k d(w_k) mod Z^d, with the
+    digits d running over the cosets of Z^d / A Z^d.  With
+    tau' = tau / ln|lambda|, the toral entropy is the shift's h/(1+tau') and
+    the toral dimension is the shift's value divided by ln|lambda|."""
+
+    @pytest.mark.parametrize("entries, lam", EQUAL_MODULI)
+    @pytest.mark.parametrize("t", [0.0, 0.2, 0.7, 1.5])
+    def test_exact_row_is_the_rescaled_shift_row(self, entries, lam, t):
+        _, rule, rep = exact_row(entries, t)
+        scale = math.log(lam)
+        shift = bounds_one_sided_shift(*shift_data(full_shift(lam ** len(entries))), tau(t / scale))
+        assert rule == "expanding_torus_exact"
+        assert rep.case_tag is CaseTag.EXACT is shift.case_tag
+        want = (shift.entropy_lower, shift.entropy_upper, shift.dim_lower / scale, shift.dim_upper / scale)
+        for got, expected in zip(sides(rep)[1:], want):
+            assert abs(got - expected) <= 4 * math.ulp(expected)
+
+    def test_jordan3_at_2(self):
+        # 3 (ln 2)^2 / (ln 2 + 0.2) and 3 ln 2 / (ln 2 + 0.2)
+        _, _, rep = exact_row(((2, 1, 0), (0, 2, 1), (0, 0, 2)), 0.2)
+        assert rep.case_tag is CaseTag.EXACT
+        assert (fmt(rep.entropy_lower), fmt(rep.dim_lower)) == ("1.61379789706", "2.32821822309")
 
 
 class TestShiftTheorems:

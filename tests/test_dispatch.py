@@ -21,7 +21,7 @@ SYSTEMS = {
 COUNTED = (
     (symbolic, "strongly_connected_components"),
     (symbolic, "perron_root"),
-    (systems, "_eigen_moduli"),
+    (systems, "_squarefree"),
 )
 
 

@@ -2,17 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from matrix_cases import matmul
 from shrinktarget.systems import (
     IntegerMatrixSystem,
     SpectrumError,
     UnsupportedSpectrumError,
+    _charpoly,
+    _squarefree,
     analyze_matrix,
     crude_profile_from_matrix,
     entropy_toral,
     operator_norm,
     sharp_profile_from_matrix,
 )
+
+try:
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+except ImportError:
+    sympy = None
 
 CAT = IntegerMatrixSystem(((2, 1), (1, 1)))
 
@@ -169,8 +179,8 @@ class TestProfiles:
         assert crude.ln_l1 is None
         assert math.isinf(crude.lambda1)
 
-    def test_large_matrix_uses_dense_eigensolver(self):
-        # d = 5 goes through the iterative solver path
+    def test_large_matrix_takes_the_integer_path(self):
+        # d = 5 is factored like any smaller matrix: one path for every d
         entries = tuple(
             tuple((2 + i) if i == j else 0 for j in range(5)) for i in range(5)
         )
@@ -188,3 +198,49 @@ class TestProfiles:
         if p.is_hyperbolic and not p.is_expanding and p.lambda_s_mod is None:
             with pytest.raises(SpectrumError, match="two distinct moduli"):
                 sharp_profile_from_matrix(m, p)
+
+
+def _polymul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _square(d):
+    return st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d), min_size=d, max_size=d)
+
+
+@pytest.mark.skipif(sympy is None, reason="needs sympy")
+class TestIntegerKernel:
+    """The integer spectrum pass against sympy over ZZ."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=3), st.integers(1, 3)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_squarefree_matches_sympy(self, factors):
+        f = [1]
+        for tail, k in factors:
+            for _ in range(k):
+                f = _polymul(f, [1] + tail)
+        _, want = sympy.Poly(f, sympy.symbols("x")).sqf_list()
+        expected = sorted(([int(c) for c in s.all_coeffs()], k) for s, k in want)
+        assert sorted(_squarefree(f)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 6).flatmap(_square))
+    def test_charpoly_matches_sympy(self, rows):
+        d = len(rows)
+        coeffs, last = _charpoly(rows)
+        dm = DomainMatrix([[sympy.ZZ(v) for v in row] for row in rows], (d, d), sympy.ZZ)
+        assert coeffs == [int(c) for c in dm.charpoly()]
+        # A M = -c_d I: det A = (-1)^d c_d, and A^-1 = -M / c_d when c_d != 0
+        assert matmul(rows, last) == [[-coeffs[-1] * (i == j) for j in range(d)] for i in range(d)]
+        if coeffs[-1]:
+            assert IntegerMatrixSystem(rows).det == int(dm.det())

@@ -7,7 +7,7 @@ Library layout:
 * :mod:`shrinktarget.systems` - integer-matrix torus maps, spectra and
   hyperbolicity profiles;
 * :mod:`shrinktarget.symbolic` - shifts of finite type, sofic presentations,
-  entropy, mixing gaps, cyclic decompositions and index sets;
+  Perron roots, mixing gaps, cyclic decompositions and index sets;
 * :mod:`shrinktarget.bounds` - every closed-form bound, with case dispatch
   and hypothesis checking; the exact values are the sandwiches on profiles
   whose Lipschitz constants equal their exponents;
@@ -58,8 +58,7 @@ from .symbolic import (  # noqa: F401
     indices_intersect,
     mixing_gap,
     period_decomposition,
-    sft_entropy,
-    sofic_entropy,
+    perron_root,
     word_counts_ending,
 )
 from .bounds import (  # noqa: F401

@@ -180,8 +180,8 @@ def system_facts(system: SystemSpec, kind: str) -> SystemFacts:
         )
     if kind in ("sft", "sofic"):
         # an SFT's transition matrix, or the presentation graph of a sofic
-        # shift; the period raises unless it is irreducible, so the entropy is
-        # ln of its Perron root, bitwise what sft_entropy and sofic_entropy give
+        # shift; the period's search raises unless the graph is strongly
+        # connected, so the entropy is ln of its Perron root
         m = system.transition if kind == "sft" else system.adjacency()
         decomp = digraph_period(m)
         return SystemFacts(

@@ -83,17 +83,22 @@ class PlanError(OracleError):
     pass
 
 
-def floor_guarded(x: float, guard: float = _INT_GUARD) -> int:
-    """floor(x), snapping values within ``guard`` of an integer to it."""
+def floor_guarded(x: float) -> int:
+    """floor(x), snapping values within ``_INT_GUARD`` of an integer to it."""
     r = round(x)
-    if abs(x - r) <= guard:
+    if abs(x - r) <= _INT_GUARD:
         return int(r)
     return int(math.floor(x))
 
 
-def required_exponent(phi: RateFunction, n: int) -> int:
-    """Smallest first-disagreement index certifying d(sigma^n x, z) < phi(n)."""
-    return floor_guarded(-phi.log_phi(n)) + 1
+def required_exponent(phi: RateFunction, n: int) -> float:
+    """Smallest first-disagreement index certifying d(sigma^n x, z) < phi(n).
+
+    An int, or math.inf where -ln phi(n) overflows: no finite agreement
+    certifies that time, so plans skip it and verification never confirms it.
+    """
+    t = -phi.log_phi(n)
+    return math.inf if math.isinf(t) else floor_guarded(t) + 1
 
 
 # ---------------------------------------------------------------------------

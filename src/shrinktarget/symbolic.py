@@ -1,16 +1,20 @@
-"""Shift spaces: SFTs, sofic presentations, entropy, mixing and index sets.
+"""Shift spaces: SFTs, sofic presentations, period, entropy, mixing and index sets.
 
 A shift of finite type is encoded by a k x k 0/1 transition matrix M over the
 symbol alphabet {0, ..., k-1}: the word ab is admissible iff M[a][b] = 1.
-Entropy is ln of the Perron root of M, taken from one LAPACK
-eigendecomposition and certified by the Collatz-Wielandt bracket of its
-eigenvector.  The mixing gap is the smallest p with M^p entrywise positive
-and realises the constant specification gap of a mixing SFT; it is found by
-boolean squaring and binary lifting in O(k^3 log p), even when p is near
-the Wielandt bound (k - 1)^2 + 1.  Transitive-but-not-mixing shifts
-decompose into N cyclic classes, and the index sets record which classes a
-target sequence hits at which residues mod N - the data that decides whether
-intersected shrinking target sets can be nonempty at all.
+The shift theorems read two numbers of an irreducible shift, its period and
+its entropy.  ``digraph_period`` is the one graph search of an analysis: two
+searches from symbol 0, along the edges and against them, prove the graph
+strongly connected (or raise ReducibleShiftError), and the levels of the
+first give the period N and the N cyclic classes.  Entropy is ln of the
+Perron root of M, taken from one LAPACK eigendecomposition and certified by
+the Collatz-Wielandt bracket of its eigenvector.  The mixing gap is the
+smallest p with M^p entrywise positive and realises the constant
+specification gap of a mixing SFT; it is found by boolean squaring and
+binary lifting in O(k^3 log p), even when p is near the Wielandt bound
+(k - 1)^2 + 1.  The index sets record which classes a target sequence hits
+at which residues mod N - the data that decides whether intersected
+shrinking target sets can be nonempty at all.
 """
 
 from __future__ import annotations
@@ -48,9 +52,7 @@ class NotMixingError(SymbolicError):
 
 
 class ReducibleShiftError(SymbolicError):
-    def __init__(self, msg: str, components: tuple[tuple[int, ...], ...]):
-        super().__init__(msg)
-        self.components = components
+    """Raised when the transition graph is not strongly connected."""
 
 
 class UndecidableTargetError(SymbolicError):
@@ -108,51 +110,6 @@ class ShiftOfFiniteType:
 # ---------------------------------------------------------------------------
 
 
-def strongly_connected_components(
-    matrix: Sequence[Sequence[int]],
-) -> tuple[tuple[int, ...], ...]:
-    """Kosaraju SCCs of the directed graph with edge a->b iff matrix[a][b] > 0."""
-    k = len(matrix)
-    succ = [[b for b in range(k) if matrix[a][b]] for a in range(k)]
-    pred = [[b for b in range(k) if matrix[b][a]] for a in range(k)]
-
-    seen = [False] * k
-    order: list[int] = []
-    for root in range(k):
-        if seen[root]:
-            continue
-        stack = [(root, iter(succ[root]))]
-        seen[root] = True
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, iter(succ[nxt])))
-                    break
-            else:
-                order.append(node)
-                stack.pop()
-
-    comp = [-1] * k
-    comps: list[tuple[int, ...]] = []
-    for root in reversed(order):
-        if comp[root] >= 0:
-            continue
-        members = [root]
-        comp[root] = len(comps)
-        stack2 = [root]
-        while stack2:
-            node = stack2.pop()
-            for nxt in pred[node]:
-                if comp[nxt] < 0:
-                    comp[nxt] = len(comps)
-                    members.append(nxt)
-                    stack2.append(nxt)
-        comps.append(tuple(sorted(members)))
-    return tuple(comps)
-
-
 @dataclass(frozen=True)
 class PeriodDecomposition:
     """Cyclic structure: N classes, every edge steps class c -> c+1 mod N."""
@@ -162,36 +119,41 @@ class PeriodDecomposition:
 
 
 def digraph_period(matrix: Sequence[Sequence[int]]) -> PeriodDecomposition:
-    """Cyclic structure of any strongly connected digraph (entries > 0 = edge).
+    """Cyclic structure of a strongly connected digraph (entries > 0 = edge).
 
-    N = gcd of all cycle lengths; classes by BFS level differences mod N.
+    A search from symbol 0 along the edges gives every symbol it reaches a
+    level, and a search along the reversed edges marks the symbols that
+    reach symbol 0.  The graph is strongly connected iff both reach every
+    symbol; otherwise ReducibleShiftError names a symbol one of them misses.
+    The period N is the gcd of level[a] + 1 - level[b] over the edges ab,
+    and the classes are the levels mod N (Lind & Marcus, section 4.5).
     """
-    comps = strongly_connected_components(matrix)
-    if len(comps) > 1:
-        raise ReducibleShiftError(
-            f"transition graph is reducible ({len(comps)} strongly connected "
-            f"components: {comps})",
-            comps,
-        )
     k = len(matrix)
-    level = [-1] * k
-    level[0] = 0
-    queue = [0]
-    g = 0
+    level = [0] + [-1] * (k - 1)
+    reaches = [True] + [False] * (k - 1)
     edges = []
-    while queue:
-        a = queue.pop()
+    stack = [0]
+    while stack:
+        a = stack.pop()
         for b in range(k):
             if matrix[a][b]:
                 edges.append((a, b))
                 if level[b] < 0:
                     level[b] = level[a] + 1
-                    queue.append(b)
-    for a, b in edges:
-        g = math.gcd(g, level[a] + 1 - level[b])
-    n = g if g > 0 else 1
-    classes = tuple(level[a] % n for a in range(k))
-    return PeriodDecomposition(period=n, class_of=classes)
+                    stack.append(b)
+    stack = [0]
+    while stack:
+        b = stack.pop()
+        for a in range(k):
+            if matrix[a][b] and not reaches[a]:
+                reaches[a] = True
+                stack.append(a)
+    if -1 in level:
+        raise ReducibleShiftError(f"graph is reducible: symbol {level.index(-1)} cannot be reached from symbol 0")
+    if not all(reaches):
+        raise ReducibleShiftError(f"graph is reducible: symbol {reaches.index(False)} cannot reach symbol 0")
+    n = math.gcd(*[level[a] + 1 - level[b] for a, b in edges]) or 1
+    return PeriodDecomposition(period=n, class_of=tuple(v % n for v in level))
 
 
 def period_decomposition(x: ShiftOfFiniteType) -> PeriodDecomposition:
@@ -230,7 +192,7 @@ def mixing_gap(x: ShiftOfFiniteType) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Entropy
+# Perron root and word counts
 # ---------------------------------------------------------------------------
 
 
@@ -274,27 +236,6 @@ def perron_root(matrix: Sequence[Sequence[int]]) -> float:
     if not m.any():
         raise EmptyShiftError("zero matrix has no Perron root")
     return _perron_bracket(m)[1]
-
-
-def _log_spectral_radius(matrix: Sequence[Sequence[int]]) -> float:
-    """ln of the largest Perron root among the strongly connected components."""
-    comps = strongly_connected_components(matrix)
-    if len(comps) == 1:
-        return math.log(perron_root(matrix))
-    best = 0.0
-    for comp in comps:
-        sub = [[matrix[a][b] for b in comp] for a in comp]
-        if not any(any(row) for row in sub):
-            continue
-        best = max(best, perron_root(sub))
-    if best <= 0.0:
-        raise EmptyShiftError("no component carries a cycle")
-    return math.log(best)
-
-
-def sft_entropy(x: ShiftOfFiniteType) -> float:
-    """ln of the Perron root; on reducible shifts, of the dominant component."""
-    return _log_spectral_radius(x.transition)
 
 
 def word_counts_ending(
@@ -503,12 +444,6 @@ class SoficPresentation:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(sorted({lbl for _, _, lbl in self.edges}))
-
-
-def sofic_entropy(p: SoficPresentation) -> float:
-    """ln Perron root of the presentation graph's adjacency matrix (of its
-    dominant component when the graph is reducible)."""
-    return _log_spectral_radius(p.adjacency())
 
 
 def count_sofic_words(p: SoficPresentation, n: int) -> int:

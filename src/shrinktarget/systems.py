@@ -20,6 +20,10 @@ det(xI - A) carry every eigenvalue's exact multiplicity.  Only the roots of
 each factor are floats, so ``_TOL`` decides only which roots share a modulus
 and whether a modulus lies on the unit circle.
 
+A matrix whose floats would leave the float range is refused: at
+construction when |A|^2 or |A^-1|^2 (Frobenius) reaches 2^1023, and in
+``analyze_matrix`` when a factor coefficient or an eigenvalue modulus does.
+
 The specification scale epsilon_0 is deliberately not represented: for every
 system built here the gluing property holds at all scales, so profiles carry
 no scale field.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -45,6 +50,14 @@ class UnsupportedSpectrumError(SpectrumError):
 
 
 _TOL = 1e-9
+# the bound on what the matrix analysis turns into floats: the coefficients
+# it passes to np.roots, and the squared Frobenius norms that bound the
+# entries of the Gram matrices ``operator_norm`` forms
+_FLOAT_RANGE = 2**1023
+_BEYOND_FLOATS = (
+    "spectrum beyond the float range: a coefficient of a factor of det(xI - A) "
+    "reaches 2^1023, or an eigenvalue modulus leaves [2^-1022, 2^1023)"
+)
 
 
 def _charpoly(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
@@ -123,6 +136,10 @@ class IntegerMatrixSystem:
             raise SpectrumError("entries must form a nonempty square matrix")
         if self.det == 0:
             raise SpectrumError("matrix is singular (det = 0)")
+        # the crude profile takes the norm of A and of an automorphism's A^-1 = -+M
+        norms = (rows, self._faddeev[1]) if self.kind == "automorphism" else (rows,)
+        if any(sum(v * v for row in a for v in row) >= _FLOAT_RANGE for a in norms):
+            raise SpectrumError("matrix beyond the float range: |A|^2 or |A^-1|^2 (Frobenius) reaches 2^1023")
 
     @cached_property
     def _faddeev(self) -> tuple[list[int], list[list[int]]]:
@@ -199,9 +216,10 @@ class HyperbolicityProfile:
             raise SpectrumError("lambda1, lambda2 must be positive")
         if math.isinf(self.lambda2):
             raise SpectrumError("lambda2 must be finite")
-        if self.h_top < 0:
+        # negated comparisons, so that NaN fails them too
+        if not self.h_top >= 0:
             raise SpectrumError("h_top must be nonnegative")
-        if self.ln_l2 <= 0 or (self.ln_l1 is not None and self.ln_l1 <= 0):
+        if not self.ln_l2 > 0 or (self.ln_l1 is not None and not self.ln_l1 > 0):
             raise SpectrumError("log Lipschitz constants must be positive")
 
 
@@ -217,13 +235,18 @@ def analyze_matrix(m: IntegerMatrixSystem) -> SpectralProfile:
 
     A modulus within ``_TOL`` of 1 refuses hyperbolic classification (flags
     false, no exception) - the theorems assume exact spectra and the numerics
-    must say so when they cannot decide.
+    must say so when they cannot decide.  A factor coefficient, or a root
+    modulus, that the float range cannot hold raises SpectrumError: np.roots
+    returns 0 for a root many orders of magnitude below the others.
     """
-    eigs = np.concatenate(
-        [np.repeat(np.roots(np.array(s, dtype=float)), k) for s, k in _squarefree(m._faddeev[0])]
-    )
+    factors = _squarefree(m._faddeev[0])
+    if max(abs(c) for s, _ in factors for c in s) >= _FLOAT_RANGE:
+        raise SpectrumError(_BEYOND_FLOATS)
+    eigs = np.concatenate([np.repeat(np.roots(np.array(s, dtype=float)), k) for s, k in factors])
     eigs = eigs[np.argsort(np.abs(eigs))]
     moduli = np.abs(eigs)
+    if not sys.float_info.min <= moduli[0] <= moduli[-1] < _FLOAT_RANGE:
+        raise SpectrumError(_BEYOND_FLOATS)
 
     clusters: list[EigenCluster] = []
     start = 0

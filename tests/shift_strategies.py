@@ -1,14 +1,18 @@
 """Hypothesis strategies and small shift builders shared by tests."""
 
+import math
+
 from hypothesis import assume, strategies as st
 
 from shrinktarget.oracle import moran_dimension, moran_layout
 from shrinktarget.symbolic import (
     NotMixingError,
+    ReducibleShiftError,
     ShiftOfFiniteType,
     SoficPresentation,
+    digraph_period,
     mixing_gap,
-    strongly_connected_components,
+    perron_root,
     word_counts_ending,
 )
 
@@ -20,6 +24,11 @@ def full_shift(k, sided="one"):
 def golden_mean_shift(sided="one"):
     """Binary shift forbidding the word 11."""
     return ShiftOfFiniteType(((1, 1), (1, 0)), sided)
+
+
+def entropy(shift):
+    """h_top of an irreducible SFT as the CLI's analysis computes it: ln of the Perron root."""
+    return math.log(perron_root(shift.transition))
 
 
 def count_words(shift, n):
@@ -46,7 +55,11 @@ def irreducible_shifts(draw, max_k=6, mixing=False):
     density = draw(st.sampled_from([0.4, 0.6, 0.9]))
     bits = draw(st.lists(st.floats(0.0, 1.0), min_size=k * k, max_size=k * k))
     rows = [[1 if bits[i * k + j] < density else 0 for j in range(k)] for i in range(k)]
-    assume(any(map(any, rows)) and len(strongly_connected_components(rows)) == 1)
+    assume(any(map(any, rows)))
+    try:
+        digraph_period(rows)
+    except ReducibleShiftError:
+        assume(False)
     shift = ShiftOfFiniteType(tuple(map(tuple, rows)))
     if mixing:
         try:

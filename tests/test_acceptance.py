@@ -26,7 +26,7 @@ from shrinktarget.oracle import (
     verify_witness,
 )
 from shrinktarget.rates import AllTimes, Exponential, RateExponents, SymbolSequence
-from shrinktarget.symbolic import mixing_gap, sft_entropy
+from shrinktarget.symbolic import mixing_gap
 from shrinktarget.systems import (
     HyperbolicityProfile,
     IntegerMatrixSystem,
@@ -34,7 +34,7 @@ from shrinktarget.systems import (
     crude_profile_from_matrix,
     sharp_profile_from_matrix,
 )
-from shift_strategies import count_words, full_shift, golden_mean_shift, moran_estimate
+from shift_strategies import count_words, entropy, full_shift, golden_mean_shift, moran_estimate
 
 LN2 = math.log(2.0)
 CAT = IntegerMatrixSystem(((2, 1), (1, 1)))
@@ -153,7 +153,7 @@ def test_criterion_5_witness_construction():
 
 def test_criterion_6_entropy_numerics():
     with criterion(6, "golden-mean entropy to 1e-9 and word-count growth to 0.01"):
-        h = sft_entropy(golden_mean_shift())
+        h = entropy(golden_mean_shift())
         assert abs(h - GOLDEN_ENTROPY) < 1e-9
         assert abs(math.log(count_words(golden_mean_shift(), 60)) / 60.0 - h) < 0.01
 

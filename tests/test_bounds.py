@@ -32,7 +32,6 @@ from shrinktarget.symbolic import (
     ShiftOfFiniteType,
     SoficPresentation,
     period_decomposition,
-    sft_entropy,
 )
 from shrinktarget.systems import (
     HyperbolicityProfile,
@@ -41,7 +40,7 @@ from shrinktarget.systems import (
     sharp_profile_from_matrix,
 )
 from matrix_cases import conjugate, jordan
-from shift_strategies import full_shift, golden_mean_shift
+from shift_strategies import entropy, full_shift, golden_mean_shift
 
 LN2 = math.log(2.0)
 CAT = IntegerMatrixSystem(((2, 1), (1, 1)))
@@ -53,7 +52,7 @@ GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
 
 def shift_data(x):
     """(mixing, h_top) of an SFT, the data the shift theorems take."""
-    return period_decomposition(x).period == 1, sft_entropy(x)
+    return period_decomposition(x).period == 1, entropy(x)
 
 
 def unit_profile(h=LN2):

@@ -336,10 +336,11 @@ class TestRun:
         (row,) = res["rows"]
         assert res["status"] == "ok" and row["all_verified"] is True
 
-    @pytest.mark.parametrize("a", [300.0, 1074.0])
+    @pytest.mark.parametrize("a", [300.0, 1074.0, 1e308])
     def test_witness_power_law_past_underflow(self, tmp_path, monkeypatch, a):
         # the first hit time is at least 21, where 21^-a underflows to 0; the
-        # plan reads -a ln n and names the block it cannot place
+        # plan reads -a ln n (past the float range at a = 1e308, which no
+        # agreement certifies) and names the block it cannot place
         monkeypatch.chdir(tmp_path)
         payload = golden_oracle_config(tasks=("witness",))
         payload["rates"][0]["phi"] = {"kind": "power_law", "a": a}
@@ -347,6 +348,18 @@ class TestRun:
         assert main(["witness", "--config", str(write_config(tmp_path, payload))]) == 1
         res = read_report(tmp_path)["results"][0]
         assert res["error"] == "block 1: rate exceeds its exponential envelope along S"
+
+    def test_witness_skips_a_time_whose_rate_underflows(self, tmp_path, monkeypatch):
+        # -ln phi(25) = 25e308 overflows, so the first hit is the next time in S
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tasks=("witness",))
+        payload["rates"][0]["phi"] = {"kind": "piecewise_exponential", "period": 2, "taus": [0.1, 1e308]}
+        payload["rates"][0]["time_set"] = {"kind": "explicit", "times": [25], "tail": {"offset": 26, "step": 2}}
+        payload["oracle_params"]["stages"] = 3
+        assert main(["witness", "--config", str(write_config(tmp_path, payload))]) == 0
+        (row,) = read_report(tmp_path)["results"][0]["rows"]
+        assert row["all_verified"] is True and row["planned_hits"][0] == 26
+        assert row["independently_confirmed"] == row["planned_hits"]
 
     def test_periodic_sft_with_common_index(self, tmp_path, monkeypatch):
         # bipartite SFT {0,1}<->{2,3}: period 2, entropy ln 2; a class-0 target
@@ -520,6 +533,60 @@ class TestValidation:
         res = read_report(tmp_path)["results"][0]
         assert res["status"] == "error"
         assert "modulus at 1" in res["error"]
+
+    @pytest.mark.parametrize("command", ["analyze", "bounds", "sweep"])
+    @pytest.mark.parametrize("power", [512, 1023, 1024])
+    def test_matrix_beyond_the_float_range_rejected(self, tmp_path, monkeypatch, capsys, command, power):
+        # these used to end in nan sides (2^512: |A|^2 overflows in the norm),
+        # "math domain error" (2^1023: the root 2^-1023 became 0) or an
+        # OverflowError traceback (2^1024: det(xI - A) has no float coefficients)
+        monkeypatch.chdir(tmp_path)
+        payload = cat_map_config(tasks=("analyze",))
+        payload["system"]["entries"] = [[2**power, 1], [1, 0]]
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert exc.value.path == "$.system" and "float range" in exc.value.message
+        assert main([command, "--config", str(write_config(tmp_path, payload))]) == 2
+        err = capsys.readouterr().err
+        assert "$.system: matrix beyond the float range" in err and "Traceback" not in err
+
+    def test_matrix_at_the_edge_of_the_float_range(self, tmp_path, monkeypatch):
+        # |A|^2 = 2^1022 + 2: every constant is ln of the root 2^511 + 2^-511
+        monkeypatch.chdir(tmp_path)
+        payload = cat_map_config(tau=0.2)
+        payload["system"]["entries"] = [[2**511, 1], [1, 0]]
+        cfg = str(write_config(tmp_path, payload))
+        assert main(["analyze", "--config", cfg, "--out", "a"]) == main(["bounds", "--config", cfg, "--out", "b"]) == 0
+        ((analyze,), (bounds,)) = (read_report(tmp_path, out)["results"] for out in "ab")
+        log_root = fmt(511 * LN2)
+        assert log_root == "354.198209266"
+        for profile in ("crude_profile", "sharp_profile"):
+            assert set(analyze[profile].values()) == {log_root}
+        assert [(row["rule"], row["h_lower"], row["dim_lower"]) for row in bounds["rows"]] == [
+            (rule, "353.798435001", "1.99887132613") for rule in ("crude_sandwich", "sharp_sandwich", "covering_lower")
+        ]
+
+    @pytest.mark.parametrize("command", ["analyze", "bounds", "sweep"])
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            # a root near -2^-800, which np.roots cannot separate from 2^400
+            [[2**400, 2**400, 1], [2**400, 2, 0], [1, 0, 0]],
+            # det(xI - A) = (x - 2^400)^3 - 1 is square-free, and 2^1200 has no float
+            [[2**400, 1, 0], [0, 2**400, 1], [1, 0, 2**400]],
+        ],
+        ids=["tiny_root", "huge_coefficient"],
+    )
+    def test_spectrum_beyond_the_float_range_is_an_error_row(self, tmp_path, monkeypatch, command, entries):
+        # |A|^2 fits, so the load accepts the matrix; the analysis refuses it
+        monkeypatch.chdir(tmp_path)
+        payload = cat_map_config(tasks=("analyze",))
+        payload["system"]["entries"] = entries
+        payload["rates"][0]["target"]["point"] = [0.0] * 3
+        payload["sweep"] = {"taus": [0.0, 0.5]}
+        assert main([command, "--config", str(write_config(tmp_path, payload))]) == 1
+        (res,) = read_report(tmp_path)["results"]
+        assert res["status"] == "error" and res["error"].startswith("spectrum beyond the float range")
 
     @pytest.mark.parametrize(
         "command,params,message",

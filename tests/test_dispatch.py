@@ -19,7 +19,7 @@ SYSTEMS = {
     "matrix": {"kind": "matrix", "entries": CAT},
 }
 COUNTED = (
-    (symbolic, "strongly_connected_components"),
+    (symbolic, "digraph_period"),
     (symbolic, "perron_root"),
     (systems, "_squarefree"),
 )
@@ -104,7 +104,7 @@ def test_sweep_calls_each_theorem_once_per_run(kind, tmp_path, monkeypatch):
 
 
 SHIFT_ANALYSIS = (
-    (symbolic, "strongly_connected_components"),
+    (symbolic, "digraph_period"),
     (symbolic, "mixing_gap"),
     (symbolic, "perron_root"),
 )
@@ -136,11 +136,11 @@ def test_oracle_commands_analyse_the_shift_once(command, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["analyze", "bounds", "sweep", "oracle", "witness"])
 def test_sft_analysis_finds_components_once(command, tmp_path, monkeypatch):
-    # the period decomposition proves the shift irreducible, and the entropy
-    # is the Perron root without a second component search
+    # the period's one search proves the shift irreducible, and the entropy
+    # is the Perron root without a second graph search
     config = dict(_oracle_config("analyze", 2), sweep={"taus": [0.0, 0.5]})
     counts = _counted(tmp_path, monkeypatch, config, command, SHIFT_ANALYSIS)
-    assert counts["strongly_connected_components"] == counts["perron_root"] == 1
+    assert counts["digraph_period"] == counts["perron_root"] == 1
 
 
 def test_oracle_counts_words_once_per_target_symbol(tmp_path, monkeypatch):

@@ -30,6 +30,7 @@ from shrinktarget.rates import (
     Arithmetic,
     Exponential,
     Explicit,
+    PiecewiseExponential,
     ShiftTarget,
     SymbolSequence,
     constant_shift_target,
@@ -38,9 +39,8 @@ from shrinktarget.symbolic import (
     NotMixingError,
     ShiftOfFiniteType,
     mixing_gap,
-    sft_entropy,
 )
-from shift_strategies import full_shift, golden_mean_shift, irreducible_shifts, moran_estimate
+from shift_strategies import entropy, full_shift, golden_mean_shift, irreducible_shifts, moran_estimate
 
 LN2 = math.log(2.0)
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
@@ -265,7 +265,7 @@ class TestCriticalExponent:
     @given(st.sampled_from(["full2", "full3", "full4", "golden"]), st.floats(0.05, 2.0))
     def test_bracket_contains_exact_value(self, name, tau):
         shift = golden_mean_shift() if name == "golden" else full_shift(int(name[-1]))
-        h = sft_entropy(shift)
+        h = entropy(shift)
         lo, hi = grid_cell(critical_exponent(LimsupCylinderScheme(shift, tau, ZEROS), 40), cli_grid(h))
         assert lo <= h / (1.0 + tau) < hi
         assert hi - lo == pytest.approx(0.01)
@@ -282,7 +282,7 @@ class TestCriticalExponent:
         ids=["sft60", "full3", "golden_mean"],
     )
     def test_rows_the_slope_test_missed(self, shift, tau, target, depth):
-        h = sft_entropy(shift)
+        h = entropy(shift)
         lo, hi = grid_cell(critical_exponent(LimsupCylinderScheme(shift, tau, target), depth), cli_grid(h))
         assert lo <= h / (1.0 + tau) < hi
 
@@ -354,7 +354,7 @@ class TestMoran:
         # with the fixed eta = 0.02 the estimate settles on
         # h (1 - 1.5 eta) / (1 + tau - 1.5 eta), not on h / (1 + tau)
         for shift in (full_shift(3), golden_mean_shift()):
-            h = sft_entropy(shift)
+            h = entropy(shift)
             plateau = h * 0.97 / (1.0 + tau - 0.03)
             assert moran_estimate(shift, tau, 12) == pytest.approx(plateau, rel=1e-12)
             assert moran_estimate(shift, tau, 40) == pytest.approx(plateau, rel=1e-12)
@@ -526,6 +526,17 @@ class TestWitness:
         assert verify_witness(cert, half, ZEROS, Explicit((5,), tail=Arithmetic(100, 1))) == [5]
         # at tau = 1 the window at 2 is 2..3, which holds the 1
         assert verify_witness(cert, Exponential(1.0), ZEROS, AllTimes()) == [4, 5, 0]
+
+    def test_time_whose_rate_underflows_is_skipped(self):
+        # -ln phi(25) = 25e308 overflows: no agreement certifies time 25, so
+        # the plan moves on to 26 and verification never confirms 25
+        phi = PiecewiseExponential(2, (0.1, 1e308))
+        s = Explicit((25,), tail=Arithmetic(26, 2))
+        assert required_exponent(phi, 25) == math.inf
+        plan = plan_witness(golden_mean_shift(), phi, ZEROS, s, 2, 0.05, mixing_gap(golden_mean_shift()))
+        assert [b.hit_time for b in plan.blocks] == [26, 36]
+        cert = WitnessCertificate((0,) * 200, (WitnessHit(25, 200, 0), WitnessHit(26, 200, 0)), True)
+        assert verify_witness(cert, phi, ZEROS, s) == [26]
 
     def test_eta_must_be_positive(self):
         with pytest.raises(PlanError):

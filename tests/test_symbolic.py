@@ -6,7 +6,7 @@ import pytest
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from shrinktarget import symbolic
+from shrinktarget import cli, symbolic
 from shrinktarget.cli import system_facts
 from shrinktarget.rates import (
     AllTimes,
@@ -24,19 +24,18 @@ from shrinktarget.symbolic import (
     SoficPresentation,
     SymbolicError,
     count_sofic_words,
+    digraph_period,
     index_set,
     indices_intersect,
     log_count_words_many,
     mixing_gap,
     period_decomposition,
     perron_root,
-    sft_entropy,
-    sofic_entropy,
     word_counts_ending,
     _perron_bracket,
 )
 from shrinktarget.systems import _charpoly
-from shift_strategies import count_words, full_shift, golden_mean_shift, irreducible_shifts, sft_as_sofic
+from shift_strategies import count_words, entropy, full_shift, golden_mean_shift, irreducible_shifts, sft_as_sofic
 
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)  # 0.48121182505960347
 FLIP = ShiftOfFiniteType(((0, 1), (1, 0)))  # period-2 permutation shift
@@ -91,15 +90,15 @@ SFT60 = ShiftOfFiniteType(
 
 class TestEntropy:
     def test_full_shift(self):
-        assert sft_entropy(full_shift(2)) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert entropy(full_shift(2)) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_golden_mean(self):
-        assert sft_entropy(golden_mean_shift()) == pytest.approx(
+        assert entropy(golden_mean_shift()) == pytest.approx(
             GOLDEN_ENTROPY, abs=1e-9
         )
 
     def test_permutation_matrix(self):
-        assert sft_entropy(FLIP) == pytest.approx(0.0, abs=1e-9)
+        assert entropy(FLIP) == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(EmptyShiftError):
@@ -108,13 +107,16 @@ class TestEntropy:
     @settings(max_examples=60, deadline=None)
     @given(irreducible_shifts(max_k=12))
     def test_decomposed_shift_entropy_is_bitwise_the_same(self, shift):
-        # the CLI's analysis skips the component search, not a rounding
-        assert system_facts(shift, "sft").h_top == sft_entropy(shift)
+        # the CLI's analysis is ln of the Perron root, not a rounding of it
+        assert system_facts(shift, "sft").h_top == entropy(shift)
 
     def test_one_component_search_per_shift_analysis(self, monkeypatch):
+        # the period's search is the analysis's only graph search; cli reads
+        # it by name, and symbolic's own callers through the module
         calls = []
-        search = symbolic.strongly_connected_components
-        monkeypatch.setattr(symbolic, "strongly_connected_components", lambda m: calls.append(m) or search(m))
+        search = symbolic.digraph_period
+        for module in (cli, symbolic):
+            monkeypatch.setattr(module, "digraph_period", lambda m: calls.append(m) or search(m))
         even = SoficPresentation(states=2, edges=((0, 0, "1"), (0, 1, "0"), (1, 0, "0")))
         for system, kind in ((even, "sofic"), (golden_mean_shift(), "sft")):
             calls.clear()
@@ -249,7 +251,7 @@ class TestCountWords:
     def test_word_rate_dominates_entropy(self, n):
         # submultiplicativity makes ln W(n)/n >= h for every n
         g = golden_mean_shift()
-        assert math.log(count_words(g, n)) / n >= sft_entropy(g) - 1e-12
+        assert math.log(count_words(g, n)) / n >= entropy(g) - 1e-12
 
 
 class TestMixingGap:
@@ -365,6 +367,19 @@ def hamiltonian_rows(draw, max_k, period=1):
     return rows
 
 
+@st.composite
+def layered_digraphs(draw, max_k=7):
+    """Random 0/1 digraphs on k <= max_k symbols whose edges step a random
+    layer c to c + 1 mod N: N = 1 gives any digraph, and larger N gives
+    periodic graphs when irreducible; reducible draws are kept."""
+    k = draw(st.integers(min_value=1, max_value=max_k))
+    n = draw(st.integers(min_value=1, max_value=k))
+    layer = draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
+    density = draw(st.sampled_from([0.3, 0.6, 0.9]))
+    bits = draw(st.lists(st.floats(0.0, 1.0), min_size=k * k, max_size=k * k))
+    return [[int(bits[a * k + b] < density and layer[b] == (layer[a] + 1) % n) for b in range(k)] for a in range(k)]
+
+
 def _primitive_rows(max_k):
     return hamiltonian_rows(max_k).filter(lambda rows: period_decomposition(_sft(rows)).period == 1)
 
@@ -453,8 +468,6 @@ class TestPerronKernel:
     @given(st.integers(min_value=1, max_value=30).flatmap(lambda k: st.permutations(range(k))))
     def test_permutation_root_is_exactly_one(self, perm):
         k = len(perm)
-        rows = [[int(perm[i] == j) for j in range(k)] for i in range(k)]
-        assert sft_entropy(_sft(rows)) == 0.0
         cycle = [[int(j == perm[(perm.index(i) + 1) % k]) for j in range(k)] for i in range(k)]
         assert _assert_bracket_holds(cycle) == 1.0
 
@@ -472,7 +485,7 @@ class TestPerronKernel:
     def test_chord_entropy_matches_exact_root(self, k):
         rows = _cycle_with_chord(k)
         ref = _perron_interval(rows)[0] if k <= 16 else _chord_root(k)
-        assert abs(sft_entropy(_sft(rows)) - math.log(float(ref))) < 1e-12
+        assert abs(math.log(perron_root(rows)) - math.log(float(ref))) < 1e-12
         lo, _, hi = _perron_bracket(np.array(rows, dtype=float))
         assert Fraction(lo) <= ref <= Fraction(hi)
 
@@ -480,9 +493,10 @@ class TestPerronKernel:
         # the Perron vector of a reducible matrix may vanish somewhere
         with pytest.raises(SymbolicError, match="reducible"):
             perron_root(((1, 1), (0, 0)))
-        assert sft_entropy(ShiftOfFiniteType(((1, 1), (0, 1)))) == 0.0
+        # the analysis refuses a reducible graph before it asks for a Perron root
         forked = SoficPresentation(states=2, edges=((0, 0, "a"), (0, 1, "b"), (1, 1, "a")))
-        assert sofic_entropy(forked) == 0.0
+        with pytest.raises(ReducibleShiftError):
+            system_facts(forked, "sofic")
 
 
 class TestPeriodDecomposition:
@@ -510,11 +524,40 @@ class TestPeriodDecomposition:
                     if shift.transition[a][b]:
                         assert d.class_of[b] == (d.class_of[a] + 1) % d.period
 
+    @settings(max_examples=300, deadline=None)
+    @given(layered_digraphs())
+    def test_search_matches_brute_force(self, rows):
+        k = len(rows)
+        # reflexive-transitive closure by Warshall's algorithm
+        reach = [[bool(rows[a][b]) or a == b for b in range(k)] for a in range(k)]
+        for c in range(k):
+            for a in range(k):
+                if reach[a][c]:
+                    reach[a] = [x or y for x, y in zip(reach[a], reach[c])]
+        if not all(map(all, reach)):
+            with pytest.raises(ReducibleShiftError, match="reducible"):
+                digraph_period(rows)
+            return
+        d = digraph_period(rows)
+        # closed walks at 0 of length <= 3k reach every cycle length as a
+        # difference (0 -> v, around a cycle at v, v -> 0), so their gcd is the period
+        walks, lengths = [[int(a == b) for b in range(k)] for a in range(k)], []
+        for n in range(1, 3 * k + 1):
+            walks = [[int(any(walks[a][c] and rows[c][b] for c in range(k))) for b in range(k)] for a in range(k)]
+            if walks[0][0]:
+                lengths.append(n)
+        assert d.period == (math.gcd(*lengths) or 1)  # 1 for the single symbol without a loop
+        assert d.class_of[0] == 0
+        for a, b in product(range(k), repeat=2):
+            if rows[a][b]:
+                assert d.class_of[b] == (d.class_of[a] + 1) % d.period
+
     def test_reducible_reports_components(self):
-        reducible = ShiftOfFiniteType(((1, 1), (0, 1)))
-        with pytest.raises(ReducibleShiftError) as exc:
-            period_decomposition(reducible)
-        assert len(exc.value.components) == 2
+        # the message names a symbol that one of the two searches from 0 misses
+        with pytest.raises(ReducibleShiftError, match="reducible: symbol 1 cannot reach symbol 0"):
+            period_decomposition(ShiftOfFiniteType(((1, 1), (0, 1))))
+        with pytest.raises(ReducibleShiftError, match="reducible: symbol 2 cannot be reached from symbol 0"):
+            period_decomposition(ShiftOfFiniteType(((1, 1, 0), (1, 1, 0), (1, 0, 1))))
 
 
 class TestIndexSets:
@@ -579,7 +622,7 @@ class TestSofic:
 
     def test_even_shift_entropy(self):
         # adjacency [[1,1],[1,0]]; cross-checked against word counts below
-        assert sofic_entropy(self.even_shift()) == pytest.approx(
+        assert math.log(perron_root(self.even_shift().adjacency())) == pytest.approx(
             GOLDEN_ENTROPY, abs=1e-9
         )
 
@@ -591,8 +634,8 @@ class TestSofic:
 
     def test_identity_labeling_matches_sft(self):
         for shift in (golden_mean_shift(), full_shift(3), FLIP):
-            assert sofic_entropy(sft_as_sofic(shift)) == pytest.approx(
-                sft_entropy(shift), abs=1e-10
+            assert math.log(perron_root(sft_as_sofic(shift).adjacency())) == pytest.approx(
+                entropy(shift), abs=1e-10
             )
             for n in range(1, 7):
                 assert count_sofic_words(sft_as_sofic(shift), n) == count_words(
@@ -601,7 +644,7 @@ class TestSofic:
 
     def test_full_shift_presentation(self):
         p = SoficPresentation(states=1, edges=((0, 0, "a"), (0, 0, "b"), (0, 0, "c")))
-        assert sofic_entropy(p) == pytest.approx(math.log(3.0), abs=1e-12)
+        assert math.log(perron_root(p.adjacency())) == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_right_resolving_enforced(self):
         with pytest.raises(SymbolicError, match="right-resolving"):
@@ -642,20 +685,7 @@ class TestValidation:
 
 
 @settings(max_examples=40)
-@given(st.integers(min_value=2, max_value=4), st.data())
-def test_entropy_le_log_alphabet(k, data):
-    rows = data.draw(
-        st.lists(
-            st.lists(st.integers(0, 1), min_size=k, max_size=k),
-            min_size=k,
-            max_size=k,
-        )
-    )
-    # patch rows/columns so the matrix presents a nonempty shift
-    for i in range(k):
-        if not any(rows[i]):
-            rows[i][i] = 1
-        if not any(rows[j][i] for j in range(k)):
-            rows[i][i] = 1
-    shift = ShiftOfFiniteType(tuple(tuple(r) for r in rows))
-    assert -1e-12 <= sft_entropy(shift) <= math.log(k) + 1e-12
+@given(irreducible_shifts(max_k=4))
+def test_entropy_le_log_alphabet(shift):
+    # entropy is read only from irreducible shifts: the analysis refuses the rest
+    assert -1e-12 <= entropy(shift) <= math.log(shift.alphabet_size) + 1e-12

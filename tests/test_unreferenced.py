@@ -17,8 +17,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "shrinktarget"
 ALLOWED = {
     "LimsupCylinderScheme.count",  # the benchmark tracer wraps it by name
     "count_sofic_words",  # the sofic counting kernel-to-be, and its tests' reference
-    "sft_entropy",  # public, and named by the benchmark's symbolic.perron span group
-    "sofic_entropy",  # public, and the reference for the sofic analysis in tests
 }
 
 

@@ -59,7 +59,7 @@ from .symbolic import (  # noqa: F401
     mixing_gap,
     period_decomposition,
     perron_root,
-    word_counts_ending,
+    word_counts,
 )
 from .bounds import (  # noqa: F401
     BoundReport,

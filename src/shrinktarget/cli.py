@@ -455,17 +455,18 @@ def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
             f"grid_step = {params.grid_step:g} over [{lo:g}, {hi:g}] "
             "gives more grid points than a sequence can index"
         )
-    grid = _ArithmeticGrid(lo, params.grid_step, max(0, round(n_pts) + 1))
-    words = {}  # the schemes' word counts per first target symbol, for this call only
+    # an inverted grid is empty; max() keeps round() off -inf, where hi - lo overflows
+    grid = _ArithmeticGrid(lo, params.grid_step, max(0, round(max(n_pts, -1.0)) + 1))
+    windows = {}  # the fit window's log counts per first target symbol, for this call only
     rows, layouts = [], []
     for i, triple in enumerate(config.rates):
         z = triple.target.target(0)
         tau = triple.phi.tau
         scheme = LimsupCylinderScheme(shift, tau, z)
         z0 = z.symbol(0)
-        if z0 not in words:
-            words[z0] = scheme.word_sequences(params.depth)
-        bracket = grid_cell(critical_exponent(scheme, params.depth, words[z0]), grid)
+        if z0 not in windows:
+            windows[z0] = scheme.log_window(params.depth)
+        bracket = grid_cell(critical_exponent(scheme, params.depth, windows[z0]), grid)
         # laid out in rate order, so the first failing rate names the error; only the walk waits
         layouts.append(moran_layout(tau, params.stages, gap))
         rows.append(

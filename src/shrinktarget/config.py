@@ -39,6 +39,7 @@ from .systems import HyperbolicityProfile, IntegerMatrixSystem, SpectrumError
 
 TASKS = ("analyze", "bounds", "exact", "oracle", "witness")
 FORMATS = ("json", "csv")
+MAX_DEPTH = 1000  # the fit is quadratic in depth: 0.6 s, one rate, 60-symbol SFT, x86-64
 
 
 class ConfigError(ValueError):
@@ -401,6 +402,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
         if op.depth < 4:
             raise ConfigError("$.oracle_params.depth", "depth must be >= 4")
+        if op.depth > MAX_DEPTH:
+            raise ConfigError("$.oracle_params.depth", f"depth must be <= {MAX_DEPTH}")
         if op.grid_step <= 0:
             raise ConfigError("$.oracle_params.grid_step", "grid_step must be positive")
         if op.eta <= 0:

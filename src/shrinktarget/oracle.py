@@ -34,29 +34,31 @@ where floor_guarded snaps values within 1e-9 of an integer to that integer
 is the same agreement length).  The required disagreement exponent of a hit
 at time n is therefore r(n) = floor_guarded(-ln phi(n)) + 1.
 
-The fit reads exact big-integer counts of every level from one row-vector
-recurrence (symbolic.word_counts_ending), which gives both sequences a
-scheme splices, so rates that share a first target symbol can share it.
-Its finite-depth bias comes from the subdominant eigenvalues of the
-transition matrix (see ``critical_exponent``).  Moran stage lengths depend
-on tau and the gap only, so each rate's are laid out first
-(``moran_layout``), and the estimates of all rates read the log counts of
-every stage from one normalized float squaring walk per call
-(``moran_dimension`` over symbolic.log_count_words_many).  A witness
-certificate lists its hit times; construction records the agreement at
-each and verification recomputes it, both from numpy mismatch arrays of
-the prefix against each distinct target stream (one per residue class of
-its cycle), so neither has a per-symbol Python loop and verification
-checks the claimed times only, not every time in S.
+The fit streams exact big-integer counts, level by level, from one
+row-vector recurrence (symbolic.word_counts) and keeps only the logs of its
+window, of both sequences a scheme chooses between, so rates that share a
+first target symbol share them.  Its finite-depth bias comes from the
+subdominant eigenvalues of the transition matrix (see
+``critical_exponent``).  Moran stage lengths depend on tau and the gap
+only, so each rate's are laid out first (``moran_layout``), and the
+estimates of all rates read the log counts of every stage from one
+normalized float squaring walk per call (``moran_dimension`` over
+symbolic.log_count_words_many).  A witness certificate lists its hit
+times; construction records the agreement at each and verification
+recomputes it, both from numpy mismatch arrays of the prefix against each
+distinct target stream (one per residue class of its cycle), so neither
+has a per-symbol Python loop and verification checks the claimed times
+only, not every time in S.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,7 +71,7 @@ from .rates import (
     first_member_at_least,
     tau_exponents,
 )
-from .symbolic import ShiftOfFiniteType, log_count_words_many, word_counts_ending
+from .symbolic import ShiftOfFiniteType, log_count_words_many, word_counts
 
 _INT_GUARD = 1e-9
 _MAX_PREFIX_LEN = 10_000_000
@@ -130,47 +132,44 @@ class LimsupCylinderScheme:
     def match_len(self, n: int) -> int:
         return floor_guarded(self.tau * n)
 
-    def word_sequences(self, n_max: int) -> tuple[list[int], list[int]]:
-        """The two sequences ``counts`` splices, for n = 1..n_max: the numbers
-        of all admissible n-words and of those whose last symbol precedes z_1.
+    def _word_counts(self, n_max: int) -> Iterator[tuple[int, int]]:
+        """symbolic.word_counts up to n_max, ending at the predecessors of z_1."""
+        x = self.shift
+        z0 = self.target.symbol(0)
+        return word_counts(x, n_max, [b for b in range(x.alphabet_size) if x.transition[b][z0]])
+
+    def count(self, n: int) -> int:
+        """Exact number of level-n cylinders.
+
+        Admissible n-words w such that w . z-prefix stays admissible: when a
+        pinned part is present (match_len(n) > 0) this restricts the last
+        symbol of w to the predecessors of z_1.
+        """
+        if n < 1:
+            raise OracleError("level index must be >= 1")
+        every, ending = deque(self._word_counts(n), maxlen=1).pop()
+        return ending if self.match_len(n) > 0 else every
+
+    def log_window(self, depth: int) -> tuple[list[float], list[float]]:
+        """ln of both numbers ``count`` chooses between, of all admissible
+        n-words and of those whose last symbol precedes z_1, for the levels
+        n = depth // 2 .. depth that ``critical_exponent`` fits.
 
         They depend on the shift and z_1 only, so schemes that share both
         (different rates at the same target symbol) can share them.
         """
-        x = self.shift
-        z0 = self.target.symbol(0)
-        return word_counts_ending(
-            x, n_max, [b for b in range(x.alphabet_size) if x.transition[b][z0]]
-        )
-
-    def counts(
-        self, n_max: int, words: tuple[list[int], list[int]] | None = None
-    ) -> list[int]:
-        """Exact numbers of level-n cylinders for n = 1..n_max (entry n - 1).
-
-        Admissible n-words w such that w . z-prefix stays admissible: when a
-        pinned part is present (match_len(n) > 0) this restricts the last
-        symbol of w to the predecessors of z_1.  match_len is nondecreasing
-        in n, so the levels without a pinned part come first.  ``words`` is
-        ``word_sequences(m)`` for some m >= n_max, computed here when absent.
-        """
-        if n_max < 1:
-            raise OracleError("level index must be >= 1")
-        every, ending = self.word_sequences(n_max) if words is None else words
-        if len(ending) < n_max:
-            raise OracleError(f"word counts cover {len(ending)} levels, need {n_max}")
-        free = next((n - 1 for n in range(1, n_max + 1) if self.match_len(n) > 0), n_max)
-        return every[:free] + ending[free:n_max]
-
-    def count(self, n: int) -> int:
-        """Exact number of level-n cylinders: the last entry of counts(n)."""
-        return self.counts(n)[-1]
+        every, ending = [], []
+        for n, (a, e) in enumerate(self._word_counts(depth), 1):
+            if n >= depth // 2:
+                every.append(math.log(a))
+                ending.append(math.log(e))
+        return every, ending
 
 
 def critical_exponent(
     scheme: LimsupCylinderScheme,
     depth: int,
-    words: tuple[list[int], list[int]] | None = None,
+    window: tuple[list[float], list[float]] | None = None,
 ) -> float:
     """Finite-depth estimate s* of the exponent where the covering sum flips.
 
@@ -180,7 +179,9 @@ def critical_exponent(
     least-squares slope of ln N_n over the levels n in [depth/2, depth],
     and s* = slope / (1 + tau).  Using the exact limit 1 + tau, not the
     slope of w over the same window, keeps the floor in w(n) from biasing
-    the estimate.  ``words`` is passed on to ``scheme.counts``.
+    the estimate.  ``window`` is ``scheme.log_window(depth)``, computed here
+    when absent; ln N_n is its second list where match_len(n) > 0 and its
+    first elsewhere, as in ``scheme.count``.
 
     The finite-depth bias comes from the subdominant eigenvalues: N_n is
     c rho^n plus terms in lambda_j^n, so the slope misses ln rho by terms
@@ -193,11 +194,16 @@ def critical_exponent(
     """
     if depth < 4:
         raise OracleError("depth must be at least 4")
-    counts = scheme.counts(depth, words)
-    ns = range(max(1, depth // 2), depth + 1)
+    every, ending = scheme.log_window(depth) if window is None else window
+    ns = range(depth // 2, depth + 1)
+    if len(ending) != len(ns):
+        raise OracleError(f"log counts cover {len(ending)} levels, need {len(ns)}")
+    # match_len is nondecreasing in n, so the levels without a pinned part come first
+    free = next((i for i, n in enumerate(ns) if scheme.match_len(n) > 0), len(ns))
+    logs = every[:free] + ending[free:]
     mid = (ns[0] + ns[-1]) / 2.0
     # sum((n - mid) * (y - mean y)) == sum((n - mid) * y), as sum(n - mid) == 0
-    cov = math.fsum((n - mid) * math.log(counts[n - 1]) for n in ns)
+    cov = math.fsum((n - mid) * y for n, y in zip(ns, logs))
     var = math.fsum((n - mid) ** 2 for n in ns)
     return cov / var / (1.0 + scheme.tau)
 

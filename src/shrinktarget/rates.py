@@ -65,13 +65,10 @@ def _first(x, where):
 class RateFunction:
     """Base class for shrinking rates.  Subclasses are immutable.
 
-    ``phi(n)`` may underflow to 0.0 in binary64 once -ln(phi(n)) exceeds ~745;
-    every variant computes ``log_phi(n)`` in closed form, and hit checks
-    compare against it.
+    A rate is read through ``log_phi(n)`` = ln(phi(n)) alone, in closed form:
+    phi(n) itself underflows to 0.0 in binary64 once -ln(phi(n)) exceeds
+    ~745, and hit checks compare against the log.
     """
-
-    def phi(self, n: int) -> float:
-        raise NotImplementedError
 
     def log_phi(self, n: int) -> float:
         """ln(phi(n)), computed without evaluating phi, which may underflow."""
@@ -95,9 +92,6 @@ class Exponential(RateFunction):
                 "for the tau = +inf degenerate case"
             )
 
-    def phi(self, n: int) -> float:
-        return math.exp(-self.tau * n)
-
     def log_phi(self, n: int) -> float:
         return -self.tau * n
 
@@ -116,12 +110,8 @@ class PowerLaw(RateFunction):
         if math.isinf(self.a):
             raise RateError("PowerLaw requires finite a")
 
-    def phi(self, n: int) -> float:
-        # n^-a grows without bound as n -> 0, so the min is 1 at n = 0
-        return min(1.0, float(n) ** (-self.a)) if n else 1.0
-
     def log_phi(self, n: int) -> float:
-        # n^-a <= 1 for n >= 1, and n^-a underflows to 0 long before -a ln n does
+        # min(1, n^-a) is 1 at n = 0; n^-a underflows long before -a ln n does
         return -self.a * math.log(n) if n else 0.0
 
     def exponents(self) -> RateExponents:
@@ -151,9 +141,6 @@ class PiecewiseExponential(RateFunction):
             _check_nonneg("taus entry", t)
             if math.isinf(t):
                 raise RateError("PiecewiseExponential requires finite taus")
-
-    def phi(self, n: int) -> float:
-        return math.exp(-self.taus[n % self.period] * n)
 
     def log_phi(self, n: int) -> float:
         return -self.taus[n % self.period] * n
@@ -185,13 +172,8 @@ class Tabulated(RateFunction):
         if math.isinf(self.tail_tau):
             raise RateError("Tabulated requires finite tail_tau")
 
-    def phi(self, n: int) -> float:
-        # the table covers n = 1..len; time 0 reads the tail, exp(0) = 1
-        if 0 < n <= len(self.values):
-            return self.values[n - 1]
-        return math.exp(-self.tail_tau * n)
-
     def log_phi(self, n: int) -> float:
+        # the table covers n = 1..len; time 0 reads the tail, ln phi(0) = 0
         if 0 < n <= len(self.values):
             return math.log(self.values[n - 1])
         return -self.tail_tau * n

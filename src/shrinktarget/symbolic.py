@@ -12,9 +12,11 @@ the Collatz-Wielandt bracket of its eigenvector.  The mixing gap is the
 smallest p with M^p entrywise positive and realises the constant
 specification gap of a mixing SFT; it is found by boolean squaring and
 binary lifting in O(k^3 log p), even when p is near the Wielandt bound
-(k - 1)^2 + 1.  The index sets record which classes a target sequence hits
-at which residues mod N - the data that decides whether intersected
-shrinking target sets can be nonempty at all.
+(k - 1)^2 + 1.  Word counts stream exactly from a row-vector recurrence
+(``word_counts``) or come as logs from a squaring walk
+(``log_count_words_many``).  The index sets record which classes a target
+sequence hits at which residues mod N - the data that decides whether
+intersected shrinking target sets can be nonempty at all.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -238,16 +240,15 @@ def perron_root(matrix: Sequence[Sequence[int]]) -> float:
     return _perron_bracket(m)[1]
 
 
-def word_counts_ending(
-    x: ShiftOfFiniteType, n_max: int, ends: Iterable[int]
-) -> tuple[list[int], list[int]]:
-    """(all, ending): exact numbers of admissible n-words for n = 1..n_max
-    (entry n - 1), of all of them and of those whose last symbol is in ``ends``.
+def word_counts(x: ShiftOfFiniteType, n_max: int, ends: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Exact (all_n, ending_n) for n = 1..n_max, streamed: the numbers of
+    admissible n-words, of all of them and of those whose last symbol is in
+    ``ends``.  Bad arguments raise here, not at the first pair.
 
     Row-vector recurrence: u_1 = (1, ..., 1) and u_{n+1}[b] = sum of u_n[a]
     over the predecessors a of b, so u_n[b] counts the n-words ending in b,
-    and both sequences are sums of the same u_n.  Big-integer additions,
-    O(n_max * edges) of them.
+    and both numbers are sums of the same u_n.  Big-integer additions,
+    O(n_max * edges) of them; only the current u_n is kept.
     """
     if n_max < 1:
         raise SymbolicError("word length must be >= 1")
@@ -256,13 +257,15 @@ def word_counts_ending(
     if any(not (0 <= b < k) for b in last):
         raise SymbolicError("end symbols must lie in the alphabet")
     preds = [[a for a in range(k) if x.transition[a][b]] for b in range(k)]
-    u = [1] * k
-    every, ending = [k], [len(last)]
-    for _ in range(n_max - 1):
-        u = [sum([u[a] for a in p]) for p in preds]
-        every.append(sum(u))
-        ending.append(sum([u[b] for b in last]))
-    return every, ending
+
+    def walk() -> Iterator[tuple[int, int]]:
+        u = [1] * k
+        yield k, len(last)
+        for _ in range(n_max - 1):
+            u = [sum([u[a] for a in p]) for p in preds]
+            yield sum(u), sum([u[b] for b in last])
+
+    return walk()
 
 
 # bytes of running products in one stack of the walk: half of glibc malloc's

@@ -1,6 +1,7 @@
 """Hypothesis strategies and small shift builders shared by tests."""
 
 import math
+from collections import deque
 
 from hypothesis import assume, strategies as st
 
@@ -13,7 +14,7 @@ from shrinktarget.symbolic import (
     digraph_period,
     mixing_gap,
     perron_root,
-    word_counts_ending,
+    word_counts,
 )
 
 
@@ -33,7 +34,7 @@ def entropy(shift):
 
 def count_words(shift, n):
     """Exact number of admissible n-words, from the CLI's counting recurrence."""
-    return word_counts_ending(shift, n, ())[0][-1]
+    return deque(word_counts(shift, n, ()), maxlen=1).pop()[0]
 
 
 def moran_estimate(shift, tau, stages):

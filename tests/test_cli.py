@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from shrinktarget.cli import _build_parser, fmt, main, run
-from shrinktarget.config import FORMATS, TASKS, ConfigError, load_config, parse_config
+from shrinktarget.config import FORMATS, MAX_DEPTH, TASKS, ConfigError, load_config, parse_config
 from shrinktarget.symbolic import NotMixingError, ShiftOfFiniteType, mixing_gap
 
 from shift_strategies import moran_estimate
@@ -596,8 +596,11 @@ class TestValidation:
             ("witness", {"eta": 1e-310}, "eta = 1e-310 at tau = 0.5: block 1 pushes"),
             ("witness", {"eta": 1e308}, "eta = 1e+308 at tau = 0.5: block 1 pushes"),
             ("oracle", {"grid_step": 1e-300}, "grid_step = 1e-300 over [1e-300, 0.581212] gives more grid points"),
+            # grid_max - grid_min overflows to -inf, which round() cannot take
+            ("oracle", {"grid_min": 1e308, "grid_max": -1e308},
+             "grid does not straddle the critical exponent (s* = 0.320808, grid empty)"),
         ],
-        ids=["stages_overflow", "stages_zero", "eta_tiny", "eta_huge", "grid_step_tiny"],
+        ids=["stages_overflow", "stages_zero", "eta_tiny", "eta_huge", "grid_step_tiny", "grid_span_overflow"],
     )
     def test_oracle_params_out_of_range_are_error_rows(self, tmp_path, monkeypatch, capsys, command, params, message):
         # each passes validation, then asks for a layout or grid beyond the float or index range
@@ -769,6 +772,22 @@ class TestValidation:
         cfg = write_config(tmp_path, payload)
         assert main(["oracle", "--config", str(cfg)]) == 2
         assert "$.oracle_params.grid_max: expected a finite number, got inf" in capsys.readouterr().err
+
+    def test_depth_capped(self, tmp_path, monkeypatch, capsys):
+        # the fit's time grows as depth^2, so the load bounds it; neither
+        # config runs the fit
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config()
+        payload["oracle_params"]["depth"] = MAX_DEPTH
+        assert parse_config(payload).oracle_params.depth == MAX_DEPTH
+        payload["oracle_params"]["depth"] = MAX_DEPTH + 1
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert (exc.value.path, exc.value.message) == ("$.oracle_params.depth", f"depth must be <= {MAX_DEPTH}")
+        assert main(["oracle", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert f"$.oracle_params.depth: depth must be <= {MAX_DEPTH}" in capsys.readouterr().err
+        depth = json.loads(SCHEMA_PATH.read_text())["properties"]["oracle_params"]["properties"]["depth"]
+        assert depth["maximum"] == MAX_DEPTH
 
     @pytest.mark.parametrize("big", [math.inf, 10**400], ids=["Infinity", "huge_int"])
     def test_infinite_profile_number_rejected(self, tmp_path, monkeypatch, capsys, big):

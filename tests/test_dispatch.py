@@ -146,19 +146,19 @@ def test_sft_analysis_finds_components_once(command, tmp_path, monkeypatch):
 def test_oracle_counts_words_once_per_target_symbol(tmp_path, monkeypatch):
     # rates that share a first target symbol share one word-count recurrence,
     # and the Moran estimates of all rates share one squaring walk
-    counted_names = ((symbolic, "word_counts_ending"), (symbolic, "log_count_words_many"))
+    counted_names = ((symbolic, "word_counts"), (symbolic, "log_count_words_many"))
 
     def counted(path, config):
         return _counted(path, monkeypatch, config, "oracle", counted_names)
 
     one = counted(tmp_path / "one", _oracle_config("oracle", 1))
     many = counted(tmp_path / "many", _oracle_config("oracle", 16))
-    assert one == {"word_counts_ending": 1, "log_count_words_many": 1}
-    assert many == {"word_counts_ending": 1, "log_count_words_many": 1}
+    assert one == {"word_counts": 1, "log_count_words_many": 1}
+    assert many == {"word_counts": 1, "log_count_words_many": 1}
     mixed = _oracle_config("oracle", 16)
     for rate in mixed["rates"][::2]:
         rate["target"] = {"kind": "symbols", "head": [], "cycle": [1, 0]}
-    assert counted(tmp_path / "mixed", mixed)["word_counts_ending"] == 2
+    assert counted(tmp_path / "mixed", mixed)["word_counts"] == 2
 
 
 EXAMPLES = sorted((ROOT / "docs" / "examples").glob("*.json"))

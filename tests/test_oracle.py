@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -160,7 +161,7 @@ class TestCoveringSum:
         # tau = 1: each term 2^n e^{-(ln2/2) 2n} = 1 exactly, so the fit
         # puts s* at ln2/2
         scheme = LimsupCylinderScheme(full_shift(2), 1.0, ZEROS)
-        assert all(c == 2**n for n, c in enumerate(scheme.counts(20), 1))
+        assert all(scheme.count(n) == 2**n for n in range(1, 21))
         assert critical_exponent(scheme, 20) == pytest.approx(LN2 / 2.0, rel=1e-14)
 
     def test_supcritical_terms_decay(self):
@@ -171,7 +172,7 @@ class TestCoveringSum:
     def test_zero_exponent_counts(self):
         scheme = LimsupCylinderScheme(golden_mean_shift(), 0.0, ZEROS)
         # pure counting: W(1), W(2), W(3) = 2, 3, 5
-        assert scheme.counts(3) == [2, 3, 5]
+        assert [scheme.count(n) for n in (1, 2, 3)] == [2, 3, 5]
 
     @pytest.mark.parametrize("tau", [0.0, 0.2, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -183,8 +184,8 @@ class TestCoveringSum:
             (TRIANGLE, SymbolSequence(head=(), cycle=(1, 0, 2))),
         ):
             scheme = LimsupCylinderScheme(shift, tau, z)
-            assert scheme.count(n) == brute_count(shift, z, tau, n)
-            assert scheme.counts(n) == [brute_count(shift, z, tau, m) for m in range(1, n + 1)]
+            levels = range(1, n + 1)
+            assert [scheme.count(m) for m in levels] == [brute_count(shift, z, tau, m) for m in levels]
 
     @settings(max_examples=60, deadline=None)
     @given(irreducible_shifts(), st.floats(0.0, 2.0), st.data())
@@ -193,14 +194,11 @@ class TestCoveringSum:
         scheme = LimsupCylinderScheme(shift, tau, z)
         k = shift.alphabet_size
         n_max = 8 if k == 1 else min(8, int(math.log(5_000) / math.log(k)))
-        counts = scheme.counts(n_max)
+        counts = [scheme.count(n) for n in range(1, n_max + 1)]
         assert counts == [brute_count(shift, z, tau, n) for n in range(1, n_max + 1)]
-        assert scheme.count(n_max) == counts[-1]
 
     def test_level_index_must_be_positive(self):
         scheme = LimsupCylinderScheme(golden_mean_shift(), 0.5, ZEROS)
-        with pytest.raises(OracleError, match=">= 1"):
-            scheme.counts(0)
         with pytest.raises(OracleError, match=">= 1"):
             scheme.count(0)
 
@@ -293,17 +291,33 @@ class TestCriticalExponent:
         assert critical_exponent(scheme, 40) == pytest.approx(math.log(k) / (1.0 + tau), rel=1e-14)
 
     def test_shared_word_counts_give_the_same_value(self):
-        # rates at the same first target symbol share one recurrence
-        deep = LimsupCylinderScheme(TRIANGLE, 0.1, HEADED).word_sequences(50)
-        for tau in (0.0, 0.1, 0.7):
+        # rates at the same first target symbol share one recurrence; tau =
+        # 1/17 pins the first symbol inside the window [15, 30], at n = 17
+        every, ending = LimsupCylinderScheme(TRIANGLE, 0.1, HEADED).log_window(30)
+        assert len(every) == len(ending) == 16
+        for tau in (0.0, 0.1, 1.0 / 17, 0.7):
             scheme = LimsupCylinderScheme(TRIANGLE, tau, HEADED)
-            assert critical_exponent(scheme, 30, deep) == critical_exponent(scheme, 30)
-            assert scheme.counts(30, deep) == scheme.counts(30)
+            assert critical_exponent(scheme, 30, (every, ending)) == critical_exponent(scheme, 30)
+            # the window holds ln of both numbers count chooses between
+            logs = [(ending if scheme.match_len(n) > 0 else every)[n - 15] for n in range(15, 31)]
+            assert logs == [math.log(scheme.count(n)) for n in range(15, 31)]
+
+    def test_fit_memory_stays_flat_in_depth(self):
+        # the fit keeps the current count vector and the window's logs, about
+        # 0.16 MB here; every level's big integer would take 2.8 MB
+        scheme = LimsupCylinderScheme(golden_mean_shift(), 0.5, ZEROS)
+        tracemalloc.start()
+        try:
+            critical_exponent(scheme, 5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
     def test_short_word_counts_rejected(self):
         scheme = LimsupCylinderScheme(golden_mean_shift(), 0.5, ZEROS)
-        with pytest.raises(OracleError, match="cover 10 levels, need 20"):
-            scheme.counts(20, scheme.word_sequences(10))
+        with pytest.raises(OracleError, match="cover 6 levels, need 11"):
+            critical_exponent(scheme, 20, scheme.log_window(10))
 
 
 class TestGridCell:

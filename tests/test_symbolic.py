@@ -31,7 +31,7 @@ from shrinktarget.symbolic import (
     mixing_gap,
     period_decomposition,
     perron_root,
-    word_counts_ending,
+    word_counts,
     _perron_bracket,
 )
 from shrinktarget.systems import _charpoly
@@ -173,8 +173,8 @@ class TestCountWords:
         n_max = 10 if k == 1 else min(10, int(math.log(20_000) / math.log(k)))
         ends = data.draw(st.none() | st.sets(st.integers(0, k - 1)))
         keep = range(k) if ends is None else ends
-        every, ending = word_counts_ending(shift, n_max, () if ends is None else ends)
-        counts = every if ends is None else ending
+        pairs = list(word_counts(shift, n_max, () if ends is None else ends))
+        counts = [pair[0 if ends is None else 1] for pair in pairs]
         assert len(counts) == n_max
         for n, count in enumerate(counts, start=1):
             assert count == sum(1 for w in grown_words(shift, n) if w[-1] in keep)
@@ -182,10 +182,11 @@ class TestCountWords:
             assert counts[-1] == count_words(shift, n_max)
 
     def test_word_counts_rejects_bad_input(self):
+        # at the call, not at the first pair
         with pytest.raises(SymbolicError, match=">= 1"):
-            word_counts_ending(golden_mean_shift(), 0, ())
+            word_counts(golden_mean_shift(), 0, ())
         with pytest.raises(SymbolicError, match="alphabet"):
-            word_counts_ending(golden_mean_shift(), 3, [2])
+            word_counts(golden_mean_shift(), 3, [2])
 
     @settings(max_examples=60, deadline=None)
     @given(irreducible_shifts(), st.integers(min_value=1, max_value=300))
@@ -236,11 +237,12 @@ class TestCountWords:
         k = shift.alphabet_size
         n_max = 8 if k == 1 else min(8, int(math.log(5_000) / math.log(k)))
         ends = data.draw(st.sets(st.integers(0, k - 1)))
-        every, ending = word_counts_ending(shift, n_max, ends)
-        for n in range(1, n_max + 1):
+        pairs = list(word_counts(shift, n_max, ends))
+        assert len(pairs) == n_max
+        for n, (every, ending) in enumerate(pairs, start=1):
             words = grown_words(shift, n)
-            assert every[n - 1] == len(words)
-            assert ending[n - 1] == sum(1 for w in words if w[-1] in ends)
+            assert every == len(words)
+            assert ending == sum(1 for w in words if w[-1] in ends)
 
     @given(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=20))
     def test_submultiplicative(self, m, n):

@@ -29,7 +29,9 @@ Conventions used throughout:
   + - * / round as Python's do, so an array element equals the float result
   bit for bit.  A side is then a float or an array; NaN in an array marks an
   element where the side is not asserted (None for a float), and the
-  report checks hold for every element.
+  report checks hold for every element.  Floats stay plain Python: only
+  :func:`tau_runs` imports numpy, and arrays are tested by their own
+  ``any``/``all``.
 """
 
 from __future__ import annotations
@@ -37,11 +39,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .rates import RateExponents
+from .rates import RateExponents, _any
 from .systems import HyperbolicityProfile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BOUNDARY_TOL = 1e-12
 
@@ -74,13 +78,14 @@ class BoundReport:
             if lo is not None and hi is not None
         ]
         bad = [lo > hi + 1e-12 for lo, hi in pairs]
-        if any(map(np.any, bad)):
-            # the first tau that fails, and at it the entropy before the dimension
-            i, k = np.argwhere(np.column_stack(np.broadcast_arrays(*bad)))[0]
-            lo, hi = (x if np.ndim(x) == 0 else float(x[i]) for x in pairs[k])
+        # the first tau that fails, and at it the entropy before the dimension
+        firsts = [(int(b.argmax()) if hasattr(b, "argmax") else 0, k) for k, b in enumerate(bad) if _any(b)]
+        if firsts:
+            i, k = min(firsts)
+            lo, hi = (float(x[i]) if getattr(x, "ndim", 0) else x for x in pairs[k])
             raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
         if self.case_tag is CaseTag.EXACT:
-            if np.any(self.entropy_lower != self.entropy_upper) or np.any(self.dim_lower != self.dim_upper):
+            if _any(self.entropy_lower != self.entropy_upper) or _any(self.dim_lower != self.dim_upper):
                 raise ValueError("exact reports must have coinciding sides")
 
 
@@ -95,10 +100,12 @@ def _at(x, c):
 
 
 def _holds(test) -> bool:
-    """A branch test on one tau, or on a run of taus that all take one branch."""
-    if np.all(test) != np.any(test):
+    """A branch test on one tau (a bool), or on a run of taus that all take one branch."""
+    if not hasattr(test, "all"):
+        return test
+    if test.all() != test.any():
         raise ValueError("a branch test differs within one run of taus; split the grid with tau_runs")
-    return bool(np.all(test))
+    return bool(test.all())
 
 
 def tau_runs(taus: np.ndarray, thresholds) -> list[slice]:
@@ -110,6 +117,8 @@ def tau_runs(taus: np.ndarray, thresholds) -> list[slice]:
     these tests has one value for every c in ``thresholds``.  An increasing
     grid passes each c once, so it has a few runs whatever its length.
     """
+    import numpy as np
+
     if not len(taus):
         return []
     change = np.zeros(len(taus) - 1, dtype=bool)
@@ -227,11 +236,12 @@ def bounds_general_profile(profile: HyperbolicityProfile, tau: RateExponents) ->
         # an entropy conflict drops both lower sides, a dimension one its own
         drop_h = h_low > h_up
         drop_dim = drop_h | (dim_low > dim_up)
-        if np.any(drop_dim):
-            if np.ndim(drop_dim) == 0:
+        if _any(drop_dim):
+            if getattr(drop_dim, "ndim", 0) == 0:
                 h_low, dim_low = None if drop_h else h_low, None
             else:
-                h_low, dim_low = np.where(drop_h, np.nan, h_low), np.where(drop_dim, np.nan, dim_low)
+                h_low, dim_low = h_low.copy(), dim_low.copy()
+                h_low[drop_h], dim_low[drop_dim] = math.nan, math.nan
             assumptions.append(("lower/upper regime conflict", False))
     return BoundReport(h_low, h_up, dim_low, dim_up, tag, tuple(assumptions))
 

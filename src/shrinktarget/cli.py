@@ -36,8 +36,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from . import __version__
 from .bounds import (
     BoundReport,
@@ -276,6 +274,8 @@ def _column(side, n: int) -> list[str | None]:
 
     None where a report side is unavailable: the whole run, or NaN elements.
     """
+    import numpy as np
+
     if side is None:
         return [None] * n
     col = np.broadcast_to(side, n)
@@ -294,6 +294,8 @@ def sweep_rows(facts: SystemFacts, taus) -> list[dict]:
     call on a float64 array, whose elements equal the per-tau floats bit for
     bit, and each report side is formatted in one pass per run.
     """
+    import numpy as np
+
     t = np.asarray(taus, dtype=float)
     sides: tuple[list, ...] = ([], [], [], [])
     tags: list[str] = []

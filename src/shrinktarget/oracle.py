@@ -58,9 +58,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .rates import (
     RateFunction,
@@ -72,6 +70,9 @@ from .rates import (
     tau_exponents,
 )
 from .symbolic import ShiftOfFiniteType, log_count_words_many, word_counts
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _INT_GUARD = 1e-9
 _MAX_PREFIX_LEN = 10_000_000
@@ -559,9 +560,7 @@ def construct_witness(
 
     # first disagreement index = agreement length + 1; at the end of the
     # prefix that is the first index beyond the observable window
-    agreement = _agreement_lengths(
-        np.array(prefix, dtype=np.int64), target, [b.hit_time for b in plan.blocks]
-    )
+    agreement = _agreement_lengths(prefix, target, [b.hit_time for b in plan.blocks])
     hit_records = tuple(
         WitnessHit(
             time=b.hit_time,
@@ -577,22 +576,24 @@ def construct_witness(
     )
 
 
-def _agreement_lengths(
-    prefix: np.ndarray, target: ShiftTarget, times: Sequence[int]
-) -> list[int]:
+def _agreement_lengths(prefix: Sequence[int], target: ShiftTarget, times: Sequence[int]) -> list[int]:
     """For each n in ``times``, the length of the longest common prefix of
     prefix[n:] and z_n.
 
     The times are grouped by their target stream, and each stream is
-    matched once, by ``_stream_agreement``.  Every n must lie in [0, L).
+    matched once, by ``_stream_agreement``, against one int64 copy of the
+    prefix.  Every n must lie in [0, L).
     """
+    import numpy as np
+
     groups: dict[SymbolSequence, list[int]] = {}
     for i, n in enumerate(times):
         groups.setdefault(target.target(n), []).append(i)
+    symbols = np.array(prefix, dtype=np.int64)
     starts = np.array(times, dtype=np.int64)
     out = np.zeros(len(starts), dtype=np.int64)
     for stream, idx in groups.items():
-        out[idx] = _stream_agreement(prefix, stream, starts[idx])
+        out[idx] = _stream_agreement(symbols, stream, starts[idx])
     return out.tolist()
 
 
@@ -609,6 +610,8 @@ def _stream_agreement(prefix: np.ndarray, z: SymbolSequence, starts: np.ndarray)
     is, and the time is O(min(p, len(starts)) L) in numpy.  Every start
     must lie in [0, L).
     """
+    import numpy as np
+
     size = len(prefix)
     h, p = len(z.head), len(z.cycle)
     # a start whose head matches agrees on h symbols, or on its whole window
@@ -654,7 +657,5 @@ def verify_witness(
             need = required_exponent(phi, n) - 1
             if n + need <= size:  # else the window is truncated; cannot certify
                 claims.append((n, need))
-    agreement = _agreement_lengths(
-        np.array(cert.prefix, dtype=np.int64), _as_shift_target(z), [n for n, _ in claims]
-    )
+    agreement = _agreement_lengths(cert.prefix, _as_shift_target(z), [n for n, _ in claims])
     return [n for (n, need), a in zip(claims, agreement) if a >= need]

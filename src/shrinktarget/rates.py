@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RateError(ValueError):
@@ -47,19 +48,24 @@ class RateExponents:
     def __post_init__(self) -> None:
         for name in ("tau_upper", "tau_lower"):
             v = getattr(self, name)
-            bad = np.isnan(v) | (v < 0.0)
-            if np.any(bad):
+            bad = (v != v) | (v < 0.0)  # NaN or negative
+            if _any(bad):
                 raise RateError(f"{name} must be in [0, +inf], got {_first(v, bad)!r}")
         bad = self.tau_lower > self.tau_upper
-        if np.any(bad):
+        if _any(bad):
             raise RateError(
                 f"tau_lower={_first(self.tau_lower, bad)} exceeds tau_upper={_first(self.tau_upper, bad)}"
             )
 
 
+def _any(test) -> bool:
+    """A test on floats (a bool) or on arrays: does it hold anywhere?"""
+    return bool(test.any()) if hasattr(test, "any") else test
+
+
 def _first(x, where):
     """``x``, or for an array its first element where ``where`` holds."""
-    return x if np.ndim(x) == 0 else x[where][0].item()
+    return x[where][0].item() if getattr(x, "ndim", 0) else x
 
 
 class RateFunction:

@@ -25,9 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .rates import (
     ShiftTarget,
@@ -35,6 +33,9 @@ from .rates import (
     TimeSet,
     arithmetic_tail,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SymbolicError(ValueError):
@@ -177,6 +178,8 @@ def mixing_gap(x: ShiftOfFiniteType) -> int:
     squaring stops once it passes the bound; only then is the shift
     decomposed, to raise ReducibleShiftError or NotMixingError.
     """
+    import numpy as np
+
     wielandt = (x.alphabet_size - 1) ** 2 + 1
     patterns = [np.array(x.transition, dtype=float)]  # pattern of M^(2^j)
     while not patterns[-1].all():
@@ -210,6 +213,8 @@ def _perron_bracket(m: np.ndarray) -> tuple[float, float, float]:
     the slack of an integer that the bracket contains, replaced by that
     integer, so integer roots (permutations, full shifts) come out exact.
     """
+    import numpy as np
+
     values, vectors = np.linalg.eig(m)
     i = int(np.argmax(values.real))
     v = np.abs(vectors[:, i].real)
@@ -234,6 +239,8 @@ def perron_root(matrix: Sequence[Sequence[int]]) -> float:
     k = 200 ln rho is within 1e-14 of the exact root.  Reducible input whose
     Perron eigenvector has a zero entry raises SymbolicError.
     """
+    import numpy as np
+
     m = np.asarray(matrix, dtype=float)
     if not m.any():
         raise EmptyShiftError("zero matrix has no Perron root")
@@ -297,6 +304,8 @@ def log_count_words_many(x: ShiftOfFiniteType, lengths: Sequence[int]) -> list[f
     of the log of the exact count, and it is negligible next to the O(1/n)
     terms any consumer divides out.
     """
+    import numpy as np
+
     if any(n < 1 for n in lengths):
         raise SymbolicError("word length must be >= 1")
     k = x.alphabet_size

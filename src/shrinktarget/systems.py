@@ -18,11 +18,14 @@ One integer pass per matrix feeds all of it: Faddeev-LeVerrier gives
 det(xI - A), det A and A^-1 exactly, and the square-free factors of
 det(xI - A) carry every eigenvalue's exact multiplicity.  Only the roots of
 each factor are floats, so ``_TOL`` decides only which roots share a modulus
-and whether a modulus lies on the unit circle.
+and whether a modulus lies on the unit circle.  One pure-Python root finder,
+``_roots``, serves both the spectrum and the operator norms (the largest
+root of det(xI - A^T A)), so a matrix analysis never imports numpy.
 
 A matrix whose floats would leave the float range is refused: at
 construction when |A|^2 or |A^-1|^2 (Frobenius) reaches 2^1023, and in
-``analyze_matrix`` when a factor coefficient or an eigenvalue modulus does.
+``analyze_matrix`` when a factor coefficient or an eigenvalue modulus does,
+or a root lies more than 2^1022 below its factor's root bound.
 
 The specification scale epsilon_0 is deliberately not represented: for every
 system built here the gluing property holds at all scales, so profiles carry
@@ -31,14 +34,13 @@ no scale field.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
-
-import numpy as np
 
 
 class SpectrumError(ValueError):
@@ -51,8 +53,8 @@ class UnsupportedSpectrumError(SpectrumError):
 
 _TOL = 1e-9
 # the bound on what the matrix analysis turns into floats: the coefficients
-# it passes to np.roots, and the squared Frobenius norms that bound the
-# entries of the Gram matrices ``operator_norm`` forms
+# of the factors whose roots it takes, and the squared Frobenius norms that
+# bound the largest root of the Gram matrices ``operator_norm`` forms
 _FLOAT_RANGE = 2**1023
 _BEYOND_FLOATS = (
     "spectrum beyond the float range: a coefficient of a factor of det(xI - A) "
@@ -120,6 +122,86 @@ def _squarefree(f: list[int]) -> list[tuple[list[int], int]]:
         f = g
     factors = (_divide(h, nxt)[0] for h, nxt in zip(hs, hs[1:] + [[1]]))
     return [(s, k) for k, s in enumerate(factors, 1) if len(s) > 1]
+
+
+# Aberth sweeps before ``_roots`` gives up; polynomials up to degree 64,
+# the one with the roots 1..20 among them, converge within 21
+_MAX_SWEEPS = 100
+
+
+def _newton_polygon_start(f: list[int], e: int) -> list[complex]:
+    """Bini's (1996) starting points for ``_roots`` on f(2^e y).
+
+    The upper convex hull of the points (degree, log2 |coefficient|) has an
+    edge of slope sigma over m degrees for every m roots of modulus about
+    2^-sigma, however widely the moduli spread; each edge gets m points on
+    that circle, turned by the edge's first degree so no two edges line up.
+    """
+    n = len(f) - 1
+    hull: list[tuple[int, float]] = []
+    for i in range(n, -1, -1):  # by increasing degree n - i
+        if f[i]:
+            pt = (n - i, math.log2(abs(f[i])) - e * i)
+            while len(hull) > 1:
+                (x0, l0), (x1, l1) = hull[-2:]
+                if (x1 - x0) * (pt[1] - l0) < (pt[0] - x0) * (l1 - l0):
+                    break  # hull[-1] lies above the chord from hull[-2] to pt
+                hull.pop()
+            hull.append(pt)
+    start = []
+    for (i0, l0), (i1, l1) in zip(hull, hull[1:]):
+        r = max(2.0 ** ((l0 - l1) / (i1 - i0)), sys.float_info.min)
+        start += [cmath.rect(r, 2 * math.pi * (k / (i1 - i0) + i0 / n) + 0.7) for k in range(i1 - i0)]
+    return start
+
+
+def _roots(f: list[int]) -> list[complex]:
+    """The roots of a monic square-free integer polynomial f with f(0) != 0,
+    coefficients highest degree first.
+
+    Aberth-Ehrlich simultaneous iteration (Aberth 1973) on y = x / 2^e, where
+    2^e <= max |f_i|^(1/i) < 2^(e+1), so every |y| < 4 (Fujiwara's bound).
+    Each Newton quotient f(x)/f'(x) is computed exactly: x is a dyadic
+    rational, so f(x) and f'(x) are Gaussian integers over a power of 2, and
+    only their quotient is rounded.  Evaluation error therefore never limits
+    a root, and a root stops once its correction, which is still applied, is
+    below one unit in the last place of y.  A root whose y is below the
+    normal float range (|x| < 2^(e-1022)) comes out 0.
+    """
+    n = len(f) - 1
+    e = max((abs(c).bit_length() - 1) // i for i, c in enumerate(f[1:], 1) if c)
+    y = _newton_polygon_start(f, e)
+    active = range(n)
+    for _ in range(_MAX_SWEEPS):
+        left = []
+        for j in active:
+            yj = y[j]
+            (a, da), (b, db) = yj.real.as_integer_ratio(), yj.imag.as_integer_ratio()
+            m = max(max(da, db).bit_length() - 1 - e, 0)
+            # x = 2^e y = (a + bi) / 2^m, with da and db powers of 2 dividing 2^(e + m)
+            a, b = a << e + m + 1 - da.bit_length(), b << e + m + 1 - db.bit_length()
+            # Horner for 2^(m n) f(x) and 2^(m (n-1)) f'(x) together
+            fr, fi, dr, di = f[0], 0, 0, 0
+            for i, c in enumerate(f[1:], 1):
+                dr, di = dr * a - di * b + fr, dr * b + di * a + fi
+                fr, fi = fr * a - fi * b + (c << m * i), fr * b + fi * a
+            den = (dr * dr + di * di) << m + e
+            s = sum(1 / (yj - yk) for i, yk in enumerate(y) if i != j)
+            if den:  # the Newton correction on y, f(x) / (2^e f'(x))
+                q = complex((fr * dr + fi * di) / den, (fi * dr - fr * di) / den)
+                w = q / (1 - q * s)
+            else:  # f'(x) = 0: the Aberth correction's limit
+                w = -1 / s
+            y[j] = yj - w
+            if abs(w) > sys.float_info.epsilon * abs(yj):
+                left.append(j)
+        if not left:
+            break
+        active = left
+    else:
+        raise SpectrumError(f"root iteration did not converge within {_MAX_SWEEPS} sweeps")
+    tiny = sys.float_info.min
+    return [complex(math.ldexp(v.real, e), math.ldexp(v.imag, e)) if abs(v) >= tiny else 0j for v in y]
 
 
 @dataclass(frozen=True)
@@ -223,11 +305,11 @@ class HyperbolicityProfile:
             raise SpectrumError("log Lipschitz constants must be positive")
 
 
-def operator_norm(rows: Sequence[Sequence[int]] | np.ndarray) -> float:
-    """Largest singular value, via the symmetric eigenproblem of A^T A."""
-    a = np.asarray(rows, dtype=float)
-    w = np.linalg.eigvalsh(a.T @ a)
-    return float(math.sqrt(max(w[-1], 0.0)))
+def operator_norm(rows: Sequence[Sequence[int]]) -> float:
+    """Largest singular value: the square root of the largest root of
+    det(xI - A^T A), from the square-free factors of the integer Gram matrix."""
+    gram = [[sum(map(operator.mul, u, v)) for v in zip(*rows)] for u in zip(*rows)]
+    return math.sqrt(max(abs(z) for s, _ in _squarefree(_charpoly(gram)[0]) for z in _roots(s)))
 
 
 def analyze_matrix(m: IntegerMatrixSystem) -> SpectralProfile:
@@ -236,15 +318,14 @@ def analyze_matrix(m: IntegerMatrixSystem) -> SpectralProfile:
     A modulus within ``_TOL`` of 1 refuses hyperbolic classification (flags
     false, no exception) - the theorems assume exact spectra and the numerics
     must say so when they cannot decide.  A factor coefficient, or a root
-    modulus, that the float range cannot hold raises SpectrumError: np.roots
-    returns 0 for a root many orders of magnitude below the others.
+    modulus, that the float range cannot hold raises SpectrumError: ``_roots``
+    returns 0 for a root more than 2^1022 times below a factor's root bound.
     """
     factors = _squarefree(m._faddeev[0])
     if max(abs(c) for s, _ in factors for c in s) >= _FLOAT_RANGE:
         raise SpectrumError(_BEYOND_FLOATS)
-    eigs = np.concatenate([np.repeat(np.roots(np.array(s, dtype=float)), k) for s, k in factors])
-    eigs = eigs[np.argsort(np.abs(eigs))]
-    moduli = np.abs(eigs)
+    eigs = sorted((z for s, k in factors for z in _roots(s) for _ in range(k)), key=abs)
+    moduli = [abs(z) for z in eigs]
     if not sys.float_info.min <= moduli[0] <= moduli[-1] < _FLOAT_RANGE:
         raise SpectrumError(_BEYOND_FLOATS)
 
@@ -252,9 +333,8 @@ def analyze_matrix(m: IntegerMatrixSystem) -> SpectralProfile:
     start = 0
     for i in range(1, len(moduli) + 1):
         if i == len(moduli) or moduli[i] - moduli[i - 1] > _TOL:
-            group = slice(start, i)
-            nonreal = bool(np.any(np.abs(eigs[group].imag) > _TOL))
-            clusters.append(EigenCluster(float(np.mean(moduli[group])), i - start, nonreal))
+            nonreal = any(abs(z.imag) > _TOL for z in eigs[start:i])
+            clusters.append(EigenCluster(sum(moduli[start:i]) / (i - start), i - start, nonreal))
             start = i
 
     near_one = any(abs(c.modulus - 1.0) <= _TOL for c in clusters)

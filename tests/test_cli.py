@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import time
 from pathlib import Path
 
@@ -566,11 +567,61 @@ class TestValidation:
             (rule, "353.798435001", "1.99887132613") for rule in ("crude_sandwich", "sharp_sandwich", "covering_lower")
         ]
 
+    def test_gram_polynomial_beyond_the_float_range(self, tmp_path, monkeypatch):
+        # B (+) B, B = [[2^300, 1], [1, 0]]: det(xI - A^T A) has a coefficient near
+        # 2^1200, but its square-free factor (the Gram polynomial of B) fits
+        monkeypatch.chdir(tmp_path)
+        b = 2**300
+        payload = cat_map_config(tau=0.2)
+        payload["system"]["entries"] = [[b, 1, 0, 0], [1, 0, 0, 0], [0, 0, b, 1], [0, 0, 1, 0]]
+        payload["rates"][0]["target"]["point"] = [0.0] * 4
+        cfg = str(write_config(tmp_path, payload))
+        assert main(["analyze", "--config", cfg, "--out", "a"]) == main(["bounds", "--config", cfg, "--out", "b"]) == 0
+        ((analyze,), (bounds,)) = (read_report(tmp_path, out)["results"] for out in "ab")
+        log_root = fmt(300 * LN2)
+        assert log_root == "207.944154168"
+        for profile in ("crude_profile", "sharp_profile"):
+            assert analyze[profile] == dict.fromkeys(("lambda1", "lambda2", "ln_l1", "ln_l2"), log_root) | {
+                "h_top": "415.888308336"
+            }
+        assert [(c["modulus"], c["multiplicity"]) for c in analyze["clusters"]] == [
+            ("4.9090934653e-91", 2),
+            ("2.03703597633e+90", 2),
+        ]
+        assert [(row["rule"], row["case"], row["h_lower"], row["dim_lower"]) for row in bounds["rows"]] == [
+            ("crude_sandwich", "exact", "415.089077034", "3.99615650988"),
+            ("sharp_sandwich", "exact", "415.089077034", "3.99615650988"),
+            ("covering_lower", "generic", "415.089077034", "3.99615650988"),
+        ]
+
+    def test_root_moduli_spread_over_2_to_the_330(self, tmp_path, monkeypatch):
+        # the companion matrix of x^10 + f_1 x^9 + ... + f_10 with |f_i| < 10^100: one
+        # root near 7.7e99 and nine near 1, all within 2^1022 of the root bound
+        monkeypatch.chdir(tmp_path)
+        rng = random.Random(3)
+        f = [rng.randint(-(10**100), 10**100) for _ in range(10)]
+        payload = cat_map_config(tasks=("analyze",))
+        payload["system"]["entries"] = [[int(j == i - 1) for j in range(9)] + [-f[9 - i]] for i in range(10)]
+        payload["rates"][0]["target"]["point"] = [0.0] * 10
+        assert main(["analyze", "--config", str(write_config(tmp_path, payload))]) == 0
+        (res,) = read_report(tmp_path)["results"]
+        # the moduli of mpmath.polyroots at 50 digits, to 12
+        assert [(c["modulus"], c["multiplicity"]) for c in res["clusters"]] == [
+            ("0.376096315603", 2),
+            ("0.941645968798", 2),
+            ("1.00726583752", 2),
+            ("1.12117587436", 1),
+            ("1.13090388073", 1),
+            ("1.31399731001", 1),
+            ("7.70684521792e+99", 1),
+        ]
+
     @pytest.mark.parametrize("command", ["analyze", "bounds", "sweep"])
     @pytest.mark.parametrize(
         "entries",
         [
-            # a root near -2^-800, which np.roots cannot separate from 2^400
+            # a root near -2^-800, 2^1200 below the factor's root bound 2^400:
+            # the root finder returns 0 for it, which the float-range guard refuses
             [[2**400, 2**400, 1], [2**400, 2, 0], [1, 0, 0]],
             # det(xI - A) = (x - 2^400)^3 - 1 is square-free, and 2^1200 has no float
             [[2**400, 1, 0], [0, 2**400, 1], [1, 0, 2**400]],

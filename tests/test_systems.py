@@ -1,15 +1,18 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matrix_cases import matmul
+from matrix_cases import matmul, structured_matrices
+from shrinktarget import systems
 from shrinktarget.systems import (
     IntegerMatrixSystem,
     SpectrumError,
     UnsupportedSpectrumError,
     _charpoly,
+    _roots,
     _squarefree,
     analyze_matrix,
     crude_profile_from_matrix,
@@ -23,6 +26,11 @@ try:
     from sympy.polys.matrices import DomainMatrix
 except ImportError:
     sympy = None
+
+try:
+    import mpmath
+except ImportError:
+    mpmath = None
 
 CAT = IntegerMatrixSystem(((2, 1), (1, 1)))
 
@@ -244,3 +252,55 @@ class TestIntegerKernel:
         assert matmul(rows, last) == [[-coeffs[-1] * (i == j) for j in range(d)] for i in range(d)]
         if coeffs[-1]:
             assert IntegerMatrixSystem(rows).det == int(dm.det())
+
+
+def _gram(rows):
+    """A^T A."""
+    return [[sum(r[i] * r[j] for r in rows) for j in range(len(rows))] for i in range(len(rows))]
+
+
+def _root_corpus() -> list[list[int]]:
+    """Every square-free factor of det(xI - A) and of det(xI - A^T A), for A
+    in the structured corpus and in 300 random nonsingular integer matrices
+    (d <= 5, entries in [-4, 4])."""
+    rng = random.Random(20)
+    mats = [m for _, m in structured_matrices()]
+    while len(mats) < len(structured_matrices()) + 300:
+        d = rng.randint(1, 5)
+        m = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)]
+        if _charpoly(m)[0][-1]:
+            mats.append(m)
+    factors = {tuple(s) for m in mats for a in (m, _gram(m)) for s, _ in _squarefree(_charpoly(a)[0])}
+    return sorted(map(list, factors))
+
+
+class TestRoots:
+    """``_roots``, the one root finder behind spectra and operator norms."""
+
+    @pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+    def test_moduli_match_mpmath_at_50_digits(self):
+        rng = random.Random(3)
+        # root moduli spread over 2^330: the hull start and exact quotients still find each
+        spread = [[1] + [rng.randint(-(10**100), 10**100) for _ in range(10)] for _ in range(3)]
+        with mpmath.workdps(50):
+            for f in _root_corpus() + spread:
+                bits = max(abs(c).bit_length() for c in f)
+                want = sorted(abs(r) for r in mpmath.polyroots(f, maxsteps=200, extraprec=200 + 4 * bits))
+                got = sorted(map(abs, _roots(f)))
+                assert max(float(abs(g - w) / w) for g, w in zip(got, want)) <= 2e-15, f
+
+    def test_root_far_below_the_root_bound_comes_out_zero(self):
+        # x^2 - 2^511 x - 1 keeps -2^-511 (2^1022 below its bound); x^2 - 2^600 x - 1
+        # loses -2^-600, 2^1200 below, which analyze_matrix then refuses
+        assert sorted(map(abs, _roots([1, -(2**511), -1]))) == [2.0**-511, 2.0**511]
+        assert sorted(map(abs, _roots([1, -(2**600), -1]))) == [0.0, 2.0**600]
+
+    def test_gives_up_after_the_sweep_cap(self, monkeypatch):
+        monkeypatch.setattr(systems, "_MAX_SWEEPS", 1)
+        with pytest.raises(SpectrumError, match="did not converge within 1 sweeps"):
+            _roots([1, -3, 1])
+
+    def test_operator_norm_matches_svd(self):
+        for name, m in structured_matrices():
+            want = np.linalg.svd(np.array(m, dtype=float), compute_uv=False)[0]
+            assert operator_norm(m) == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0), name

@@ -5,7 +5,8 @@ the tests, not in ``src/``.  The scan is by name: a definition counts as
 used when some ``Name`` or ``Attribute`` with its name appears in a package
 module outside its own body.  ``__init__.py`` only re-exports, so its
 imports do not count as uses, and dunder methods are called by Python.
-Likewise every name a module imports is used in that module.
+Likewise every name a module imports is used in the scope that imports it:
+an import inside a function is used only where that function reads it.
 """
 
 import ast
@@ -56,21 +57,70 @@ def test_every_definition_has_a_use_in_the_package():
     assert set(unreferenced()) == ALLOWED
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes evaluated in ``scope`` (the module or a def) itself: a nested
+    def's body is its own scope, its decorators, defaults and annotations are not."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, _FUNCTIONS):
+            stack += [*node.decorator_list, node.args, *filter(None, [node.returns])]
+        else:
+            stack += ast.iter_child_nodes(node)
+
+
+def _unused(tree: ast.Module) -> list[str]:
+    """The names bound by imports in ``tree`` that no ``Name`` in their scope reads.
+
+    A ``Name`` reads the import of the innermost enclosing def that imports
+    that name, or else the module's.
+    """
+    parent: dict[ast.AST, ast.AST | None] = {tree: None}
+    imports: dict[ast.AST, set[str]] = {}  # scope -> the names its imports bind
+    names: list[tuple[ast.AST, str]] = []
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS))]:
+        imports[scope] = set()
+        for node in _own_nodes(scope):
+            if isinstance(node, _FUNCTIONS):
+                parent[node] = scope
+            elif isinstance(node, ast.Name):
+                names.append((scope, node.id))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                imports[scope].update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+    used = set()
+    for scope, name in names:
+        while scope is not None and name not in imports[scope]:
+            scope = parent[scope]
+        used.add((scope, name))
+    return [name for scope, bound in imports.items() for name in sorted(bound) if (scope, name) not in used]
+
+
 def unused_imports() -> list[str]:
-    """"module: name" for each import of a package module that no ``Name`` reads."""
+    """"module: name" for each import of a package module that no ``Name`` in its scope reads."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text())
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
-                for alias in node.names:
-                    name = (alias.asname or alias.name).split(".")[0]
-                    if name not in used:
-                        found.append(f"{path.name}: {name}")
+        if path.name != "__init__.py":
+            found += [f"{path.name}: {name}" for name in _unused(ast.parse(path.read_text()))]
     return found
+
+
+def test_a_function_import_is_used_only_by_its_function():
+    tree = ast.parse(
+        "import math\n"
+        "def f():\n"
+        "    import numpy as np\n"  # f never reads np: unused, though g reads an np
+        "    return math.pi\n"
+        "def g(np):\n"
+        "    import json\n"
+        "    def h():\n"
+        "        return json.dumps(np)\n"  # a nested def reads g's import
+        "    return h\n"
+    )
+    assert _unused(tree) == ["np"]
 
 
 def test_every_import_has_a_use_in_its_module():

@@ -54,10 +54,10 @@ from .symbolic import (  # noqa: F401
     PeriodDecomposition,
     ShiftOfFiniteType,
     SoficPresentation,
+    digraph_period,
     index_set,
     indices_intersect,
     mixing_gap,
-    period_decomposition,
     perron_root,
     word_counts,
 )

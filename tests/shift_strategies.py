@@ -27,6 +27,17 @@ def golden_mean_shift(sided="one"):
     return ShiftOfFiniteType(((1, 1), (1, 0)), sided)
 
 
+def clique_with_path(n, p):
+    """0/1 rows of an n-clique with loops on symbols 0..n-1 and a path of p
+    new symbols from n - 1 back to 0: irreducible, with a Perron vector
+    that falls by about n^-p along the path."""
+    k = n + p
+    rows = [[int(a < n and b < n) for b in range(k)] for a in range(k)]
+    for a in range(n - 1, k):
+        rows[a][(a + 1) % k] = 1
+    return rows
+
+
 def entropy(shift):
     """h_top of an irreducible SFT as the CLI's analysis computes it: ln of the Perron root."""
     return math.log(perron_root(shift.transition))

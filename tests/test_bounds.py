@@ -31,7 +31,7 @@ from shrinktarget.rates import Exponential, RateError, RateExponents
 from shrinktarget.symbolic import (
     ShiftOfFiniteType,
     SoficPresentation,
-    period_decomposition,
+    digraph_period,
 )
 from shrinktarget.systems import (
     HyperbolicityProfile,
@@ -52,7 +52,7 @@ GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
 
 def shift_data(x):
     """(mixing, h_top) of an SFT, the data the shift theorems take."""
-    return period_decomposition(x).period == 1, entropy(x)
+    return digraph_period(x.transition).period == 1, entropy(x)
 
 
 def unit_profile(h=LN2):

@@ -10,7 +10,7 @@ from shrinktarget.cli import _build_parser, fmt, main, run
 from shrinktarget.config import FORMATS, MAX_DEPTH, TASKS, ConfigError, load_config, parse_config
 from shrinktarget.symbolic import NotMixingError, ShiftOfFiniteType, mixing_gap
 
-from shift_strategies import moran_estimate
+from shift_strategies import clique_with_path, moran_estimate
 
 LN2 = math.log(2.0)
 CAT_LOG_UNSTABLE = math.log((3.0 + math.sqrt(5.0)) / 2.0)
@@ -406,6 +406,16 @@ class TestRun:
         assert res["mixing_gap"] == 2
         assert float(res["h_top"]) == pytest.approx(GOLDEN_ENTROPY, abs=1e-9)
 
+    def test_clique_with_path_analyze(self, tmp_path, monkeypatch):
+        # irreducible, with a Perron vector that falls by about 40^-40 along the path
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tasks=("analyze",))
+        payload["system"]["transition"] = clique_with_path(40, 40)
+        assert main(["analyze", "--config", str(write_config(tmp_path, payload))]) == 0
+        res = read_report(tmp_path)["results"][0]
+        assert res["period"] == 1
+        assert res["h_top"] == "3.68887945411"
+
     def test_abstract_profile_bounds(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         payload = {
@@ -787,7 +797,7 @@ class TestValidation:
         assert res["status"] == "error"
         with pytest.raises(NotMixingError) as exc:
             mixing_gap(ShiftOfFiniteType(tuple(map(tuple, flip))))
-        assert res["error"] == str(exc.value) == "shift is periodic with period 2; use period_decomposition instead"
+        assert res["error"] == str(exc.value) == "shift is periodic with period 2; use digraph_period instead"
 
     def test_nan_in_sweep_grid_rejected(self, tmp_path, monkeypatch, capsys):
         # every comparison with NaN is false, so the order and sign checks pass it

@@ -29,13 +29,20 @@ from shrinktarget.symbolic import (
     indices_intersect,
     log_count_words_many,
     mixing_gap,
-    period_decomposition,
     perron_root,
     word_counts,
     _perron_bracket,
 )
 from shrinktarget.systems import _charpoly
-from shift_strategies import count_words, entropy, full_shift, golden_mean_shift, irreducible_shifts, sft_as_sofic
+from shift_strategies import (
+    clique_with_path,
+    count_words,
+    entropy,
+    full_shift,
+    golden_mean_shift,
+    irreducible_shifts,
+    sft_as_sofic,
+)
 
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)  # 0.48121182505960347
 FLIP = ShiftOfFiniteType(((0, 1), (1, 0)))  # period-2 permutation shift
@@ -270,7 +277,7 @@ class TestMixingGap:
 
     def test_gap_iff_aperiodic(self):
         for shift in (full_shift(2), golden_mean_shift(), FLIP):
-            n = period_decomposition(shift).period
+            n = digraph_period(shift.transition).period
             if n == 1:
                 assert mixing_gap(shift) >= 1
             else:
@@ -318,7 +325,7 @@ def test_mixing_gap_matches_boolean_powers(k, data):
     rows = [[1 if bits[i * k + j] < density else 0 for j in range(k)] for i in range(k)]
     try:
         shift = ShiftOfFiniteType(tuple(map(tuple, rows)))
-        assume(period_decomposition(shift).period == 1)
+        assume(digraph_period(shift.transition).period == 1)
     except SymbolicError:
         assume(False)
     assert mixing_gap(shift) == _brute_force_gap(rows)
@@ -383,7 +390,7 @@ def layered_digraphs(draw, max_k=7):
 
 
 def _primitive_rows(max_k):
-    return hamiltonian_rows(max_k).filter(lambda rows: period_decomposition(_sft(rows)).period == 1)
+    return hamiltonian_rows(max_k).filter(lambda rows: digraph_period(rows).period == 1)
 
 
 def _sft(rows) -> ShiftOfFiniteType:
@@ -463,7 +470,7 @@ class TestPerronKernel:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=2, max_value=4).flatmap(lambda n: hamiltonian_rows(24, period=n)))
     def test_bracket_contains_exact_root_periodic(self, rows):
-        assert period_decomposition(_sft(rows)).period > 1
+        assert digraph_period(rows).period > 1
         _assert_bracket_holds(rows)
 
     @settings(max_examples=30, deadline=None)
@@ -483,7 +490,7 @@ class TestPerronKernel:
         for k in range(2, 25):
             assert _charpoly(_cycle_with_chord(k))[0] == [1] + [0] * (k - 2) + [-1, -1]
 
-    @pytest.mark.parametrize("k", [12, 16, 64, 80, 200])
+    @pytest.mark.parametrize("k", range(3, 201))
     def test_chord_entropy_matches_exact_root(self, k):
         rows = _cycle_with_chord(k)
         ref = _perron_interval(rows)[0] if k <= 16 else _chord_root(k)
@@ -491,10 +498,26 @@ class TestPerronKernel:
         lo, _, hi = _perron_bracket(np.array(rows, dtype=float))
         assert Fraction(lo) <= ref <= Fraction(hi)
 
+    def test_clique_with_path_bracket(self):
+        # irreducible: the bracket closes though the Perron vector spans 16^-15
+        _assert_bracket_holds(clique_with_path(16, 15))
+
+    def test_perron_vector_underflow_is_named(self):
+        # irreducible, but the Perron vector falls by 2^-60 per path symbol
+        rows = clique_with_path(1, 20)
+        rows[0][0] = 2**60
+        with pytest.raises(SymbolicError, match="underflows float64") as exc:
+            perron_root(rows)
+        assert "reducible" not in str(exc.value)
+
     def test_reducible_input(self):
-        # the Perron vector of a reducible matrix may vanish somewhere
-        with pytest.raises(SymbolicError, match="reducible"):
+        # a zero row is exact evidence of reducibility
+        with pytest.raises(SymbolicError, match="row 1 is zero: the matrix is reducible"):
             perron_root(((1, 1), (0, 0)))
+        # a defective root 1: the bracket shrinks only linearly, and the step cap ends it
+        with pytest.raises(SymbolicError, match="did not close after 64 Noda steps") as exc:
+            perron_root(((1, 1, 0), (0, 1, 0), (1, 1, 1)))
+        assert "reducible" not in str(exc.value)
         # the analysis refuses a reducible graph before it asks for a Perron root
         forked = SoficPresentation(states=2, edges=((0, 0, "a"), (0, 1, "b"), (1, 1, "a")))
         with pytest.raises(ReducibleShiftError):
@@ -503,23 +526,21 @@ class TestPerronKernel:
 
 class TestPeriodDecomposition:
     def test_flip(self):
-        d = period_decomposition(FLIP)
+        d = digraph_period(FLIP.transition)
         assert d.period == 2
         assert d.class_of == (0, 1)
 
     def test_full_shift(self):
-        assert period_decomposition(full_shift(2)).period == 1
+        assert digraph_period(full_shift(2).transition).period == 1
 
     def test_three_cycle(self):
-        d = period_decomposition(
-            ShiftOfFiniteType(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
-        )
+        d = digraph_period(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
         assert d.period == 3
         assert sorted(d.class_of) == [0, 1, 2]
 
     def test_edges_step_one_class(self):
         for shift in (FLIP, golden_mean_shift()):
-            d = period_decomposition(shift)
+            d = digraph_period(shift.transition)
             k = shift.alphabet_size
             for a in range(k):
                 for b in range(k):
@@ -557,35 +578,35 @@ class TestPeriodDecomposition:
     def test_reducible_reports_components(self):
         # the message names a symbol that one of the two searches from 0 misses
         with pytest.raises(ReducibleShiftError, match="reducible: symbol 1 cannot reach symbol 0"):
-            period_decomposition(ShiftOfFiniteType(((1, 1), (0, 1))))
+            digraph_period(((1, 1), (0, 1)))
         with pytest.raises(ReducibleShiftError, match="reducible: symbol 2 cannot be reached from symbol 0"):
-            period_decomposition(ShiftOfFiniteType(((1, 1, 0), (1, 1, 0), (1, 0, 1))))
+            digraph_period(((1, 1, 0), (1, 1, 0), (1, 0, 1)))
 
 
 class TestIndexSets:
     def test_class_zero_even_times(self):
-        d = period_decomposition(FLIP)
+        d = digraph_period(FLIP.transition)
         z = constant_shift_target(SymbolSequence(head=(), cycle=(0, 1)))
         got = index_set(z, Arithmetic(0, 2), d)
         assert got.pairs == frozenset({(0, 0)})
         assert got.diffs == frozenset({0})
 
     def test_class_one_even_times(self):
-        d = period_decomposition(FLIP)
+        d = digraph_period(FLIP.transition)
         z = constant_shift_target(SymbolSequence(head=(), cycle=(1, 0)))
         got = index_set(z, Arithmetic(0, 2), d)
         assert got.pairs == frozenset({(1, 0)})
         assert got.diffs == frozenset({1})
 
     def test_trivial_period(self):
-        d = period_decomposition(full_shift(2))
+        d = digraph_period(full_shift(2).transition)
         z = constant_shift_target(SymbolSequence(head=(), cycle=(0,)))
         got = index_set(z, AllTimes(), d)
         assert got.pairs == frozenset({(0, 0)})
         assert got.diffs == frozenset({0})
 
     def test_pairs_nonempty_on_unbounded_sets(self):
-        d = period_decomposition(FLIP)
+        d = digraph_period(FLIP.transition)
         z = ShiftTarget(
             preperiod=(SymbolSequence((), (0, 1)),),
             cycle=(SymbolSequence((), (0, 1)), SymbolSequence((), (1, 0))),
@@ -595,7 +616,7 @@ class TestIndexSets:
 
     def test_counterexample_empty_intersection(self):
         # class-0 targets on even times vs class-1 targets on even times
-        d = period_decomposition(FLIP)
+        d = digraph_period(FLIP.transition)
         z1 = constant_shift_target(SymbolSequence(head=(), cycle=(0, 1)))
         z2 = constant_shift_target(SymbolSequence(head=(), cycle=(1, 0)))
         s = Arithmetic(0, 2)

@@ -15,7 +15,9 @@ specification gap of a mixing SFT; it is found by boolean squaring and
 binary lifting in O(k^3 log p), even when p is near the Wielandt bound
 (k - 1)^2 + 1.  Word counts stream exactly from a row-vector recurrence
 (``word_counts``) or come as logs from a squaring walk
-(``log_count_words_many``).  The index sets record which classes a target
+(``log_count_words_many``).  The SFT's checks, the period search and both
+counts read the matrix entries in C-level passes (``map``, ``itemgetter``,
+bytes and bitsets, numpy), not one Python step per entry.  The index sets record which classes a target
 sequence hits at which residues mod N - the data that decides whether
 intersected shrinking target sets can be nonempty at all.
 """
@@ -26,7 +28,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from operator import getitem
+from itertools import chain, compress, repeat
+from operator import and_, getitem, itemgetter, not_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .rates import (
@@ -72,20 +75,24 @@ class ShiftOfFiniteType:
     sided: str = "one"
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.transition)
+        # C-level passes over the entries; only the rows are looped in Python
+        rows = tuple(tuple(map(int, row)) for row in self.transition)
         object.__setattr__(self, "transition", rows)
         k = len(rows)
-        if k == 0 or any(len(r) != k for r in rows):
+        if k == 0 or set(map(len, rows)) != {k}:
             raise SymbolicError("transition must be a nonempty square matrix")
-        if any(v not in (0, 1) for row in rows for v in row):
+        if not {0, 1}.issuperset(chain.from_iterable(rows)):
             raise SymbolicError("transition entries must be 0 or 1")
-        if all(v == 0 for row in rows for v in row):
+        has_successor = list(map(any, rows))
+        if not any(has_successor):
             raise EmptyShiftError("zero transition matrix presents the empty shift")
-        for a in range(k):
-            if not any(rows[a]):
+        has_both = list(map(and_, has_successor, map(any, zip(*rows))))
+        if False in has_both:
+            # the lowest symbol with a zero row or column is named, its row first
+            a = has_both.index(False)
+            if not has_successor[a]:
                 raise SymbolicError(f"symbol {a} has no successor (all-zero row)")
-            if not any(rows[b][a] for b in range(k)):
-                raise SymbolicError(f"symbol {a} has no predecessor (all-zero column)")
+            raise SymbolicError(f"symbol {a} has no predecessor (all-zero column)")
         if self.sided not in ("one", "two"):
             raise SymbolicError("sided must be 'one' or 'two'")
 
@@ -132,33 +139,77 @@ def digraph_period(matrix: Sequence[Sequence[int]]) -> PeriodDecomposition:
     symbol; otherwise ReducibleShiftError names a symbol one of them misses.
     The period N is the gcd of level[a] + 1 - level[b] over the edges ab,
     and the classes are the levels mod N (Lind & Marcus, section 4.5).
+
+    Rows and columns are Python-int bitsets with one byte per symbol, cut
+    from one bytes copy of the matrix, so the k^2 entries are read once, in
+    C.  A searched symbol takes its unseen successors (in increasing order,
+    so the levels are those of a plain scan) by one AND.  The gcd starts
+    from nothing and checks, level by level, that every successor of a
+    level-i symbol lies in class (i + 1) mod N; a successor that does not
+    refines N, which can happen at most 1 + log2 k times.  Python steps
+    O(k log k) times, each on a bitset of k bytes.
     """
     k = len(matrix)
+    try:
+        flat = bytes(chain.from_iterable(matrix)).translate(_NONZERO)
+    except ValueError:  # an entry outside 0..255
+        flat = bytes(map(bool, chain.from_iterable(matrix)))
+    succ = [int.from_bytes(flat[a * k : a * k + k], "little") for a in range(k)]
     level = [0] + [-1] * (k - 1)
-    reaches = [True] + [False] * (k - 1)
-    edges = []
+    unseen = int.from_bytes(b"\0" + b"\1" * (k - 1), "little")
     stack = [0]
     while stack:
         a = stack.pop()
-        for b in range(k):
-            if matrix[a][b]:
-                edges.append((a, b))
-                if level[b] < 0:
-                    level[b] = level[a] + 1
-                    stack.append(b)
+        new = succ[a] & unseen
+        unseen ^= new
+        while new:
+            low = new & -new
+            new ^= low
+            b = low.bit_length() >> 3
+            level[b] = level[a] + 1
+            stack.append(b)
+    if unseen:
+        raise ReducibleShiftError(f"graph is reducible: symbol {_lowest_symbol(unseen)} cannot be reached from symbol 0")
+    pred = [int.from_bytes(flat[b::k], "little") for b in range(k)]
+    unseen = int.from_bytes(b"\0" + b"\1" * (k - 1), "little")
     stack = [0]
     while stack:
-        b = stack.pop()
-        for a in range(k):
-            if matrix[a][b] and not reaches[a]:
-                reaches[a] = True
-                stack.append(a)
-    if -1 in level:
-        raise ReducibleShiftError(f"graph is reducible: symbol {level.index(-1)} cannot be reached from symbol 0")
-    if not all(reaches):
-        raise ReducibleShiftError(f"graph is reducible: symbol {reaches.index(False)} cannot reach symbol 0")
-    n = math.gcd(*[level[a] + 1 - level[b] for a, b in edges]) or 1
+        new = pred[stack.pop()] & unseen
+        unseen ^= new
+        while new:
+            low = new & -new
+            new ^= low
+            stack.append(low.bit_length() >> 3)
+    if unseen:
+        raise ReducibleShiftError(f"graph is reducible: symbol {_lowest_symbol(unseen)} cannot reach symbol 0")
+    depth = max(level) + 1
+    at = [0] * (depth + 1)  # at[i]: the symbols at level i
+    image = [0] * depth  # image[i]: the successors of the symbols at level i
+    for a, i in enumerate(level):
+        at[i] |= 1 << 8 * a
+        image[i] |= succ[a]
+    n, classes, i = 0, at, 0  # classes[c]: the symbols at a level = c mod n (the level itself while n = 0)
+    while i < depth:
+        stray = image[i] & ~classes[(i + 1) % n if n else i + 1]
+        if not stray:
+            i += 1
+            continue
+        n = math.gcd(n, i + 1 - level[_lowest_symbol(stray)])
+        classes = [0] * n
+        for j, members in enumerate(at):
+            classes[j % n] |= members
+    n = n or 1  # a single symbol without a loop
     return PeriodDecomposition(period=n, class_of=tuple(v % n for v in level))
+
+
+# maps every nonzero byte to 1
+_NONZERO = bytes([0] + [1] * 255)
+
+
+def _lowest_symbol(mask: int) -> int:
+    """The least symbol of a nonzero bitset with one byte per symbol (bit
+    8b for symbol b)."""
+    return (mask & -mask).bit_length() >> 3
 
 
 def mixing_gap(x: ShiftOfFiniteType) -> int:
@@ -294,8 +345,14 @@ def word_counts(x: ShiftOfFiniteType, n_max: int, ends: Iterable[int]) -> Iterat
 
     Row-vector recurrence: u_1 = (1, ..., 1) and u_{n+1}[b] = sum of u_n[a]
     over the predecessors a of b, so u_n[b] counts the n-words ending in b,
-    and both numbers are sums of the same u_n.  Big-integer additions,
-    O(n_max * edges) of them; only the current u_n is kept.
+    and both numbers are sums of the same u_n.  Each column's entries of
+    u_n are gathered by one ``itemgetter`` built up front.  A column with
+    more than k/2 predecessors gathers its non-predecessors instead and
+    subtracts their sum from sum(u_n), which the level before computed;
+    the counts are exact ints either way.  A level costs k plus the sum
+    over columns of min(predecessors, non-predecessors) big-integer
+    additions, at most k + k^2/2, and Python steps once per column, not
+    once per edge.  Only the current u_n is kept.
     """
     if n_max < 1:
         raise SymbolicError("word length must be >= 1")
@@ -303,16 +360,36 @@ def word_counts(x: ShiftOfFiniteType, n_max: int, ends: Iterable[int]) -> Iterat
     last = sorted(set(ends))
     if any(not (0 <= b < k) for b in last):
         raise SymbolicError("end symbols must lie in the alphabet")
-    preds = [[a for a in range(k) if x.transition[a][b]] for b in range(k)]
+    symbols = range(k)
+    # (gather, complement): column b's sum is gather(u) summed, or sum(u) less it
+    columns = [
+        (_gather(list(compress(symbols, map(not_, col)))), True)
+        if 2 * sum(col) > k
+        else (_gather(list(compress(symbols, col))), False)
+        for col in zip(*x.transition)
+    ]
+    ending = _gather(last)
 
     def walk() -> Iterator[tuple[int, int]]:
         u = [1] * k
-        yield k, len(last)
+        total = k
+        yield total, len(last)
         for _ in range(n_max - 1):
-            u = [sum([u[a] for a in p]) for p in preds]
-            yield sum(u), sum([u[b] for b in last])
+            u = [total - sum(gather(u)) if complement else sum(gather(u)) for gather, complement in columns]
+            total = sum(u)
+            yield total, sum(ending(u))
 
     return walk()
+
+
+def _gather(indices: list[int]) -> itemgetter:
+    """An itemgetter of ``indices`` that always returns a sequence: a lone
+    index or none becomes a slice, where itemgetter would return a bare item
+    or raise."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    i = indices[0] if indices else 0
+    return itemgetter(slice(i, i + len(indices)))
 
 
 # bytes of running products in one stack of the walk: half of glibc malloc's
@@ -331,14 +408,20 @@ def log_count_words_many(x: ShiftOfFiniteType, lengths: Sequence[int]) -> list[f
     so nothing overflows.  The walk squares the normalized base once per
     bit of the largest exponent.  The running products sit in (b, k, k)
     stacks of b lengths each, each stack small enough for the allocator's
-    heap (``_WALK_BATCH_BYTES``).  At bit j the products of a stack whose
-    exponent has bit j set are multiplied into the square by one batched
-    matmul, and rescaled by one max and one broadcast divide.  Each length
-    still sees the same float operations as it would powered alone (one
-    matmul per slice, its scale's log taken by ``math.log`` and added to
-    its own Python-float accumulator in the same order), so the values do
-    not depend on which other lengths are asked for.  The cost is
-    O(k^3 (log max n + total set bits)) and the memory O(L k^2).
+    heap (``_WALK_BATCH_BYTES``).  Which exponents have bit j set is read
+    from one bit table of all of them, unpacked once from their bytes.  At
+    bit j the products of a stack whose exponent has bit j set are
+    multiplied into the square by one batched matmul, and rescaled by one
+    max and one broadcast divide.  Each length still sees the same float
+    operations as it would powered alone: one matmul per slice, and its
+    float64 accumulator gets log_base and then the ``math.log`` of its
+    scale added, in that order, by two masked adds per bit (the same IEEE
+    additions as one Python float each).  Its entry sum at the end is the
+    pairwise sum over its k^2 contiguous entries that ``ndarray.sum``
+    takes.  So the values do not depend on which other lengths are asked
+    for.  Python steps O(log max n * stacks) times, not once per length
+    and bit.  The cost is O(k^3 (log max n + total set bits)) and the
+    memory O(L k^2).
     The accumulated relative error is of order (number of squarings) *
     machine epsilon: at n <= 300 on the test shifts it stays within 1e-12
     of the log of the exact count, and it is negligible next to the O(1/n)
@@ -354,33 +437,43 @@ def log_count_words_many(x: ShiftOfFiniteType, lengths: Sequence[int]) -> list[f
     s = base.max()
     base /= s
     log_base = math.log(s)  # base * exp(log_base) == M^(2^j)
-    batch = max(1, _WALK_BATCH_BYTES // (8 * k * k))
-    stacks = [np.empty((len(exps[c : c + batch]), k, k)) for c in range(0, len(exps), batch)]
-    for stack in stacks:
-        stack[:] = np.eye(k)
-    log_results = [0.0] * len(exps)
-    buf = np.empty((min(batch, len(exps)), k, k))  # one stack's products, reused by every stack
     bits = max(exps, default=0).bit_length()
+    width = (bits + 7) // 8
+    raw = np.frombuffer(b"".join(map(int.to_bytes, exps, repeat(width), repeat("little"))), dtype=np.uint8)
+    # bit_table[j, i]: bit j of exps[i] is set
+    bit_table = np.unpackbits(raw.reshape(len(exps), width), axis=1, count=bits, bitorder="little").T.astype(bool)
+    batch = max(1, _WALK_BATCH_BYTES // (8 * k * k))
+    # (running products of b lengths, their bit table, its row sums)
+    stacks = []
+    for c in range(0, len(exps), batch):
+        table = bit_table[:, c : c + batch]
+        stacks.append((np.empty((table.shape[1], k, k)), table, table.sum(axis=1).tolist()))
+    for stack, _, _ in stacks:
+        stack[:] = np.eye(k)
+    log_results = np.zeros(len(exps))
+    buf = np.empty((min(batch, len(exps)), k, k))  # one stack's products, reused by every stack
     for j in range(bits):
-        for c, stack in zip(range(0, len(exps), batch), stacks):
-            part = [i for i, e in enumerate(exps[c : c + batch]) if e >> j & 1]
-            if not part:
-                continue
-            prod = np.matmul(stack[part], base, out=buf[: len(part)])
-            scales = prod.max(axis=(1, 2))
-            prod /= scales[:, None, None]
-            stack[part] = prod
-            for i, s in zip(part, scales.tolist()):
-                log_results[c + i] += log_base
-                log_results[c + i] += math.log(s)
+        log_scales = []  # math.log of the scales of this bit's products, in length order
+        for stack, table, counts in stacks:
+            if counts[j]:
+                part = table[j]
+                prod = np.matmul(stack[part], base, out=buf[: counts[j]])
+                scales = prod.max(axis=(1, 2))
+                prod /= scales[:, None, None]
+                stack[part] = prod
+                log_scales += map(math.log, scales.tolist())
+        part = bit_table[j]
+        log_results[part] += log_base
+        log_results[part] += log_scales
         if j + 1 < bits:
             base = base @ base
             log_base *= 2.0
             s = base.max()
             base /= s
             log_base += math.log(s)
-    products = (r for stack in stacks for r in stack)
-    return [lr + math.log(r.sum()) for lr, r in zip(log_results, products)]
+    # each product's entry sum, the pairwise sum of its k^2 contiguous entries that r.sum() takes
+    sums = chain.from_iterable(stack.reshape(len(stack), k * k).sum(axis=1).tolist() for stack, _, _ in stacks)
+    return [lr + math.log(t) for lr, t in zip(log_results.tolist(), sums)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -78,6 +79,42 @@ def per_length_log_count(shift, n):
             base /= s
             log_base += math.log(s)
     return log_result + math.log(result.sum())
+
+
+def per_column_word_counts(shift, n_max, ends):
+    """The recurrence word_counts streams, one Python sum over each column's
+    predecessors per level: the reference its gathered sums must equal."""
+    k = shift.alphabet_size
+    last = sorted(set(ends))
+    preds = [[a for a in range(k) if shift.transition[a][b]] for b in range(k)]
+    u = [1] * k
+    yield k, len(last)
+    for _ in range(n_max - 1):
+        u = [sum([u[a] for a in p]) for p in preds]
+        yield sum(u), sum([u[b] for b in last])
+
+
+@st.composite
+def shaped_shifts(draw, max_k=24):
+    """SFTs whose columns mix the shapes word_counts gathers apart: sparse,
+    dense (summed as a complement), one predecessor, one non-predecessor and
+    full.  A zero row or column gets its diagonal entry."""
+    k = draw(st.integers(1, max_k))
+    columns = []
+    for b in range(k):
+        shape = draw(st.sampled_from(["sparse", "dense", "one", "all but one", "full"]))
+        if shape in ("one", "all but one"):
+            i = draw(st.integers(0, k - 1))
+            column = [int((a == i) == (shape == "one")) for a in range(k)]
+        else:
+            cut = {"sparse": 2, "dense": 8, "full": 10}[shape]
+            column = [int(d < cut) for d in draw(st.lists(st.integers(0, 9), min_size=k, max_size=k))]
+        column[b] |= not any(column)
+        columns.append(column)
+    rows = [list(row) for row in zip(*columns)]
+    for a, row in enumerate(rows):
+        row[a] |= not any(row)
+    return ShiftOfFiniteType(tuple(map(tuple, rows)))
 
 
 def grown_words(shift, n):
@@ -195,6 +232,37 @@ class TestCountWords:
         with pytest.raises(SymbolicError, match="alphabet"):
             word_counts(golden_mean_shift(), 3, [2])
 
+    @pytest.mark.parametrize("name", ["sft60", "chord80"])
+    def test_word_counts_equal_per_column_recurrence(self, name):
+        # SFT60's columns have 48 predecessors (the complement path), the
+        # chord's one or two
+        shift = SFT60 if name == "sft60" else ShiftOfFiniteType(_cycle_with_chord(80))
+        k = shift.alphabet_size
+        before_0 = [a for a in range(k) if shift.transition[a][0]]
+        for ends in ((), (k - 1,), range(k), before_0):
+            got = list(word_counts(shift, 80, ends))
+            assert got == list(per_column_word_counts(shift, 80, ends))
+            assert all(type(v) is int for pair in got for v in pair)
+
+    def test_word_counts_column_shapes(self):
+        # by column: full, one predecessor, one non-predecessor, two, four
+        columns = ((1, 1, 1, 1, 1), (0, 0, 1, 0, 0), (0, 1, 1, 1, 1), (1, 0, 0, 0, 1), (1, 1, 0, 1, 1))
+        for rows in (tuple(zip(*columns)), ((1,),), ((0, 1), (1, 1))):
+            shift = ShiftOfFiniteType(rows)
+            k = shift.alphabet_size
+            for ends in ((), (0,), (k - 1,), range(k)):
+                assert list(word_counts(shift, 12, ends)) == list(per_column_word_counts(shift, 12, ends))
+
+    @settings(max_examples=80, deadline=None)
+    @given(shaped_shifts(), st.data())
+    def test_word_counts_equal_per_column_recurrence_drawn(self, shift, data):
+        k = shift.alphabet_size
+        ends = data.draw(
+            st.sampled_from([(), range(k)]) | st.integers(0, k - 1).map(lambda b: (b,)) | st.sets(st.integers(0, k - 1))
+        )
+        n_max = data.draw(st.integers(1, 30))
+        assert list(word_counts(shift, n_max, ends)) == list(per_column_word_counts(shift, n_max, ends))
+
     @settings(max_examples=60, deadline=None)
     @given(irreducible_shifts(), st.integers(min_value=1, max_value=300))
     def test_log_count_words_matches_exact_log(self, shift, n):
@@ -225,6 +293,12 @@ class TestCountWords:
     @given(st.lists(st.integers(1, 2**71), min_size=12, max_size=40))
     def test_batched_walk_60_symbols(self, lengths):
         assert log_count_words_many(SFT60, lengths) == [per_length_log_count(SFT60, n) for n in lengths]
+
+    def test_walk_sums_past_the_reduction_buffer(self):
+        # 100^2 entries per product: more than numpy's 8192-element buffer
+        shift = ShiftOfFiniteType([[int((a + 2 * b) % 7 != 0) for b in range(100)] for a in range(100)])
+        lengths = [1, 2, 3, 1000, 2**40 + 7, 2**71 - 1]
+        assert log_count_words_many(shift, lengths) == [per_length_log_count(shift, n) for n in lengths]
 
     @settings(max_examples=60, deadline=None)
     @given(irreducible_shifts(), st.lists(st.integers(1, 300), min_size=1, max_size=6))
@@ -575,6 +649,13 @@ class TestPeriodDecomposition:
             if rows[a][b]:
                 assert d.class_of[b] == (d.class_of[a] + 1) % d.period
 
+    def test_edge_counts_past_a_byte(self):
+        # a presentation's adjacency counts parallel edges, one per label
+        assert digraph_period([[300]]) == digraph_period([[1]])
+        assert digraph_period([[0, 256], [7, 0]]) == digraph_period(FLIP.transition)
+        letters = SoficPresentation(states=1, edges=tuple((0, 0, f"a{i}") for i in range(300)))
+        assert system_facts(letters, "sofic").period == 1
+
     def test_reducible_reports_components(self):
         # the message names a symbol that one of the two searches from 0 misses
         with pytest.raises(ReducibleShiftError, match="reducible: symbol 1 cannot reach symbol 0"):
@@ -691,6 +772,35 @@ class TestValidation:
         with pytest.raises(SymbolicError, match="0 or 1"):
             ShiftOfFiniteType(((2, 1), (1, 1)))
 
+    @staticmethod
+    def _message(rows, sided="one"):
+        with pytest.raises(SymbolicError) as exc:
+            ShiftOfFiniteType(rows, sided)
+        return type(exc.value), str(exc.value)
+
+    def test_error_precedence(self):
+        # entries first, then the empty shift, then the lowest symbol with a
+        # zero row or column (the row when both), then the sidedness
+        assert self._message(((2, 1), (0, 0))) == (SymbolicError, "transition entries must be 0 or 1")
+        assert self._message(((0, 0), (0, 0))) == (EmptyShiftError, "zero transition matrix presents the empty shift")
+        rows = [[int(a != 3 and b != 1) for b in range(5)] for a in range(5)]  # row 3 and column 1 zero
+        assert self._message(rows) == (SymbolicError, "symbol 1 has no predecessor (all-zero column)")
+        rows = [[int(a != 2 and b != 2) for b in range(5)] for a in range(5)]  # row 2 and column 2 zero
+        assert self._message(rows) == (SymbolicError, "symbol 2 has no successor (all-zero row)")
+        rows = [[int(a != 1 and b != 3) for b in range(5)] for a in range(5)]  # row 1 and column 3 zero
+        assert self._message(rows) == (SymbolicError, "symbol 1 has no successor (all-zero row)")
+        assert self._message(((1, 1),), "two") == (SymbolicError, "transition must be a nonempty square matrix")
+        assert self._message(((1, 1), (1,)))[1] == "transition must be a nonempty square matrix"
+        assert self._message(())[1] == "transition must be a nonempty square matrix"
+        assert self._message(((2,),), "three")[1] == "transition entries must be 0 or 1"
+        assert self._message(((1,),), "three")[1] == "sided must be 'one' or 'two'"
+
+    def test_numpy_and_bool_rows_accepted(self):
+        for rows in (np.array([[1, 1], [1, 0]]), ((True, True), (True, False)), [np.array([1, 1]), (1, np.int8(0))]):
+            shift = ShiftOfFiniteType(rows)
+            assert shift.transition == ((1, 1), (1, 0))
+            assert all(type(v) is int for row in shift.transition for v in row)
+
     def test_sequence_admissibility(self):
         g = golden_mean_shift()
         assert g.sequence_admissible(SymbolSequence((), (0,)))
@@ -712,3 +822,48 @@ class TestValidation:
 def test_entropy_le_log_alphabet(shift):
     # entropy is read only from irreducible shifts: the analysis refuses the rest
     assert -1e-12 <= entropy(shift) <= math.log(shift.alphabet_size) + 1e-12
+
+
+def _python_steps(fn, *args) -> int:
+    """The trace events (calls, lines, returns) of the Python code fn runs: a
+    count of interpreter steps that timing noise cannot move."""
+    steps = 0
+
+    def tracer(frame, event, arg):
+        nonlocal steps
+        steps += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return steps
+
+
+class TestPythonSteps:
+    """The shift kernels take fewer than 50 k Python steps at k = 200, where
+    one step per matrix entry would be k^2 = 40000: the entries are read in C."""
+
+    K = 200
+    BOUND = 50 * K
+
+    def test_building_a_shift(self):
+        dense = [[int((7 * a + 3 * b) % 5 != 0) for b in range(self.K)] for a in range(self.K)]
+        for rows in (dense, _cycle_with_chord(self.K)):
+            assert _python_steps(ShiftOfFiniteType, rows) < self.BOUND
+
+    def test_period_search(self):
+        for rows in (_cycle_with_chord(self.K), [[1] * self.K] * self.K):
+            assert _python_steps(digraph_period, rows) < self.BOUND
+
+    def test_one_level_of_word_counts(self):
+        # dense columns, summed as complements, and sparse ones
+        dense = ShiftOfFiniteType([[int((7 * a + 3 * b) % 5 != 0) for b in range(self.K)] for a in range(self.K)])
+        for shift in (dense, ShiftOfFiniteType(_cycle_with_chord(self.K))):
+            levels = word_counts(shift, 3, range(0, self.K, 3))
+            next(levels)
+            assert _python_steps(next, levels) < self.BOUND
+            assert _python_steps(word_counts, shift, 3, range(self.K)) < self.BOUND

@@ -2,9 +2,11 @@
 
 A function, class or method that only tests (or nothing) call belongs in
 the tests, not in ``src/``.  The scan is by name: a definition counts as
-used when some ``Name`` or ``Attribute`` with its name appears in a package
-module outside its own body.  ``__init__.py`` only re-exports, so its
-imports do not count as uses, and dunder methods are called by Python.
+used when some ``Name`` or ``Attribute`` with its name is loaded in a
+package module outside its own body; a method named like a field or an
+assigned attribute counts only a ``Name``, a call, or (for a property) any
+load.  ``__init__.py`` only re-exports, so its imports do not count as
+uses, and dunder methods are called by Python.
 Likewise every name a module imports is used in the scope that imports it:
 an import inside a function is used only where that function reads it.
 """
@@ -21,41 +23,102 @@ ALLOWED = {
 }
 
 
-def _definitions(tree: ast.Module, prefix: str = ""):
-    """(qualified name, node) of every def and class, nested ones too."""
+def _definitions(tree: ast.AST, prefix: str = ""):
+    """(qualified name, node, whether a class body defines it) of every def
+    and class, nested ones too."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             qualname = prefix + node.name
-            yield qualname, node
+            yield qualname, node, isinstance(tree, ast.ClassDef)
             yield from _definitions(node, qualname + ".")
         else:
             yield from _definitions(node, prefix)
 
 
-def unreferenced() -> list[str]:
-    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    trees = {p.name: ast.parse(p.read_text()) for p in modules}
-    uses: dict[str, list[tuple[str, int]]] = {}
+_PROPERTIES = {"property", "cached_property", "setter", "getter", "deleter"}
+
+
+def _is_property(node: ast.AST) -> bool:
+    names = (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None) for d in node.decorator_list)
+    return not isinstance(node, ast.ClassDef) and not _PROPERTIES.isdisjoint(names)
+
+
+def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
+    """The definitions in ``trees`` (module name -> tree) that no other code in them names.
+
+    Only loads count: a field's annotation or an assignment binds a name,
+    it does not use one.  A method that shares its name with data (a field
+    annotated in a class body, or an attribute assigned as ``x.name = ...``)
+    is used only by a ``Name``, a call ``x.name(...)``, or, when it is a
+    property, any load ``x.name``: an uncalled ``triple.phi`` reads the
+    field, not the method.
+    """
+    data = set()
+    calls = set()  # the Attribute nodes that are called
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                data.update(s.target.id for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                data.add(node.attr)
+            elif isinstance(node, ast.Call):
+                calls.add(node.func)
+    uses: dict[str, list[tuple[str, int, bool]]] = {}  # name -> (module, line, a Name or a called Attribute)
     for name, tree in trees.items():
         for node in ast.walk(tree):
-            ident = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-            if ident is not None:
-                uses.setdefault(ident, []).append((name, node.lineno))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.setdefault(node.id, []).append((name, node.lineno, True))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                uses.setdefault(node.attr, []).append((name, node.lineno, node in calls))
     found = []
     for name, tree in trees.items():
-        for qualname, node in _definitions(tree):
+        for qualname, node, method in _definitions(tree):
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             own = range(node.lineno, node.end_lineno + 1)
-            if not any(m != name or line not in own for m, line in uses.get(node.name, [])):
+            shadowed = method and node.name in data and not _is_property(node)
+            if not any(
+                (m != name or line not in own) and (called or not shadowed)
+                for m, line, called in uses.get(node.name, [])
+            ):
                 found.append(qualname)
     return found
+
+
+def unreferenced() -> list[str]:
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    return _unreferenced({p.name: ast.parse(p.read_text()) for p in modules})
 
 
 def test_every_definition_has_a_use_in_the_package():
     # an allow-list entry that gains a use, or leaves the package, leaves the list too
     assert set(unreferenced()) == ALLOWED
 
+
+
+def test_a_field_load_is_no_use_of_a_method():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class RateTriple:\n"
+        "    phi: float\n"
+        "class RateFunction:\n"
+        "    def phi(self, n):\n"  # only triple.phi below: the field, not this
+        "        return 1.0\n"
+        "    def psi(self, n):\n"  # shares a name with spec.psi, but is called
+        "        return 2.0\n"
+        "    @property\n"
+        "    def kind(self):\n"  # a property: its uncalled load is its use
+        "        return 'rate'\n"
+        "class Spec:\n"
+        "    def __init__(self):\n"
+        "        self.psi = None\n"
+        "        self.kind = None\n"
+        "def read(triple, rate, spec):\n"
+        "    return triple.phi, rate.psi(1), spec.kind\n"
+        "read(RateTriple(0.5), RateFunction(), Spec())\n"
+    )
+    assert _unreferenced({"rates.py": tree}) == ["RateFunction.phi"]
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 

@@ -42,7 +42,8 @@ subdominant eigenvalues of the transition matrix (see
 ``critical_exponent``).  Moran stage lengths depend on tau and the gap
 only, so each rate's are laid out first (``moran_layout``), and the
 estimates of all rates read the log counts of every stage from one
-normalized float squaring walk per call (``moran_dimension`` over
+squaring walk per call, which keeps one row vector per stage and rescales
+by exact powers of two (``moran_dimension`` over
 symbolic.log_count_words_many).  A witness certificate lists its hit
 times; construction records the agreement at each and verification
 recomputes it, both from numpy mismatch arrays of the prefix against each
@@ -281,8 +282,9 @@ def moran_dimension(shift: ShiftOfFiniteType, layouts: Sequence[MoranLayout]) ->
     into the admissible words of length m_k.  The ln branch counts of every
     stage of every layout come from one squaring walk
     (``symbolic.log_count_words_many``), so a call over many rates squares
-    the base once, in O(L k^2) memory for L stages in all.  Each estimate
-    is bit for bit the value its layout gets walked alone.
+    the base once, and keeps one row vector of k entries per stage: O(L k)
+    memory for L stages in all.  Each estimate is bit for bit the value its
+    layout gets walked alone.
 
     The estimate does not converge to h/(1+tau) as stages grow.  With the
     fixed eta = 0.02 every stage gives the same 1.5 eta = 3% of its hit time

@@ -14,7 +14,8 @@ smallest p with M^p entrywise positive and realises the constant
 specification gap of a mixing SFT; it is found by boolean squaring and
 binary lifting in O(k^3 log p), even when p is near the Wielandt bound
 (k - 1)^2 + 1.  Word counts stream exactly from a row-vector recurrence
-(``word_counts``) or come as logs from a squaring walk
+(``word_counts``) or come as logs from a squaring walk that carries one row
+vector per length, rescaled by exact powers of two
 (``log_count_words_many``).  The SFT's checks, the period search and both
 counts read the matrix entries in C-level passes (``map``, ``itemgetter``,
 bytes and bitsets, numpy), not one Python step per entry.  The index sets record which classes a target
@@ -29,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import and_, getitem, itemgetter, not_
+from operator import and_, getitem, index, itemgetter, not_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .rates import (
@@ -76,11 +77,15 @@ class ShiftOfFiniteType:
 
     def __post_init__(self) -> None:
         # C-level passes over the entries; only the rows are looped in Python
-        rows = tuple(tuple(map(int, row)) for row in self.transition)
-        object.__setattr__(self, "transition", rows)
+        rows = tuple(self.transition)
         k = len(rows)
         if k == 0 or set(map(len, rows)) != {k}:
             raise SymbolicError("transition must be a nonempty square matrix")
+        try:
+            rows = tuple(map(_row_ints, rows))
+        except TypeError:  # a float or a string, which int() would truncate or parse
+            raise SymbolicError("transition entries must be 0 or 1") from None
+        object.__setattr__(self, "transition", rows)
         if not {0, 1}.issuperset(chain.from_iterable(rows)):
             raise SymbolicError("transition entries must be 0 or 1")
         has_successor = list(map(any, rows))
@@ -115,6 +120,13 @@ class ShiftOfFiniteType:
         """Admissibility of an eventually periodic one-sided stream."""
         probe = z.prefix(len(z.head) + 2 * len(z.cycle) + 1)
         return self.word_admissible(probe)
+
+
+def _row_ints(row: Sequence[int]) -> tuple[int, ...]:
+    """A row's entries as Python ints; a float or a string raises TypeError.
+    A numpy array goes through ``tolist``: numpy 2's bools have no ``__index__``."""
+    tolist = getattr(row, "tolist", None)
+    return tuple(map(index, row if tolist is None else tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -392,40 +404,34 @@ def _gather(indices: list[int]) -> itemgetter:
     return itemgetter(slice(i, i + len(indices)))
 
 
-# bytes of running products in one stack of the walk: half of glibc malloc's
-# default mmap threshold (128 KiB), so a stack and its product buffer come
-# from the heap rather than from freshly mapped pages, which would raise the
-# peak RSS of a 60-symbol walk by about 0.4 MB
-_WALK_BATCH_BYTES = 1 << 16
+_LN2 = math.log(2.0)
 
 
 def log_count_words_many(x: ShiftOfFiniteType, lengths: Sequence[int]) -> list[float]:
     """ln of the number of admissible n-words for every n in ``lengths``,
     from one squaring walk.
 
-    The word count is the entry sum of M^(n-1).  Binary powering rescales
-    every product by its largest entry and carries the scale in log space,
-    so nothing overflows.  The walk squares the normalized base once per
-    bit of the largest exponent.  The running products sit in (b, k, k)
-    stacks of b lengths each, each stack small enough for the allocator's
-    heap (``_WALK_BATCH_BYTES``).  Which exponents have bit j set is read
-    from one bit table of all of them, unpacked once from their bytes.  At
-    bit j the products of a stack whose exponent has bit j set are
-    multiplied into the square by one batched matmul, and rescaled by one
-    max and one broadcast divide.  Each length still sees the same float
-    operations as it would powered alone: one matmul per slice, and its
-    float64 accumulator gets log_base and then the ``math.log`` of its
-    scale added, in that order, by two masked adds per bit (the same IEEE
-    additions as one Python float each).  Its entry sum at the end is the
-    pairwise sum over its k^2 contiguous entries that ``ndarray.sum``
-    takes.  So the values do not depend on which other lengths are asked
-    for.  Python steps O(log max n * stacks) times, not once per length
-    and bit.  The cost is O(k^3 (log max n + total set bits)) and the
-    memory O(L k^2).
-    The accumulated relative error is of order (number of squarings) *
-    machine epsilon: at n <= 300 on the test shifts it stays within 1e-12
-    of the log of the exact count, and it is negligible next to the O(1/n)
-    terms any consumer divides out.
+    N_n = 1^T M^(n-1) 1 (Lind & Marcus, section 4.1), so each length keeps
+    one row vector, not a running product.  The walk squares the base once
+    per bit of the largest exponent, B_j = M^(2^j), and at bit j multiplies
+    the vector of each length whose exponent has bit j set by B_j: O(k^3
+    log max n) for the squarings plus O(k^2) per set bit, in O(L k) memory.
+    Every rescale, of B_j or of a vector, brings the largest entry into
+    [1/2, 1) by a power of two (``frexp``/``ldexp``), so it is exact.  A
+    length's exponent E sums its vector's rescales and the exponents of the
+    B_j at its set bits, which pass 2^63 near n = 2^72 and are summed as
+    Python ints (``_sums_over_set_bits``); ln N_n = E ln 2 + ln(sum of the
+    vector).  Each product is one (1, k) @ (k, k) slice of a batched matmul,
+    the shape a length walked alone sees, so each value is bit for bit that
+    of its length walked alone.  Which exponents have bit j set is read from
+    one bit table, so Python steps O(log max n) times, not once per length
+    and bit.
+
+    A relative rounding d in B_j moves ln N_n by about d n / 2^j against
+    ln N_n ~ n h, and the first squarings are exact while M^(2^j) fits in
+    53 bits.  Near n = 2^70 the relative error is about one machine epsilon
+    at most on the full shifts and the golden mean (against mpmath); at
+    n <= 300 the value is within 1e-12 of the log of the exact count.
     """
     import numpy as np
 
@@ -433,47 +439,49 @@ def log_count_words_many(x: ShiftOfFiniteType, lengths: Sequence[int]) -> list[f
         raise SymbolicError("word length must be >= 1")
     k = x.alphabet_size
     exps = [n - 1 for n in lengths]  # Python ints: they reach 2^72, past int64
-    base = np.array(x.transition, dtype=float)
-    s = base.max()
-    base /= s
-    log_base = math.log(s)  # base * exp(log_base) == M^(2^j)
     bits = max(exps, default=0).bit_length()
     width = (bits + 7) // 8
     raw = np.frombuffer(b"".join(map(int.to_bytes, exps, repeat(width), repeat("little"))), dtype=np.uint8)
     # bit_table[j, i]: bit j of exps[i] is set
-    bit_table = np.unpackbits(raw.reshape(len(exps), width), axis=1, count=bits, bitorder="little").T.astype(bool)
-    batch = max(1, _WALK_BATCH_BYTES // (8 * k * k))
-    # (running products of b lengths, their bit table, its row sums)
-    stacks = []
-    for c in range(0, len(exps), batch):
-        table = bit_table[:, c : c + batch]
-        stacks.append((np.empty((table.shape[1], k, k)), table, table.sum(axis=1).tolist()))
-    for stack, _, _ in stacks:
-        stack[:] = np.eye(k)
-    log_results = np.zeros(len(exps))
-    buf = np.empty((min(batch, len(exps)), k, k))  # one stack's products, reused by every stack
-    for j in range(bits):
-        log_scales = []  # math.log of the scales of this bit's products, in length order
-        for stack, table, counts in stacks:
-            if counts[j]:
-                part = table[j]
-                prod = np.matmul(stack[part], base, out=buf[: counts[j]])
-                scales = prod.max(axis=(1, 2))
-                prod /= scales[:, None, None]
-                stack[part] = prod
-                log_scales += map(math.log, scales.tolist())
-        part = bit_table[j]
-        log_results[part] += log_base
-        log_results[part] += log_scales
-        if j + 1 < bits:
+    bit_table = np.unpackbits(raw.reshape(len(exps), width).T, axis=0, count=bits, bitorder="little").view(bool)
+    # parts[j]: the lengths with bit j set, cut from one flat scan of the table
+    members = np.flatnonzero(bit_table) % len(exps)
+    ends = np.cumsum(bit_table.sum(axis=1)).tolist()
+    parts = [members[a:b] for a, b in zip([0, *ends], ends)]
+    vectors = np.ones((len(exps), 1, k))
+    vector_exps = np.zeros(len(exps), dtype=np.int64)
+    base = np.array(x.transition, dtype=float)
+    base_exp = 0  # B_j = base * 2^base_exp
+    base_exps = []
+    for j, part in enumerate(parts):
+        if j:
             base = base @ base
-            log_base *= 2.0
-            s = base.max()
-            base /= s
-            log_base += math.log(s)
-    # each product's entry sum, the pairwise sum of its k^2 contiguous entries that r.sum() takes
-    sums = chain.from_iterable(stack.reshape(len(stack), k * k).sum(axis=1).tolist() for stack, _, _ in stacks)
-    return [lr + math.log(t) for lr, t in zip(log_results.tolist(), sums)]
+            _, e = np.frexp(base.max())
+            np.ldexp(base, -e, out=base)
+            base_exp = 2 * base_exp + int(e)
+        base_exps.append(base_exp)
+        prod = np.matmul(vectors.take(part, axis=0), base)
+        _, e = np.frexp(prod.max(axis=2, keepdims=True))
+        vectors[part] = np.ldexp(prod, -e)
+        vector_exps[part] += e.reshape(-1)
+    totals = _sums_over_set_bits(bit_table, base_exps)
+    # each vector's entry sum, the pairwise sum of its k contiguous entries that v.sum() takes
+    sums = vectors.reshape(len(exps), k).sum(axis=1).tolist()
+    return [(t + v) * _LN2 + math.log(s) for t, v, s in zip(totals, vector_exps.tolist(), sums)]
+
+
+def _sums_over_set_bits(bit_table: np.ndarray, values: list[int]) -> list[int]:
+    """The exact sum of values[j] over the set bits j of each column i of
+    the boolean ``bit_table``, for every i, as Python ints.  The values are
+    cut into 32-bit digits, the top one signed, so every sum of digits fits
+    an int64."""
+    import numpy as np
+
+    shifts = range(0, 32 * (max(map(int.bit_length, values), default=0) // 32 + 1), 32)
+    v = np.array(values, dtype=object)
+    digits = np.stack([(v >> s) & 0xFFFFFFFF for s in shifts[:-1]] + [v >> shifts[-1]])
+    digit_sums = digits.astype(np.int64) @ bit_table.astype(np.int64)
+    return (np.array([1 << s for s in shifts], dtype=object) @ digit_sums.astype(object)).tolist()
 
 
 # ---------------------------------------------------------------------------

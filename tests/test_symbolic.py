@@ -1,5 +1,7 @@
 import math
+import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -45,6 +47,11 @@ from shift_strategies import (
     sft_as_sofic,
 )
 
+try:
+    import mpmath
+except ImportError:
+    mpmath = None
+
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)  # 0.48121182505960347
 FLIP = ShiftOfFiniteType(((0, 1), (1, 0)))  # period-2 permutation shift
 
@@ -56,29 +63,28 @@ def brute_force_words(shift, n):
 
 
 def per_length_log_count(shift, n):
-    """Binary powering of one length alone: the loop log_count_words_many shares."""
+    """One length walked alone, the loop log_count_words_many shares: the
+    row vector of ones times the squares B_j = M^(2^j) at the set bits j of
+    n - 1, every rescale an exact power of two whose exponent is summed as a
+    Python int."""
     e = n - 1
     base = np.array(shift.transition, dtype=float)
-    s = base.max()
-    base /= s
-    log_base = math.log(s)
-    result = np.eye(shift.alphabet_size)
-    log_result = 0.0
-    while e > 0:
+    base_exp = 0
+    v = np.ones((1, shift.alphabet_size))
+    exp = 0
+    while e:
         if e & 1:
-            result = result @ base
-            log_result += log_base
-            s = result.max()
-            result /= s
-            log_result += math.log(s)
+            v = v @ base
+            _, f = np.frexp(v.max())
+            v = np.ldexp(v, -f)
+            exp += base_exp + int(f)
         e >>= 1
         if e:
             base = base @ base
-            log_base *= 2.0
-            s = base.max()
-            base /= s
-            log_base += math.log(s)
-    return log_result + math.log(result.sum())
+            _, f = np.frexp(base.max())
+            base = np.ldexp(base, -f)
+            base_exp = 2 * base_exp + int(f)
+    return exp * math.log(2.0) + math.log(v.sum())
 
 
 def per_column_word_counts(shift, n_max, ends):
@@ -289,7 +295,7 @@ class TestCountWords:
         # the batch of a whole oracle call: a few hundred lengths near 2^70
         assert log_count_words_many(shift, lengths) == [per_length_log_count(shift, n) for n in lengths]
 
-    @settings(max_examples=4, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(1, 2**71), min_size=12, max_size=40))
     def test_batched_walk_60_symbols(self, lengths):
         assert log_count_words_many(SFT60, lengths) == [per_length_log_count(SFT60, n) for n in lengths]
@@ -311,6 +317,45 @@ class TestCountWords:
         assert log_count_words_many(SFT60, [1, 1]) == [math.log(60)] * 2
         with pytest.raises(SymbolicError, match=">= 1"):
             log_count_words_many(SFT60, [5, 0])
+
+    @pytest.mark.skipif(mpmath is None, reason="needs mpmath")
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["full2", "full3", "golden"]), st.lists(st.integers(2**69, 2**71), min_size=1, max_size=20))
+    def test_walk_within_four_epsilons_near_2_70(self, name, lengths):
+        # ln N_n in closed form at 60 digits: n ln k on the full k-shift, and
+        # ln F(n + 2) = (n + 2) ln phi - ln sqrt(5) on the golden mean (Binet;
+        # the conjugate term is below exp(-10^20) at these n)
+        shift = golden_mean_shift() if name == "golden" else full_shift(int(name[-1]))
+        with mpmath.workdps(60):
+            phi = (1 + mpmath.sqrt(5)) / 2
+            exact = [
+                (n + 2) * mpmath.log(phi) - mpmath.log(mpmath.sqrt(5)) if name == "golden" else n * mpmath.log(int(name[-1]))
+                for n in lengths
+            ]
+            for value, want in zip(log_count_words_many(shift, lengths), exact):
+                assert abs(value - want) <= 4 * sys.float_info.epsilon * want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-(2**130), 2**130), max_size=40), st.integers(0, 12), st.data())
+    def test_exponent_sums_are_exact(self, values, columns, data):
+        # signed values of up to five 32-bit digits, as no walk reaches them
+        cells = st.lists(st.booleans(), min_size=len(values) * columns, max_size=len(values) * columns)
+        table = np.array(data.draw(cells), dtype=bool).reshape(len(values), columns)
+        want = [sum(v for v, bit in zip(values, col) if bit) for col in table.T]
+        assert symbolic._sums_over_set_bits(table, values) == want
+
+    def test_walk_memory_is_linear_in_the_lengths(self):
+        # 1000 vectors of 60 entries take 0.48 MB; 1000 running 60 x 60
+        # products would take 28.8 MB
+        lengths = [random.Random(0).randint(1, 2**71) for _ in range(1000)]
+        log_count_words_many(SFT60, [2])  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            log_count_words_many(SFT60, lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     @settings(max_examples=40, deadline=None)
     @given(irreducible_shifts(), st.data())
@@ -796,10 +841,33 @@ class TestValidation:
         assert self._message(((1,),), "three")[1] == "sided must be 'one' or 'two'"
 
     def test_numpy_and_bool_rows_accepted(self):
-        for rows in (np.array([[1, 1], [1, 0]]), ((True, True), (True, False)), [np.array([1, 1]), (1, np.int8(0))]):
+        for rows in (
+            np.array([[1, 1], [1, 0]]),
+            ((True, True), (True, False)),
+            [np.array([1, 1]), (1, np.int8(0))],
+            np.array([[True, True], [True, False]]),
+            ((np.int64(1), np.uint8(1)), (np.intp(1), np.int16(0))),
+        ):
             shift = ShiftOfFiniteType(rows)
             assert shift.transition == ((1, 1), (1, 0))
             assert all(type(v) is int for row in shift.transition for v in row)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((1.5, 1), (1, 0.9)),  # int() truncates both to the golden mean
+            ((1.0, 1), (1, 0)),
+            (("1", "1"), ("1", "0")),  # int() parses them
+            ("11", "10"),
+            ((np.float64(1), 1), (1, 0)),
+            np.array([[1.0, 1.0], [1.0, 0.0]]),
+        ],
+    )
+    def test_non_integer_entries_rejected(self, rows):
+        assert self._message(rows) == (SymbolicError, "transition entries must be 0 or 1")
+
+    def test_shape_checked_before_entry_types(self):
+        assert self._message(((1.5, 1), (1,)))[1] == "transition must be a nonempty square matrix"
 
     def test_sequence_admissibility(self):
         g = golden_mean_shift()

@@ -23,15 +23,16 @@ Conventions used throughout:
 * Equality dispatch at case boundaries (e.g. tau_lower = ln L1) uses a
   half-open convention with tolerance ``BOUNDARY_TOL``: values within the
   tolerance land in the boundary case.
-* The exponents may be float64 arrays instead of floats: one run of a tau
-  grid on which every branch test has one value (:func:`tau_runs` splits a
-  grid into such runs).  Each formula is written once, and numpy's
-  + - * / round as Python's do, so an array element equals the float result
-  bit for bit.  A side is then a float or an array; NaN in an array marks an
-  element where the side is not asserted (None for a float), and the
-  report checks hold for every element.  Floats stay plain Python: only
-  :func:`tau_runs` imports numpy, and arrays are tested by their own
-  ``any``/``all``.
+* The exponents may be float64 arrays instead of floats: a run of a tau
+  grid.  Each formula is written once, and numpy's + - * / round as
+  Python's do, so an array element equals the float result bit for bit.  A
+  branch test that differs within the run raises :class:`MixedRun` at the
+  first tau that takes another branch, so the caller evaluates the run up
+  to there and goes on from it.  A side is then a float or an array; NaN in
+  an array marks an element where the side is not asserted (None for a
+  float), and the report checks hold for every element.  Floats stay plain
+  Python, and arrays are tested by their own methods: this module never
+  imports numpy.
 """
 
 from __future__ import annotations
@@ -39,13 +40,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .rates import RateExponents, _any
 from .systems import HyperbolicityProfile
-
-if TYPE_CHECKING:
-    import numpy as np
 
 BOUNDARY_TOL = 1e-12
 
@@ -99,37 +96,23 @@ def _at(x, c):
     return abs(x - c) <= BOUNDARY_TOL
 
 
+class MixedRun(ValueError):
+    """A branch test differs within a run of taus; ``at`` is the first index
+    (never 0) whose branch differs from the first tau's."""
+
+    def __init__(self, at: int) -> None:
+        super().__init__(f"a branch test changes at index {at} of this run of taus")
+        self.at = at
+
+
 def _holds(test) -> bool:
-    """A branch test on one tau (a bool), or on a run of taus that all take one branch."""
+    """A branch test on one tau (a bool), or on a run of taus that all take
+    one branch; on a run that does not, raises :class:`MixedRun`."""
     if not hasattr(test, "all"):
         return test
     if test.all() != test.any():
-        raise ValueError("a branch test differs within one run of taus; split the grid with tau_runs")
+        raise MixedRun(int((test != test[0]).argmax()))
     return bool(test.all())
-
-
-def tau_runs(taus: np.ndarray, thresholds) -> list[slice]:
-    """Split a tau array into the runs the theorems dispatch on.
-
-    Every branch a theorem takes on tau compares it with a threshold c of
-    the system (1, ln L1, lambda1 or +inf) by |tau - c| <= BOUNDARY_TOL,
-    tau > c or tau < c.  The runs are the maximal slices on which each of
-    these tests has one value for every c in ``thresholds``.  An increasing
-    grid passes each c once, so it has a few runs whatever its length.
-    """
-    import numpy as np
-
-    if not len(taus):
-        return []
-    change = np.zeros(len(taus) - 1, dtype=bool)
-    for c in thresholds:
-        tests = [taus > c, taus < c]
-        if c < math.inf:  # |tau - inf| is never within the tolerance
-            tests.append(_at(taus, c))
-        for test in tests:
-            change |= test[1:] != test[:-1]
-    edges = [0, *(np.flatnonzero(change) + 1).tolist(), len(taus)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
 # ---------------------------------------------------------------------------

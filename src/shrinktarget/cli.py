@@ -40,13 +40,13 @@ from . import __version__
 from .bounds import (
     BoundReport,
     HypothesisViolatedError,
+    MixedRun,
     bounds_expanding,
     bounds_general_profile,
     bounds_hyperbolic_set,
     bounds_one_sided_shift,
     bounds_two_sided_shift,
     covering_bounds,
-    tau_runs,
 )
 from .config import ConfigError, ExperimentConfig, SystemSpec, check_task, load_config
 from .oracle import (
@@ -201,7 +201,7 @@ def evaluate(
 ) -> tuple[tuple[str, BoundReport], ...]:
     """The (rule, report) rows the theorems give for ``facts`` at ``tau``.
 
-    ``tau`` holds floats, or float64 arrays for one run of a sweep grid
+    ``tau`` holds floats, or float64 arrays over a run of a sweep grid
     (``sweep_rows``); the report sides are then arrays over the run too.
     ``task`` is "bounds", "exact" or "sweep"; ``naturals`` says every time
     set is all of N; ``index_ok`` says whether the index difference sets of
@@ -256,19 +256,6 @@ def evaluate(
     )
 
 
-def _tau_thresholds(facts: SystemFacts) -> tuple[float, ...]:
-    """The thresholds that the theorem ``evaluate`` picks for a sweep tests tau against.
-
-    A two-sided shift has ln L1 = 1; a profile has ln L1 (when bi-Lipschitz)
-    and lambda1 (+inf for a Lipschitz one).  A matrix sweeps its sharp
-    profile, or the crude one; a non-hyperbolic matrix has neither and fails.
-    """
-    if facts.kind in ("sft", "sofic"):
-        return (1.0,) if facts.sided == "two" else ()
-    p = facts.profile if facts.kind == "profile" else facts.sharp if facts.sharp is not None else facts.crude
-    return () if p is None else tuple(c for c in (p.ln_l1, p.lambda1) if c is not None)
-
-
 def _column(side, n: int) -> list[str | None]:
     """A float or array over a run of ``n`` taus, formatted as ``fmt`` does.
 
@@ -288,26 +275,35 @@ def _column(side, n: int) -> list[str | None]:
 def sweep_rows(facts: SystemFacts, taus) -> list[dict]:
     """One sweep row per tau, with tau_upper = tau_lower = tau and S = N.
 
-    ``taus`` is split into the runs the theorems dispatch on
-    (``bounds.tau_runs`` at ``_tau_thresholds``); config validation makes it
-    strictly increasing, so there are a few.  Each run is one ``evaluate``
-    call on a float64 array, whose elements equal the per-tau floats bit for
-    bit, and each report side is formatted in one pass per run.
+    ``taus`` is evaluated in runs, each one ``evaluate`` call on a float64
+    array, whose elements equal the per-tau floats bit for bit.  A call
+    whose theorem meets a branch test that changes within the run raises
+    ``MixedRun``; the run then ends where it changes, and ends found so far
+    are kept, so a grid of r runs takes at most 2r - 1 calls.  Config
+    validation makes ``taus`` strictly increasing, so there are a few runs.
+    Each report side is formatted in one pass per run.
     """
     import numpy as np
 
     t = np.asarray(taus, dtype=float)
     sides: tuple[list, ...] = ([], [], [], [])
     tags: list[str] = []
-    for run in tau_runs(t, _tau_thresholds(facts)):
-        ((_, rep),) = evaluate(facts, RateExponents(t[run], t[run]), "sweep")
-        n = run.stop - run.start
+    start, stops = 0, [len(t)]  # the run ends found so far, nearest last
+    while start < len(t):
+        run = t[start:stops[-1]]
+        try:
+            ((_, rep),) = evaluate(facts, RateExponents(run, run), "sweep")
+        except MixedRun as exc:
+            stops.append(start + exc.at)
+            continue
+        n = len(run)
         done: dict[int, list] = {}  # the sides of an EXACT report are one object
         for col, side in zip(sides, (rep.entropy_lower, rep.entropy_upper, rep.dim_lower, rep.dim_upper)):
             if id(side) not in done:
                 done[id(side)] = _column(side, n)
             col += done[id(side)]
         tags += [rep.case_tag.value] * n
+        start = stops.pop()
     # a dict display builds each row faster than dict(zip(_SWEEP_COLUMNS, ...))
     return [
         {"tau": a, "h_lower": b, "h_upper": c, "dim_lower": d, "dim_upper": e, "case_tag": f}

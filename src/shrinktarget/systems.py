@@ -14,13 +14,15 @@ profile:
 
 Conflating the two silently changes results, so both are explicit.
 
-One integer pass per matrix feeds all of it: Faddeev-LeVerrier gives
+One integer pass per matrix feeds the spectrum: Faddeev-LeVerrier gives
 det(xI - A), det A and A^-1 exactly, and the square-free factors of
-det(xI - A) carry every eigenvalue's exact multiplicity.  Only the roots of
-each factor are floats, so ``_TOL`` decides only which roots share a modulus
-and whether a modulus lies on the unit circle.  One pure-Python root finder,
-``_roots``, serves both the spectrum and the operator norms (the largest
-root of det(xI - A^T A)), so a matrix analysis never imports numpy.
+det(xI - A) carry every eigenvalue's exact multiplicity.  A second pass, on
+the Gram matrix A^T A, feeds both operator norms: ||A||^2 is the largest
+root of det(xI - A^T A), and when |det A| = 1, ||A^-1||^2 is the largest
+root of its reversal.  Only the roots of each factor are floats, so
+``_TOL`` decides only which roots share a modulus and whether a modulus
+lies on the unit circle.  One pure-Python root finder, ``_roots``, serves
+the spectrum and the norms, so a matrix analysis never imports numpy.
 
 A matrix whose floats would leave the float range is refused: at
 construction when |A|^2 or |A^-1|^2 (Frobenius) reaches 2^1023, and in
@@ -53,8 +55,8 @@ class UnsupportedSpectrumError(SpectrumError):
 
 _TOL = 1e-9
 # the bound on what the matrix analysis turns into floats: the coefficients
-# of the factors whose roots it takes, and the squared Frobenius norms that
-# bound the largest root of the Gram matrices ``operator_norm`` forms
+# of the factors whose roots it takes, and the squared Frobenius norms of A
+# and A^-1 that bound the largest roots ``_operator_norms`` takes
 _FLOAT_RANGE = 2**1023
 _BEYOND_FLOATS = (
     "spectrum beyond the float range: a coefficient of a factor of det(xI - A) "
@@ -218,7 +220,8 @@ class IntegerMatrixSystem:
             raise SpectrumError("entries must form a nonempty square matrix")
         if self.det == 0:
             raise SpectrumError("matrix is singular (det = 0)")
-        # the crude profile takes the norm of A and of an automorphism's A^-1 = -+M
+        # bounds on the Gram roots ``_operator_norms`` takes: ||A||^2 <= |A|^2 and,
+        # from the reversed factors of an automorphism, ||A^-1||^2 <= |A^-1|^2 (A^-1 = -+M)
         norms = (rows, self._faddeev[1]) if self.kind == "automorphism" else (rows,)
         if any(sum(v * v for row in a for v in row) >= _FLOAT_RANGE for a in norms):
             raise SpectrumError("matrix beyond the float range: |A|^2 or |A^-1|^2 (Frobenius) reaches 2^1023")
@@ -305,11 +308,26 @@ class HyperbolicityProfile:
             raise SpectrumError("log Lipschitz constants must be positive")
 
 
-def operator_norm(rows: Sequence[Sequence[int]]) -> float:
-    """Largest singular value: the square root of the largest root of
-    det(xI - A^T A), from the square-free factors of the integer Gram matrix."""
+def _operator_norms(rows: Sequence[Sequence[int]]) -> tuple[float, float | None]:
+    """||A|| and, when |det A| = 1, ||A^-1||: the square roots of the largest
+    roots of det(xI - A^T A) and det(xI - A^-T A^-1).
+
+    Both come from the square-free factors of the integer Gram matrix A^T A.
+    When det(A^T A) = 1 the second polynomial is the first reversed, and so
+    is each of its factors, whose constant term is +-1: reversed and made
+    monic by that sign, they are the factors of the second.
+    """
     gram = [[sum(map(operator.mul, u, v)) for v in zip(*rows)] for u in zip(*rows)]
-    return math.sqrt(max(abs(z) for s, _ in _squarefree(_charpoly(gram)[0]) for z in _roots(s)))
+    coeffs = _charpoly(gram)[0]
+    factors = [s for s, _ in _squarefree(coeffs)]
+    if abs(coeffs[-1]) != 1:
+        return _sqrt_largest_root(factors), None
+    return _sqrt_largest_root(factors), _sqrt_largest_root([[s[-1] * c for c in reversed(s)] for s in factors])
+
+
+def _sqrt_largest_root(factors: list[list[int]]) -> float:
+    """The square root of the largest root modulus of ``factors``."""
+    return math.sqrt(max(abs(z) for s in factors for z in _roots(s)))
 
 
 def analyze_matrix(m: IntegerMatrixSystem) -> SpectralProfile:
@@ -406,17 +424,15 @@ def crude_profile_from_matrix(
     if not p.is_hyperbolic:
         raise SpectrumError("crude profile needs a hyperbolic spectrum")
     h = entropy_toral(p)
-    ln_l2 = math.log(operator_norm(m.entries))
+    norm, inverse_norm = _operator_norms(m.entries)
+    ln_l2 = math.log(norm)
     if p.is_expanding:
         lam1: float = math.inf
     else:
         largest_stable = max(c.modulus for c in p.clusters if c.modulus < 1.0)
         lam1 = -math.log(largest_stable)
     lam2 = math.log(min(c.modulus for c in p.clusters if c.modulus > 1.0))
-    ln_l1 = None
-    if m.kind == "automorphism":
-        coeffs, last = m._faddeev  # A^-1 = -M / c_d, and c_d = +-1
-        ln_l1 = math.log(operator_norm([[-coeffs[-1] * v for v in row] for row in last]))
+    ln_l1 = None if inverse_norm is None else math.log(inverse_norm)
     return HyperbolicityProfile(
         lambda1=lam1, lambda2=lam2, ln_l2=ln_l2, h_top=h, ln_l1=ln_l1
     )

@@ -11,6 +11,7 @@ from shrinktarget.bounds import (
     BoundReport,
     CaseTag,
     HypothesisViolatedError,
+    MixedRun,
     bounds_expanding,
     bounds_general_profile,
     bounds_hyperbolic_set,
@@ -18,7 +19,6 @@ from shrinktarget.bounds import (
     bounds_two_sided_shift,
     covering_bounds,
     lower_factor,
-    tau_runs,
 )
 from shrinktarget.cli import (
     _SWEEP_COLUMNS,
@@ -497,11 +497,19 @@ class TestReportInvariants:
             RateExponents(np.array([0.5, 0.6]), np.array([0.5, 0.7]))
 
     def test_a_run_must_not_straddle_a_threshold(self):
-        taus = np.array([0.5, 1.5])
-        with pytest.raises(ValueError, match="split the grid"):
-            bounds_two_sided_shift(True, LN2, RateExponents(taus, taus))
-        assert tau_runs(taus, (1.0,)) == [slice(0, 1), slice(1, 2)]
-        assert tau_runs(np.array([]), (1.0,)) == []
+        # the first tau whose branch differs from the first tau's: above 1, then in the band at 1
+        for taus, at in (([0.5, 0.7, 1.5, 2.0], 2), ([0.5, 1.0 + 5e-13, 1.5], 1), ([1.5, 2.0, 0.5], 2)):
+            taus = np.array(taus)
+            with pytest.raises(MixedRun, match=f"changes at index {at} of") as exc:
+                bounds_two_sided_shift(True, LN2, RateExponents(taus, taus))
+            assert exc.value.at == at and isinstance(exc.value, ValueError)
+        # a uniform run, and one tau, evaluate
+        for taus in ([0.5, 0.7], [1.5], [1.0]):
+            bounds_two_sided_shift(True, LN2, RateExponents(np.array(taus), np.array(taus)))
+        # the lower side's test on its own: tau_upper against lambda1
+        with pytest.raises(MixedRun) as exc:
+            lower_factor(1.0, 2.0, np.array([0.2, 0.9, 1.0, 0.3]))
+        assert exc.value.at == 2
 
 
 def _per_tau_row(facts, t):
@@ -560,6 +568,24 @@ class TestSweepRuns:
         # a profile whose constants are below its exponents may fail the sandwich check
         want = _outcome(lambda: [_per_tau_row(facts, t) for t in taus])
         assert _outcome(lambda: sweep_rows(facts, taus)) == want
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_FACTS))
+    def test_long_grid_crossing_every_threshold(self, name):
+        # 2000 taus across every constant a theorem may test tau against (1, and
+        # ln L1, ln L2 and lambda1 of each profile, the crude fallback's too),
+        # each with its band: +-5e-13 lies within BOUNDARY_TOL, +-2e-12 outside
+        facts = SWEEP_FACTS[name]
+        constants = {1.0}
+        for p in (facts.profile, facts.sharp, facts.crude):
+            if p is not None:
+                constants |= {c for c in (p.ln_l1, p.ln_l2, p.lambda1) if c is not None and c < math.inf}
+        grid = {c + d for c in constants for d in (-2e-12, -5e-13, 0.0, 5e-13, 2e-12)} | {0.0, math.inf}
+        rng = random.Random(name)
+        while len(grid) < 2000:
+            grid.add(rng.uniform(0.0, 1.5 * max(constants)))
+        taus = sorted(grid)
+        assert len(taus) == 2000 and taus[0] < min(constants) - 2e-12 and max(constants) + 2e-12 < taus[-2]
+        assert sweep_rows(facts, taus) == [_per_tau_row(facts, t) for t in taus]
 
     def test_regime_conflict_masks_single_elements(self):
         # lambda1 > ln L1: the lower side exceeds the upper one from some tau on,

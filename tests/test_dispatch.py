@@ -93,14 +93,18 @@ THEOREMS = tuple(
 @pytest.mark.parametrize("kind", sorted(SYSTEMS))
 def test_sweep_calls_each_theorem_once_per_run(kind, tmp_path, monkeypatch):
     # both grids pass the thresholds 1 (two-sided shift) and ln L1 of the cat
-    # map (0.962), so they split into the same runs whatever their length
+    # map (0.962), so they split into the same runs whatever their length; a
+    # run that meets a threshold is cut there, one aborted call per run end
     def calls(path, taus):
         counts = _counted(path, monkeypatch, _sweep_config(SYSTEMS[kind], taus), "sweep", THEOREMS)
+        rows = json.loads((path / "out" / "report.json").read_text())["results"][0]["rows"]
+        runs = 1 + sum(a["case_tag"] != b["case_tag"] for a, b in zip(rows, rows[1:]))
+        assert sum(counts.values()) <= 2 * runs - 1
         return sum(counts.values())
 
     few = calls(tmp_path / "few", [0.0, 1.0, 1.5])
     many = calls(tmp_path / "many", [i / 150 for i in range(300)])
-    assert 1 <= few == many <= 4
+    assert 1 <= few == many
 
 
 SHIFT_ANALYSIS = (

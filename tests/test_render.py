@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shrinktarget.cli import (
-    _BOUNDS_COLUMNS, _SWEEP_COLUMNS, _tau_thresholds, fmt, render_csv, render_json, run, sweep_rows, system_facts,
+    _BOUNDS_COLUMNS, _SWEEP_COLUMNS, fmt, render_csv, render_json, run, sweep_rows, system_facts,
 )
 from shrinktarget.config import parse_config
 from shrinktarget.systems import IntegerMatrixSystem
@@ -229,7 +229,9 @@ def test_full_size_sweep_report(case):
     rng = random.Random(20261018)
     cfg = dict(CASES[case][0], sweep={"taus": sorted({round(rng.uniform(0.0, 2.0), 9) for _ in range(2000)})})
     config = parse_config(cfg)
-    for threshold in filter(math.isfinite, _tau_thresholds(system_facts(config.system, config.system_kind))):
+    facts = system_facts(config.system, config.system_kind)
+    p = facts.sharp if facts.sharp is not None else facts.crude  # the profile a matrix sweep reads
+    for threshold in (c for c in (p.ln_l1, p.lambda1) if c is not None and math.isfinite(c)):
         assert config.sweep_taus[0] < threshold < config.sweep_taus[-1]
     report, ok, _ = run(config, tasks=("sweep",))
     rows = report["results"][0]["rows"]

@@ -12,12 +12,12 @@ from shrinktarget.systems import (
     SpectrumError,
     UnsupportedSpectrumError,
     _charpoly,
+    _operator_norms,
     _roots,
     _squarefree,
     analyze_matrix,
     crude_profile_from_matrix,
     entropy_toral,
-    operator_norm,
     sharp_profile_from_matrix,
 )
 
@@ -175,7 +175,7 @@ class TestProfiles:
         # shear: not hyperbolic, so no profile; the norm itself is the
         # golden ratio (largest singular value of [[1,1],[0,1]])
         golden = (1.0 + math.sqrt(5.0)) / 2.0
-        assert operator_norm(((1, 1), (0, 1))) == pytest.approx(golden, abs=1e-10)
+        assert _operator_norms(((1, 1), (0, 1)))[0] == pytest.approx(golden, abs=1e-10)
         with pytest.raises(SpectrumError):
             shear = IntegerMatrixSystem(((1, 1), (0, 1)))
             crude_profile_from_matrix(shear, analyze_matrix(shear))
@@ -301,6 +301,48 @@ class TestRoots:
             _roots([1, -3, 1])
 
     def test_operator_norm_matches_svd(self):
+        def largest_singular(rows):
+            return np.linalg.svd(np.array(rows, dtype=float), compute_uv=False)[0]
+
         for name, m in structured_matrices():
-            want = np.linalg.svd(np.array(m, dtype=float), compute_uv=False)[0]
-            assert operator_norm(m) == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0), name
+            norm, inverse_norm = _operator_norms(m)
+            assert norm == pytest.approx(largest_singular(m), rel=4 * np.finfo(float).eps, abs=0), name
+            coeffs, last = _charpoly(m)
+            if abs(coeffs[-1]) == 1:  # A^-1 = -+M, exactly
+                want = largest_singular([[-coeffs[-1] * v for v in row] for row in last])
+                assert inverse_norm == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0), name
+            else:
+                assert inverse_norm is None, name
+
+
+def _automorphisms(n: int, seed: int) -> list[list[list[int]]]:
+    """``n`` integer matrices with |det| = 1, d = 2..5, entries in [-3, 3]:
+    random row operations r_i += -+r_j and row sign flips from the identity,
+    each kept while the entries stay in range."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        d = rng.randint(2, 5)
+        m = [[int(i == j) for j in range(d)] for i in range(d)]
+        for _ in range(6 * d):
+            i, j = rng.sample(range(d), 2)
+            c = rng.choice((-1, 1))
+            row = [a + c * b for a, b in zip(m[i], m[j])]
+            if max(map(abs, row)) <= 3:
+                m[i] = row
+            if rng.random() < 0.1:
+                m[i] = [-a for a in m[i]]
+        out.append(m)
+    return out
+
+
+def test_inverse_norm_from_the_reversed_gram_factors():
+    # ||A^-1|| from A's Gram factors reversed, against the Gram polynomial of
+    # A^-1 = -+M itself: the factors, and so every root, agree bit for bit
+    for m in _automorphisms(300, seed=24):
+        coeffs, last = _charpoly(m)
+        assert abs(coeffs[-1]) == 1
+        inverse = [[-coeffs[-1] * v for v in row] for row in last]
+        factors = _squarefree(_charpoly(_gram(inverse))[0])
+        want = math.sqrt(max(abs(z) for s, _ in factors for z in _roots(s)))
+        assert _operator_norms(m)[1] == want, m

@@ -3,10 +3,11 @@
 A function, class or method that only tests (or nothing) call belongs in
 the tests, not in ``src/``.  The scan is by name: a definition counts as
 used when some ``Name`` or ``Attribute`` with its name is loaded in a
-package module outside its own body; a method named like a field or an
-assigned attribute counts only a ``Name``, a call, or (for a property) any
-load.  ``__init__.py`` only re-exports, so its imports do not count as
-uses, and dunder methods are called by Python.
+package module outside its own body.  A method counts only an
+``Attribute``, so a local variable named like it is no use of it; a method
+named like a field or an assigned attribute counts only a call, or (for a
+property) any load.  ``__init__.py`` only re-exports, so its imports do not
+count as uses, and dunder methods are called by Python.
 Likewise every name a module imports is used in the scope that imports it:
 an import inside a function is used only where that function reads it.
 """
@@ -47,11 +48,12 @@ def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
     """The definitions in ``trees`` (module name -> tree) that no other code in them names.
 
     Only loads count: a field's annotation or an assignment binds a name,
-    it does not use one.  A method that shares its name with data (a field
-    annotated in a class body, or an attribute assigned as ``x.name = ...``)
-    is used only by a ``Name``, a call ``x.name(...)``, or, when it is a
-    property, any load ``x.name``: an uncalled ``triple.phi`` reads the
-    field, not the method.
+    it does not use one.  A method is used only by an ``Attribute`` load
+    ``x.name``: a ``Name`` load reads a variable.  A method that shares its
+    name with data (a field annotated in a class body, or an attribute
+    assigned as ``x.name = ...``) is used only by a call ``x.name(...)``,
+    or, when it is a property, any load ``x.name``: an uncalled
+    ``triple.phi`` reads the field, not the method.
     """
     data = set()
     calls = set()  # the Attribute nodes that are called
@@ -63,13 +65,13 @@ def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
                 data.add(node.attr)
             elif isinstance(node, ast.Call):
                 calls.add(node.func)
-    uses: dict[str, list[tuple[str, int, bool]]] = {}  # name -> (module, line, a Name or a called Attribute)
+    uses: dict[str, list[tuple[str, int, bool, bool]]] = {}  # name -> (module, line, an Attribute, called)
     for name, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                uses.setdefault(node.id, []).append((name, node.lineno, True))
+                uses.setdefault(node.id, []).append((name, node.lineno, False, False))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                uses.setdefault(node.attr, []).append((name, node.lineno, node in calls))
+                uses.setdefault(node.attr, []).append((name, node.lineno, True, node in calls))
     found = []
     for name, tree in trees.items():
         for qualname, node, method in _definitions(tree):
@@ -78,8 +80,8 @@ def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
             own = range(node.lineno, node.end_lineno + 1)
             shadowed = method and node.name in data and not _is_property(node)
             if not any(
-                (m != name or line not in own) and (called or not shadowed)
-                for m, line, called in uses.get(node.name, [])
+                (m != name or line not in own) and (attr or not method) and (called or not shadowed)
+                for m, line, attr, called in uses.get(node.name, [])
             ):
                 found.append(qualname)
     return found
@@ -119,6 +121,21 @@ def test_a_field_load_is_no_use_of_a_method():
         "read(RateTriple(0.5), RateFunction(), Spec())\n"
     )
     assert _unreferenced({"rates.py": tree}) == ["RateFunction.phi"]
+
+
+def test_a_variable_is_no_use_of_a_method():
+    tree = ast.parse(
+        "class Scheme:\n"
+        "    def count(self, n):\n"  # only the local count below: a variable, not this
+        "        return n\n"
+        "    def counts(self, ns):\n"  # read as an attribute, though not called
+        "        return ns\n"
+        "def total(words, scheme):\n"
+        "    count = len(words)\n"
+        "    return count, scheme.counts\n"
+        "total([], Scheme())\n"
+    )
+    assert _unreferenced({"oracle.py": tree}) == ["Scheme.count"]
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 

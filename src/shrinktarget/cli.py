@@ -2,7 +2,7 @@
 
 Commands (one per task, plus ``sweep``): analyze, bounds, exact, oracle,
 witness, sweep.  Each reads a JSON config, executes, and writes a report
-into the output directory:
+of its one result into the output directory:
 
 * ``report.json`` - always (when "json" is among the formats);
 * ``sweep.csv`` / ``bounds.csv`` - tabular rows (when "csv" is requested).
@@ -16,8 +16,8 @@ Wall-clock timings go to stderr only, never into report files.  Nothing in
 the pipeline draws randomness; ``--seedless`` records that assertion in the
 report.
 
-Exit codes: 0 all requested tasks produced results (rows whose hypotheses
-fail are still results), 1 a task errored, 2 validation/IO errors.
+Exit codes: 0 the command produced its result (rows whose hypotheses fail
+are still results), 1 it errored, 2 validation/IO errors.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def _all_naturals(config: ExperimentConfig) -> bool:
 
 @dataclass(frozen=True)
 class SystemFacts:
-    """What every command reads of one system, analysed once per run().
+    """What every command reads of one system; ``run`` analyses it first.
 
     Matrices: the system, its spectrum and entropy, the crude profile and
     either the sharp profile or ``sharp_error``, the reason it does not
@@ -532,43 +532,30 @@ _EXECUTORS = {
 # ---------------------------------------------------------------------------
 
 
-def run(config: ExperimentConfig, tasks: tuple[str, ...] | None = None, seedless: bool = False):
-    """Execute tasks and assemble the report; returns (report, all_ok, timings).
+def run(config: ExperimentConfig, task: str, seedless: bool = False):
+    """Run command ``task`` and assemble its report; returns (report, ok, seconds).
 
-    The system is analysed once per call, by the first task, and every
-    executor reads those ``SystemFacts``; a failed analysis becomes the error
-    of every task.
+    The system is analysed first, then ``check_task`` runs, then the
+    executor, which reads the ``SystemFacts``; the first of them to fail
+    gives the error of the report's one result.
     """
-    todo = tasks if tasks is not None else config.tasks
-    results = []
-    timings = []
-    all_ok = True
-    facts: SystemFacts | Exception | None = None
-    for task in todo:
-        started = time.perf_counter()
-        try:
-            if facts is None:
-                try:
-                    facts = system_facts(config.system, config.system_kind)
-                except ValueError as exc:
-                    facts = exc
-            if isinstance(facts, Exception):
-                raise facts
-            check_task(config, task)
-            results.append({"task": task, "status": "ok", **_EXECUTORS[task](config, facts)})
-        # every error of the package is a ValueError; anything else is a bug
-        except ValueError as exc:
-            all_ok = False
-            results.append({"task": task, "status": "error", "error": str(exc)})
-        timings.append((task, time.perf_counter() - started))
+    started = time.perf_counter()
+    try:
+        facts = system_facts(config.system, config.system_kind)
+        check_task(config, task)
+        result = {"task": task, "status": "ok", **_EXECUTORS[task](config, facts)}
+    # every error of the package is a ValueError; anything else is a bug
+    except ValueError as exc:
+        result = {"task": task, "status": "error", "error": str(exc)}
+    seconds = time.perf_counter() - started
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "shrinktarget", "version": __version__},
         "seedless": seedless,
         "config": config.raw,
-        "results": results,
+        "results": [result],
     }
-    return report, all_ok, timings
+    return report, result["status"] == "ok", seconds
 
 
 def render_json(report: dict) -> str:
@@ -663,26 +650,19 @@ def render_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
     return "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
+_CSV_COLUMNS = {"sweep": _SWEEP_COLUMNS, "bounds": _BOUNDS_COLUMNS}
+
+
 def write_report(report: dict, out_dir: Path, formats: tuple[str, ...]) -> list[Path]:
+    """Write ``report.json`` and, for a bounds or sweep result, ``<task>.csv``."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "json" in formats:
-        path = out_dir / "report.json"
-        path.write_bytes(render_json(report).encode())
-        written.append(path)
-    if "csv" in formats:
-        for res in report["results"]:
-            if res.get("status") != "ok":
-                continue
-            if res["task"] == "sweep":
-                path = out_dir / "sweep.csv"
-                path.write_bytes(render_csv(res["rows"], _SWEEP_COLUMNS).encode())
-                written.append(path)
-            elif res["task"] == "bounds":
-                path = out_dir / "bounds.csv"
-                path.write_bytes(render_csv(res["rows"], _BOUNDS_COLUMNS).encode())
-                written.append(path)
-    return written
+    (res,) = report["results"]
+    files = {"report.json": render_json(report)} if "json" in formats else {}
+    if "csv" in formats and res["status"] == "ok" and res["task"] in _CSV_COLUMNS:
+        files[f"{res['task']}.csv"] = render_csv(res["rows"], _CSV_COLUMNS[res["task"]])
+    for name, text in files.items():
+        (out_dir / name).write_bytes(text.encode())
+    return [out_dir / name for name in files]
 
 
 # ---------------------------------------------------------------------------
@@ -735,17 +715,16 @@ def main(argv: list[str] | None = None) -> int:
     elif args.format is not None:
         formats = (args.format,)
 
-    report, all_ok, timings = run(config, tasks=(args.command,), seedless=args.seedless)
+    report, ok, seconds = run(config, args.command, seedless=args.seedless)
     try:
         written = write_report(report, out_dir, formats)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    for task, seconds in timings:
-        print(f"[{task}] {seconds:.3f}s", file=sys.stderr)
+    print(f"[{args.command}] {seconds:.3f}s", file=sys.stderr)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
-    return 0 if all_ok else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

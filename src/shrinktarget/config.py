@@ -1,8 +1,8 @@
 """Experiment configuration: JSON ingestion with field-path diagnostics.
 
 One structured document describes a system, a list of (rate, time set,
-target) triples, the tasks to run and the output destination.  Validation
-errors carry the JSON path of the offending field (e.g.
+target) triples, the tasks it is meant for and the output destination.
+Validation errors carry the JSON path of the offending field (e.g.
 ``rates[0].phi.tau``), and a validated config is immutable afterwards.
 """
 
@@ -88,6 +88,13 @@ def _as_number(value: Any, path: str, allow_inf: bool = False) -> float:
     return number
 
 
+def _as_tau(value: Any, path: str) -> float:
+    """A sweep tau: a JSON number other than a bool or NaN, Infinity included."""
+    if isinstance(value, str):  # unlike "inf" in the fields that mean infinity
+        raise ConfigError(path, f"expected a number, got {value!r}")
+    return _as_number(value, path, allow_inf=True)
+
+
 def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
@@ -132,7 +139,6 @@ class ExperimentConfig:
     system: SystemSpec
     system_kind: str
     rates: tuple[RateTriple, ...]
-    tasks: tuple[str, ...]
     oracle_params: OracleParams = OracleParams()
     sweep_taus: tuple[float, ...] | None = None
     output_dir: str = "out"
@@ -318,8 +324,8 @@ def check_task(config: ExperimentConfig, task: str) -> None:
     """Raise ConfigError unless ``config`` holds what command ``task`` needs.
 
     The one place these requirements live: ``parse_config`` checks each
-    configured task, and ``cli.run`` each task it runs, since a CLI command
-    need not be among ``config.tasks``.
+    task the config lists, and ``cli.run`` the command it runs, which need
+    not be among them.
     """
     kind = config.system_kind
     if task == "analyze" and kind not in ("matrix", "sft", "sofic"):
@@ -375,11 +381,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     task_list = _as_list(d.get("tasks", []), "$.tasks")
     if not task_list and "sweep" not in d:
         raise ConfigError("$.tasks", "task list must be nonempty (or provide a sweep grid)")
-    tasks = []
     for i, t in enumerate(task_list):
         if t not in TASKS:
             raise ConfigError(f"$.tasks[{i}]", f"unknown task {t!r}; valid: {TASKS}")
-        tasks.append(t)
 
     op = OracleParams()
     if "oracle_params" in d:
@@ -415,12 +419,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "sweep" in d:
         sd = _as_dict(d["sweep"], "$.sweep")
         grid = _as_list(_require(sd, "taus", "$.sweep"), "$.sweep.taus")
-        # bool is a type of its own; NaN passes every order and sign check
-        if not set(map(type, grid)) <= {int, float} or any(map(math.isnan, grid)):
-            # a path for the element that fails, none for a valid grid
-            for i, v in enumerate(grid):
-                _as_number(v, f"$.sweep.taus[{i}]")
-        taus = list(map(float, grid))
+        try:  # the whole grid at once if it holds only ints and floats, and no NaN
+            fast = set(map(type, grid)) <= {int, float} and not any(map(math.isnan, grid))
+            taus = list(map(float, grid)) if fast else None
+        except OverflowError:  # an integer beyond the float range
+            taus = None
+        if taus is None:  # element by element, naming the first that breaks the rule
+            taus = [_as_tau(v, f"$.sweep.taus[{i}]") for i, v in enumerate(grid)]
         if any(map(operator.le, taus[1:], taus)):
             raise ConfigError("$.sweep.taus", "tau grid must be sorted strictly increasing")
         if taus and taus[0] < 0:  # the grid increases, so its first tau decides
@@ -447,14 +452,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         system=system,
         system_kind=kind,
         rates=tuple(triples),
-        tasks=tuple(tasks),
         oracle_params=op,
         sweep_taus=sweep_taus,
         output_dir=out_dir,
         formats=formats,
         raw=raw,
     )
-    for t in config.tasks:
+    for t in task_list:
         check_task(config, t)
     return config
 
@@ -464,6 +468,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError("$", f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer past str's digit limit
         raise ConfigError("$", f"invalid JSON: {exc}") from exc
     return parse_config(raw)

@@ -413,8 +413,8 @@ def plan_witness(
     least one free symbol after the previous pinned block, and large enough
     (s > 1/eta) that the pinned ratio lands inside the (alpha, beta) window.
     A block therefore ends past both 1/eta and tau + eta, and a plan whose
-    first block would end past the prefix limit that way raises PlanError
-    before its floats overflow.
+    first block would end past the prefix limit that way, or whose hit time
+    reaches that limit, raises PlanError before its floats overflow.
     """
     if shift.sided != "one":
         raise OracleError("witness plans are defined for one-sided shifts")
@@ -447,6 +447,10 @@ def plan_witness(
         candidate = floor_start
         for _ in range(10_000):
             candidate = first_member_at_least(s, candidate)
+            if candidate >= _MAX_PREFIX_LEN:  # a block there ends past the prefix limit
+                raise PlanError(
+                    f"block {i + 1} pushes the witness prefix past {_MAX_PREFIX_LEN} symbols"
+                )
             pinned = floor_guarded(alpha * candidate) + 1
             # skip times where phi undershoots its exponential envelope
             if required_exponent(phi, candidate) - 1 <= pinned:

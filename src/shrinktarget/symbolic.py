@@ -571,7 +571,6 @@ class SoficPresentation:
         edges = tuple((int(a), int(b), str(lbl)) for a, b, lbl in self.edges)
         object.__setattr__(self, "edges", edges)
         seen: set[tuple[int, str]] = set()
-        out_deg = [0] * self.states
         for a, b, lbl in edges:
             if not (0 <= a < self.states and 0 <= b < self.states):
                 raise SymbolicError(f"edge ({a},{b},{lbl!r}) leaves the state range")
@@ -581,10 +580,10 @@ class SoficPresentation:
                     f"edges labeled {lbl!r}"
                 )
             seen.add((a, lbl))
-            out_deg[a] += 1
-        for st, deg in enumerate(out_deg):
-            if deg == 0:
-                raise SymbolicError(f"state {st} has no outgoing edge")
+        sources = {a for a, _ in seen}
+        dead = min(set(range(len(sources) + 1)) - sources)  # the lowest state without an edge
+        if dead < self.states:
+            raise SymbolicError(f"state {dead} has no outgoing edge")
         if self.sided not in ("one", "two"):
             raise SymbolicError("sided must be 'one' or 'two'")
 

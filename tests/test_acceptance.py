@@ -67,7 +67,7 @@ def exact_report_via_cli(entries, tau):
             "tasks": ["exact"],
         }
     )
-    report, ok, _ = run(config, tasks=("exact",))
+    report, ok, _ = run(config, "exact")
     assert ok
     (res,) = report["results"]
     (row,) = res["rows"]
@@ -265,7 +265,7 @@ def test_criterion_10_index_counterexample():
                 "tasks": ["bounds"],
             }
         )
-        report, ok, _ = run(config, tasks=("bounds",))
+        report, ok, _ = run(config, "bounds")
         assert ok
         (res,) = report["results"]
         (row,) = res["rows"]

@@ -257,13 +257,19 @@ class TestRun:
         assert float(row["h_upper"]) == pytest.approx(0.5 * LN2 * 0.7 / 1.3, abs=1e-9)
 
     def test_failed_analysis_is_the_error_of_every_task(self):
+        # the analysis comes before each command's own checks, so every
+        # command reports the same error, the sweep without a grid too
         payload = golden_oracle_config(tasks=("analyze", "bounds"))
         payload["system"]["transition"] = [[1, 1], [0, 1]]  # reducible
-        report, all_ok, _ = run(parse_config(payload))
-        assert not all_ok
-        errors = [res["error"] for res in report["results"]]
-        assert [res["status"] for res in report["results"]] == ["error", "error"]
-        assert errors[0] == errors[1] and "reducible" in errors[0]
+        config = parse_config(payload)
+        errors = set()
+        for command in (*TASKS, "sweep"):
+            report, ok, _ = run(config, command)
+            (res,) = report["results"]
+            assert not ok and (res["task"], res["status"]) == (command, "error")
+            errors.add(res["error"])
+        (error,) = errors
+        assert "reducible" in error
 
     def test_restricted_rate_sharpens_lower_not_upper(self, tmp_path, monkeypatch):
         # rate decays at 0.8 on even times, 0.4 on odd; hits counted on evens.
@@ -782,6 +788,27 @@ class TestValidation:
         assert res["status"] == "error"
         assert "one-sided" in res["error"]
 
+    @pytest.mark.parametrize(
+        "time_set",
+        [
+            {"kind": "arithmetic", "offset": 10**400, "step": 1},
+            {"kind": "arithmetic", "offset": 0, "step": 10**400},
+            {"kind": "explicit", "times": [1], "tail": {"kind": "arithmetic", "offset": 10**400, "step": 1}},
+        ],
+        ids=["offset", "step", "tail_offset"],
+    )
+    def test_witness_on_times_beyond_the_float_range(self, tmp_path, monkeypatch, time_set):
+        # the first hit lies past the prefix limit, so the plan stops before
+        # its pinned length, a float product, overflows
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tasks=("bounds",))
+        payload["rates"][0]["time_set"] = time_set
+        cfg = write_config(tmp_path, payload)
+        assert main(["bounds", "--config", str(cfg)]) == 0
+        assert main(["witness", "--config", str(cfg)]) == 1
+        (res,) = read_report(tmp_path)["results"]
+        assert (res["status"], res["error"]) == ("error", "block 1 pushes the witness prefix past 10000000 symbols")
+
     @pytest.mark.parametrize("command", ["oracle", "witness"])
     def test_symbolic_command_on_periodic_shift(self, tmp_path, monkeypatch, command):
         # both commands space their blocks by the mixing gap, which a
@@ -1012,6 +1039,27 @@ class TestValidation:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "text", [b"\xff\xfe{}", b'{"rates": [' + b"1" * 5000 + b"]}"], ids=["not_utf8", "past_digit_limit"]
+    )
+    def test_unreadable_json_text_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(path)
+        assert main(["bounds", "--config", str(path)]) == 2
+        assert "config error: $: invalid JSON" in capsys.readouterr().err
+
+    def test_sofic_state_count_beyond_the_float_range(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tasks=("bounds",))
+        payload["system"] = {"kind": "sofic", "states": 10**400, "edges": [[0, 0, "a"]]}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert (exc.value.path, exc.value.message) == ("$.system", "state 1 has no outgoing edge")
+        assert main(["bounds", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert "$.system: state 1 has no outgoing edge" in capsys.readouterr().err
+
 
 class TestSweepGridValidation:
     @staticmethod
@@ -1032,6 +1080,27 @@ class TestSweepGridValidation:
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert "$.sweep.taus[7]: expected a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("taus,at,bad", [([math.inf, "x"], 1, "'x'"), ([0.5, math.inf, True], 2, "True")])
+    def test_infinity_passes_the_element_rule(self, tmp_path, monkeypatch, capsys, taus, at, bad):
+        # the whole-grid check and the element rule agree that Infinity is a
+        # tau, so the error names the element after it
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError) as info:
+            parse_config(self._grid_config(taus))
+        assert (info.value.path, info.value.message) == (f"$.sweep.taus[{at}]", f"expected a number, got {bad}")
+        assert main(["sweep", "--config", str(write_config(tmp_path, self._grid_config(taus)))]) == 2
+        assert f"$.sweep.taus[{at}]: expected a number, got {bad}" in capsys.readouterr().err
+
+    def test_oversized_integer_tau_reads_as_inf(self, tmp_path, monkeypatch):
+        # as in every other number field; its row is the row of Infinity
+        monkeypatch.chdir(tmp_path)
+        assert parse_config(self._grid_config([0.1, 10**400])).sweep_taus == (0.1, math.inf)
+        rows = []
+        for top in (10**400, math.inf):
+            assert main(["sweep", "--config", str(write_config(tmp_path, self._grid_config([0.1, top])))]) == 0
+            rows.append(read_report(tmp_path)["results"][0]["rows"])
+        assert rows[0] == rows[1] and rows[0][1]["tau"] == "inf"
+
     def test_integer_taus_accepted(self):
         config = parse_config(self._grid_config([0, 0.5, 1, 2]))
         assert config.sweep_taus == (0.0, 0.5, 1.0, 2.0)
@@ -1047,6 +1116,8 @@ class TestSweepGridValidation:
             ([0.0, 1.0, 0.5], "tau grid must be sorted strictly increasing"),
             ([-0.5, 0.0, 0.5], "tau values must be nonnegative"),
             ([-0.5], "tau values must be nonnegative"),
+            ([-(10**400), 0.5], "tau values must be nonnegative"),
+            ([0.5, 10**400, math.inf], "tau grid must be sorted strictly increasing"),
         ],
     )
     def test_grid_order_and_sign_messages(self, tmp_path, monkeypatch, capsys, taus, message):

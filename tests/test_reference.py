@@ -68,6 +68,6 @@ def test_report_matches_reference(name, command, request):
     if command != "analyze" and ref.hyperbolic and not ref.expanding and abs(ref.det) > 1:
         reason = D2_EXACT if command == "exact" else D2_BOUNDS
         request.applymarker(pytest.mark.xfail(strict=True, reason=reason))
-    report, _, _ = cli.run(parse_config(system.config), tasks=(command,))
+    report, _, _ = cli.run(parse_config(system.config), command)
     issues = reference.check(system, command, json.loads(cli.render_json(report)), ref)
     assert issues == []

@@ -207,7 +207,7 @@ TABLES = [
 
 @pytest.mark.parametrize("case,command,columns", TABLES, ids=[f"{c}-{m}" for c, m, _ in TABLES])
 def test_rows_carry_every_csv_column(case, command, columns):
-    report, _, _ = run(parse_config(CASES[case][0]), tasks=(command,))
+    report, _, _ = run(parse_config(CASES[case][0]), command)
     (result,) = report["results"]
     assert result["status"] == "ok" and result["rows"]
     for row in result["rows"]:
@@ -233,7 +233,7 @@ def test_full_size_sweep_report(case):
     p = facts.sharp if facts.sharp is not None else facts.crude  # the profile a matrix sweep reads
     for threshold in (c for c in (p.ln_l1, p.lambda1) if c is not None and math.isfinite(c)):
         assert config.sweep_taus[0] < threshold < config.sweep_taus[-1]
-    report, ok, _ = run(config, tasks=("sweep",))
+    report, ok, _ = run(config, "sweep")
     rows = report["results"][0]["rows"]
     assert ok and len(rows) == len(cfg["sweep"]["taus"]) > 1900
     assert render_json(report) == oracle(report)

@@ -802,6 +802,19 @@ class TestSofic:
     def test_dead_state_rejected(self):
         with pytest.raises(SymbolicError, match="no outgoing"):
             SoficPresentation(states=2, edges=((0, 0, "a"),))
+        with pytest.raises(SymbolicError, match="^state 2 has no outgoing edge$"):  # the lowest one
+            SoficPresentation(states=5, edges=((3, 0, "a"), (0, 1, "a"), (1, 0, "a")))
+
+    def test_state_count_checked_against_the_edges(self):
+        # refused from the one edge, with no list of ten million states
+        tracemalloc.start()
+        try:
+            with pytest.raises(SymbolicError, match="^state 1 has no outgoing edge$"):
+                SoficPresentation(states=10**7, edges=((0, 0, "a"),))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestValidation:

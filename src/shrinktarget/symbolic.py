@@ -262,7 +262,7 @@ def mixing_gap(x: ShiftOfFiniteType) -> int:
 # ---------------------------------------------------------------------------
 
 
-# LU solves before _perron_bracket gives up on an open bracket.  Irreducible
+# Steps before _perron_bracket gives up on an open bracket.  Irreducible
 # shifts need at most 23 (a clique joined to a long path); a Perron vector
 # that spans more than the float range underflows within about 25
 _NODA_STEPS = 64
@@ -283,10 +283,20 @@ def _perron_bracket(m: np.ndarray) -> tuple[float, float, float]:
     For irreducible m, hi falls to rho quadratically (Elsner, Numer. Math.
     26, 1976) and v tends to the Perron vector.
 
+    The LU solve is accurate only in norm, so near the Perron vector its
+    small entries can carry errors wider than the slack, and the solve
+    then stops lowering hi (it stays put or swings) with the bracket still
+    open, though in exact arithmetic every step lowers it.  From the first
+    ratio max that is not below the one before, every later step
+    takes w = mv + v instead: a power step on the primitive m + I, whose
+    nonnegative sums keep each entry of v to a few epsilons, relative.
+    In exact arithmetic it never widens the bracket, and for irreducible m
+    it closes it at the rate of m + I's second eigenvalue.
+
     SymbolicError is raised on a zero entry of mv, which is a zero row and
     makes m reducible; on an entry of w that is not positive, which is
-    float64 underflow; and on a bracket still open when a step moves no
-    entry of v by more than the slack, or after ``_NODA_STEPS`` solves.
+    float64 underflow; and on a bracket still open after ``_NODA_STEPS``
+    steps.
     rho is the median ratio (the upper one for even k); on the chord SFTs
     it prints ln rho right to 12 digits more often than the midpoint or the
     mean of the ratios.  When it lies within the slack of an integer
@@ -299,7 +309,7 @@ def _perron_bracket(m: np.ndarray) -> tuple[float, float, float]:
     slack = (k + 1) * sys.float_info.epsilon
     eye = np.eye(k)
     v = np.ones(k)
-    moved = math.inf
+    top, stalled = math.inf, False
     for step in range(_NODA_STEPS + 1):
         mv = m @ v
         if not mv.all():
@@ -309,17 +319,18 @@ def _perron_bracket(m: np.ndarray) -> tuple[float, float, float]:
         lo, hi = r_lo * (1.0 - slack), r_hi * (1.0 + slack)
         if r_hi - r_lo <= slack * r_hi:
             break
-        if moved <= slack or step == _NODA_STEPS:
+        if step == _NODA_STEPS:
             raise SymbolicError(
                 f"Collatz-Wielandt bracket [{lo!r}, {hi!r}] did not close after {step} Noda steps"
             )
-        w = np.linalg.solve(hi * eye - m, v)
+        stalled = stalled or r_hi >= top
+        top = r_hi
+        w = mv + v if stalled else np.linalg.solve(hi * eye - m, v)
         w /= w.max()
         if not w.min() > 0.0:
             raise SymbolicError(
                 f"Perron vector entry {int(np.argmin(w))} underflows float64 after {step + 1} Noda steps"
             )
-        moved = float(np.abs(w / v - 1.0).max())
         v = w
     root = float(np.sort(ratios)[k // 2])
     nearest = round(root)

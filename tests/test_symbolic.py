@@ -621,6 +621,13 @@ class TestPerronKernel:
         # irreducible: the bracket closes though the Perron vector spans 16^-15
         _assert_bracket_holds(clique_with_path(16, 15))
 
+    def test_bracket_closes_where_the_solve_stalls(self):
+        # the LU solve stops moving v with the ratios 1.6 slacks apart;
+        # power steps on m + I close the bracket
+        cols = ({1, 2}, {2}, {3}, {4}, {5}, {6}, {8}, {0, 2, 11}, {10}, {12}, {9}, {7, 11}, {11})
+        rows = [[int(j in c) for j in range(len(cols))] for c in cols]
+        assert abs(_assert_bracket_holds(rows) - 1.6290014357245456) < 1e-14
+
     def test_perron_vector_underflow_is_named(self):
         # irreducible, but the Perron vector falls by 2^-60 per path symbol
         rows = clique_with_path(1, 20)

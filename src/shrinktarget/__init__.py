@@ -2,7 +2,8 @@
 
 Library layout:
 
-* :mod:`shrinktarget.rates` - shrinking rates phi, time sets S, targets Z and
+* :mod:`shrinktarget.rates` - shrinking rates phi, time sets S (one
+  ``TimeSet`` type: a finite head, then an arithmetic tail), targets Z and
   the decay exponents (tau_upper, tau_lower);
 * :mod:`shrinktarget.systems` - integer-matrix torus maps, spectra and
   hyperbolicity profiles;
@@ -24,11 +25,8 @@ script needs to reproduce a CLI row by hand.
 __version__ = "0.1.0"
 
 from .rates import (  # noqa: F401
-    AllTimes,
-    Arithmetic,
     ConstantPoint,
     EventuallyPeriodic,
-    Explicit,
     Exponential,
     PiecewiseExponential,
     PowerLaw,
@@ -37,6 +35,7 @@ from .rates import (  # noqa: F401
     ShiftTarget,
     SymbolSequence,
     Tabulated,
+    TimeSet,
     family_tau,
     tau_exponents,
 )

@@ -240,7 +240,8 @@ def bounds_hyperbolic_set(
     The profile supplies both the hyperbolicity exponents (lambda1, lambda2)
     and the one-step log Lipschitz constants (ln_l1, ln_l2).  The lower side
     needs tau < lambda1; ``tau_lower_substitution`` replaces tau_upper by
-    tau_lower and is valid for mixing systems whose time sets are all of N.
+    tau_lower and is valid for mixing systems whose time sets are all of N,
+    or all of N but finitely many times, which gives the same limsup set.
     When the Lipschitz constants coincide with the exponents the sandwich
     collapses and the report is exact: on the sharp profile of an
     automorphism with moduli |lambda_s| < 1 < |lambda_u|,
@@ -348,7 +349,8 @@ def bounds_one_sided_shift(
 
     The theorem reads only whether the shift is mixing (period 1) and its
     entropy, so SFTs and sofic shifts share it.  Exact (factor
-    1/(1+tau_lower)) for a mixing shift with time sets all of N.
+    1/(1+tau_lower)) for a mixing shift with time sets all of N; a time set
+    that misses finitely many times has the same limsup set, so it counts.
     """
     t_low, t_up = tau.tau_lower, tau.tau_upper
     up = h_top / (1.0 + t_low)
@@ -374,7 +376,8 @@ def bounds_two_sided_shift(
     Like the one-sided theorem it reads only mixing and the entropy.
     Dispatch on tau_lower against 1 (the log Lipschitz constant of the shift):
     at the boundary the entropy vanishes and dim <= h_top; above it everything
-    vanishes.  Exact in the mixing, S = N case.
+    vanishes.  Exact in the mixing, S = N case, which takes in every S
+    that misses finitely many times.
     """
     t_low, t_up = tau.tau_lower, tau.tau_upper
     assumptions = _shift_assumptions(mixing, time_sets_all_naturals, index_ok)

@@ -60,7 +60,7 @@ from .oracle import (
     plan_witness,
     verify_witness,
 )
-from .rates import AllTimes, RateExponents, family_tau, tau_exponents
+from .rates import RateExponents, family_tau, tau_exponents
 from .symbolic import (
     NotMixingError,
     PeriodDecomposition,
@@ -125,7 +125,8 @@ def family_exponents(config: ExperimentConfig) -> RateExponents:
 
 
 def _all_naturals(config: ExperimentConfig) -> bool:
-    return all(isinstance(t.time_set, AllTimes) for t in config.rates)
+    # a time set that misses finitely many n has the limsup set of S = N
+    return all(t.time_set.cofinite for t in config.rates)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +205,9 @@ def evaluate(
     ``tau`` holds floats, or float64 arrays over a run of a sweep grid
     (``sweep_rows``); the report sides are then arrays over the run too.
     ``task`` is "bounds", "exact" or "sweep"; ``naturals`` says every time
-    set is all of N; ``index_ok`` says whether the index difference sets of
-    a non-mixing shift intersect (None: not applicable).
+    set is all of N, or misses only finitely many n, which gives the same
+    limsup set (``TimeSet.cofinite``); ``index_ok`` says whether the index
+    difference sets of a non-mixing shift intersect (None: not applicable).
     Shifts and profiles get the same rows for every task.  A matrix has one
     theorem path: ``bounds_expanding`` if it is expanding, else
     ``bounds_hyperbolic_set``.  "bounds" runs it on the crude profile and,
@@ -506,7 +508,7 @@ def _run_witness(config: ExperimentConfig, facts: SystemFacts) -> dict:
                 ],
                 "all_verified": cert.all_verified,
                 "independently_confirmed": verify_witness(
-                    cert, triple.phi, triple.target, triple.time_set
+                    cert, shift, triple.phi, triple.target, triple.time_set
                 ),
             }
         )

@@ -11,15 +11,12 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Union
 
 from .rates import (
-    AllTimes,
-    Arithmetic,
     EventuallyPeriodic,
-    Explicit,
     Exponential,
     ConstantPoint,
     PiecewiseExponential,
@@ -174,10 +171,10 @@ def _parse_phi(obj: Any, path: str) -> RateFunction | RateExponents:
     raise ConfigError(f"{path}.kind", f"unknown rate kind {kind!r}")
 
 
-def _parse_arithmetic(obj: Any, path: str) -> Arithmetic:
+def _parse_arithmetic(obj: Any, path: str) -> TimeSet:
     d = _as_dict(obj, path)
     try:
-        return Arithmetic(
+        return TimeSet(
             _as_int(_require(d, "offset", path), f"{path}.offset"),
             _as_int(_require(d, "step", path), f"{path}.step"),
         )
@@ -190,13 +187,15 @@ def _parse_time_set(obj: Any, path: str) -> TimeSet:
     kind = _require(d, "kind", path)
     try:
         if kind == "all":
-            return AllTimes()
+            return TimeSet()
         if kind == "arithmetic":
             return _parse_arithmetic(d, path)
         if kind == "explicit":
             times = _list_of(_require(d, "times", path), f"{path}.times", _as_int)
-            # a bounded S has an empty hit set, so no theorem applies to it
-            return Explicit(tuple(times), _parse_arithmetic(_require(d, "tail", path), f"{path}.tail"))
+            # a bounded S has an empty hit set, so no theorem applies to it;
+            # the tail is checked at its own path before the head
+            tail = _parse_arithmetic(_require(d, "tail", path), f"{path}.tail")
+            return replace(tail, times=tuple(times))
     except RateError as exc:
         raise ConfigError(path, str(exc)) from exc
     raise ConfigError(f"{path}.kind", f"unknown time set kind {kind!r}")
@@ -341,13 +340,14 @@ def check_task(config: ExperimentConfig, task: str) -> None:
     if config.system.sided != "one":
         raise ConfigError("$.tasks", "oracle/witness tasks need a one-sided SFT")
     # a witness is planned from phi itself; the oracle's cylinder schemes count
-    # a hit at every time n, at radius e^(-tau n), of one target stream
+    # a hit at every time n, at radius e^(-tau n), of one target stream, which
+    # gives the limsup set of any S that misses finitely many times
     for i, triple in enumerate(config.rates):
         path = f"$.rates[{i}]"
         if task == "witness":
             if not isinstance(triple.phi, RateFunction):
                 raise ConfigError(f"{path}.phi", "witness construction needs a rate function")
-        elif not isinstance(triple.time_set, AllTimes):
+        elif not triple.time_set.cofinite:
             raise ConfigError(f"{path}.time_set", "oracle schemes need the full time set")
         elif not isinstance(triple.phi, Exponential):
             raise ConfigError(f"{path}.phi", "oracle schemes need a pure exponential rate")

@@ -49,7 +49,8 @@ times; construction records the agreement at each and verification
 recomputes it, both from numpy mismatch arrays of the prefix against each
 distinct target stream (one per residue class of its cycle), so neither
 has a per-symbol Python loop and verification checks the claimed times
-only, not every time in S.
+only, not every time in S.  Verification also checks, once per witness,
+that the prefix is an admissible word; construction does not.
 """
 
 from __future__ import annotations
@@ -61,15 +62,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .rates import (
-    RateFunction,
-    ShiftTarget,
-    SymbolSequence,
-    TimeSet,
-    constant_shift_target,
-    first_member_at_least,
-    tau_exponents,
-)
+from .rates import RateFunction, ShiftTarget, SymbolSequence, TimeSet, tau_exponents
 from .symbolic import ShiftOfFiniteType, log_count_words_many, word_counts
 
 if TYPE_CHECKING:
@@ -392,14 +385,10 @@ class WitnessCertificate:
     all_verified: bool
 
 
-def _as_shift_target(z: ShiftTarget | SymbolSequence) -> ShiftTarget:
-    return constant_shift_target(z) if isinstance(z, SymbolSequence) else z
-
-
 def plan_witness(
     shift: ShiftOfFiniteType,
     phi: RateFunction,
-    z: ShiftTarget | SymbolSequence,
+    z: ShiftTarget,
     s: TimeSet,
     k: int,
     eta: float,
@@ -422,7 +411,6 @@ def plan_witness(
         raise PlanError("eta must be positive")
     if k < 0:
         raise PlanError("block count must be nonnegative")
-    target = _as_shift_target(z)
     tau_bar = tau_exponents(phi, s).tau_upper
     if math.isinf(tau_bar):
         raise PlanError("rate decays super-exponentially along S; no finite plan")
@@ -436,17 +424,12 @@ def plan_witness(
 
     blocks: list[WitnessBlock] = []
     prev_end = 0
-    last_hit = 0
     for i in range(k):
-        floor_start = max(
-            prev_end + 2 * gap + 1,
-            math.floor(1.0 / eta) + 1,
-            last_hit + 1,
-        )
+        # past the previous hit too: prev_end is that hit plus its pinned length
+        candidate = max(prev_end + 2 * gap + 1, math.floor(1.0 / eta) + 1)
         hit = None
-        candidate = floor_start
         for _ in range(10_000):
-            candidate = first_member_at_least(s, candidate)
+            candidate = s.first_at_least(candidate)
             if candidate >= _MAX_PREFIX_LEN:  # a block there ends past the prefix limit
                 raise PlanError(
                     f"block {i + 1} pushes the witness prefix past {_MAX_PREFIX_LEN} symbols"
@@ -470,10 +453,9 @@ def plan_witness(
                 required_exponent=required_exponent(phi, hit),
             )
         )
-        if not shift.sequence_admissible(target.target(hit)):
+        if not shift.sequence_admissible(z.target(hit)):
             raise PlanError(f"target at time {hit} is not admissible in the shift")
         prev_end = hit + pinned
-        last_hit = hit
         if prev_end > _MAX_PREFIX_LEN:
             raise PlanError(
                 f"block {i + 1} pushes the witness prefix past {_MAX_PREFIX_LEN} symbols"
@@ -534,7 +516,7 @@ def _fill_stretch(
 def construct_witness(
     plan: WitnessPlan,
     shift: ShiftOfFiniteType,
-    z: ShiftTarget | SymbolSequence,
+    z: ShiftTarget,
 ) -> WitnessCertificate:
     """Realize a plan as an explicit admissible prefix and record every hit.
 
@@ -545,8 +527,7 @@ def construct_witness(
     Each hit records the first-disagreement index the finished prefix
     achieves there (``_agreement_lengths``) beside the one the plan requires.
     """
-    target = _as_shift_target(z)
-    targets = [target.target(b.hit_time) for b in plan.blocks]
+    targets = [z.target(b.hit_time) for b in plan.blocks]
     # one reach list per first target symbol; the last hit time bounds every stretch
     reach = {
         z0: _reach_sets(shift, z0, plan.blocks[-1].hit_time)
@@ -562,11 +543,9 @@ def construct_witness(
         prev = symbols[-1]
 
     prefix = tuple(symbols)
-    assert shift.word_admissible(prefix), "constructed prefix is inadmissible"
-
     # first disagreement index = agreement length + 1; at the end of the
     # prefix that is the first index beyond the observable window
-    agreement = _agreement_lengths(prefix, target, [b.hit_time for b in plan.blocks])
+    agreement = _agreement_lengths(prefix, z, [b.hit_time for b in plan.blocks])
     hit_records = tuple(
         WitnessHit(
             time=b.hit_time,
@@ -642,19 +621,24 @@ def _stream_agreement(prefix: np.ndarray, z: SymbolSequence, starts: np.ndarray)
 
 def verify_witness(
     cert: WitnessCertificate,
+    shift: ShiftOfFiniteType,
     phi: RateFunction,
-    z: ShiftTarget | SymbolSequence,
+    z: ShiftTarget,
     s: TimeSet,
 ) -> list[int]:
     """The hit times of ``cert`` that an exact check proves, in its order.
 
-    A claimed time n is confirmed when n lies in S and inside the prefix,
-    the prefix covers the whole agreement window the rate requires there
+    Nothing is confirmed unless the prefix is an admissible word of
+    ``shift``: only then does it extend to a point of the shift.  A claimed
+    time n is then confirmed when n lies in S and inside the prefix, the
+    prefix covers the whole agreement window the rate requires there
     (n + r(n) - 1 <= L, with r(n) = ``required_exponent(phi, n)`` computed
     afresh, not read from the plan), and the prefix agrees with z_n on that
     window.  The agreement is recomputed from the prefix and the target; the
     exponents the certificate records are not read.
     """
+    if not shift.word_admissible(cert.prefix):
+        return []
     size = len(cert.prefix)
     claims = []
     for hit in cert.hits:
@@ -663,5 +647,5 @@ def verify_witness(
             need = required_exponent(phi, n) - 1
             if n + need <= size:  # else the window is truncated; cannot certify
                 claims.append((n, need))
-    agreement = _agreement_lengths(cert.prefix, _as_shift_target(z), [n for n, _ in claims])
+    agreement = _agreement_lengths(cert.prefix, z, [n for n, _ in claims])
     return [n for (n, need), a in zip(claims, agreement) if a >= need]

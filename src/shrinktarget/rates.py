@@ -13,10 +13,17 @@ callables, and :func:`tau_exponents` reads both from S's arithmetic tail.
 ``tau = +inf`` is representable directly on :class:`RateExponents`
 (super-exponential decay); the parametric rate variants themselves carry
 finite parameters only.
+
+A time set (:class:`TimeSet`) is a finite head followed by an arithmetic
+progression.  Only the tail decides which points hit infinitely often, so a
+set whose tail has step 1 (all of N but finitely many times) gives the
+limsup set of S = N: the S = N theorems read ``TimeSet.cofinite``, not how
+a config spells the set.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
@@ -194,86 +201,50 @@ class Tabulated(RateFunction):
 
 
 @dataclass(frozen=True)
-class AllTimes:
-    """S = {0, 1, 2, ...}."""
+class TimeSet:
+    """S = times, then offset, offset + step, offset + 2*step, ...
 
-    def contains(self, n: int) -> bool:
-        return n >= 0
+    A finite sorted head below an arithmetic tail: the config's "all" is
+    ``TimeSet()``, "arithmetic" has no head, and "explicit" takes its tail
+    from the ``tail`` rule.  S is ``cofinite`` when step == 1: then only
+    finitely many naturals miss S, a point hits its targets at infinitely
+    many n in S exactly when it does at infinitely many n in N, and the
+    limsup set is the one of S = N, so every S = N theorem applies to it.
+    """
 
-
-@dataclass(frozen=True)
-class Arithmetic:
-    """S = {offset, offset + step, offset + 2*step, ...}."""
-
-    offset: int
-    step: int
+    offset: int = 0
+    step: int = 1
+    times: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.offset < 0:
             raise RateError(f"offset must be >= 0, got {self.offset}")
         if self.step < 1:
             raise RateError(f"step must be >= 1, got {self.step}")
-
-    def contains(self, n: int) -> bool:
-        return n >= self.offset and (n - self.offset) % self.step == 0
-
-
-@dataclass(frozen=True)
-class Explicit:
-    """A sorted strictly-increasing list, optionally continued arithmetically.
-
-    Without a tail rule the set is finite - a degenerate input that most
-    operations reject (see :func:`arithmetic_tail`).
-    """
-
-    times: tuple[int, ...]
-    tail: Arithmetic | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "times", tuple(int(t) for t in self.times))
         if any(t < 0 for t in self.times):
             raise RateError("explicit times must be nonnegative")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise RateError("explicit times must be strictly increasing")
-        if self.tail is not None and self.times and self.tail.offset <= self.times[-1]:
+        if self.times and self.offset <= self.times[-1]:
             raise RateError(
                 "tail rule must start strictly after the last explicit time"
             )
 
+    @property
+    def cofinite(self) -> bool:
+        return self.step == 1
+
     def contains(self, n: int) -> bool:
-        if n in self.times:
-            return True
-        return self.tail is not None and self.tail.contains(n)
+        if n < self.offset:
+            return n in self.times
+        return (n - self.offset) % self.step == 0
 
-
-TimeSet = Union[AllTimes, Arithmetic, Explicit]
-
-
-def arithmetic_tail(s: TimeSet) -> Arithmetic | None:
-    """The progression that S follows from some time on; None when S is bounded."""
-    if isinstance(s, AllTimes):
-        return Arithmetic(0, 1)
-    if isinstance(s, Arithmetic):
-        return s
-    return s.tail
-
-
-def first_member_at_least(s: TimeSet, n: int) -> int:
-    """Smallest element of ``s`` that is >= n; raises on bounded exhaustion."""
-    n = max(n, 0)
-    if isinstance(s, AllTimes):
-        return n
-    if isinstance(s, Arithmetic):
-        if n <= s.offset:
-            return s.offset
-        k = -((s.offset - n) // s.step)
-        return s.offset + k * s.step
-    for t in s.times:
-        if t >= n:
-            return t
-    if s.tail is None:
-        raise RateError(f"bounded time set exhausted looking for element >= {n}")
-    return first_member_at_least(s.tail, n)
+    def first_at_least(self, n: int) -> int:
+        """Smallest element of S that is >= n."""
+        if n <= self.offset:
+            i = bisect.bisect_left(self.times, n)
+            return self.times[i] if i < len(self.times) else self.offset
+        return self.offset - (self.offset - n) // self.step * self.step
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +351,9 @@ def tau_exponents(
     limsup over S.  Without ``s`` both are phi's own exponents.
     """
     own = phi if isinstance(phi, RateExponents) else phi.exponents()
-    if s is None:
-        return own
-    tail = arithmetic_tail(s)
-    if tail is None:
-        raise RateError("no exponent along a bounded time set")
-    if isinstance(phi, PiecewiseExponential):
-        g = math.gcd(phi.period, tail.step)
-        up = max(phi.taus[tail.offset % g :: g])
+    if s is not None and isinstance(phi, PiecewiseExponential):
+        g = math.gcd(phi.period, s.step)
+        up = max(phi.taus[s.offset % g :: g])
         return RateExponents(up, own.tau_lower)
     return own
 

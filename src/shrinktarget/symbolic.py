@@ -33,12 +33,7 @@ from itertools import chain, compress, repeat
 from operator import and_, getitem, index, itemgetter, not_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .rates import (
-    ShiftTarget,
-    SymbolSequence,
-    TimeSet,
-    arithmetic_tail,
-)
+from .rates import ShiftTarget, SymbolSequence, TimeSet
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,10 +57,6 @@ class NotMixingError(SymbolicError):
 
 class ReducibleShiftError(SymbolicError):
     """Raised when the transition graph is not strongly connected."""
-
-
-class UndecidableTargetError(SymbolicError):
-    """Raised when 'infinitely many i' cannot be decided from the input."""
 
 
 @dataclass(frozen=True)
@@ -525,27 +516,20 @@ def index_set(
     set is arithmetic (possibly after an explicit finite prefix): the pair at
     time t depends only on t mod lcm(schedule period, N) once t clears the
     schedule preperiod, so one full cycle of the tail enumerates every pair
-    that recurs.
+    that recurs.  The window holds sched // gcd(step, sched) >= 1 times, so
+    the set is never empty.
     """
-    tail = arithmetic_tail(s)
-    if tail is None:
-        raise UndecidableTargetError(
-            "bounded time set: no pair occurs infinitely often"
-        )
-
     n = d.period
     sched = math.lcm(z.schedule_period, n)
-    window = sched // math.gcd(tail.step, sched)
+    window = sched // math.gcd(s.step, sched)
     start_k = 0
-    if tail.offset < z.schedule_preperiod:
-        start_k = -((tail.offset - z.schedule_preperiod) // tail.step)
+    if s.offset < z.schedule_preperiod:
+        start_k = -((s.offset - z.schedule_preperiod) // s.step)
 
     pairs = set()
     for k in range(start_k, start_k + window):
-        t = tail.offset + k * tail.step
+        t = s.offset + k * s.step
         pairs.add((_target_class(z.target(t), d), t % n))
-    if not pairs:
-        raise UndecidableTargetError("empty pair set on an unbounded time set")
     return IndexSet(period=n, pairs=frozenset(pairs))
 
 

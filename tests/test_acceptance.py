@@ -25,7 +25,7 @@ from shrinktarget.oracle import (
     plan_witness,
     verify_witness,
 )
-from shrinktarget.rates import AllTimes, Exponential, RateExponents, SymbolSequence
+from shrinktarget.rates import Exponential, RateExponents, SymbolSequence, TimeSet, constant_shift_target
 from shrinktarget.symbolic import mixing_gap
 from shrinktarget.systems import (
     HyperbolicityProfile,
@@ -141,13 +141,14 @@ def test_criterion_5_witness_construction():
         started = time.perf_counter()
         g = golden_mean_shift()
         phi = Exponential(0.3)
-        plan = plan_witness(g, phi, ZEROS, AllTimes(), 5, 0.05, mixing_gap(g))
-        cert = construct_witness(plan, g, ZEROS)
+        z = constant_shift_target(ZEROS)
+        plan = plan_witness(g, phi, z, TimeSet(), 5, 0.05, mixing_gap(g))
+        cert = construct_witness(plan, g, z)
         assert cert.all_verified
         assert g.word_admissible(cert.prefix)
         planned = [b.hit_time for b in plan.blocks]
         assert len(planned) == 5
-        assert verify_witness(cert, phi, ZEROS, AllTimes()) == planned
+        assert verify_witness(cert, g, phi, z, TimeSet()) == planned
         assert time.perf_counter() - started < 5.0
 
 

@@ -319,6 +319,32 @@ class TestRun:
         assert sides[0] is not None
         assert all(math.isfinite(float(v)) for v in sides if v is not None)
 
+    # N spelled four ways: only a time set's tail decides which points hit
+    # infinitely often, so a set that misses finitely many times is read as
+    # all of N, whatever kind the config names
+    SPELLINGS_OF_N = [
+        {"kind": "all"},
+        {"kind": "arithmetic", "offset": 0, "step": 1},
+        {"kind": "arithmetic", "offset": 5, "step": 1},
+        {"kind": "explicit", "times": [0, 1, 2], "tail": {"offset": 3, "step": 1}},
+    ]
+
+    @pytest.mark.parametrize(
+        "system,command",
+        [("cat_map", c) for c in ("bounds", "exact", "sweep")] + [("golden_mean", c) for c in ("bounds", "oracle", "witness")],
+    )
+    def test_every_spelling_of_n_gives_the_results_of_all(self, tmp_path, monkeypatch, system, command):
+        monkeypatch.chdir(tmp_path)
+        results = []
+        for time_set in self.SPELLINGS_OF_N:
+            payload = cat_map_config(0.3, tasks=("bounds",)) if system == "cat_map" else golden_oracle_config(0.3, tasks=("bounds",))
+            payload["rates"][0]["time_set"] = time_set
+            payload["sweep"] = {"taus": [0.0, 0.25, 0.5, 1.0, 1.5]}
+            assert main([command, "--config", str(write_config(tmp_path, payload))]) == 0
+            results.append(read_report(tmp_path)["results"])  # the config echo differs
+        assert results[0][0]["status"] == "ok"
+        assert results[1:] == results[:1] * 3
+
     def test_witness_on_a_time_set_far_out(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         tau, time_set = self.FAR_TIME_SETS[0].values

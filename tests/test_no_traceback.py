@@ -1,8 +1,8 @@
 """Every command on a corpus of edge configs ends in an exit code, never a traceback.
 
 Each config of the corpus pairs one system with one rate triple: every rate
-kind at S = N, then every time-set kind, oversized offsets and steps
-included, at an exponential rate.  Every command runs on every config
+kind at S = N, then every time-set kind, the other spellings of N and
+oversized offsets and steps included, at an exponential rate.  Every command runs on every config
 through ``cli.main``: exit 0 or 1 with a report of that command's one
 result, or exit 2 for a config that fails validation.
 """
@@ -51,6 +51,10 @@ PHIS = [
     {"kind": "exponential", "tau": BIG},
 ]
 TIME_SETS = [
+    # N spelled three more ways beside "all": each misses finitely many times
+    {"kind": "arithmetic", "offset": 0, "step": 1},
+    {"kind": "arithmetic", "offset": 5, "step": 1},
+    {"kind": "explicit", "times": [0, 1, 2], "tail": {"offset": 3, "step": 1}},
     {"kind": "arithmetic", "offset": 1, "step": 3},
     {"kind": "explicit", "times": [2, 5], "tail": {"kind": "arithmetic", "offset": 10, "step": 2}},
     {"kind": "arithmetic", "offset": BIG, "step": 1},

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -27,13 +28,11 @@ from shrinktarget.oracle import (
     verify_witness,
 )
 from shrinktarget.rates import (
-    AllTimes,
-    Arithmetic,
     Exponential,
-    Explicit,
     PiecewiseExponential,
     ShiftTarget,
     SymbolSequence,
+    TimeSet,
     constant_shift_target,
 )
 from shrinktarget.symbolic import (
@@ -46,6 +45,7 @@ from shift_strategies import entropy, full_shift, golden_mean_shift, irreducible
 LN2 = math.log(2.0)
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
 ZEROS = SymbolSequence(head=(), cycle=(0,))
+ZERO_TARGET = constant_shift_target(ZEROS)  # the witness functions take a schedule
 
 
 def grid(lo, hi, step=0.01):
@@ -84,13 +84,12 @@ def admissible_sequence(data, shift):
 
 def naive_verify(prefix, phi, z, s):
     """The symbol-by-symbol hit check of every time in S, on a raw prefix."""
-    target = constant_shift_target(z) if isinstance(z, SymbolSequence) else z
     verified = []
     for n in filter(s.contains, range(len(prefix))):
         r = required_exponent(phi, n)
         if n + r - 1 > len(prefix):
             continue
-        tgt = target.target(n)
+        tgt = z.target(n)
         if all(prefix[n + i] == tgt.symbol(i) for i in range(r - 1)):
             verified.append(n)
     return verified
@@ -140,8 +139,8 @@ def claim_every_time(prefix):
 
 def time_sets():
     return st.one_of(
-        st.just(AllTimes()),
-        st.builds(Arithmetic, st.integers(0, 6), st.integers(1, 4)),
+        st.just(TimeSet()),
+        st.builds(TimeSet, st.integers(0, 6), st.integers(1, 4)),
     )
 
 
@@ -213,7 +212,7 @@ class TestCoveringSum:
         with pytest.raises(OracleError, match="one-sided"):
             LimsupCylinderScheme(two, 0.5, ZEROS)
         with pytest.raises(OracleError, match="one-sided"):
-            plan_witness(two, Exponential(0.5), ZEROS, AllTimes(), 3, 0.05, mixing_gap(two))
+            plan_witness(two, Exponential(0.5), ZERO_TARGET, TimeSet(), 3, 0.05, mixing_gap(two))
         with pytest.raises(OracleError, match="one-sided"):
             moran_dimension(two, [moran_layout(0.5, 4, mixing_gap(two))])
 
@@ -404,7 +403,7 @@ class TestMoran:
 class TestWitness:
     def test_full_shift_plan_shape(self):
         phi = Exponential(0.3)
-        plan = plan_witness(full_shift(2), phi, ZEROS, AllTimes(), 5, 0.05, mixing_gap(full_shift(2)))
+        plan = plan_witness(full_shift(2), phi, ZERO_TARGET, TimeSet(), 5, 0.05, mixing_gap(full_shift(2)))
         hits = [b.hit_time for b in plan.blocks]
         assert len(hits) == 5
         assert all(b > a for a, b in zip(hits, hits[1:]))
@@ -414,22 +413,22 @@ class TestWitness:
 
     def test_full_shift_construct_and_verify(self):
         phi = Exponential(0.3)
-        plan = plan_witness(full_shift(2), phi, ZEROS, AllTimes(), 5, 0.05, mixing_gap(full_shift(2)))
-        cert = construct_witness(plan, full_shift(2), ZEROS)
+        plan = plan_witness(full_shift(2), phi, ZERO_TARGET, TimeSet(), 5, 0.05, mixing_gap(full_shift(2)))
+        cert = construct_witness(plan, full_shift(2), ZERO_TARGET)
         assert cert.all_verified
         for hit in cert.hits:
             assert hit.achieved_exponent >= hit.required_exponent
         planned = [b.hit_time for b in plan.blocks]
-        assert verify_witness(cert, phi, ZEROS, AllTimes()) == planned
-        every = verify_witness(claim_every_time(cert.prefix), phi, ZEROS, AllTimes())
-        assert every == naive_verify(cert.prefix, phi, ZEROS, AllTimes())
+        assert verify_witness(cert, full_shift(2), phi, ZERO_TARGET, TimeSet()) == planned
+        every = verify_witness(claim_every_time(cert.prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
+        assert every == naive_verify(cert.prefix, phi, ZERO_TARGET, TimeSet())
         assert set(planned) <= set(every)
 
     def test_golden_mean_avoids_forbidden_word(self):
         phi = Exponential(0.3)
         g = golden_mean_shift()
-        plan = plan_witness(g, phi, ZEROS, AllTimes(), 5, 0.05, mixing_gap(g))
-        cert = construct_witness(plan, g, ZEROS)
+        plan = plan_witness(g, phi, ZERO_TARGET, TimeSet(), 5, 0.05, mixing_gap(g))
+        cert = construct_witness(plan, g, ZERO_TARGET)
         assert cert.all_verified
         assert g.word_admissible(cert.prefix)
         assert all(
@@ -440,10 +439,10 @@ class TestWitness:
         # target 001001... differs from the all-zero filler, so the achieved
         # exponents are bounded by the pinned length rather than running to
         # the end of the prefix
-        z = SymbolSequence(head=(), cycle=(0, 0, 1))
+        z = constant_shift_target(SymbolSequence(head=(), cycle=(0, 0, 1)))
         phi = Exponential(0.3)
         g = golden_mean_shift()
-        plan = plan_witness(g, phi, z, AllTimes(), 4, 0.05, mixing_gap(g))
+        plan = plan_witness(g, phi, z, TimeSet(), 4, 0.05, mixing_gap(g))
         cert = construct_witness(plan, g, z)
         assert cert.all_verified
         assert g.word_admissible(cert.prefix)
@@ -452,20 +451,35 @@ class TestWitness:
             # the copied prefix guarantees at least pinned_len agreement
             assert hit.achieved_exponent >= block.pinned_len + 1
         planned = [b.hit_time for b in plan.blocks]
-        assert verify_witness(cert, phi, z, AllTimes()) == planned
-        every = verify_witness(claim_every_time(cert.prefix), phi, z, AllTimes())
-        assert every == naive_verify(cert.prefix, phi, z, AllTimes())
+        assert verify_witness(cert, g, phi, z, TimeSet()) == planned
+        every = verify_witness(claim_every_time(cert.prefix), g, phi, z, TimeSet())
+        assert every == naive_verify(cert.prefix, phi, z, TimeSet())
         assert set(planned) <= set(every)
 
+    def test_inadmissible_prefix_confirms_nothing(self):
+        # 11 is the golden mean's forbidden word: a prefix that opens with it
+        # is no point of the shift, however well it matches the targets
+        z = constant_shift_target(SymbolSequence(head=(), cycle=(0, 0, 1)))
+        phi = Exponential(0.3)
+        g = golden_mean_shift()
+        plan = plan_witness(g, phi, z, TimeSet(), 4, 0.05, 2)
+        cert = construct_witness(plan, g, z)
+        planned = [b.hit_time for b in plan.blocks]
+        assert planned == [21, 34, 51, 74]
+        assert verify_witness(cert, g, phi, z, TimeSet()) == planned
+        tampered = replace(cert, prefix=(1, 1) + cert.prefix[2:])
+        assert verify_witness(tampered, g, phi, z, TimeSet()) == []
+        assert verify_witness(tampered, full_shift(2), phi, z, TimeSet()) == planned
+
     def test_empty_plan(self):
-        plan = plan_witness(full_shift(2), Exponential(0.3), ZEROS, AllTimes(), 0, 0.05, mixing_gap(full_shift(2)))
+        plan = plan_witness(full_shift(2), Exponential(0.3), ZERO_TARGET, TimeSet(), 0, 0.05, mixing_gap(full_shift(2)))
         assert plan.blocks == ()
-        cert = construct_witness(plan, full_shift(2), ZEROS)
+        cert = construct_witness(plan, full_shift(2), ZERO_TARGET)
         assert cert.prefix == () and cert.all_verified
 
     def test_explicit_powers_of_two(self):
-        powers = Explicit(tuple(2**i for i in range(3, 12)), tail=Arithmetic(2**12, 2**12))
-        plan = plan_witness(full_shift(2), Exponential(0.3), ZEROS, powers, 3, 0.05, mixing_gap(full_shift(2)))
+        powers = TimeSet(2**12, 2**12, tuple(2**i for i in range(3, 12)))
+        plan = plan_witness(full_shift(2), Exponential(0.3), ZERO_TARGET, powers, 3, 0.05, mixing_gap(full_shift(2)))
         for b in plan.blocks:
             assert powers.contains(b.hit_time)
 
@@ -478,42 +492,42 @@ class TestWitness:
 
         monkeypatch.setattr(oracle, "_reach_sets", counted)
         g = golden_mean_shift()
-        plan = plan_witness(g, Exponential(0.5), ZEROS, AllTimes(), 14, 0.05, mixing_gap(g))
-        construct_witness(plan, g, ZEROS)
+        plan = plan_witness(g, Exponential(0.5), ZERO_TARGET, TimeSet(), 14, 0.05, mixing_gap(g))
+        construct_witness(plan, g, ZERO_TARGET)
         assert calls == [0]
         calls.clear()
         schedule = ShiftTarget((), (ZEROS, SymbolSequence((), (1, 0)), ZEROS))
-        plan = plan_witness(full_shift(2), Exponential(0.3), schedule, AllTimes(), 9, 0.05, 1)
+        plan = plan_witness(full_shift(2), Exponential(0.3), schedule, TimeSet(), 9, 0.05, 1)
         construct_witness(plan, full_shift(2), schedule)
         assert sorted(calls) == [0, 1]
 
     def test_deterministic(self):
         phi = Exponential(0.3)
         g = golden_mean_shift()
-        plan = plan_witness(g, phi, ZEROS, AllTimes(), 4, 0.05, mixing_gap(g))
-        c1 = construct_witness(plan, g, ZEROS)
-        c2 = construct_witness(plan, g, ZEROS)
+        plan = plan_witness(g, phi, ZERO_TARGET, TimeSet(), 4, 0.05, mixing_gap(g))
+        c1 = construct_witness(plan, g, ZERO_TARGET)
+        c2 = construct_witness(plan, g, ZERO_TARGET)
         assert c1.prefix == c2.prefix
 
     def test_vacuous_rate(self):
         # phi == 1: every time verifies (distance <= e^-1 < 1)
         phi = Exponential(0.0)
         prefix = tuple([0, 1] * 20)
-        confirmed = verify_witness(claim_every_time(prefix), phi, ZEROS, AllTimes())
+        confirmed = verify_witness(claim_every_time(prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
         assert confirmed == list(range(len(prefix)))
 
     def test_alternating_point_misses_fast_rate(self):
         phi = Exponential(2.0)
         prefix = tuple([0, 1] * 30)
-        confirmed = verify_witness(claim_every_time(prefix), phi, ZEROS, AllTimes())
-        assert confirmed == naive_verify(prefix, phi, ZEROS, AllTimes())
+        confirmed = verify_witness(claim_every_time(prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
+        assert confirmed == naive_verify(prefix, phi, ZERO_TARGET, TimeSet())
         assert all(n < 1 for n in confirmed)  # only the vacuous-free n=0 can hit
 
     def test_all_zero_point_hits_everywhere(self):
         phi = Exponential(1.0)
         prefix = tuple([0] * 40)
-        confirmed = verify_witness(claim_every_time(prefix), phi, ZEROS, AllTimes())
-        assert confirmed == naive_verify(prefix, phi, ZEROS, AllTimes())
+        confirmed = verify_witness(claim_every_time(prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
+        assert confirmed == naive_verify(prefix, phi, ZERO_TARGET, TimeSet())
         # certified hits limited only by the finite observation window
         for n in confirmed:
             assert n + required_exponent(phi, n) - 1 <= len(prefix)
@@ -535,26 +549,26 @@ class TestWitness:
         )
         cert = WitnessCertificate(prefix, claims, True)
         half = Exponential(0.5)
-        assert verify_witness(cert, half, ZEROS, AllTimes()) == [4, 5, 2, 0]
-        assert verify_witness(cert, half, ZEROS, Arithmetic(0, 2)) == [4, 2, 0]
-        assert verify_witness(cert, half, ZEROS, Explicit((5,), tail=Arithmetic(100, 1))) == [5]
+        assert verify_witness(cert, full_shift(2), half, ZERO_TARGET, TimeSet()) == [4, 5, 2, 0]
+        assert verify_witness(cert, full_shift(2), half, ZERO_TARGET, TimeSet(0, 2)) == [4, 2, 0]
+        assert verify_witness(cert, full_shift(2), half, ZERO_TARGET, TimeSet(100, 1, (5,))) == [5]
         # at tau = 1 the window at 2 is 2..3, which holds the 1
-        assert verify_witness(cert, Exponential(1.0), ZEROS, AllTimes()) == [4, 5, 0]
+        assert verify_witness(cert, full_shift(2), Exponential(1.0), ZERO_TARGET, TimeSet()) == [4, 5, 0]
 
     def test_time_whose_rate_underflows_is_skipped(self):
         # -ln phi(25) = 25e308 overflows: no agreement certifies time 25, so
         # the plan moves on to 26 and verification never confirms 25
         phi = PiecewiseExponential(2, (0.1, 1e308))
-        s = Explicit((25,), tail=Arithmetic(26, 2))
+        s = TimeSet(26, 2, (25,))
         assert required_exponent(phi, 25) == math.inf
-        plan = plan_witness(golden_mean_shift(), phi, ZEROS, s, 2, 0.05, mixing_gap(golden_mean_shift()))
+        plan = plan_witness(golden_mean_shift(), phi, ZERO_TARGET, s, 2, 0.05, mixing_gap(golden_mean_shift()))
         assert [b.hit_time for b in plan.blocks] == [26, 36]
         cert = WitnessCertificate((0,) * 200, (WitnessHit(25, 200, 0), WitnessHit(26, 200, 0)), True)
-        assert verify_witness(cert, phi, ZEROS, s) == [26]
+        assert verify_witness(cert, golden_mean_shift(), phi, ZERO_TARGET, s) == [26]
 
     def test_eta_must_be_positive(self):
         with pytest.raises(PlanError):
-            plan_witness(full_shift(2), Exponential(0.3), ZEROS, AllTimes(), 2, 0.0, mixing_gap(full_shift(2)))
+            plan_witness(full_shift(2), Exponential(0.3), ZERO_TARGET, TimeSet(), 2, 0.0, mixing_gap(full_shift(2)))
 
 
 def _symbol_streams(k):
@@ -583,8 +597,8 @@ class TestWitnessAgainstNaiveLoops:
             )
             pool = list(z.preperiod + z.cycle)
         else:
-            z = data.draw(streams)
-            pool = [z]
+            z = constant_shift_target(data.draw(streams))
+            pool = list(z.cycle)
         # pieces of random symbols and of target prefixes, so that long
         # agreements occur; the prefix may also be too short for any window
         pieces = data.draw(
@@ -600,7 +614,7 @@ class TestWitnessAgainstNaiveLoops:
         )
         prefix = tuple(c for piece in pieces for c in piece)
         phi = Exponential(tau)
-        assert verify_witness(claim_every_time(prefix), phi, z, s) == naive_verify(prefix, phi, z, s)
+        assert verify_witness(claim_every_time(prefix), full_shift(k), phi, z, s) == naive_verify(prefix, phi, z, s)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 3), st.data())
@@ -663,20 +677,20 @@ class TestWitnessAgainstNaiveLoops:
             cycle = tuple(admissible_sequence(data, shift) for _ in range(data.draw(st.integers(1, 3))))
             z = ShiftTarget((admissible_sequence(data, shift),), cycle)
         else:
-            z = admissible_sequence(data, shift)
-        target = constant_shift_target(z) if isinstance(z, SymbolSequence) else z
+            z = constant_shift_target(admissible_sequence(data, shift))
         phi = Exponential(tau)
         plan = plan_witness(shift, phi, z, s, stages, eta, mixing_gap(shift))
         cert = construct_witness(plan, shift, z)
+        assert shift.word_admissible(cert.prefix)
         assert [h.time for h in cert.hits] == [b.hit_time for b in plan.blocks]
         for hit in cert.hits:
-            want = naive_first_disagreement(cert.prefix, hit.time, target.target(hit.time))
+            want = naive_first_disagreement(cert.prefix, hit.time, z.target(hit.time))
             assert hit.achieved_exponent == want
         assert cert.all_verified == all(h.verified for h in cert.hits)
         every = naive_verify(cert.prefix, phi, z, s)
-        assert verify_witness(claim_every_time(cert.prefix), phi, z, s) == every
+        assert verify_witness(claim_every_time(cert.prefix), shift, phi, z, s) == every
         planned = [b.hit_time for b in plan.blocks]
-        assert verify_witness(cert, phi, z, s) == [n for n in every if n in planned]
+        assert verify_witness(cert, shift, phi, z, s) == [n for n in every if n in planned]
 
     @settings(max_examples=60, deadline=None)
     @given(irreducible_shifts(max_k=5, mixing=True), st.floats(0.0, 1.2), st.integers(1, 8), st.data())
@@ -685,7 +699,7 @@ class TestWitnessAgainstNaiveLoops:
         # built for that stretch alone does
         cycle = tuple(admissible_sequence(data, shift) for _ in range(data.draw(st.integers(1, 3))))
         z = ShiftTarget((), cycle)
-        plan = plan_witness(shift, Exponential(tau), z, AllTimes(), stages, 0.1, mixing_gap(shift))
+        plan = plan_witness(shift, Exponential(tau), z, TimeSet(), stages, 0.1, mixing_gap(shift))
         symbols, prev = [], None
         for b in plan.blocks:
             tgt = z.target(b.hit_time)

@@ -5,10 +5,7 @@ from hypothesis import given, strategies as st
 
 from shrinktarget.oracle import required_exponent
 from shrinktarget.rates import (
-    AllTimes,
-    Arithmetic,
     Exponential,
-    Explicit,
     PiecewiseExponential,
     PowerLaw,
     RateError,
@@ -16,9 +13,8 @@ from shrinktarget.rates import (
     RateFunction,
     SymbolSequence,
     Tabulated,
-    arithmetic_tail,
+    TimeSet,
     family_tau,
-    first_member_at_least,
     tau_exponents,
 )
 
@@ -46,12 +42,11 @@ def rates(draw):
 
 @st.composite
 def unbounded_time_sets(draw):
-    tail = Arithmetic(draw(st.integers(0, 40)), draw(st.integers(1, 12)))
+    offset, step = draw(st.integers(0, 40)), draw(st.integers(1, 12))
     if draw(st.booleans()):
-        return tail
+        return TimeSet(offset, step)
     times = draw(st.lists(st.integers(0, 60), unique=True, max_size=5))
-    tail = Arithmetic(max(times, default=-1) + 1 + tail.offset, tail.step)
-    return Explicit(tuple(sorted(times)), tail=tail)
+    return TimeSet(max(times, default=-1) + 1 + offset, step, tuple(sorted(times)))
 
 
 class TestTauExponents:
@@ -112,46 +107,41 @@ class TestRestrictRate:
 
     def test_even_restriction_of_exponential(self):
         # derived: limsup over even n of n*1.0/n = 1.0
-        out = tau_exponents(Exponential(1.0), Arithmetic(0, 2))
+        out = tau_exponents(Exponential(1.0), TimeSet(0, 2))
         assert out == RateExponents(1.0, 1.0)
 
     def test_all_times_is_identity(self):
         for phi in (Exponential(0.3), PowerLaw(1.0), PiecewiseExponential(2, (1.0, 2.0)), RateExponents(0.7, 0.2)):
-            assert tau_exponents(phi, AllTimes()) == tau_exponents(phi)
+            assert tau_exponents(phi, TimeSet()) == tau_exponents(phi)
 
     def test_piecewise_picks_even_branch(self):
-        out = tau_exponents(PiecewiseExponential(2, (1.0, 2.0)), Arithmetic(0, 2))
+        out = tau_exponents(PiecewiseExponential(2, (1.0, 2.0)), TimeSet(0, 2))
         assert out == RateExponents(1.0, 1.0)
-
-    def test_bounded_set_rejected(self):
-        for phi in (Exponential(1.0), RateExponents(1.0, 1.0)):
-            with pytest.raises(RateError, match="bounded"):
-                tau_exponents(phi, Explicit((1, 2, 3)))
 
     def test_explicit_with_tail(self):
         # the explicit times 3 and 5 sit on the residues with taus 2.0 and 3.0,
         # but only the tail 10 + 4k counts, and it stays on residue 2
-        s = Explicit((3, 5), tail=Arithmetic(10, 4))
+        s = TimeSet(10, 4, (3, 5))
         assert tau_exponents(Exponential(2.0), s) == RateExponents(2.0, 2.0)
         phi = PiecewiseExponential(4, (0.5, 3.0, 1.0, 2.0))
         assert tau_exponents(phi, s) == RateExponents(1.0, 0.5)
 
     def test_offset_beyond_step_is_exact(self):
-        s = Arithmetic(7, 2)
+        s = TimeSet(7, 2)
         assert tau_exponents(Exponential(1.0), s) == RateExponents(1.0, 1.0)
         assert tau_exponents(PiecewiseExponential(2, (1.0, 2.0)), s) == RateExponents(2.0, 1.0)
         # gcd(6, 4) = 2: the odd tail 7 + 4k meets residues 1, 3 and 5 mod 6
         phi = PiecewiseExponential(6, (0.0, 0.5, 4.0, 1.5, 6.0, 1.0))
-        assert tau_exponents(phi, Arithmetic(7, 4)) == RateExponents(1.5, 0.0)
+        assert tau_exponents(phi, TimeSet(7, 4)) == RateExponents(1.5, 0.0)
 
     @given(phi=rates(), s=unbounded_time_sets())
     def test_matches_sampled_limsup_along_tail(self, phi, s):
         # one full period lcm(period, step) of the tail, past phi's table
-        tail = arithmetic_tail(s)
+        tail = TimeSet(s.offset, s.step)
         period = phi.period if isinstance(phi, PiecewiseExponential) else 1
         table = len(phi.values) if isinstance(phi, Tabulated) else 0
-        start = first_member_at_least(tail, table + 1)
-        window = range(start, start + math.lcm(period, tail.step), tail.step)
+        start = tail.first_at_least(table + 1)
+        window = range(start, start + math.lcm(period, s.step), s.step)
         sampled = max(-phi.log_phi(n) / n for n in window)
         got = tau_exponents(phi, s)
         own = phi.exponents()
@@ -228,25 +218,46 @@ class TestInvariants:
 
 class TestTimeSets:
     def test_membership(self):
-        s = Arithmetic(1, 3)
+        s = TimeSet(1, 3)
         assert [n for n in range(12) if s.contains(n)] == [1, 4, 7, 10]
+        s = TimeSet(20, 5, (2, 8))
+        assert [n for n in range(31) if s.contains(n)] == [2, 8, 20, 25, 30]
 
     def test_first_member_at_least(self):
-        assert first_member_at_least(Arithmetic(1, 3), 5) == 7
-        assert first_member_at_least(AllTimes(), 9) == 9
-        s = Explicit((2, 8), tail=Arithmetic(20, 5))
-        assert first_member_at_least(s, 3) == 8
-        assert first_member_at_least(s, 9) == 20
-        assert first_member_at_least(s, 21) == 25
+        assert TimeSet(1, 3).first_at_least(5) == 7
+        assert TimeSet().first_at_least(9) == 9
+        s = TimeSet(20, 5, (2, 8))
+        assert s.first_at_least(-4) == 2
+        assert s.first_at_least(3) == 8
+        assert s.first_at_least(9) == 20
+        assert s.first_at_least(21) == 25
 
     def test_explicit_validation(self):
+        with pytest.raises(RateError, match="offset must be >= 0"):
+            TimeSet(-1, 1)
+        with pytest.raises(RateError, match="step must be >= 1"):
+            TimeSet(0, 0)
+        with pytest.raises(RateError, match="nonnegative"):
+            TimeSet(10, 1, (-1, 3))
         with pytest.raises(RateError, match="strictly increasing"):
-            Explicit((3, 3))
+            TimeSet(10, 1, (3, 3))
         with pytest.raises(RateError, match="strictly after"):
-            Explicit((5,), tail=Arithmetic(4, 2))
-        assert arithmetic_tail(Explicit((1, 2))) is None
-        assert arithmetic_tail(Explicit((1, 2), tail=Arithmetic(10, 1))) == Arithmetic(10, 1)
-        assert arithmetic_tail(AllTimes()) == Arithmetic(0, 1)
+            TimeSet(4, 2, (5,))
+
+    def test_cofinite_is_step_one(self):
+        # only the tail decides which times recur: a head or an offset
+        # leaves out finitely many naturals, a step of 2 infinitely many
+        assert TimeSet().cofinite and TimeSet(5, 1).cofinite and TimeSet(3, 1, (0, 1, 2)).cofinite
+        assert not TimeSet(0, 2).cofinite and not TimeSet(3, 2, (0, 1, 2)).cofinite
+
+    @given(s=unbounded_time_sets(), n=st.integers(-5, 120))
+    def test_first_at_least_and_contains_match_a_scan(self, s, n):
+        # offsets stay below 102 and steps below 13, so a member past 120
+        # lies below 300, and the scan from 0 to there decides both
+        members = sorted(set(s.times) | set(range(s.offset, 300, s.step)))
+        assert [m for m in range(300) if s.contains(m)] == members
+        assert s.first_at_least(n) == min(m for m in members if m >= n)
+        assert s.cofinite == (s.offset + 1 in members)
 
 
 class TestSymbolSequence:

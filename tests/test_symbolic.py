@@ -12,10 +12,9 @@ from hypothesis import assume, given, settings, strategies as st
 from shrinktarget import cli, symbolic
 from shrinktarget.cli import system_facts
 from shrinktarget.rates import (
-    AllTimes,
-    Arithmetic,
     ShiftTarget,
     SymbolSequence,
+    TimeSet,
     constant_shift_target,
 )
 from shrinktarget.symbolic import (
@@ -720,21 +719,21 @@ class TestIndexSets:
     def test_class_zero_even_times(self):
         d = digraph_period(FLIP.transition)
         z = constant_shift_target(SymbolSequence(head=(), cycle=(0, 1)))
-        got = index_set(z, Arithmetic(0, 2), d)
+        got = index_set(z, TimeSet(0, 2), d)
         assert got.pairs == frozenset({(0, 0)})
         assert got.diffs == frozenset({0})
 
     def test_class_one_even_times(self):
         d = digraph_period(FLIP.transition)
         z = constant_shift_target(SymbolSequence(head=(), cycle=(1, 0)))
-        got = index_set(z, Arithmetic(0, 2), d)
+        got = index_set(z, TimeSet(0, 2), d)
         assert got.pairs == frozenset({(1, 0)})
         assert got.diffs == frozenset({1})
 
     def test_trivial_period(self):
         d = digraph_period(full_shift(2).transition)
         z = constant_shift_target(SymbolSequence(head=(), cycle=(0,)))
-        got = index_set(z, AllTimes(), d)
+        got = index_set(z, TimeSet(), d)
         assert got.pairs == frozenset({(0, 0)})
         assert got.diffs == frozenset({0})
 
@@ -744,7 +743,7 @@ class TestIndexSets:
             preperiod=(SymbolSequence((), (0, 1)),),
             cycle=(SymbolSequence((), (0, 1)), SymbolSequence((), (1, 0))),
         )
-        for s in (AllTimes(), Arithmetic(0, 2), Arithmetic(3, 4)):
+        for s in (TimeSet(), TimeSet(0, 2), TimeSet(3, 4), TimeSet(10, 3, (1, 2))):
             assert index_set(z, s, d).pairs
 
     def test_counterexample_empty_intersection(self):
@@ -752,7 +751,7 @@ class TestIndexSets:
         d = digraph_period(FLIP.transition)
         z1 = constant_shift_target(SymbolSequence(head=(), cycle=(0, 1)))
         z2 = constant_shift_target(SymbolSequence(head=(), cycle=(1, 0)))
-        s = Arithmetic(0, 2)
+        s = TimeSet(0, 2)
         i1 = index_set(z1, s, d)
         i2 = index_set(z2, s, d)
         assert indices_intersect([i1, i2]) is None

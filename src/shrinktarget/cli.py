@@ -64,6 +64,8 @@ from .rates import RateExponents, family_tau, tau_exponents
 from .symbolic import (
     NotMixingError,
     PeriodDecomposition,
+    ShiftOfFiniteType,
+    SoficPresentation,
     digraph_period,
     index_set,
     indices_intersect,
@@ -138,57 +140,54 @@ def _all_naturals(config: ExperimentConfig) -> bool:
 class SystemFacts:
     """What every command reads of one system; ``run`` analyses it first.
 
-    Matrices: the system, its spectrum and entropy, the crude profile and
-    either the sharp profile or ``sharp_error``, the reason it does not
-    apply (profiles and entropy only for hyperbolic spectra).
-    Shifts: the period decomposition, entropy and sidedness and, for an SFT
-    of period 1, the mixing gap, which the oracle and witness commands use
-    as the specification gap.  ``profile`` systems: the profile.
+    ``system`` is the configured system, whose type is its kind; the rest
+    is what its analysis found.
+    Matrices: the spectrum and entropy, the crude profile and either the
+    sharp profile or ``sharp_error``, the reason it does not apply
+    (profiles and entropy only for hyperbolic spectra).
+    Shifts: the period decomposition, the entropy and, for an SFT of period
+    1, the mixing gap, which the oracle and witness commands use as the
+    specification gap.  A profile is read as it is.
     """
 
-    kind: str
-    matrix: IntegerMatrixSystem | None = None
+    system: SystemSpec
     spectrum: SpectralProfile | None = None
     crude: HyperbolicityProfile | None = None
     sharp: HyperbolicityProfile | None = None
     sharp_error: str | None = None
     decomposition: PeriodDecomposition | None = None
-    period: int | None = None
     h_top: float | None = None
     gap: int | None = None
-    sided: str | None = None
-    profile: HyperbolicityProfile | None = None
 
 
-def system_facts(system: SystemSpec, kind: str) -> SystemFacts:
-    """Analyse ``system`` (of config kind ``kind``) once."""
-    if kind == "matrix":
-        assert isinstance(system, IntegerMatrixSystem)
+def system_facts(system: SystemSpec) -> SystemFacts:
+    """Analyse ``system`` once, as its type says."""
+    if isinstance(system, IntegerMatrixSystem):
         p = analyze_matrix(system)
         if not p.is_hyperbolic:
-            return SystemFacts(kind, matrix=system, spectrum=p)
+            return SystemFacts(system, spectrum=p)
         sharp = sharp_error = None
         try:
             sharp = sharp_profile_from_matrix(system, p)
         except SpectrumError as exc:
             sharp_error = str(exc)
         return SystemFacts(
-            kind, matrix=system, spectrum=p,
+            system, spectrum=p,
             crude=crude_profile_from_matrix(system, p), sharp=sharp,
             sharp_error=sharp_error, h_top=entropy_toral(p),
         )
-    if kind in ("sft", "sofic"):
+    if isinstance(system, (ShiftOfFiniteType, SoficPresentation)):
         # an SFT's transition matrix, or the presentation graph of a sofic
         # shift; the period's search raises unless the graph is strongly
         # connected, so the entropy is ln of its Perron root
-        m = system.transition if kind == "sft" else system.adjacency()
+        sft = isinstance(system, ShiftOfFiniteType)
+        m = system.transition if sft else system.adjacency()
         decomp = digraph_period(m)
         return SystemFacts(
-            kind, decomposition=decomp, period=decomp.period, h_top=math.log(perron_root(m)),
-            gap=mixing_gap(system) if kind == "sft" and decomp.period == 1 else None, sided=system.sided,
+            system, decomposition=decomp, h_top=math.log(perron_root(m)),
+            gap=mixing_gap(system) if sft and decomp.period == 1 else None,
         )
-    assert isinstance(system, HyperbolicityProfile)
-    return SystemFacts(kind, profile=system)
+    return SystemFacts(system)
 
 
 _COMPLEX_PAIR_NOTE = (
@@ -218,19 +217,21 @@ def evaluate(
     exact value.  Without a sharp profile "exact" fails and "sweep" falls
     back to the crude sandwich.
     """
-    if facts.kind in ("sft", "sofic"):
-        if facts.kind == "sofic" and facts.period > 1:
+    system = facts.system
+    if isinstance(system, (ShiftOfFiniteType, SoficPresentation)):
+        period = facts.decomposition.period
+        if isinstance(system, SoficPresentation) and period > 1:
             # no index sets are derived from a presentation: a periodic sofic
             # shift gets neither the S = N substitution nor an index intersection
             naturals = index_ok = False
-        fn = bounds_one_sided_shift if facts.sided == "one" else bounds_two_sided_shift
+        fn = bounds_one_sided_shift if system.sided == "one" else bounds_two_sided_shift
         rep = fn(
-            facts.period == 1, facts.h_top, tau,
+            period == 1, facts.h_top, tau,
             time_sets_all_naturals=naturals, index_ok=index_ok,
         )
-        return ((f"{facts.sided}_sided_shift", rep),)
-    if facts.kind == "profile":
-        return (("general_profile_sandwich", bounds_general_profile(facts.profile, tau)),)
+        return ((f"{system.sided}_sided_shift", rep),)
+    if isinstance(system, HyperbolicityProfile):
+        return (("general_profile_sandwich", bounds_general_profile(system, tau)),)
 
     p = facts.spectrum
     fn = bounds_expanding if p.is_expanding else bounds_hyperbolic_set
@@ -319,12 +320,13 @@ def sweep_rows(facts: SystemFacts, taus) -> list[dict]:
 
 
 def _run_analyze(config: ExperimentConfig, facts: SystemFacts) -> dict:
-    if facts.kind == "matrix":
-        m, p = facts.matrix, facts.spectrum
+    system = facts.system
+    if isinstance(system, IntegerMatrixSystem):
+        p = facts.spectrum
         out: dict[str, Any] = {
             "dim": p.dim,
-            "determinant": m.det,
-            "kind": m.kind,
+            "determinant": system.det,
+            "kind": system.kind,
             "clusters": [
                 {"modulus": fmt(c.modulus), "multiplicity": c.multiplicity, "has_nonreal": c.has_nonreal}
                 for c in p.clusters
@@ -347,25 +349,24 @@ def _run_analyze(config: ExperimentConfig, facts: SystemFacts) -> dict:
                 out["sharp_profile"] = None
                 out.setdefault("notes", []).append(f"no sharp profile: {facts.sharp_error}")
         return out
-    if facts.kind == "sft":
-        shift = config.system
+    if isinstance(system, ShiftOfFiniteType):
         out = {
-            "alphabet_size": shift.alphabet_size,
-            "sided": facts.sided,
+            "alphabet_size": system.alphabet_size,
+            "sided": system.sided,
             "h_top": fmt(facts.h_top),
-            "period": facts.period,
+            "period": facts.decomposition.period,
             "classes": list(facts.decomposition.class_of),
         }
         if facts.gap is not None:
             out["mixing_gap"] = facts.gap
         return out
-    pres = config.system  # a sofic presentation: check_task admits no other kind
+    # a sofic presentation: check_task admits no other kind
     return {
-        "states": pres.states,
-        "labels": list(pres.labels),
-        "sided": facts.sided,
+        "states": system.states,
+        "labels": list(system.labels),
+        "sided": system.sided,
         "h_top": fmt(facts.h_top),
-        "period": facts.period,
+        "period": facts.decomposition.period,
     }
 
 
@@ -381,11 +382,12 @@ def _profile_dict(prof) -> dict:
 
 def _run_bounds(config: ExperimentConfig, facts: SystemFacts) -> dict:
     tau = family_exponents(config)
+    system = facts.system
     extra: dict[str, Any] = {}
-    if facts.kind in ("sft", "sofic"):
-        extra = {"h_top": fmt(facts.h_top), "period": facts.period}
+    if isinstance(system, (ShiftOfFiniteType, SoficPresentation)):
+        extra = {"h_top": fmt(facts.h_top), "period": facts.decomposition.period}
     index_ok = None
-    if facts.kind == "sft" and facts.period > 1:
+    if isinstance(system, ShiftOfFiniteType) and facts.decomposition.period > 1:
         # config validation gives a shift system shift targets
         sets = [index_set(t.target, t.time_set, facts.decomposition) for t in config.rates]
         common = indices_intersect(sets)
@@ -396,12 +398,12 @@ def _run_bounds(config: ExperimentConfig, facts: SystemFacts) -> dict:
         _report_row(rule, rep, **extra)
         for rule, rep in evaluate(facts, tau, "bounds", _all_naturals(config), index_ok)
     ]
-    if facts.kind == "matrix":
+    if isinstance(system, IntegerMatrixSystem):
         for i, triple in enumerate(config.rates):
             rep = covering_bounds(facts.crude, tau_exponents(triple.phi))
             rows.append(_report_row("covering_lower", rep, rate_index=i))
-    elif facts.kind == "profile":
-        rows.append(_report_row("covering_lower", covering_bounds(facts.profile, tau)))
+    elif isinstance(system, HyperbolicityProfile):
+        rows.append(_report_row("covering_lower", covering_bounds(system, tau)))
     return {"tau_upper": fmt(tau.tau_upper), "tau_lower": fmt(tau.tau_lower), "rows": rows}
 
 
@@ -423,15 +425,14 @@ def _run_exact(config: ExperimentConfig, facts: SystemFacts) -> dict:
 def _specification_gap(facts: SystemFacts) -> int:
     """The specification gap of the configured SFT, which must be mixing."""
     if facts.gap is None:
-        raise NotMixingError(facts.period)
+        raise NotMixingError(facts.decomposition.period)
     return facts.gap
 
 
 @dataclass(frozen=True)
 class _ArithmeticGrid(Sequence):
-    """The grid lo + k * step, k = 0..size - 1, each value computed on demand."""
+    """The grid k * step, k = 0..size - 1, each value computed on demand."""
 
-    lo: float
     step: float
     size: int
 
@@ -439,7 +440,7 @@ class _ArithmeticGrid(Sequence):
         return self.size
 
     def __getitem__(self, k: int) -> float:
-        return self.lo + range(self.size)[k] * self.step
+        return range(self.size)[k] * self.step
 
 
 def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
@@ -447,16 +448,14 @@ def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
     shift = config.system
     params = config.oracle_params
     h = facts.h_top
-    lo = params.grid_min if params.grid_min is not None else params.grid_step
-    hi = params.grid_max if params.grid_max is not None else h + 0.1
-    n_pts = (hi - lo) / params.grid_step
+    hi = h + 0.1  # the grid runs from 0, where s* = 0 of a zero-entropy shift lies
+    n_pts = hi / params.grid_step
     if not n_pts < sys.maxsize:  # inf too: a sequence cannot index that many points
         raise OracleError(
-            f"grid_step = {params.grid_step:g} over [{lo:g}, {hi:g}] "
+            f"grid_step = {params.grid_step:g} over [0, {hi:g}] "
             "gives more grid points than a sequence can index"
         )
-    # an inverted grid is empty; max() keeps round() off -inf, where hi - lo overflows
-    grid = _ArithmeticGrid(lo, params.grid_step, max(0, round(max(n_pts, -1.0)) + 1))
+    grid = _ArithmeticGrid(params.grid_step, round(n_pts) + 1)
     windows = {}  # the fit window's log counts per first target symbol, for this call only
     rows, layouts = [], []
     for i, triple in enumerate(config.rates):
@@ -543,7 +542,7 @@ def run(config: ExperimentConfig, task: str, seedless: bool = False):
     """
     started = time.perf_counter()
     try:
-        facts = system_facts(config.system, config.system_kind)
+        facts = system_facts(config.system)
         check_task(config, task)
         result = {"task": task, "status": "ok", **_EXECUTORS[task](config, facts)}
     # every error of the package is a ValueError; anything else is a bug

@@ -125,8 +125,6 @@ class RateTriple:
 class OracleParams:
     depth: int = 40
     grid_step: float = 0.01
-    grid_min: float | None = None
-    grid_max: float | None = None
     stages: int = 12
     eta: float = 0.05
 
@@ -134,7 +132,6 @@ class OracleParams:
 @dataclass(frozen=True)
 class ExperimentConfig:
     system: SystemSpec
-    system_kind: str
     rates: tuple[RateTriple, ...]
     oracle_params: OracleParams = OracleParams()
     sweep_taus: tuple[float, ...] | None = None
@@ -236,16 +233,16 @@ def _parse_target(obj: Any, path: str) -> TargetSequence:
     raise ConfigError(f"{path}.kind", f"unknown target kind {kind!r}")
 
 
-def _parse_system(obj: Any, path: str) -> tuple[SystemSpec, str]:
+def _parse_system(obj: Any, path: str) -> SystemSpec:
     d = _as_dict(obj, path)
     kind = _require(d, "kind", path)
     try:
         if kind == "matrix":
             entries = _as_int_matrix(_require(d, "entries", path), f"{path}.entries")
-            return IntegerMatrixSystem(entries), "matrix"
+            return IntegerMatrixSystem(entries)
         if kind == "sft":
             entries = _as_int_matrix(_require(d, "transition", path), f"{path}.transition")
-            return ShiftOfFiniteType(entries, d.get("sided", "one")), "sft"
+            return ShiftOfFiniteType(entries, d.get("sided", "one"))
         if kind == "sofic":
             edges = []
             for i, e in enumerate(_as_list(_require(d, "edges", path), f"{path}.edges")):
@@ -259,13 +256,10 @@ def _parse_system(obj: Any, path: str) -> tuple[SystemSpec, str]:
                         str(e[2]),
                     )
                 )
-            return (
-                SoficPresentation(
-                    _as_int(_require(d, "states", path), f"{path}.states"),
-                    tuple(edges),
-                    d.get("sided", "one"),
-                ),
-                "sofic",
+            return SoficPresentation(
+                _as_int(_require(d, "states", path), f"{path}.states"),
+                tuple(edges),
+                d.get("sided", "one"),
             )
         if kind == "profile":
             ln_l1 = d.get("ln_l1")
@@ -274,15 +268,12 @@ def _parse_system(obj: Any, path: str) -> tuple[SystemSpec, str]:
                 raise ConfigError(path, "a bi-Lipschitz profile (with ln_l1) needs a finite lambda1")
             if ln_l1 is None and not math.isinf(lambda1):
                 raise ConfigError(path, "a Lipschitz profile (no ln_l1) needs lambda1 = \"inf\"")
-            return (
-                HyperbolicityProfile(
-                    lambda1=lambda1,
-                    lambda2=_as_number(_require(d, "lambda2", path), f"{path}.lambda2"),
-                    ln_l2=_as_number(_require(d, "ln_l2", path), f"{path}.ln_l2"),
-                    h_top=_as_number(_require(d, "h_top", path), f"{path}.h_top"),
-                    ln_l1=None if ln_l1 is None else _as_number(ln_l1, f"{path}.ln_l1"),
-                ),
-                "profile",
+            return HyperbolicityProfile(
+                lambda1=lambda1,
+                lambda2=_as_number(_require(d, "lambda2", path), f"{path}.lambda2"),
+                ln_l2=_as_number(_require(d, "ln_l2", path), f"{path}.ln_l2"),
+                h_top=_as_number(_require(d, "h_top", path), f"{path}.h_top"),
+                ln_l1=None if ln_l1 is None else _as_number(ln_l1, f"{path}.ln_l1"),
             )
     except (SymbolicError, SpectrumError) as exc:
         raise ConfigError(path, str(exc)) from exc
@@ -290,11 +281,10 @@ def _parse_system(obj: Any, path: str) -> tuple[SystemSpec, str]:
 
 
 def _validate_target_against_system(
-    triple: RateTriple, system: SystemSpec, kind: str, path: str
+    triple: RateTriple, system: SystemSpec, path: str
 ) -> None:
     tgt = triple.target
-    if kind == "matrix":
-        assert isinstance(system, IntegerMatrixSystem)
+    if isinstance(system, IntegerMatrixSystem):
         points: list[tuple[float, ...]] = []
         if isinstance(tgt, ConstantPoint):
             points = [tgt.point]
@@ -307,16 +297,13 @@ def _validate_target_against_system(
                 raise ConfigError(path, f"point dimension {len(pt)} != torus dimension {system.dim}")
             if any(not (0.0 <= c < 1.0) for c in pt):
                 raise ConfigError(path, "torus coordinates must lie in [0, 1)")
-    elif kind == "sft":
-        assert isinstance(system, ShiftOfFiniteType)
+    elif isinstance(system, (ShiftOfFiniteType, SoficPresentation)):
         if not isinstance(tgt, ShiftTarget):
             raise ConfigError(path, "symbolic systems need a symbol-valued target")
-        for i, seq in enumerate(tgt.preperiod + tgt.cycle):
-            if not system.sequence_admissible(seq):
-                raise ConfigError(f"{path}", f"target sequence #{i} is not admissible")
-    elif kind == "sofic":
-        if not isinstance(tgt, ShiftTarget):
-            raise ConfigError(path, "symbolic systems need a symbol-valued target")
+        if isinstance(system, ShiftOfFiniteType):
+            for i, seq in enumerate(tgt.preperiod + tgt.cycle):
+                if not system.sequence_admissible(seq):
+                    raise ConfigError(f"{path}", f"target sequence #{i} is not admissible")
 
 
 def check_task(config: ExperimentConfig, task: str) -> None:
@@ -324,20 +311,21 @@ def check_task(config: ExperimentConfig, task: str) -> None:
 
     The one place these requirements live: ``parse_config`` checks each
     task the config lists, and ``cli.run`` the command it runs, which need
-    not be among them.
+    not be among them.  A system's kind is its type, so the checks dispatch
+    on ``config.system`` itself.
     """
-    kind = config.system_kind
-    if task == "analyze" and kind not in ("matrix", "sft", "sofic"):
+    system = config.system
+    if task == "analyze" and isinstance(system, HyperbolicityProfile):
         raise ConfigError("$.tasks", "task 'analyze' requires a matrix or symbolic system")
-    if task == "exact" and kind != "matrix":
+    if task == "exact" and not isinstance(system, IntegerMatrixSystem):
         raise ConfigError("$.tasks", "task 'exact' requires a matrix system")
     if task == "sweep" and config.sweep_taus is None:
         raise ConfigError("$.sweep", "sweep requires a sweep.taus grid")
     if task not in ("oracle", "witness"):
         return
-    if kind != "sft":
+    if not isinstance(system, ShiftOfFiniteType):
         raise ConfigError("$.tasks", f"task {task!r} requires an SFT system")
-    if config.system.sided != "one":
+    if system.sided != "one":
         raise ConfigError("$.tasks", "oracle/witness tasks need a one-sided SFT")
     # a witness is planned from phi itself; the oracle's cylinder schemes count
     # a hit at every time n, at radius e^(-tau n), of one target stream, which
@@ -358,7 +346,7 @@ def check_task(config: ExperimentConfig, task: str) -> None:
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON object into an ExperimentConfig."""
     d = _as_dict(raw, "$")
-    system, kind = _parse_system(_require(d, "system", "$"), "$.system")
+    system = _parse_system(_require(d, "system", "$"), "$.system")
 
     rate_objs = _as_list(_require(d, "rates", "$"), "$.rates")
     if not rate_objs:
@@ -375,7 +363,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 _require(rd, "target", f"$.rates[{i}]"), f"$.rates[{i}].target"
             ),
         )
-        _validate_target_against_system(triple, system, kind, f"$.rates[{i}].target")
+        _validate_target_against_system(triple, system, f"$.rates[{i}].target")
         triples.append(triple)
 
     task_list = _as_list(d.get("tasks", []), "$.tasks")
@@ -391,16 +379,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         op = OracleParams(
             depth=_as_int(od.get("depth", op.depth), "$.oracle_params.depth"),
             grid_step=_as_number(od.get("grid_step", op.grid_step), "$.oracle_params.grid_step"),
-            grid_min=(
-                _as_number(od["grid_min"], "$.oracle_params.grid_min")
-                if "grid_min" in od
-                else None
-            ),
-            grid_max=(
-                _as_number(od["grid_max"], "$.oracle_params.grid_max")
-                if "grid_max" in od
-                else None
-            ),
             stages=_as_int(od.get("stages", op.stages), "$.oracle_params.stages"),
             eta=_as_number(od.get("eta", op.eta), "$.oracle_params.eta"),
         )
@@ -450,7 +428,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     config = ExperimentConfig(
         system=system,
-        system_kind=kind,
         rates=tuple(triples),
         oracle_params=op,
         sweep_taus=sweep_taus,

@@ -401,6 +401,8 @@ def plan_witness(
     ``gap`` symbols, which must be ``symbolic.mixing_gap(shift)``, and at
     least one free symbol after the previous pinned block, and large enough
     (s > 1/eta) that the pinned ratio lands inside the (alpha, beta) window.
+    The search moves past an s where the float ratio rounds onto an edge of
+    that window, as it does past one where phi undershoots its envelope.
     A block therefore ends past both 1/eta and tau + eta, and a plan whose
     first block would end past the prefix limit that way, or whose hit time
     reaches that limit, raises PlanError before its floats overflow.
@@ -435,8 +437,8 @@ def plan_witness(
                     f"block {i + 1} pushes the witness prefix past {_MAX_PREFIX_LEN} symbols"
                 )
             pinned = floor_guarded(alpha * candidate) + 1
-            # skip times where phi undershoots its exponential envelope
-            if required_exponent(phi, candidate) - 1 <= pinned:
+            # skip times where the float ratio leaves the window or phi undershoots its envelope
+            if alpha < pinned / candidate < beta and required_exponent(phi, candidate) - 1 <= pinned:
                 hit = candidate
                 break
             candidate += 1

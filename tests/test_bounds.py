@@ -234,7 +234,7 @@ class TestExactToral:
         assert 0.0 < rep.entropy_lower < 1e-7
 
     def test_requires_unit_determinant(self):
-        facts = system_facts(IntegerMatrixSystem(((3, 1), (1, 1))), "matrix")  # det 2
+        facts = system_facts(IntegerMatrixSystem(((3, 1), (1, 1))))  # det 2
         if facts.spectrum.lambda_s_mod is not None:
             with pytest.raises(HypothesisViolatedError, match="det"):
                 evaluate(facts, tau(0.0), "exact")
@@ -313,7 +313,7 @@ UNIT_DET_HYPERBOLIC = [
 
 def exact_row(entries, t):
     """The spectrum and the (rule, report) row of the CLI's exact task."""
-    facts = system_facts(IntegerMatrixSystem(entries), "matrix")
+    facts = system_facts(IntegerMatrixSystem(entries))
     ((rule, rep),) = evaluate(facts, tau(t), "exact")
     return facts.spectrum, rule, rep
 
@@ -528,19 +528,19 @@ def _outcome(rows):
 
 
 SWEEP_FACTS = {
-    name: system_facts(system, kind)
-    for name, system, kind in (
-        ("sft_one_mixing", golden_mean_shift(), "sft"),
-        ("sft_two_mixing", ShiftOfFiniteType(((1, 1), (1, 0)), "two"), "sft"),
+    name: system_facts(system)
+    for name, system in (
+        ("sft_one_mixing", golden_mean_shift()),
+        ("sft_two_mixing", ShiftOfFiniteType(((1, 1), (1, 0)), "two")),
         # period 2; the golden cases give the first a common index, the second none
-        ("sft_one_period2", ShiftOfFiniteType(((0, 0, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0))), "sft"),
-        ("sft_two_period2", ShiftOfFiniteType(((0, 1), (1, 0)), "two"), "sft"),
-        ("sofic_two_period2", SoficPresentation(2, ((0, 1, "a"), (0, 1, "b"), (1, 0, "c")), "two"), "sofic"),
-        ("expanding_sharp", IntegerMatrixSystem(((2, 0), (0, 3))), "matrix"),
-        ("automorphism_sharp", CAT, "matrix"),
-        ("crude_fallback", IntegerMatrixSystem(((0, 0, 1), (1, 0, 4), (0, 1, 0))), "matrix"),
-        ("profile_lipschitz", HyperbolicityProfile(lambda1=math.inf, lambda2=0.7, ln_l2=1.1, h_top=1.3), "profile"),
-        ("profile_bilipschitz", HyperbolicityProfile(lambda1=1.0, lambda2=1.5, ln_l1=1.2, ln_l2=1.7, h_top=0.9), "profile"),
+        ("sft_one_period2", ShiftOfFiniteType(((0, 0, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0)))),
+        ("sft_two_period2", ShiftOfFiniteType(((0, 1), (1, 0)), "two")),
+        ("sofic_two_period2", SoficPresentation(2, ((0, 1, "a"), (0, 1, "b"), (1, 0, "c")), "two")),
+        ("expanding_sharp", IntegerMatrixSystem(((2, 0), (0, 3)))),
+        ("automorphism_sharp", CAT),
+        ("crude_fallback", IntegerMatrixSystem(((0, 0, 1), (1, 0, 4), (0, 1, 0)))),
+        ("profile_lipschitz", HyperbolicityProfile(lambda1=math.inf, lambda2=0.7, ln_l2=1.1, h_top=1.3)),
+        ("profile_bilipschitz", HyperbolicityProfile(lambda1=1.0, lambda2=1.5, ln_l1=1.2, ln_l2=1.7, h_top=0.9)),
     )
 }
 _POSITIVE = st.floats(min_value=0.05, max_value=3.0)
@@ -548,14 +548,14 @@ _POSITIVE = st.floats(min_value=0.05, max_value=3.0)
 RANDOM_PROFILES = st.one_of(
     st.builds(HyperbolicityProfile, lambda1=_POSITIVE, lambda2=_POSITIVE, ln_l1=_POSITIVE, ln_l2=_POSITIVE, h_top=_POSITIVE),
     st.builds(HyperbolicityProfile, lambda1=st.just(math.inf), lambda2=_POSITIVE, ln_l2=_POSITIVE, h_top=_POSITIVE),
-).map(lambda p: system_facts(p, "profile"))
+).map(system_facts)
 
 
 class TestSweepRuns:
     @settings(max_examples=300, deadline=None)
     @given(facts=st.one_of(st.sampled_from(list(SWEEP_FACTS.values())), RANDOM_PROFILES), data=st.data())
     def test_rows_equal_the_per_tau_evaluation(self, facts, data):
-        p = facts.profile if facts.kind == "profile" else facts.sharp if facts.sharp is not None else facts.crude
+        p = facts.system if isinstance(facts.system, HyperbolicityProfile) else facts.sharp if facts.sharp is not None else facts.crude
         # ln L1 of a shift is 1; a Lipschitz profile has ln L2 alone
         ln_l = 1.0 if p is None else p.ln_l1 if p.ln_l1 is not None else p.ln_l2
         special = {0.0, math.inf, 1.0, ln_l}
@@ -576,8 +576,8 @@ class TestSweepRuns:
         # each with its band: +-5e-13 lies within BOUNDARY_TOL, +-2e-12 outside
         facts = SWEEP_FACTS[name]
         constants = {1.0}
-        for p in (facts.profile, facts.sharp, facts.crude):
-            if p is not None:
+        for p in (facts.system, facts.sharp, facts.crude):
+            if isinstance(p, HyperbolicityProfile):  # a profile system, or a matrix's profiles
                 constants |= {c for c in (p.ln_l1, p.ln_l2, p.lambda1) if c is not None and c < math.inf}
         grid = {c + d for c in constants for d in (-2e-12, -5e-13, 0.0, 5e-13, 2e-12)} | {0.0, math.inf}
         rng = random.Random(name)
@@ -590,7 +590,7 @@ class TestSweepRuns:
     def test_regime_conflict_masks_single_elements(self):
         # lambda1 > ln L1: the lower side exceeds the upper one from some tau on,
         # within one generic run
-        facts = system_facts(HyperbolicityProfile(lambda1=2.0, lambda2=1.0, ln_l1=1.0, ln_l2=4.0, h_top=1.0), "profile")
+        facts = system_facts(HyperbolicityProfile(lambda1=2.0, lambda2=1.0, ln_l1=1.0, ln_l2=4.0, h_top=1.0))
         taus = [0.0, 0.1, 0.2, 0.3]
         rows = sweep_rows(facts, taus)
         assert [row["h_lower"] for row in rows] == ["1", "0.863636363636", "0.75", None]

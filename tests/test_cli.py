@@ -8,6 +8,8 @@ import pytest
 
 from shrinktarget.cli import _build_parser, fmt, main, run
 from shrinktarget.config import FORMATS, MAX_DEPTH, TASKS, ConfigError, load_config, parse_config
+from shrinktarget.oracle import LimsupCylinderScheme, critical_exponent
+from shrinktarget.rates import SymbolSequence
 from shrinktarget.symbolic import NotMixingError, ShiftOfFiniteType, mixing_gap
 
 from shift_strategies import clique_with_path, moran_estimate
@@ -109,17 +111,28 @@ class TestRun:
         assert [row["moran_estimate"] for row in rows] == [fmt(moran_estimate(shift, t, 12)) for t in taus]
 
     def test_oracle_grid_is_not_materialised(self, tmp_path, monkeypatch):
-        # 1e11 grid points: the bracket bisects values computed on demand
+        # about 6e10 grid points: the bracket bisects values computed on demand
         monkeypatch.chdir(tmp_path)
         payload = golden_oracle_config(tau=0.3)
-        assert main(["oracle", "--config", str(write_config(tmp_path, payload))]) == 0
-        default = read_report(tmp_path)["results"][0]["rows"][0]
-        payload["oracle_params"]["grid_max"] = 1e9
+        payload["oracle_params"]["grid_step"] = 1e-11
         started = time.perf_counter()
         assert main(["oracle", "--config", str(write_config(tmp_path, payload))]) == 0
         assert time.perf_counter() - started < 1.0
         (row,) = read_report(tmp_path)["results"][0]["rows"]
-        assert (row["bracket_lo"], row["bracket_hi"]) == (default["bracket_lo"], default["bracket_hi"]) == ("0.37", "0.38")
+        lo, hi = float(row["bracket_lo"]), float(row["bracket_hi"])
+        scheme = LimsupCylinderScheme(ShiftOfFiniteType(((1, 1), (1, 0))), 0.3, SymbolSequence((), (0,)))
+        assert lo <= critical_exponent(scheme, 40) < hi
+        assert hi - lo == pytest.approx(1e-11, abs=1e-12)
+
+    def test_oracle_zero_entropy_shift(self, tmp_path, monkeypatch):
+        # s* = h/(1 + tau) = 0 lies on the grid's first point
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config()
+        payload["system"]["transition"] = [[1]]
+        assert main(["oracle", "--config", str(write_config(tmp_path, payload))]) == 0
+        (row,) = read_report(tmp_path)["results"][0]["rows"]
+        assert (row["bracket_lo"], row["bracket_hi"]) == ("0", "0.01")
+        assert row["shift_exact_value"] == row["moran_estimate"] == "0"
 
     def test_witness_roundtrip(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -134,6 +147,17 @@ class TestRun:
         assert len(row["planned_hits"]) == 5
         assert row["independently_confirmed"] == row["planned_hits"]
         assert "11" not in row["prefix"]
+
+    def test_witness_where_the_pinned_ratio_rounds_onto_beta(self, tmp_path, monkeypatch):
+        # 1/eta rounds to just below 20, and at s = 20 the float pinned / s
+        # equals beta = tau + 2 eta; the plan moves on to s = 21
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tasks=("witness",))
+        payload["oracle_params"].update(stages=3, eta=0.05000000000000001)
+        assert main(["witness", "--config", str(write_config(tmp_path, payload))]) == 0
+        (row,) = read_report(tmp_path)["results"][0]["rows"]
+        assert row["planned_hits"] == row["independently_confirmed"] == [21, 38, 64]
+        assert row["all_verified"] is True
 
     def test_sweep_cat_map(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -688,12 +712,9 @@ class TestValidation:
             ("oracle", {"stages": 0}, "stages must be >= 1"),
             ("witness", {"eta": 1e-310}, "eta = 1e-310 at tau = 0.5: block 1 pushes"),
             ("witness", {"eta": 1e308}, "eta = 1e+308 at tau = 0.5: block 1 pushes"),
-            ("oracle", {"grid_step": 1e-300}, "grid_step = 1e-300 over [1e-300, 0.581212] gives more grid points"),
-            # grid_max - grid_min overflows to -inf, which round() cannot take
-            ("oracle", {"grid_min": 1e308, "grid_max": -1e308},
-             "grid does not straddle the critical exponent (s* = 0.320808, grid empty)"),
+            ("oracle", {"grid_step": 1e-300}, "grid_step = 1e-300 over [0, 0.581212] gives more grid points"),
         ],
-        ids=["stages_overflow", "stages_zero", "eta_tiny", "eta_huge", "grid_step_tiny", "grid_span_overflow"],
+        ids=["stages_overflow", "stages_zero", "eta_tiny", "eta_huge", "grid_step_tiny"],
     )
     def test_oracle_params_out_of_range_are_error_rows(self, tmp_path, monkeypatch, capsys, command, params, message):
         # each passes validation, then asks for a layout or grid beyond the float or index range
@@ -709,19 +730,19 @@ class TestValidation:
     @pytest.mark.parametrize(
         "taus,message",
         [
-            ([2.0, 0.5], "grid does not straddle the critical exponent (s* = 0.160404, grid [0.2, 0.58])"),
-            ([0.5, 2.0], "stages = 182: the stage lengths leave the float range"),
+            ([0.1, 0.5], "grid does not straddle the critical exponent (s* = 0.437465, grid [0, 0.4])"),
+            ([0.5, 0.1], "stages = 182: the stage lengths leave the float range"),
         ],
         ids=["bracket_first", "layout_first"],
     )
     def test_first_failing_rate_names_the_error(self, tmp_path, monkeypatch, taus, message):
-        # tau = 2 misses the grid and tau = 0.5 has no layout at 182 stages:
+        # tau = 0.1 misses the grid and tau = 0.5 has no layout at 182 stages:
         # the report names whichever comes first in rate order, although the
         # Moran walk runs once after every rate's bracket and layout
         monkeypatch.chdir(tmp_path)
         payload = golden_oracle_config()
         payload["rates"] = [dict(payload["rates"][0], phi={"kind": "exponential", "tau": t}) for t in taus]
-        payload["oracle_params"].update(stages=182, grid_min=0.2)
+        payload["oracle_params"].update(stages=182, grid_step=0.4)
         assert main(["oracle", "--config", str(write_config(tmp_path, payload))]) == 1
         (res,) = read_report(tmp_path)["results"]
         assert res["status"] == "error" and res["error"] == message
@@ -874,18 +895,6 @@ class TestValidation:
         cfg = write_config(tmp_path, payload)
         assert main(["bounds", "--config", str(cfg)]) == 2
         assert "$.system.h_top: expected a number, got nan" in capsys.readouterr().err
-
-    def test_infinite_grid_max_rejected(self, tmp_path, monkeypatch, capsys):
-        # JSON Infinity reads as a float; the grid size used to overflow in the task
-        monkeypatch.chdir(tmp_path)
-        payload = golden_oracle_config()
-        payload["oracle_params"]["grid_max"] = math.inf
-        with pytest.raises(ConfigError) as exc:
-            parse_config(payload)
-        assert exc.value.path == "$.oracle_params.grid_max"
-        cfg = write_config(tmp_path, payload)
-        assert main(["oracle", "--config", str(cfg)]) == 2
-        assert "$.oracle_params.grid_max: expected a finite number, got inf" in capsys.readouterr().err
 
     def test_depth_capped(self, tmp_path, monkeypatch, capsys):
         # the fit's time grows as depth^2, so the load bounds it; neither

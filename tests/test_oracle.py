@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shrinktarget import oracle
 from shrinktarget.oracle import (
@@ -80,6 +80,13 @@ def admissible_sequence(data, shift):
             i = walk.index(nxt)
             return SymbolSequence(head=tuple(walk[:i]), cycle=tuple(walk[i:]))
         walk.append(nxt)
+
+
+class OnlySymbol:
+    """Stands in for ``st.data()`` on a one-symbol shift, where every draw is symbol 0."""
+
+    def draw(self, strategy):
+        return 0
 
 
 def naive_verify(prefix, phi, z, s):
@@ -671,6 +678,11 @@ class TestWitnessAgainstNaiveLoops:
         st.integers(0, 3),
         st.booleans(),
         st.data(),
+    )
+    # 1/eta rounds to just below 20, and at s = 20 the float ratio pinned / s equals beta
+    @example(
+        shift=ShiftOfFiniteType(((1,),)), tau=1.0, eta=0.05000000000000001, s=TimeSet(),
+        stages=1, schedule=False, data=OnlySymbol(),
     )
     def test_construct_hits_match_naive(self, shift, tau, eta, s, stages, schedule, data):
         if schedule:

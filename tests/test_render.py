@@ -218,7 +218,7 @@ def test_rows_carry_every_csv_column(case, command, columns):
 def test_matrix_sweep_csv_unchanged():
     # the cat map and two expanding matrices, tau = 0, 0.05, ... past 1.5 h_top
     for entries in (((2, 1), (1, 1)), ((2,),), ((2, 0), (0, 3))):
-        facts = system_facts(IntegerMatrixSystem(entries), "matrix")
+        facts = system_facts(IntegerMatrixSystem(entries))
         rows = sweep_rows(facts, [k * 0.05 for k in range(int(1.5 * facts.h_top / 0.05) + 2)])
         assert render_csv(rows, _SWEEP_COLUMNS) == old_render_csv(rows, _SWEEP_COLUMNS)
 
@@ -229,7 +229,7 @@ def test_full_size_sweep_report(case):
     rng = random.Random(20261018)
     cfg = dict(CASES[case][0], sweep={"taus": sorted({round(rng.uniform(0.0, 2.0), 9) for _ in range(2000)})})
     config = parse_config(cfg)
-    facts = system_facts(config.system, config.system_kind)
+    facts = system_facts(config.system)
     p = facts.sharp if facts.sharp is not None else facts.crude  # the profile a matrix sweep reads
     for threshold in (c for c in (p.ln_l1, p.lambda1) if c is not None and math.isfinite(c)):
         assert config.sweep_taus[0] < threshold < config.sweep_taus[-1]

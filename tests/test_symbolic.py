@@ -157,7 +157,7 @@ class TestEntropy:
     @given(irreducible_shifts(max_k=12))
     def test_decomposed_shift_entropy_is_bitwise_the_same(self, shift):
         # the CLI's analysis is ln of the Perron root, not a rounding of it
-        assert system_facts(shift, "sft").h_top == entropy(shift)
+        assert system_facts(shift).h_top == entropy(shift)
 
     def test_one_component_search_per_shift_analysis(self, monkeypatch):
         # the period's search is the analysis's only graph search; cli reads
@@ -167,17 +167,17 @@ class TestEntropy:
         for module in (cli, symbolic):
             monkeypatch.setattr(module, "digraph_period", lambda m: calls.append(m) or search(m))
         even = SoficPresentation(states=2, edges=((0, 0, "1"), (0, 1, "0"), (1, 0, "0")))
-        for system, kind in ((even, "sofic"), (golden_mean_shift(), "sft")):
+        for system in (even, golden_mean_shift()):
             calls.clear()
-            system_facts(system, kind)
-            assert len(calls) == 1, kind
+            system_facts(system)
+            assert len(calls) == 1, system
 
     @settings(max_examples=60, deadline=None)
     @given(irreducible_shifts(max_k=12))
     def test_sofic_analysis_is_the_sft_analysis(self, shift):
         # the identity labeling's graph is the transition graph
-        sofic, sft = system_facts(sft_as_sofic(shift), "sofic"), system_facts(shift, "sft")
-        assert sofic.h_top == sft.h_top and sofic.period == sft.period
+        sofic, sft = system_facts(sft_as_sofic(shift)), system_facts(shift)
+        assert sofic.h_top == sft.h_top and sofic.decomposition.period == sft.decomposition.period
 
     def test_perron_root_values(self):
         assert perron_root(((1, 1), (1, 1))) == pytest.approx(2.0, abs=1e-10)
@@ -646,7 +646,7 @@ class TestPerronKernel:
         # the analysis refuses a reducible graph before it asks for a Perron root
         forked = SoficPresentation(states=2, edges=((0, 0, "a"), (0, 1, "b"), (1, 1, "a")))
         with pytest.raises(ReducibleShiftError):
-            system_facts(forked, "sofic")
+            system_facts(forked)
 
 
 class TestPeriodDecomposition:
@@ -705,7 +705,7 @@ class TestPeriodDecomposition:
         assert digraph_period([[300]]) == digraph_period([[1]])
         assert digraph_period([[0, 256], [7, 0]]) == digraph_period(FLIP.transition)
         letters = SoficPresentation(states=1, edges=tuple((0, 0, f"a{i}") for i in range(300)))
-        assert system_facts(letters, "sofic").period == 1
+        assert system_facts(letters).decomposition.period == 1
 
     def test_reducible_reports_components(self):
         # the message names a symbol that one of the two searches from 0 misses

@@ -486,10 +486,14 @@ def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
 
 
 def _run_witness(config: ExperimentConfig, facts: SystemFacts) -> dict:
+    import numpy as np
+
     gap = _specification_gap(facts)
     shift = config.system
     params = config.oracle_params
-    names = [str(c) for c in range(shift.alphabet_size)]  # printed prefix, symbol by symbol
+    # each symbol's printed name as NUL-padded fixed-width bytes: a prefix
+    # prints as one gather from this table, with the padding dropped
+    names = np.array([str(c) for c in range(shift.alphabet_size)], dtype="S")
     rows = []
     for i, triple in enumerate(config.rates):
         plan = plan_witness(
@@ -500,7 +504,7 @@ def _run_witness(config: ExperimentConfig, facts: SystemFacts) -> dict:
             {
                 "rate_index": i,
                 "planned_hits": [b.hit_time for b in plan.blocks],
-                "prefix": "".join([names[c] for c in cert.prefix]),
+                "prefix": names[cert.prefix].tobytes().replace(b"\0", b"").decode(),
                 "hits": [
                     [hh.time, hh.achieved_exponent, hh.required_exponent]
                     for hh in cert.hits

@@ -44,13 +44,15 @@ only, so each rate's are laid out first (``moran_layout``), and the
 estimates of all rates read the log counts of every stage from one
 squaring walk per call, which keeps one row vector per stage and rescales
 by exact powers of two (``moran_dimension`` over
-symbolic.log_count_words_many).  A witness certificate lists its hit
-times; construction records the agreement at each and verification
-recomputes it, both from numpy mismatch arrays of the prefix against each
-distinct target stream (one per residue class of its cycle), so neither
-has a per-symbol Python loop and verification checks the claimed times
-only, not every time in S.  Verification also checks, once per witness,
-that the prefix is an admissible word; construction does not.
+symbolic.log_count_words_many).  A witness prefix is one read-only int64
+array, built from tiled periodic pieces (``_fill_stretch``), and a
+certificate lists its hit times; construction records the agreement at
+each and verification recomputes it, both from numpy mismatch arrays of
+the prefix against each distinct target stream (one per residue class of
+its cycle), so neither has a per-symbol Python loop and verification
+checks the claimed times only, not every time in S.  Verification also
+checks, once per witness, that the prefix is an admissible word (one
+gather of its symbol pairs); construction does not.
 """
 
 from __future__ import annotations
@@ -380,9 +382,37 @@ class WitnessHit:
 
 @dataclass(frozen=True)
 class WitnessCertificate:
-    prefix: tuple[int, ...]
+    """An explicit prefix of the witness point and the hits it claims.
+
+    ``prefix`` is a read-only int64 numpy array.  Any other sequence given
+    (a hand-built tuple, or a writable array) is copied into one, so a
+    certificate's prefix cannot change once made; certificates compare
+    equal when their prefixes hold the same symbols.
+    """
+
+    prefix: np.ndarray
     hits: tuple[WitnessHit, ...]
     all_verified: bool
+
+    def __post_init__(self) -> None:
+        import numpy as np
+
+        prefix = np.asarray(self.prefix, dtype=np.int64)
+        if prefix.flags.writeable:
+            prefix = prefix.copy()
+            prefix.flags.writeable = False
+            object.__setattr__(self, "prefix", prefix)
+
+    def __eq__(self, other: object) -> bool:
+        import numpy as np
+
+        if not isinstance(other, WitnessCertificate):
+            return NotImplemented
+        return (
+            np.array_equal(self.prefix, other.prefix)
+            and self.hits == other.hits
+            and self.all_verified == other.all_verified
+        )
 
 
 def plan_witness(
@@ -482,37 +512,60 @@ def _reach_sets(shift: ShiftOfFiniteType, into: int, needed: int) -> list[frozen
 
 def _fill_stretch(
     shift: ShiftOfFiniteType, length: int, prev: int | None, reach: list[frozenset[int]]
-) -> list[int]:
+) -> np.ndarray:
     """Lexicographically-least admissible word of ``length`` symbols following
-    ``prev`` and ending at a predecessor of ``into``.
+    ``prev`` and ending at a predecessor of ``into``, as an int64 array.
 
     ``reach`` is ``_reach_sets(shift, into, needed)`` for any needed >=
     length, so one list serves every stretch into the same symbol: a larger
     needed only extends the list, and a list that stops short has reached
-    the full alphabet, where every later set stays.  Greedy with
-    reachability pruning; connector feasibility comes from the mixing gap,
-    so a dead end would indicate an internal inconsistency.
+    the full alphabet, where every later set stays.  A symbol with j
+    symbols after it must lie in reach[j], so wherever that set is the full
+    alphabet (j >= len(reach) - 1) the least choice is the least successor
+    of the symbol before.  That walk is eventually periodic, with period at
+    most k, so the first length - len(reach) + 1 symbols are its transient
+    and then its cycle tiled.  The rest, the last len(reach) - 1 symbols
+    or all of a shorter stretch, are chosen greedily with reachability
+    pruning; connector feasibility comes from the mixing gap, so a dead end
+    would indicate an internal inconsistency.
     """
-    k = shift.alphabet_size
+    import numpy as np
 
-    def reach_at(j: int) -> frozenset[int]:
-        return reach[j] if j < len(reach) else reach[-1]
-
-    out: list[int] = []
-    cur = prev
-    for i in range(length):
-        remaining = length - 1 - i
-        feasible = reach_at(remaining)
-        for c in range(k):
-            if (cur is None or shift.transition[cur][c]) and c in feasible:
-                out.append(c)
+    rows = shift.transition
+    free = max(length - len(reach) + 1, 0)  # 0 unless reach ends at the full alphabet
+    walk: list[int] = []  # at most k + 1 symbols, so membership tests stay cheap
+    cur = 0 if prev is None else rows[prev].index(1)
+    while len(walk) < free and cur not in walk:
+        walk.append(cur)
+        cur = rows[cur].index(1)
+    body = np.array(walk, dtype=np.int64)
+    if len(walk) < free:  # cur repeats: from its first index on, the walk is a cycle
+        start = walk.index(cur)
+        cycle = body[start:]
+        body = np.concatenate([body[:start], np.tile(cycle, -(-(free - start) // len(cycle)))])[:free]
+    tail: list[int] = []
+    cur = int(body[-1]) if free else prev
+    for remaining in range(min(length, len(reach) - 1) - 1, -1, -1):
+        feasible = reach[remaining]
+        for c in range(len(rows)):
+            if (cur is None or rows[cur][c]) and c in feasible:
+                tail.append(c)
                 cur = c
                 break
         else:
             raise AssertionError(
                 "no admissible connector despite mixing; internal error"
             )
-    return out
+    return np.concatenate([body, np.array(tail, dtype=np.int64)])
+
+
+def _stream_prefix(z: SymbolSequence, length: int) -> np.ndarray:
+    """z.prefix(length) as an int64 array: the head, then the cycle tiled."""
+    import numpy as np
+
+    reps = -(-max(length - len(z.head), 0) // len(z.cycle))
+    cycle = np.array(z.cycle, dtype=np.int64)
+    return np.concatenate([np.array(z.head, dtype=np.int64), np.tile(cycle, reps)])[:length]
 
 
 def construct_witness(
@@ -523,28 +576,34 @@ def construct_witness(
     """Realize a plan as an explicit admissible prefix and record every hit.
 
     Free stretches are the lexicographically-least admissible fillers that
-    join the previous pinned block to the next pinned target prefix; the
-    pinned prefix of z_{s_k} starts exactly at position s_k (0-based), so the
-    orbit at time s_k opens with floor((tau+eta) s_k)+1 target coordinates.
-    Each hit records the first-disagreement index the finished prefix
-    achieves there (``_agreement_lengths``) beside the one the plan requires.
+    join the previous pinned block to the next pinned target prefix
+    (``_fill_stretch``); the pinned prefix of z_{s_k} starts exactly at
+    position s_k (0-based), so the orbit at time s_k opens with
+    floor((tau+eta) s_k)+1 target coordinates.  Both are built as arrays,
+    their periodic parts tiled, and joined once into the certificate's
+    read-only int64 prefix.  Each hit records the first-disagreement index
+    the finished prefix achieves there (``_agreement_lengths``) beside the
+    one the plan requires.
     """
+    import numpy as np
+
     targets = [z.target(b.hit_time) for b in plan.blocks]
     # one reach list per first target symbol; the last hit time bounds every stretch
     reach = {
         z0: _reach_sets(shift, z0, plan.blocks[-1].hit_time)
         for z0 in {t.symbol(0) for t in targets}
     }
-    symbols: list[int] = []
+    pieces = [np.zeros(0, dtype=np.int64)]
+    end = 0
     prev: int | None = None
     for b, tgt in zip(plan.blocks, targets):
-        stretch = b.hit_time - len(symbols)
-        symbols.extend(_fill_stretch(shift, stretch, prev, reach[tgt.symbol(0)]))
-        pinned = tgt.prefix(b.pinned_len)
-        symbols.extend(pinned)
-        prev = symbols[-1]
+        pieces.append(_fill_stretch(shift, b.hit_time - end, prev, reach[tgt.symbol(0)]))
+        pieces.append(_stream_prefix(tgt, b.pinned_len))
+        end = b.end
+        prev = tgt.symbol(b.pinned_len - 1)
 
-    prefix = tuple(symbols)
+    prefix = np.concatenate(pieces)
+    prefix.flags.writeable = False
     # first disagreement index = agreement length + 1; at the end of the
     # prefix that is the first index beyond the observable window
     agreement = _agreement_lengths(prefix, z, [b.hit_time for b in plan.blocks])
@@ -563,20 +622,21 @@ def construct_witness(
     )
 
 
-def _agreement_lengths(prefix: Sequence[int], target: ShiftTarget, times: Sequence[int]) -> list[int]:
+def _agreement_lengths(prefix: np.ndarray, target: ShiftTarget, times: Sequence[int]) -> list[int]:
     """For each n in ``times``, the length of the longest common prefix of
     prefix[n:] and z_n.
 
     The times are grouped by their target stream, and each stream is
-    matched once, by ``_stream_agreement``, against one int64 copy of the
-    prefix.  Every n must lie in [0, L).
+    matched once, by ``_stream_agreement``, against the prefix, read in
+    place through ``np.asarray`` (no copy of an int64 array).  Every n must
+    lie in [0, L).
     """
     import numpy as np
 
     groups: dict[SymbolSequence, list[int]] = {}
     for i, n in enumerate(times):
         groups.setdefault(target.target(n), []).append(i)
-    symbols = np.array(prefix, dtype=np.int64)
+    symbols = np.asarray(prefix, dtype=np.int64)
     starts = np.array(times, dtype=np.int64)
     out = np.zeros(len(starts), dtype=np.int64)
     for stream, idx in groups.items():
@@ -637,7 +697,9 @@ def verify_witness(
     (n + r(n) - 1 <= L, with r(n) = ``required_exponent(phi, n)`` computed
     afresh, not read from the plan), and the prefix agrees with z_n on that
     window.  The agreement is recomputed from the prefix and the target; the
-    exponents the certificate records are not read.
+    exponents the certificate records are not read.  The prefix is the
+    certificate's int64 array, so admissibility is one gather of its pairs
+    (``ShiftOfFiniteType.word_admissible``).
     """
     if not shift.word_admissible(cert.prefix):
         return []

@@ -100,8 +100,26 @@ class ShiftOfFiniteType:
     def _symbols(self) -> frozenset[int]:
         return frozenset(range(self.alphabet_size))
 
-    def word_admissible(self, word: Sequence[int]) -> bool:
-        # in C loops: every symbol in the alphabet, then transition[a][b] per pair ab
+    @cached_property
+    def _pairs(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.transition, dtype=bool)
+
+    def word_admissible(self, word: Sequence[int] | np.ndarray) -> bool:
+        """Whether every symbol of ``word`` lies in the alphabet and
+        transition[a][b] = 1 for each pair ab of consecutive symbols.
+
+        A numpy integer array (a witness prefix) takes one range check and
+        one gather of all its pairs from a cached boolean copy of the
+        matrix.  Any other sequence (the stream probes of config loading,
+        hand-built words) is checked in C loops over the tuple rows, and
+        that path does not import numpy.
+        """
+        if hasattr(word, "dtype"):
+            if len(word) and not (word.min() >= 0 and word.max() < self.alphabet_size):
+                return False
+            return bool(self._pairs[word[:-1], word[1:]].all())
         rows = self.transition
         return self._symbols.issuperset(word) and all(
             map(getitem, map(rows.__getitem__, word), word[1:])
@@ -411,9 +429,10 @@ def log_count_words_many(x: ShiftOfFiniteType, lengths: Sequence[int]) -> list[f
     Python ints (``_sums_over_set_bits``); ln N_n = E ln 2 + ln(sum of the
     vector).  Each product is one (1, k) @ (k, k) slice of a batched matmul,
     the shape a length walked alone sees, so each value is bit for bit that
-    of its length walked alone.  Which exponents have bit j set is read from
-    one bit table, so Python steps O(log max n) times, not once per length
-    and bit.
+    of its length walked alone.  So a length that repeats in ``lengths`` is
+    walked once and its value copied.  Which exponents have bit j set is
+    read from one bit table, so Python steps O(log max n) times, not once
+    per length and bit.
 
     A relative rounding d in B_j moves ln N_n by about d n / 2^j against
     ln N_n ~ n h, and the first squarings are exact while M^(2^j) fits in
@@ -426,7 +445,8 @@ def log_count_words_many(x: ShiftOfFiniteType, lengths: Sequence[int]) -> list[f
     if any(n < 1 for n in lengths):
         raise SymbolicError("word length must be >= 1")
     k = x.alphabet_size
-    exps = [n - 1 for n in lengths]  # Python ints: they reach 2^72, past int64
+    distinct = list(dict.fromkeys(lengths))
+    exps = [n - 1 for n in distinct]  # Python ints: they reach 2^72, past int64
     bits = max(exps, default=0).bit_length()
     width = (bits + 7) // 8
     raw = np.frombuffer(b"".join(map(int.to_bytes, exps, repeat(width), repeat("little"))), dtype=np.uint8)
@@ -455,7 +475,8 @@ def log_count_words_many(x: ShiftOfFiniteType, lengths: Sequence[int]) -> list[f
     totals = _sums_over_set_bits(bit_table, base_exps)
     # each vector's entry sum, the pairwise sum of its k contiguous entries that v.sum() takes
     sums = vectors.reshape(len(exps), k).sum(axis=1).tolist()
-    return [(t + v) * _LN2 + math.log(s) for t, v, s in zip(totals, vector_exps.tolist(), sums)]
+    logs = dict(zip(distinct, ((t + v) * _LN2 + math.log(s) for t, v, s in zip(totals, vector_exps.tolist(), sums))))
+    return [logs[n] for n in lengths]
 
 
 def _sums_over_set_bits(bit_table: np.ndarray, values: list[int]) -> list[int]:

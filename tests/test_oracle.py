@@ -144,6 +144,40 @@ def claim_every_time(prefix):
     return WitnessCertificate(tuple(prefix), hits, True)
 
 
+def reference_fill(shift, length, prev, into):
+    """The lexicographically least admissible word of ``length`` symbols after
+    ``prev`` (None: no symbol before) whose last symbol precedes ``into``,
+    chosen one symbol at a time: the least successor of the symbol before
+    from which the symbols still to come can reach a predecessor of ``into``."""
+    k, m = shift.alphabet_size, shift.transition
+    reach = [{a for a in range(k) if m[a][into]}]  # reach[j]: j more symbols can follow
+    while len(reach) < length and len(reach[-1]) < k:
+        reach.append({a for a in range(k) if any(m[a][b] for b in reach[-1])})
+    out, cur = [], prev
+    for i in range(length):
+        feasible = reach[min(length - 1 - i, len(reach) - 1)]
+        cur = next(c for c in range(k) if (cur is None or m[cur][c]) and c in feasible)
+        out.append(cur)
+    return out
+
+
+def reference_prefix(plan, shift, z):
+    """The witness prefix glued symbol by symbol from ``reference_fill`` and
+    the pinned target prefixes."""
+    symbols, prev = [], None
+    for b in plan.blocks:
+        tgt = z.target(b.hit_time)
+        symbols += reference_fill(shift, b.hit_time - len(symbols), prev, tgt.symbol(0))
+        symbols += tgt.prefix(b.pinned_len)
+        prev = symbols[-1]
+    return symbols
+
+
+# least successors 0 -> 1 -> 2 -> 1: the filler's walk from 0 has the
+# transient (0) before its cycle (1 2); 1 -> 3 -> 0 makes the shift mixing
+TRANSIENT = ShiftOfFiniteType(((0, 1, 0, 0), (0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 0)))
+
+
 def time_sets():
     return st.one_of(
         st.just(TimeSet()),
@@ -474,7 +508,9 @@ class TestWitness:
         planned = [b.hit_time for b in plan.blocks]
         assert planned == [21, 34, 51, 74]
         assert verify_witness(cert, g, phi, z, TimeSet()) == planned
-        tampered = replace(cert, prefix=(1, 1) + cert.prefix[2:])
+        prefix = cert.prefix.copy()  # the certificate's own array is read-only
+        prefix[:2] = 1
+        tampered = replace(cert, prefix=prefix)
         assert verify_witness(tampered, g, phi, z, TimeSet()) == []
         assert verify_witness(tampered, full_shift(2), phi, z, TimeSet()) == planned
 
@@ -482,7 +518,34 @@ class TestWitness:
         plan = plan_witness(full_shift(2), Exponential(0.3), ZERO_TARGET, TimeSet(), 0, 0.05, mixing_gap(full_shift(2)))
         assert plan.blocks == ()
         cert = construct_witness(plan, full_shift(2), ZERO_TARGET)
-        assert cert.prefix == () and cert.all_verified
+        assert len(cert.prefix) == 0 and cert.all_verified
+
+    def test_prefix_is_read_only(self):
+        g = golden_mean_shift()
+        plan = plan_witness(g, Exponential(0.3), ZERO_TARGET, TimeSet(), 3, 0.05, mixing_gap(g))
+        cert = construct_witness(plan, g, ZERO_TARGET)
+        assert cert.prefix.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            cert.prefix[0] = 1
+        # a writable array given by hand is copied, not frozen in place
+        mine = cert.prefix.copy()
+        copied = replace(cert, prefix=mine)
+        mine[0] = 1
+        assert copied.prefix[0] == 0 and not copied.prefix.flags.writeable
+
+    def test_certificates_compare_by_symbols(self):
+        g = golden_mean_shift()
+        plan = plan_witness(g, Exponential(0.3), ZERO_TARGET, TimeSet(), 3, 0.05, mixing_gap(g))
+        cert = construct_witness(plan, g, ZERO_TARGET)
+        assert cert == construct_witness(plan, g, ZERO_TARGET)
+        assert cert == replace(cert, prefix=tuple(cert.prefix.tolist()))
+        tampered = cert.prefix.copy()
+        tampered[-1] = 1
+        assert cert != replace(cert, prefix=tampered)
+        assert cert != replace(cert, prefix=cert.prefix[:-1])
+        assert cert != replace(cert, all_verified=not cert.all_verified)
+        assert WitnessCertificate((), (), True) == WitnessCertificate(np.zeros(0, dtype=np.int64), (), True)
+        assert cert != "not a certificate"
 
     def test_explicit_powers_of_two(self):
         powers = TimeSet(2**12, 2**12, tuple(2**i for i in range(3, 12)))
@@ -514,7 +577,7 @@ class TestWitness:
         plan = plan_witness(g, phi, ZERO_TARGET, TimeSet(), 4, 0.05, mixing_gap(g))
         c1 = construct_witness(plan, g, ZERO_TARGET)
         c2 = construct_witness(plan, g, ZERO_TARGET)
-        assert c1.prefix == c2.prefix
+        assert np.array_equal(c1.prefix, c2.prefix)
 
     def test_vacuous_rate(self):
         # phi == 1: every time verifies (distance <= e^-1 < 1)
@@ -716,7 +779,44 @@ class TestWitnessAgainstNaiveLoops:
         for b in plan.blocks:
             tgt = z.target(b.hit_time)
             stretch = b.hit_time - len(symbols)
-            symbols += _fill_stretch(shift, stretch, prev, _reach_sets(shift, tgt.symbol(0), stretch))
+            symbols += _fill_stretch(shift, stretch, prev, _reach_sets(shift, tgt.symbol(0), stretch)).tolist()
             symbols += tgt.prefix(b.pinned_len)
             prev = symbols[-1]
-        assert construct_witness(plan, shift, z).prefix == tuple(symbols)
+        assert np.array_equal(construct_witness(plan, shift, z).prefix, symbols)
+
+    @settings(max_examples=100, deadline=None)
+    @given(irreducible_shifts(max_k=5, mixing=True), st.floats(0.0, 1.2), st.integers(1, 8), st.integers(1, 3), st.data())
+    def test_tiled_prefix_matches_the_greedy_reference(self, shift, tau, stages, targets, data):
+        # the first block follows no symbol; the later ones follow a pinned block
+        cycle = tuple(admissible_sequence(data, shift) for _ in range(targets))
+        z = ShiftTarget((), cycle)
+        plan = plan_witness(shift, Exponential(tau), z, TimeSet(), stages, 0.1, mixing_gap(shift))
+        assert construct_witness(plan, shift, z).prefix.tolist() == reference_prefix(plan, shift, z)
+
+    @settings(max_examples=200, deadline=None)
+    @given(irreducible_shifts(max_k=5, mixing=True), st.data())
+    def test_tiled_fill_matches_the_greedy_reference(self, shift, data):
+        k = shift.alphabet_size
+        prev = data.draw(st.one_of(st.none(), st.integers(0, k - 1)))
+        into = data.draw(st.integers(0, k - 1))
+        length = data.draw(st.integers(mixing_gap(shift), 40))  # long enough to join prev to into
+        reach = _reach_sets(shift, into, length)
+        assert _fill_stretch(shift, length, prev, reach).tolist() == reference_fill(shift, length, prev, into)
+
+    @pytest.mark.parametrize("into", range(4))
+    @pytest.mark.parametrize("prev", [None, 0, 1, 2, 3])
+    def test_fill_walk_with_a_transient(self, prev, into):
+        gap = mixing_gap(TRANSIENT)
+        reach = _reach_sets(TRANSIENT, into, 40)
+        for length in range(gap, 41):
+            assert _fill_stretch(TRANSIENT, length, prev, reach).tolist() == reference_fill(TRANSIENT, length, prev, into)
+        assert reference_fill(TRANSIENT, 40, None, 1)[:5] == [0, 1, 2, 1, 2]
+
+    @pytest.mark.parametrize("cycle", [(1, 2), (0, 1, 3)])
+    def test_prefix_with_a_transient(self, cycle):
+        z = constant_shift_target(SymbolSequence((), cycle))
+        plan = plan_witness(TRANSIENT, Exponential(0.5), z, TimeSet(), 6, 0.05, mixing_gap(TRANSIENT))
+        cert = construct_witness(plan, TRANSIENT, z)
+        assert cert.prefix[:5].tolist() == [0, 1, 2, 1, 2]
+        assert cert.prefix.tolist() == reference_prefix(plan, TRANSIENT, z)
+        assert verify_witness(cert, TRANSIENT, Exponential(0.5), z, TimeSet()) == [b.hit_time for b in plan.blocks]

@@ -288,6 +288,25 @@ class TestCountWords:
         assert shared == [per_length_log_count(shift, n) for n in lengths]
         assert [log_count_words_many(shift, [n])[0] for n in lengths] == shared
 
+    @settings(max_examples=40, deadline=None)
+    @given(irreducible_shifts(), st.lists(st.integers(1, 30), min_size=1, max_size=40))
+    def test_repeated_lengths_walked_once(self, shift, lengths):
+        # one bit table column per distinct length, each value its own walk's
+        walked = []
+        sums = symbolic._sums_over_set_bits
+
+        def spy(bit_table, values):
+            walked.append(bit_table.shape[1])
+            return sums(bit_table, values)
+
+        symbolic._sums_over_set_bits = spy
+        try:
+            shared = log_count_words_many(shift, lengths)
+        finally:
+            symbolic._sums_over_set_bits = sums
+        assert walked == [len(set(lengths))]
+        assert shared == [per_length_log_count(shift, n) for n in lengths]
+
     @settings(max_examples=30, deadline=None)
     @given(irreducible_shifts(), st.lists(st.integers(2**69, 2**71), min_size=100, max_size=200))
     def test_batched_walk_equals_per_length_powering(self, shift, lengths):
@@ -894,14 +913,31 @@ class TestValidation:
         assert g.sequence_admissible(SymbolSequence((1,), (0, 1)))
         assert not g.sequence_admissible(SymbolSequence((1,), (1,)))
 
-    @settings(max_examples=200, deadline=None)
-    @given(irreducible_shifts(max_k=4), st.data())
+    @settings(max_examples=300, deadline=None)
+    @given(irreducible_shifts(max_k=5), st.data())
     def test_word_admissible_is_the_pair_rule(self, shift, data):
-        # symbols -1 and k lie outside the alphabet, alone or inside a pair
+        # symbols -1 and k lie outside the alphabet, alone or inside a pair;
+        # walks of the graph, some with one symbol replaced (by -3 .. k + 2),
+        # give long admissible words.  A list, a tuple and an int64 array of
+        # the same word (the array path of witness prefixes) must agree
         k = shift.alphabet_size
-        word = data.draw(st.lists(st.integers(-1, k), max_size=6))
+        walk = [data.draw(st.integers(0, k - 1))]
+        for _ in range(data.draw(st.integers(0, 12))):
+            walk.append(data.draw(st.sampled_from([b for b in range(k) if shift.transition[walk[-1]][b]])))
+        if data.draw(st.booleans()):
+            walk[data.draw(st.integers(0, len(walk) - 1))] = data.draw(st.integers(-3, k + 2))
+        word = data.draw(st.one_of(st.lists(st.integers(-1, k), max_size=6), st.just(walk)))
         want = all(0 <= c < k for c in word) and all(shift.transition[a][b] for a, b in zip(word, word[1:]))
-        assert shift.word_admissible(word) == shift.word_admissible(tuple(word)) == want
+        array = np.array(word, dtype=np.int64)
+        assert shift.word_admissible(word) == shift.word_admissible(tuple(word)) == shift.word_admissible(array) == want
+
+    @pytest.mark.parametrize(
+        "word,want",
+        [((), True), ((0,), True), ((1,), True), ((2,), False), ((-1,), False), ((0, 1, 0, 0), True), ((1, 1), False), ((0, -1), False), ((0, 2), False)],
+    )
+    def test_word_admissible_edges(self, word, want):
+        g = golden_mean_shift()
+        assert g.word_admissible(word) == g.word_admissible(np.array(word, dtype=np.int64)) == want
 
 
 @settings(max_examples=40)

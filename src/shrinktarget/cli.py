@@ -10,8 +10,9 @@ of its one result into the output directory:
 Every real number in a report is rendered as a decimal string with 12
 significant digits ('.' separator, LF line endings), so reruns of the same
 config are byte-identical.  ``report.json`` is exactly
-``json.dumps(report, indent=2, sort_keys=True)`` followed by one LF:
-two-space indentation, sorted keys, every non-ASCII character escaped.
+``json.dumps(report, indent=2, sort_keys=True)`` followed by one LF, with
+a sweep's ``Table`` as its row dicts: two-space indentation, sorted keys,
+every non-ASCII character escaped.
 Wall-clock timings go to stderr only, never into report files.  Nothing in
 the pipeline draws randomness; ``--seedless`` records that assertion in the
 report.
@@ -202,7 +203,7 @@ def evaluate(
     """The (rule, report) rows the theorems give for ``facts`` at ``tau``.
 
     ``tau`` holds floats, or float64 arrays over a run of a sweep grid
-    (``sweep_rows``); the report sides are then arrays over the run too.
+    (``sweep_table``); the report sides are then arrays over the run too.
     ``task`` is "bounds", "exact" or "sweep"; ``naturals`` says every time
     set is all of N, or misses only finitely many n, which gives the same
     limsup set (``TimeSet.cofinite``); ``index_ok`` says whether the index
@@ -275,8 +276,19 @@ def _column(side, n: int) -> list[str | None]:
     return out
 
 
-def sweep_rows(facts: SystemFacts, taus) -> list[dict]:
-    """One sweep row per tau, with tau_upper = tau_lower = tau and S = N.
+@dataclass(frozen=True)
+class Table:
+    """Rows of scalars over ``keys``, held as one list per column, in CSV order.
+
+    Not a list, so ``render_json`` alone writes it: as its row dicts.
+    """
+
+    keys: tuple[str, ...]
+    columns: tuple[list, ...]
+
+
+def sweep_table(facts: SystemFacts, taus) -> Table:
+    """The sweep's ``_SWEEP_COLUMNS``, one row per tau, with tau_upper = tau_lower = tau and S = N.
 
     ``taus`` is evaluated in runs, each one ``evaluate`` call on a float64
     array, whose elements equal the per-tau floats bit for bit.  A call
@@ -307,11 +319,7 @@ def sweep_rows(facts: SystemFacts, taus) -> list[dict]:
             col += done[id(side)]
         tags += [rep.case_tag.value] * n
         start = stops.pop()
-    # a dict display builds each row faster than dict(zip(_SWEEP_COLUMNS, ...))
-    return [
-        {"tau": a, "h_lower": b, "h_upper": c, "dim_lower": d, "dim_upper": e, "case_tag": f}
-        for a, b, c, d, e, f in zip(_column(t, len(t)), *sides, tags)
-    ]
+    return Table(_SWEEP_COLUMNS, (_column(t, len(t)), *sides, tags))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +527,7 @@ def _run_witness(config: ExperimentConfig, facts: SystemFacts) -> dict:
 
 
 def _run_sweep(config: ExperimentConfig, facts: SystemFacts) -> dict:
-    return {"rows": sweep_rows(facts, config.sweep_taus)}
+    return {"rows": sweep_table(facts, config.sweep_taus)}
 
 
 _EXECUTORS = {
@@ -566,9 +574,9 @@ def run(config: ExperimentConfig, task: str, seedless: bool = False):
 def render_json(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True)`` plus LF, byte for byte.
 
-    The layout is written by ``_render``, which leaves every container of
-    scalars to one call of the C encoder and every table, a list of flat
-    dicts sharing one key set, to one call per column.
+    A ``Table`` counts as its list of row dicts.  The layout is written by
+    ``_render``, which leaves every container of scalars to one call of the
+    C encoder and every ``Table`` to one call per column.
     """
     return _render(report, "\n") + "\n"
 
@@ -593,49 +601,35 @@ def _flat(members) -> bool:
     return _SCALARS.issuperset(map(type, members))
 
 
-def _table_columns(rows) -> tuple[list, list[list]] | None:
-    """Sorted keys and columns of ``rows`` if they are non-empty dicts with one key set and flat cells."""
-    first = rows[0]
-    if set(map(type, rows)) != {dict} or not first or not _flat(first.values()):
-        return None
-    if set(map(len, rows)) != {len(first)}:
-        return None
-    keys = sorted(first)
-    try:
-        columns = [list(map(operator.itemgetter(k), rows)) for k in keys]
-    except KeyError:
-        return None
-    return (keys, columns) if _flat(itertools.chain.from_iterable(columns)) else None
-
-
 def _render(obj, nl: str) -> str:
     """``obj`` in the indent-2 layout, closed on the line that ``nl`` starts.
 
-    Dict keys are strings.  A table (``_table_columns``) takes one encoder
-    call per column, split at its item separator ",<NUL>" (strings escape
-    every control character, so only a separator holds a raw NUL), and one
-    join of each row's key pieces and cells; any other list goes member by member.
+    Dict keys are strings.  A ``Table`` takes one encoder call per column,
+    split at its item separator ",<NUL>" (strings escape every control
+    character, so only a separator holds a raw NUL), and one join of each
+    row's key pieces and cells; any other list goes member by member.
     """
+    inner = nl + "  "
+    if isinstance(obj, Table):
+        if not obj.columns[0]:
+            return "[]"
+        keys, columns = zip(*sorted(zip(obj.keys, obj.columns), key=operator.itemgetter(0)))
+        member = inner + "  "
+        heads = [itertools.repeat("," + member + _key(k) + ": ") for k in keys]
+        first = "{" + member + _key(keys[0]) + ": "
+        heads[0] = itertools.chain(("[" + inner + first,), itertools.repeat(inner + "}," + inner + first))
+        cells = [_encoder("\x00")(col)[1:-1].split(",\x00") for col in columns]
+        pieces = itertools.chain.from_iterable(zip(*itertools.chain.from_iterable(zip(heads, cells))))
+        return "".join(pieces) + inner + "}" + nl + "]"
     if not isinstance(obj, _CONTAINERS) or not obj:
         return _encoder(nl)(obj)
-    inner = nl + "  "
     if _flat(obj.values() if isinstance(obj, dict) else obj):
         text = _encoder(inner)(obj)
         return text[0] + inner + text[1:-1] + nl + text[-1]
     if isinstance(obj, dict):
         body = ("," + inner).join(_key(k) + ": " + _render(v, inner) for k, v in sorted(obj.items()))
         return "{" + inner + body + nl + "}"
-    table = _table_columns(obj)
-    if table is None:
-        return "[" + inner + ("," + inner).join(_render(m, inner) for m in obj) + nl + "]"
-    keys, columns = table
-    member = inner + "  "
-    heads = [itertools.repeat("," + member + _key(k) + ": ") for k in keys]
-    first = "{" + member + _key(keys[0]) + ": "
-    heads[0] = itertools.chain(("[" + inner + first,), itertools.repeat(inner + "}," + inner + first))
-    cells = [_encoder("\x00")(col)[1:-1].split(",\x00") for col in columns]
-    pieces = itertools.chain.from_iterable(zip(*itertools.chain.from_iterable(zip(heads, cells))))
-    return "".join(pieces) + inner + "}" + nl + "]"
+    return "[" + inner + ("," + inner).join(_render(m, inner) for m in obj) + nl + "]"
 
 
 _SWEEP_COLUMNS = ("tau", "h_lower", "h_upper", "dim_lower", "dim_upper", "case_tag")
@@ -643,19 +637,15 @@ _BOUNDS_COLUMNS = ("rule", "case", "h_lower", "h_upper", "dim_lower", "dim_upper
 _CSV_SPECIAL = ',"\n'  # csv.QUOTE_MINIMAL with lineterminator "\n" leaves a "\r" unquoted
 
 
-def render_csv(rows: list[dict], columns: tuple[str, ...]) -> str:
-    """What ``csv.writer(lineterminator="\n")`` writes for ``rows`` holding every column, two or more."""
+def render_csv(table: Table) -> str:
+    """What ``csv.writer(lineterminator="\n")`` writes for ``table``: its keys, two or more, then its rows."""
     cols = []
-    for c in columns:
-        cells = list(map(operator.itemgetter(c), rows))
-        col = [c, *map(str, map({None: ""}.get, cells, cells))]  # None is written as ""
+    for key, cells in zip(table.keys, table.columns):
+        col = [key, *map(str, map({None: ""}.get, cells, cells))]  # None is written as ""
         if any(map("\x00".join(col).__contains__, _CSV_SPECIAL)):
             col = ['"' + s.replace('"', '""') + '"' if any(map(s.__contains__, _CSV_SPECIAL)) else s for s in col]
         cols.append(col)
     return "\n".join(map(",".join, zip(*cols))) + "\n"
-
-
-_CSV_COLUMNS = {"sweep": _SWEEP_COLUMNS, "bounds": _BOUNDS_COLUMNS}
 
 
 def write_report(report: dict, out_dir: Path, formats: tuple[str, ...]) -> list[Path]:
@@ -663,8 +653,11 @@ def write_report(report: dict, out_dir: Path, formats: tuple[str, ...]) -> list[
     out_dir.mkdir(parents=True, exist_ok=True)
     (res,) = report["results"]
     files = {"report.json": render_json(report)} if "json" in formats else {}
-    if "csv" in formats and res["status"] == "ok" and res["task"] in _CSV_COLUMNS:
-        files[f"{res['task']}.csv"] = render_csv(res["rows"], _CSV_COLUMNS[res["task"]])
+    if "csv" in formats and res["status"] == "ok" and res["task"] in ("bounds", "sweep"):
+        table = res["rows"]
+        if res["task"] == "bounds":  # row dicts with list cells, of which the CSV takes six keys
+            table = Table(_BOUNDS_COLUMNS, tuple(list(map(operator.itemgetter(c), table)) for c in _BOUNDS_COLUMNS))
+        files[f"{res['task']}.csv"] = render_csv(table)
     for name, text in files.items():
         (out_dir / name).write_bytes(text.encode())
     return [out_dir / name for name in files]
@@ -727,6 +720,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
     print(f"[{args.command}] {seconds:.3f}s", file=sys.stderr)
+    if not ok:  # a CSV-only run writes no report, so the error is named here
+        print(f"error: {report['results'][0]['error']}", file=sys.stderr)
     for path in written:
         print(f"wrote {path}", file=sys.stderr)
     return 0 if ok else 1

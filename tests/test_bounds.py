@@ -24,7 +24,7 @@ from shrinktarget.cli import (
     _SWEEP_COLUMNS,
     evaluate,
     fmt,
-    sweep_rows,
+    sweep_table,
     system_facts,
 )
 from shrinktarget.rates import Exponential, RateError, RateExponents
@@ -41,6 +41,7 @@ from shrinktarget.systems import (
 )
 from matrix_cases import conjugate, jordan
 from shift_strategies import entropy, full_shift, golden_mean_shift
+from test_render import table_rows
 
 LN2 = math.log(2.0)
 CAT = IntegerMatrixSystem(((2, 1), (1, 1)))
@@ -567,7 +568,7 @@ class TestSweepRuns:
         taus = sorted(picked | extra)
         # a profile whose constants are below its exponents may fail the sandwich check
         want = _outcome(lambda: [_per_tau_row(facts, t) for t in taus])
-        assert _outcome(lambda: sweep_rows(facts, taus)) == want
+        assert _outcome(lambda: table_rows(sweep_table(facts, taus))) == want
 
     @pytest.mark.parametrize("name", sorted(SWEEP_FACTS))
     def test_long_grid_crossing_every_threshold(self, name):
@@ -585,14 +586,14 @@ class TestSweepRuns:
             grid.add(rng.uniform(0.0, 1.5 * max(constants)))
         taus = sorted(grid)
         assert len(taus) == 2000 and taus[0] < min(constants) - 2e-12 and max(constants) + 2e-12 < taus[-2]
-        assert sweep_rows(facts, taus) == [_per_tau_row(facts, t) for t in taus]
+        assert table_rows(sweep_table(facts, taus)) == [_per_tau_row(facts, t) for t in taus]
 
     def test_regime_conflict_masks_single_elements(self):
         # lambda1 > ln L1: the lower side exceeds the upper one from some tau on,
         # within one generic run
         facts = system_facts(HyperbolicityProfile(lambda1=2.0, lambda2=1.0, ln_l1=1.0, ln_l2=4.0, h_top=1.0))
         taus = [0.0, 0.1, 0.2, 0.3]
-        rows = sweep_rows(facts, taus)
+        rows = table_rows(sweep_table(facts, taus))
         assert [row["h_lower"] for row in rows] == ["1", "0.863636363636", "0.75", None]
         assert {row["case_tag"] for row in rows} == {"generic"}
         assert rows == [_per_tau_row(facts, t) for t in taus]

@@ -601,6 +601,30 @@ class TestValidation:
         assert res["status"] == "error"
         assert "modulus at 1" in res["error"]
 
+    @pytest.mark.parametrize("formats", [["csv"], ["json"], ["json", "csv"]])
+    def test_task_error_named_on_stderr(self, tmp_path, monkeypatch, capsys, formats):
+        # a CSV-only run writes no file, so stderr is where its error shows
+        monkeypatch.chdir(tmp_path)
+        payload = cat_map_config(tasks=("bounds",))
+        payload["system"]["entries"] = [[1, 1], [0, 1]]
+        payload["output"]["formats"] = formats
+        assert main(["bounds", "--config", str(write_config(tmp_path, payload))]) == 1
+        err = capsys.readouterr().err
+        assert "error: spectrum has a modulus at 1; no bounds apply\n" in err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == (["report.json"] if "json" in formats else [])
+
+    def test_task_error_named_with_format_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        payload = cat_map_config(tasks=("bounds",))
+        payload["system"]["entries"] = [[1, 1], [0, 1]]
+        assert main(["bounds", "--config", str(write_config(tmp_path, payload)), "--format", "csv"]) == 1
+        assert "error: spectrum has a modulus at 1" in capsys.readouterr().err
+
+    def test_no_error_line_on_success(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bounds", "--config", str(write_config(tmp_path, cat_map_config(tasks=("bounds",))))]) == 0
+        assert "error" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["analyze", "bounds", "sweep"])
     @pytest.mark.parametrize("power", [512, 1023, 1024])
     def test_matrix_beyond_the_float_range_rejected(self, tmp_path, monkeypatch, capsys, command, power):
@@ -1135,6 +1159,19 @@ class TestSweepGridValidation:
             assert main(["sweep", "--config", str(write_config(tmp_path, self._grid_config([0.1, top])))]) == 0
             rows.append(read_report(tmp_path)["results"][0]["rows"])
         assert rows[0] == rows[1] and rows[0][1]["tau"] == "inf"
+
+    def test_empty_grid(self, tmp_path, monkeypatch):
+        # no taus: no rows, and a CSV of the header alone
+        monkeypatch.chdir(tmp_path)
+        payload = self._grid_config([])
+        payload["output"]["formats"] = ["json", "csv"]
+        assert main(["sweep", "--config", str(write_config(tmp_path, payload))]) == 0
+        text = (tmp_path / "out" / "report.json").read_text()
+        report = json.loads(text)
+        assert report["results"] == [{"task": "sweep", "status": "ok", "rows": []}]
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert '"rows": []' in text
+        assert (tmp_path / "out" / "sweep.csv").read_text() == "tau,h_lower,h_upper,dim_lower,dim_upper,case_tag\n"
 
     def test_integer_taus_accepted(self):
         config = parse_config(self._grid_config([0, 0.5, 1, 2]))

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shrinktarget.cli import (
-    _BOUNDS_COLUMNS, _SWEEP_COLUMNS, fmt, render_csv, render_json, run, sweep_rows, system_facts,
+    _BOUNDS_COLUMNS, _SWEEP_COLUMNS, Table, fmt, render_csv, render_json, run, sweep_table, system_facts, write_report,
 )
 from shrinktarget.config import parse_config
 from shrinktarget.systems import IntegerMatrixSystem
@@ -32,6 +32,15 @@ GOLDEN = ROOT / "tests" / "golden"
 
 def oracle(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def table_rows(table: Table) -> list[dict]:
+    """The rows of ``table`` as dicts, which ``render_json`` writes it as."""
+    return [dict(zip(table.keys, row, strict=True)) for row in zip(*table.columns, strict=True)]
+
+
+def table_of(rows: list[dict], keys: tuple[str, ...]) -> Table:
+    return Table(keys, tuple([row[k] for row in rows] for k in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +114,29 @@ def test_rows_at_any_depth(rows, depth):
     assert render_json(obj) == oracle(obj)
 
 
+@st.composite
+def column_tables(draw):
+    """A ``Table`` of 0-60 rows over 1-6 keys in any order, its cells any scalars."""
+    keys = draw(st.lists(strings, min_size=1, max_size=6, unique=True))
+    n = draw(st.integers(0, 60))
+    return Table(tuple(keys), tuple(draw(st.lists(scalars, min_size=n, max_size=n)) for _ in keys))
+
+
+@settings(max_examples=200, deadline=None)
+@given(column_tables(), st.lists(st.booleans(), max_size=3))
+@example(Table(("b", "a"), ([], [])), [])
+@example(Table(("\x00", "a\nb"), (["},\n    {", math.nan], [10**300, "\x1f"])), [True, False])
+def test_table_renders_as_its_rows(table, levels):
+    # nested in dicts (True) or lists (False), 0-3 levels deep
+    obj, rows = table, table_rows(table)
+    for k, in_dict in enumerate(levels):
+        if in_dict:
+            obj, rows = ({"level": k, "rows": x, "empty": [{}]} for x in (obj, rows))
+        else:
+            obj, rows = ([x, {"k": k}] for x in (obj, rows))
+    assert render_json(obj) == oracle(rows)
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -171,8 +203,8 @@ def test_render_csv_writes_none_as_empty():
         {"rule": "r", "case": None, "h_lower": "0.5", "h_upper": None, "dim_lower": "1", "dim_upper": "1"},
         {"rule": "a,b", "case": "EXACT", "h_lower": None, "h_upper": 'q"q', "dim_lower": None, "dim_upper": "x\ny"},
     ]
-    assert render_csv(rows, _BOUNDS_COLUMNS) == old_render_csv(rows, _BOUNDS_COLUMNS)
-    assert render_csv([], _SWEEP_COLUMNS) == old_render_csv([], _SWEEP_COLUMNS)
+    assert render_csv(table_of(rows, _BOUNDS_COLUMNS)) == old_render_csv(rows, _BOUNDS_COLUMNS)
+    assert render_csv(table_of([], _SWEEP_COLUMNS)) == old_render_csv([], _SWEEP_COLUMNS)
 
 
 csv_cells = st.one_of(
@@ -193,7 +225,7 @@ csv_cells = st.one_of(
 @example((_BOUNDS_COLUMNS, []))
 def test_render_csv_matches_csv_writer(case):
     columns, rows = case
-    assert render_csv(rows, columns) == old_render_csv(rows, columns)
+    assert render_csv(table_of(rows, columns)) == old_render_csv(rows, columns)
 
 
 # the golden cases whose bounds or sweep command succeeds
@@ -206,21 +238,26 @@ TABLES = [
 
 
 @pytest.mark.parametrize("case,command,columns", TABLES, ids=[f"{c}-{m}" for c, m, _ in TABLES])
-def test_rows_carry_every_csv_column(case, command, columns):
+def test_rows_carry_every_csv_column(case, command, columns, tmp_path):
     report, _, _ = run(parse_config(CASES[case][0]), command)
     (result,) = report["results"]
-    assert result["status"] == "ok" and result["rows"]
-    for row in result["rows"]:
+    rows = result["rows"]
+    if command == "sweep":  # the sweep's rows are its table, in CSV column order
+        assert isinstance(rows, Table) and rows.keys == columns
+        rows = table_rows(rows)
+    assert result["status"] == "ok" and rows
+    for row in rows:
         assert set(columns) <= set(row)
-    assert render_csv(result["rows"], columns) == old_render_csv(result["rows"], columns)
+    write_report(report, tmp_path, ("csv",))
+    assert (tmp_path / f"{command}.csv").read_text() == old_render_csv(rows, columns)
 
 
 def test_matrix_sweep_csv_unchanged():
     # the cat map and two expanding matrices, tau = 0, 0.05, ... past 1.5 h_top
     for entries in (((2, 1), (1, 1)), ((2,),), ((2, 0), (0, 3))):
         facts = system_facts(IntegerMatrixSystem(entries))
-        rows = sweep_rows(facts, [k * 0.05 for k in range(int(1.5 * facts.h_top / 0.05) + 2)])
-        assert render_csv(rows, _SWEEP_COLUMNS) == old_render_csv(rows, _SWEEP_COLUMNS)
+        table = sweep_table(facts, [k * 0.05 for k in range(int(1.5 * facts.h_top / 0.05) + 2)])
+        assert render_csv(table) == old_render_csv(table_rows(table), _SWEEP_COLUMNS)
 
 
 @pytest.mark.parametrize("case", ["cat_map", "jordan3_at_2"])
@@ -234,10 +271,13 @@ def test_full_size_sweep_report(case):
     for threshold in (c for c in (p.ln_l1, p.lambda1) if c is not None and math.isfinite(c)):
         assert config.sweep_taus[0] < threshold < config.sweep_taus[-1]
     report, ok, _ = run(config, "sweep")
-    rows = report["results"][0]["rows"]
+    table = report["results"][0]["rows"]
+    rows = table_rows(table)
     assert ok and len(rows) == len(cfg["sweep"]["taus"]) > 1900
-    assert render_json(report) == oracle(report)
-    assert render_csv(rows, _SWEEP_COLUMNS) == old_render_csv(rows, _SWEEP_COLUMNS)
+    with pytest.raises(TypeError):  # a table is written by render_json alone
+        json.dumps(report)
+    assert render_json(report) == oracle(dict(report, results=[dict(report["results"][0], rows=rows)]))
+    assert render_csv(table) == old_render_csv(rows, _SWEEP_COLUMNS)
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,8 @@ from .bounds import (  # noqa: F401
 from .oracle import (  # noqa: F401
     LimsupCylinderScheme,
     MoranLayout,
+    WitnessBlock,
     WitnessCertificate,
-    WitnessPlan,
     construct_witness,
     critical_exponent,
     grid_cell,

@@ -7,6 +7,9 @@ of its one result into the output directory:
 * ``report.json`` - always (when "json" is among the formats);
 * ``sweep.csv`` / ``bounds.csv`` - tabular rows (when "csv" is requested).
 
+The other commands write ``report.json`` only, so run without "json"
+among their formats they exit 2 before running and write nothing.
+
 Every real number in a report is rendered as a decimal string with 12
 significant digits ('.' separator, LF line endings), so reruns of the same
 config are byte-identical.  ``report.json`` is exactly
@@ -504,14 +507,14 @@ def _run_witness(config: ExperimentConfig, facts: SystemFacts) -> dict:
     names = np.array([str(c) for c in range(shift.alphabet_size)], dtype="S")
     rows = []
     for i, triple in enumerate(config.rates):
-        plan = plan_witness(
+        blocks = plan_witness(
             shift, triple.phi, triple.target, triple.time_set, params.stages, params.eta, gap
         )
-        cert = construct_witness(plan, shift, triple.target)
+        cert = construct_witness(blocks, shift, triple.target)
         rows.append(
             {
                 "rate_index": i,
-                "planned_hits": [b.hit_time for b in plan.blocks],
+                "planned_hits": [b.hit_time for b in blocks],
                 "prefix": names[cert.prefix].tobytes().replace(b"\0", b"").decode(),
                 "hits": [
                     [hh.time, hh.achieved_exponent, hh.required_exponent]
@@ -648,12 +651,15 @@ def render_csv(table: Table) -> str:
     return "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
+_CSV_TASKS = ("bounds", "sweep")  # the commands that also write a CSV table
+
+
 def write_report(report: dict, out_dir: Path, formats: tuple[str, ...]) -> list[Path]:
     """Write ``report.json`` and, for a bounds or sweep result, ``<task>.csv``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (res,) = report["results"]
     files = {"report.json": render_json(report)} if "json" in formats else {}
-    if "csv" in formats and res["status"] == "ok" and res["task"] in ("bounds", "sweep"):
+    if "csv" in formats and res["status"] == "ok" and res["task"] in _CSV_TASKS:
         table = res["rows"]
         if res["task"] == "bounds":  # row dicts with list cells, of which the CSV takes six keys
             table = Table(_BOUNDS_COLUMNS, tuple(list(map(operator.itemgetter(c), table)) for c in _BOUNDS_COLUMNS))
@@ -712,6 +718,9 @@ def main(argv: list[str] | None = None) -> int:
         formats = ("json", "csv")
     elif args.format is not None:
         formats = (args.format,)
+    if "json" not in formats and args.command not in _CSV_TASKS:
+        print(f"format error: {args.command} writes only report.json, so its formats need 'json'", file=sys.stderr)
+        return 2
 
     report, ok, seconds = run(config, args.command, seedless=args.seedless)
     try:

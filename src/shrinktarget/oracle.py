@@ -50,7 +50,9 @@ certificate lists its hit times; construction records the agreement at
 each and verification recomputes it, both from numpy mismatch arrays of
 the prefix against each distinct target stream (one per residue class of
 its cycle), so neither has a per-symbol Python loop and verification
-checks the claimed times only, not every time in S.  Verification also
+checks the claimed times only, not every time in S.  A plan is a tuple of
+blocks whose rules only the search of ``plan_witness`` tests; the
+independent check is ``verify_witness``.  Verification also
 checks, once per witness, that the prefix is an admissible word (one
 gather of its symbol pairs); construction does not.
 """
@@ -315,57 +317,22 @@ def moran_dimension(shift: ShiftOfFiniteType, layouts: Sequence[MoranLayout]) ->
 
 @dataclass(frozen=True)
 class WitnessBlock:
-    """One gluing block: hit time, free filler budget, gap bound, pinned length.
+    """One gluing block: a hit time and the pinned target prefix there.
 
-    The layout is prev_end + gap + free_len + gap = hit_time, with the pinned
-    target prefix occupying [hit_time, hit_time + pinned_len);
-    required_exponent is the first-disagreement index the rate demands at the
-    hit time, frozen in at planning time.
+    The pinned prefix of the target occupies [hit_time, hit_time +
+    pinned_len), and the stretch from the previous block's end up to
+    hit_time is free filler joined by connectors; required_exponent is the
+    first-disagreement index the rate demands at the hit time, frozen in at
+    planning time.
     """
 
     hit_time: int
-    free_len: int
-    gap: int
     pinned_len: int
     required_exponent: int
 
     @property
     def end(self) -> int:
         return self.hit_time + self.pinned_len
-
-
-@dataclass(frozen=True)
-class WitnessPlan:
-    """Block schedule plus the (alpha, beta, eta) window that sized it.
-
-    One-sided specialization: the window constrains the pinned ratio,
-    alpha * s_k < pinned_len <= alpha * s_k + 1 < beta * s_k, i.e. the pinned
-    prefix slightly overshoots the decay the rate demands.
-    """
-
-    blocks: tuple[WitnessBlock, ...]
-    alpha: float
-    beta: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        prev_end = 0
-        last_hit = -1
-        for b in self.blocks:
-            if b.hit_time <= last_hit:
-                raise PlanError("hit times must be strictly increasing")
-            if prev_end + 2 * b.gap + b.free_len != b.hit_time:
-                raise PlanError("block layout does not add up to the hit time")
-            ratio = b.pinned_len / b.hit_time
-            if not (self.alpha < ratio < self.beta):
-                raise PlanError(
-                    f"pinned ratio {ratio:.4f} outside ({self.alpha:.4f}, {self.beta:.4f})"
-                )
-            if b.pinned_len < b.required_exponent - 1:
-                raise PlanError("pinned block shorter than the required agreement")
-            prev_end = b.end
-            last_hit = b.hit_time
-
 
 
 @dataclass(frozen=True)
@@ -387,12 +354,12 @@ class WitnessCertificate:
     ``prefix`` is a read-only int64 numpy array.  Any other sequence given
     (a hand-built tuple, or a writable array) is copied into one, so a
     certificate's prefix cannot change once made; certificates compare
-    equal when their prefixes hold the same symbols.
+    equal when their prefixes hold the same symbols and their hits are
+    equal.  ``all_verified`` is read off the hits.
     """
 
     prefix: np.ndarray
     hits: tuple[WitnessHit, ...]
-    all_verified: bool
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -403,6 +370,10 @@ class WitnessCertificate:
             prefix.flags.writeable = False
             object.__setattr__(self, "prefix", prefix)
 
+    @property
+    def all_verified(self) -> bool:
+        return all(h.verified for h in self.hits)
+
     def __eq__(self, other: object) -> bool:
         import numpy as np
 
@@ -411,7 +382,6 @@ class WitnessCertificate:
         return (
             np.array_equal(self.prefix, other.prefix)
             and self.hits == other.hits
-            and self.all_verified == other.all_verified
         )
 
 
@@ -423,19 +393,24 @@ def plan_witness(
     k: int,
     eta: float,
     gap: int,
-) -> WitnessPlan:
+) -> tuple[WitnessBlock, ...]:
     """Schedule ``k`` hits along S with pinned lengths floor((tau+eta) s)+1.
 
     tau is phi's upper exponent along S; it must be finite.
     Each hit time is the first member of S leaving room for connectors of
     ``gap`` symbols, which must be ``symbolic.mixing_gap(shift)``, and at
     least one free symbol after the previous pinned block, and large enough
-    (s > 1/eta) that the pinned ratio lands inside the (alpha, beta) window.
-    The search moves past an s where the float ratio rounds onto an edge of
-    that window, as it does past one where phi undershoots its envelope.
+    (s > 1/eta) that the pinned ratio lands inside the window
+    alpha < pinned_len / s < beta, with alpha = tau + eta and beta =
+    tau + 2 eta: the pinned prefix slightly overshoots the decay the rate
+    demands.  The search moves past an s where the float ratio rounds onto
+    an edge of that window, as it does past one where phi undershoots its
+    envelope (pinned_len < r(s) - 1).
     A block therefore ends past both 1/eta and tau + eta, and a plan whose
     first block would end past the prefix limit that way, or whose hit time
     reaches that limit, raises PlanError before its floats overflow.
+    These rules are tested here only: the blocks carry no record of them,
+    and ``verify_witness`` checks the finished witness independently.
     """
     if shift.sided != "one":
         raise OracleError("witness plans are defined for one-sided shifts")
@@ -458,31 +433,29 @@ def plan_witness(
     prev_end = 0
     for i in range(k):
         # past the previous hit too: prev_end is that hit plus its pinned length
-        candidate = max(prev_end + 2 * gap + 1, math.floor(1.0 / eta) + 1)
-        hit = None
+        hit = max(prev_end + 2 * gap + 1, math.floor(1.0 / eta) + 1)
         for _ in range(10_000):
-            candidate = s.first_at_least(candidate)
-            if candidate >= _MAX_PREFIX_LEN:  # a block there ends past the prefix limit
+            hit = s.first_at_least(hit)
+            if hit >= _MAX_PREFIX_LEN:  # a block there ends past the prefix limit
                 raise PlanError(
                     f"block {i + 1} pushes the witness prefix past {_MAX_PREFIX_LEN} symbols"
                 )
-            pinned = floor_guarded(alpha * candidate) + 1
+            pinned = floor_guarded(alpha * hit) + 1
             # skip times where the float ratio leaves the window or phi undershoots its envelope
-            if alpha < pinned / candidate < beta and required_exponent(phi, candidate) - 1 <= pinned:
-                hit = candidate
-                break
-            candidate += 1
-        if hit is None:
+            if alpha < pinned / hit < beta:
+                need = required_exponent(phi, hit)
+                if need - 1 <= pinned:
+                    break
+            hit += 1
+        else:
             raise PlanError(
                 f"block {i + 1}: rate exceeds its exponential envelope along S"
             )
         blocks.append(
             WitnessBlock(
                 hit_time=hit,
-                free_len=hit - prev_end - 2 * gap,
-                gap=gap,
                 pinned_len=pinned,
-                required_exponent=required_exponent(phi, hit),
+                required_exponent=need,
             )
         )
         if not shift.sequence_admissible(z.target(hit)):
@@ -492,7 +465,7 @@ def plan_witness(
             raise PlanError(
                 f"block {i + 1} pushes the witness prefix past {_MAX_PREFIX_LEN} symbols"
             )
-    return WitnessPlan(blocks=tuple(blocks), alpha=alpha, beta=beta, eta=eta)
+    return tuple(blocks)
 
 
 def _reach_sets(shift: ShiftOfFiniteType, into: int, needed: int) -> list[frozenset[int]]:
@@ -569,11 +542,11 @@ def _stream_prefix(z: SymbolSequence, length: int) -> np.ndarray:
 
 
 def construct_witness(
-    plan: WitnessPlan,
+    blocks: Sequence[WitnessBlock],
     shift: ShiftOfFiniteType,
     z: ShiftTarget,
 ) -> WitnessCertificate:
-    """Realize a plan as an explicit admissible prefix and record every hit.
+    """Realize planned blocks as an explicit admissible prefix and record every hit.
 
     Free stretches are the lexicographically-least admissible fillers that
     join the previous pinned block to the next pinned target prefix
@@ -583,20 +556,25 @@ def construct_witness(
     their periodic parts tiled, and joined once into the certificate's
     read-only int64 prefix.  Each hit records the first-disagreement index
     the finished prefix achieves there (``_agreement_lengths``) beside the
-    one the plan requires.
+    one the block requires.  Blocks from ``plan_witness`` are not
+    re-checked.  A hand-built block that starts before the previous one
+    ends raises PlanError, since no filler fits there; one that breaks a
+    plan rule otherwise still yields a certificate, whose hits then fail.
     """
     import numpy as np
 
-    targets = [z.target(b.hit_time) for b in plan.blocks]
+    targets = [z.target(b.hit_time) for b in blocks]
     # one reach list per first target symbol; the last hit time bounds every stretch
     reach = {
-        z0: _reach_sets(shift, z0, plan.blocks[-1].hit_time)
+        z0: _reach_sets(shift, z0, blocks[-1].hit_time)
         for z0 in {t.symbol(0) for t in targets}
     }
     pieces = [np.zeros(0, dtype=np.int64)]
     end = 0
     prev: int | None = None
-    for b, tgt in zip(plan.blocks, targets):
+    for b, tgt in zip(blocks, targets):
+        if b.hit_time < end:
+            raise PlanError(f"block at time {b.hit_time} starts before the previous one ends at {end}")
         pieces.append(_fill_stretch(shift, b.hit_time - end, prev, reach[tgt.symbol(0)]))
         pieces.append(_stream_prefix(tgt, b.pinned_len))
         end = b.end
@@ -606,19 +584,18 @@ def construct_witness(
     prefix.flags.writeable = False
     # first disagreement index = agreement length + 1; at the end of the
     # prefix that is the first index beyond the observable window
-    agreement = _agreement_lengths(prefix, z, [b.hit_time for b in plan.blocks])
+    agreement = _agreement_lengths(prefix, z, [b.hit_time for b in blocks])
     hit_records = tuple(
         WitnessHit(
             time=b.hit_time,
             achieved_exponent=a + 1,
             required_exponent=b.required_exponent,
         )
-        for b, a in zip(plan.blocks, agreement)
+        for b, a in zip(blocks, agreement)
     )
     return WitnessCertificate(
         prefix=prefix,
         hits=hit_records,
-        all_verified=all(h.verified for h in hit_records),
     )
 
 

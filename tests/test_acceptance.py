@@ -142,11 +142,11 @@ def test_criterion_5_witness_construction():
         g = golden_mean_shift()
         phi = Exponential(0.3)
         z = constant_shift_target(ZEROS)
-        plan = plan_witness(g, phi, z, TimeSet(), 5, 0.05, mixing_gap(g))
-        cert = construct_witness(plan, g, z)
+        blocks = plan_witness(g, phi, z, TimeSet(), 5, 0.05, mixing_gap(g))
+        cert = construct_witness(blocks, g, z)
         assert cert.all_verified
         assert g.word_admissible(cert.prefix)
-        planned = [b.hit_time for b in plan.blocks]
+        planned = [b.hit_time for b in blocks]
         assert len(planned) == 5
         assert verify_witness(cert, g, phi, z, TimeSet()) == planned
         assert time.perf_counter() - started < 5.0

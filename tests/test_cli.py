@@ -620,6 +620,19 @@ class TestValidation:
         assert main(["bounds", "--config", str(write_config(tmp_path, payload)), "--format", "csv"]) == 1
         assert "error: spectrum has a modulus at 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "exact", "oracle", "witness"])
+    @pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config"])
+    def test_json_only_command_refuses_csv_only_output(self, tmp_path, monkeypatch, capsys, command, by_flag):
+        # these commands write report.json alone: CSV-only output would write nothing
+        monkeypatch.chdir(tmp_path)
+        payload = cat_map_config() if command in ("analyze", "exact") else golden_oracle_config(tasks=("oracle", "witness"))
+        if not by_flag:
+            payload["output"]["formats"] = ["csv"]
+        argv = [command, "--config", str(write_config(tmp_path, payload))] + (["--format", "csv"] if by_flag else [])
+        assert main(argv) == 2
+        assert f"{command} writes only report.json, so its formats need 'json'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_no_error_line_on_success(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["bounds", "--config", str(write_config(tmp_path, cat_map_config(tasks=("bounds",))))]) == 0

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shrinktarget import oracle
+from shrinktarget.cli import run
+from shrinktarget.config import parse_config
 from shrinktarget.oracle import (
     LimsupCylinderScheme,
     OracleError,
     PlanError,
+    WitnessBlock,
     WitnessCertificate,
     WitnessHit,
     _fill_stretch,
@@ -34,6 +37,7 @@ from shrinktarget.rates import (
     SymbolSequence,
     TimeSet,
     constant_shift_target,
+    tau_exponents,
 )
 from shrinktarget.symbolic import (
     NotMixingError,
@@ -141,7 +145,36 @@ def claim_every_time(prefix):
     """A certificate claiming a hit at every time 0..L-1, with recorded
     exponents that verification must not read."""
     hits = tuple(WitnessHit(n, 10**9, 0) for n in range(len(prefix)))
-    return WitnessCertificate(tuple(prefix), hits, True)
+    return WitnessCertificate(tuple(prefix), hits)
+
+
+def witness_report_row(shift, tau, eta, s, stages, z):
+    """The ``witness`` command's report row for one rate on ``shift``."""
+    assert s.times == ()  # an arithmetic time set has no explicit head
+
+    def sequence(q):
+        return {"head": list(q.head), "cycle": list(q.cycle)}
+
+    payload = {
+        "system": {"kind": "sft", "transition": [list(r) for r in shift.transition], "sided": "one"},
+        "rates": [
+            {
+                "phi": {"kind": "exponential", "tau": tau},
+                "time_set": {"kind": "arithmetic", "offset": s.offset, "step": s.step},
+                "target": {
+                    "kind": "symbol_schedule",
+                    "preperiod": [sequence(q) for q in z.preperiod],
+                    "cycle": [sequence(q) for q in z.cycle],
+                },
+            }
+        ],
+        "tasks": ["witness"],
+        "oracle_params": {"stages": stages, "eta": eta},
+    }
+    report, ok, _ = run(parse_config(payload), "witness")
+    assert ok, report["results"][0]
+    (row,) = report["results"][0]["rows"]
+    return row
 
 
 def reference_fill(shift, length, prev, into):
@@ -161,11 +194,11 @@ def reference_fill(shift, length, prev, into):
     return out
 
 
-def reference_prefix(plan, shift, z):
+def reference_prefix(blocks, shift, z):
     """The witness prefix glued symbol by symbol from ``reference_fill`` and
     the pinned target prefixes."""
     symbols, prev = [], None
-    for b in plan.blocks:
+    for b in blocks:
         tgt = z.target(b.hit_time)
         symbols += reference_fill(shift, b.hit_time - len(symbols), prev, tgt.symbol(0))
         symbols += tgt.prefix(b.pinned_len)
@@ -444,22 +477,22 @@ class TestMoran:
 class TestWitness:
     def test_full_shift_plan_shape(self):
         phi = Exponential(0.3)
-        plan = plan_witness(full_shift(2), phi, ZERO_TARGET, TimeSet(), 5, 0.05, mixing_gap(full_shift(2)))
-        hits = [b.hit_time for b in plan.blocks]
+        blocks = plan_witness(full_shift(2), phi, ZERO_TARGET, TimeSet(), 5, 0.05, mixing_gap(full_shift(2)))
+        hits = [b.hit_time for b in blocks]
         assert len(hits) == 5
         assert all(b > a for a, b in zip(hits, hits[1:]))
-        for b in plan.blocks:
+        for b in blocks:
             assert b.pinned_len == math.floor(0.35 * b.hit_time) + 1
             assert b.pinned_len >= math.floor(0.3 * b.hit_time) + 1
 
     def test_full_shift_construct_and_verify(self):
         phi = Exponential(0.3)
-        plan = plan_witness(full_shift(2), phi, ZERO_TARGET, TimeSet(), 5, 0.05, mixing_gap(full_shift(2)))
-        cert = construct_witness(plan, full_shift(2), ZERO_TARGET)
+        blocks = plan_witness(full_shift(2), phi, ZERO_TARGET, TimeSet(), 5, 0.05, mixing_gap(full_shift(2)))
+        cert = construct_witness(blocks, full_shift(2), ZERO_TARGET)
         assert cert.all_verified
         for hit in cert.hits:
             assert hit.achieved_exponent >= hit.required_exponent
-        planned = [b.hit_time for b in plan.blocks]
+        planned = [b.hit_time for b in blocks]
         assert verify_witness(cert, full_shift(2), phi, ZERO_TARGET, TimeSet()) == planned
         every = verify_witness(claim_every_time(cert.prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
         assert every == naive_verify(cert.prefix, phi, ZERO_TARGET, TimeSet())
@@ -468,8 +501,8 @@ class TestWitness:
     def test_golden_mean_avoids_forbidden_word(self):
         phi = Exponential(0.3)
         g = golden_mean_shift()
-        plan = plan_witness(g, phi, ZERO_TARGET, TimeSet(), 5, 0.05, mixing_gap(g))
-        cert = construct_witness(plan, g, ZERO_TARGET)
+        blocks = plan_witness(g, phi, ZERO_TARGET, TimeSet(), 5, 0.05, mixing_gap(g))
+        cert = construct_witness(blocks, g, ZERO_TARGET)
         assert cert.all_verified
         assert g.word_admissible(cert.prefix)
         assert all(
@@ -483,15 +516,15 @@ class TestWitness:
         z = constant_shift_target(SymbolSequence(head=(), cycle=(0, 0, 1)))
         phi = Exponential(0.3)
         g = golden_mean_shift()
-        plan = plan_witness(g, phi, z, TimeSet(), 4, 0.05, mixing_gap(g))
-        cert = construct_witness(plan, g, z)
+        blocks = plan_witness(g, phi, z, TimeSet(), 4, 0.05, mixing_gap(g))
+        cert = construct_witness(blocks, g, z)
         assert cert.all_verified
         assert g.word_admissible(cert.prefix)
-        for block, hit in zip(plan.blocks, cert.hits):
+        for block, hit in zip(blocks, cert.hits):
             assert hit.required_exponent <= hit.achieved_exponent
             # the copied prefix guarantees at least pinned_len agreement
             assert hit.achieved_exponent >= block.pinned_len + 1
-        planned = [b.hit_time for b in plan.blocks]
+        planned = [b.hit_time for b in blocks]
         assert verify_witness(cert, g, phi, z, TimeSet()) == planned
         every = verify_witness(claim_every_time(cert.prefix), g, phi, z, TimeSet())
         assert every == naive_verify(cert.prefix, phi, z, TimeSet())
@@ -503,9 +536,9 @@ class TestWitness:
         z = constant_shift_target(SymbolSequence(head=(), cycle=(0, 0, 1)))
         phi = Exponential(0.3)
         g = golden_mean_shift()
-        plan = plan_witness(g, phi, z, TimeSet(), 4, 0.05, 2)
-        cert = construct_witness(plan, g, z)
-        planned = [b.hit_time for b in plan.blocks]
+        blocks = plan_witness(g, phi, z, TimeSet(), 4, 0.05, 2)
+        cert = construct_witness(blocks, g, z)
+        planned = [b.hit_time for b in blocks]
         assert planned == [21, 34, 51, 74]
         assert verify_witness(cert, g, phi, z, TimeSet()) == planned
         prefix = cert.prefix.copy()  # the certificate's own array is read-only
@@ -515,15 +548,15 @@ class TestWitness:
         assert verify_witness(tampered, full_shift(2), phi, z, TimeSet()) == planned
 
     def test_empty_plan(self):
-        plan = plan_witness(full_shift(2), Exponential(0.3), ZERO_TARGET, TimeSet(), 0, 0.05, mixing_gap(full_shift(2)))
-        assert plan.blocks == ()
-        cert = construct_witness(plan, full_shift(2), ZERO_TARGET)
+        blocks = plan_witness(full_shift(2), Exponential(0.3), ZERO_TARGET, TimeSet(), 0, 0.05, mixing_gap(full_shift(2)))
+        assert blocks == ()
+        cert = construct_witness(blocks, full_shift(2), ZERO_TARGET)
         assert len(cert.prefix) == 0 and cert.all_verified
 
     def test_prefix_is_read_only(self):
         g = golden_mean_shift()
-        plan = plan_witness(g, Exponential(0.3), ZERO_TARGET, TimeSet(), 3, 0.05, mixing_gap(g))
-        cert = construct_witness(plan, g, ZERO_TARGET)
+        blocks = plan_witness(g, Exponential(0.3), ZERO_TARGET, TimeSet(), 3, 0.05, mixing_gap(g))
+        cert = construct_witness(blocks, g, ZERO_TARGET)
         assert cert.prefix.dtype == np.int64
         with pytest.raises(ValueError, match="read-only"):
             cert.prefix[0] = 1
@@ -535,22 +568,24 @@ class TestWitness:
 
     def test_certificates_compare_by_symbols(self):
         g = golden_mean_shift()
-        plan = plan_witness(g, Exponential(0.3), ZERO_TARGET, TimeSet(), 3, 0.05, mixing_gap(g))
-        cert = construct_witness(plan, g, ZERO_TARGET)
-        assert cert == construct_witness(plan, g, ZERO_TARGET)
+        blocks = plan_witness(g, Exponential(0.3), ZERO_TARGET, TimeSet(), 3, 0.05, mixing_gap(g))
+        cert = construct_witness(blocks, g, ZERO_TARGET)
+        assert cert == construct_witness(blocks, g, ZERO_TARGET)
         assert cert == replace(cert, prefix=tuple(cert.prefix.tolist()))
         tampered = cert.prefix.copy()
         tampered[-1] = 1
         assert cert != replace(cert, prefix=tampered)
         assert cert != replace(cert, prefix=cert.prefix[:-1])
-        assert cert != replace(cert, all_verified=not cert.all_verified)
-        assert WitnessCertificate((), (), True) == WitnessCertificate(np.zeros(0, dtype=np.int64), (), True)
+        first, *rest = cert.hits
+        assert cert != replace(cert, hits=(replace(first, achieved_exponent=0), *rest))
+        assert cert != replace(cert, hits=cert.hits[1:])
+        assert WitnessCertificate((), ()) == WitnessCertificate(np.zeros(0, dtype=np.int64), ())
         assert cert != "not a certificate"
 
     def test_explicit_powers_of_two(self):
         powers = TimeSet(2**12, 2**12, tuple(2**i for i in range(3, 12)))
-        plan = plan_witness(full_shift(2), Exponential(0.3), ZERO_TARGET, powers, 3, 0.05, mixing_gap(full_shift(2)))
-        for b in plan.blocks:
+        blocks = plan_witness(full_shift(2), Exponential(0.3), ZERO_TARGET, powers, 3, 0.05, mixing_gap(full_shift(2)))
+        for b in blocks:
             assert powers.contains(b.hit_time)
 
     def test_reach_sets_once_per_target_symbol(self, monkeypatch):
@@ -562,21 +597,21 @@ class TestWitness:
 
         monkeypatch.setattr(oracle, "_reach_sets", counted)
         g = golden_mean_shift()
-        plan = plan_witness(g, Exponential(0.5), ZERO_TARGET, TimeSet(), 14, 0.05, mixing_gap(g))
-        construct_witness(plan, g, ZERO_TARGET)
+        blocks = plan_witness(g, Exponential(0.5), ZERO_TARGET, TimeSet(), 14, 0.05, mixing_gap(g))
+        construct_witness(blocks, g, ZERO_TARGET)
         assert calls == [0]
         calls.clear()
         schedule = ShiftTarget((), (ZEROS, SymbolSequence((), (1, 0)), ZEROS))
-        plan = plan_witness(full_shift(2), Exponential(0.3), schedule, TimeSet(), 9, 0.05, 1)
-        construct_witness(plan, full_shift(2), schedule)
+        blocks = plan_witness(full_shift(2), Exponential(0.3), schedule, TimeSet(), 9, 0.05, 1)
+        construct_witness(blocks, full_shift(2), schedule)
         assert sorted(calls) == [0, 1]
 
     def test_deterministic(self):
         phi = Exponential(0.3)
         g = golden_mean_shift()
-        plan = plan_witness(g, phi, ZERO_TARGET, TimeSet(), 4, 0.05, mixing_gap(g))
-        c1 = construct_witness(plan, g, ZERO_TARGET)
-        c2 = construct_witness(plan, g, ZERO_TARGET)
+        blocks = plan_witness(g, phi, ZERO_TARGET, TimeSet(), 4, 0.05, mixing_gap(g))
+        c1 = construct_witness(blocks, g, ZERO_TARGET)
+        c2 = construct_witness(blocks, g, ZERO_TARGET)
         assert np.array_equal(c1.prefix, c2.prefix)
 
     def test_vacuous_rate(self):
@@ -617,7 +652,7 @@ class TestWitness:
             WitnessHit(12, 1, 7),  # outside the prefix
             WitnessHit(-1, 1, 1),
         )
-        cert = WitnessCertificate(prefix, claims, True)
+        cert = WitnessCertificate(prefix, claims)
         half = Exponential(0.5)
         assert verify_witness(cert, full_shift(2), half, ZERO_TARGET, TimeSet()) == [4, 5, 2, 0]
         assert verify_witness(cert, full_shift(2), half, ZERO_TARGET, TimeSet(0, 2)) == [4, 2, 0]
@@ -631,10 +666,25 @@ class TestWitness:
         phi = PiecewiseExponential(2, (0.1, 1e308))
         s = TimeSet(26, 2, (25,))
         assert required_exponent(phi, 25) == math.inf
-        plan = plan_witness(golden_mean_shift(), phi, ZERO_TARGET, s, 2, 0.05, mixing_gap(golden_mean_shift()))
-        assert [b.hit_time for b in plan.blocks] == [26, 36]
-        cert = WitnessCertificate((0,) * 200, (WitnessHit(25, 200, 0), WitnessHit(26, 200, 0)), True)
+        blocks = plan_witness(golden_mean_shift(), phi, ZERO_TARGET, s, 2, 0.05, mixing_gap(golden_mean_shift()))
+        assert [b.hit_time for b in blocks] == [26, 36]
+        cert = WitnessCertificate((0,) * 200, (WitnessHit(25, 200, 0), WitnessHit(26, 200, 0)))
         assert verify_witness(cert, golden_mean_shift(), phi, ZERO_TARGET, s) == [26]
+
+    def test_overlapping_blocks_refused(self):
+        # no filler fits where a block starts before the previous one ends
+        g = golden_mean_shift()
+        first, second = plan_witness(g, Exponential(0.3), ZERO_TARGET, TimeSet(), 2, 0.05, mixing_gap(g))
+        early = replace(second, hit_time=first.end - 1)
+        with pytest.raises(PlanError, match=f"block at time {first.end - 1} starts before the previous one ends at {first.end}"):
+            construct_witness((first, early), g, ZERO_TARGET)
+        with pytest.raises(PlanError, match="starts before"):
+            construct_witness((first, WitnessBlock(first.hit_time, 3, 1)), g, ZERO_TARGET)
+        # a block that breaks only the window rule is built, and its hit fails
+        short = replace(second, pinned_len=1)
+        cert = construct_witness((first, short), g, ZERO_TARGET)
+        assert not cert.all_verified and cert.hits[0].verified
+        assert verify_witness(cert, g, Exponential(0.3), ZERO_TARGET, TimeSet()) == [first.hit_time]
 
     def test_eta_must_be_positive(self):
         with pytest.raises(PlanError):
@@ -754,17 +804,30 @@ class TestWitnessAgainstNaiveLoops:
         else:
             z = constant_shift_target(admissible_sequence(data, shift))
         phi = Exponential(tau)
-        plan = plan_witness(shift, phi, z, s, stages, eta, mixing_gap(shift))
-        cert = construct_witness(plan, shift, z)
+        gap = mixing_gap(shift)
+        blocks = plan_witness(shift, phi, z, s, stages, eta, gap)
+        cert = construct_witness(blocks, shift, z)
+        # the plan's rules, tested once in its search, hold on every block
+        tau_bar = tau_exponents(phi, s).tau_upper
+        alpha, beta = tau_bar + eta, tau_bar + 2 * eta
+        prev_end = 0
+        for b in blocks:
+            assert s.contains(b.hit_time)
+            assert b.hit_time >= prev_end + 2 * gap + 1
+            assert alpha < b.pinned_len / b.hit_time < beta
+            assert b.required_exponent == required_exponent(phi, b.hit_time)
+            assert b.pinned_len >= b.required_exponent - 1
+            prev_end = b.end
+        assert witness_report_row(shift, tau, eta, s, stages, z)["planned_hits"] == [h.time for h in cert.hits]
         assert shift.word_admissible(cert.prefix)
-        assert [h.time for h in cert.hits] == [b.hit_time for b in plan.blocks]
+        assert [h.time for h in cert.hits] == [b.hit_time for b in blocks]
         for hit in cert.hits:
             want = naive_first_disagreement(cert.prefix, hit.time, z.target(hit.time))
             assert hit.achieved_exponent == want
         assert cert.all_verified == all(h.verified for h in cert.hits)
         every = naive_verify(cert.prefix, phi, z, s)
         assert verify_witness(claim_every_time(cert.prefix), shift, phi, z, s) == every
-        planned = [b.hit_time for b in plan.blocks]
+        planned = [b.hit_time for b in blocks]
         assert verify_witness(cert, shift, phi, z, s) == [n for n in every if n in planned]
 
     @settings(max_examples=60, deadline=None)
@@ -774,15 +837,15 @@ class TestWitnessAgainstNaiveLoops:
         # built for that stretch alone does
         cycle = tuple(admissible_sequence(data, shift) for _ in range(data.draw(st.integers(1, 3))))
         z = ShiftTarget((), cycle)
-        plan = plan_witness(shift, Exponential(tau), z, TimeSet(), stages, 0.1, mixing_gap(shift))
+        blocks = plan_witness(shift, Exponential(tau), z, TimeSet(), stages, 0.1, mixing_gap(shift))
         symbols, prev = [], None
-        for b in plan.blocks:
+        for b in blocks:
             tgt = z.target(b.hit_time)
             stretch = b.hit_time - len(symbols)
             symbols += _fill_stretch(shift, stretch, prev, _reach_sets(shift, tgt.symbol(0), stretch)).tolist()
             symbols += tgt.prefix(b.pinned_len)
             prev = symbols[-1]
-        assert np.array_equal(construct_witness(plan, shift, z).prefix, symbols)
+        assert np.array_equal(construct_witness(blocks, shift, z).prefix, symbols)
 
     @settings(max_examples=100, deadline=None)
     @given(irreducible_shifts(max_k=5, mixing=True), st.floats(0.0, 1.2), st.integers(1, 8), st.integers(1, 3), st.data())
@@ -790,8 +853,8 @@ class TestWitnessAgainstNaiveLoops:
         # the first block follows no symbol; the later ones follow a pinned block
         cycle = tuple(admissible_sequence(data, shift) for _ in range(targets))
         z = ShiftTarget((), cycle)
-        plan = plan_witness(shift, Exponential(tau), z, TimeSet(), stages, 0.1, mixing_gap(shift))
-        assert construct_witness(plan, shift, z).prefix.tolist() == reference_prefix(plan, shift, z)
+        blocks = plan_witness(shift, Exponential(tau), z, TimeSet(), stages, 0.1, mixing_gap(shift))
+        assert construct_witness(blocks, shift, z).prefix.tolist() == reference_prefix(blocks, shift, z)
 
     @settings(max_examples=200, deadline=None)
     @given(irreducible_shifts(max_k=5, mixing=True), st.data())
@@ -815,8 +878,8 @@ class TestWitnessAgainstNaiveLoops:
     @pytest.mark.parametrize("cycle", [(1, 2), (0, 1, 3)])
     def test_prefix_with_a_transient(self, cycle):
         z = constant_shift_target(SymbolSequence((), cycle))
-        plan = plan_witness(TRANSIENT, Exponential(0.5), z, TimeSet(), 6, 0.05, mixing_gap(TRANSIENT))
-        cert = construct_witness(plan, TRANSIENT, z)
+        blocks = plan_witness(TRANSIENT, Exponential(0.5), z, TimeSet(), 6, 0.05, mixing_gap(TRANSIENT))
+        cert = construct_witness(blocks, TRANSIENT, z)
         assert cert.prefix[:5].tolist() == [0, 1, 2, 1, 2]
-        assert cert.prefix.tolist() == reference_prefix(plan, TRANSIENT, z)
-        assert verify_witness(cert, TRANSIENT, Exponential(0.5), z, TimeSet()) == [b.hit_time for b in plan.blocks]
+        assert cert.prefix.tolist() == reference_prefix(blocks, TRANSIENT, z)
+        assert verify_witness(cert, TRANSIENT, Exponential(0.5), z, TimeSet()) == [b.hit_time for b in blocks]

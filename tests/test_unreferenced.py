@@ -205,3 +205,65 @@ def test_a_function_import_is_used_only_by_its_function():
 
 def test_every_import_has_a_use_in_its_module():
     assert unused_imports() == []
+
+
+def _dataclass_fields(tree: ast.AST):
+    """"Class.field" and the field's name, for each field annotated in a ``@dataclass`` body."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+            for d in (getattr(d, "func", d) for d in node.decorator_list)
+        ):
+            for s in node.body:
+                if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name):
+                    yield f"{node.name}.{s.target.id}", s.target.id
+
+
+def _unread_fields(trees: dict[str, ast.Module]) -> list[str]:
+    """The dataclass fields in ``trees`` that no load reads outside every ``__post_init__``.
+
+    The match is by name, as for a method in ``_unreferenced``: an
+    ``Attribute`` load ``x.name`` anywhere else counts, a ``Name`` load
+    reads a variable.  A field that only its validator reads restates what
+    the code that builds it already knows.
+    """
+    validating = {
+        id(n)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, _FUNCTIONS) and node.name == "__post_init__"
+        for n in ast.walk(node)
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in validating:
+                read.add(node.attr)
+    return [qualname for tree in trees.values() for qualname, name in _dataclass_fields(tree) if name not in read]
+
+
+def unread_fields() -> list[str]:
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    return _unread_fields({p.name: ast.parse(p.read_text()) for p in modules})
+
+
+def test_a_validator_is_no_reader_of_a_field():
+    tree = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Plan:\n"
+        "    blocks: tuple\n"
+        "    alpha: float\n"  # only __post_init__ reads it
+        "    eta: float\n"  # a local variable named like it is no reader
+        "    def __post_init__(self):\n"
+        "        assert self.alpha > 0 and self.eta > 0\n"
+        "class Loose:\n"
+        "    note: str\n"  # not a dataclass: a plain annotation
+        "def make(eta):\n"
+        "    return Plan(blocks=(), alpha=eta, eta=eta).blocks\n"
+    )
+    assert _unread_fields({"oracle.py": tree}) == ["Plan.alpha", "Plan.eta"]
+
+
+def test_every_field_is_read_outside_a_validator():
+    assert unread_fields() == []

@@ -3,8 +3,10 @@
 Library layout:
 
 * :mod:`shrinktarget.rates` - shrinking rates phi, time sets S (one
-  ``TimeSet`` type: a finite head, then an arithmetic tail), targets Z and
-  the decay exponents (tau_upper, tau_lower);
+  ``TimeSet`` type: a finite head, then an arithmetic tail), targets Z
+  (one ``EventuallyPeriodic`` type: a finite head, then a cycle, of
+  symbols, symbol streams or torus points) and the decay exponents
+  (tau_upper, tau_lower);
 * :mod:`shrinktarget.systems` - integer-matrix torus maps, spectra and
   hyperbolicity profiles;
 * :mod:`shrinktarget.symbolic` - shifts of finite type, sofic presentations,
@@ -25,15 +27,12 @@ script needs to reproduce a CLI row by hand.
 __version__ = "0.1.0"
 
 from .rates import (  # noqa: F401
-    ConstantPoint,
     EventuallyPeriodic,
     Exponential,
     PiecewiseExponential,
     PowerLaw,
     RateExponents,
     RateFunction,
-    ShiftTarget,
-    SymbolSequence,
     Tabulated,
     TimeSet,
     family_tau,

@@ -470,10 +470,10 @@ def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
     windows = {}  # the fit window's log counts per first target symbol, for this call only
     rows, layouts = [], []
     for i, triple in enumerate(config.rates):
-        z = triple.target.target(0)
+        z = triple.target.at(0)
         tau = triple.phi.tau
         scheme = LimsupCylinderScheme(shift, tau, z)
-        z0 = z.symbol(0)
+        z0 = z.at(0)
         if z0 not in windows:
             windows[z0] = scheme.log_window(params.depth)
         bracket = grid_cell(critical_exponent(scheme, params.depth, windows[z0]), grid)

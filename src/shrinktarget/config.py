@@ -18,18 +18,13 @@ from typing import Any, Union
 from .rates import (
     EventuallyPeriodic,
     Exponential,
-    ConstantPoint,
     PiecewiseExponential,
     PowerLaw,
     RateError,
     RateExponents,
     RateFunction,
-    ShiftTarget,
-    SymbolSequence,
     Tabulated,
-    TargetSequence,
     TimeSet,
-    constant_shift_target,
 )
 from .symbolic import ShiftOfFiniteType, SoficPresentation, SymbolicError
 from .systems import HyperbolicityProfile, IntegerMatrixSystem, SpectrumError
@@ -98,6 +93,12 @@ def _as_int(value: Any, path: str) -> int:
     return value
 
 
+def _as_str(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(path, f"expected a string, got {value!r}")
+    return value
+
+
 def _as_int_matrix(value: Any, path: str) -> tuple[tuple[int, ...], ...]:
     """A list of lists of integers, checked one row at a time; the path of a
     failing entry is built only once its row fails (bool is a type of its own)."""
@@ -118,7 +119,7 @@ SystemSpec = Union[
 class RateTriple:
     phi: RateFunction | RateExponents
     time_set: TimeSet
-    target: TargetSequence
+    target: EventuallyPeriodic
 
 
 @dataclass(frozen=True)
@@ -198,12 +199,12 @@ def _parse_time_set(obj: Any, path: str) -> TimeSet:
     raise ConfigError(f"{path}.kind", f"unknown time set kind {kind!r}")
 
 
-def _parse_symbol_sequence(obj: Any, path: str) -> SymbolSequence:
+def _parse_symbol_sequence(obj: Any, path: str) -> EventuallyPeriodic:
     d = _as_dict(obj, path)
     head = _list_of(d.get("head", []), f"{path}.head", _as_int)
     cycle = _list_of(_require(d, "cycle", path), f"{path}.cycle", _as_int)
     try:
-        return SymbolSequence(tuple(head), tuple(cycle))
+        return EventuallyPeriodic(tuple(head), tuple(cycle))
     except RateError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -212,22 +213,24 @@ def _as_point(value: Any, path: str) -> tuple[float, ...]:
     return tuple(_list_of(value, path, _as_number))
 
 
-def _parse_target(obj: Any, path: str) -> TargetSequence:
+def _parse_target(obj: Any, path: str) -> EventuallyPeriodic:
+    """z_n as an EventuallyPeriodic of points (a torus target) or of symbol
+    streams (a shift target); a constant target is a one-element cycle."""
     d = _as_dict(obj, path)
     kind = _require(d, "kind", path)
     try:
         if kind == "point":
-            return ConstantPoint(_as_point(_require(d, "point", path), f"{path}.point"))
+            return EventuallyPeriodic((), (_as_point(_require(d, "point", path), f"{path}.point"),))
         if kind == "points":
             pre = _list_of(d.get("preperiod", []), f"{path}.preperiod", _as_point)
             cyc = _list_of(_require(d, "cycle", path), f"{path}.cycle", _as_point)
             return EventuallyPeriodic(tuple(pre), tuple(cyc))
         if kind == "symbols":
-            return constant_shift_target(_parse_symbol_sequence(d, path))
+            return EventuallyPeriodic((), (_parse_symbol_sequence(d, path),))
         if kind == "symbol_schedule":
             pre = _list_of(d.get("preperiod", []), f"{path}.preperiod", _parse_symbol_sequence)
             cyc = _list_of(_require(d, "cycle", path), f"{path}.cycle", _parse_symbol_sequence)
-            return ShiftTarget(tuple(pre), tuple(cyc))
+            return EventuallyPeriodic(tuple(pre), tuple(cyc))
     except RateError as exc:
         raise ConfigError(path, str(exc)) from exc
     raise ConfigError(f"{path}.kind", f"unknown target kind {kind!r}")
@@ -253,7 +256,7 @@ def _parse_system(obj: Any, path: str) -> SystemSpec:
                     (
                         _as_int(e[0], f"{path}.edges[{i}][0]"),
                         _as_int(e[1], f"{path}.edges[{i}][1]"),
-                        str(e[2]),
+                        _as_str(e[2], f"{path}.edges[{i}][2]"),
                     )
                 )
             return SoficPresentation(
@@ -284,24 +287,20 @@ def _validate_target_against_system(
     triple: RateTriple, system: SystemSpec, path: str
 ) -> None:
     tgt = triple.target
+    # a target's kind is the type of its elements: point tuples or symbol streams
     if isinstance(system, IntegerMatrixSystem):
-        points: list[tuple[float, ...]] = []
-        if isinstance(tgt, ConstantPoint):
-            points = [tgt.point]
-        elif isinstance(tgt, EventuallyPeriodic):
-            points = list(tgt.preperiod) + list(tgt.cycle)
-        else:
+        if not isinstance(tgt.cycle[0], tuple):
             raise ConfigError(path, "torus systems need a point-valued target")
-        for pt in points:
+        for pt in tgt.head + tgt.cycle:
             if len(pt) != system.dim:
                 raise ConfigError(path, f"point dimension {len(pt)} != torus dimension {system.dim}")
             if any(not (0.0 <= c < 1.0) for c in pt):
                 raise ConfigError(path, "torus coordinates must lie in [0, 1)")
     elif isinstance(system, (ShiftOfFiniteType, SoficPresentation)):
-        if not isinstance(tgt, ShiftTarget):
+        if not isinstance(tgt.cycle[0], EventuallyPeriodic):
             raise ConfigError(path, "symbolic systems need a symbol-valued target")
         if isinstance(system, ShiftOfFiniteType):
-            for i, seq in enumerate(tgt.preperiod + tgt.cycle):
+            for i, seq in enumerate(tgt.head + tgt.cycle):
                 if not system.sequence_admissible(seq):
                     raise ConfigError(f"{path}", f"target sequence #{i} is not admissible")
 
@@ -339,7 +338,7 @@ def check_task(config: ExperimentConfig, task: str) -> None:
             raise ConfigError(f"{path}.time_set", "oracle schemes need the full time set")
         elif not isinstance(triple.phi, Exponential):
             raise ConfigError(f"{path}.phi", "oracle schemes need a pure exponential rate")
-        elif triple.target.preperiod or triple.target.schedule_period != 1:
+        elif triple.target.head or len(triple.target.cycle) != 1:
             raise ConfigError(f"{path}.target", "oracle schemes need a constant symbol target")
 
 
@@ -414,9 +413,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     formats: tuple[str, ...] = ("json",)
     if "output" in d:
         od = _as_dict(d["output"], "$.output")
-        out_dir = od.get("dir", out_dir)
-        if not isinstance(out_dir, str):
-            raise ConfigError("$.output.dir", f"expected a string, got {out_dir!r}")
+        out_dir = _as_str(od.get("dir", out_dir), "$.output.dir")
         if "formats" in od:
             fmts = _as_list(od["formats"], "$.output.formats")
             for i, f in enumerate(fmts):

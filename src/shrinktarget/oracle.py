@@ -34,6 +34,10 @@ where floor_guarded snaps values within 1e-9 of an integer to that integer
 is the same agreement length).  The required disagreement exponent of a hit
 at time n is therefore r(n) = floor_guarded(-ln phi(n)) + 1.
 
+Targets are ``rates.EventuallyPeriodic`` sequences: a cylinder scheme takes
+one symbol stream z (an EventuallyPeriodic of ints), and the witness
+functions take the schedule n -> z_n (an EventuallyPeriodic of streams).
+
 The fit streams exact big-integer counts, level by level, from one
 row-vector recurrence (symbolic.word_counts) and keeps only the logs of its
 window, of both sequences a scheme chooses between, so rates that share a
@@ -66,7 +70,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .rates import RateFunction, ShiftTarget, SymbolSequence, TimeSet, tau_exponents
+from .rates import EventuallyPeriodic, RateFunction, TimeSet, tau_exponents
 from .symbolic import ShiftOfFiniteType, log_count_words_many, word_counts
 
 if TYPE_CHECKING:
@@ -118,7 +122,7 @@ class LimsupCylinderScheme:
 
     shift: ShiftOfFiniteType
     tau: float
-    target: SymbolSequence
+    target: EventuallyPeriodic
 
     def __post_init__(self) -> None:
         if self.shift.sided != "one":
@@ -134,7 +138,7 @@ class LimsupCylinderScheme:
     def _word_counts(self, n_max: int) -> Iterator[tuple[int, int]]:
         """symbolic.word_counts up to n_max, ending at the predecessors of z_1."""
         x = self.shift
-        z0 = self.target.symbol(0)
+        z0 = self.target.at(0)
         return word_counts(x, n_max, [b for b in range(x.alphabet_size) if x.transition[b][z0]])
 
     def count(self, n: int) -> int:
@@ -388,7 +392,7 @@ class WitnessCertificate:
 def plan_witness(
     shift: ShiftOfFiniteType,
     phi: RateFunction,
-    z: ShiftTarget,
+    z: EventuallyPeriodic,
     s: TimeSet,
     k: int,
     eta: float,
@@ -458,7 +462,7 @@ def plan_witness(
                 required_exponent=need,
             )
         )
-        if not shift.sequence_admissible(z.target(hit)):
+        if not shift.sequence_admissible(z.at(hit)):
             raise PlanError(f"target at time {hit} is not admissible in the shift")
         prev_end = hit + pinned
         if prev_end > _MAX_PREFIX_LEN:
@@ -532,7 +536,7 @@ def _fill_stretch(
     return np.concatenate([body, np.array(tail, dtype=np.int64)])
 
 
-def _stream_prefix(z: SymbolSequence, length: int) -> np.ndarray:
+def _stream_prefix(z: EventuallyPeriodic, length: int) -> np.ndarray:
     """z.prefix(length) as an int64 array: the head, then the cycle tiled."""
     import numpy as np
 
@@ -544,7 +548,7 @@ def _stream_prefix(z: SymbolSequence, length: int) -> np.ndarray:
 def construct_witness(
     blocks: Sequence[WitnessBlock],
     shift: ShiftOfFiniteType,
-    z: ShiftTarget,
+    z: EventuallyPeriodic,
 ) -> WitnessCertificate:
     """Realize planned blocks as an explicit admissible prefix and record every hit.
 
@@ -557,17 +561,21 @@ def construct_witness(
     read-only int64 prefix.  Each hit records the first-disagreement index
     the finished prefix achieves there (``_agreement_lengths``) beside the
     one the block requires.  Blocks from ``plan_witness`` are not
-    re-checked.  A hand-built block that starts before the previous one
-    ends raises PlanError, since no filler fits there; one that breaks a
-    plan rule otherwise still yields a certificate, whose hits then fail.
+    re-checked.  A hand-built block that starts before time 0 or before
+    the previous one ends, or pins no symbol, raises PlanError, since no
+    filler or target prefix fits there; one that breaks a plan rule
+    otherwise still yields a certificate, whose hits then fail.
     """
     import numpy as np
 
-    targets = [z.target(b.hit_time) for b in blocks]
+    for b in blocks:  # z_n exists for n >= 0 only
+        if b.hit_time < 0:
+            raise PlanError(f"block at time {b.hit_time} starts before time 0")
+    targets = [z.at(b.hit_time) for b in blocks]
     # one reach list per first target symbol; the last hit time bounds every stretch
     reach = {
         z0: _reach_sets(shift, z0, blocks[-1].hit_time)
-        for z0 in {t.symbol(0) for t in targets}
+        for z0 in {t.at(0) for t in targets}
     }
     pieces = [np.zeros(0, dtype=np.int64)]
     end = 0
@@ -575,10 +583,12 @@ def construct_witness(
     for b, tgt in zip(blocks, targets):
         if b.hit_time < end:
             raise PlanError(f"block at time {b.hit_time} starts before the previous one ends at {end}")
-        pieces.append(_fill_stretch(shift, b.hit_time - end, prev, reach[tgt.symbol(0)]))
+        if b.pinned_len < 1:
+            raise PlanError(f"block at time {b.hit_time} pins {b.pinned_len} symbols; it needs at least 1")
+        pieces.append(_fill_stretch(shift, b.hit_time - end, prev, reach[tgt.at(0)]))
         pieces.append(_stream_prefix(tgt, b.pinned_len))
         end = b.end
-        prev = tgt.symbol(b.pinned_len - 1)
+        prev = tgt.at(b.pinned_len - 1)
 
     prefix = np.concatenate(pieces)
     prefix.flags.writeable = False
@@ -599,7 +609,7 @@ def construct_witness(
     )
 
 
-def _agreement_lengths(prefix: np.ndarray, target: ShiftTarget, times: Sequence[int]) -> list[int]:
+def _agreement_lengths(prefix: np.ndarray, target: EventuallyPeriodic, times: Sequence[int]) -> list[int]:
     """For each n in ``times``, the length of the longest common prefix of
     prefix[n:] and z_n.
 
@@ -610,9 +620,9 @@ def _agreement_lengths(prefix: np.ndarray, target: ShiftTarget, times: Sequence[
     """
     import numpy as np
 
-    groups: dict[SymbolSequence, list[int]] = {}
+    groups: dict[EventuallyPeriodic, list[int]] = {}
     for i, n in enumerate(times):
-        groups.setdefault(target.target(n), []).append(i)
+        groups.setdefault(target.at(n), []).append(i)
     symbols = np.asarray(prefix, dtype=np.int64)
     starts = np.array(times, dtype=np.int64)
     out = np.zeros(len(starts), dtype=np.int64)
@@ -621,7 +631,7 @@ def _agreement_lengths(prefix: np.ndarray, target: ShiftTarget, times: Sequence[
     return out.tolist()
 
 
-def _stream_agreement(prefix: np.ndarray, z: SymbolSequence, starts: np.ndarray) -> np.ndarray:
+def _stream_agreement(prefix: np.ndarray, z: EventuallyPeriodic, starts: np.ndarray) -> np.ndarray:
     """Length of the longest common prefix of prefix[n:] and z, per n in ``starts``.
 
     z = head . cycle^inf with h = |head| and p = |cycle|.  The head is
@@ -662,7 +672,7 @@ def verify_witness(
     cert: WitnessCertificate,
     shift: ShiftOfFiniteType,
     phi: RateFunction,
-    z: ShiftTarget,
+    z: EventuallyPeriodic,
     s: TimeSet,
 ) -> list[int]:
     """The hit times of ``cert`` that an exact check proves, in its order.

@@ -19,6 +19,11 @@ progression.  Only the tail decides which points hit infinitely often, so a
 set whose tail has step 1 (all of N but finitely many times) gives the
 limsup set of S = N: the S = N theorems read ``TimeSet.cofinite``, not how
 a config spells the set.
+
+Targets are one type too (:class:`EventuallyPeriodic`): a finite head, then
+a cycle, which keeps "infinitely many n" questions decidable.  On a torus
+each z_n is a point; on a shift each z_n is itself an eventually periodic
+symbol stream, so a shift target nests the type.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -253,82 +258,27 @@ class TimeSet:
 
 
 @dataclass(frozen=True)
-class ConstantPoint:
-    """z_n = point for all n (phase-space coordinates)."""
-
-    point: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class EventuallyPeriodic:
-    """z_n runs through ``preperiod`` then cycles through ``cycle``."""
+    """z_0, z_1, ... = ``head``, then ``cycle`` repeated forever: of ints a
+    symbol stream, of streams a shift target, of point tuples a torus target.
+    """
 
-    preperiod: tuple[tuple[float, ...], ...]
-    cycle: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.cycle:
-            raise RateError("cycle must be nonempty")
-
-
-@dataclass(frozen=True)
-class SymbolSequence:
-    """One-sided eventually periodic symbol stream head . cycle cycle cycle..."""
-
-    head: tuple[int, ...]
-    cycle: tuple[int, ...]
+    head: tuple
+    cycle: tuple
 
     def __post_init__(self) -> None:
         if not self.cycle:
             raise RateError("cycle must be nonempty")
-        object.__setattr__(self, "head", tuple(int(x) for x in self.head))
-        object.__setattr__(self, "cycle", tuple(int(x) for x in self.cycle))
 
-    def symbol(self, i: int) -> int:
-        """0-based coordinate of the stream."""
+    def at(self, i: int):
+        """z_i, 0-based."""
         if i < len(self.head):
             return self.head[i]
         return self.cycle[(i - len(self.head)) % len(self.cycle)]
 
-    def prefix(self, length: int) -> tuple[int, ...]:
+    def prefix(self, length: int) -> tuple:
         reps = -(-max(length - len(self.head), 0) // len(self.cycle))
         return (self.head + self.cycle * reps)[: max(length, 0)]
-
-
-@dataclass(frozen=True)
-class ShiftTarget:
-    """Symbolic target sequence: each z_n is an eventually periodic stream.
-
-    The schedule n -> z_n is itself eventually periodic so that "infinitely
-    many n" questions stay decidable.
-    """
-
-    preperiod: tuple[SymbolSequence, ...]
-    cycle: tuple[SymbolSequence, ...]
-
-    def __post_init__(self) -> None:
-        if not self.cycle:
-            raise RateError("cycle must be nonempty")
-
-    def target(self, n: int) -> SymbolSequence:
-        if n < len(self.preperiod):
-            return self.preperiod[n]
-        return self.cycle[(n - len(self.preperiod)) % len(self.cycle)]
-
-    @property
-    def schedule_period(self) -> int:
-        return len(self.cycle)
-
-    @property
-    def schedule_preperiod(self) -> int:
-        return len(self.preperiod)
-
-
-def constant_shift_target(z: SymbolSequence) -> ShiftTarget:
-    return ShiftTarget(preperiod=(), cycle=(z,))
-
-
-TargetSequence = Union[ConstantPoint, EventuallyPeriodic, ShiftTarget]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from itertools import chain, compress, repeat
 from operator import and_, getitem, index, itemgetter, not_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .rates import ShiftTarget, SymbolSequence, TimeSet
+from .rates import EventuallyPeriodic, TimeSet
 
 if TYPE_CHECKING:
     import numpy as np
@@ -125,7 +125,7 @@ class ShiftOfFiniteType:
             map(getitem, map(rows.__getitem__, word), word[1:])
         )
 
-    def sequence_admissible(self, z: SymbolSequence) -> bool:
+    def sequence_admissible(self, z: EventuallyPeriodic) -> bool:
         """Admissibility of an eventually periodic one-sided stream."""
         probe = z.prefix(len(z.head) + 2 * len(z.cycle) + 1)
         return self.word_admissible(probe)
@@ -510,12 +510,8 @@ class IndexSet:
         return frozenset((i1 - i2) % self.period for i1, i2 in self.pairs)
 
 
-def _target_class(z: SymbolSequence, d: PeriodDecomposition) -> int:
-    return d.class_of[z.symbol(0)]
-
-
 def index_set(
-    z: ShiftTarget, s: TimeSet, d: PeriodDecomposition
+    z: EventuallyPeriodic, s: TimeSet, d: PeriodDecomposition
 ) -> IndexSet:
     """All (I1, I2) realised infinitely often by (z, S) against the N classes.
 
@@ -527,16 +523,16 @@ def index_set(
     the set is never empty.
     """
     n = d.period
-    sched = math.lcm(z.schedule_period, n)
+    sched = math.lcm(len(z.cycle), n)
     window = sched // math.gcd(s.step, sched)
     start_k = 0
-    if s.offset < z.schedule_preperiod:
-        start_k = -((s.offset - z.schedule_preperiod) // s.step)
+    if s.offset < len(z.head):
+        start_k = -((s.offset - len(z.head)) // s.step)
 
     pairs = set()
     for k in range(start_k, start_k + window):
         t = s.offset + k * s.step
-        pairs.add((_target_class(z.target(t), d), t % n))
+        pairs.add((d.class_of[z.at(t).at(0)], t % n))
     return IndexSet(period=n, pairs=frozenset(pairs))
 
 

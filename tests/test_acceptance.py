@@ -25,7 +25,7 @@ from shrinktarget.oracle import (
     plan_witness,
     verify_witness,
 )
-from shrinktarget.rates import Exponential, RateExponents, SymbolSequence, TimeSet, constant_shift_target
+from shrinktarget.rates import EventuallyPeriodic, Exponential, RateExponents, TimeSet
 from shrinktarget.symbolic import mixing_gap
 from shrinktarget.systems import (
     HyperbolicityProfile,
@@ -40,7 +40,7 @@ LN2 = math.log(2.0)
 CAT = IntegerMatrixSystem(((2, 1), (1, 1)))
 CAT_LOG_UNSTABLE = math.log((3.0 + math.sqrt(5.0)) / 2.0)
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
-ZEROS = SymbolSequence(head=(), cycle=(0,))
+ZEROS = EventuallyPeriodic(head=(), cycle=(0,))
 
 
 @contextmanager
@@ -141,7 +141,7 @@ def test_criterion_5_witness_construction():
         started = time.perf_counter()
         g = golden_mean_shift()
         phi = Exponential(0.3)
-        z = constant_shift_target(ZEROS)
+        z = EventuallyPeriodic((), (ZEROS,))
         blocks = plan_witness(g, phi, z, TimeSet(), 5, 0.05, mixing_gap(g))
         cert = construct_witness(blocks, g, z)
         assert cert.all_verified

@@ -9,7 +9,7 @@ import pytest
 from shrinktarget.cli import _build_parser, fmt, main, run
 from shrinktarget.config import FORMATS, MAX_DEPTH, TASKS, ConfigError, load_config, parse_config
 from shrinktarget.oracle import LimsupCylinderScheme, critical_exponent
-from shrinktarget.rates import SymbolSequence
+from shrinktarget.rates import EventuallyPeriodic
 from shrinktarget.symbolic import NotMixingError, ShiftOfFiniteType, mixing_gap
 
 from shift_strategies import clique_with_path, moran_estimate
@@ -120,7 +120,7 @@ class TestRun:
         assert time.perf_counter() - started < 1.0
         (row,) = read_report(tmp_path)["results"][0]["rows"]
         lo, hi = float(row["bracket_lo"]), float(row["bracket_hi"])
-        scheme = LimsupCylinderScheme(ShiftOfFiniteType(((1, 1), (1, 0))), 0.3, SymbolSequence((), (0,)))
+        scheme = LimsupCylinderScheme(ShiftOfFiniteType(((1, 1), (1, 0))), 0.3, EventuallyPeriodic((), (0,)))
         assert lo <= critical_exponent(scheme, 40) < hi
         assert hi - lo == pytest.approx(1e-11, abs=1e-12)
 
@@ -1099,6 +1099,63 @@ class TestValidation:
         assert main(["analyze", "--config", str(write_config(tmp_path, payload))]) == 2
         assert "$.output.dir: expected a string" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("label", [None, 1, True, ["1"]], ids=["null", "int", "true", "list"])
+    def test_sofic_label_must_be_a_string(self, tmp_path, monkeypatch, capsys, label):
+        # a non-string must not become a label such as "None", nor 1 the label "1"
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tasks=("analyze",))
+        payload["system"] = {"kind": "sofic", "states": 2, "edges": [[0, 0, "1"], [0, 1, "0"], [1, 0, label]]}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert (exc.value.path, exc.value.message) == ("$.system.edges[2][2]", f"expected a string, got {label!r}")
+        assert main(["analyze", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert "config error: $.system.edges[2][2]: expected a string" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        jsonschema = pytest.importorskip("jsonschema")  # the schema says so too
+        assert not jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text())).is_valid(payload)
+
+    TARGETS = {
+        "point": {"kind": "point", "point": [0.0, 0.0]},
+        "points": {"kind": "points", "preperiod": [[0.5, 0.25]], "cycle": [[0.0, 0.0], [0.5, 0.5]]},
+        "symbols": {"kind": "symbols", "head": [1], "cycle": [0]},
+        "symbol_schedule": {
+            "kind": "symbol_schedule",
+            "preperiod": [{"head": [1], "cycle": [0]}],
+            "cycle": [{"cycle": [0]}, {"cycle": [0, 1]}],
+        },
+    }
+    TARGET_SYSTEMS = {
+        "matrix": {"kind": "matrix", "entries": [[2, 1], [1, 1]]},
+        "sft": {"kind": "sft", "transition": [[1, 1], [1, 0]], "sided": "one"},
+        "sofic": {"kind": "sofic", "states": 2, "edges": [[0, 0, "0"], [0, 1, "1"], [1, 0, "1"]]},
+        "profile": {"kind": "profile", "lambda1": "inf", "lambda2": 1.5, "ln_l2": 1.7, "h_top": 0.9},
+    }
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("system", TARGET_SYSTEMS)
+    def test_target_kind_against_system_kind(self, tmp_path, monkeypatch, capsys, system, target):
+        # a torus takes points, a shift symbol streams, and a profile, which has no phase space, either
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tasks=("bounds",))
+        payload["system"] = self.TARGET_SYSTEMS[system]
+        payload["rates"][0]["target"] = self.TARGETS[target]
+        points = target.startswith("point")
+        message = None
+        if system == "matrix" and not points:
+            message = "torus systems need a point-valued target"
+        elif system in ("sft", "sofic") and points:
+            message = "symbolic systems need a symbol-valued target"
+        if message is None:
+            z = parse_config(payload).rates[0].target
+            assert isinstance(z, EventuallyPeriodic)
+            assert all(isinstance(x, tuple if points else EventuallyPeriodic) for x in z.head + z.cycle)
+            return
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert (exc.value.path, exc.value.message) == ("$.rates[0].target", message)
+        assert main(["bounds", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert capsys.readouterr().err == f"config error: $.rates[0].target: {message}\n"
 
     def test_schema_enums_match_config(self):
         props = json.loads(SCHEMA_PATH.read_text())["properties"]

@@ -31,12 +31,10 @@ from shrinktarget.oracle import (
     verify_witness,
 )
 from shrinktarget.rates import (
+    EventuallyPeriodic,
     Exponential,
     PiecewiseExponential,
-    ShiftTarget,
-    SymbolSequence,
     TimeSet,
-    constant_shift_target,
     tau_exponents,
 )
 from shrinktarget.symbolic import (
@@ -48,8 +46,8 @@ from shift_strategies import entropy, full_shift, golden_mean_shift, irreducible
 
 LN2 = math.log(2.0)
 GOLDEN_ENTROPY = math.log((1.0 + math.sqrt(5.0)) / 2.0)
-ZEROS = SymbolSequence(head=(), cycle=(0,))
-ZERO_TARGET = constant_shift_target(ZEROS)  # the witness functions take a schedule
+ZEROS = EventuallyPeriodic(head=(), cycle=(0,))
+ZERO_TARGET = EventuallyPeriodic((), (ZEROS,))  # the witness functions take a schedule
 
 
 def grid(lo, hi, step=0.01):
@@ -71,7 +69,7 @@ def brute_count(shift, z, tau, n):
 
 # three symbols, 0 -> 0 forbidden; the target 2 0 1 0 1 ... has a head
 TRIANGLE = ShiftOfFiniteType(((0, 1, 1), (1, 0, 1), (1, 1, 1)))
-HEADED = SymbolSequence(head=(2,), cycle=(0, 1))
+HEADED = EventuallyPeriodic(head=(2,), cycle=(0, 1))
 
 
 def admissible_sequence(data, shift):
@@ -82,7 +80,7 @@ def admissible_sequence(data, shift):
         nxt = data.draw(st.sampled_from(succ))
         if nxt in walk:
             i = walk.index(nxt)
-            return SymbolSequence(head=tuple(walk[:i]), cycle=tuple(walk[i:]))
+            return EventuallyPeriodic(head=tuple(walk[:i]), cycle=tuple(walk[i:]))
         walk.append(nxt)
 
 
@@ -100,8 +98,8 @@ def naive_verify(prefix, phi, z, s):
         r = required_exponent(phi, n)
         if n + r - 1 > len(prefix):
             continue
-        tgt = z.target(n)
-        if all(prefix[n + i] == tgt.symbol(i) for i in range(r - 1)):
+        tgt = z.at(n)
+        if all(prefix[n + i] == tgt.at(i) for i in range(r - 1)):
             verified.append(n)
     return verified
 
@@ -110,7 +108,7 @@ def naive_first_disagreement(prefix, start, z):
     """First j >= 1 with prefix[start + j - 1] != z_j, else the window end + 1."""
     limit = len(prefix) - start
     for j in range(1, limit + 1):
-        if prefix[start + j - 1] != z.symbol(j - 1):
+        if prefix[start + j - 1] != z.at(j - 1):
             return j
     return limit + 1
 
@@ -163,7 +161,7 @@ def witness_report_row(shift, tau, eta, s, stages, z):
                 "time_set": {"kind": "arithmetic", "offset": s.offset, "step": s.step},
                 "target": {
                     "kind": "symbol_schedule",
-                    "preperiod": [sequence(q) for q in z.preperiod],
+                    "preperiod": [sequence(q) for q in z.head],
                     "cycle": [sequence(q) for q in z.cycle],
                 },
             }
@@ -199,8 +197,8 @@ def reference_prefix(blocks, shift, z):
     the pinned target prefixes."""
     symbols, prev = [], None
     for b in blocks:
-        tgt = z.target(b.hit_time)
-        symbols += reference_fill(shift, b.hit_time - len(symbols), prev, tgt.symbol(0))
+        tgt = z.at(b.hit_time)
+        symbols += reference_fill(shift, b.hit_time - len(symbols), prev, tgt.at(0))
         symbols += tgt.prefix(b.pinned_len)
         prev = symbols[-1]
     return symbols
@@ -254,7 +252,7 @@ class TestCoveringSum:
             (full_shift(2), ZEROS),
             (golden_mean_shift(), ZEROS),
             (TRIANGLE, HEADED),
-            (TRIANGLE, SymbolSequence(head=(), cycle=(1, 0, 2))),
+            (TRIANGLE, EventuallyPeriodic(head=(), cycle=(1, 0, 2))),
         ):
             scheme = LimsupCylinderScheme(shift, tau, z)
             levels = range(1, n + 1)
@@ -292,7 +290,7 @@ class TestCoveringSum:
 
     def test_inadmissible_target_rejected(self):
         with pytest.raises(OracleError, match="admissible"):
-            LimsupCylinderScheme(golden_mean_shift(), 0.5, SymbolSequence((), (1,)))
+            LimsupCylinderScheme(golden_mean_shift(), 0.5, EventuallyPeriodic((), (1,)))
 
 
 class TestBracket:
@@ -346,7 +344,7 @@ class TestCriticalExponent:
         [
             # the per-grid slope test put these brackets below h/(1+tau):
             # [2.28, 2.29], [0.83, 0.84] and [0.46, 0.47]
-            (SFT60, 0.67803, SymbolSequence((), (0, 1)), 40),
+            (SFT60, 0.67803, EventuallyPeriodic((), (0, 1)), 40),
             (full_shift(3), 0.306301, ZEROS, 100),
             (golden_mean_shift(), 0.02, ZEROS, 60),
         ],
@@ -513,7 +511,7 @@ class TestWitness:
         # target 001001... differs from the all-zero filler, so the achieved
         # exponents are bounded by the pinned length rather than running to
         # the end of the prefix
-        z = constant_shift_target(SymbolSequence(head=(), cycle=(0, 0, 1)))
+        z = EventuallyPeriodic((), (EventuallyPeriodic(head=(), cycle=(0, 0, 1)),))
         phi = Exponential(0.3)
         g = golden_mean_shift()
         blocks = plan_witness(g, phi, z, TimeSet(), 4, 0.05, mixing_gap(g))
@@ -533,7 +531,7 @@ class TestWitness:
     def test_inadmissible_prefix_confirms_nothing(self):
         # 11 is the golden mean's forbidden word: a prefix that opens with it
         # is no point of the shift, however well it matches the targets
-        z = constant_shift_target(SymbolSequence(head=(), cycle=(0, 0, 1)))
+        z = EventuallyPeriodic((), (EventuallyPeriodic(head=(), cycle=(0, 0, 1)),))
         phi = Exponential(0.3)
         g = golden_mean_shift()
         blocks = plan_witness(g, phi, z, TimeSet(), 4, 0.05, 2)
@@ -601,7 +599,7 @@ class TestWitness:
         construct_witness(blocks, g, ZERO_TARGET)
         assert calls == [0]
         calls.clear()
-        schedule = ShiftTarget((), (ZEROS, SymbolSequence((), (1, 0)), ZEROS))
+        schedule = EventuallyPeriodic((), (ZEROS, EventuallyPeriodic((), (1, 0)), ZEROS))
         blocks = plan_witness(full_shift(2), Exponential(0.3), schedule, TimeSet(), 9, 0.05, 1)
         construct_witness(blocks, full_shift(2), schedule)
         assert sorted(calls) == [0, 1]
@@ -680,6 +678,11 @@ class TestWitness:
             construct_witness((first, early), g, ZERO_TARGET)
         with pytest.raises(PlanError, match="starts before"):
             construct_witness((first, WitnessBlock(first.hit_time, 3, 1)), g, ZERO_TARGET)
+        # nor before time 0, where z_n is not defined, nor one that pins no symbol
+        with pytest.raises(PlanError, match="block at time -1 starts before time 0"):
+            construct_witness((WitnessBlock(-1, 3, 1),), g, ZERO_TARGET)
+        with pytest.raises(PlanError, match=f"block at time {second.hit_time} pins 0 symbols"):
+            construct_witness((first, replace(second, pinned_len=0)), g, ZERO_TARGET)
         # a block that breaks only the window rule is built, and its hit fails
         short = replace(second, pinned_len=1)
         cert = construct_witness((first, short), g, ZERO_TARGET)
@@ -693,7 +696,7 @@ class TestWitness:
 
 def _symbol_streams(k):
     return st.builds(
-        SymbolSequence,
+        EventuallyPeriodic,
         st.lists(st.integers(0, k - 1), max_size=3).map(tuple),
         st.lists(st.integers(0, k - 1), min_size=1, max_size=3).map(tuple),
     )
@@ -711,13 +714,13 @@ class TestWitnessAgainstNaiveLoops:
     def test_verify_matches_naive(self, k, tau, s, schedule, data):
         streams = _symbol_streams(k)
         if schedule:
-            z = ShiftTarget(
+            z = EventuallyPeriodic(
                 tuple(data.draw(st.lists(streams, max_size=2))),
                 tuple(data.draw(st.lists(streams, min_size=1, max_size=3))),
             )
-            pool = list(z.preperiod + z.cycle)
+            pool = list(z.head + z.cycle)
         else:
-            z = constant_shift_target(data.draw(streams))
+            z = EventuallyPeriodic((), (data.draw(streams),))
             pool = list(z.cycle)
         # pieces of random symbols and of target prefixes, so that long
         # agreements occur; the prefix may also be too short for any window
@@ -741,7 +744,7 @@ class TestWitnessAgainstNaiveLoops:
     def test_agreement_kernel_matches_oracles(self, k, data):
         z = data.draw(
             st.builds(
-                SymbolSequence,
+                EventuallyPeriodic,
                 st.lists(st.integers(0, k - 1), max_size=3).map(tuple),
                 st.lists(st.integers(0, k - 1), min_size=1, max_size=5).map(tuple),
             )
@@ -778,7 +781,7 @@ class TestWitnessAgainstNaiveLoops:
         ],
     )
     def test_agreement_kernel_edges(self, prefix, want):
-        z = SymbolSequence(head=(1, 2), cycle=(0, 1))
+        z = EventuallyPeriodic(head=(1, 2), cycle=(0, 1))
         got = _stream_agreement(np.array(prefix, dtype=np.int64), z, np.arange(len(prefix)))
         assert got.tolist() == want == z_function_agreement(prefix, z)
 
@@ -800,9 +803,9 @@ class TestWitnessAgainstNaiveLoops:
     def test_construct_hits_match_naive(self, shift, tau, eta, s, stages, schedule, data):
         if schedule:
             cycle = tuple(admissible_sequence(data, shift) for _ in range(data.draw(st.integers(1, 3))))
-            z = ShiftTarget((admissible_sequence(data, shift),), cycle)
+            z = EventuallyPeriodic((admissible_sequence(data, shift),), cycle)
         else:
-            z = constant_shift_target(admissible_sequence(data, shift))
+            z = EventuallyPeriodic((), (admissible_sequence(data, shift),))
         phi = Exponential(tau)
         gap = mixing_gap(shift)
         blocks = plan_witness(shift, phi, z, s, stages, eta, gap)
@@ -822,7 +825,7 @@ class TestWitnessAgainstNaiveLoops:
         assert shift.word_admissible(cert.prefix)
         assert [h.time for h in cert.hits] == [b.hit_time for b in blocks]
         for hit in cert.hits:
-            want = naive_first_disagreement(cert.prefix, hit.time, z.target(hit.time))
+            want = naive_first_disagreement(cert.prefix, hit.time, z.at(hit.time))
             assert hit.achieved_exponent == want
         assert cert.all_verified == all(h.verified for h in cert.hits)
         every = naive_verify(cert.prefix, phi, z, s)
@@ -836,13 +839,13 @@ class TestWitnessAgainstNaiveLoops:
         # one reach list per target symbol fills every stretch as a list
         # built for that stretch alone does
         cycle = tuple(admissible_sequence(data, shift) for _ in range(data.draw(st.integers(1, 3))))
-        z = ShiftTarget((), cycle)
+        z = EventuallyPeriodic((), cycle)
         blocks = plan_witness(shift, Exponential(tau), z, TimeSet(), stages, 0.1, mixing_gap(shift))
         symbols, prev = [], None
         for b in blocks:
-            tgt = z.target(b.hit_time)
+            tgt = z.at(b.hit_time)
             stretch = b.hit_time - len(symbols)
-            symbols += _fill_stretch(shift, stretch, prev, _reach_sets(shift, tgt.symbol(0), stretch)).tolist()
+            symbols += _fill_stretch(shift, stretch, prev, _reach_sets(shift, tgt.at(0), stretch)).tolist()
             symbols += tgt.prefix(b.pinned_len)
             prev = symbols[-1]
         assert np.array_equal(construct_witness(blocks, shift, z).prefix, symbols)
@@ -852,7 +855,7 @@ class TestWitnessAgainstNaiveLoops:
     def test_tiled_prefix_matches_the_greedy_reference(self, shift, tau, stages, targets, data):
         # the first block follows no symbol; the later ones follow a pinned block
         cycle = tuple(admissible_sequence(data, shift) for _ in range(targets))
-        z = ShiftTarget((), cycle)
+        z = EventuallyPeriodic((), cycle)
         blocks = plan_witness(shift, Exponential(tau), z, TimeSet(), stages, 0.1, mixing_gap(shift))
         assert construct_witness(blocks, shift, z).prefix.tolist() == reference_prefix(blocks, shift, z)
 
@@ -877,7 +880,7 @@ class TestWitnessAgainstNaiveLoops:
 
     @pytest.mark.parametrize("cycle", [(1, 2), (0, 1, 3)])
     def test_prefix_with_a_transient(self, cycle):
-        z = constant_shift_target(SymbolSequence((), cycle))
+        z = EventuallyPeriodic((), (EventuallyPeriodic((), cycle),))
         blocks = plan_witness(TRANSIENT, Exponential(0.5), z, TimeSet(), 6, 0.05, mixing_gap(TRANSIENT))
         cert = construct_witness(blocks, TRANSIENT, z)
         assert cert.prefix[:5].tolist() == [0, 1, 2, 1, 2]

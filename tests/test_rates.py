@@ -5,13 +5,13 @@ from hypothesis import given, strategies as st
 
 from shrinktarget.oracle import required_exponent
 from shrinktarget.rates import (
+    EventuallyPeriodic,
     Exponential,
     PiecewiseExponential,
     PowerLaw,
     RateError,
     RateExponents,
     RateFunction,
-    SymbolSequence,
     Tabulated,
     TimeSet,
     family_tau,
@@ -260,11 +260,37 @@ class TestTimeSets:
         assert s.cofinite == (s.offset + 1 in members)
 
 
-class TestSymbolSequence:
+class TestEventuallyPeriodic:
     def test_eventually_periodic_lookup(self):
-        z = SymbolSequence(head=(1, 0), cycle=(0, 0, 1))
+        z = EventuallyPeriodic(head=(1, 0), cycle=(0, 0, 1))
         assert z.prefix(8) == (1, 0, 0, 0, 1, 0, 0, 1)
 
     def test_empty_cycle_rejected(self):
         with pytest.raises(RateError):
-            SymbolSequence(head=(), cycle=())
+            EventuallyPeriodic(head=(), cycle=())
+
+    # a symbol stream, a shift target (a schedule of streams) and a torus target
+    ELEMENTS = {
+        "symbols": st.integers(0, 3),
+        "streams": st.builds(
+            EventuallyPeriodic,
+            st.lists(st.integers(0, 2), max_size=2).map(tuple),
+            st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple),
+        ),
+        "points": st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True)),
+    }
+
+    @pytest.mark.parametrize("kind", ELEMENTS)
+    @given(data=st.data())
+    def test_at_reads_the_prefix(self, kind, data):
+        elements = self.ELEMENTS[kind]
+        head = tuple(data.draw(st.lists(elements, max_size=3)))
+        cycle = tuple(data.draw(st.lists(elements, min_size=1, max_size=4)))
+        z = EventuallyPeriodic(head, cycle)
+        n = data.draw(st.integers(0, 20))
+        prefix = z.prefix(n)
+        assert len(prefix) == n
+        assert all(z.at(i) == prefix[i] for i in range(n))
+        # the head, then the cycle again and again
+        assert [z.at(i) for i in range(len(head) + len(cycle))] == [*head, *cycle]
+        assert all(z.at(i + len(cycle)) == z.at(i) for i in range(len(head), n))

@@ -11,12 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from shrinktarget import cli, symbolic
 from shrinktarget.cli import system_facts
-from shrinktarget.rates import (
-    ShiftTarget,
-    SymbolSequence,
-    TimeSet,
-    constant_shift_target,
-)
+from shrinktarget.rates import EventuallyPeriodic, TimeSet
 from shrinktarget.symbolic import (
     EmptyShiftError,
     IndexSet,
@@ -737,30 +732,30 @@ class TestPeriodDecomposition:
 class TestIndexSets:
     def test_class_zero_even_times(self):
         d = digraph_period(FLIP.transition)
-        z = constant_shift_target(SymbolSequence(head=(), cycle=(0, 1)))
+        z = EventuallyPeriodic((), (EventuallyPeriodic(head=(), cycle=(0, 1)),))
         got = index_set(z, TimeSet(0, 2), d)
         assert got.pairs == frozenset({(0, 0)})
         assert got.diffs == frozenset({0})
 
     def test_class_one_even_times(self):
         d = digraph_period(FLIP.transition)
-        z = constant_shift_target(SymbolSequence(head=(), cycle=(1, 0)))
+        z = EventuallyPeriodic((), (EventuallyPeriodic(head=(), cycle=(1, 0)),))
         got = index_set(z, TimeSet(0, 2), d)
         assert got.pairs == frozenset({(1, 0)})
         assert got.diffs == frozenset({1})
 
     def test_trivial_period(self):
         d = digraph_period(full_shift(2).transition)
-        z = constant_shift_target(SymbolSequence(head=(), cycle=(0,)))
+        z = EventuallyPeriodic((), (EventuallyPeriodic(head=(), cycle=(0,)),))
         got = index_set(z, TimeSet(), d)
         assert got.pairs == frozenset({(0, 0)})
         assert got.diffs == frozenset({0})
 
     def test_pairs_nonempty_on_unbounded_sets(self):
         d = digraph_period(FLIP.transition)
-        z = ShiftTarget(
-            preperiod=(SymbolSequence((), (0, 1)),),
-            cycle=(SymbolSequence((), (0, 1)), SymbolSequence((), (1, 0))),
+        z = EventuallyPeriodic(
+            head=(EventuallyPeriodic((), (0, 1)),),
+            cycle=(EventuallyPeriodic((), (0, 1)), EventuallyPeriodic((), (1, 0))),
         )
         for s in (TimeSet(), TimeSet(0, 2), TimeSet(3, 4), TimeSet(10, 3, (1, 2))):
             assert index_set(z, s, d).pairs
@@ -768,8 +763,8 @@ class TestIndexSets:
     def test_counterexample_empty_intersection(self):
         # class-0 targets on even times vs class-1 targets on even times
         d = digraph_period(FLIP.transition)
-        z1 = constant_shift_target(SymbolSequence(head=(), cycle=(0, 1)))
-        z2 = constant_shift_target(SymbolSequence(head=(), cycle=(1, 0)))
+        z1 = EventuallyPeriodic((), (EventuallyPeriodic(head=(), cycle=(0, 1)),))
+        z2 = EventuallyPeriodic((), (EventuallyPeriodic(head=(), cycle=(1, 0)),))
         s = TimeSet(0, 2)
         i1 = index_set(z1, s, d)
         i2 = index_set(z2, s, d)
@@ -909,9 +904,9 @@ class TestValidation:
 
     def test_sequence_admissibility(self):
         g = golden_mean_shift()
-        assert g.sequence_admissible(SymbolSequence((), (0,)))
-        assert g.sequence_admissible(SymbolSequence((1,), (0, 1)))
-        assert not g.sequence_admissible(SymbolSequence((1,), (1,)))
+        assert g.sequence_admissible(EventuallyPeriodic((), (0,)))
+        assert g.sequence_admissible(EventuallyPeriodic((1,), (0, 1)))
+        assert not g.sequence_admissible(EventuallyPeriodic((1,), (1,)))
 
     @settings(max_examples=300, deadline=None)
     @given(irreducible_shifts(max_k=5), st.data())

@@ -13,13 +13,15 @@ an import inside a function is used only where that function reads it.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "shrinktarget"
 
 # looked up by name from outside the package, or kept for a planned use
 ALLOWED = {
-    "LimsupCylinderScheme.count",  # the benchmark tracer wraps it by name
+    "LimsupCylinderScheme.count",  # the benchmark tracer wraps it by name (test_traced_methods_are_class_functions)
     "count_sofic_words",  # the sofic counting kernel-to-be, and its tests' reference
 }
 
@@ -267,3 +269,26 @@ def test_a_validator_is_no_reader_of_a_field():
 
 def test_every_field_is_read_outside_a_validator():
     assert unread_fields() == []
+
+
+SPANS = PACKAGE.parents[1] / "perfbench" / "spans.py"
+
+
+def _module_constant(path: Path, name: str):
+    """The literal value a module assigns to ``name``, read without importing it."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def test_traced_methods_are_class_functions():
+    # the benchmark tracer wraps each through cls.__dict__[meth]: a renamed
+    # method would fail only in a traced benchmark run
+    methods = _module_constant(SPANS, "METHODS")
+    assert methods
+    for short, quals in methods.items():
+        module = importlib.import_module(f"shrinktarget.{short}")
+        for qual in quals:
+            cls_name, meth = qual.split(".")
+            assert inspect.isfunction(vars(getattr(module, cls_name)).get(meth)), qual

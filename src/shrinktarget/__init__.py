@@ -2,8 +2,10 @@
 
 Library layout:
 
-* :mod:`shrinktarget.rates` - shrinking rates phi, time sets S (one
-  ``TimeSet`` type: a finite head, then an arithmetic tail), targets Z
+* :mod:`shrinktarget.rates` - shrinking rates phi (one ``Exponential``
+  type: a finite table, then exp(-tau_r n) with tau_r periodic in n; and
+  ``PowerLaw``), time sets S (one ``TimeSet`` type: a finite head, then an
+  arithmetic tail), targets Z
   (one ``EventuallyPeriodic`` type: a finite head, then a cycle, of
   symbols, symbol streams or torus points) and the decay exponents
   (tau_upper, tau_lower);
@@ -29,11 +31,9 @@ __version__ = "0.1.0"
 from .rates import (  # noqa: F401
     EventuallyPeriodic,
     Exponential,
-    PiecewiseExponential,
     PowerLaw,
     RateExponents,
     RateFunction,
-    Tabulated,
     TimeSet,
     family_tau,
     tau_exponents,

@@ -471,7 +471,7 @@ def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
     rows, layouts = [], []
     for i, triple in enumerate(config.rates):
         z = triple.target.at(0)
-        tau = triple.phi.tau
+        tau = triple.phi.taus[0]
         scheme = LimsupCylinderScheme(shift, tau, z)
         z0 = z.at(0)
         if z0 not in windows:

@@ -18,12 +18,10 @@ from typing import Any, Union
 from .rates import (
     EventuallyPeriodic,
     Exponential,
-    PiecewiseExponential,
     PowerLaw,
     RateError,
     RateExponents,
     RateFunction,
-    Tabulated,
     TimeSet,
 )
 from .symbolic import ShiftOfFiniteType, SoficPresentation, SymbolicError
@@ -146,19 +144,21 @@ def _parse_phi(obj: Any, path: str) -> RateFunction | RateExponents:
     kind = _require(d, "kind", path)
     try:
         if kind == "exponential":
-            return Exponential(_as_number(_require(d, "tau", path), f"{path}.tau"))
+            return Exponential((_as_number(_require(d, "tau", path), f"{path}.tau"),))
         if kind == "power_law":
             return PowerLaw(_as_number(_require(d, "a", path), f"{path}.a"))
         if kind == "piecewise_exponential":
             taus = _list_of(_require(d, "taus", path), f"{path}.taus", _as_number)
-            return PiecewiseExponential(
-                _as_int(_require(d, "period", path), f"{path}.period"), tuple(taus)
-            )
+            period = _as_int(_require(d, "period", path), f"{path}.period")
+            if period < 1:
+                raise ConfigError(path, f"period must be >= 1, got {period}")
+            if len(taus) != period:
+                raise ConfigError(path, f"need exactly {period} taus, got {len(taus)}")
+            return Exponential(tuple(taus))
         if kind == "tabulated":
             values = _list_of(_require(d, "values", path), f"{path}.values", _as_number)
-            return Tabulated(
-                tuple(values), _as_number(_require(d, "tail_tau", path), f"{path}.tail_tau")
-            )
+            tail_tau = _as_number(_require(d, "tail_tau", path), f"{path}.tail_tau")
+            return Exponential((tail_tau,), tuple(values))
         if kind == "exponents":
             return RateExponents(
                 _as_number(_require(d, "tau_upper", path), f"{path}.tau_upper", allow_inf=True),
@@ -311,7 +311,9 @@ def check_task(config: ExperimentConfig, task: str) -> None:
     The one place these requirements live: ``parse_config`` checks each
     task the config lists, and ``cli.run`` the command it runs, which need
     not be among them.  A system's kind is its type, so the checks dispatch
-    on ``config.system`` itself.
+    on ``config.system`` itself.  A rate is read by value: the oracle's pure
+    exponential is an ``Exponential`` with one tau and no table, whichever
+    config kind spelled it.
     """
     system = config.system
     if task == "analyze" and isinstance(system, HyperbolicityProfile):
@@ -336,7 +338,7 @@ def check_task(config: ExperimentConfig, task: str) -> None:
                 raise ConfigError(f"{path}.phi", "witness construction needs a rate function")
         elif not triple.time_set.cofinite:
             raise ConfigError(f"{path}.time_set", "oracle schemes need the full time set")
-        elif not isinstance(triple.phi, Exponential):
+        elif not isinstance(triple.phi, Exponential) or len(triple.phi.taus) != 1 or triple.phi.values:
             raise ConfigError(f"{path}.phi", "oracle schemes need a pure exponential rate")
         elif triple.target.head or len(triple.target.cycle) != 1:
             raise ConfigError(f"{path}.target", "oracle schemes need a constant symbol target")

@@ -8,11 +8,12 @@ its exponential decay exponents, the upper one taken along S:
     tau_lower = liminf_n         -ln(phi(n)) / n   (the upper bounds).
 
 Because lim sup / lim inf cannot be read off finitely many samples, rates are
-parametric families with closed-form exponents rather than arbitrary
-callables, and :func:`tau_exponents` reads both from S's arithmetic tail.
-``tau = +inf`` is representable directly on :class:`RateExponents`
-(super-exponential decay); the parametric rate variants themselves carry
-finite parameters only.
+parametric families rather than arbitrary callables: one exponential type
+(:class:`Exponential`, a finite table, then exp(-taus[n mod p] * n)) and
+:class:`PowerLaw`.  :func:`tau_exponents`, the one place exponents are
+computed, reads both from S's arithmetic tail.  ``tau = +inf`` is
+representable directly on :class:`RateExponents` (super-exponential
+decay); the rate types carry finite parameters only.
 
 A time set (:class:`TimeSet`) is a finite head followed by an arithmetic
 progression.  Only the tail decides which points hit infinitely often, so a
@@ -41,9 +42,11 @@ class RateError(ValueError):
     """Invalid rate, time set or target data."""
 
 
-def _check_nonneg(name: str, value: float) -> None:
-    if not (value >= 0.0) or math.isnan(value):
+def _check_finite_nonneg(name: str, value: float) -> None:
+    if not (value >= 0.0):  # NaN too
         raise RateError(f"{name} must be a nonnegative real, got {value!r}")
+    if math.isinf(value):
+        raise RateError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,36 +88,48 @@ class RateFunction:
 
     A rate is read through ``log_phi(n)`` = ln(phi(n)) alone, in closed form:
     phi(n) itself underflows to 0.0 in binary64 once -ln(phi(n)) exceeds
-    ~745, and hit checks compare against the log.
+    ~745, and hit checks compare against the log.  Its exponents come from
+    :func:`tau_exponents`.
     """
 
     def log_phi(self, n: int) -> float:
         """ln(phi(n)), computed without evaluating phi, which may underflow."""
         raise NotImplementedError
 
-    def exponents(self) -> RateExponents:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Exponential(RateFunction):
-    """phi(n) = exp(-tau * n)."""
+    """phi(n) = values[n - 1] for 1 <= n <= len(values), else
+    exp(-taus[n mod len(taus)] * n).
 
-    tau: float
+    One tau and no table is the pure exponential exp(-tau * n).  Along the
+    residue class r mod len(taus) the exponent is exactly taus[r], and the
+    finite table never affects lim sup / lim inf.  Out-of-range table
+    entries are rejected, never clamped.
+    """
+
+    taus: tuple[float, ...]
+    values: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_nonneg("tau", self.tau)
-        if math.isinf(self.tau):
-            raise RateError(
-                "Exponential requires finite tau; use RateExponents directly "
-                "for the tau = +inf degenerate case"
-            )
+        object.__setattr__(self, "taus", tuple(self.taus))
+        object.__setattr__(self, "values", tuple(self.values))
+        for i, v in enumerate(self.values):
+            if not (0.0 < v <= 1.0):
+                raise RateError(
+                    f"values[{i}]={v!r} outside (0, 1]; table entries are "
+                    "rejected, not clamped"
+                )
+        if not self.taus:
+            raise RateError("need at least one tau")
+        for t in self.taus:
+            _check_finite_nonneg("tau", t)
 
     def log_phi(self, n: int) -> float:
-        return -self.tau * n
-
-    def exponents(self) -> RateExponents:
-        return RateExponents(self.tau, self.tau)
+        # the table covers n = 1..len; time 0 reads the tail, ln phi(0) = 0
+        if 0 < n <= len(self.values):
+            return math.log(self.values[n - 1])
+        return -self.taus[n % len(self.taus)] * n
 
 
 @dataclass(frozen=True)
@@ -124,80 +139,11 @@ class PowerLaw(RateFunction):
     a: float
 
     def __post_init__(self) -> None:
-        _check_nonneg("a", self.a)
-        if math.isinf(self.a):
-            raise RateError("PowerLaw requires finite a")
+        _check_finite_nonneg("a", self.a)
 
     def log_phi(self, n: int) -> float:
         # min(1, n^-a) is 1 at n = 0; n^-a underflows long before -a ln n does
         return -self.a * math.log(n) if n else 0.0
-
-    def exponents(self) -> RateExponents:
-        return RateExponents(0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class PiecewiseExponential(RateFunction):
-    """phi(n) = exp(-taus[n mod period] * n).
-
-    The exponent along the residue class r is exactly taus[r], so
-    tau_upper = max(taus) and tau_lower = min(taus).
-    """
-
-    period: int
-    taus: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.period < 1:
-            raise RateError(f"period must be >= 1, got {self.period}")
-        object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
-        if len(self.taus) != self.period:
-            raise RateError(
-                f"need exactly {self.period} taus, got {len(self.taus)}"
-            )
-        for t in self.taus:
-            _check_nonneg("taus entry", t)
-            if math.isinf(t):
-                raise RateError("PiecewiseExponential requires finite taus")
-
-    def log_phi(self, n: int) -> float:
-        return -self.taus[n % self.period] * n
-
-    def exponents(self) -> RateExponents:
-        return RateExponents(max(self.taus), min(self.taus))
-
-
-@dataclass(frozen=True)
-class Tabulated(RateFunction):
-    """Finite table of values in (0, 1] followed by an exp(-tail_tau * n) tail.
-
-    The finite prefix never affects lim sup / lim inf, so both exponents equal
-    tail_tau.  Out-of-range table entries are rejected, never clamped.
-    """
-
-    values: tuple[float, ...]
-    tail_tau: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        for i, v in enumerate(self.values):
-            if not (0.0 < v <= 1.0):
-                raise RateError(
-                    f"values[{i}]={v!r} outside (0, 1]; table entries are "
-                    "rejected, not clamped"
-                )
-        _check_nonneg("tail_tau", self.tail_tau)
-        if math.isinf(self.tail_tau):
-            raise RateError("Tabulated requires finite tail_tau")
-
-    def log_phi(self, n: int) -> float:
-        # the table covers n = 1..len; time 0 reads the tail, ln phi(0) = 0
-        if 0 < n <= len(self.values):
-            return math.log(self.values[n - 1])
-        return -self.tail_tau * n
-
-    def exponents(self) -> RateExponents:
-        return RateExponents(self.tail_tau, self.tail_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -287,25 +233,26 @@ class EventuallyPeriodic:
 
 
 def tau_exponents(
-    phi: RateFunction | RateExponents, s: TimeSet | None = None
+    phi: RateFunction | RateExponents, s: TimeSet = TimeSet()
 ) -> RateExponents:
     """Closed-form (tau_upper, tau_lower) of a rate, tau_upper taken along S.
 
     Lower bounds consult phi only at hit times in S, so their tau_upper is
     limsup -ln(phi(n))/n over n in S, which only the arithmetic tail of S
-    decides.  For a PiecewiseExponential that tail meets the residues
-    r = offset (mod gcd(period, step)) and no others; every other variant has
-    one exponent along every progression.  Upper bounds embed the hit set
-    into the every-time hit set of phi itself, so tau_lower is phi's own
-    liminf exponent.  The two stay ordered: liminf over all n is at most the
-    limsup over S.  Without ``s`` both are phi's own exponents.
+    decides.  For an Exponential that tail meets the residues
+    r = offset (mod gcd(len(taus), step)) and no others, and its table is
+    finite; a PowerLaw has exponent 0 along every progression.  Upper
+    bounds embed the hit set into the every-time hit set of phi itself, so
+    tau_lower is phi's own liminf exponent.  The two stay ordered: liminf
+    over all n is at most the limsup over S.  The default S = N gives phi's
+    own exponents.
     """
-    own = phi if isinstance(phi, RateExponents) else phi.exponents()
-    if s is not None and isinstance(phi, PiecewiseExponential):
-        g = math.gcd(phi.period, s.step)
-        up = max(phi.taus[s.offset % g :: g])
-        return RateExponents(up, own.tau_lower)
-    return own
+    if isinstance(phi, RateExponents):
+        return phi
+    if isinstance(phi, PowerLaw):
+        return RateExponents(0.0, 0.0)
+    g = math.gcd(len(phi.taus), s.step)
+    return RateExponents(max(phi.taus[s.offset % g :: g]), min(phi.taus))
 
 
 def family_tau(exponents: Sequence[RateExponents]) -> RateExponents:

@@ -132,7 +132,8 @@ class ShiftOfFiniteType:
 
 
 def _row_ints(row: Sequence[int]) -> tuple[int, ...]:
-    """A row's entries as Python ints; a float or a string raises TypeError.
+    """A row's entries as Python ints, read by ``operator.index``: a float or
+    a string raises TypeError, where ``int()`` would truncate or parse it.
     A numpy array goes through ``tolist``: numpy 2's bools have no ``__index__``."""
     tolist = getattr(row, "tolist", None)
     return tuple(map(index, row if tolist is None else tolist()))
@@ -175,34 +176,12 @@ def digraph_period(matrix: Sequence[Sequence[int]]) -> PeriodDecomposition:
         flat = bytes(chain.from_iterable(matrix)).translate(_NONZERO)
     except ValueError:  # an entry outside 0..255
         flat = bytes(map(bool, chain.from_iterable(matrix)))
-    succ = [int.from_bytes(flat[a * k : a * k + k], "little") for a in range(k)]
-    level = [0] + [-1] * (k - 1)
-    unseen = int.from_bytes(b"\0" + b"\1" * (k - 1), "little")
-    stack = [0]
-    while stack:
-        a = stack.pop()
-        new = succ[a] & unseen
-        unseen ^= new
-        while new:
-            low = new & -new
-            new ^= low
-            b = low.bit_length() >> 3
-            level[b] = level[a] + 1
-            stack.append(b)
-    if unseen:
-        raise ReducibleShiftError(f"graph is reducible: symbol {_lowest_symbol(unseen)} cannot be reached from symbol 0")
-    pred = [int.from_bytes(flat[b::k], "little") for b in range(k)]
-    unseen = int.from_bytes(b"\0" + b"\1" * (k - 1), "little")
-    stack = [0]
-    while stack:
-        new = pred[stack.pop()] & unseen
-        unseen ^= new
-        while new:
-            low = new & -new
-            new ^= low
-            stack.append(low.bit_length() >> 3)
-    if unseen:
-        raise ReducibleShiftError(f"graph is reducible: symbol {_lowest_symbol(unseen)} cannot reach symbol 0")
+    level, missed = _search([int.from_bytes(flat[a * k : a * k + k], "little") for a in range(k)])
+    if missed:
+        raise ReducibleShiftError(f"graph is reducible: symbol {_lowest_symbol(missed)} cannot be reached from symbol 0")
+    _, missed = _search([int.from_bytes(flat[b::k], "little") for b in range(k)])
+    if missed:
+        raise ReducibleShiftError(f"graph is reducible: symbol {_lowest_symbol(missed)} cannot reach symbol 0")
     a, b = np.frombuffer(flat, np.uint8).reshape(k, k).nonzero()
     levels = np.array(level)
     n = int(np.gcd.reduce(levels[a] + 1 - levels[b])) or 1  # 0: a single symbol without a loop
@@ -211,6 +190,26 @@ def digraph_period(matrix: Sequence[Sequence[int]]) -> PeriodDecomposition:
 
 # maps every nonzero byte to 1
 _NONZERO = bytes([0] + [1] * 255)
+
+
+def _search(adjacent: list[int]) -> tuple[list[int], int]:
+    """A search from symbol 0 along the bitsets ``adjacent`` (one byte per
+    symbol): each symbol's level (-1 where not reached) and the bitset of
+    the symbols it does not reach."""
+    level = [0] + [-1] * (len(adjacent) - 1)
+    unseen = int.from_bytes(b"\0" + b"\1" * (len(adjacent) - 1), "little")
+    stack = [0]
+    while stack:
+        a = stack.pop()
+        new = adjacent[a] & unseen
+        unseen ^= new
+        while new:
+            low = new & -new
+            new ^= low
+            b = low.bit_length() >> 3
+            level[b] = level[a] + 1
+            stack.append(b)
+    return level, unseen
 
 
 def _lowest_symbol(mask: int) -> int:
@@ -566,7 +565,12 @@ class SoficPresentation:
     def __post_init__(self) -> None:
         if self.states < 1:
             raise SymbolicError("need at least one state")
-        edges = tuple((int(a), int(b), str(lbl)) for a, b, lbl in self.edges)
+        try:
+            edges = tuple((*_row_ints((a, b)), lbl) for a, b, lbl in self.edges)
+        except TypeError:  # a float or a string, which int() would truncate or parse
+            raise SymbolicError("edge states must be integers") from None
+        if not all(isinstance(lbl, str) for _, _, lbl in edges):
+            raise SymbolicError("edge labels must be strings")
         object.__setattr__(self, "edges", edges)
         seen: set[tuple[int, str]] = set()
         for a, b, lbl in edges:

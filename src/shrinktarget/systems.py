@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from .symbolic import _row_ints
+
 
 class SpectrumError(ValueError):
     """Matrix spectrum unusable for the requested operation."""
@@ -213,7 +215,10 @@ class IntegerMatrixSystem:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.entries)
+        try:
+            rows = tuple(map(_row_ints, self.entries))
+        except TypeError:  # a float or a string, which int() would truncate or parse
+            raise SpectrumError("matrix entries must be integers") from None
         object.__setattr__(self, "entries", rows)
         d = len(rows)
         if d == 0 or any(len(r) != d for r in rows):

@@ -140,7 +140,7 @@ def test_criterion_5_witness_construction():
     with criterion(5, "golden-mean witness verified at 5 planned hits, < 5 s"):
         started = time.perf_counter()
         g = golden_mean_shift()
-        phi = Exponential(0.3)
+        phi = Exponential((0.3,))
         z = EventuallyPeriodic((), (ZEROS,))
         blocks = plan_witness(g, phi, z, TimeSet(), 5, 0.05, mixing_gap(g))
         cert = construct_witness(blocks, g, z)

@@ -27,7 +27,7 @@ from shrinktarget.cli import (
     sweep_table,
     system_facts,
 )
-from shrinktarget.rates import Exponential, RateError, RateExponents
+from shrinktarget.rates import Exponential, RateError, RateExponents, tau_exponents
 from shrinktarget.symbolic import (
     ShiftOfFiniteType,
     SoficPresentation,
@@ -448,24 +448,24 @@ class TestCoveringAndAmbient:
     def test_covering_matches_lower_formulas(self):
         prof = unit_profile()
         for t in (0.0, 0.3, 0.6):
-            rep = covering_bounds(prof, Exponential(t).exponents())
+            rep = covering_bounds(prof, tau_exponents(Exponential((t,))))
             assert rep.entropy_lower == pytest.approx(
                 bounds_general_profile(prof, tau(t)).entropy_lower, abs=1e-15
             )
             assert rep.entropy_upper is None
 
     def test_covering_tau_zero(self):
-        rep = covering_bounds(unit_profile(), Exponential(0.0).exponents())
+        rep = covering_bounds(unit_profile(), tau_exponents(Exponential((0.0,))))
         assert rep.entropy_lower == pytest.approx(LN2)
 
     def test_covering_infinite_lambda1(self):
-        rep = covering_bounds(one_sided_profile(), Exponential(LN2).exponents())
+        rep = covering_bounds(one_sided_profile(), tau_exponents(Exponential((LN2,))))
         # limit factor lambda2/(lambda2 + tau) = 1/(1 + ln2)
         assert rep.entropy_lower == pytest.approx(LN2 / (1.0 + LN2), abs=1e-12)
 
     def test_covering_hypothesis_failure_marks_unavailable(self):
         prof = unit_profile()
-        rep = covering_bounds(prof, Exponential(2.0).exponents())
+        rep = covering_bounds(prof, tau_exponents(Exponential((2.0,))))
         assert rep.entropy_lower is None
         assert ("tau < lambda1", False) in rep.assumptions
 

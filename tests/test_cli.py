@@ -110,6 +110,22 @@ class TestRun:
         shift = ShiftOfFiniteType(((1, 1), (1, 0)))
         assert [row["moran_estimate"] for row in rows] == [fmt(moran_estimate(shift, t, 12)) for t in taus]
 
+    @pytest.mark.parametrize(
+        "phi",
+        [{"kind": "piecewise_exponential", "period": 1, "taus": [0.3]}, {"kind": "tabulated", "values": [], "tail_tau": 0.3}],
+        ids=["period_1", "empty_table"],
+    )
+    def test_pure_exponential_is_read_by_value(self, tmp_path, monkeypatch, phi):
+        # one tau and no table is the pure exponential, however the config spells it
+        monkeypatch.chdir(tmp_path)
+        results = []
+        for spelling in ({"kind": "exponential", "tau": 0.3}, phi):
+            payload = golden_oracle_config()
+            payload["rates"][0]["phi"] = spelling
+            assert main(["oracle", "--config", str(write_config(tmp_path, payload))]) == 0
+            results.append(json.dumps(read_report(tmp_path)["results"]))
+        assert results[1] == results[0]
+
     def test_oracle_grid_is_not_materialised(self, tmp_path, monkeypatch):
         # about 6e10 grid points: the bracket bisects values computed on demand
         monkeypatch.chdir(tmp_path)
@@ -570,6 +586,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"rates\[0\]\.phi"):
             parse_config(payload)
 
+    @pytest.mark.parametrize(
+        "phi,message",
+        [
+            ({"kind": "piecewise_exponential", "period": 0, "taus": []}, "period must be >= 1, got 0"),
+            ({"kind": "piecewise_exponential", "period": 2, "taus": [0.5]}, "need exactly 2 taus, got 1"),
+            ({"kind": "piecewise_exponential", "period": 1, "taus": [0.5, 0.5]}, "need exactly 1 taus, got 2"),
+            ({"kind": "piecewise_exponential", "period": 2, "taus": [0.5, -1]}, "tau must be a nonnegative real, got -1.0"),
+            ({"kind": "tabulated", "values": [0.5, 1.5], "tail_tau": -1}, "values[1]=1.5 outside (0, 1]; table entries are rejected, not clamped"),
+            ({"kind": "tabulated", "values": [0.5], "tail_tau": -1}, "tau must be a nonnegative real, got -1.0"),
+            ({"kind": "exponential", "tau": -1}, "tau must be a nonnegative real, got -1.0"),
+        ],
+        ids=["period_0", "too_few_taus", "too_many_taus", "negative_tau", "table_first", "negative_tail", "negative_exponential"],
+    )
+    def test_rate_parameter_errors(self, phi, message):
+        payload = cat_map_config()
+        payload["rates"][0]["phi"] = phi
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert (exc.value.path, exc.value.message) == ("$.rates[0].phi", message)
+
     def test_bad_target_dimension(self):
         payload = cat_map_config()
         payload["rates"][0]["target"] = {"kind": "point", "point": [0.5]}
@@ -817,6 +853,10 @@ class TestValidation:
          "$.rates[0].time_set", "oracle schemes need the full time set"),
         ("oracle", {"rate": {"phi": {"kind": "power_law", "a": 2.0}}},
          "$.rates[0].phi", "oracle schemes need a pure exponential rate"),
+        ("oracle", {"rate": {"phi": {"kind": "piecewise_exponential", "period": 2, "taus": [0.5, 0.5]}}},
+         "$.rates[0].phi", "oracle schemes need a pure exponential rate"),
+        ("oracle", {"rate": {"phi": {"kind": "tabulated", "values": [1.0], "tail_tau": 0.5}}},
+         "$.rates[0].phi", "oracle schemes need a pure exponential rate"),
         ("oracle", {"rate": {"target": {"kind": "symbol_schedule", "cycle": [{"cycle": [0]}, {"cycle": [1, 0]}]}}},
          "$.rates[0].target", "oracle schemes need a constant symbol target"),
         ("witness", {"rate": {"phi": {"kind": "exponents", "tau_upper": 0.5, "tau_lower": 0.5}}},
@@ -827,7 +867,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "command,edits,path,message", TASK_REQUIREMENTS,
         ids=["exact_sft", "analyze_profile", "oracle_matrix", "witness_matrix", "oracle_two_sided",
-             "witness_two_sided", "oracle_arithmetic_s", "oracle_power_law", "oracle_two_streams",
+             "witness_two_sided", "oracle_arithmetic_s", "oracle_power_law", "oracle_period_2",
+             "oracle_table", "oracle_two_streams",
              "witness_exponents", "sweep_no_grid"],
     )
     def test_task_requirement_on_both_paths(self, tmp_path, monkeypatch, command, edits, path, message):

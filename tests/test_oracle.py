@@ -33,7 +33,6 @@ from shrinktarget.oracle import (
 from shrinktarget.rates import (
     EventuallyPeriodic,
     Exponential,
-    PiecewiseExponential,
     TimeSet,
     tau_exponents,
 )
@@ -284,7 +283,7 @@ class TestCoveringSum:
         with pytest.raises(OracleError, match="one-sided"):
             LimsupCylinderScheme(two, 0.5, ZEROS)
         with pytest.raises(OracleError, match="one-sided"):
-            plan_witness(two, Exponential(0.5), ZERO_TARGET, TimeSet(), 3, 0.05, mixing_gap(two))
+            plan_witness(two, Exponential((0.5,)), ZERO_TARGET, TimeSet(), 3, 0.05, mixing_gap(two))
         with pytest.raises(OracleError, match="one-sided"):
             moran_dimension(two, [moran_layout(0.5, 4, mixing_gap(two))])
 
@@ -474,7 +473,7 @@ class TestMoran:
 
 class TestWitness:
     def test_full_shift_plan_shape(self):
-        phi = Exponential(0.3)
+        phi = Exponential((0.3,))
         blocks = plan_witness(full_shift(2), phi, ZERO_TARGET, TimeSet(), 5, 0.05, mixing_gap(full_shift(2)))
         hits = [b.hit_time for b in blocks]
         assert len(hits) == 5
@@ -484,7 +483,7 @@ class TestWitness:
             assert b.pinned_len >= math.floor(0.3 * b.hit_time) + 1
 
     def test_full_shift_construct_and_verify(self):
-        phi = Exponential(0.3)
+        phi = Exponential((0.3,))
         blocks = plan_witness(full_shift(2), phi, ZERO_TARGET, TimeSet(), 5, 0.05, mixing_gap(full_shift(2)))
         cert = construct_witness(blocks, full_shift(2), ZERO_TARGET)
         assert cert.all_verified
@@ -497,7 +496,7 @@ class TestWitness:
         assert set(planned) <= set(every)
 
     def test_golden_mean_avoids_forbidden_word(self):
-        phi = Exponential(0.3)
+        phi = Exponential((0.3,))
         g = golden_mean_shift()
         blocks = plan_witness(g, phi, ZERO_TARGET, TimeSet(), 5, 0.05, mixing_gap(g))
         cert = construct_witness(blocks, g, ZERO_TARGET)
@@ -512,7 +511,7 @@ class TestWitness:
         # exponents are bounded by the pinned length rather than running to
         # the end of the prefix
         z = EventuallyPeriodic((), (EventuallyPeriodic(head=(), cycle=(0, 0, 1)),))
-        phi = Exponential(0.3)
+        phi = Exponential((0.3,))
         g = golden_mean_shift()
         blocks = plan_witness(g, phi, z, TimeSet(), 4, 0.05, mixing_gap(g))
         cert = construct_witness(blocks, g, z)
@@ -532,7 +531,7 @@ class TestWitness:
         # 11 is the golden mean's forbidden word: a prefix that opens with it
         # is no point of the shift, however well it matches the targets
         z = EventuallyPeriodic((), (EventuallyPeriodic(head=(), cycle=(0, 0, 1)),))
-        phi = Exponential(0.3)
+        phi = Exponential((0.3,))
         g = golden_mean_shift()
         blocks = plan_witness(g, phi, z, TimeSet(), 4, 0.05, 2)
         cert = construct_witness(blocks, g, z)
@@ -546,14 +545,14 @@ class TestWitness:
         assert verify_witness(tampered, full_shift(2), phi, z, TimeSet()) == planned
 
     def test_empty_plan(self):
-        blocks = plan_witness(full_shift(2), Exponential(0.3), ZERO_TARGET, TimeSet(), 0, 0.05, mixing_gap(full_shift(2)))
+        blocks = plan_witness(full_shift(2), Exponential((0.3,)), ZERO_TARGET, TimeSet(), 0, 0.05, mixing_gap(full_shift(2)))
         assert blocks == ()
         cert = construct_witness(blocks, full_shift(2), ZERO_TARGET)
         assert len(cert.prefix) == 0 and cert.all_verified
 
     def test_prefix_is_read_only(self):
         g = golden_mean_shift()
-        blocks = plan_witness(g, Exponential(0.3), ZERO_TARGET, TimeSet(), 3, 0.05, mixing_gap(g))
+        blocks = plan_witness(g, Exponential((0.3,)), ZERO_TARGET, TimeSet(), 3, 0.05, mixing_gap(g))
         cert = construct_witness(blocks, g, ZERO_TARGET)
         assert cert.prefix.dtype == np.int64
         with pytest.raises(ValueError, match="read-only"):
@@ -566,7 +565,7 @@ class TestWitness:
 
     def test_certificates_compare_by_symbols(self):
         g = golden_mean_shift()
-        blocks = plan_witness(g, Exponential(0.3), ZERO_TARGET, TimeSet(), 3, 0.05, mixing_gap(g))
+        blocks = plan_witness(g, Exponential((0.3,)), ZERO_TARGET, TimeSet(), 3, 0.05, mixing_gap(g))
         cert = construct_witness(blocks, g, ZERO_TARGET)
         assert cert == construct_witness(blocks, g, ZERO_TARGET)
         assert cert == replace(cert, prefix=tuple(cert.prefix.tolist()))
@@ -582,7 +581,7 @@ class TestWitness:
 
     def test_explicit_powers_of_two(self):
         powers = TimeSet(2**12, 2**12, tuple(2**i for i in range(3, 12)))
-        blocks = plan_witness(full_shift(2), Exponential(0.3), ZERO_TARGET, powers, 3, 0.05, mixing_gap(full_shift(2)))
+        blocks = plan_witness(full_shift(2), Exponential((0.3,)), ZERO_TARGET, powers, 3, 0.05, mixing_gap(full_shift(2)))
         for b in blocks:
             assert powers.contains(b.hit_time)
 
@@ -595,17 +594,17 @@ class TestWitness:
 
         monkeypatch.setattr(oracle, "_reach_sets", counted)
         g = golden_mean_shift()
-        blocks = plan_witness(g, Exponential(0.5), ZERO_TARGET, TimeSet(), 14, 0.05, mixing_gap(g))
+        blocks = plan_witness(g, Exponential((0.5,)), ZERO_TARGET, TimeSet(), 14, 0.05, mixing_gap(g))
         construct_witness(blocks, g, ZERO_TARGET)
         assert calls == [0]
         calls.clear()
         schedule = EventuallyPeriodic((), (ZEROS, EventuallyPeriodic((), (1, 0)), ZEROS))
-        blocks = plan_witness(full_shift(2), Exponential(0.3), schedule, TimeSet(), 9, 0.05, 1)
+        blocks = plan_witness(full_shift(2), Exponential((0.3,)), schedule, TimeSet(), 9, 0.05, 1)
         construct_witness(blocks, full_shift(2), schedule)
         assert sorted(calls) == [0, 1]
 
     def test_deterministic(self):
-        phi = Exponential(0.3)
+        phi = Exponential((0.3,))
         g = golden_mean_shift()
         blocks = plan_witness(g, phi, ZERO_TARGET, TimeSet(), 4, 0.05, mixing_gap(g))
         c1 = construct_witness(blocks, g, ZERO_TARGET)
@@ -614,20 +613,20 @@ class TestWitness:
 
     def test_vacuous_rate(self):
         # phi == 1: every time verifies (distance <= e^-1 < 1)
-        phi = Exponential(0.0)
+        phi = Exponential((0.0,))
         prefix = tuple([0, 1] * 20)
         confirmed = verify_witness(claim_every_time(prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
         assert confirmed == list(range(len(prefix)))
 
     def test_alternating_point_misses_fast_rate(self):
-        phi = Exponential(2.0)
+        phi = Exponential((2.0,))
         prefix = tuple([0, 1] * 30)
         confirmed = verify_witness(claim_every_time(prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
         assert confirmed == naive_verify(prefix, phi, ZERO_TARGET, TimeSet())
         assert all(n < 1 for n in confirmed)  # only the vacuous-free n=0 can hit
 
     def test_all_zero_point_hits_everywhere(self):
-        phi = Exponential(1.0)
+        phi = Exponential((1.0,))
         prefix = tuple([0] * 40)
         confirmed = verify_witness(claim_every_time(prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
         assert confirmed == naive_verify(prefix, phi, ZERO_TARGET, TimeSet())
@@ -651,17 +650,17 @@ class TestWitness:
             WitnessHit(-1, 1, 1),
         )
         cert = WitnessCertificate(prefix, claims)
-        half = Exponential(0.5)
+        half = Exponential((0.5,))
         assert verify_witness(cert, full_shift(2), half, ZERO_TARGET, TimeSet()) == [4, 5, 2, 0]
         assert verify_witness(cert, full_shift(2), half, ZERO_TARGET, TimeSet(0, 2)) == [4, 2, 0]
         assert verify_witness(cert, full_shift(2), half, ZERO_TARGET, TimeSet(100, 1, (5,))) == [5]
         # at tau = 1 the window at 2 is 2..3, which holds the 1
-        assert verify_witness(cert, full_shift(2), Exponential(1.0), ZERO_TARGET, TimeSet()) == [4, 5, 0]
+        assert verify_witness(cert, full_shift(2), Exponential((1.0,)), ZERO_TARGET, TimeSet()) == [4, 5, 0]
 
     def test_time_whose_rate_underflows_is_skipped(self):
         # -ln phi(25) = 25e308 overflows: no agreement certifies time 25, so
         # the plan moves on to 26 and verification never confirms 25
-        phi = PiecewiseExponential(2, (0.1, 1e308))
+        phi = Exponential((0.1, 1e308))
         s = TimeSet(26, 2, (25,))
         assert required_exponent(phi, 25) == math.inf
         blocks = plan_witness(golden_mean_shift(), phi, ZERO_TARGET, s, 2, 0.05, mixing_gap(golden_mean_shift()))
@@ -672,7 +671,7 @@ class TestWitness:
     def test_overlapping_blocks_refused(self):
         # no filler fits where a block starts before the previous one ends
         g = golden_mean_shift()
-        first, second = plan_witness(g, Exponential(0.3), ZERO_TARGET, TimeSet(), 2, 0.05, mixing_gap(g))
+        first, second = plan_witness(g, Exponential((0.3,)), ZERO_TARGET, TimeSet(), 2, 0.05, mixing_gap(g))
         early = replace(second, hit_time=first.end - 1)
         with pytest.raises(PlanError, match=f"block at time {first.end - 1} starts before the previous one ends at {first.end}"):
             construct_witness((first, early), g, ZERO_TARGET)
@@ -687,11 +686,11 @@ class TestWitness:
         short = replace(second, pinned_len=1)
         cert = construct_witness((first, short), g, ZERO_TARGET)
         assert not cert.all_verified and cert.hits[0].verified
-        assert verify_witness(cert, g, Exponential(0.3), ZERO_TARGET, TimeSet()) == [first.hit_time]
+        assert verify_witness(cert, g, Exponential((0.3,)), ZERO_TARGET, TimeSet()) == [first.hit_time]
 
     def test_eta_must_be_positive(self):
         with pytest.raises(PlanError):
-            plan_witness(full_shift(2), Exponential(0.3), ZERO_TARGET, TimeSet(), 2, 0.0, mixing_gap(full_shift(2)))
+            plan_witness(full_shift(2), Exponential((0.3,)), ZERO_TARGET, TimeSet(), 2, 0.0, mixing_gap(full_shift(2)))
 
 
 def _symbol_streams(k):
@@ -736,7 +735,7 @@ class TestWitnessAgainstNaiveLoops:
             )
         )
         prefix = tuple(c for piece in pieces for c in piece)
-        phi = Exponential(tau)
+        phi = Exponential((tau,))
         assert verify_witness(claim_every_time(prefix), full_shift(k), phi, z, s) == naive_verify(prefix, phi, z, s)
 
     @settings(max_examples=300, deadline=None)
@@ -806,7 +805,7 @@ class TestWitnessAgainstNaiveLoops:
             z = EventuallyPeriodic((admissible_sequence(data, shift),), cycle)
         else:
             z = EventuallyPeriodic((), (admissible_sequence(data, shift),))
-        phi = Exponential(tau)
+        phi = Exponential((tau,))
         gap = mixing_gap(shift)
         blocks = plan_witness(shift, phi, z, s, stages, eta, gap)
         cert = construct_witness(blocks, shift, z)
@@ -840,7 +839,7 @@ class TestWitnessAgainstNaiveLoops:
         # built for that stretch alone does
         cycle = tuple(admissible_sequence(data, shift) for _ in range(data.draw(st.integers(1, 3))))
         z = EventuallyPeriodic((), cycle)
-        blocks = plan_witness(shift, Exponential(tau), z, TimeSet(), stages, 0.1, mixing_gap(shift))
+        blocks = plan_witness(shift, Exponential((tau,)), z, TimeSet(), stages, 0.1, mixing_gap(shift))
         symbols, prev = [], None
         for b in blocks:
             tgt = z.at(b.hit_time)
@@ -856,7 +855,7 @@ class TestWitnessAgainstNaiveLoops:
         # the first block follows no symbol; the later ones follow a pinned block
         cycle = tuple(admissible_sequence(data, shift) for _ in range(targets))
         z = EventuallyPeriodic((), cycle)
-        blocks = plan_witness(shift, Exponential(tau), z, TimeSet(), stages, 0.1, mixing_gap(shift))
+        blocks = plan_witness(shift, Exponential((tau,)), z, TimeSet(), stages, 0.1, mixing_gap(shift))
         assert construct_witness(blocks, shift, z).prefix.tolist() == reference_prefix(blocks, shift, z)
 
     @settings(max_examples=200, deadline=None)
@@ -881,8 +880,8 @@ class TestWitnessAgainstNaiveLoops:
     @pytest.mark.parametrize("cycle", [(1, 2), (0, 1, 3)])
     def test_prefix_with_a_transient(self, cycle):
         z = EventuallyPeriodic((), (EventuallyPeriodic((), cycle),))
-        blocks = plan_witness(TRANSIENT, Exponential(0.5), z, TimeSet(), 6, 0.05, mixing_gap(TRANSIENT))
+        blocks = plan_witness(TRANSIENT, Exponential((0.5,)), z, TimeSet(), 6, 0.05, mixing_gap(TRANSIENT))
         cert = construct_witness(blocks, TRANSIENT, z)
         assert cert.prefix[:5].tolist() == [0, 1, 2, 1, 2]
         assert cert.prefix.tolist() == reference_prefix(blocks, TRANSIENT, z)
-        assert verify_witness(cert, TRANSIENT, Exponential(0.5), z, TimeSet()) == [b.hit_time for b in blocks]
+        assert verify_witness(cert, TRANSIENT, Exponential((0.5,)), z, TimeSet()) == [b.hit_time for b in blocks]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,12 +8,10 @@ from shrinktarget.oracle import required_exponent
 from shrinktarget.rates import (
     EventuallyPeriodic,
     Exponential,
-    PiecewiseExponential,
     PowerLaw,
     RateError,
     RateExponents,
     RateFunction,
-    Tabulated,
     TimeSet,
     family_tau,
     tau_exponents,
@@ -32,12 +31,12 @@ taus = st.floats(min_value=0.0, max_value=5.0)
 def rates(draw):
     kind = draw(st.sampled_from(["exponential", "piecewise", "tabulated"]))
     if kind == "exponential":
-        return Exponential(draw(taus))
+        return Exponential((draw(taus),))
     if kind == "piecewise":
         ts = draw(st.lists(taus, min_size=1, max_size=6))
-        return PiecewiseExponential(len(ts), tuple(ts))
+        return Exponential(tuple(ts))
     values = draw(st.lists(st.floats(min_value=1e-300, max_value=1.0), max_size=8))
-    return Tabulated(tuple(values), draw(taus))
+    return Exponential((draw(taus),), tuple(values))
 
 
 @st.composite
@@ -51,7 +50,7 @@ def unbounded_time_sets(draw):
 
 class TestTauExponents:
     def test_exponential(self):
-        assert tau_exponents(Exponential(0.5)) == RateExponents(0.5, 0.5)
+        assert tau_exponents(Exponential((0.5,))) == RateExponents(0.5, 0.5)
 
     def test_power_law(self):
         assert tau_exponents(PowerLaw(2.0)) == RateExponents(0.0, 0.0)
@@ -59,7 +58,7 @@ class TestTauExponents:
         assert max(sampled_exponent(PowerLaw(2.0), lo=10_000, hi=10_050)) < 1e-2
 
     def test_piecewise_exponential(self):
-        phi = PiecewiseExponential(2, (1.0, 2.0))
+        phi = Exponential((1.0, 2.0))
         # derived: along even n the exponent is taus[0]=1, along odd n taus[1]=2
         even = sampled_exponent(phi, residue=0, period=2)
         odd = sampled_exponent(phi, residue=1, period=2)
@@ -68,21 +67,152 @@ class TestTauExponents:
         assert tau_exponents(phi) == RateExponents(2.0, 1.0)
 
     def test_tabulated_prefix_is_ignored(self):
-        phi = Tabulated(values=(0.9, 0.1, 1.0), tail_tau=0.25)
+        phi = Exponential((0.25,), values=(0.9, 0.1, 1.0))
         assert tau_exponents(phi) == RateExponents(0.25, 0.25)
 
     def test_tabulated_time_zero_reads_the_tail(self):
-        # time 0 is before the table: ln phi(0) = -tail_tau * 0 = 0, not
+        # time 0 is before the table: ln phi(0) = -tau * 0 = 0, not
         # ln values[-1] by a negative index
-        phi = Tabulated((1.0, 1e-300), 0.5)
+        phi = Exponential((0.5,), (1.0, 1e-300))
         assert phi.log_phi(0) == 0.0
         assert phi.log_phi(2) == math.log(1e-300)
         assert required_exponent(phi, 0) == 1
 
     def test_exponential_identity_exact(self):
-        phi = Exponential(0.5)
+        phi = Exponential((0.5,))
         for n in (1, 7, 100):
             assert -phi.log_phi(n) / n == pytest.approx(0.5, abs=1e-12)
+
+
+# The three exponential rate types that ``Exponential(taus, values)`` replaced,
+# as they were: the differential below pins the one type to them.
+
+
+@dataclass(frozen=True)
+class SingleExponential:
+    tau: float
+
+    def __post_init__(self):
+        if not (self.tau >= 0.0) or math.isinf(self.tau):
+            raise RateError("tau")
+
+    def log_phi(self, n):
+        return -self.tau * n
+
+    def exponents(self):
+        return RateExponents(self.tau, self.tau)
+
+
+@dataclass(frozen=True)
+class PiecewiseExponential:
+    period: int
+    taus: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "taus", tuple(float(t) for t in self.taus))
+        if self.period < 1 or len(self.taus) != self.period:
+            raise RateError("period")
+        if any(not (t >= 0.0) or math.isinf(t) for t in self.taus):
+            raise RateError("taus")
+
+    def log_phi(self, n):
+        return -self.taus[n % self.period] * n
+
+    def exponents(self):
+        return RateExponents(max(self.taus), min(self.taus))
+
+
+@dataclass(frozen=True)
+class Tabulated:
+    values: tuple
+    tail_tau: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if any(not (0.0 < v <= 1.0) for v in self.values):
+            raise RateError("values")
+        if not (self.tail_tau >= 0.0) or math.isinf(self.tail_tau):
+            raise RateError("tail_tau")
+
+    def log_phi(self, n):
+        if 0 < n <= len(self.values):
+            return math.log(self.values[n - 1])
+        return -self.tail_tau * n
+
+    def exponents(self):
+        return RateExponents(self.tail_tau, self.tail_tau)
+
+
+def old_tau_exponents(phi, s=None):
+    own = phi.exponents()
+    if s is not None and isinstance(phi, PiecewiseExponential):
+        g = math.gcd(phi.period, s.step)
+        return RateExponents(max(phi.taus[s.offset % g :: g]), own.tau_lower)
+    return own
+
+
+def built(make, *args):
+    """``make(*args)``, or None where it raises RateError."""
+    try:
+        return make(*args)
+    except RateError:
+        return None
+
+
+# every float a config or a caller may pass, the rejected ones included
+any_floats = st.one_of(taus, st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def old_and_new(draw):
+    """One rate of each old type's parameters, built both ways (None where rejected)."""
+    kind = draw(st.sampled_from(["exponential", "piecewise", "tabulated"]))
+    if kind == "exponential":
+        tau = draw(any_floats)
+        return built(SingleExponential, tau), built(Exponential, (tau,))
+    if kind == "piecewise":
+        ts = tuple(draw(st.lists(any_floats, min_size=1, max_size=6)))
+        return built(PiecewiseExponential, len(ts), ts), built(Exponential, ts)
+    values = tuple(draw(st.lists(st.one_of(st.floats(min_value=1e-300, max_value=1.0), any_floats), max_size=8)))
+    tau = draw(any_floats)
+    return built(Tabulated, values, tau), built(Exponential, (tau,), values)
+
+
+class TestOneExponentialType:
+    @given(pair=old_and_new(), ns=st.lists(st.integers(0, 10**7), max_size=20), s=unbounded_time_sets())
+    def test_matches_the_three_old_types(self, pair, ns, s):
+        old, new = pair
+        assert (old is None) == (new is None)
+        if old is None:
+            return
+        for n in [0, 1, 2, 3, 5, 8, 9, 100, *ns]:
+            assert float.hex(new.log_phi(n)) == float.hex(old.log_phi(n))
+        assert tau_exponents(new) == old_tau_exponents(old)
+        assert tau_exponents(new, s) == old_tau_exponents(old, s)
+        assert tau_exponents(new, TimeSet()) == old_tau_exponents(old, TimeSet())
+
+    def test_rejects_what_the_old_types_rejected(self):
+        with pytest.raises(RateError, match="at least one tau"):
+            Exponential(())
+        with pytest.raises(RateError, match="tau must be a nonnegative real"):
+            Exponential((0.5, -1.0))
+        with pytest.raises(RateError, match="tau must be a nonnegative real"):
+            Exponential((math.nan,))
+        with pytest.raises(RateError, match="tau must be finite"):
+            Exponential((0.25, math.inf))
+        with pytest.raises(RateError, match=r"values\[1\]=1.5 outside \(0, 1\]"):
+            Exponential((0.5,), (0.5, 1.5))
+
+    def test_parses_no_strings(self):
+        # the old piecewise and tabulated types cast float("0.5") to 0.5
+        with pytest.raises(TypeError):
+            Exponential(("0.5",))
+        with pytest.raises(TypeError):
+            Exponential((0.5,), ("0.5",))
+
+    def test_one_tau_and_no_table_is_pure(self):
+        assert Exponential((0.5,)) == Exponential([0.5], []) == Exponential((0.5,), ())
+        assert Exponential((0.5,)) != Exponential((0.5, 0.5))
 
 
 class TestFamilyTau:
@@ -107,44 +237,44 @@ class TestRestrictRate:
 
     def test_even_restriction_of_exponential(self):
         # derived: limsup over even n of n*1.0/n = 1.0
-        out = tau_exponents(Exponential(1.0), TimeSet(0, 2))
+        out = tau_exponents(Exponential((1.0,)), TimeSet(0, 2))
         assert out == RateExponents(1.0, 1.0)
 
     def test_all_times_is_identity(self):
-        for phi in (Exponential(0.3), PowerLaw(1.0), PiecewiseExponential(2, (1.0, 2.0)), RateExponents(0.7, 0.2)):
+        for phi in (Exponential((0.3,)), PowerLaw(1.0), Exponential((1.0, 2.0)), RateExponents(0.7, 0.2)):
             assert tau_exponents(phi, TimeSet()) == tau_exponents(phi)
 
     def test_piecewise_picks_even_branch(self):
-        out = tau_exponents(PiecewiseExponential(2, (1.0, 2.0)), TimeSet(0, 2))
+        out = tau_exponents(Exponential((1.0, 2.0)), TimeSet(0, 2))
         assert out == RateExponents(1.0, 1.0)
 
     def test_explicit_with_tail(self):
         # the explicit times 3 and 5 sit on the residues with taus 2.0 and 3.0,
         # but only the tail 10 + 4k counts, and it stays on residue 2
         s = TimeSet(10, 4, (3, 5))
-        assert tau_exponents(Exponential(2.0), s) == RateExponents(2.0, 2.0)
-        phi = PiecewiseExponential(4, (0.5, 3.0, 1.0, 2.0))
+        assert tau_exponents(Exponential((2.0,)), s) == RateExponents(2.0, 2.0)
+        phi = Exponential((0.5, 3.0, 1.0, 2.0))
         assert tau_exponents(phi, s) == RateExponents(1.0, 0.5)
 
     def test_offset_beyond_step_is_exact(self):
         s = TimeSet(7, 2)
-        assert tau_exponents(Exponential(1.0), s) == RateExponents(1.0, 1.0)
-        assert tau_exponents(PiecewiseExponential(2, (1.0, 2.0)), s) == RateExponents(2.0, 1.0)
+        assert tau_exponents(Exponential((1.0,)), s) == RateExponents(1.0, 1.0)
+        assert tau_exponents(Exponential((1.0, 2.0)), s) == RateExponents(2.0, 1.0)
         # gcd(6, 4) = 2: the odd tail 7 + 4k meets residues 1, 3 and 5 mod 6
-        phi = PiecewiseExponential(6, (0.0, 0.5, 4.0, 1.5, 6.0, 1.0))
+        phi = Exponential((0.0, 0.5, 4.0, 1.5, 6.0, 1.0))
         assert tau_exponents(phi, TimeSet(7, 4)) == RateExponents(1.5, 0.0)
 
     @given(phi=rates(), s=unbounded_time_sets())
     def test_matches_sampled_limsup_along_tail(self, phi, s):
         # one full period lcm(period, step) of the tail, past phi's table
         tail = TimeSet(s.offset, s.step)
-        period = phi.period if isinstance(phi, PiecewiseExponential) else 1
-        table = len(phi.values) if isinstance(phi, Tabulated) else 0
+        period = len(phi.taus)
+        table = len(phi.values)
         start = tail.first_at_least(table + 1)
         window = range(start, start + math.lcm(period, s.step), s.step)
         sampled = max(-phi.log_phi(n) / n for n in window)
         got = tau_exponents(phi, s)
-        own = phi.exponents()
+        own = tau_exponents(phi)
         assert got.tau_upper == pytest.approx(sampled, rel=0.0, abs=1e-12)
         assert own.tau_lower <= got.tau_upper <= own.tau_upper
         assert got.tau_lower == own.tau_lower
@@ -155,10 +285,10 @@ class TestInvariants:
     def test_phi_in_unit_interval(self, n):
         # n capped where exp(-tau*n) stays above the binary64 underflow floor
         for phi in (
-            Exponential(0.7),
+            Exponential((0.7,)),
             PowerLaw(1.5),
-            PiecewiseExponential(3, (0.0, 1.0, 2.5)),
-            Tabulated((0.5, 1.0), 0.1),
+            Exponential((0.0, 1.0, 2.5)),
+            Exponential((0.1,), (0.5, 1.0)),
         ):
             v = math.exp(phi.log_phi(n))
             assert 0.0 < v <= 1.0
@@ -166,8 +296,8 @@ class TestInvariants:
     @given(st.integers(min_value=1, max_value=10_000_000))
     def test_log_phi_total(self, n):
         # log-space evaluation never under/overflows
-        for phi in (Exponential(0.7), PiecewiseExponential(2, (1.0, 2.0))):
-            assert phi.log_phi(n) == pytest.approx(-phi.exponents().tau_upper * n, rel=1.0)
+        for phi in (Exponential((0.7,)), Exponential((1.0, 2.0))):
+            assert phi.log_phi(n) == pytest.approx(-tau_exponents(phi).tau_upper * n, rel=1.0)
             assert phi.log_phi(n) <= 0.0
 
     @pytest.mark.parametrize("a", [0.0, 1.5, 300.0, 1e300])
@@ -195,8 +325,8 @@ class TestInvariants:
     def test_tau_monotone_in_pointwise_order(self, t1, t2):
         # phi1 <= phi2 pointwise iff t1 >= t2; then tau_lower(phi1) >= tau_lower(phi2)
         lo, hi = sorted((t1, t2))
-        assert tau_exponents(Exponential(hi)).tau_lower >= tau_exponents(
-            Exponential(lo)
+        assert tau_exponents(Exponential((hi,))).tau_lower >= tau_exponents(
+            Exponential((lo,))
         ).tau_lower
 
     def test_exponents_order_enforced(self):
@@ -205,15 +335,15 @@ class TestInvariants:
 
     def test_tabulated_rejects_out_of_range(self):
         with pytest.raises(RateError, match="rejected"):
-            Tabulated((1.5,), 0.1)
+            Exponential((0.1,), (1.5,))
         with pytest.raises(RateError, match="rejected"):
-            Tabulated((0.0,), 0.1)
+            Exponential((0.1,), (0.0,))
 
     def test_infinity_lives_on_exponents_only(self):
         exp = RateExponents(math.inf, math.inf)
         assert math.isinf(exp.tau_upper)
         with pytest.raises(RateError):
-            Exponential(math.inf)
+            Exponential((math.inf,))
 
 
 class TestTimeSets:

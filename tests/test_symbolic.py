@@ -825,6 +825,26 @@ class TestSofic:
         with pytest.raises(SymbolicError, match="^state 2 has no outgoing edge$"):  # the lowest one
             SoficPresentation(states=5, edges=((3, 0, "a"), (0, 1, "a"), (1, 0, "a")))
 
+    @pytest.mark.parametrize(
+        "edge,message",
+        [
+            ((0.9, 0, "a"), "edge states must be integers"),  # int() truncates 0.9 to state 0
+            ((0, np.float64(0), "a"), "edge states must be integers"),
+            (("0", 0, "a"), "edge states must be integers"),  # int() parses it
+            ((0, 0, 5), "edge labels must be strings"),  # str() made it "5"
+            ((0, 0, None), "edge labels must be strings"),  # str() made it "None"
+            ((0, 0, b"a"), "edge labels must be strings"),
+        ],
+    )
+    def test_edges_are_not_cast(self, edge, message):
+        with pytest.raises(SymbolicError, match=f"^{message}$"):
+            SoficPresentation(states=1, edges=(edge,))
+
+    def test_numpy_and_bool_states_accepted(self):
+        p = SoficPresentation(states=2, edges=((np.int64(0), np.uint8(1), "a"), (True, False, "b")))
+        assert p.edges == ((0, 1, "a"), (1, 0, "b"))
+        assert all(type(v) is int for a, b, _ in p.edges for v in (a, b))
+
     def test_state_count_checked_against_the_edges(self):
         # refused from the one edge, with no list of ten million states
         tracemalloc.start()

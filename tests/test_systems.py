@@ -73,6 +73,26 @@ class TestAnalyzeMatrix:
         with pytest.raises(SpectrumError, match="singular"):
             IntegerMatrixSystem(((1, 1), (1, 1)))
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ((2.7, 1), (1, 1.9)),  # int() truncates it to the cat map
+            ((2.0, 1), (1, 1)),
+            (("2", 1), (1, 1)),  # int() parses it
+            ((np.float64(2), 1), (1, 1)),
+            np.array([[2.0, 1.0], [1.0, 1.0]]),
+        ],
+    )
+    def test_non_integer_entries_rejected(self, entries):
+        with pytest.raises(SpectrumError, match="^matrix entries must be integers$"):
+            IntegerMatrixSystem(entries)
+
+    def test_numpy_and_bool_entries_accepted(self):
+        for entries in (np.array([[2, 1], [1, 1]]), [np.array([2, 1]), (True, np.int8(1))]):
+            m = IntegerMatrixSystem(entries)
+            assert m.entries == ((2, 1), (1, 1))
+            assert all(type(v) is int for row in m.entries for v in row)
+
     def test_moduli_product_matches_det(self):
         for entries in (((2, 1), (1, 1)), ((2, 1), (0, 3)), ((0, -2), (1, 0))):
             m = IntegerMatrixSystem(entries)

@@ -6,7 +6,8 @@ used when some ``Name`` or ``Attribute`` with its name is loaded in a
 package module outside its own body.  A method counts only an
 ``Attribute``, so a local variable named like it is no use of it; a method
 named like a field or an assigned attribute counts only a call, or (for a
-property) any load.  ``__init__.py`` only re-exports, so its imports do not
+property) any load; and a method named like one of a builtin type's
+(``words.count``) counts no load, since the scan cannot tell the two apart.  ``__init__.py`` only re-exports, so its imports do not
 count as uses, and dunder methods are called by Python.
 Likewise every name a module imports is used in the scope that imports it:
 an import inside a function is used only where that function reads it.
@@ -16,6 +17,8 @@ import ast
 import importlib
 import inspect
 from pathlib import Path
+
+import numpy as np
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "shrinktarget"
 
@@ -40,6 +43,13 @@ def _definitions(tree: ast.AST, prefix: str = ""):
 
 _PROPERTIES = {"property", "cached_property", "setter", "getter", "deleter"}
 
+# x.name with one of these names may read a builtin's method, not the package's
+_BUILTIN_METHODS = {
+    name
+    for t in (str, bytes, list, tuple, dict, set, frozenset, int, float, range, np.ndarray)
+    for name in dir(t)
+}
+
 
 def _is_property(node: ast.AST) -> bool:
     names = (d.id if isinstance(d, ast.Name) else getattr(d, "attr", None) for d in node.decorator_list)
@@ -55,7 +65,8 @@ def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
     name with data (a field annotated in a class body, or an attribute
     assigned as ``x.name = ...``) is used only by a call ``x.name(...)``,
     or, when it is a property, any load ``x.name``: an uncalled
-    ``triple.phi`` reads the field, not the method.
+    ``triple.phi`` reads the field, not the method.  A method named like a
+    builtin type's method has no use: ``words.count(0)`` may read either.
     """
     data = set()
     calls = set()  # the Attribute nodes that are called
@@ -81,7 +92,7 @@ def _unreferenced(trees: dict[str, ast.Module]) -> list[str]:
                 continue
             own = range(node.lineno, node.end_lineno + 1)
             shadowed = method and node.name in data and not _is_property(node)
-            if not any(
+            if (method and node.name in _BUILTIN_METHODS) or not any(
                 (m != name or line not in own) and (attr or not method) and (called or not shadowed)
                 for m, line, attr, called in uses.get(node.name, [])
             ):
@@ -135,6 +146,20 @@ def test_a_variable_is_no_use_of_a_method():
         "def total(words, scheme):\n"
         "    count = len(words)\n"
         "    return count, scheme.counts\n"
+        "total([], Scheme())\n"
+    )
+    assert _unreferenced({"oracle.py": tree}) == ["Scheme.count"]
+
+
+def test_a_builtin_method_is_no_use_of_a_method():
+    tree = ast.parse(
+        "class Scheme:\n"
+        "    def count(self, n):\n"  # only words.count below: a list's method, not this
+        "        return n\n"
+        "    def counts(self, ns):\n"
+        "        return ns\n"
+        "def total(words, scheme):\n"
+        "    return words.count(0), scheme.counts(words)\n"
         "total([], Scheme())\n"
     )
     assert _unreferenced({"oracle.py": tree}) == ["Scheme.count"]

@@ -183,12 +183,13 @@ def system_facts(system: SystemSpec) -> SystemFacts:
     if isinstance(system, (ShiftOfFiniteType, SoficPresentation)):
         # an SFT's transition matrix, or the presentation graph of a sofic
         # shift; the period's search raises unless the graph is strongly
-        # connected, so the entropy is ln of its Perron root
+        # connected, so the entropy is ln of its Perron root, read from the
+        # SFT's cached float image
         sft = isinstance(system, ShiftOfFiniteType)
         m = system.transition if sft else system.adjacency()
         decomp = digraph_period(m)
         return SystemFacts(
-            system, decomposition=decomp, h_top=math.log(perron_root(m)),
+            system, decomposition=decomp, h_top=math.log(perron_root(system.matrix_float if sft else m)),
             gap=mixing_gap(system) if sft and decomp.period == 1 else None,
         )
     return SystemFacts(system)
@@ -610,7 +611,13 @@ def _render(obj, nl: str) -> str:
     Dict keys are strings.  A ``Table`` takes one encoder call per column,
     split at its item separator ",<NUL>" (strings escape every control
     character, so only a separator holds a raw NUL), and one join of each
-    row's key pieces and cells; any other list goes member by member.
+    row's key pieces and cells.  A list of non-empty lists of scalars (a
+    transition or entries matrix, sofic edges, witness hits) takes one
+    encoder call with the separator of the rows' members, "," + LF + indent,
+    and one replace of the row boundary "]," + separator + "[" by the
+    layout's: an encoded string holds no raw LF, and no encoded scalar ends
+    in "]", so that boundary occurs only between rows.  Any other list goes
+    member by member.
     """
     inner = nl + "  "
     if isinstance(obj, Table):
@@ -632,6 +639,11 @@ def _render(obj, nl: str) -> str:
     if isinstance(obj, dict):
         body = ("," + inner).join(_key(k) + ": " + _render(v, inner) for k, v in sorted(obj.items()))
         return "{" + inner + body + nl + "}"
+    if all(type(m) in (list, tuple) and m and _flat(m) for m in obj):
+        # rows of scalars: every separator is "," + item, and "]," + item + "[" only between rows
+        item = inner + "  "
+        rows = _encoder(item)(obj)[2:-2].replace("]," + item + "[", inner + "]," + inner + "[" + item)
+        return "[" + inner + "[" + item + rows + inner + "]" + nl + "]"
     return "[" + inner + ("," + inner).join(_render(m, inner) for m in obj) + nl + "]"
 
 

@@ -18,7 +18,11 @@ binary lifting in O(k^3 log p), even when p is near the Wielandt bound
 vector per length, rescaled by exact powers of two
 (``log_count_words_many``).  The SFT's checks, the period search and both
 counts read the matrix entries in C-level passes (``map``, ``itemgetter``,
-bytes and bitsets, numpy), not one Python step per entry.  The index sets record which classes a target
+bytes and bitsets, numpy), not one Python step per entry.  A shift's array
+readers (the Perron root, the mixing gap, the log counts and the witness
+prefix check) share one cached, read-only array image of its matrix, made
+from one bytes copy of the rows on first read, so building a shift imports
+no numpy.  The index sets record which classes a target
 sequence hits at which residues mod N - the data that decides whether
 intersected shrinking target sets can be nonempty at all.
 """
@@ -61,7 +65,14 @@ class ReducibleShiftError(SymbolicError):
 
 @dataclass(frozen=True)
 class ShiftOfFiniteType:
-    """Vertex shift on {0..k-1} with 0/1 transition matrix; one- or two-sided."""
+    """Vertex shift on {0..k-1} with 0/1 transition matrix; one- or two-sided.
+
+    ``transition`` is a tuple of int rows, checked at construction without
+    numpy.  ``matrix`` (uint8), ``matrix_bool`` (a view of it) and
+    ``matrix_float`` (one float64 copy) are its array image, read-only and
+    built on first read; every numpy reader of the shift takes them rather
+    than converting the rows again.
+    """
 
     transition: tuple[tuple[int, ...], ...]
     sided: str = "one"
@@ -101,25 +112,40 @@ class ShiftOfFiniteType:
         return frozenset(range(self.alphabet_size))
 
     @cached_property
-    def _pairs(self) -> np.ndarray:
+    def matrix(self) -> np.ndarray:
+        """The transition matrix as a read-only uint8 array, read from one
+        bytes copy of the rows on first use; numpy is imported only then."""
         import numpy as np
 
-        return np.array(self.transition, dtype=bool)
+        k = self.alphabet_size
+        return np.frombuffer(bytes(chain.from_iterable(self.transition)), dtype=np.uint8).reshape(k, k)
+
+    @cached_property
+    def matrix_bool(self) -> np.ndarray:
+        """``matrix`` viewed as bool, read-only: the pair table of ``word_admissible``."""
+        return self.matrix.view(bool)
+
+    @cached_property
+    def matrix_float(self) -> np.ndarray:
+        """``matrix`` as float64, read-only: the operand of every matmul."""
+        m = self.matrix.astype(float)
+        m.flags.writeable = False
+        return m
 
     def word_admissible(self, word: Sequence[int] | np.ndarray) -> bool:
         """Whether every symbol of ``word`` lies in the alphabet and
         transition[a][b] = 1 for each pair ab of consecutive symbols.
 
         A numpy integer array (a witness prefix) takes one range check and
-        one gather of all its pairs from a cached boolean copy of the
-        matrix.  Any other sequence (the stream probes of config loading,
-        hand-built words) is checked in C loops over the tuple rows, and
-        that path does not import numpy.
+        one gather of all its pairs from ``matrix_bool``.  Any other
+        sequence (the stream probes of config loading, hand-built words) is
+        checked in C loops over the tuple rows, and that path does not
+        import numpy.
         """
         if hasattr(word, "dtype"):
             if len(word) and not (word.min() >= 0 and word.max() < self.alphabet_size):
                 return False
-            return bool(self._pairs[word[:-1], word[1:]].all())
+            return bool(self.matrix_bool[word[:-1], word[1:]].all())
         rows = self.transition
         return self._symbols.issuperset(word) and all(
             map(getitem, map(rows.__getitem__, word), word[1:])
@@ -224,10 +250,13 @@ def mixing_gap(x: ShiftOfFiniteType) -> int:
     Boolean squaring builds the zero patterns of M, M^2, M^4, ... until one
     is entrywise positive; binary lifting over those patterns then finds the
     least such p.  Positivity is monotone in p, since M has no zero row, so
-    the lifting keeps the largest p whose power still has a zero entry.
-    Products are float64 matmuls thresholded at > 0: every entry is a path
-    count of at most k, exact in float64, and nothing wraps.  The cost is
-    O(k^3 log p), with p <= (k - 1)^2 + 1 (Wielandt).
+    the lifting keeps the largest p whose power still has a zero entry.  It
+    starts from the highest square with a zero entry, which is such a power.
+    Products are float64 matmuls of 0/1 patterns, clipped to 1 in place:
+    every entry is a path count of at most k, exact in float64, and nothing
+    wraps.  The first pattern is the shift's read-only ``matrix_float``;
+    every later one is a fresh product.  The cost is O(k^3 log p), with
+    p <= (k - 1)^2 + 1 (Wielandt).
 
     A primitive matrix has a positive power by the Wielandt bound, so the
     squaring stops once it passes the bound; only then is the shift
@@ -236,18 +265,21 @@ def mixing_gap(x: ShiftOfFiniteType) -> int:
     import numpy as np
 
     wielandt = (x.alphabet_size - 1) ** 2 + 1
-    patterns = [np.array(x.transition, dtype=float)]  # pattern of M^(2^j)
+    patterns = [x.matrix_float]  # pattern of M^(2^j)
     while not patterns[-1].all():
         if 1 << (len(patterns) - 1) >= wielandt:
             # not primitive; raises ReducibleShiftError when reducible
             raise NotMixingError(digraph_period(x.transition).period)
         square = patterns[-1] @ patterns[-1]
-        patterns.append((square > 0).astype(float))
-    p, reach = 0, np.eye(x.alphabet_size)  # reach = pattern of M^p, not positive
-    for j in range(len(patterns) - 2, -1, -1):
+        patterns.append(np.minimum(square, 1.0, out=square))
+    top = len(patterns) - 2  # the highest square with a zero entry, if any
+    if top < 0:
+        return 1
+    p, reach = 1 << top, patterns[top]  # reach = pattern of M^p, not positive
+    for j in range(top - 1, -1, -1):
         nxt = reach @ patterns[j]
         if not nxt.all():
-            p, reach = p + (1 << j), (nxt > 0).astype(float)
+            p, reach = p + (1 << j), np.minimum(nxt, 1.0, out=nxt)
     return p + 1
 
 
@@ -457,7 +489,7 @@ def log_count_words_many(x: ShiftOfFiniteType, lengths: Sequence[int]) -> list[f
     parts = [members[a:b] for a, b in zip([0, *ends], ends)]
     vectors = np.ones((len(exps), 1, k))
     vector_exps = np.zeros(len(exps), dtype=np.int64)
-    base = np.array(x.transition, dtype=float)
+    base = x.matrix_float  # read-only; the first squaring makes a new array
     base_exp = 0  # B_j = base * 2^base_exp
     base_exps = []
     for j, part in enumerate(parts):
@@ -563,6 +595,10 @@ class SoficPresentation:
     sided: str = "one"
 
     def __post_init__(self) -> None:
+        try:
+            object.__setattr__(self, "states", index(self.states))
+        except TypeError:  # a float or a string, which int() would truncate or parse
+            raise SymbolicError("states must be an integer") from None
         if self.states < 1:
             raise SymbolicError("need at least one state")
         try:

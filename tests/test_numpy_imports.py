@@ -6,7 +6,9 @@ numpy takes tens of milliseconds of a cold run.  So no package module imports
 numpy at its top level (an ``if TYPE_CHECKING:`` import serves annotations
 only), and a fresh interpreter that imports the CLI, loads every golden
 config and runs those three commands on every golden matrix and profile
-config ends without numpy in ``sys.modules``.
+config ends without numpy in ``sys.modules``.  Nor does building a shift:
+its array image of the transition matrix is made on first read, so an
+eager one would move numpy's import into config loading.
 """
 
 from __future__ import annotations
@@ -87,3 +89,49 @@ def test_matrix_and_profile_analyses_never_import_numpy(tmp_path):
     result = json.loads(done.stdout)
     assert result["codes"] == expected
     assert [stage for stage, imported in result["stages"].items() if imported] == []
+
+
+# argv: a JSON list of golden sft and sofic system configs with their target
+# streams as [head, cycle] pairs; prints the number of streams checked and
+# whether numpy was imported by then
+SHIFT_SCRIPT = """
+import json, sys
+from shrinktarget.rates import EventuallyPeriodic
+from shrinktarget.symbolic import ShiftOfFiniteType, SoficPresentation
+
+checked = 0
+for system, targets in json.loads(sys.argv[1]):
+    if system["kind"] == "sofic":
+        SoficPresentation(system["states"], tuple(map(tuple, system["edges"])), system.get("sided", "one"))
+        continue
+    shift = ShiftOfFiniteType(system["transition"], system.get("sided", "one"))
+    for head, cycle in targets:
+        checked += shift.sequence_admissible(EventuallyPeriodic(tuple(head), tuple(cycle)))
+print(json.dumps({"checked": checked, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _streams(target: dict) -> list[dict]:
+    """The symbol streams of a config target: itself, or a schedule's."""
+    if target["kind"] == "symbols":
+        return [target]
+    return target.get("preperiod", []) + target["cycle"]
+
+
+def test_building_a_shift_never_imports_numpy():
+    plan = [
+        (config["system"], [(z.get("head", []), z["cycle"]) for r in config["rates"] for z in _streams(r["target"])])
+        for config, _ in CASES.values()
+        if config["system"]["kind"] in ("sft", "sofic")
+    ]
+    assert sum(system["kind"] == "sofic" for system, _ in plan) >= 2
+    streams = sum(len(targets) for system, targets in plan if system["kind"] == "sft")
+    assert streams > 10
+    done = subprocess.run(
+        [sys.executable, "-c", SHIFT_SCRIPT, json.dumps(plan)],
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": ""},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(done.stdout) == {"checked": streams, "numpy": False}

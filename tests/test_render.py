@@ -62,6 +62,31 @@ scalars = st.one_of(
 flat_dicts = st.dictionaries(strings, scalars, min_size=1, max_size=5)
 
 
+# strings that spell a row boundary of the matrix path, or half of one
+ROW_TRICKY = TRICKY + ["],\n        [", "]", "["]
+matrix_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.integers(-(10**300), 10**300),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.inf, -math.inf, math.nan, 2**70]),
+    st.text(max_size=8),
+    st.sampled_from(ROW_TRICKY),
+)
+
+
+@st.composite
+def matrices(draw):
+    """1-6 non-empty rows of scalars, lists or tuples, sometimes with one
+    empty row inserted (which the one-call path must leave alone)."""
+    rows = draw(st.lists(st.lists(matrix_scalars, min_size=1, max_size=6), min_size=1, max_size=6))
+    rows = [tuple(row) if draw(st.booleans()) else row for row in rows]
+    if draw(st.integers(0, 4)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([[], ()])))
+    return rows
+
+
 def _containers(children):
     return st.one_of(
         st.lists(children, max_size=4),
@@ -69,6 +94,7 @@ def _containers(children):
         st.dictionaries(strings, children, max_size=4),
         st.lists(flat_dicts, min_size=1, max_size=4),
         st.lists(st.one_of(flat_dicts, st.just({}), st.just([]), children), max_size=4),
+        matrices(),
     )
 
 
@@ -135,6 +161,24 @@ def test_table_renders_as_its_rows(table, levels):
         else:
             obj, rows = ([x, {"k": k}] for x in (obj, rows))
     assert render_json(obj) == oracle(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.lists(st.booleans(), max_size=3))
+def test_matrix_rows_at_any_depth(rows, levels):
+    # nested in dicts (True) or lists (False), 0-3 levels deep
+    obj = rows
+    for k, in_dict in enumerate(levels):
+        obj = {"level": k, "m": obj, "e": [[]]} if in_dict else [obj, {"k": k}]
+    assert render_json(obj) == oracle(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [[[1]], [[1], []], [[], [1]], [("a",), [1]], {"m": [["],\n        ["]]}],
+)
+def test_matrix_edge_cases(obj):
+    assert render_json(obj) == oracle(obj)
 
 
 @pytest.mark.parametrize(

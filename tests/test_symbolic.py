@@ -840,6 +840,18 @@ class TestSofic:
         with pytest.raises(SymbolicError, match=f"^{message}$"):
             SoficPresentation(states=1, edges=(edge,))
 
+    @pytest.mark.parametrize("states", [1.0, 1.5, "2", np.float64(1.0), None], ids=["1.0", "1.5", "str", "np.float64", "None"])
+    def test_state_count_is_not_cast(self, states):
+        # 1.0 loaded and failed in adjacency(); 1.5 was "state 1 has no outgoing edge"
+        with pytest.raises(SymbolicError, match="^states must be an integer$"):
+            SoficPresentation(states=states, edges=((0, 0, "a"),))
+
+    def test_numpy_state_count_accepted(self):
+        for states in (np.int64(2), np.uint8(2)):
+            p = SoficPresentation(states=states, edges=((0, 1, "a"), (1, 0, "b")))
+            assert type(p.states) is int and p.states == 2
+            assert p.adjacency() == [[0, 1], [1, 0]]
+
     def test_numpy_and_bool_states_accepted(self):
         p = SoficPresentation(states=2, edges=((np.int64(0), np.uint8(1), "a"), (True, False, "b")))
         assert p.edges == ((0, 1, "a"), (1, 0, "b"))
@@ -855,6 +867,64 @@ class TestSofic:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestMatrixImage:
+    """The transition matrix read once into read-only uint8, bool and float64
+    arrays, which every array reader of a shift shares."""
+
+    IMAGES = {"matrix": np.uint8, "matrix_bool": np.bool_, "matrix_float": np.float64}
+
+    @staticmethod
+    def shifts():
+        return [golden_mean_shift(), ShiftOfFiniteType(FLIP.transition), ShiftOfFiniteType(_cycle_with_chord(80)),
+                ShiftOfFiniteType(SFT60.transition, "two")]
+
+    def test_images_are_read_only_copies_of_the_rows(self):
+        for shift in self.shifts():
+            for name, dtype in self.IMAGES.items():
+                image = getattr(shift, name)
+                assert image.dtype == dtype and image.shape == (shift.alphabet_size,) * 2
+                assert not image.flags.writeable
+                assert np.array_equal(image, np.array(shift.transition, dtype=dtype))
+                with pytest.raises(ValueError, match="read-only"):
+                    image[0, 0] = 1
+
+    def test_repeated_reads_return_the_same_object(self):
+        shift = golden_mean_shift()
+        first = [getattr(shift, name) for name in self.IMAGES]
+        assert all(getattr(shift, name) is image for name, image in zip(self.IMAGES, first))
+        assert np.shares_memory(shift.matrix_bool, shift.matrix)  # a view, not a copy
+
+    def test_readers_leave_the_image_unchanged(self):
+        for shift in self.shifts():
+            images = {name: getattr(shift, name) for name in self.IMAGES}
+            copies = {name: image.copy() for name, image in images.items()}
+            perron_root(shift.matrix_float)
+            system_facts(shift)
+            if digraph_period(shift.transition).period == 1:
+                mixing_gap(shift)
+            else:
+                with pytest.raises(NotMixingError):
+                    mixing_gap(shift)
+            log_count_words_many(shift, [1, 2, 3, 7, 100, 2**70])
+            shift.word_admissible(np.arange(shift.alphabet_size, dtype=np.int64))
+            for name, image in images.items():
+                assert getattr(shift, name) is image
+                assert np.array_equal(image, copies[name]) and image.dtype == copies[name].dtype
+
+    @settings(max_examples=150, deadline=None)
+    @given(irreducible_shifts(max_k=12))
+    def test_perron_root_of_the_image(self, shift):
+        want = perron_root(shift.transition).hex()
+        assert perron_root(shift.matrix).hex() == perron_root(shift.matrix_float).hex() == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(shaped_shifts(), st.lists(st.integers(1, 2**70), min_size=1, max_size=6))
+    def test_log_counts_of_the_image(self, shift, lengths):
+        # per_length_log_count converts the tuples with np.array(transition, dtype=float)
+        want = [per_length_log_count(shift, n).hex() for n in lengths]
+        assert [v.hex() for v in log_count_words_many(shift, lengths)] == want
 
 
 class TestValidation:

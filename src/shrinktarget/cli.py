@@ -35,7 +35,6 @@ import operator
 import os
 import sys
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -55,7 +54,6 @@ from .bounds import (
 from .config import ConfigError, ExperimentConfig, SystemSpec, check_task, load_config
 from .oracle import (
     LimsupCylinderScheme,
-    OracleError,
     construct_witness,
     critical_exponent,
     grid_cell,
@@ -441,18 +439,7 @@ def _specification_gap(facts: SystemFacts) -> int:
     return facts.gap
 
 
-@dataclass(frozen=True)
-class _ArithmeticGrid(Sequence):
-    """The grid k * step, k = 0..size - 1, each value computed on demand."""
-
-    step: float
-    size: int
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, k: int) -> float:
-        return range(self.size)[k] * self.step
+_GRID_STEP = 0.01  # the oracle bracket's width
 
 
 def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
@@ -460,14 +447,8 @@ def _run_oracle(config: ExperimentConfig, facts: SystemFacts) -> dict:
     shift = config.system
     params = config.oracle_params
     h = facts.h_top
-    hi = h + 0.1  # the grid runs from 0, where s* = 0 of a zero-entropy shift lies
-    n_pts = hi / params.grid_step
-    if not n_pts < sys.maxsize:  # inf too: a sequence cannot index that many points
-        raise OracleError(
-            f"grid_step = {params.grid_step:g} over [0, {hi:g}] "
-            "gives more grid points than a sequence can index"
-        )
-    grid = _ArithmeticGrid(params.grid_step, round(n_pts) + 1)
+    # from 0, where s* = 0 of a zero-entropy shift lies, to h_top + 0.1
+    grid = [k * _GRID_STEP for k in range(round((h + 0.1) / _GRID_STEP) + 1)]
     windows = {}  # the fit window's log counts per first target symbol, for this call only
     rows, layouts = [], []
     for i, triple in enumerate(config.rates):

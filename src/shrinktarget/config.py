@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Union
 
@@ -27,6 +27,7 @@ from .rates import (
 from .symbolic import ShiftOfFiniteType, SoficPresentation, SymbolicError
 from .systems import HyperbolicityProfile, IntegerMatrixSystem, SpectrumError
 
+KEYS = ("system", "rates", "tasks", "oracle_params", "sweep", "output")
 TASKS = ("analyze", "bounds", "exact", "oracle", "witness")
 FORMATS = ("json", "csv")
 MAX_DEPTH = 1000  # the fit is quadratic in depth: 0.6 s, one rate, 60-symbol SFT, x86-64
@@ -51,6 +52,13 @@ def _as_dict(value: Any, path: str) -> dict:
     return value
 
 
+def _known_keys(d: dict, keys, path: str) -> None:
+    """Refuse the first key of ``d`` that is not among ``keys``."""
+    for key in d:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}", "unknown key")
+
+
 def _as_list(value: Any, path: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(path, f"expected a list, got {type(value).__name__}")
@@ -63,7 +71,7 @@ def _list_of(value: Any, path: str, parse) -> list:
 
 
 def _as_number(value: Any, path: str, allow_inf: bool = False) -> float:
-    if isinstance(value, str) and allow_inf and value in ("inf", "Infinity"):
+    if allow_inf and value == "inf":
         return math.inf
     # every comparison with NaN is false, so no later range check would catch it
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
@@ -89,6 +97,13 @@ def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     return value
+
+
+def _as_symbol(value: Any, path: str) -> int:
+    symbol = _as_int(value, path)
+    if symbol < 0:
+        raise ConfigError(path, f"expected a nonnegative integer, got {symbol}")
+    return symbol
 
 
 def _as_str(value: Any, path: str) -> str:
@@ -123,7 +138,6 @@ class RateTriple:
 @dataclass(frozen=True)
 class OracleParams:
     depth: int = 40
-    grid_step: float = 0.01
     stages: int = 12
     eta: float = 0.05
 
@@ -201,8 +215,8 @@ def _parse_time_set(obj: Any, path: str) -> TimeSet:
 
 def _parse_symbol_sequence(obj: Any, path: str) -> EventuallyPeriodic:
     d = _as_dict(obj, path)
-    head = _list_of(d.get("head", []), f"{path}.head", _as_int)
-    cycle = _list_of(_require(d, "cycle", path), f"{path}.cycle", _as_int)
+    head = _list_of(d.get("head", []), f"{path}.head", _as_symbol)
+    cycle = _list_of(_require(d, "cycle", path), f"{path}.cycle", _as_symbol)
     try:
         return EventuallyPeriodic(tuple(head), tuple(cycle))
     except RateError as exc:
@@ -347,6 +361,7 @@ def check_task(config: ExperimentConfig, task: str) -> None:
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON object into an ExperimentConfig."""
     d = _as_dict(raw, "$")
+    _known_keys(d, KEYS, "$")
     system = _parse_system(_require(d, "system", "$"), "$.system")
 
     rate_objs = _as_list(_require(d, "rates", "$"), "$.rates")
@@ -377,9 +392,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     op = OracleParams()
     if "oracle_params" in d:
         od = _as_dict(d["oracle_params"], "$.oracle_params")
+        _known_keys(od, [f.name for f in fields(OracleParams)], "$.oracle_params")
         op = OracleParams(
             depth=_as_int(od.get("depth", op.depth), "$.oracle_params.depth"),
-            grid_step=_as_number(od.get("grid_step", op.grid_step), "$.oracle_params.grid_step"),
             stages=_as_int(od.get("stages", op.stages), "$.oracle_params.stages"),
             eta=_as_number(od.get("eta", op.eta), "$.oracle_params.eta"),
         )
@@ -387,8 +402,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("$.oracle_params.depth", "depth must be >= 4")
         if op.depth > MAX_DEPTH:
             raise ConfigError("$.oracle_params.depth", f"depth must be <= {MAX_DEPTH}")
-        if op.grid_step <= 0:
-            raise ConfigError("$.oracle_params.grid_step", "grid_step must be positive")
         if op.eta <= 0:
             raise ConfigError("$.oracle_params.eta", "eta must be positive")
         if op.stages < 0:

@@ -1,14 +1,23 @@
 import json
 import math
 import random
-import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from shrinktarget import cli
 from shrinktarget.cli import _build_parser, fmt, main, run
-from shrinktarget.config import FORMATS, MAX_DEPTH, TASKS, ConfigError, load_config, parse_config
-from shrinktarget.oracle import LimsupCylinderScheme, critical_exponent
+from shrinktarget.config import (
+    FORMATS,
+    KEYS,
+    MAX_DEPTH,
+    TASKS,
+    ConfigError,
+    OracleParams,
+    load_config,
+    parse_config,
+)
 from shrinktarget.rates import EventuallyPeriodic
 from shrinktarget.symbolic import NotMixingError, ShiftOfFiniteType, mixing_gap
 
@@ -55,7 +64,7 @@ def golden_oracle_config(tau=0.5, tasks=("oracle",), out="out"):
             }
         ],
         "tasks": list(tasks),
-        "oracle_params": {"depth": 40, "grid_step": 0.01, "stages": 12, "eta": 0.05},
+        "oracle_params": {"depth": 40, "stages": 12, "eta": 0.05},
         "output": {"dir": out, "formats": ["json"]},
     }
 
@@ -125,20 +134,6 @@ class TestRun:
             assert main(["oracle", "--config", str(write_config(tmp_path, payload))]) == 0
             results.append(json.dumps(read_report(tmp_path)["results"]))
         assert results[1] == results[0]
-
-    def test_oracle_grid_is_not_materialised(self, tmp_path, monkeypatch):
-        # about 6e10 grid points: the bracket bisects values computed on demand
-        monkeypatch.chdir(tmp_path)
-        payload = golden_oracle_config(tau=0.3)
-        payload["oracle_params"]["grid_step"] = 1e-11
-        started = time.perf_counter()
-        assert main(["oracle", "--config", str(write_config(tmp_path, payload))]) == 0
-        assert time.perf_counter() - started < 1.0
-        (row,) = read_report(tmp_path)["results"][0]["rows"]
-        lo, hi = float(row["bracket_lo"]), float(row["bracket_hi"])
-        scheme = LimsupCylinderScheme(ShiftOfFiniteType(((1, 1), (1, 0))), 0.3, EventuallyPeriodic((), (0,)))
-        assert lo <= critical_exponent(scheme, 40) < hi
-        assert hi - lo == pytest.approx(1e-11, abs=1e-12)
 
     def test_oracle_zero_entropy_shift(self, tmp_path, monkeypatch):
         # s* = h/(1 + tau) = 0 lies on the grid's first point
@@ -785,12 +780,11 @@ class TestValidation:
             ("oracle", {"stages": 0}, "stages must be >= 1"),
             ("witness", {"eta": 1e-310}, "eta = 1e-310 at tau = 0.5: block 1 pushes"),
             ("witness", {"eta": 1e308}, "eta = 1e+308 at tau = 0.5: block 1 pushes"),
-            ("oracle", {"grid_step": 1e-300}, "grid_step = 1e-300 over [0, 0.581212] gives more grid points"),
         ],
-        ids=["stages_overflow", "stages_zero", "eta_tiny", "eta_huge", "grid_step_tiny"],
+        ids=["stages_overflow", "stages_zero", "eta_tiny", "eta_huge"],
     )
     def test_oracle_params_out_of_range_are_error_rows(self, tmp_path, monkeypatch, capsys, command, params, message):
-        # each passes validation, then asks for a layout or grid beyond the float or index range
+        # each passes validation, then asks for a layout beyond the float range
         monkeypatch.chdir(tmp_path)
         payload = golden_oracle_config(tasks=(command,))
         payload["oracle_params"].update(params)
@@ -803,19 +797,22 @@ class TestValidation:
     @pytest.mark.parametrize(
         "taus,message",
         [
-            ([0.1, 0.5], "grid does not straddle the critical exponent (s* = 0.437465, grid [0, 0.4])"),
+            ([0.1, 0.5], "grid does not straddle the critical exponent (s* = 1, grid [0, 0.58])"),
             ([0.5, 0.1], "stages = 182: the stage lengths leave the float range"),
         ],
         ids=["bracket_first", "layout_first"],
     )
     def test_first_failing_rate_names_the_error(self, tmp_path, monkeypatch, taus, message):
-        # tau = 0.1 misses the grid and tau = 0.5 has no layout at 182 stages:
-        # the report names whichever comes first in rate order, although the
-        # Moran walk runs once after every rate's bracket and layout
+        # tau = 0.1 misses the grid (its fit is set to 1, past h_top + 0.1) and
+        # tau = 0.5 has no layout at 182 stages: the report names whichever
+        # comes first in rate order, although the Moran walk runs once after
+        # every rate's bracket and layout
         monkeypatch.chdir(tmp_path)
+        fit = cli.critical_exponent
+        monkeypatch.setattr(cli, "critical_exponent", lambda scheme, *a: 1.0 if scheme.tau == 0.1 else fit(scheme, *a))
         payload = golden_oracle_config()
         payload["rates"] = [dict(payload["rates"][0], phi={"kind": "exponential", "tau": t}) for t in taus]
-        payload["oracle_params"].update(stages=182, grid_step=0.4)
+        payload["oracle_params"]["stages"] = 182
         assert main(["oracle", "--config", str(write_config(tmp_path, payload))]) == 1
         (res,) = read_report(tmp_path)["results"]
         assert res["status"] == "error" and res["error"] == message
@@ -1009,6 +1006,33 @@ class TestValidation:
         config = parse_config(payload)
         assert config.system.lambda1 == config.rates[0].phi.tau_upper == math.inf
 
+    INF_PATHS = {"lambda1": "$.system.lambda1", "tau_upper": "$.rates[0].phi.tau_upper", "tau_lower": "$.rates[0].phi.tau_lower"}
+
+    def _inf_config(self, lambda1="inf", tau_upper="inf", tau_lower=0.5):
+        payload = self._profile_config(lambda1, None)
+        payload["rates"][0]["phi"] = {"kind": "exponents", "tau_upper": tau_upper, "tau_lower": tau_lower}
+        return payload
+
+    @pytest.mark.parametrize("key", sorted(INF_PATHS))
+    def test_infinity_is_spelled_inf(self, tmp_path, monkeypatch, capsys, key):
+        # the one string spelling of infinity, as the schema says
+        monkeypatch.chdir(tmp_path)
+        path = self.INF_PATHS[key]
+        payload = self._inf_config(**{key: "Infinity"})
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert (exc.value.path, exc.value.message) == (path, "expected a number, got 'Infinity'")
+        assert main(["bounds", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: expected a number, got 'Infinity'\n"
+        jsonschema = pytest.importorskip("jsonschema")
+        validator = jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text()))
+        assert not validator.is_valid(payload)
+        payload = self._inf_config(**{key: "inf"})
+        assert validator.is_valid(payload)
+        config = parse_config(payload)
+        assert config.system.lambda1 == config.rates[0].phi.tau_upper == math.inf
+        assert config.rates[0].phi.tau_lower == (math.inf if key == "tau_lower" else 0.5)
+
     @pytest.mark.parametrize("kind,key", [("matrix", "entries"), ("sft", "transition")])
     @pytest.mark.parametrize("bad", [True, 1.0, "1", None, [1]], ids=["true", "float", "string", "null", "list"])
     def test_matrix_entry_named_by_its_path(self, tmp_path, monkeypatch, capsys, kind, key, bad):
@@ -1156,6 +1180,56 @@ class TestValidation:
         jsonschema = pytest.importorskip("jsonschema")  # the schema says so too
         assert not jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text())).is_valid(payload)
 
+    @pytest.mark.parametrize("system", ["sft", "sofic"])
+    @pytest.mark.parametrize(
+        "target,path,symbol",
+        [
+            ({"kind": "symbols", "cycle": [99, -5]}, "$.rates[0].target.cycle[1]", -5),
+            ({"kind": "symbols", "head": [-1], "cycle": [0]}, "$.rates[0].target.head[0]", -1),
+            ({"kind": "symbol_schedule", "cycle": [{"cycle": [0]}, {"cycle": [0, -2]}]}, "$.rates[0].target.cycle[1].cycle[1]", -2),
+        ],
+        ids=["cycle", "head", "schedule"],
+    )
+    def test_negative_symbol_named_by_its_path(self, tmp_path, monkeypatch, capsys, system, target, path, symbol):
+        # a symbol is a nonnegative integer on every symbolic system, checked at its own entry
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tasks=("bounds",))
+        payload["system"] = self.TARGET_SYSTEMS[system]
+        payload["rates"][0]["target"] = target
+        message = f"expected a nonnegative integer, got {symbol}"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert (exc.value.path, exc.value.message) == (path, message)
+        assert main(["bounds", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        if target["kind"] == "symbols":  # the schema spells out no schedule's streams
+            jsonschema = pytest.importorskip("jsonschema")
+            assert not jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text())).is_valid(payload)
+
+    @pytest.mark.parametrize(
+        "path",
+        ["$.oracle_param", "$.output_dir", "$.oracle_params.depht", "$.oracle_params.grid_step",
+         "$.oracle_params.grid_min", "$.oracle_params.grid_max"],
+    )
+    def test_unknown_key_named_by_its_path(self, tmp_path, monkeypatch, capsys, path):
+        # the top level and oracle_params are closed objects, in the schema and the parser
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config()
+        *parents, key = path.split(".")[1:]
+        obj = payload
+        for parent in parents:
+            obj = obj[parent]
+        obj[key] = 200
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert (exc.value.path, exc.value.message) == (path, "unknown key")
+        assert main(["oracle", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: unknown key\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        jsonschema = pytest.importorskip("jsonschema")
+        assert not jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text())).is_valid(payload)
+
     TARGETS = {
         "point": {"kind": "point", "point": [0.0, 0.0]},
         "points": {"kind": "points", "preperiod": [[0.5, 0.25]], "cycle": [[0.0, 0.0], [0.5, 0.5]]},
@@ -1202,6 +1276,12 @@ class TestValidation:
         props = json.loads(SCHEMA_PATH.read_text())["properties"]
         assert tuple(props["tasks"]["items"]["enum"]) == TASKS
         assert tuple(props["output"]["properties"]["formats"]["items"]["enum"]) == FORMATS
+
+    def test_schema_keys_match_config(self):
+        # the two closed objects: their keys are named in the parser and the schema alike
+        props = json.loads(SCHEMA_PATH.read_text())["properties"]
+        assert set(props) == set(KEYS)
+        assert set(props["oracle_params"]["properties"]) == {f.name for f in fields(OracleParams)}
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

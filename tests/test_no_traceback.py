@@ -82,7 +82,7 @@ def configs(system: dict, spec):
             "rates": [{"phi": phi, "time_set": time_set, "target": _target(spec, i)}],
             "tasks": ["bounds"],
             "sweep": {"taus": GRIDS[i % len(GRIDS)]},
-            "oracle_params": {"depth": 8, "grid_step": 0.05, "stages": 3, "eta": 0.2},
+            "oracle_params": {"depth": 8, "stages": 3, "eta": 0.2},
         }
 
 

@@ -370,6 +370,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     triples = []
     for i, r in enumerate(rate_objs):
         rd = _as_dict(r, f"$.rates[{i}]")
+        _known_keys(rd, [f.name for f in fields(RateTriple)], f"$.rates[{i}]")
         triple = RateTriple(
             phi=_parse_phi(_require(rd, "phi", f"$.rates[{i}]"), f"$.rates[{i}].phi"),
             time_set=_parse_time_set(
@@ -410,6 +411,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sweep_taus = None
     if "sweep" in d:
         sd = _as_dict(d["sweep"], "$.sweep")
+        _known_keys(sd, ("taus",), "$.sweep")
         grid = _as_list(_require(sd, "taus", "$.sweep"), "$.sweep.taus")
         try:  # the whole grid at once if it holds only ints and floats, and no NaN
             fast = set(map(type, grid)) <= {int, float} and not any(map(math.isnan, grid))
@@ -428,6 +430,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     formats: tuple[str, ...] = ("json",)
     if "output" in d:
         od = _as_dict(d["output"], "$.output")
+        _known_keys(od, ("dir", "formats"), "$.output")
         out_dir = _as_str(od.get("dir", out_dir), "$.output.dir")
         if "formats" in od:
             fmts = _as_list(od["formats"], "$.output.formats")

@@ -50,14 +50,14 @@ squaring walk per call, which keeps one row vector per stage and rescales
 by exact powers of two (``moran_dimension`` over
 symbolic.log_count_words_many).  A witness prefix is one read-only int64
 array, built from tiled periodic pieces (``_fill_stretch``), and a
-certificate lists its hit times; construction records the agreement at
-each and verification recomputes it, both from numpy mismatch arrays of
-the prefix against each distinct target stream (one per residue class of
-its cycle), so neither has a per-symbol Python loop and verification
-checks the claimed times only, not every time in S.  A plan is a tuple of
-blocks whose rules only the search of ``plan_witness`` tests; the
-independent check is ``verify_witness``.  Verification also
-checks, once per witness, that the prefix is an admissible word (one
+certificate is that prefix and its claimed hit times, nothing measured.
+Construction glues the prefix; verification measures every claimed hit
+once, from numpy mismatch arrays of the prefix against each distinct
+target stream (one per residue class of its cycle), so it has no
+per-symbol Python loop and reads the claimed times only, not every time in
+S.  A plan is a tuple of blocks whose rules only the search of
+``plan_witness`` tests; the independent check is ``verify_witness``, which
+also checks, once per witness, that the prefix is an admissible word (one
 gather of its symbol pairs); construction does not.
 """
 
@@ -340,30 +340,19 @@ class WitnessBlock:
 
 
 @dataclass(frozen=True)
-class WitnessHit:
-    time: int
-    achieved_exponent: int
-    required_exponent: int
-
-    @property
-    def verified(self) -> bool:
-        # first disagreement >= required index <=> distance < phi(time)
-        return self.achieved_exponent >= self.required_exponent
-
-
-@dataclass(frozen=True)
 class WitnessCertificate:
-    """An explicit prefix of the witness point and the hits it claims.
+    """An explicit prefix of the witness point and the hit times it claims.
 
     ``prefix`` is a read-only int64 numpy array.  Any other sequence given
     (a hand-built tuple, or a writable array) is copied into one, so a
     certificate's prefix cannot change once made; certificates compare
-    equal when their prefixes hold the same symbols and their hits are
-    equal.  ``all_verified`` is read off the hits.
+    equal when their prefixes hold the same symbols and they claim the same
+    times.  A certificate records no measurement: ``verify_witness``
+    measures every claimed hit.
     """
 
     prefix: np.ndarray
-    hits: tuple[WitnessHit, ...]
+    times: tuple[int, ...]
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -374,10 +363,6 @@ class WitnessCertificate:
             prefix.flags.writeable = False
             object.__setattr__(self, "prefix", prefix)
 
-    @property
-    def all_verified(self) -> bool:
-        return all(h.verified for h in self.hits)
-
     def __eq__(self, other: object) -> bool:
         import numpy as np
 
@@ -385,7 +370,7 @@ class WitnessCertificate:
             return NotImplemented
         return (
             np.array_equal(self.prefix, other.prefix)
-            and self.hits == other.hits
+            and self.times == other.times
         )
 
 
@@ -550,7 +535,7 @@ def construct_witness(
     shift: ShiftOfFiniteType,
     z: EventuallyPeriodic,
 ) -> WitnessCertificate:
-    """Realize planned blocks as an explicit admissible prefix and record every hit.
+    """Realize planned blocks as an explicit admissible prefix and claim every hit.
 
     Free stretches are the lexicographically-least admissible fillers that
     join the previous pinned block to the next pinned target prefix
@@ -558,13 +543,13 @@ def construct_witness(
     position s_k (0-based), so the orbit at time s_k opens with
     floor((tau+eta) s_k)+1 target coordinates.  Both are built as arrays,
     their periodic parts tiled, and joined once into the certificate's
-    read-only int64 prefix.  Each hit records the first-disagreement index
-    the finished prefix achieves there (``_agreement_lengths``) beside the
-    one the block requires.  Blocks from ``plan_witness`` are not
-    re-checked.  A hand-built block that starts before time 0 or before
-    the previous one ends, or pins no symbol, raises PlanError, since no
-    filler or target prefix fits there; one that breaks a plan rule
-    otherwise still yields a certificate, whose hits then fail.
+    read-only int64 prefix; the certificate claims the blocks' hit times
+    and measures none of them (``verify_witness`` does).  Blocks from
+    ``plan_witness`` are not re-checked.  A hand-built block that starts
+    before time 0 or before the previous one ends, or pins no symbol,
+    raises PlanError, since no filler or target prefix fits there; one that
+    breaks a plan rule otherwise still yields a certificate, whose hits
+    then fail.
     """
     import numpy as np
 
@@ -592,20 +577,9 @@ def construct_witness(
 
     prefix = np.concatenate(pieces)
     prefix.flags.writeable = False
-    # first disagreement index = agreement length + 1; at the end of the
-    # prefix that is the first index beyond the observable window
-    agreement = _agreement_lengths(prefix, z, [b.hit_time for b in blocks])
-    hit_records = tuple(
-        WitnessHit(
-            time=b.hit_time,
-            achieved_exponent=a + 1,
-            required_exponent=b.required_exponent,
-        )
-        for b, a in zip(blocks, agreement)
-    )
     return WitnessCertificate(
         prefix=prefix,
-        hits=hit_records,
+        times=tuple(b.hit_time for b in blocks),
     )
 
 
@@ -674,29 +648,36 @@ def verify_witness(
     phi: RateFunction,
     z: EventuallyPeriodic,
     s: TimeSet,
-) -> list[int]:
-    """The hit times of ``cert`` that an exact check proves, in its order.
+) -> tuple[list[int], list[int]]:
+    """Measure every hit ``cert`` claims, and prove the ones an exact check allows.
 
-    Nothing is confirmed unless the prefix is an admissible word of
-    ``shift``: only then does it extend to a point of the shift.  A claimed
-    time n is then confirmed when n lies in S and inside the prefix, the
-    prefix covers the whole agreement window the rate requires there
-    (n + r(n) - 1 <= L, with r(n) = ``required_exponent(phi, n)`` computed
-    afresh, not read from the plan), and the prefix agrees with z_n on that
-    window.  The agreement is recomputed from the prefix and the target; the
-    exponents the certificate records are not read.  The prefix is the
-    certificate's int64 array, so admissibility is one gather of its pairs
-    (``ShiftOfFiniteType.word_admissible``).
+    Returns ``(achieved, confirmed)``.  ``achieved[i]`` is the
+    first-disagreement index of the orbit against z_n at n =
+    ``cert.times[i]``: the agreement length of prefix[n:] and z_n plus 1,
+    which at the end of the prefix is the first index beyond the
+    observable window, and 0 for a time outside [0, L).  One
+    ``_agreement_lengths`` pass measures every time inside the prefix.
+
+    ``confirmed`` lists, in the certificate's order, the times an exact
+    check proves.  Nothing is confirmed unless the prefix is an admissible
+    word of ``shift``: only then does it extend to a point of the shift.
+    A claimed time n is then confirmed when n lies in S and inside the
+    prefix, the prefix covers the whole agreement window the rate requires
+    there (n + r(n) - 1 <= L, with r(n) = ``required_exponent(phi, n)``
+    computed afresh, not read from the plan), and achieved >= r(n).  The
+    prefix is the certificate's int64 array, so admissibility is one gather
+    of its pairs (``ShiftOfFiniteType.word_admissible``).
     """
-    if not shift.word_admissible(cert.prefix):
-        return []
     size = len(cert.prefix)
-    claims = []
-    for hit in cert.hits:
-        n = hit.time
+    agreement = iter(_agreement_lengths(cert.prefix, z, [n for n in cert.times if 0 <= n < size]))
+    # first disagreement index = agreement length + 1
+    achieved = [next(agreement) + 1 if 0 <= n < size else 0 for n in cert.times]
+    if not shift.word_admissible(cert.prefix):
+        return achieved, []
+    confirmed = []
+    for n, a in zip(cert.times, achieved):
         if 0 <= n < size and s.contains(n):
-            need = required_exponent(phi, n) - 1
-            if n + need <= size:  # else the window is truncated; cannot certify
-                claims.append((n, need))
-    agreement = _agreement_lengths(cert.prefix, z, [n for n, _ in claims])
-    return [n for (n, need), a in zip(claims, agreement) if a >= need]
+            need = required_exponent(phi, n)
+            if n + need - 1 <= size and a >= need:  # else the window is truncated or missed
+                confirmed.append(n)
+    return achieved, confirmed

@@ -19,12 +19,12 @@ vector per length, rescaled by exact powers of two
 (``log_count_words_many``).  The SFT's checks, the period search and both
 counts read the matrix entries in C-level passes (``map``, ``itemgetter``,
 bytes and bitsets, numpy), not one Python step per entry.  A shift's array
-readers (the Perron root, the mixing gap, the log counts and the witness
-prefix check) share one cached, read-only array image of its matrix, made
-from one bytes copy of the rows on first read, so building a shift imports
-no numpy.  The index sets record which classes a target
-sequence hits at which residues mod N - the data that decides whether
-intersected shrinking target sets can be nonempty at all.
+readers (the period search, the Perron root, the mixing gap, the log
+counts and the witness prefix check) share one cached, read-only array
+image of its matrix, made from one bytes copy of the rows on first read,
+so building a shift imports no numpy.  The index sets record which
+classes a target sequence hits at which residues mod N - the data that
+decides whether intersected shrinking target sets can be nonempty at all.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ class PeriodDecomposition:
     class_of: tuple[int, ...]
 
 
-def digraph_period(matrix: Sequence[Sequence[int]]) -> PeriodDecomposition:
+def digraph_period(matrix: Sequence[Sequence[int]] | np.ndarray) -> PeriodDecomposition:
     """Cyclic structure of a strongly connected digraph (entries > 0 = edge).
 
     A search from symbol 0 along the edges gives every symbol it reaches a
@@ -188,34 +188,31 @@ def digraph_period(matrix: Sequence[Sequence[int]]) -> PeriodDecomposition:
     The period N is the gcd of level[a] + 1 - level[b] over the edges ab,
     and the classes are the levels mod N (Lind & Marcus, section 4.5).
 
-    Rows and columns are Python-int bitsets with one byte per symbol, cut
-    from one bytes copy of the matrix, so the k^2 entries are read once, in
-    C.  A searched symbol takes its unseen successors (in increasing order,
-    so the levels are those of a plain scan) by one AND, so Python steps
-    O(k) times, each on a bitset of k bytes.  The gcd is one numpy
-    reduction over the edges of the same bytes.
+    The matrix is read as one boolean array: an SFT's cached
+    ``matrix_bool`` as it is, rows of ints (a presentation's adjacency,
+    whose parallel edges count past a byte) by one conversion.  Rows and
+    columns are Python-int bitsets with one byte per symbol, cut from the
+    array's bytes, so the k^2 entries are read in C.  A searched symbol
+    takes its unseen successors (in increasing order, so the levels are
+    those of a plain scan) by one AND, so Python steps O(k) times, each on
+    a bitset of k bytes.  The gcd is one numpy reduction over the array's
+    edges.
     """
     import numpy as np
 
-    k = len(matrix)
-    try:
-        flat = bytes(chain.from_iterable(matrix)).translate(_NONZERO)
-    except ValueError:  # an entry outside 0..255
-        flat = bytes(map(bool, chain.from_iterable(matrix)))
+    edges = np.asarray(matrix, dtype=bool)
+    k = len(edges)
+    flat = edges.tobytes()
     level, missed = _search([int.from_bytes(flat[a * k : a * k + k], "little") for a in range(k)])
     if missed:
         raise ReducibleShiftError(f"graph is reducible: symbol {_lowest_symbol(missed)} cannot be reached from symbol 0")
     _, missed = _search([int.from_bytes(flat[b::k], "little") for b in range(k)])
     if missed:
         raise ReducibleShiftError(f"graph is reducible: symbol {_lowest_symbol(missed)} cannot reach symbol 0")
-    a, b = np.frombuffer(flat, np.uint8).reshape(k, k).nonzero()
+    a, b = edges.nonzero()
     levels = np.array(level)
     n = int(np.gcd.reduce(levels[a] + 1 - levels[b])) or 1  # 0: a single symbol without a loop
     return PeriodDecomposition(period=n, class_of=tuple(v % n for v in level))
-
-
-# maps every nonzero byte to 1
-_NONZERO = bytes([0] + [1] * 255)
 
 
 def _search(adjacent: list[int]) -> tuple[list[int], int]:
@@ -269,7 +266,7 @@ def mixing_gap(x: ShiftOfFiniteType) -> int:
     while not patterns[-1].all():
         if 1 << (len(patterns) - 1) >= wielandt:
             # not primitive; raises ReducibleShiftError when reducible
-            raise NotMixingError(digraph_period(x.transition).period)
+            raise NotMixingError(digraph_period(x.matrix_bool).period)
         square = patterns[-1] @ patterns[-1]
         patterns.append(np.minimum(square, 1.0, out=square))
     top = len(patterns) - 2  # the highest square with a zero entry, if any
@@ -634,36 +631,3 @@ class SoficPresentation:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(sorted({lbl for _, _, lbl in self.edges}))
-
-
-def count_sofic_words(p: SoficPresentation, n: int) -> int:
-    """Exact number of distinct admissible n-words of the sofic language.
-
-    Test oracle: powers of the deterministic subset automaton reached from
-    the full state set (right-resolving input makes each label a partial map
-    on subsets, so distinct words correspond to distinct automaton paths).
-    """
-    if n < 0:
-        raise SymbolicError("word length must be >= 0")
-    step: dict[frozenset[int], dict[str, frozenset[int]]] = {}
-    trans: dict[tuple[int, str], int] = {(a, lbl): b for a, b, lbl in p.edges}
-
-    def successors(ss: frozenset[int]) -> dict[str, frozenset[int]]:
-        if ss not in step:
-            by_label: dict[str, set[int]] = {}
-            for st in ss:
-                for lbl in p.labels:
-                    nxt = trans.get((st, lbl))
-                    if nxt is not None:
-                        by_label.setdefault(lbl, set()).add(nxt)
-            step[ss] = {lbl: frozenset(v) for lbl, v in by_label.items()}
-        return step[ss]
-
-    counts: dict[frozenset[int], int] = {frozenset(range(p.states)): 1}
-    for _ in range(n):
-        nxt_counts: dict[frozenset[int], int] = {}
-        for ss, c in counts.items():
-            for tgt in successors(ss).values():
-                nxt_counts[tgt] = nxt_counts.get(tgt, 0) + c
-        counts = nxt_counts
-    return sum(counts.values())

@@ -15,6 +15,7 @@ from shrinktarget.config import (
     TASKS,
     ConfigError,
     OracleParams,
+    RateTriple,
     load_config,
     parse_config,
 )
@@ -1203,23 +1204,24 @@ class TestValidation:
         assert main(["bounds", "--config", str(write_config(tmp_path, payload))]) == 2
         assert capsys.readouterr().err == f"config error: {path}: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
-        if target["kind"] == "symbols":  # the schema spells out no schedule's streams
-            jsonschema = pytest.importorskip("jsonschema")
-            assert not jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text())).is_valid(payload)
+        jsonschema = pytest.importorskip("jsonschema")  # the schema spells out every stream
+        assert not jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text())).is_valid(payload)
 
     @pytest.mark.parametrize(
         "path",
         ["$.oracle_param", "$.output_dir", "$.oracle_params.depht", "$.oracle_params.grid_step",
-         "$.oracle_params.grid_min", "$.oracle_params.grid_max"],
+         "$.oracle_params.grid_min", "$.oracle_params.grid_max", "$.output.format", "$.sweep.tau",
+         "$.rates[0].phis"],
     )
     def test_unknown_key_named_by_its_path(self, tmp_path, monkeypatch, capsys, path):
-        # the top level and oracle_params are closed objects, in the schema and the parser
+        # the objects with fixed keys are closed, in the schema and the parser
         monkeypatch.chdir(tmp_path)
         payload = golden_oracle_config()
-        *parents, key = path.split(".")[1:]
+        payload["sweep"] = {"taus": [0.0, 0.5]}
+        *parents, key = path[2:].replace("[", ".").replace("]", "").split(".")
         obj = payload
         for parent in parents:
-            obj = obj[parent]
+            obj = obj[int(parent)] if parent.isdigit() else obj[parent]
         obj[key] = 200
         with pytest.raises(ConfigError) as exc:
             parse_config(payload)
@@ -1278,10 +1280,17 @@ class TestValidation:
         assert tuple(props["output"]["properties"]["formats"]["items"]["enum"]) == FORMATS
 
     def test_schema_keys_match_config(self):
-        # the two closed objects: their keys are named in the parser and the schema alike
-        props = json.loads(SCHEMA_PATH.read_text())["properties"]
+        # the closed objects: their keys are named in the parser and the schema alike
+        schema = json.loads(SCHEMA_PATH.read_text())
+        props = schema["properties"]
+        rate = props["rates"]["items"]
         assert set(props) == set(KEYS)
         assert set(props["oracle_params"]["properties"]) == {f.name for f in fields(OracleParams)}
+        assert set(rate["properties"]) == {f.name for f in fields(RateTriple)}
+        assert set(props["sweep"]["properties"]) == {"taus"}
+        assert set(props["output"]["properties"]) == {"dir", "formats"}
+        for closed in (schema, props["oracle_params"], rate, props["sweep"], props["output"]):
+            assert closed["additionalProperties"] is False
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -16,7 +17,6 @@ from shrinktarget.oracle import (
     PlanError,
     WitnessBlock,
     WitnessCertificate,
-    WitnessHit,
     _fill_stretch,
     _reach_sets,
     _stream_agreement,
@@ -139,10 +139,8 @@ def z_function_agreement(prefix, z):
 
 
 def claim_every_time(prefix):
-    """A certificate claiming a hit at every time 0..L-1, with recorded
-    exponents that verification must not read."""
-    hits = tuple(WitnessHit(n, 10**9, 0) for n in range(len(prefix)))
-    return WitnessCertificate(tuple(prefix), hits)
+    """A certificate claiming a hit at every time 0..L-1."""
+    return WitnessCertificate(tuple(prefix), tuple(range(len(prefix))))
 
 
 def witness_report_row(shift, tau, eta, s, stages, z):
@@ -486,12 +484,12 @@ class TestWitness:
         phi = Exponential((0.3,))
         blocks = plan_witness(full_shift(2), phi, ZERO_TARGET, TimeSet(), 5, 0.05, mixing_gap(full_shift(2)))
         cert = construct_witness(blocks, full_shift(2), ZERO_TARGET)
-        assert cert.all_verified
-        for hit in cert.hits:
-            assert hit.achieved_exponent >= hit.required_exponent
+        achieved, confirmed = verify_witness(cert, full_shift(2), phi, ZERO_TARGET, TimeSet())
+        for block, a in zip(blocks, achieved, strict=True):
+            assert a >= block.required_exponent
         planned = [b.hit_time for b in blocks]
-        assert verify_witness(cert, full_shift(2), phi, ZERO_TARGET, TimeSet()) == planned
-        every = verify_witness(claim_every_time(cert.prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
+        assert confirmed == planned
+        _, every = verify_witness(claim_every_time(cert.prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
         assert every == naive_verify(cert.prefix, phi, ZERO_TARGET, TimeSet())
         assert set(planned) <= set(every)
 
@@ -500,7 +498,8 @@ class TestWitness:
         g = golden_mean_shift()
         blocks = plan_witness(g, phi, ZERO_TARGET, TimeSet(), 5, 0.05, mixing_gap(g))
         cert = construct_witness(blocks, g, ZERO_TARGET)
-        assert cert.all_verified
+        achieved, _ = verify_witness(cert, g, phi, ZERO_TARGET, TimeSet())
+        assert all(a >= b.required_exponent for b, a in zip(blocks, achieved, strict=True))
         assert g.word_admissible(cert.prefix)
         assert all(
             not (a == 1 and b == 1) for a, b in zip(cert.prefix, cert.prefix[1:])
@@ -515,15 +514,15 @@ class TestWitness:
         g = golden_mean_shift()
         blocks = plan_witness(g, phi, z, TimeSet(), 4, 0.05, mixing_gap(g))
         cert = construct_witness(blocks, g, z)
-        assert cert.all_verified
+        achieved, confirmed = verify_witness(cert, g, phi, z, TimeSet())
         assert g.word_admissible(cert.prefix)
-        for block, hit in zip(blocks, cert.hits):
-            assert hit.required_exponent <= hit.achieved_exponent
+        for block, a in zip(blocks, achieved, strict=True):
+            assert block.required_exponent <= a
             # the copied prefix guarantees at least pinned_len agreement
-            assert hit.achieved_exponent >= block.pinned_len + 1
+            assert a >= block.pinned_len + 1
         planned = [b.hit_time for b in blocks]
-        assert verify_witness(cert, g, phi, z, TimeSet()) == planned
-        every = verify_witness(claim_every_time(cert.prefix), g, phi, z, TimeSet())
+        assert confirmed == planned
+        _, every = verify_witness(claim_every_time(cert.prefix), g, phi, z, TimeSet())
         assert every == naive_verify(cert.prefix, phi, z, TimeSet())
         assert set(planned) <= set(every)
 
@@ -537,18 +536,21 @@ class TestWitness:
         cert = construct_witness(blocks, g, z)
         planned = [b.hit_time for b in blocks]
         assert planned == [21, 34, 51, 74]
-        assert verify_witness(cert, g, phi, z, TimeSet()) == planned
+        achieved, confirmed = verify_witness(cert, g, phi, z, TimeSet())
+        assert confirmed == planned
         prefix = cert.prefix.copy()  # the certificate's own array is read-only
         prefix[:2] = 1
         tampered = replace(cert, prefix=prefix)
-        assert verify_witness(tampered, g, phi, z, TimeSet()) == []
-        assert verify_witness(tampered, full_shift(2), phi, z, TimeSet()) == planned
+        # every hit is still measured, and none is confirmed
+        assert verify_witness(tampered, g, phi, z, TimeSet()) == (achieved, [])
+        assert verify_witness(tampered, full_shift(2), phi, z, TimeSet()) == (achieved, planned)
 
     def test_empty_plan(self):
         blocks = plan_witness(full_shift(2), Exponential((0.3,)), ZERO_TARGET, TimeSet(), 0, 0.05, mixing_gap(full_shift(2)))
         assert blocks == ()
         cert = construct_witness(blocks, full_shift(2), ZERO_TARGET)
-        assert len(cert.prefix) == 0 and cert.all_verified
+        assert len(cert.prefix) == 0 and cert.times == ()
+        assert verify_witness(cert, full_shift(2), Exponential((0.3,)), ZERO_TARGET, TimeSet()) == ([], [])
 
     def test_prefix_is_read_only(self):
         g = golden_mean_shift()
@@ -573,9 +575,9 @@ class TestWitness:
         tampered[-1] = 1
         assert cert != replace(cert, prefix=tampered)
         assert cert != replace(cert, prefix=cert.prefix[:-1])
-        first, *rest = cert.hits
-        assert cert != replace(cert, hits=(replace(first, achieved_exponent=0), *rest))
-        assert cert != replace(cert, hits=cert.hits[1:])
+        first, *rest = cert.times
+        assert cert != replace(cert, times=(first + 1, *rest))
+        assert cert != replace(cert, times=cert.times[1:])
         assert WitnessCertificate((), ()) == WitnessCertificate(np.zeros(0, dtype=np.int64), ())
         assert cert != "not a certificate"
 
@@ -615,20 +617,20 @@ class TestWitness:
         # phi == 1: every time verifies (distance <= e^-1 < 1)
         phi = Exponential((0.0,))
         prefix = tuple([0, 1] * 20)
-        confirmed = verify_witness(claim_every_time(prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
+        _, confirmed = verify_witness(claim_every_time(prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
         assert confirmed == list(range(len(prefix)))
 
     def test_alternating_point_misses_fast_rate(self):
         phi = Exponential((2.0,))
         prefix = tuple([0, 1] * 30)
-        confirmed = verify_witness(claim_every_time(prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
+        _, confirmed = verify_witness(claim_every_time(prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
         assert confirmed == naive_verify(prefix, phi, ZERO_TARGET, TimeSet())
         assert all(n < 1 for n in confirmed)  # only the vacuous-free n=0 can hit
 
     def test_all_zero_point_hits_everywhere(self):
         phi = Exponential((1.0,))
         prefix = tuple([0] * 40)
-        confirmed = verify_witness(claim_every_time(prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
+        _, confirmed = verify_witness(claim_every_time(prefix), full_shift(2), phi, ZERO_TARGET, TimeSet())
         assert confirmed == naive_verify(prefix, phi, ZERO_TARGET, TimeSet())
         # certified hits limited only by the finite observation window
         for n in confirmed:
@@ -640,22 +642,24 @@ class TestWitness:
         # the 1 at position 3 breaks only the windows that reach it
         prefix = (0, 0, 0, 1) + (0,) * 8
         claims = (
-            WitnessHit(4, 5, 3),
-            WitnessHit(3, 100, 2),  # inflated: every window at 3 holds the 1
-            WitnessHit(5, 3, 3),
-            WitnessHit(2, 1, 0),  # the requirement is recomputed from phi
-            WitnessHit(0, 1, 1),
-            WitnessHit(11, 9, 6),  # the window at 11 runs past the prefix
-            WitnessHit(12, 1, 7),  # outside the prefix
-            WitnessHit(-1, 1, 1),
+            4,
+            3,  # every window at 3 holds the 1
+            5,
+            2,  # the requirement is recomputed from phi
+            0,
+            11,  # the window at 11 runs past the prefix
+            12,  # outside the prefix
+            -1,
         )
         cert = WitnessCertificate(prefix, claims)
         half = Exponential((0.5,))
-        assert verify_witness(cert, full_shift(2), half, ZERO_TARGET, TimeSet()) == [4, 5, 2, 0]
-        assert verify_witness(cert, full_shift(2), half, ZERO_TARGET, TimeSet(0, 2)) == [4, 2, 0]
-        assert verify_witness(cert, full_shift(2), half, ZERO_TARGET, TimeSet(100, 1, (5,))) == [5]
+        # the first disagreement with 000..., or one past the prefix; 0 outside it
+        achieved = [9, 1, 8, 2, 4, 2, 0, 0]
+        assert verify_witness(cert, full_shift(2), half, ZERO_TARGET, TimeSet()) == (achieved, [4, 5, 2, 0])
+        assert verify_witness(cert, full_shift(2), half, ZERO_TARGET, TimeSet(0, 2)) == (achieved, [4, 2, 0])
+        assert verify_witness(cert, full_shift(2), half, ZERO_TARGET, TimeSet(100, 1, (5,))) == (achieved, [5])
         # at tau = 1 the window at 2 is 2..3, which holds the 1
-        assert verify_witness(cert, full_shift(2), Exponential((1.0,)), ZERO_TARGET, TimeSet()) == [4, 5, 0]
+        assert verify_witness(cert, full_shift(2), Exponential((1.0,)), ZERO_TARGET, TimeSet()) == (achieved, [4, 5, 0])
 
     def test_time_whose_rate_underflows_is_skipped(self):
         # -ln phi(25) = 25e308 overflows: no agreement certifies time 25, so
@@ -665,8 +669,8 @@ class TestWitness:
         assert required_exponent(phi, 25) == math.inf
         blocks = plan_witness(golden_mean_shift(), phi, ZERO_TARGET, s, 2, 0.05, mixing_gap(golden_mean_shift()))
         assert [b.hit_time for b in blocks] == [26, 36]
-        cert = WitnessCertificate((0,) * 200, (WitnessHit(25, 200, 0), WitnessHit(26, 200, 0)))
-        assert verify_witness(cert, golden_mean_shift(), phi, ZERO_TARGET, s) == [26]
+        cert = WitnessCertificate((0,) * 200, (25, 26))
+        assert verify_witness(cert, golden_mean_shift(), phi, ZERO_TARGET, s) == ([176, 175], [26])
 
     def test_overlapping_blocks_refused(self):
         # no filler fits where a block starts before the previous one ends
@@ -685,8 +689,31 @@ class TestWitness:
         # a block that breaks only the window rule is built, and its hit fails
         short = replace(second, pinned_len=1)
         cert = construct_witness((first, short), g, ZERO_TARGET)
-        assert not cert.all_verified and cert.hits[0].verified
-        assert verify_witness(cert, g, Exponential((0.3,)), ZERO_TARGET, TimeSet()) == [first.hit_time]
+        achieved, confirmed = verify_witness(cert, g, Exponential((0.3,)), ZERO_TARGET, TimeSet())
+        assert achieved[0] >= first.required_exponent and achieved[1] < short.required_exponent
+        assert confirmed == [first.hit_time]
+
+    def test_one_agreement_pass_per_rate(self, monkeypatch):
+        # construction measures nothing: a witness call measures each rate's
+        # hits once, in verify_witness
+        callers = []
+        measure = oracle._agreement_lengths
+
+        def counted(prefix, target, times):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return measure(prefix, target, times)
+
+        monkeypatch.setattr(oracle, "_agreement_lengths", counted)
+        rate = {"phi": {"kind": "exponential", "tau": 0.5}, "time_set": {"kind": "all"}, "target": {"kind": "symbols", "cycle": [0]}}
+        payload = {
+            "system": {"kind": "sft", "transition": [[1, 1], [1, 0]]},
+            "rates": [rate, {**rate, "target": {"kind": "symbols", "cycle": [0, 1]}}],
+            "tasks": ["witness"],
+            "oracle_params": {"stages": 6},
+        }
+        report, ok, _ = run(parse_config(payload), "witness")
+        assert ok and [row["all_verified"] for row in report["results"][0]["rows"]] == [True, True]
+        assert callers == ["verify_witness", "verify_witness"]
 
     def test_eta_must_be_positive(self):
         with pytest.raises(PlanError):
@@ -736,7 +763,9 @@ class TestWitnessAgainstNaiveLoops:
         )
         prefix = tuple(c for piece in pieces for c in piece)
         phi = Exponential((tau,))
-        assert verify_witness(claim_every_time(prefix), full_shift(k), phi, z, s) == naive_verify(prefix, phi, z, s)
+        achieved, confirmed = verify_witness(claim_every_time(prefix), full_shift(k), phi, z, s)
+        assert achieved == [naive_first_disagreement(prefix, n, z.at(n)) for n in range(len(prefix))]
+        assert confirmed == naive_verify(prefix, phi, z, s)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 3), st.data())
@@ -820,17 +849,18 @@ class TestWitnessAgainstNaiveLoops:
             assert b.required_exponent == required_exponent(phi, b.hit_time)
             assert b.pinned_len >= b.required_exponent - 1
             prev_end = b.end
-        assert witness_report_row(shift, tau, eta, s, stages, z)["planned_hits"] == [h.time for h in cert.hits]
+        row = witness_report_row(shift, tau, eta, s, stages, z)
+        assert row["planned_hits"] == list(cert.times)
         assert shift.word_admissible(cert.prefix)
-        assert [h.time for h in cert.hits] == [b.hit_time for b in blocks]
-        for hit in cert.hits:
-            want = naive_first_disagreement(cert.prefix, hit.time, z.at(hit.time))
-            assert hit.achieved_exponent == want
-        assert cert.all_verified == all(h.verified for h in cert.hits)
+        assert cert.times == tuple(b.hit_time for b in blocks)
+        achieved, confirmed = verify_witness(cert, shift, phi, z, s)
+        assert achieved == [naive_first_disagreement(cert.prefix, n, z.at(n)) for n in cert.times]
+        assert row["hits"] == [[b.hit_time, a, b.required_exponent] for b, a in zip(blocks, achieved)]
+        assert row["all_verified"] == all(a >= b.required_exponent for b, a in zip(blocks, achieved))
         every = naive_verify(cert.prefix, phi, z, s)
-        assert verify_witness(claim_every_time(cert.prefix), shift, phi, z, s) == every
+        assert verify_witness(claim_every_time(cert.prefix), shift, phi, z, s)[1] == every
         planned = [b.hit_time for b in blocks]
-        assert verify_witness(cert, shift, phi, z, s) == [n for n in every if n in planned]
+        assert confirmed == [n for n in every if n in planned]
 
     @settings(max_examples=60, deadline=None)
     @given(irreducible_shifts(max_k=5, mixing=True), st.floats(0.0, 1.2), st.integers(1, 8), st.data())
@@ -884,4 +914,4 @@ class TestWitnessAgainstNaiveLoops:
         cert = construct_witness(blocks, TRANSIENT, z)
         assert cert.prefix[:5].tolist() == [0, 1, 2, 1, 2]
         assert cert.prefix.tolist() == reference_prefix(blocks, TRANSIENT, z)
-        assert verify_witness(cert, TRANSIENT, Exponential((0.5,)), z, TimeSet()) == [b.hit_time for b in blocks]
+        assert verify_witness(cert, TRANSIENT, Exponential((0.5,)), z, TimeSet())[1] == [b.hit_time for b in blocks]

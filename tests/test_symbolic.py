@@ -20,7 +20,6 @@ from shrinktarget.symbolic import (
     ShiftOfFiniteType,
     SoficPresentation,
     SymbolicError,
-    count_sofic_words,
     digraph_period,
     index_set,
     indices_intersect,
@@ -130,6 +129,39 @@ def grown_words(shift, n):
 SFT60 = ShiftOfFiniteType(
     tuple(tuple(int((7 * a + 3 * b) % 5 != 0) for b in range(60)) for a in range(60))
 )
+
+
+def count_sofic_words(p: SoficPresentation, n: int) -> int:
+    """Exact number of distinct admissible n-words of the sofic language.
+
+    Test oracle: powers of the deterministic subset automaton reached from
+    the full state set (right-resolving input makes each label a partial map
+    on subsets, so distinct words correspond to distinct automaton paths).
+    """
+    if n < 0:
+        raise SymbolicError("word length must be >= 0")
+    step: dict[frozenset[int], dict[str, frozenset[int]]] = {}
+    trans: dict[tuple[int, str], int] = {(a, lbl): b for a, b, lbl in p.edges}
+
+    def successors(ss: frozenset[int]) -> dict[str, frozenset[int]]:
+        if ss not in step:
+            by_label: dict[str, set[int]] = {}
+            for st in ss:
+                for lbl in p.labels:
+                    nxt = trans.get((st, lbl))
+                    if nxt is not None:
+                        by_label.setdefault(lbl, set()).add(nxt)
+            step[ss] = {lbl: frozenset(v) for lbl, v in by_label.items()}
+        return step[ss]
+
+    counts: dict[frozenset[int], int] = {frozenset(range(p.states)): 1}
+    for _ in range(n):
+        nxt_counts: dict[frozenset[int], int] = {}
+        for ss, c in counts.items():
+            for tgt in successors(ss).values():
+                nxt_counts[tgt] = nxt_counts.get(tgt, 0) + c
+        counts = nxt_counts
+    return sum(counts.values())
 
 
 class TestEntropy:

@@ -25,7 +25,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "shrinktarget"
 # looked up by name from outside the package, or kept for a planned use
 ALLOWED = {
     "LimsupCylinderScheme.count",  # the benchmark tracer wraps it by name (test_traced_methods_are_class_functions)
-    "count_sofic_words",  # the sofic counting kernel-to-be, and its tests' reference
 }
 
 

@@ -435,7 +435,8 @@ def _run_exact(config: ExperimentConfig, facts: SystemFacts) -> dict:
 def _specification_gap(facts: SystemFacts) -> int:
     """The specification gap of the configured SFT, which must be mixing."""
     if facts.gap is None:
-        raise NotMixingError(facts.decomposition.period)
+        period = facts.decomposition.period
+        raise NotMixingError(period, f"oracle and witness need a mixing SFT (period 1); this shift has period {period}")
     return facts.gap
 
 

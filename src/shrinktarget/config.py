@@ -12,6 +12,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, fields, replace
+from itertools import chain
 from pathlib import Path
 from typing import Any, Union
 
@@ -31,6 +32,34 @@ KEYS = ("system", "rates", "tasks", "oracle_params", "sweep", "output")
 TASKS = ("analyze", "bounds", "exact", "oracle", "witness")
 FORMATS = ("json", "csv")
 MAX_DEPTH = 1000  # the fit is quadratic in depth: 0.6 s, one rate, 60-symbol SFT, x86-64
+STREAM_KEYS = ("head", "cycle")  # the keys of a symbol stream
+# the keys of each kind of the kind-dependent objects, "kind" included
+KIND_KEYS = {
+    "system": {
+        "matrix": ("kind", "entries"),
+        "sft": ("kind", "transition", "sided"),
+        "sofic": ("kind", "states", "edges", "sided"),
+        "profile": ("kind", "lambda1", "lambda2", "ln_l1", "ln_l2", "h_top"),
+    },
+    "phi": {
+        "exponential": ("kind", "tau"),
+        "power_law": ("kind", "a"),
+        "piecewise_exponential": ("kind", "taus", "period"),
+        "tabulated": ("kind", "values", "tail_tau"),
+        "exponents": ("kind", "tau_upper", "tau_lower"),
+    },
+    "time_set": {
+        "all": ("kind",),
+        "arithmetic": ("kind", "offset", "step"),
+        "explicit": ("kind", "times", "tail"),
+    },
+    "target": {
+        "point": ("kind", "point"),
+        "points": ("kind", "preperiod", "cycle"),
+        "symbols": ("kind", *STREAM_KEYS),
+        "symbol_schedule": ("kind", "preperiod", "cycle"),
+    },
+}
 
 
 class ConfigError(ValueError):
@@ -57,6 +86,15 @@ def _known_keys(d: dict, keys, path: str) -> None:
     for key in d:
         if key not in keys:
             raise ConfigError(f"{path}.{key}", "unknown key")
+
+
+def _kind(d: dict, table: dict, path: str) -> Any:
+    """The ``kind`` of ``d``; for a kind of ``table``, the first key of ``d``
+    that kind does not have is refused."""
+    kind = _require(d, "kind", path)
+    if isinstance(kind, str) and kind in table:
+        _known_keys(d, table[kind], path)
+    return kind
 
 
 def _as_list(value: Any, path: str) -> list:
@@ -112,15 +150,17 @@ def _as_str(value: Any, path: str) -> str:
     return value
 
 
-def _as_int_matrix(value: Any, path: str) -> tuple[tuple[int, ...], ...]:
-    """A list of lists of integers, checked one row at a time; the path of a
-    failing entry is built only once its row fails (bool is a type of its own)."""
+def _as_int_matrix(value: Any, path: str) -> list[list[int]]:
+    """A list of lists of integers, checked by the types of its rows and of
+    its entries in two C-level passes (bool is a type of its own); only when
+    one fails are the entries walked again, to name the first failing path.
+    The rows are returned as they are: the system they build copies them."""
     rows = _as_list(value, path)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or not set(map(type, row)) <= {int}:
+    if not (set(map(type, rows)) <= {list} and set(map(type, chain.from_iterable(rows))) <= {int}):
+        for i, row in enumerate(rows):
             for j, v in enumerate(_as_list(row, f"{path}[{i}]")):
                 _as_int(v, f"{path}[{i}][{j}]")
-    return tuple(map(tuple, rows))
+    return rows
 
 
 SystemSpec = Union[
@@ -155,7 +195,7 @@ class ExperimentConfig:
 
 def _parse_phi(obj: Any, path: str) -> RateFunction | RateExponents:
     d = _as_dict(obj, path)
-    kind = _require(d, "kind", path)
+    kind = _kind(d, KIND_KEYS["phi"], path)
     try:
         if kind == "exponential":
             return Exponential((_as_number(_require(d, "tau", path), f"{path}.tau"),))
@@ -196,7 +236,7 @@ def _parse_arithmetic(obj: Any, path: str) -> TimeSet:
 
 def _parse_time_set(obj: Any, path: str) -> TimeSet:
     d = _as_dict(obj, path)
-    kind = _require(d, "kind", path)
+    kind = _kind(d, KIND_KEYS["time_set"], path)
     try:
         if kind == "all":
             return TimeSet()
@@ -223,6 +263,12 @@ def _parse_symbol_sequence(obj: Any, path: str) -> EventuallyPeriodic:
         raise ConfigError(path, str(exc)) from exc
 
 
+def _parse_stream(obj: Any, path: str) -> EventuallyPeriodic:
+    """A symbol stream of a schedule: a head and a cycle, nothing else."""
+    _known_keys(_as_dict(obj, path), STREAM_KEYS, path)
+    return _parse_symbol_sequence(obj, path)
+
+
 def _as_point(value: Any, path: str) -> tuple[float, ...]:
     return tuple(_list_of(value, path, _as_number))
 
@@ -231,7 +277,7 @@ def _parse_target(obj: Any, path: str) -> EventuallyPeriodic:
     """z_n as an EventuallyPeriodic of points (a torus target) or of symbol
     streams (a shift target); a constant target is a one-element cycle."""
     d = _as_dict(obj, path)
-    kind = _require(d, "kind", path)
+    kind = _kind(d, KIND_KEYS["target"], path)
     try:
         if kind == "point":
             return EventuallyPeriodic((), (_as_point(_require(d, "point", path), f"{path}.point"),))
@@ -242,8 +288,8 @@ def _parse_target(obj: Any, path: str) -> EventuallyPeriodic:
         if kind == "symbols":
             return EventuallyPeriodic((), (_parse_symbol_sequence(d, path),))
         if kind == "symbol_schedule":
-            pre = _list_of(d.get("preperiod", []), f"{path}.preperiod", _parse_symbol_sequence)
-            cyc = _list_of(_require(d, "cycle", path), f"{path}.cycle", _parse_symbol_sequence)
+            pre = _list_of(d.get("preperiod", []), f"{path}.preperiod", _parse_stream)
+            cyc = _list_of(_require(d, "cycle", path), f"{path}.cycle", _parse_stream)
             return EventuallyPeriodic(tuple(pre), tuple(cyc))
     except RateError as exc:
         raise ConfigError(path, str(exc)) from exc
@@ -252,7 +298,7 @@ def _parse_target(obj: Any, path: str) -> EventuallyPeriodic:
 
 def _parse_system(obj: Any, path: str) -> SystemSpec:
     d = _as_dict(obj, path)
-    kind = _require(d, "kind", path)
+    kind = _kind(d, KIND_KEYS["system"], path)
     try:
         if kind == "matrix":
             entries = _as_int_matrix(_require(d, "entries", path), f"{path}.entries")

@@ -39,9 +39,12 @@ one symbol stream z (an EventuallyPeriodic of ints), and the witness
 functions take the schedule n -> z_n (an EventuallyPeriodic of streams).
 
 The fit streams exact big-integer counts, level by level, from one
-row-vector recurrence (symbolic.word_counts) and keeps only the logs of its
-window, of both sequences a scheme chooses between, so rates that share a
-first target symbol share them.  Its finite-depth bias comes from the
+row-vector recurrence (symbolic.word_counts) with one entry per class of
+equal columns of the transition matrix, since symbols with the same
+predecessors end equally many words (5 entries, not 60, on a 60-symbol
+shift whose columns repeat), and keeps only the logs of its window, of
+both sequences a scheme chooses between, so rates that share a first
+target symbol share them.  Its finite-depth bias comes from the
 subdominant eigenvalues of the transition matrix (see
 ``critical_exponent``).  Moran stage lengths depend on tau and the gap
 only, so each rate's are laid out first (``moran_layout``), and the

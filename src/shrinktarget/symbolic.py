@@ -14,15 +14,16 @@ smallest p with M^p entrywise positive and realises the constant
 specification gap of a mixing SFT; it is found by boolean squaring and
 binary lifting in O(k^3 log p), even when p is near the Wielandt bound
 (k - 1)^2 + 1.  Word counts stream exactly from a row-vector recurrence
-(``word_counts``) or come as logs from a squaring walk that carries one row
-vector per length, rescaled by exact powers of two
-(``log_count_words_many``).  The SFT's checks, the period search and both
-counts read the matrix entries in C-level passes (``map``, ``itemgetter``,
-bytes and bitsets, numpy), not one Python step per entry.  A shift's array
-readers (the period search, the Perron root, the mixing gap, the log
-counts and the witness prefix check) share one cached, read-only array
-image of its matrix, made from one bytes copy of the rows on first read,
-so building a shift imports no numpy.  The index sets record which
+with one entry per class of equal columns (``word_counts``) or come as logs
+from a squaring walk that carries one row vector per length, rescaled by
+exact powers of two (``log_count_words_many``).  The SFT's checks, the
+period search and both counts read the matrix entries in C-level passes
+(``map``, ``itemgetter``, bytes and bitsets, numpy), not one Python step
+per entry.  A shift's array readers (the period search, the Perron root,
+the mixing gap, both counts and the witness prefix check) share one
+cached, read-only array image of its matrix, a view of the bytes copy of
+the rows that construction checks, made on first read, so building a
+shift imports no numpy.  The index sets record which
 classes a target sequence hits at which residues mod N - the data that
 decides whether intersected shrinking target sets can be nonempty at all.
 """
@@ -33,8 +34,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
-from operator import and_, getitem, index, itemgetter, not_
+from itertools import accumulate, chain, compress, count, repeat
+from operator import and_, getitem, index, itemgetter, le
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .rates import EventuallyPeriodic, TimeSet
@@ -52,10 +53,11 @@ class EmptyShiftError(SymbolicError):
 
 
 class NotMixingError(SymbolicError):
-    def __init__(self, period: int):
-        super().__init__(
-            f"shift is periodic with period {period}; use digraph_period instead"
-        )
+    """An irreducible shift of period > 1 where a mixing one is needed; the
+    message defaults to the library's, and a command may name itself."""
+
+    def __init__(self, period: int, message: str | None = None):
+        super().__init__(message or f"shift is periodic with period {period}; use digraph_period instead")
         self.period = period
 
 
@@ -68,10 +70,11 @@ class ShiftOfFiniteType:
     """Vertex shift on {0..k-1} with 0/1 transition matrix; one- or two-sided.
 
     ``transition`` is a tuple of int rows, checked at construction without
-    numpy.  ``matrix`` (uint8), ``matrix_bool`` (a view of it) and
-    ``matrix_float`` (one float64 copy) are its array image, read-only and
-    built on first read; every numpy reader of the shift takes them rather
-    than converting the rows again.
+    numpy, in one C-level pass that reads every entry into a bytes copy of
+    the rows.  ``matrix`` (uint8, a view of that copy), ``matrix_bool`` (a
+    view of it) and ``matrix_float`` (one float64 copy) are its array
+    image, read-only and built on first read; every numpy reader of the
+    shift takes them rather than converting the rows again.
     """
 
     transition: tuple[tuple[int, ...], ...]
@@ -84,12 +87,17 @@ class ShiftOfFiniteType:
         if k == 0 or set(map(len, rows)) != {k}:
             raise SymbolicError("transition must be a nonempty square matrix")
         try:
-            rows = tuple(map(_row_ints, rows))
-        except TypeError:  # a float or a string, which int() would truncate or parse
+            # each entry read by operator.index: a float or a string raises
+            # TypeError, where int() would truncate or parse it, and an entry
+            # outside 0..255 raises ValueError
+            flat = bytes(chain.from_iterable(map(_plain, rows)))
+        except (TypeError, ValueError):
             raise SymbolicError("transition entries must be 0 or 1") from None
-        object.__setattr__(self, "transition", rows)
-        if not {0, 1}.issuperset(chain.from_iterable(rows)):
+        if flat.translate(None, b"\x00\x01"):
             raise SymbolicError("transition entries must be 0 or 1")
+        rows = tuple(map(tuple, map(flat.__getitem__, map(slice, range(0, k * k, k), range(k, k * k + 1, k)))))
+        object.__setattr__(self, "transition", rows)
+        object.__setattr__(self, "_flat", flat)
         has_successor = list(map(any, rows))
         if not any(has_successor):
             raise EmptyShiftError("zero transition matrix presents the empty shift")
@@ -113,12 +121,13 @@ class ShiftOfFiniteType:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The transition matrix as a read-only uint8 array, read from one
-        bytes copy of the rows on first use; numpy is imported only then."""
+        """The transition matrix as a read-only uint8 array over the bytes
+        copy of the rows that construction checked; numpy is imported only
+        on first use."""
         import numpy as np
 
         k = self.alphabet_size
-        return np.frombuffer(bytes(chain.from_iterable(self.transition)), dtype=np.uint8).reshape(k, k)
+        return np.frombuffer(self._flat, dtype=np.uint8).reshape(k, k)
 
     @cached_property
     def matrix_bool(self) -> np.ndarray:
@@ -157,12 +166,17 @@ class ShiftOfFiniteType:
         return self.word_admissible(probe)
 
 
+def _plain(row: Sequence[int]) -> Sequence[int]:
+    """A numpy array's entries as Python scalars, by ``tolist`` (numpy 2's
+    bools have no ``__index__``); any other row as it is."""
+    tolist = getattr(row, "tolist", None)
+    return row if tolist is None else tolist()
+
+
 def _row_ints(row: Sequence[int]) -> tuple[int, ...]:
     """A row's entries as Python ints, read by ``operator.index``: a float or
-    a string raises TypeError, where ``int()`` would truncate or parse it.
-    A numpy array goes through ``tolist``: numpy 2's bools have no ``__index__``."""
-    tolist = getattr(row, "tolist", None)
-    return tuple(map(index, row if tolist is None else tolist()))
+    a string raises TypeError, where ``int()`` would truncate or parse it."""
+    return tuple(map(index, _plain(row)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +405,22 @@ def word_counts(x: ShiftOfFiniteType, n_max: int, ends: Iterable[int]) -> Iterat
 
     Row-vector recurrence: u_1 = (1, ..., 1) and u_{n+1}[b] = sum of u_n[a]
     over the predecessors a of b, so u_n[b] counts the n-words ending in b,
-    and both numbers are sums of the same u_n.  Each column's entries of
-    u_n are gathered by one ``itemgetter`` built up front.  A column with
-    more than k/2 predecessors gathers its non-predecessors instead and
-    subtracts their sum from sum(u_n), which the level before computed;
-    the counts are exact ints either way.  A level costs k plus the sum
-    over columns of min(predecessors, non-predecessors) big-integer
-    additions, at most k + k^2/2, and Python steps once per column, not
-    once per edge.  Only the current u_n is kept.
+    and both numbers are sums of the same u_n.  Symbols with equal columns
+    have the same predecessors, so they end equally many n-words for every
+    n: merging them is an out-amalgamation (Lind & Marcus, section 2.4),
+    and u_n keeps one entry per class of equal columns.  The classes are
+    numbered by first appearance, from one pass over the columns of the
+    shift's array image (bytes, whose hashes are cached).  Each class
+    gathers the entries of its predecessors' classes, a class repeated once
+    per predecessor in it, by one ``itemgetter`` built up front.  A class
+    with more than k/2 predecessors gathers its non-predecessors instead
+    and subtracts their sum from the level total, which the level before
+    computed; the counts are exact ints either way.  The total and the
+    ending sum count each class once per member.  A level costs k plus the
+    sum over column classes of min(predecessors, non-predecessors)
+    big-integer additions, at most k + k^2/2, and Python steps once per
+    class, not once per edge.  When no two columns are equal this is the
+    recurrence over symbols, step for step.  Only the current level is kept.
     """
     if n_max < 1:
         raise SymbolicError("word length must be >= 1")
@@ -406,26 +428,36 @@ def word_counts(x: ShiftOfFiniteType, n_max: int, ends: Iterable[int]) -> Iterat
     last = sorted(set(ends))
     if any(not (0 <= b < k) for b in last):
         raise SymbolicError("end symbols must lie in the alphabet")
-    symbols = range(k)
-    # (gather, complement): column b's sum is gather(u) summed, or sum(u) less it
-    columns = [
-        (_gather(list(compress(symbols, map(not_, col)))), True)
-        if 2 * sum(col) > k
-        else (_gather(list(compress(symbols, col))), False)
-        for col in zip(*x.transition)
+    flat = x.matrix.T.tobytes()
+    columns = list(map(flat.__getitem__, map(slice, range(0, k * k, k), range(k, k * k + 1, k))))
+    # number[col]: the class of the symbols whose column is col; members[b]: b's class
+    number = dict(zip(dict.fromkeys(columns), count()))
+    members = list(map(number.__getitem__, columns))
+    # (gather, complement): a class's entry is gather(v) summed, or the total less it
+    classes = [
+        (_gather(list(compress(members, col.translate(_FLIP)))), True)
+        if 2 * col.count(1) > k
+        else (_gather(list(compress(members, col))), False)
+        for col in number
     ]
-    ending = _gather(last)
+    # sum(v) counts each class once; repeats holds each further member's class,
+    # the members whose class is no newer than the newest one before them
+    repeats = _gather(list(compress(members, map(le, members, chain([-1], accumulate(members, max))))))
+    ending = _gather(list(map(members.__getitem__, last)))
 
     def walk() -> Iterator[tuple[int, int]]:
-        u = [1] * k
+        v = [1] * len(classes)
         total = k
         yield total, len(last)
         for _ in range(n_max - 1):
-            u = [total - sum(gather(u)) if complement else sum(gather(u)) for gather, complement in columns]
-            total = sum(u)
-            yield total, sum(ending(u))
+            v = [total - sum(gather(v)) if complement else sum(gather(v)) for gather, complement in classes]
+            total = sum(repeats(v), sum(v))  # sum(v) is the start: one call fewer per level
+            yield total, sum(ending(v))
 
     return walk()
+
+
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")  # a 0/1 column's complement, by bytes.translate
 
 
 def _gather(indices: list[int]) -> itemgetter:

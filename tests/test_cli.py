@@ -11,7 +11,9 @@ from shrinktarget.cli import _build_parser, fmt, main, run
 from shrinktarget.config import (
     FORMATS,
     KEYS,
+    KIND_KEYS,
     MAX_DEPTH,
+    STREAM_KEYS,
     TASKS,
     ConfigError,
     OracleParams,
@@ -945,9 +947,11 @@ class TestValidation:
         assert main([command, "--config", str(cfg)]) == 1
         res = read_report(tmp_path)["results"][0]
         assert res["status"] == "error"
+        # the row names the commands, not a library function
+        assert res["error"] == "oracle and witness need a mixing SFT (period 1); this shift has period 2"
         with pytest.raises(NotMixingError) as exc:
             mixing_gap(ShiftOfFiniteType(tuple(map(tuple, flip))))
-        assert res["error"] == str(exc.value) == "shift is periodic with period 2; use digraph_period instead"
+        assert exc.value.period == 2
 
     def test_nan_in_sweep_grid_rejected(self, tmp_path, monkeypatch, capsys):
         # every comparison with NaN is false, so the order and sign checks pass it
@@ -1211,7 +1215,8 @@ class TestValidation:
         "path",
         ["$.oracle_param", "$.output_dir", "$.oracle_params.depht", "$.oracle_params.grid_step",
          "$.oracle_params.grid_min", "$.oracle_params.grid_max", "$.output.format", "$.sweep.tau",
-         "$.rates[0].phis"],
+         "$.rates[0].phis", "$.system.sidde", "$.rates[0].phi.taus", "$.rates[0].time_set.offset",
+         "$.rates[0].target.haed"],
     )
     def test_unknown_key_named_by_its_path(self, tmp_path, monkeypatch, capsys, path):
         # the objects with fixed keys are closed, in the schema and the parser
@@ -1231,6 +1236,32 @@ class TestValidation:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
         jsonschema = pytest.importorskip("jsonschema")
         assert not jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text())).is_valid(payload)
+
+    @pytest.mark.parametrize("obj,kind", [(obj, kind) for obj, kinds in KIND_KEYS.items() for kind in kinds])
+    def test_unknown_key_of_each_kind(self, obj, kind):
+        # a kind-dependent object takes the keys of its kind only, checked before its fields
+        payload = golden_oracle_config(tasks=("bounds",))
+        parent, path = (payload, "$") if obj == "system" else (payload["rates"][0], "$.rates[0]")
+        parent[obj] = {"kind": kind, "extra": 1}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert (exc.value.path, exc.value.message) == (f"{path}.{obj}.extra", "unknown key")
+
+    def test_unknown_key_in_a_schedule_stream(self, tmp_path, monkeypatch, capsys):
+        # a misspelt head would otherwise drop the head: the stream 000... instead of 1000...
+        monkeypatch.chdir(tmp_path)
+        payload = golden_oracle_config(tasks=("bounds",))
+        payload["rates"][0]["target"] = {"kind": "symbol_schedule", "cycle": [{"cycle": [0]}, {"haed": [1], "cycle": [0]}]}
+        path = "$.rates[0].target.cycle[1].haed"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(payload)
+        assert (exc.value.path, exc.value.message) == (path, "unknown key")
+        assert main(["bounds", "--config", str(write_config(tmp_path, payload))]) == 2
+        assert capsys.readouterr().err == f"config error: {path}: unknown key\n"
+        jsonschema = pytest.importorskip("jsonschema")
+        assert not jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text())).is_valid(payload)
+        del payload["rates"][0]["target"]["cycle"][1]["haed"]
+        assert jsonschema.Draft202012Validator(json.loads(SCHEMA_PATH.read_text())).is_valid(payload)
 
     TARGETS = {
         "point": {"kind": "point", "point": [0.0, 0.0]},
@@ -1291,6 +1322,21 @@ class TestValidation:
         assert set(props["output"]["properties"]) == {"dir", "formats"}
         for closed in (schema, props["oracle_params"], rate, props["sweep"], props["output"]):
             assert closed["additionalProperties"] is False
+        # each kind of the kind-dependent objects, and a schedule's symbol stream
+        branches = {"system": props["system"]["oneOf"]}
+        branches.update((obj, rate["properties"][obj]["oneOf"]) for obj in ("phi", "time_set", "target"))
+        assert set(branches) == set(KIND_KEYS)
+        for obj, kinds in branches.items():
+            by_kind = {b["properties"]["kind"]["const"]: b for b in kinds}
+            assert len(by_kind) == len(kinds)
+            assert {kind: set(b["properties"]) for kind, b in by_kind.items()} == {
+                kind: set(keys) for kind, keys in KIND_KEYS[obj].items()
+            }
+            for closed in kinds:
+                assert closed["additionalProperties"] is False
+        stream = schema["$defs"]["symbol_stream"]
+        assert set(stream["properties"]) == set(STREAM_KEYS)
+        assert stream["additionalProperties"] is False
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

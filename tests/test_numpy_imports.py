@@ -79,7 +79,7 @@ def test_matrix_and_profile_analyses_never_import_numpy(tmp_path):
         expected += [code for _, code in runs]
     assert len(expected) > 20
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(plan)],
+        [sys.executable, "-B", "-c", SCRIPT, json.dumps(plan)],
         cwd=tmp_path,
         env={"PYTHONPATH": str(REPO / "src"), "PATH": ""},
         capture_output=True,
@@ -128,7 +128,7 @@ def test_building_a_shift_never_imports_numpy():
     streams = sum(len(targets) for system, targets in plan if system["kind"] == "sft")
     assert streams > 10
     done = subprocess.run(
-        [sys.executable, "-c", SHIFT_SCRIPT, json.dumps(plan)],
+        [sys.executable, "-B", "-c", SHIFT_SCRIPT, json.dumps(plan)],
         env={"PYTHONPATH": str(REPO / "src"), "PATH": ""},
         capture_output=True,
         text=True,

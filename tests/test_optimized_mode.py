@@ -31,7 +31,7 @@ def test_witness_under_optimize_flag_matches_golden(case, tmp_path):
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     done = subprocess.run(
-        [sys.executable, "-O", "-m", "shrinktarget.cli", "witness", "--config", str(path), "--out", str(out), "--format", "both"],
+        [sys.executable, "-B", "-O", "-m", "shrinktarget.cli", "witness", "--config", str(path), "--out", str(out), "--format", "both"],
         cwd=tmp_path,
         env={"PYTHONPATH": str(REPO / "src"), "PATH": ""},
         capture_output=True,

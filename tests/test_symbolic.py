@@ -96,17 +96,20 @@ def per_column_word_counts(shift, n_max, ends):
 @st.composite
 def shaped_shifts(draw, max_k=24):
     """SFTs whose columns mix the shapes word_counts gathers apart: sparse,
-    dense (summed as a complement), one predecessor, one non-predecessor and
-    full.  A zero row or column gets its diagonal entry."""
+    dense (summed as a complement), one predecessor, one non-predecessor,
+    full, and a copy of an earlier column (merged into its class).  A zero
+    row or column gets its diagonal entry."""
     k = draw(st.integers(1, max_k))
     columns = []
     for b in range(k):
-        shape = draw(st.sampled_from(["sparse", "dense", "one", "all but one", "full"]))
-        if shape in ("one", "all but one"):
+        shape = draw(st.sampled_from(["sparse", "dense", "one", "all but one", "full", "copy"]))
+        if shape == "copy" and b:
+            column = list(columns[draw(st.integers(0, b - 1))])
+        elif shape in ("one", "all but one"):
             i = draw(st.integers(0, k - 1))
             column = [int((a == i) == (shape == "one")) for a in range(k)]
         else:
-            cut = {"sparse": 2, "dense": 8, "full": 10}[shape]
+            cut = {"sparse": 2, "dense": 8, "full": 10, "copy": 5}[shape]
             column = [int(d < cut) for d in draw(st.lists(st.integers(0, 9), min_size=k, max_size=k))]
         column[b] |= not any(column)
         columns.append(column)
@@ -264,11 +267,13 @@ class TestCountWords:
         with pytest.raises(SymbolicError, match="alphabet"):
             word_counts(golden_mean_shift(), 3, [2])
 
-    @pytest.mark.parametrize("name", ["sft60", "chord80"])
+    @pytest.mark.parametrize("name", ["sft60", "chord80", "full1", "full2", "full3", "full7"])
     def test_word_counts_equal_per_column_recurrence(self, name):
-        # SFT60's columns have 48 predecessors (the complement path), the
-        # chord's one or two
-        shift = SFT60 if name == "sft60" else ShiftOfFiniteType(_cycle_with_chord(80))
+        # SFT60's columns have 48 predecessors (the complement path) and fall
+        # into 5 classes of 12 equal columns, the chord's have one or two
+        # predecessors and are all distinct, and a full shift's are one class
+        shifts = {"sft60": SFT60, "chord80": ShiftOfFiniteType(_cycle_with_chord(80))}
+        shift = shifts[name] if name in shifts else full_shift(int(name[4:]))
         k = shift.alphabet_size
         before_0 = [a for a in range(k) if shift.transition[a][0]]
         for ends in ((), (k - 1,), range(k), before_0):
@@ -1107,3 +1112,11 @@ class TestPythonSteps:
             next(levels)
             assert _python_steps(next, levels) < self.BOUND
             assert _python_steps(word_counts, shift, 3, range(self.K)) < self.BOUND
+
+    def test_a_level_of_word_counts_steps_once_per_column_class(self):
+        # the dense shift's 200 columns fall into 5 classes of 40 equal
+        # columns; one step per symbol would be 200 steps for the level alone
+        dense = ShiftOfFiniteType([[int((7 * a + 3 * b) % 5 != 0) for b in range(self.K)] for a in range(self.K)])
+        levels = word_counts(dense, 3, range(0, self.K, 3))
+        next(levels)
+        assert _python_steps(next, levels) < 40

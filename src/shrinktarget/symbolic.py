@@ -95,7 +95,7 @@ class ShiftOfFiniteType:
             raise SymbolicError("transition entries must be 0 or 1") from None
         if flat.translate(None, b"\x00\x01"):
             raise SymbolicError("transition entries must be 0 or 1")
-        rows = tuple(map(tuple, map(flat.__getitem__, map(slice, range(0, k * k, k), range(k, k * k + 1, k)))))
+        rows = tuple(map(tuple, _cut(flat, k)))
         object.__setattr__(self, "transition", rows)
         object.__setattr__(self, "_flat", flat)
         has_successor = list(map(any, rows))
@@ -171,6 +171,11 @@ def _plain(row: Sequence[int]) -> Sequence[int]:
     bools have no ``__index__``); any other row as it is."""
     tolist = getattr(row, "tolist", None)
     return row if tolist is None else tolist()
+
+
+def _cut(flat: bytes, k: int) -> Iterator[bytes]:
+    """The k rows of a k x k matrix stored row by row in ``flat``, one byte an entry."""
+    return map(flat.__getitem__, map(slice, range(0, k * k, k), range(k, k * k + 1, k)))
 
 
 def _row_ints(row: Sequence[int]) -> tuple[int, ...]:
@@ -428,8 +433,7 @@ def word_counts(x: ShiftOfFiniteType, n_max: int, ends: Iterable[int]) -> Iterat
     last = sorted(set(ends))
     if any(not (0 <= b < k) for b in last):
         raise SymbolicError("end symbols must lie in the alphabet")
-    flat = x.matrix.T.tobytes()
-    columns = list(map(flat.__getitem__, map(slice, range(0, k * k, k), range(k, k * k + 1, k))))
+    columns = list(_cut(x.matrix.T.tobytes(), k))
     # number[col]: the class of the symbols whose column is col; members[b]: b's class
     number = dict(zip(dict.fromkeys(columns), count()))
     members = list(map(number.__getitem__, columns))

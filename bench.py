@@ -3,11 +3,12 @@
 Usage (from the repository root):
 
     python3 -B bench.py --pr 36
+    python3 -B bench.py --pr 37 --against HEAD~1 --seeds 1 2 3 4 5 6 7 8 9 10 --seconds 5
 
 For each workload of ``perfbench/run.py`` this runs the frozen runner as a
-subprocess for 2 s, once per seed 1, 2 and 3 with ``--trace 0`` and once
-more, at seed 1, with ``--trace 1``, and parses the JSON
-object on the last line of its standard output.  The file holds, per
+subprocess for 2 s (``--seconds``), once per seed 1, 2 and 3 (``--seeds``)
+with ``--trace 0`` and once more, at the first seed, with ``--trace 1``,
+and parses the JSON object on the last line of its standard output.  The file holds, per
 workload, the median, quartiles and count of every end-to-end metric over
 the seeds, ``correct`` and the call counts of each run, and the per-layer
 metrics of the traced run; beside them the CPU count, the Python and numpy
@@ -15,6 +16,13 @@ versions, whether bytecode caching is off, whether
 ``src/shrinktarget/__pycache__`` exists before and after, and the git
 revision.  A perf claim cites the medians and quartiles from this file.
 The default run takes about a minute on two CPUs.
+
+``--against REV`` also runs every seed on a ``git archive`` copy of REV,
+in pairs with the tree, alternating which side runs first, and records
+REV's side the same way under ``against``, with the count of pairs in
+which each side is better on each end-to-end metric (ties count for
+neither).  It refuses to run when ``BENCHMARK.json`` or ``perfbench/``
+differ between the two sides.
 
 Bytecode: ``-B`` (or ``PYTHONDONTWRITEBYTECODE``) is passed on to the
 runner and its workers, so a recording run leaves no ``.pyc`` under
@@ -30,6 +38,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from importlib import metadata
 from pathlib import Path
 
@@ -93,13 +102,69 @@ def summarize(seeded: list[tuple[int, dict]], traced: tuple[int, dict]) -> dict:
     }
 
 
-def run_once(workload: str, seed: int, trace: bool, env: dict) -> dict:
-    argv = [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{SECONDS:g}", "--trace", "1" if trace else "0"]
-    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+def run_once(root: Path, workload: str, seed: int, trace: bool, seconds: float, env: dict) -> dict:
+    """One run of the runner under ``root`` (the tree or a copy of REV)."""
+    argv = [sys.executable, str(root / RUNNER.relative_to(ROOT)), "--workload", workload, "--seed", str(seed),
+            "--seconds", f"{seconds:g}", "--trace", "1" if trace else "0"]
+    done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, timeout=600)
     if done.returncode != 0:
         raise BenchError(f"{workload} seed {seed}: the runner exited {done.returncode}: {done.stderr.strip()[-300:]}")
     return last_json_line(done.stdout)
+
+
+def run_pairs(seeds, run) -> tuple[list, list]:
+    """``run(side, seed)`` for each seed on side 0 (the tree) and side 1 (REV),
+    side 0 first at even pair indices and side 1 first at odd ones; each
+    side's (seed, result) pairs."""
+    runs: tuple[list, list] = ([], [])
+    for i, seed in enumerate(seeds):
+        for side in (0, 1) if i % 2 == 0 else (1, 0):
+            runs[side].append((seed, run(side, seed)))
+    return runs
+
+
+def wins(tree: list[tuple[int, dict]], against: list[tuple[int, dict]], better: dict[str, str]) -> dict:
+    """Per end-to-end metric, the pairs (runs of one seed) in which each side
+    is better; ``better`` maps a metric to "lower" or "higher".  Ties count
+    for neither side."""
+    out = {}
+    for name, direction in better.items():
+        counts = {"tree": 0, "against": 0, "pairs": len(tree)}
+        for (seed, mine), (other_seed, theirs) in zip(tree, against, strict=True):
+            if seed != other_seed:
+                raise BenchError(f"pair of seeds {seed} and {other_seed}")
+            x, y = mine["metrics"][name]["value"], theirs["metrics"][name]["value"]
+            if x != y:
+                counts["tree" if (x < y) == (direction == "lower") else "against"] += 1
+        out[name] = counts
+    return out
+
+
+def frozen_files(root: Path) -> dict[str, bytes]:
+    """The benchmark's own files under ``root``: ``BENCHMARK.json`` and
+    ``perfbench/``, without bytecode and hidden folders."""
+    paths = [root / "BENCHMARK.json", *(root / "perfbench").rglob("*")]
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in paths
+        if path.is_file() and not any(part == "__pycache__" or part.startswith(".") for part in path.relative_to(root).parts)
+    }
+
+
+def check_same_benchmark(tree: Path, other: Path, rev: str) -> None:
+    mine, theirs = frozen_files(tree), frozen_files(other)
+    differ = sorted(name for name in mine.keys() | theirs.keys() if mine.get(name) != theirs.get(name))
+    if differ:
+        raise BenchError(f"the benchmark differs between the tree and {rev}: {', '.join(differ)}")
+
+
+def archive(rev: str, dest: Path) -> None:
+    """Extract the files of commit ``rev`` into ``dest`` by ``git archive``."""
+    tar = subprocess.Popen(["tar", "-x", "-C", str(dest)], stdin=subprocess.PIPE)
+    git = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, stdout=tar.stdin, stderr=subprocess.PIPE)
+    tar.stdin.close()
+    if tar.wait() != 0 or git.returncode != 0:
+        raise BenchError(f"git archive {rev}: {git.stderr.decode().strip()[-300:]}")
 
 
 def _workloads() -> tuple[str, ...]:
@@ -127,7 +192,7 @@ def machine() -> dict:
     }
 
 
-def record(pr: int) -> dict:
+def record(pr: int, seeds: list[int], seconds: float, against: str | None = None) -> dict:
     env = dict(os.environ)
     if sys.dont_write_bytecode:
         env["PYTHONDONTWRITEBYTECODE"] = "1"  # flags do not reach the runner's workers; the environment does
@@ -136,16 +201,35 @@ def record(pr: int) -> dict:
         "git_revision": _git("rev-parse", "HEAD"),
         "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
         "machine": {**machine(), "src_pycache_before": PYCACHE.is_dir()},
-        "settings": {"seeds": list(SEEDS), "seconds": SECONDS, "traced_seed": SEEDS[0],
+        "settings": {"seeds": seeds, "seconds": seconds, "traced_seed": seeds[0],
                      "runner": "perfbench/run.py --workload W --seed S --seconds T --trace 0|1"},
         "workloads": {},
     }
-    for name in _workloads():
-        seeded = [(seed, run_once(name, seed, False, env)) for seed in SEEDS]
-        traced = (SEEDS[0], run_once(name, SEEDS[0], True, env))
-        out["workloads"][name] = summarize(seeded, traced)
-        wall = out["workloads"][name]["end_to_end"]["wall_s"]
-        print(f"{name}: wall_s median {wall['median']:.6g} [{wall['q1']:.6g}, {wall['q3']:.6g}]", file=sys.stderr)
+    with tempfile.TemporaryDirectory(prefix="bench-against-") as tmp:
+        roots = [ROOT]
+        if against is not None:
+            roots.append(Path(tmp))
+            archive(against, roots[1])
+            check_same_benchmark(ROOT, roots[1], against)
+            better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+            out["against"] = {"rev": against, "git_revision": _git("rev-parse", against), "workloads": {},
+                              "pairs": "one run per seed on each side, alternating which side runs first"}
+        for name in _workloads():
+            if against is None:
+                runs = ([(seed, run_once(ROOT, name, seed, False, seconds, env)) for seed in seeds],)
+            else:
+                runs = run_pairs(seeds, lambda side, seed: run_once(roots[side], name, seed, False, seconds, env))
+            records = [summarize(side_runs, (seeds[0], run_once(root, name, seeds[0], True, seconds, env)))
+                       for root, side_runs in zip(roots, runs)]
+            out["workloads"][name] = records[0]
+            wall = records[0]["end_to_end"]["wall_s"]
+            line = f"{name}: wall_s median {wall['median']:.6g} [{wall['q1']:.6g}, {wall['q3']:.6g}]"
+            if against is not None:
+                out["against"]["workloads"][name] = {**records[1], "wins": wins(*runs, better)}
+                theirs, won = records[1]["end_to_end"]["wall_s"], out["against"]["workloads"][name]["wins"]["wall_s"]
+                line += f", {against} {theirs['median']:.6g} [{theirs['q1']:.6g}, {theirs['q3']:.6g}];"
+                line += f" lower in {won['tree']} of {won['pairs']} pairs"
+            print(line, file=sys.stderr)
     out["machine"]["src_pycache_after"] = PYCACHE.is_dir()
     return out
 
@@ -153,9 +237,12 @@ def record(pr: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="the number in BENCH_<pr>.json")
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS), help="workload seeds (default 1 2 3)")
+    parser.add_argument("--seconds", type=float, default=SECONDS, help="length of each run (default 2)")
+    parser.add_argument("--against", metavar="REV", help="also run a git archive copy of REV, in alternating pairs")
     args = parser.parse_args(argv)
     try:
-        data = record(args.pr)
+        data = record(args.pr, args.seeds, args.seconds, args.against)
     except (BenchError, subprocess.TimeoutExpired) as exc:
         print(f"bench error: {exc}", file=sys.stderr)
         return 2

@@ -266,11 +266,13 @@ def _column(side, n: int) -> list[str | None]:
     """A float or array over a run of ``n`` taus, formatted as ``fmt`` does.
 
     None where a report side is unavailable: the whole run, or NaN elements.
+    A side that is one value over the run (a scalar or None) is formatted once.
     """
     import numpy as np
 
-    if side is None:
-        return [None] * n
+    if side is None or np.ndim(side) == 0:
+        x = math.nan if side is None else float(side)
+        return [None if math.isnan(x) else format(x, ".12g")] * n
     col = np.broadcast_to(side, n)
     out = list(map(format, col.tolist(), itertools.repeat(".12g")))
     for i in np.flatnonzero(np.isnan(col)).tolist():
@@ -282,7 +284,9 @@ def _column(side, n: int) -> list[str | None]:
 class Table:
     """Rows of scalars over ``keys``, held as one list per column, in CSV order.
 
-    Not a list, so ``render_json`` alone writes it: as its row dicts.
+    Not a list, so ``render_json`` alone writes it: as its row dicts.  Both
+    renderers prepare each distinct column once; columns made of the same
+    cell objects, as the equal sides of an EXACT sweep are, share the work.
     """
 
     keys: tuple[str, ...]
@@ -560,11 +564,15 @@ def run(config: ExperimentConfig, task: str, seedless: bool = False):
 def render_json(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True)`` plus LF, byte for byte.
 
-    A ``Table`` counts as its list of row dicts.  The layout is written by
-    ``_render``, which leaves every container of scalars to one call of the
-    C encoder and every ``Table`` to one call per column.
+    A ``Table`` counts as its list of row dicts.  ``_render`` appends the
+    layout's pieces to one list, which is joined once: no enclosing level
+    copies the text of what it holds.  Every container of scalars is one
+    call of the C encoder, and every ``Table`` one call per distinct column.
     """
-    return _render(report, "\n") + "\n"
+    out: list[str] = []
+    _render(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -587,46 +595,89 @@ def _flat(members) -> bool:
     return _SCALARS.issuperset(map(type, members))
 
 
-def _render(obj, nl: str) -> str:
-    """``obj`` in the indent-2 layout, closed on the line that ``nl`` starts.
+def _per_distinct(prepare, columns) -> list:
+    """``prepare(column)`` for each of ``columns``, called once per distinct column.
 
-    Dict keys are strings.  A ``Table`` takes one encoder call per column,
-    split at its item separator ",<NUL>" (strings escape every control
-    character, so only a separator holds a raw NUL), and one join of each
-    row's key pieces and cells.  A list of non-empty lists of scalars (a
-    transition or entries matrix, sofic edges, witness hits) takes one
-    encoder call with the separator of the rows' members, "," + LF + indent,
-    and one replace of the row boundary "]," + separator + "[" by the
-    layout's: an encoded string holds no raw LF, and no encoded scalar ends
-    in "]", so that boundary occurs only between rows.  Any other list goes
-    member by member.
+    Columns whose cells are the same objects, one by one, share one result:
+    the EXACT sides of a sweep are copies of one list of strings.  Equality
+    by ``==`` would not do, since 1, 1.0 and True, or 0.0 and -0.0, are
+    equal and written differently.
+    """
+    done: list[tuple] = []  # (column, result) of each distinct column
+    out = []
+    for col in columns:
+        for seen, result in done:
+            if len(seen) == len(col) and all(map(operator.is_, seen, col)):
+                break
+        else:
+            result = prepare(col)
+            done.append((col, result))
+        out.append(result)
+    return out
+
+
+def _json_cells(column: list) -> list[str]:
+    """The encoded cells of a non-empty column, by one encoder call split at ",<NUL>"
+    (strings escape every control character, so only a separator holds a raw NUL)."""
+    cells = _encoder("\x00")(column).split(",\x00")
+    cells[0] = cells[0][1:]  # the brackets
+    cells[-1] = cells[-1][:-1]
+    return cells
+
+
+def _render(obj, nl: str, out: list[str]) -> None:
+    """Append ``obj`` in the indent-2 layout, closed on the line that ``nl`` starts, to ``out``.
+
+    Dict keys are strings.  A ``Table`` encodes each distinct column once
+    (``_json_cells``) and appends each row's key pieces and cells.  A list
+    of non-empty lists of scalars (a transition or entries matrix, sofic
+    edges, witness hits) takes one encoder call with the separator of the
+    rows' members, "," + LF + indent, and one replace of the row boundary
+    "]," + separator + "[" by the layout's: an encoded string holds no raw
+    LF, and no encoded scalar ends in "]", so that boundary occurs only
+    between rows.  Any other list goes member by member.
     """
     inner = nl + "  "
     if isinstance(obj, Table):
         if not obj.columns[0]:
-            return "[]"
+            out.append("[]")
+            return
         keys, columns = zip(*sorted(zip(obj.keys, obj.columns), key=operator.itemgetter(0)))
         member = inner + "  "
         heads = [itertools.repeat("," + member + _key(k) + ": ") for k in keys]
         first = "{" + member + _key(keys[0]) + ": "
         heads[0] = itertools.chain(("[" + inner + first,), itertools.repeat(inner + "}," + inner + first))
-        cells = [_encoder("\x00")(col)[1:-1].split(",\x00") for col in columns]
-        pieces = itertools.chain.from_iterable(zip(*itertools.chain.from_iterable(zip(heads, cells))))
-        return "".join(pieces) + inner + "}" + nl + "]"
+        cells = _per_distinct(_json_cells, columns)
+        out += itertools.chain.from_iterable(zip(*itertools.chain.from_iterable(zip(heads, cells))))
+        out.append(inner + "}" + nl + "]")
+        return
     if not isinstance(obj, _CONTAINERS) or not obj:
-        return _encoder(nl)(obj)
+        out.append(_encoder(nl)(obj))
+        return
     if _flat(obj.values() if isinstance(obj, dict) else obj):
         text = _encoder(inner)(obj)
-        return text[0] + inner + text[1:-1] + nl + text[-1]
+        out += (text[0], inner, text[1:-1], nl + text[-1])
+        return
     if isinstance(obj, dict):
-        body = ("," + inner).join(_key(k) + ": " + _render(v, inner) for k, v in sorted(obj.items()))
-        return "{" + inner + body + nl + "}"
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            out.append(sep + _key(k) + ": ")
+            _render(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+        return
     if all(type(m) in (list, tuple) and m and _flat(m) for m in obj):
         # rows of scalars: every separator is "," + item, and "]," + item + "[" only between rows
         item = inner + "  "
         rows = _encoder(item)(obj)[2:-2].replace("]," + item + "[", inner + "]," + inner + "[" + item)
-        return "[" + inner + "[" + item + rows + inner + "]" + nl + "]"
-    return "[" + inner + ("," + inner).join(_render(m, inner) for m in obj) + nl + "]"
+        out += ("[" + inner + "[" + item, rows, inner + "]" + nl + "]")
+        return
+    sep = "[" + inner
+    for m in obj:
+        out.append(sep)
+        _render(m, inner, out)
+        sep = "," + inner
+    out.append(nl + "]")
 
 
 _SWEEP_COLUMNS = ("tau", "h_lower", "h_upper", "dim_lower", "dim_upper", "case_tag")
@@ -634,15 +685,26 @@ _BOUNDS_COLUMNS = ("rule", "case", "h_lower", "h_upper", "dim_lower", "dim_upper
 _CSV_SPECIAL = ',"\n'  # csv.QUOTE_MINIMAL with lineterminator "\n" leaves a "\r" unquoted
 
 
+def _csv_field(s: str) -> str:
+    return '"' + s.replace('"', '""') + '"' if any(map(s.__contains__, _CSV_SPECIAL)) else s
+
+
+def _csv_cells(cells: list) -> list[str]:
+    """A column's CSV fields: None is written as "", and a field holding a special character is quoted."""
+    col = list(map(str, map({None: ""}.get, cells, cells)))
+    if any(map("\x00".join(col).__contains__, _CSV_SPECIAL)):
+        col = list(map(_csv_field, col))
+    return col
+
+
 def render_csv(table: Table) -> str:
-    """What ``csv.writer(lineterminator="\n")`` writes for ``table``: its keys, two or more, then its rows."""
-    cols = []
-    for key, cells in zip(table.keys, table.columns):
-        col = [key, *map(str, map({None: ""}.get, cells, cells))]  # None is written as ""
-        if any(map("\x00".join(col).__contains__, _CSV_SPECIAL)):
-            col = ['"' + s.replace('"', '""') + '"' if any(map(s.__contains__, _CSV_SPECIAL)) else s for s in col]
-        cols.append(col)
-    return "\n".join(map(",".join, zip(*cols))) + "\n"
+    """What ``csv.writer(lineterminator="\n")`` writes for ``table``: its keys, two or more, then its rows.
+
+    Each distinct column is prepared once (``_per_distinct``), and the
+    lines, the last LF among them, are joined once.
+    """
+    rows = map(",".join, zip(*_per_distinct(_csv_cells, table.columns)))
+    return "\n".join(itertools.chain((",".join(map(_csv_field, table.keys)),), rows, ("",)))
 
 
 _CSV_TASKS = ("bounds", "sweep")  # the commands that also write a CSV table

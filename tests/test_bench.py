@@ -72,3 +72,62 @@ def test_machine_record():
     info = bench.machine()
     assert set(info) == {"cpu_count", "python", "numpy", "dont_write_bytecode"}
     assert info["cpu_count"] >= 1
+
+
+BETTER = {"wall_s": "lower", "ok_frac": "higher"}
+
+
+def test_pairs_alternate_which_side_runs_first():
+    order = []
+
+    def run(side, seed):
+        order.append((seed, side))
+        return bench.last_json_line(_runner_stdout(True, wall_s=0.1 * (side + 1), ok_frac=1.0))
+
+    tree, against = bench.run_pairs([7, 8, 9], run)
+    assert order == [(7, 0), (7, 1), (8, 1), (8, 0), (9, 0), (9, 1)]
+    assert [seed for seed, _ in tree] == [seed for seed, _ in against] == [7, 8, 9]
+    assert [r["metrics"]["wall_s"]["value"] for _, r in against] == [0.2, 0.2, 0.2]
+
+
+def test_wins_count_pairs_in_the_better_direction():
+    def side(*values):
+        return [(seed, bench.last_json_line(_runner_stdout(True, wall_s=w, ok_frac=ok)))
+                for seed, (w, ok) in enumerate(values, 1)]
+
+    tree = side((0.08, 1.0), (0.09, 0.95), (0.10, 1.0), (0.07, 1.0))
+    against = side((0.09, 0.95), (0.09, 1.0), (0.09, 1.0), (0.08, 1.0))
+    assert bench.wins(tree, against, BETTER) == {
+        "wall_s": {"tree": 2, "against": 1, "pairs": 4},  # the tie at seed 2 counts for neither
+        "ok_frac": {"tree": 1, "against": 1, "pairs": 4},
+    }
+    with pytest.raises(bench.BenchError, match="seeds 1 and 2"):
+        bench.wins(tree[:1], against[1:2], BETTER)
+
+
+def _benchmark_tree(root: Path, run_py: str) -> Path:
+    (root / "perfbench" / "tests").mkdir(parents=True)
+    (root / "perfbench" / "__pycache__").mkdir()
+    (root / "BENCHMARK.json").write_text('{"end_to_end": []}')
+    (root / "perfbench" / "run.py").write_text(run_py)
+    (root / "perfbench" / "tests" / "test_run.py").write_text("def test(): pass\n")
+    (root / "perfbench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(root.name.encode())
+    return root
+
+
+def test_a_different_benchmark_is_refused(tmp_path):
+    tree = _benchmark_tree(tmp_path / "tree", "print(1)\n")
+    same = _benchmark_tree(tmp_path / "same", "print(1)\n")
+    bench.check_same_benchmark(tree, same, "REV")  # bytecode differs, which is not the benchmark
+    (same / "perfbench" / ".hypothesis").mkdir()  # a test run's hidden folder
+    (same / "perfbench" / ".hypothesis" / "db").write_text("x")
+    (same / "src").mkdir()
+    (same / "src" / "cli.py").write_text("changed = True\n")
+    bench.check_same_benchmark(tree, same, "REV")
+    other = _benchmark_tree(tmp_path / "other", "print(2)\n")
+    with pytest.raises(bench.BenchError, match="REV: perfbench/run.py$"):
+        bench.check_same_benchmark(tree, other, "REV")
+    (same / "perfbench" / "extra.py").write_text("")
+    (same / "BENCHMARK.json").write_text("{}")
+    with pytest.raises(bench.BenchError, match="BENCHMARK.json, perfbench/extra.py"):
+        bench.check_same_benchmark(tree, same, "REV")

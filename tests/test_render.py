@@ -20,7 +20,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from shrinktarget.cli import (
-    _BOUNDS_COLUMNS, _SWEEP_COLUMNS, Table, fmt, render_csv, render_json, run, sweep_table, system_facts, write_report,
+    _BOUNDS_COLUMNS, _SWEEP_COLUMNS, Table, _column, fmt, render_csv, render_json, run, sweep_table, system_facts,
+    write_report,
 )
 from shrinktarget.config import parse_config
 from shrinktarget.systems import IntegerMatrixSystem
@@ -148,10 +149,46 @@ def column_tables(draw):
     return Table(tuple(keys), tuple(draw(st.lists(scalars, min_size=n, max_size=n)) for _ in keys))
 
 
-@settings(max_examples=200, deadline=None)
-@given(column_tables(), st.lists(st.booleans(), max_size=3))
+def twin(cell):
+    """A cell equal to ``cell`` by ``==`` but another object; JSON writes it differently where it can."""
+    if type(cell) is bool:
+        return int(cell)
+    if type(cell) is int and abs(cell) < 2**53:
+        return float(cell)
+    if type(cell) is float:
+        return -cell if cell == 0 else float(repr(cell))
+    if type(cell) is str:
+        return "".join(list(cell))  # a new object unless it is a cached one-character string
+    return cell
+
+
+@st.composite
+def repeating_tables(draw, cells, keys=None):
+    """A ``Table`` of 0-60 rows (over ``keys``, or 1-6 drawn keys) whose columns repeat.
+
+    Each column is one of 1-3 base columns: the same list object, a copy
+    of the list, or its ``twin``, equal by ``==`` and made of other cells.
+    """
+    if keys is None:
+        keys = tuple(draw(st.lists(strings, min_size=1, max_size=6, unique=True)))
+    n = draw(st.integers(0, 60))
+    bases = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=1, max_size=3))
+    columns = []
+    for _ in keys:
+        base, how = draw(st.sampled_from(bases)), draw(st.sampled_from(("same", "copy", "twin")))
+        columns.append({"same": base, "copy": list(base), "twin": list(map(twin, base))}[how])
+    return Table(keys, tuple(columns))
+
+
+SHARED = [1, 0.0, None, True, "x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(column_tables(), repeating_tables(scalars)), st.lists(st.booleans(), max_size=3))
 @example(Table(("b", "a"), ([], [])), [])
 @example(Table(("\x00", "a\nb"), (["},\n    {", math.nan], [10**300, "\x1f"])), [True, False])
+@example(Table(("b", "a", "c"), (SHARED, list(SHARED), list(map(twin, SHARED)))), [True])
+@example(Table(("b", "a"), ([None] * 3, [None] * 3)), [])
 def test_table_renders_as_its_rows(table, levels):
     # nested in dicts (True) or lists (False), 0-3 levels deep
     obj, rows = table, table_rows(table)
@@ -272,6 +309,14 @@ def test_render_csv_matches_csv_writer(case):
     assert render_csv(table_of(rows, columns)) == old_render_csv(rows, columns)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([_SWEEP_COLUMNS, _BOUNDS_COLUMNS]).flatmap(lambda keys: repeating_tables(csv_cells, keys)))
+@example(Table(_SWEEP_COLUMNS, ([],) * 6))
+@example(Table(_BOUNDS_COLUMNS, (["a,b", None], ["a,b", None], ["a,b", "q"], ["", None], [None, ""], ["", ""])))
+def test_repeated_columns_csv(table):
+    assert render_csv(table) == old_render_csv(table_rows(table), table.keys)
+
+
 # the golden cases whose bounds or sweep command succeeds
 TABLES = [
     (case, command, columns)
@@ -324,9 +369,40 @@ def test_full_size_sweep_report(case):
     assert render_csv(table) == old_render_csv(rows, _SWEEP_COLUMNS)
 
 
+def test_large_report_with_a_deep_table():
+    # an EXACT sweep of 2000 taus (its four sides one list of strings) five levels down, in a
+    # report above glibc's 128 KB mmap threshold, as the benchmark's sweep reports are
+    cfg = dict(CASES["even_shift_sofic"][0], sweep={"taus": [k / 1000 for k in range(2000)]})
+    report, ok, _ = run(parse_config(cfg), "sweep")
+    table = report["results"][0]["rows"]
+    assert ok and all(col == table.columns[1] for col in table.columns[2:5])
+    obj = {"runs": [{"report": report, "n": 1}], "empty": {}}
+    rows = table_rows(table)
+    expected = oracle({"runs": [{"report": dict(report, results=[dict(report["results"][0], rows=rows)]), "n": 1}],
+                       "empty": {}})
+    assert len(expected) > 128 * 1024
+    assert render_json(obj) == expected
+    assert render_csv(table) == old_render_csv(rows, _SWEEP_COLUMNS)
+
+
 # ---------------------------------------------------------------------------
 # Numbers
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "side",
+    [0.5, -0.0, math.inf, np.float64(1 / 3), np.array(2.0), math.nan, np.float64(math.nan), None,
+     np.array([0.25, math.nan, -math.inf, 1 / 3]), np.array([math.nan] * 4), np.array([-0.0, 0.0, 1e300, 5e-324])],
+    ids=repr,
+)
+def test_column_formats_each_cell_as_fmt(side):
+    # a side over a run of 4 taus: a scalar is every cell's value; NaN and None are unavailable
+    cells = [side] * 4 if side is None or np.ndim(side) == 0 else side.tolist()
+    expected = [None if x is None or math.isnan(x) else fmt(x) for x in cells]
+    assert _column(side, 4) == expected
+    if np.ndim(side) == 0:
+        assert _column(side, 0) == []
 
 
 def test_fmt_pins():

@@ -3,12 +3,12 @@
 Usage (from the repository root):
 
     python3 -B bench.py --pr 36
-    python3 -B bench.py --pr 37 --against HEAD~1 --seeds 1 2 3 4 5 6 7 8 9 10 --seconds 5
+    python3 -B bench.py --pr 37 --against HEAD~1 --seeds 81 82 83 84 85 86 87 88 89 90
 
 For each workload of ``perfbench/run.py`` this runs the frozen runner as a
-subprocess for 2 s (``--seconds``), once per seed 1, 2 and 3 (``--seeds``)
-with ``--trace 0`` and once more, at the first seed, with ``--trace 1``,
-and parses the JSON object on the last line of its standard output.  The file holds, per
+subprocess for 2 s, once per seed 1, 2 and 3 (``--seeds``) with
+``--trace 0`` and once more, at the first seed, with ``--trace 1``, and
+parses the JSON object on the last line of its standard output.  The file holds, per
 workload, the median, quartiles and count of every end-to-end metric over
 the seeds, ``correct`` and the call counts of each run, and the per-layer
 metrics of the traced run; beside them the CPU count, the Python and numpy
@@ -21,8 +21,11 @@ The default run takes about a minute on two CPUs.
 in pairs with the tree, alternating which side runs first, and records
 REV's side the same way under ``against``, with the count of pairs in
 which each side is better on each end-to-end metric (ties count for
-neither).  It refuses to run when ``BENCHMARK.json`` or ``perfbench/``
-differ between the two sides.
+neither).  The two traced runs are one more pair, in the order the next
+pair would take.  Each run then lasts ``run_seconds`` of
+``BENCHMARK.json`` (25 s), so ten seeds take about 40 minutes.  It
+refuses to run when ``BENCHMARK.json`` or ``perfbench/`` differ between
+the two sides.
 
 Bytecode: ``-B`` (or ``PYTHONDONTWRITEBYTECODE``) is passed on to the
 runner and its workers, so a recording run leaves no ``.pyc`` under
@@ -112,13 +115,13 @@ def run_once(root: Path, workload: str, seed: int, trace: bool, seconds: float, 
     return last_json_line(done.stdout)
 
 
-def run_pairs(seeds, run) -> tuple[list, list]:
-    """``run(side, seed)`` for each seed on side 0 (the tree) and side 1 (REV),
-    side 0 first at even pair indices and side 1 first at odd ones; each
-    side's (seed, result) pairs."""
-    runs: tuple[list, list] = ([], [])
-    for i, seed in enumerate(seeds):
-        for side in (0, 1) if i % 2 == 0 else (1, 0):
+def run_pairs(seeds, run, sides: int = 2, start: int = 0) -> tuple[list, ...]:
+    """``run(side, seed)`` for each seed on each of ``sides`` sides (0 is the
+    tree, 1 is REV), in side order at even pair indices and in reverse at odd
+    ones, counting pairs from ``start``; each side's (seed, result) pairs."""
+    runs: tuple[list, ...] = tuple([] for _ in range(sides))
+    for i, seed in enumerate(seeds, start):
+        for side in range(sides) if i % 2 == 0 else reversed(range(sides)):
             runs[side].append((seed, run(side, seed)))
     return runs
 
@@ -192,8 +195,10 @@ def machine() -> dict:
     }
 
 
-def record(pr: int, seeds: list[int], seconds: float, against: str | None = None) -> dict:
+def record(pr: int, seeds: list[int], against: str | None = None) -> dict:
     env = dict(os.environ)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = SECONDS if against is None else benchmark["run_seconds"]
     if sys.dont_write_bytecode:
         env["PYTHONDONTWRITEBYTECODE"] = "1"  # flags do not reach the runner's workers; the environment does
     out = {
@@ -211,16 +216,17 @@ def record(pr: int, seeds: list[int], seconds: float, against: str | None = None
             roots.append(Path(tmp))
             archive(against, roots[1])
             check_same_benchmark(ROOT, roots[1], against)
-            better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+            better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
             out["against"] = {"rev": against, "git_revision": _git("rev-parse", against), "workloads": {},
-                              "pairs": "one run per seed on each side, alternating which side runs first"}
+                              "pairs": "one run per seed on each side, alternating which side runs first; "
+                                       "the traced runs are one more pair"}
         for name in _workloads():
-            if against is None:
-                runs = ([(seed, run_once(ROOT, name, seed, False, seconds, env)) for seed in seeds],)
-            else:
-                runs = run_pairs(seeds, lambda side, seed: run_once(roots[side], name, seed, False, seconds, env))
-            records = [summarize(side_runs, (seeds[0], run_once(root, name, seeds[0], True, seconds, env)))
-                       for root, side_runs in zip(roots, runs)]
+            def run(trace: bool):
+                return lambda side, seed: run_once(roots[side], name, seed, trace, seconds, env)
+
+            runs = run_pairs(seeds, run(False), len(roots))
+            traced = run_pairs(seeds[:1], run(True), len(roots), start=len(seeds))
+            records = [summarize(side_runs, side_traced[0]) for side_runs, side_traced in zip(runs, traced)]
             out["workloads"][name] = records[0]
             wall = records[0]["end_to_end"]["wall_s"]
             line = f"{name}: wall_s median {wall['median']:.6g} [{wall['q1']:.6g}, {wall['q3']:.6g}]"
@@ -238,11 +244,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="the number in BENCH_<pr>.json")
     parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS), help="workload seeds (default 1 2 3)")
-    parser.add_argument("--seconds", type=float, default=SECONDS, help="length of each run (default 2)")
     parser.add_argument("--against", metavar="REV", help="also run a git archive copy of REV, in alternating pairs")
     args = parser.parse_args(argv)
     try:
-        data = record(args.pr, args.seeds, args.seconds, args.against)
+        data = record(args.pr, args.seeds, args.against)
     except (BenchError, subprocess.TimeoutExpired) as exc:
         print(f"bench error: {exc}", file=sys.stderr)
         return 2

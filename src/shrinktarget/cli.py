@@ -266,13 +266,11 @@ def _column(side, n: int) -> list[str | None]:
     """A float or array over a run of ``n`` taus, formatted as ``fmt`` does.
 
     None where a report side is unavailable: the whole run, or NaN elements.
-    A side that is one value over the run (a scalar or None) is formatted once.
     """
     import numpy as np
 
-    if side is None or np.ndim(side) == 0:
-        x = math.nan if side is None else float(side)
-        return [None if math.isnan(x) else format(x, ".12g")] * n
+    if side is None:
+        return [None] * n
     col = np.broadcast_to(side, n)
     out = list(map(format, col.tolist(), itertools.repeat(".12g")))
     for i in np.flatnonzero(np.isnan(col)).tolist():

@@ -88,6 +88,39 @@ def test_pairs_alternate_which_side_runs_first():
     assert order == [(7, 0), (7, 1), (8, 1), (8, 0), (9, 0), (9, 1)]
     assert [seed for seed, _ in tree] == [seed for seed, _ in against] == [7, 8, 9]
     assert [r["metrics"]["wall_s"]["value"] for _, r in against] == [0.2, 0.2, 0.2]
+    order.clear()
+    bench.run_pairs([7], run, start=3)  # the pair after three: REV first
+    assert order == [(7, 1), (7, 0)]
+    order.clear()
+    (alone,) = bench.run_pairs([7, 8], run, sides=1)
+    assert order == [(7, 0), (8, 0)] and len(alone) == 2
+
+
+def test_record_against_pairs_the_traced_runs_at_the_benchmark_length(monkeypatch):
+    calls = []
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in benchmark["end_to_end"]]
+
+    def run_once(root, workload, seed, trace, seconds, env):
+        calls.append((workload, seed, trace, "tree" if root == bench.ROOT else "rev", seconds))
+        value = 0.1 if root == bench.ROOT else 0.2
+        return bench.last_json_line(_runner_stdout(True, **dict.fromkeys(names, value)))
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "archive", lambda rev, dest: None)
+    monkeypatch.setattr(bench, "check_same_benchmark", lambda tree, other, rev: None)
+    monkeypatch.setattr(bench, "_workloads", lambda: ("w",))
+    out = bench.record(37, [4, 5], against="REV")
+    assert [c[1:4] for c in calls] == [
+        (4, False, "tree"), (4, False, "rev"), (5, False, "rev"), (5, False, "tree"),
+        (4, True, "tree"), (4, True, "rev"),  # the third pair: the tree first again
+    ]
+    assert {c[4] for c in calls} == {benchmark["run_seconds"]} == {out["settings"]["seconds"]}
+    assert out["against"]["workloads"]["w"]["wins"]["wall_s"] == {"tree": 2, "against": 0, "pairs": 2}
+    assert out["against"]["workloads"]["w"]["traced"]["seed"] == out["workloads"]["w"]["traced"]["seed"] == 4
+    calls.clear()
+    assert bench.record(37, [4])["settings"]["seconds"] == bench.SECONDS
+    assert [c[1:] for c in calls] == [(4, False, "tree", bench.SECONDS), (4, True, "tree", bench.SECONDS)]
 
 
 def test_wins_count_pairs_in_the_better_direction():

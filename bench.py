@@ -15,14 +15,22 @@ metrics of the traced run; beside them the CPU count, the Python and numpy
 versions, whether bytecode caching is off, whether
 ``src/shrinktarget/__pycache__`` exists before and after, and the git
 revision.  A perf claim cites the medians and quartiles from this file.
-The default run takes about a minute on two CPUs.
+
+Under ``cold_process`` it holds, for each of the six CLI commands, the
+best of 7 wall times of a fresh ``python3 -B -m shrinktarget.cli <command>
+--config <cfg> --out <dir>`` with the tree's ``src`` on ``PYTHONPATH``:
+``analyze``, ``bounds``, ``exact`` and ``sweep`` on the ``cat_map`` config
+of ``tests/test_golden_reports.py``, ``oracle`` on ``oracle_sft60`` and
+``witness`` on ``witness_golden_zeros``.  The default run takes about a
+minute on two CPUs.
 
 ``--against REV`` also runs every seed on a ``git archive`` copy of REV,
 in pairs with the tree, alternating which side runs first, and records
 REV's side the same way under ``against``, with the count of pairs in
 which each side is better on each end-to-end metric (ties count for
-neither).  The two traced runs are one more pair, in the order the next
-pair would take.  Each run then lasts ``run_seconds`` of
+neither); the cold-process runs alternate the same way, REV's under
+``against.cold_process``.  The two traced runs are one more pair, in the
+order the next pair would take.  Each run then lasts ``run_seconds`` of
 ``BENCHMARK.json`` (25 s), so ten seeds take about 40 minutes.  It
 refuses to run when ``BENCHMARK.json`` or ``perfbench/`` differ between
 the two sides.
@@ -30,6 +38,8 @@ the two sides.
 Bytecode: ``-B`` (or ``PYTHONDONTWRITEBYTECODE``) is passed on to the
 runner and its workers, so a recording run leaves no ``.pyc`` under
 ``src/``; compiled bytecode makes a worker's set-up about twice as fast.
+The cold CLI processes run with ``-B`` as well, so they compile ``src/``
+afresh unless ``src/shrinktarget/__pycache__`` exists, which the record says.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from importlib import metadata
 from pathlib import Path
 
@@ -50,6 +61,10 @@ RUNNER = ROOT / "perfbench" / "run.py"
 PYCACHE = ROOT / "src" / "shrinktarget" / "__pycache__"
 SEEDS = (1, 2, 3)
 SECONDS = 2.0
+# each CLI command timed in a fresh process, on a config of tests/test_golden_reports.py
+COLD = {"analyze": "cat_map", "bounds": "cat_map", "exact": "cat_map", "sweep": "cat_map",
+        "oracle": "oracle_sft60", "witness": "witness_golden_zeros"}
+COLD_REPEATS = 7
 
 
 class BenchError(RuntimeError):
@@ -170,6 +185,44 @@ def archive(rev: str, dest: Path) -> None:
         raise BenchError(f"git archive {rev}: {git.stderr.decode().strip()[-300:]}")
 
 
+def golden_configs() -> dict[str, dict]:
+    """The config of each case that ``COLD`` names, from the golden test's table."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    import test_golden_reports
+
+    return {case: test_golden_reports.CASES[case][0] for case in set(COLD.values())}
+
+
+def cold_once(root: Path, command: str, config: Path, out: Path) -> float:
+    """The wall time of one fresh CLI process on ``root``'s ``src``."""
+    argv = [sys.executable, "-B", "-m", "shrinktarget.cli", command, "--config", str(config), "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    start = time.perf_counter()
+    done = subprocess.run(argv, cwd=config.parent, env=env, capture_output=True, text=True, timeout=600)
+    wall = time.perf_counter() - start
+    if done.returncode != 0:
+        raise BenchError(f"{command} on {root}: the CLI exited {done.returncode}: {done.stderr.strip()[-300:]}")
+    return wall
+
+
+def cold_process(roots: list[Path], tmp: Path) -> list[dict]:
+    """Per side, the best of ``COLD_REPEATS`` wall times of each command in
+    ``COLD``, the sides alternating which runs first."""
+    for case, config in golden_configs().items():
+        (tmp / f"{case}.json").write_text(json.dumps(config))
+    best: list[dict] = [{} for _ in roots]
+    for command, case in COLD.items():
+        def run(side, _):
+            return cold_once(roots[side], command, tmp / f"{case}.json", tmp / f"out{side}")
+
+        for side, times in enumerate(run_pairs(range(COLD_REPEATS), run, len(roots))):
+            best[side][command] = {"config": case, "best_s": min(t for _, t in times)}
+        walls = ", ".join(f"{side[command]['best_s']:.4g} s" for side in best)
+        print(f"{command} (cold, best of {COLD_REPEATS}): {walls}", file=sys.stderr)
+    argv = "python3 -B -m shrinktarget.cli COMMAND --config CFG --out DIR, with that side's src on PYTHONPATH"
+    return [{"repeats": COLD_REPEATS, "argv": argv, "commands": side} for side in best]
+
+
 def _workloads() -> tuple[str, ...]:
     sys.path.insert(0, str(RUNNER.parent))
     import workloads
@@ -236,6 +289,11 @@ def record(pr: int, seeds: list[int], against: str | None = None) -> dict:
                 line += f", {against} {theirs['median']:.6g} [{theirs['q1']:.6g}, {theirs['q3']:.6g}];"
                 line += f" lower in {won['tree']} of {won['pairs']} pairs"
             print(line, file=sys.stderr)
+        with tempfile.TemporaryDirectory(prefix="bench-cold-") as cold_tmp:
+            cold = cold_process(roots, Path(cold_tmp))
+        out["cold_process"] = cold[0]
+        if against is not None:
+            out["against"]["cold_process"] = cold[1]
     out["machine"]["src_pycache_after"] = PYCACHE.is_dir()
     return out
 

@@ -19,7 +19,8 @@ Conventions used throughout:
   maps); all factors are evaluated as exact algebraic limits, never via
   large-number surrogates.
 * When a hypothesis fails, the affected side is ``None`` ("unavailable"),
-  never silently 0 or NaN - nothing is asserted there.
+  never silently 0 or NaN - nothing is asserted there; :func:`lower_factor`
+  is None when tau_bar >= lambda1.
 * Equality dispatch at case boundaries (e.g. tau_lower = ln L1) uses a
   half-open convention with tolerance ``BOUNDARY_TOL``: values within the
   tolerance land in the boundary case.
@@ -28,9 +29,8 @@ Conventions used throughout:
   Python's do, so an array element equals the float result bit for bit.  A
   branch test that differs within the run raises :class:`MixedRun` at the
   first tau that takes another branch, so the caller evaluates the run up
-  to there and goes on from it.  A side is then a float or an array; NaN in
-  an array marks an element where the side is not asserted (None for a
-  float), and the report checks hold for every element.  Floats stay plain
+  to there and goes on from it.  A side is then None, a float or an array,
+  and the report checks hold for every element.  Floats stay plain
   Python, and arrays are tested by their own methods: this module never
   imports numpy.
 """
@@ -120,11 +120,12 @@ def _holds(test) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def lower_factor(lambda1: float, lambda2: float, tau_bar: float) -> float:
+def lower_factor(lambda1: float, lambda2: float, tau_bar: float) -> float | None:
     """The entropy fraction retained by the shrinking constraint,
 
-        (l1*l2 - l2*t) / (l1*l2 + l1*t).
+        (l1*l2 - l2*t) / (l1*l2 + l1*t),
 
+    or None when the lower bound's hypothesis tau_bar < lambda1 fails.
     lambda1 = +inf is evaluated as the algebraic limit l2 / (l2 + t), which
     is also the one-sided-shift / expanding-map specialization (0 at
     t = +inf, as IEEE division gives).
@@ -133,21 +134,21 @@ def lower_factor(lambda1: float, lambda2: float, tau_bar: float) -> float:
     if math.isinf(lambda1):
         return lambda2 / (lambda2 + t)
     if not _holds(t < lambda1):
-        raise HypothesisViolatedError(
-            f"lower bound requires tau_bar < lambda1 ({t} >= {lambda1})"
-        )
+        return None
     num = lambda1 * lambda2 - lambda2 * t
     den = lambda1 * lambda2 + lambda1 * t
     return num / den
 
 
-def _lower_sides(p: HyperbolicityProfile, t: float) -> tuple[float, float]:
-    """The lower sides (h, dim) at tau_bar = t, valid when t < lambda1.
+def _lower_sides(p: HyperbolicityProfile, t: float) -> tuple[float | None, float | None]:
+    """The lower sides (h, dim) at tau_bar = t, both None unless t < lambda1.
 
     h = factor * h_top; dim = (1/ln L1 + factor/ln L2) h_top, or h / ln L for
-    a Lipschitz profile (no ln_l1).  Raises HypothesisViolatedError otherwise.
+    a Lipschitz profile (no ln_l1).
     """
     f = lower_factor(p.lambda1, p.lambda2, t)
+    if f is None:
+        return None, None
     h_low = f * p.h_top
     return h_low, h_low / p.ln_l2 if p.ln_l1 is None else (1.0 / p.ln_l1 + f / p.ln_l2) * p.h_top
 
@@ -192,7 +193,7 @@ def bounds_general_profile(profile: HyperbolicityProfile, tau: RateExponents) ->
     (1/ln L1 + factor/ln L2) h_top for the dimension, valid when
     tau_upper < lambda1.  A lower side above its upper side (the boundary
     and degenerate cases, or a profile whose constants are below its
-    exponents) is dropped.
+    exponents) is dropped; that conflict is a branch test like the others.
     """
     p = profile
     t = tau.tau_lower
@@ -208,23 +209,13 @@ def bounds_general_profile(profile: HyperbolicityProfile, tau: RateExponents) ->
         if math.isinf(p.lambda1):
             raise ValueError("a bi-Lipschitz profile (with ln_l1) needs a finite lambda1")
         tag, h_up, dim_up, upper = _bilipschitz_upper(p, t)
-    assumptions = [upper]
-    try:
-        h_low, dim_low = _lower_sides(p, tau.tau_upper)
-        assumptions.append(("lower hypothesis tau_upper < lambda1", True))
-    except HypothesisViolatedError:
-        h_low = dim_low = None
-        assumptions.append(("lower hypothesis tau_upper < lambda1", False))
+    h_low, dim_low = _lower_sides(p, tau.tau_upper)
+    assumptions = [upper, ("lower hypothesis tau_upper < lambda1", h_low is not None)]
     if h_low is not None:
         # an entropy conflict drops both lower sides, a dimension one its own
-        drop_h = h_low > h_up
-        drop_dim = drop_h | (dim_low > dim_up)
-        if _any(drop_dim):
-            if getattr(drop_dim, "ndim", 0) == 0:
-                h_low, dim_low = None if drop_h else h_low, None
-            else:
-                h_low, dim_low = h_low.copy(), dim_low.copy()
-                h_low[drop_h], dim_low[drop_dim] = math.nan, math.nan
+        drop_h = _holds(h_low > h_up)
+        if drop_h or _holds(dim_low > dim_up):
+            h_low, dim_low = None if drop_h else h_low, None
             assumptions.append(("lower/upper regime conflict", False))
     return BoundReport(h_low, h_up, dim_low, dim_up, tag, tuple(assumptions))
 
@@ -276,10 +267,8 @@ def bounds_hyperbolic_set(
             tuple(assumptions) + (("L1 == lambda1^-1 and L2 == lambda2^-1", True),),
         )
 
-    if _holds(t_for_lower < lam1):
-        h_low, dim_low = _lower_sides(p, t_for_lower)
-    else:
-        h_low = dim_low = None
+    h_low, dim_low = _lower_sides(p, t_for_lower)
+    if h_low is None:
         assumptions.append(("lower hypothesis tau < lambda1", False))
     return BoundReport(h_low, h_up, dim_low, dim_up, CaseTag.GENERIC, tuple(assumptions))
 
@@ -421,8 +410,5 @@ def covering_bounds(profile: HyperbolicityProfile, tau: RateExponents) -> BoundR
     by tau_lower as the trivial decomposition (N = 1) allows.  Only the
     lower sides are asserted.
     """
-    try:
-        h_low, dim_low = _lower_sides(profile, tau.tau_lower)
-    except HypothesisViolatedError:
-        return BoundReport(None, None, None, None, CaseTag.GENERIC, (("tau < lambda1", False),), _COVERING_NOTE)
-    return BoundReport(h_low, None, dim_low, None, CaseTag.GENERIC, (("tau < lambda1", True),), _COVERING_NOTE)
+    h_low, dim_low = _lower_sides(profile, tau.tau_lower)
+    return BoundReport(h_low, None, dim_low, None, CaseTag.GENERIC, (("tau < lambda1", h_low is not None),), _COVERING_NOTE)

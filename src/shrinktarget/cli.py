@@ -263,19 +263,14 @@ def evaluate(
 
 
 def _column(side, n: int) -> list[str | None]:
-    """A float or array over a run of ``n`` taus, formatted as ``fmt`` does.
-
-    None where a report side is unavailable: the whole run, or NaN elements.
-    """
+    """A float or array over a run of ``n`` taus, each cell formatted as
+    ``fmt`` does: None over the whole run where a report side is None."""
     import numpy as np
 
     if side is None:
         return [None] * n
     col = np.broadcast_to(side, n)
-    out = list(map(format, col.tolist(), itertools.repeat(".12g")))
-    for i in np.flatnonzero(np.isnan(col)).tolist():
-        out[i] = None
-    return out
+    return list(map(format, col.tolist(), itertools.repeat(".12g")))
 
 
 @dataclass(frozen=True)

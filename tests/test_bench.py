@@ -110,6 +110,7 @@ def test_record_against_pairs_the_traced_runs_at_the_benchmark_length(monkeypatc
     monkeypatch.setattr(bench, "archive", lambda rev, dest: None)
     monkeypatch.setattr(bench, "check_same_benchmark", lambda tree, other, rev: None)
     monkeypatch.setattr(bench, "_workloads", lambda: ("w",))
+    monkeypatch.setattr(bench, "cold_once", lambda root, command, config, out: 0.1 if root == bench.ROOT else 0.2)
     out = bench.record(37, [4, 5], against="REV")
     assert [c[1:4] for c in calls] == [
         (4, False, "tree"), (4, False, "rev"), (5, False, "rev"), (5, False, "tree"),
@@ -118,9 +119,35 @@ def test_record_against_pairs_the_traced_runs_at_the_benchmark_length(monkeypatc
     assert {c[4] for c in calls} == {benchmark["run_seconds"]} == {out["settings"]["seconds"]}
     assert out["against"]["workloads"]["w"]["wins"]["wall_s"] == {"tree": 2, "against": 0, "pairs": 2}
     assert out["against"]["workloads"]["w"]["traced"]["seed"] == out["workloads"]["w"]["traced"]["seed"] == 4
+    assert out["cold_process"]["commands"]["oracle"]["best_s"] == 0.1
+    assert out["against"]["cold_process"]["commands"]["oracle"]["best_s"] == 0.2
     calls.clear()
-    assert bench.record(37, [4])["settings"]["seconds"] == bench.SECONDS
+    alone = bench.record(37, [4])
+    assert alone["settings"]["seconds"] == bench.SECONDS and "against" not in alone
     assert [c[1:] for c in calls] == [(4, False, "tree", bench.SECONDS), (4, True, "tree", bench.SECONDS)]
+    assert set(alone["cold_process"]["commands"]) == set(bench.COLD)
+
+
+def test_cold_process_takes_the_best_of_alternating_runs(monkeypatch, tmp_path):
+    configs = bench.golden_configs()
+    assert sorted(configs) == ["cat_map", "oracle_sft60", "witness_golden_zeros"]
+    assert configs["cat_map"]["system"] == {"kind": "matrix", "entries": [[2, 1], [1, 1]]}
+    calls = []
+
+    def cold_once(root, command, config, out):  # a stub: no CLI process starts
+        calls.append((command, "tree" if root == bench.ROOT else "rev"))
+        assert json.loads(config.read_text()) == configs[config.stem]
+        return {bench.ROOT: 0.3, tmp_path: 0.5}[root] - 0.01 * len(calls)
+
+    monkeypatch.setattr(bench, "cold_once", cold_once)
+    tree, rev = bench.cold_process([bench.ROOT, tmp_path], tmp_path)
+    assert [c[0] for c in calls] == [c for c in bench.COLD for _ in range(2 * bench.COLD_REPEATS)]
+    assert [c[1] for c in calls[:4]] == ["tree", "rev", "rev", "tree"]
+    assert tree["repeats"] == bench.COLD_REPEATS and list(tree["commands"]) == list(bench.COLD)
+    # each side's last call of a command is its fastest
+    n = 2 * bench.COLD_REPEATS
+    assert tree["commands"]["analyze"] == {"config": "cat_map", "best_s": 0.3 - 0.01 * (n - 1)}
+    assert rev["commands"]["witness"] == {"config": "witness_golden_zeros", "best_s": 0.5 - 0.01 * 6 * n}
 
 
 def test_wins_count_pairs_in_the_better_direction():

@@ -65,6 +65,10 @@ def one_sided_profile(h=LN2):
     return HyperbolicityProfile(lambda1=math.inf, lambda2=1.0, ln_l2=1.0, h_top=h)
 
 
+# lambda1 > ln L1: the lower entropy exceeds the upper one from tau = 0.3 on
+CONFLICT_PROFILE = HyperbolicityProfile(lambda1=2.0, lambda2=1.0, ln_l1=1.0, ln_l2=4.0, h_top=1.0)
+
+
 def tau(t_up, t_low=None):
     return RateExponents(t_up, t_up if t_low is None else t_low)
 
@@ -126,10 +130,8 @@ class TestLowerFactor:
         assert rep.entropy_lower == pytest.approx(LN2 / 2.0, abs=1e-15)
 
     def test_hypothesis_violation(self):
-        with pytest.raises(HypothesisViolatedError):
-            lower_factor(1.0, 1.0, 1.5)
-        with pytest.raises(HypothesisViolatedError):
-            lower_factor(1.0, 1.0, 1.0)  # boundary not asserted
+        assert lower_factor(1.0, 1.0, 1.5) is None
+        assert lower_factor(1.0, 1.0, 1.0) is None  # boundary not asserted
 
     def test_chi_zero_matches_plain_factor(self):
         for t in (0.0, 0.3, 0.7):
@@ -443,6 +445,31 @@ class TestShiftTheorems:
         assert rep.entropy_lower == pytest.approx(LN2 / 2.0)
         assert rep.entropy_upper == pytest.approx(LN2 / 1.5)
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        h=st.floats(min_value=0.01, max_value=5.0),
+        taus=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 1.0 - 5e-13, 1.0 + 5e-13, math.inf]), st.floats(0.0, 3.0)),
+            min_size=2, max_size=2,
+        ).map(sorted),
+        naturals=st.booleans(),
+    )
+    def test_mixing_shift_is_the_map_theorem_on_its_metric_profile(self, h, taus, naturals):
+        # exponents and log Lipschitz constants 1, and lambda1 = inf one-sided;
+        # S != N reads tau_upper on both sides
+        rate = RateExponents(taus[1], taus[0])
+        one_sided = HyperbolicityProfile(lambda1=math.inf, lambda2=1.0, ln_l2=1.0, h_top=h)
+        for shift, mapped in (
+            (bounds_one_sided_shift(True, h, rate, time_sets_all_naturals=naturals),
+             bounds_expanding(one_sided, rate, tau_lower_substitution=naturals)),
+            (bounds_two_sided_shift(True, h, rate, time_sets_all_naturals=naturals),
+             bounds_hyperbolic_set(unit_profile(h), rate, tau_lower_substitution=naturals)),
+        ):
+            assert shift.case_tag is mapped.case_tag
+            for a, b in zip(sides(shift)[1:], sides(mapped)[1:]):
+                assert (a is None) == (b is None)
+                assert a is None or abs(a - b) <= 4 * math.ulp(max(a, b))
+
 
 class TestCoveringAndAmbient:
     def test_covering_matches_lower_formulas(self):
@@ -491,7 +518,7 @@ class TestReportInvariants:
             BoundReport(lo, hi, None, None, CaseTag.GENERIC)
         with pytest.raises(ValueError, match="coinciding"):
             BoundReport(hi, hi, lo, np.array([0.1, 1.0, 0.3]), CaseTag.EXACT)
-        BoundReport(np.array([np.nan, 0.4]), 0.5, None, None, CaseTag.GENERIC)  # NaN: not asserted
+        BoundReport(np.array([np.nan, 0.4]), 0.5, None, None, CaseTag.GENERIC)  # NaN fails no comparison
         with pytest.raises(RateError, match=r"tau_lower must be in \[0, \+inf\], got nan"):
             RateExponents(np.array([0.5, 1.0]), np.array([0.5, np.nan]))
         with pytest.raises(RateError, match="tau_lower=0.7 exceeds tau_upper=0.6"):
@@ -511,6 +538,15 @@ class TestReportInvariants:
         with pytest.raises(MixedRun) as exc:
             lower_factor(1.0, 2.0, np.array([0.2, 0.9, 1.0, 0.3]))
         assert exc.value.at == 2
+        # the regime conflict: the entropy one starts at 0.3, a dimension-only one ends at 0.1
+        for prof, taus, at in ((CONFLICT_PROFILE, [0.0, 0.1, 0.2, 0.3], 3),
+                                (HyperbolicityProfile(lambda1=0.5, lambda2=1.5, ln_l1=1.0, ln_l2=0.5, h_top=1.0), [0.0, 0.1], 1)):
+            taus = np.array(taus)
+            with pytest.raises(MixedRun) as exc:
+                bounds_general_profile(prof, RateExponents(taus, taus))
+            assert exc.value.at == at
+            for run in (taus[:at], taus[at:]):
+                bounds_general_profile(prof, RateExponents(run, run))
 
 
 def _per_tau_row(facts, t):
@@ -588,10 +624,10 @@ class TestSweepRuns:
         assert len(taus) == 2000 and taus[0] < min(constants) - 2e-12 and max(constants) + 2e-12 < taus[-2]
         assert table_rows(sweep_table(facts, taus)) == [_per_tau_row(facts, t) for t in taus]
 
-    def test_regime_conflict_masks_single_elements(self):
+    def test_regime_conflict_drops_the_lower_sides_from_its_first_tau(self):
         # lambda1 > ln L1: the lower side exceeds the upper one from some tau on,
-        # within one generic run
-        facts = system_facts(HyperbolicityProfile(lambda1=2.0, lambda2=1.0, ln_l1=1.0, ln_l2=4.0, h_top=1.0))
+        # within one generic case, which the conflict's branch test splits
+        facts = system_facts(CONFLICT_PROFILE)
         taus = [0.0, 0.1, 0.2, 0.3]
         rows = table_rows(sweep_table(facts, taus))
         assert [row["h_lower"] for row in rows] == ["1", "0.863636363636", "0.75", None]

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 import sys
@@ -666,6 +667,21 @@ class TestPerronKernel:
         assert abs(math.log(perron_root(rows)) - math.log(float(ref))) < 1e-12
         lo, _, hi = _perron_bracket(np.array(rows, dtype=float))
         assert Fraction(lo) <= ref <= Fraction(hi)
+
+    @pytest.mark.parametrize(
+        "k",
+        [pytest.param(k, marks=pytest.mark.xfail(strict=True, reason=(
+            "D19: ln rho lies 3.7e-17 below a 12-digit rounding boundary, "
+            "which no float64 rho prints right"))) if k == 92 else k for k in range(3, 201)],
+    )
+    def test_chord_entropy_prints_the_rounded_root(self, k):
+        # the printed h_top is ln of the exact root at 40 digits, rounded half-even
+        # to 12 significant digits with trailing zeros dropped
+        root = _chord_root(k)
+        with decimal.localcontext(decimal.Context(prec=40)):
+            exact = (decimal.Decimal(root.numerator) / root.denominator).ln()
+        rounded = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN).plus(exact)
+        assert cli.fmt(math.log(perron_root(_cycle_with_chord(k)))) == format(rounded.normalize(), "f")
 
     def test_clique_with_path_bracket(self):
         # irreducible: the bracket closes though the Perron vector spans 16^-15
